@@ -21,11 +21,18 @@ test:
 # The partitioned suite rides in both passes at its small default shape:
 # TestModelPart/TestModelPartCrash (15/8 seeds), the TestCrashPart2PC
 # two-phase-commit matrix, and the TestStressPartConcurrent2PC storm;
-# `make part` runs the same suite at soak depth.
+# `make part` runs the same suite at soak depth. Both passes run at
+# -cpu 1,2,4: a 1-CPU pass never interleaves goroutines the way the
+# engine's users do, and the race detector only reports races in
+# interleavings it actually executes. The benchmark module (bench/, its own
+# go.mod) is tested last so a change to an engine type it reads
+# (dmx.ForeignServer, MetricsSnapshot, storage-method names) fails this
+# gate instead of the benchmark pipeline.
 check: build vet staticcheck
-	$(GO) test -shuffle=on -cover ./...
-	$(GO) test -race -count=1 ./...
+	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 ./...
 	$(MAKE) par
+	cd bench && $(GO) test ./...
 
 # staticcheck (honnef.co/go/tools) is part of the check gate — the tree
 # is clean under it, so it runs ungated. Install with:

@@ -17,7 +17,7 @@ import (
 	"dmx/internal/plan"
 	"dmx/internal/remote"
 	"dmx/internal/rig"
-	"dmx/internal/sm/remotesm"
+	"dmx/internal/sm/partsm"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -400,7 +400,7 @@ func BenchmarkE7StorageMethodsAppendInsert(b *testing.B) { benchSMInsert(b, "app
 
 func BenchmarkE7StorageMethodsRemoteInsert(b *testing.B) {
 	benchSMInsert(b, "remote", core.AttrList{"server": "fed"}, func(env *core.Env) {
-		remotesm.AttachServer(env, "fed", remote.NewServer(5*time.Microsecond))
+		partsm.AttachServer(env, "fed", remote.NewServer(5*time.Microsecond))
 	})
 }
 
@@ -621,7 +621,7 @@ func BenchmarkA1UpdateIndexedField(b *testing.B)    { benchA1Update(b, true) }
 
 func benchA2RemoteScan(b *testing.B, batch int) {
 	env := core.NewEnv(core.Config{})
-	remotesm.AttachServer(env, "fed", remote.NewServer(5*time.Microsecond))
+	partsm.AttachServer(env, "fed", remote.NewServer(5*time.Microsecond))
 	rel := rig.MustCreate(env, "t", "remote",
 		core.AttrList{"server": "fed", "batch": fmt.Sprint(batch)})
 	rig.Load(env, rel, 1000, 20)

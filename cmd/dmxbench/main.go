@@ -32,7 +32,6 @@ import (
 	"dmx/internal/remote"
 	"dmx/internal/rig"
 	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -600,7 +599,7 @@ func e7StorageMethods() []*rig.Table {
 		{"append (lsm)", "append", nil, nil},
 		{"remote (20µs RTT)", "remote", core.AttrList{"server": "fed"}, func(env *core.Env) {
 			fed = remote.NewServer(20 * time.Microsecond)
-			remotesm.AttachServer(env, "fed", fed)
+			partsm.AttachServer(env, "fed", fed)
 		}},
 	}
 	for _, c := range cases {
@@ -1622,7 +1621,7 @@ func a2RemoteBatch() []*rig.Table {
 	for _, batch := range []int{1, 10, 100, 1000} {
 		env := core.NewEnv(core.Config{})
 		fed := remote.NewServer(20 * time.Microsecond)
-		remotesm.AttachServer(env, "fed", fed)
+		partsm.AttachServer(env, "fed", fed)
 		rel := rig.MustCreate(env, "t", "remote",
 			core.AttrList{"server": "fed", "batch": fmt.Sprint(batch)})
 		rig.Load(env, rel, rows, 20)

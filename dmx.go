@@ -7,7 +7,7 @@
 //
 // Opening a database links in the factory extensions:
 //
-//	storage methods: temp, heap, btree, memory, append, remote
+//	storage methods: temp, heap, btree, memory, append, remote, part
 //	attachments:     btree, hash, rtree, joinindex, check, refint,
 //	                 trigger, stats, aggregate, unique
 //
@@ -45,7 +45,6 @@ import (
 	_ "dmx/internal/sm/heap"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
 	_ "dmx/internal/sm/syssm"
 	_ "dmx/internal/sm/tempsm"
 
@@ -233,7 +232,7 @@ func (db *DB) Close() error {
 	var first error
 	// The debug HTTP server (if serving) goes down first so no handler
 	// observes the log or disk mid-teardown.
-	if err := db.Env.Close(); err != nil {
+	if err := db.Env.StopDebug(); err != nil {
 		first = err
 	}
 	if db.log != nil && !db.ckptOff {
@@ -248,6 +247,11 @@ func (db *DB) Close() error {
 	// a file-backed database reopened without log replay reads the zero
 	// pages FileDisk.Allocate wrote at extension time.
 	if err := db.Env.Pool.FlushAll(); err != nil && first == nil {
+		first = err
+	}
+	// Storage instances are the state the checkpoint just read; only now
+	// can those holding connections let go of them.
+	if err := db.Env.Close(); err != nil && first == nil {
 		first = err
 	}
 	if db.log != nil {
@@ -322,7 +326,7 @@ func (db *DB) RegisterCheckPredicate(token string, e *Expr) {
 // AttachForeignServer makes a foreign database reachable from relations
 // created with USING remote WITH (server=<name>).
 func (db *DB) AttachForeignServer(name string, srv *ForeignServer) {
-	remotesm.AttachServer(db.Env, name, srv)
+	partsm.AttachServer(db.Env, name, srv)
 }
 
 // AttachShardServer makes a shard backend reachable from partitioned

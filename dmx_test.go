@@ -156,6 +156,47 @@ func TestForeignServerThroughFacade(t *testing.T) {
 	}
 }
 
+// TestForeignTableAcrossReopen reopens a database holding a remote relation
+// with Recover set: recovery runs inside Open, before the foreign server
+// can be attached, and must leave the relation for the attach that follows.
+func TestForeignTableAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{LogPath: filepath.Join(dir, "wal.log"), DiskPath: filepath.Join(dir, "data.db")}
+	srv := NewForeignServer(0) // the foreign database outlives the local one
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AttachForeignServer("fed", srv)
+	if _, err := db.Exec(
+		"CREATE TABLE far (id INT NOT NULL, v STRING) USING remote WITH (server=fed)",
+		"INSERT INTO far VALUES (1, 'remote row')",
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Recover = true
+	db2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if _, err := db2.Exec("SELECT v FROM far"); err == nil {
+		t.Fatal("remote relation answered with no server attached")
+	}
+	db2.AttachForeignServer("fed", srv)
+	if _, err := db2.Exec("INSERT INTO far VALUES (2, 'after reopen')"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db2.Exec("SELECT v FROM far")
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("reopened remote res = %+v, %v", res, err)
+	}
+}
+
 func TestPlanAPI(t *testing.T) {
 	db, _ := Open(Config{})
 	defer db.Close()

@@ -3,8 +3,8 @@
 // database by simulating relation accesses via (remote) accesses to
 // relations in the foreign database". A local relation and a remote one
 // join transparently; the program reports the message traffic the remote
-// accesses generate and shows that aborting a local transaction issues
-// compensating operations against the foreign database.
+// accesses generate and shows that an aborted local transaction never
+// reaches the foreign database: its writes are staged there and discarded.
 package main
 
 import (
@@ -53,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("   join plan: %s (%d foreign messages)\n", res.Explain, fed.Messages.Load()-before)
 
-	fmt.Println("== aborting a local transaction compensates remotely ==")
+	fmt.Println("== an aborted local transaction never reaches the foreign database ==")
 	mustExec(db, "BEGIN", "UPDATE stock SET qty = 0 WHERE pno = 1", "ROLLBACK")
 	res, err = db.Exec("SELECT qty FROM stock WHERE pno = 1")
 	if err != nil {

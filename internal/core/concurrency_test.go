@@ -70,6 +70,34 @@ func TestConcurrentTransactionsOnIndexedRelation(t *testing.T) {
 	}
 }
 
+// TestAttachmentOpenIsSingleFlight checks that concurrent first uses of an
+// attachment type on one relation run its Open exactly once: an Open that
+// populates state from the relation must never run twice with one result
+// thrown away.
+func TestAttachmentOpenIsSingleFlight(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	rd := mkRel(t, env, "t", "memory", "veto")
+	before := vetoOpens.Load()
+	const callers = 8
+	var ready, done sync.WaitGroup
+	ready.Add(callers)
+	for i := 0; i < callers; i++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			ready.Wait()
+			if _, err := env.AttachmentInstance(rd, attVeto); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done.Wait()
+	if got := vetoOpens.Load() - before; got != 1 {
+		t.Fatalf("attachment opened %d times, want 1", got)
+	}
+}
+
 // TestWriteConflictSerialises checks that two transactions updating the
 // same record serialise through the key lock (the second waits for the
 // first to finish).

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dmx/internal/core"
@@ -27,9 +29,20 @@ const (
 // traceInst demonstrates an attachment with associated storage: it keeps a
 // logged count of modifications so undo must restore the count.
 type traceInst struct {
-	rd    *core.RelDesc
+	rd *core.RelDesc
+
+	mu    sync.Mutex // concurrent transactions notify one instance
 	calls []string
 	count int
+}
+
+func (t *traceInst) note(call string, delta int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if call != "" {
+		t.calls = append(t.calls, call)
+	}
+	t.count += delta
 }
 
 func (t *traceInst) log(tx *txn.Txn, delta int) error {
@@ -41,19 +54,17 @@ func (t *traceInst) log(tx *txn.Txn, delta int) error {
 }
 
 func (t *traceInst) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	t.calls = append(t.calls, "insert")
-	t.count++
+	t.note("insert", 1)
 	return t.log(tx, 1)
 }
 
 func (t *traceInst) OnUpdate(tx *txn.Txn, ok, nk types.Key, o, n types.Record) error {
-	t.calls = append(t.calls, "update")
+	t.note("update", 0)
 	return nil
 }
 
 func (t *traceInst) OnDelete(tx *txn.Txn, key types.Key, old types.Record) error {
-	t.calls = append(t.calls, "delete")
-	t.count--
+	t.note("delete", -1)
 	return t.log(tx, -1)
 }
 
@@ -69,11 +80,14 @@ func (t *traceInst) ApplyLogged(payload []byte, undo bool) error {
 	if undo {
 		delta = -delta
 	}
-	t.count += delta
+	t.note("", delta)
 	return nil
 }
 
 type vetoInst struct{}
+
+// vetoOpens counts Open calls, for TestAttachmentOpenIsSingleFlight.
+var vetoOpens atomic.Int64
 
 var errNegative = errors.New("first field must be non-negative")
 
@@ -99,9 +113,16 @@ type instKey struct {
 	rel uint32
 }
 
-var traceInstances = map[instKey]*traceInst{}
+var (
+	traceMu        sync.Mutex // tests in this package run transactions concurrently
+	traceInstances = map[instKey]*traceInst{}
+)
 
-func traceOf(env *core.Env, rel uint32) *traceInst { return traceInstances[instKey{env, rel}] }
+func traceOf(env *core.Env, rel uint32) *traceInst {
+	traceMu.Lock()
+	defer traceMu.Unlock()
+	return traceInstances[instKey{env, rel}]
+}
 
 func init() {
 	core.RegisterAttachment(&core.AttachmentOps{
@@ -111,6 +132,8 @@ func init() {
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
 			k := instKey{env, rd.RelID}
+			traceMu.Lock()
+			defer traceMu.Unlock()
 			if inst, ok := traceInstances[k]; ok {
 				return inst, nil
 			}
@@ -125,6 +148,8 @@ func init() {
 			return []byte{1}, nil
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
+			vetoOpens.Add(1)
+			runtime.Gosched() // let a racing opener in, if the engine allows one
 			return vetoInst{}, nil
 		},
 	})

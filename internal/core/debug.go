@@ -56,10 +56,19 @@ func (env *Env) ServeDebug(addr string) (string, error) {
 	env.debug = ds
 	env.debugMu.Unlock()
 	if prev != nil {
-		prev.srv.Close()
+		prev.stop()
 	}
 	go ds.srv.Serve(ln)
 	return ln.Addr().String(), nil
+}
+
+// stop closes the server and then the listener itself: srv.Close only
+// closes listeners Serve has registered, and Serve runs in a goroutine
+// that may not have been scheduled yet, which would leave ln accepting.
+func (ds *debugServer) stop() error {
+	err := ds.srv.Close()
+	ds.ln.Close() // fails harmlessly when srv.Close already closed it
+	return err
 }
 
 // StopDebug shuts the debug server down, closing its listener and any
@@ -73,7 +82,7 @@ func (env *Env) StopDebug() error {
 	if ds == nil {
 		return nil
 	}
-	return ds.srv.Close()
+	return ds.stop()
 }
 
 // DebugAddr returns the running debug server's bound address ("" when no

@@ -95,8 +95,8 @@ type Env struct {
 	NotifySkip func(relName string, id AttID) bool
 
 	mu       sync.RWMutex
-	smInst   map[uint32]StorageInstance
-	attInst  map[attKey]*attEntry
+	smInst   map[uint32]*smSlot
+	attInst  map[attKey]*attSlot
 	extState map[string]any
 
 	// relStats holds the per-relation dispatch rollups behind
@@ -132,6 +132,22 @@ type attKey struct {
 	att AttID
 }
 
+// smSlot and attSlot cache one extension instance each. mu makes opening
+// (and, for attachments, reconfiguring) single-flight per relation and
+// extension: Open may populate state from the relation's contents or hold
+// connections, so a concurrent second Open whose result is discarded is
+// not harmless. Readers load the published state without taking mu.
+type smSlot struct {
+	mu   sync.Mutex
+	inst atomic.Pointer[StorageInstance]
+}
+
+type attSlot struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[attEntry]
+}
+
+// attEntry is immutable once published; a reconfigure publishes a new one.
 type attEntry struct {
 	version uint64
 	inst    AttachmentInstance
@@ -190,8 +206,8 @@ func NewEnv(cfg Config) *Env {
 			SlowLog:       cfg.SlowLog,
 		}),
 		Faults:   cfg.Faults,
-		smInst:   make(map[uint32]StorageInstance),
-		attInst:  make(map[attKey]*attEntry),
+		smInst:   make(map[uint32]*smSlot),
+		attInst:  make(map[attKey]*attSlot),
 		extState: make(map[string]any),
 	}
 	env.Cat = NewCatalog(env)
@@ -226,10 +242,38 @@ func (env *Env) BeginReadOnly() *txn.Txn {
 }
 
 // Close releases environment-level services: the debug server (if one is
-// running) is shut down. The buffer pool, log, and disk are owned by the
-// embedding database handle and closed there.
+// running) is shut down and storage instances that hold resources are
+// closed (a later use reopens them). The buffer pool, log, and disk are
+// owned by the embedding database handle and closed there.
 func (env *Env) Close() error {
-	return env.StopDebug()
+	err := env.StopDebug()
+	env.mu.RLock()
+	slots := make([]*smSlot, 0, len(env.smInst))
+	for _, s := range env.smInst {
+		slots = append(slots, s)
+	}
+	env.mu.RUnlock()
+	for _, s := range slots {
+		if cerr := s.close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// close releases the slot's instance if it holds resources. io.Closer is
+// the capability: partitioned relations hold one connection per shard.
+// Instances without it keep authoritative in-memory state and stay.
+func (s *smSlot) close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.inst.Load(); p != nil {
+		if c, ok := (*p).(io.Closer); ok {
+			s.inst.Store(nil)
+			return c.Close()
+		}
+	}
+	return nil
 }
 
 // StorageInstance returns the (cached) runtime storage instance for rd,
@@ -238,12 +282,24 @@ func (env *Env) Close() error {
 // state is authoritative between restarts (durability comes from the log).
 func (env *Env) StorageInstance(rd *RelDesc) (StorageInstance, error) {
 	env.mu.RLock()
-	if inst, ok := env.smInst[rd.RelID]; ok {
-		env.mu.RUnlock()
-		return inst, nil
-	}
+	s := env.smInst[rd.RelID]
 	env.mu.RUnlock()
-
+	if s == nil {
+		env.mu.Lock()
+		if s = env.smInst[rd.RelID]; s == nil {
+			s = &smSlot{}
+			env.smInst[rd.RelID] = s
+		}
+		env.mu.Unlock()
+	}
+	if p := s.inst.Load(); p != nil {
+		return *p, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.inst.Load(); p != nil {
+		return *p, nil
+	}
 	ops := env.Reg.StorageOps(rd.SM)
 	if ops == nil {
 		return nil, fmt.Errorf("core: relation %q uses unregistered storage method %d", rd.Name, rd.SM)
@@ -252,12 +308,7 @@ func (env *Env) StorageInstance(rd *RelDesc) (StorageInstance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open storage for %q: %w", rd.Name, err)
 	}
-	env.mu.Lock()
-	defer env.mu.Unlock()
-	if prior, ok := env.smInst[rd.RelID]; ok {
-		return prior, nil // lost a race; keep the first instance
-	}
-	env.smInst[rd.RelID] = inst
+	s.inst.Store(&inst)
 	return inst, nil
 }
 
@@ -267,22 +318,43 @@ func (env *Env) StorageInstance(rd *RelDesc) (StorageInstance, error) {
 func (env *Env) AttachmentInstance(rd *RelDesc, id AttID) (AttachmentInstance, error) {
 	k := attKey{rel: rd.RelID, att: id}
 	env.mu.RLock()
-	e, ok := env.attInst[k]
+	s := env.attInst[k]
 	env.mu.RUnlock()
-	if ok {
-		if e.version >= rd.Version {
-			// Same version, or the caller holds a stale descriptor from an
-			// old bound plan: the cached instance reflects current state.
+	if s == nil {
+		env.mu.Lock()
+		if s = env.attInst[k]; s == nil {
+			s = &attSlot{}
+			env.attInst[k] = s
+		}
+		env.mu.Unlock()
+	}
+	// Same version, or the caller holds a stale descriptor from an old
+	// bound plan: the cached instance reflects current state.
+	if e := s.cur.Load(); e != nil && e.version >= rd.Version {
+		return e.inst, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bring(env, rd, id, false)
+}
+
+// bring opens or reconfigures the slot's instance to rd's version; s.mu is
+// held. A cached version above rd's means the caller's descriptor is the
+// stale one, unless exact is set: log-driven undo moves the catalog
+// descriptor back to a lower version and the instance must follow.
+func (s *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (AttachmentInstance, error) {
+	if e := s.cur.Load(); e != nil {
+		if e.version == rd.Version || (e.version > rd.Version && !exact) {
 			return e.inst, nil
 		}
 		if rc, canReconf := e.inst.(Reconfigurer); canReconf {
 			if err := rc.Reconfigure(rd); err != nil {
 				return nil, err
 			}
-			e.version = rd.Version
+			s.cur.Store(&attEntry{version: rd.Version, inst: e.inst})
 			return e.inst, nil
 		}
-		// Instance cannot reconfigure: fall through and reopen.
+		// Instance cannot reconfigure: reopen.
 	}
 	ops := env.Reg.AttachmentOps(id)
 	if ops == nil {
@@ -292,12 +364,7 @@ func (env *Env) AttachmentInstance(rd *RelDesc, id AttID) (AttachmentInstance, e
 	if err != nil {
 		return nil, fmt.Errorf("core: open attachment %q on %q: %w", ops.Name, rd.Name, err)
 	}
-	env.mu.Lock()
-	defer env.mu.Unlock()
-	if prior, ok := env.attInst[k]; ok && prior.version == rd.Version {
-		return prior.inst, nil
-	}
-	env.attInst[k] = &attEntry{version: rd.Version, inst: inst}
+	s.cur.Store(&attEntry{version: rd.Version, inst: inst})
 	return inst, nil
 }
 
@@ -308,15 +375,20 @@ type Reconfigurer interface {
 	Reconfigure(rd *RelDesc) error
 }
 
-// DropInstances evicts all cached instances for a dropped relation.
+// DropInstances evicts all cached instances for a dropped relation,
+// closing a storage instance that holds resources.
 func (env *Env) DropInstances(relID uint32) {
 	env.mu.Lock()
-	defer env.mu.Unlock()
+	s := env.smInst[relID]
 	delete(env.smInst, relID)
 	for k := range env.attInst {
 		if k.rel == relID {
 			delete(env.attInst, k)
 		}
+	}
+	env.mu.Unlock()
+	if s != nil {
+		s.close() // the relation is gone; a failed close has no one to report to
 	}
 }
 
@@ -330,20 +402,28 @@ func (env *Env) InvalidateRelation(relID uint32) error {
 		return nil
 	}
 	env.mu.Lock()
-	var toReconf []AttachmentInstance
-	for k, e := range env.attInst {
-		if k.rel == relID && e.version != rd.Version {
-			if _, canReconf := e.inst.(Reconfigurer); canReconf {
-				e.version = rd.Version
-				toReconf = append(toReconf, e.inst)
-			} else {
-				delete(env.attInst, k)
-			}
+	var stale []*attSlot
+	var ids []AttID
+	for k, s := range env.attInst {
+		if k.rel != relID {
+			continue
+		}
+		e := s.cur.Load()
+		if e == nil || e.version == rd.Version {
+			continue
+		}
+		if _, canReconf := e.inst.(Reconfigurer); canReconf {
+			stale, ids = append(stale, s), append(ids, k.att)
+		} else {
+			delete(env.attInst, k)
 		}
 	}
 	env.mu.Unlock()
-	for _, inst := range toReconf {
-		if err := inst.(Reconfigurer).Reconfigure(rd); err != nil {
+	for i, s := range stale {
+		s.mu.Lock()
+		_, err := s.bring(env, rd, ids[i], true)
+		s.mu.Unlock()
+		if err != nil {
 			return err
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"dmx/internal/plan"
 	"dmx/internal/remote"
 	"dmx/internal/sm/partsm"
-	"dmx/internal/sm/remotesm"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -167,7 +166,7 @@ func (r *runner) openEnv(recover bool) error {
 		}
 		return nil
 	})
-	remotesm.AttachServer(r.env, "srv", remote.NewServer(0))
+	partsm.AttachServer(r.env, "srv", remote.NewServer(0))
 	// Partitioned fleets shard relation x across these three servers. They
 	// are recreated empty on every reopen: the storage method checkpoints
 	// its contents into the local log, so recovery repopulates the shards

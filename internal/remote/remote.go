@@ -303,16 +303,7 @@ func (s *Server) execute(req *Request) *Response {
 	defer t.mu.Unlock()
 	switch req.Op {
 	case OpPut:
-		key := req.Key
-		if key == nil {
-			key = make([]byte, 8)
-			binary.BigEndian.PutUint64(key, t.nextSeq)
-			t.nextSeq++
-		} else if len(key) == 8 {
-			if seq := binary.BigEndian.Uint64(key); seq >= t.nextSeq {
-				t.nextSeq = seq + 1
-			}
-		}
+		key := t.keyFor(req.Key)
 		t.put(key, req.Rec)
 		return &Response{Key: key}
 	case OpDelete:
@@ -342,6 +333,22 @@ func (s *Server) execute(req *Request) *Response {
 	}
 }
 
+// keyFor returns the key a put lands on: the caller's, or (nil) the next
+// 8-byte sequence key. Explicit sequence-shaped keys advance the sequence
+// past themselves so replayed records never collide with assigned ones.
+// t.mu must be held.
+func (t *table) keyFor(key []byte) []byte {
+	if key == nil {
+		key = binary.BigEndian.AppendUint64(nil, t.nextSeq)
+		t.nextSeq++
+	} else if len(key) == 8 {
+		if seq := binary.BigEndian.Uint64(key); seq >= t.nextSeq {
+			t.nextSeq = seq + 1
+		}
+	}
+	return key
+}
+
 // put installs rec at key in committed state; t.mu must be held.
 func (t *table) put(key, rec []byte) {
 	if _, exists := t.recs[string(key)]; !exists {
@@ -357,13 +364,26 @@ func (t *table) del(key []byte) {
 }
 
 // stage buffers one transactional write. The table must exist — staged
-// writes target shard tables the storage method created beforehand.
+// writes target tables the storage method created beforehand. A staged
+// put with a nil key is assigned its key now, so the client can log it;
+// the sequence number is spent even if the transaction aborts.
 func (s *Server) stage(req *Request) *Response {
 	if req.TxnID == 0 {
 		return &Response{Err: "remote: staged write without a transaction id"}
 	}
-	if _, err := s.table(req.Table); err != nil {
+	t, err := s.table(req.Table)
+	if err != nil {
 		return &Response{Err: err.Error()}
+	}
+	if req.Key == nil {
+		if req.Op == OpStageDelete {
+			return &Response{Err: "remote: staged delete without a key"}
+		}
+		// Only assignment needs the table latch; a staged write with a key
+		// must not queue behind a scan of the table.
+		t.mu.Lock()
+		req.Key = t.keyFor(nil)
+		t.mu.Unlock()
 	}
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
@@ -532,10 +552,11 @@ func removeSorted(s []string, k string) []string {
 // Client is the storage method's connection to the foreign database. It is
 // safe for concurrent use (requests are serialised on the connection).
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	mu     sync.Mutex
+	conn   net.Conn
+	enc    *gob.Encoder
+	dec    *gob.Decoder
+	served chan struct{} // closed when the Dial-started server goroutine exits
 }
 
 // NewClient wraps an established connection.
@@ -547,12 +568,24 @@ func NewClient(conn net.Conn) *Client {
 // in-process stand-in for dialing a foreign database.
 func Dial(s *Server) *Client {
 	c1, c2 := net.Pipe()
-	go s.Serve(c2)
-	return NewClient(c1)
+	c := NewClient(c1)
+	c.served = make(chan struct{})
+	go func() {
+		defer close(c.served)
+		s.Serve(c2)
+	}()
+	return c
 }
 
-// Close drops the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close drops the connection and, for a Dial-made client, returns once
+// the server goroutine behind it has exited.
+func (c *Client) Close() error {
+	err := c.conn.Close()
+	if c.served != nil {
+		<-c.served
+	}
+	return err
+}
 
 // Call performs one round trip.
 func (c *Client) Call(req *Request) (*Response, error) {
@@ -583,8 +616,10 @@ func (c *Client) DropTable(name string) error {
 	return err
 }
 
-// Put stores rec at key (nil key lets the server assign one) and returns
-// the record's key.
+// Put stores rec at key in committed state at once, outside any
+// transaction (nil key lets the server assign one), and returns the
+// record's key. Storage methods use it only to re-apply logged
+// modifications at restart recovery; live writes are staged.
 func (c *Client) Put(tableName string, key types.Key, rec types.Record) (types.Key, error) {
 	resp, err := c.Call(&Request{Op: OpPut, Table: tableName, Key: key, Rec: rec.AppendEncode(nil)})
 	if err != nil {
@@ -593,15 +628,17 @@ func (c *Client) Put(tableName string, key types.Key, rec types.Record) (types.K
 	return types.Key(resp.Key), nil
 }
 
-// Delete removes the record at key.
+// Delete removes the record at key from committed state at once (the
+// recovery-time counterpart of Put).
 func (c *Client) Delete(tableName string, key types.Key) error {
 	_, err := c.Call(&Request{Op: OpDelete, Table: tableName, Key: key})
 	return err
 }
 
-// Get fetches the record at key.
-func (c *Client) Get(tableName string, key types.Key) (types.Record, error) {
-	resp, err := c.Call(&Request{Op: OpGet, Table: tableName, Key: key})
+// Get fetches the record at key, overlaying txnID's staged writes
+// (read-your-writes). txnID 0 sees committed state only.
+func (c *Client) Get(txnID uint64, tableName string, key types.Key) (types.Record, error) {
+	resp, err := c.Call(&Request{Op: OpGet, TxnID: txnID, Table: tableName, Key: key})
 	if err != nil {
 		return nil, err
 	}
@@ -609,9 +646,10 @@ func (c *Client) Get(tableName string, key types.Key) (types.Record, error) {
 	return rec, err
 }
 
-// ScanBatch returns up to limit records with keys strictly after afterKey.
-func (c *Client) ScanBatch(tableName string, afterKey types.Key, limit int) ([]Entry, error) {
-	resp, err := c.Call(&Request{Op: OpScan, Table: tableName, Key: afterKey, Limit: limit})
+// ScanBatch returns up to limit records with keys strictly after
+// afterKey, overlaying txnID's staged writes onto committed state.
+func (c *Client) ScanBatch(txnID uint64, tableName string, afterKey types.Key, limit int) ([]Entry, error) {
+	resp, err := c.Call(&Request{Op: OpScan, TxnID: txnID, Table: tableName, Key: afterKey, Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -627,32 +665,15 @@ func (c *Client) Count(tableName string) (int, error) {
 	return resp.Count, nil
 }
 
-// GetTxn fetches the record at key, overlaying txnID's staged writes
-// (read-your-writes). txnID 0 sees committed state only.
-func (c *Client) GetTxn(txnID uint64, tableName string, key types.Key) (types.Record, error) {
-	resp, err := c.Call(&Request{Op: OpGet, TxnID: txnID, Table: tableName, Key: key})
-	if err != nil {
-		return nil, err
-	}
-	rec, _, err := types.DecodeRecord(resp.Rec)
-	return rec, err
-}
-
-// ScanBatchTxn returns up to limit records with keys strictly after
-// afterKey, overlaying txnID's staged writes onto committed state.
-func (c *Client) ScanBatchTxn(txnID uint64, tableName string, afterKey types.Key, limit int) ([]Entry, error) {
-	resp, err := c.Call(&Request{Op: OpScan, TxnID: txnID, Table: tableName, Key: afterKey, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Entries, nil
-}
-
-// StagePut buffers a put under txnID; it becomes visible to other
+// StagePut buffers a put under txnID (nil key lets the server assign one)
+// and returns the record's key; the record becomes visible to other
 // transactions only after CommitTxn.
-func (c *Client) StagePut(txnID uint64, tableName string, key types.Key, rec types.Record) error {
-	_, err := c.Call(&Request{Op: OpStagePut, TxnID: txnID, Table: tableName, Key: key, Rec: rec.AppendEncode(nil)})
-	return err
+func (c *Client) StagePut(txnID uint64, tableName string, key types.Key, rec types.Record) (types.Key, error) {
+	resp, err := c.Call(&Request{Op: OpStagePut, TxnID: txnID, Table: tableName, Key: key, Rec: rec.AppendEncode(nil)})
+	if err != nil {
+		return nil, err
+	}
+	return types.Key(resp.Key), nil
 }
 
 // StageDelete buffers a delete (tombstone) under txnID.

@@ -36,7 +36,7 @@ func TestTableLifecycle(t *testing.T) {
 	if err := c.DropTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("t", types.Key{1}); err == nil {
+	if _, err := c.Get(0, "t", types.Key{1}); err == nil {
 		t.Fatal("get from dropped table accepted")
 	}
 }
@@ -52,7 +52,7 @@ func TestPutGetDeleteCount(t *testing.T) {
 	if k1.Equal(k2) {
 		t.Fatal("server reused a key")
 	}
-	got, err := c.Get("t", k1)
+	got, err := c.Get(0, "t", k1)
 	if err != nil || got[1].S != "a" {
 		t.Fatalf("get: %v %v", got, err)
 	}
@@ -60,7 +60,7 @@ func TestPutGetDeleteCount(t *testing.T) {
 	if _, err := c.Put("t", k1, rec(types.Int(1), types.Str("a2"))); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = c.Get("t", k1)
+	got, _ = c.Get(0, "t", k1)
 	if got[1].S != "a2" {
 		t.Fatal("overwrite lost")
 	}
@@ -73,7 +73,7 @@ func TestPutGetDeleteCount(t *testing.T) {
 	if err := c.Delete("t", k1); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if _, err := c.Get("t", k1); err == nil {
+	if _, err := c.Get(0, "t", k1); err == nil {
 		t.Fatal("get of deleted accepted")
 	}
 	if n, _ := c.Count("t"); n != 1 {
@@ -112,7 +112,7 @@ func TestScanBatchOrderAndPaging(t *testing.T) {
 	var all []Entry
 	var after types.Key
 	for {
-		batch, err := c.ScanBatch("t", after, 10)
+		batch, err := c.ScanBatch(0, "t", after, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,5 +204,37 @@ func TestSortedHelpers(t *testing.T) {
 	// Removing an absent key is a no-op.
 	if got := removeSorted(s, "q"); len(got) != 3 {
 		t.Fatalf("removeSorted absent = %v", got)
+	}
+}
+
+// TestStagedPutAssignsKey checks the staged counterpart of a nil-key Put:
+// the key is assigned when the write is staged (the client logs it before
+// the transaction decides), the record is the transaction's alone until
+// CommitTxn, and the sequence number is not reissued meanwhile.
+func TestStagedPutAssignsKey(t *testing.T) {
+	_, c := client(t, 0)
+	c.CreateTable("t")
+	k1, err := c.StagePut(7, "t", nil, rec(types.Int(1)))
+	if err != nil || len(k1) != 8 {
+		t.Fatalf("staged put: key %v, %v", k1, err)
+	}
+	k2, err := c.Put("t", nil, rec(types.Int(2)))
+	if err != nil || k2.Equal(k1) {
+		t.Fatalf("immediate put reused the staged key: %v %v", k2, err)
+	}
+	if _, err := c.Get(0, "t", k1); err == nil {
+		t.Fatal("staged record visible outside its transaction")
+	}
+	if got, err := c.Get(7, "t", k1); err != nil || got[0].AsInt() != 1 {
+		t.Fatalf("staged record invisible to its own transaction: %v %v", got, err)
+	}
+	if err := c.StageDelete(7, "t", nil); err == nil {
+		t.Fatal("staged delete without a key accepted")
+	}
+	if err := c.CommitTxn(7); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(0, "t", k1); err != nil || got[0].AsInt() != 1 {
+		t.Fatalf("committed record: %v %v", got, err)
 	}
 }

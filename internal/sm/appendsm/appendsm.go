@@ -645,19 +645,7 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if err != nil {
 		return nil, err
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.QualifyFetch(s.env, rec, fields, filter)
 }
 
 // OpenScan implements core.StorageInstance: press (key) order, merged
@@ -710,37 +698,25 @@ func (s *store) RecordCount() int {
 // restores the old record, redo replays the new state. Recovery never
 // flushes — run shapes rebuild from fresh ingest, not from the log.
 func (s *store) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeMod(payload)
-	if err != nil {
-		return err
-	}
-	seq, err := keySeq(p.Key)
+	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch p.Op {
-	case core.ModInsert:
-		if undo {
-			s.putLocked(seq, nil)
-		} else {
-			s.putLocked(seq, p.New.AppendEncode(nil))
+	if e.Del != nil {
+		seq, err := keySeq(e.Del)
+		if err != nil {
+			return err
 		}
-	case core.ModUpdate:
-		if undo {
-			s.putLocked(seq, p.Old.AppendEncode(nil))
-		} else {
-			s.putLocked(seq, p.New.AppendEncode(nil))
+		s.putLocked(seq, nil)
+	}
+	if e.Put != nil {
+		seq, err := keySeq(e.Put)
+		if err != nil {
+			return err
 		}
-	case core.ModDelete:
-		if undo {
-			s.putLocked(seq, p.Old.AppendEncode(nil))
-		} else {
-			s.putLocked(seq, nil)
-		}
-	default:
-		return fmt.Errorf("appendsm: unexpected logged op %v", p.Op)
+		s.putLocked(seq, e.Rec.AppendEncode(nil))
 	}
 	return nil
 }
@@ -804,19 +780,13 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if sc.opts.Filter != nil {
-			match, err := s.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
+		rec, ok, err = smutil.Qualify(s.env, rec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
+		if ok {
+			return key, rec, true, nil
 		}
-		return key, rec, true, nil
 	}
 }
 

@@ -501,33 +501,6 @@ func TestFaultSitesFire(t *testing.T) {
 	}
 }
 
-func TestScanRestoreAfterCloseRejected(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mk(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec(1, "x"))
-	tx.Commit()
-	tx2 := env.Begin()
-	defer tx2.Commit()
-	scan, err := r.OpenScan(tx2, core.ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := scan.Pos()
-	if err := scan.Restore(pos); err != nil {
-		t.Fatalf("restore on open scan: %v", err)
-	}
-	if err := scan.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := scan.Restore(pos); err == nil {
-		t.Fatal("restore after close succeeded")
-	}
-	if _, _, _, err := scan.Next(); err == nil {
-		t.Fatal("next after close succeeded")
-	}
-}
-
 func TestReadAmplificationCostProfile(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	r := mk(t, env)

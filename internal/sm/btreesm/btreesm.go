@@ -6,19 +6,12 @@
 // by the DDL attribute list (key=col1,col2,...), using the
 // order-preserving field encoding — so direct-by-key accesses and
 // key-sequential range scans over the key columns are cheap, which the
-// cost estimator reports to the query planner.
+// cost estimator reports to the query planner. All of that is the keyed
+// mode of smutil.TreeStore; this package is the registration.
 package btreesm
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"strings"
-	"sync"
-
-	"dmx/internal/btree"
 	"dmx/internal/core"
-	"dmx/internal/expr"
 	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
@@ -29,7 +22,7 @@ const Name = "btree"
 
 // ErrDuplicateKey is returned when inserting a record whose key fields
 // collide with a stored record.
-var ErrDuplicateKey = fmt.Errorf("btreesm: duplicate key")
+var ErrDuplicateKey = smutil.ErrDuplicateKey
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
@@ -40,269 +33,22 @@ func init() {
 			if err := attrs.CheckAllowed(Name, "key"); err != nil {
 				return err
 			}
-			_, err := parseKeyAttr(schema, attrs)
+			_, err := smutil.ParseKeyColumns(Name, schema, attrs)
 			return err
 		},
 		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, attrs core.AttrList) ([]byte, error) {
-			fields, err := parseKeyAttr(rd.Schema, attrs)
+			fields, err := smutil.ParseKeyColumns(Name, rd.Schema, attrs)
 			if err != nil {
 				return nil, err
 			}
-			return encodeDesc(fields), nil
+			return smutil.AppendKeyColumns(nil, fields), nil
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.StorageInstance, error) {
-			fields, err := decodeDesc(rd.SMDesc)
+			fields, _, err := smutil.DecodeKeyColumns(rd.SMDesc)
 			if err != nil {
 				return nil, err
 			}
-			return &store{env: env, rd: rd, keyFields: fields, tree: btree.New()}, nil
+			return smutil.NewTreeStore(env, rd, true, fields), nil
 		},
 	})
 }
-
-func parseKeyAttr(schema *types.Schema, attrs core.AttrList) ([]int, error) {
-	spec, ok := attrs.Get("key")
-	if !ok || spec == "" {
-		return nil, fmt.Errorf("btreesm: the btree storage method requires a key=col,... attribute")
-	}
-	var fields []int
-	for _, name := range strings.Split(spec, ",") {
-		i := schema.ColIndex(strings.TrimSpace(name))
-		if i < 0 {
-			return nil, fmt.Errorf("btreesm: key column %q not in schema", strings.TrimSpace(name))
-		}
-		fields = append(fields, i)
-	}
-	return fields, nil
-}
-
-func encodeDesc(fields []int) []byte {
-	out := []byte{byte(len(fields))}
-	for _, f := range fields {
-		out = binary.BigEndian.AppendUint16(out, uint16(f))
-	}
-	return out
-}
-
-func decodeDesc(b []byte) ([]int, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("btreesm: empty storage descriptor")
-	}
-	n := int(b[0])
-	if len(b) < 1+2*n {
-		return nil, fmt.Errorf("btreesm: truncated storage descriptor")
-	}
-	fields := make([]int, n)
-	for i := 0; i < n; i++ {
-		fields[i] = int(binary.BigEndian.Uint16(b[1+2*i:]))
-	}
-	return fields, nil
-}
-
-// store is the B-tree-organised storage instance for one relation.
-type store struct {
-	env       *core.Env
-	rd        *core.RelDesc
-	keyFields []int
-
-	mu   sync.Mutex
-	tree *btree.Tree // record key -> encoded record
-}
-
-// KeyOf composes the record key from the record's key fields.
-func (s *store) KeyOf(rec types.Record) types.Key {
-	return types.EncodeKeyFields(rec, s.keyFields)
-}
-
-// Insert implements core.StorageInstance.
-func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
-	key := s.KeyOf(rec)
-	s.mu.Lock()
-	_, dup := s.tree.Get(key)
-	s.mu.Unlock()
-	if dup {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(s.keyFields))
-	}
-	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.tree.Set(key, rec.AppendEncode(nil))
-	s.mu.Unlock()
-	return key, nil
-}
-
-// Update implements core.StorageInstance: updating key fields moves the
-// record to its new key position.
-func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) (types.Key, error) {
-	newKey := s.KeyOf(newRec)
-	s.mu.Lock()
-	_, exists := s.tree.Get(key)
-	var dup bool
-	if !newKey.Equal(key) {
-		_, dup = s.tree.Get(newKey)
-	}
-	s.mu.Unlock()
-	if !exists {
-		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, key)
-	}
-	if dup {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, newRec.Project(s.keyFields))
-	}
-	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if !newKey.Equal(key) {
-		s.tree.Delete(key)
-	}
-	s.tree.Set(newKey, newRec.AppendEncode(nil))
-	s.mu.Unlock()
-	return newKey, nil
-}
-
-// Delete implements core.StorageInstance.
-func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModDelete, Key: key, Old: oldRec}); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	_, ok := s.tree.Delete(key)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", core.ErrNotFound, key)
-	}
-	return nil
-}
-
-// FetchByKey implements core.StorageInstance.
-func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
-	s.mu.Lock()
-	enc, ok := s.tree.Get(key)
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, key)
-	}
-	rec, _, err := types.DecodeRecord(enc)
-	if err != nil {
-		return nil, err
-	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
-}
-
-// OpenScan implements core.StorageInstance: key order, with range bounds.
-func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
-		rec, _, err := types.DecodeRecord(v)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if opts.Filter != nil {
-			match, err := s.env.Eval.EvalBool(opts.Filter, rec, opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				return nil, nil, false, nil
-			}
-		}
-		if opts.Fields != nil {
-			rec = rec.Project(opts.Fields)
-		}
-		return types.Key(k).Clone(), rec, true, nil
-	}
-	return smutil.NewTreeScan(&s.mu, s.tree, opts.Start, opts.End, emit), nil
-}
-
-// EstimateCost implements core.StorageInstance: predicates on a key prefix
-// make the storage method itself a cheap access path.
-func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
-	s.mu.Lock()
-	n := float64(s.tree.Len())
-	height := float64(s.tree.Height())
-	s.mu.Unlock()
-	start, end, handled, point, depth := smutil.KeyRange(s.keyFields, req.Conjuncts)
-	est := core.CostEstimate{Usable: true, IO: 0, Start: start, End: end, Handled: handled,
-		Ordered: smutil.OrderSatisfiedBy(s.keyFields, req.OrderBy)}
-	switch {
-	case point:
-		est.CPU = height + 1
-		est.Selectivity = 1 / math.Max(n, 1)
-	case depth > 0:
-		frac := smutil.HandledSelectivity(req, handled)
-		est.CPU = height + n*frac
-		est.Selectivity = frac * smutil.ResidualSelectivity(req, handled)
-	default:
-		est.CPU = n
-		est.Selectivity = smutil.RequestSelectivity(req)
-	}
-	return est
-}
-
-// PartitionBounds implements core.RangePartitioner: interior key-space
-// split points at ~equal record counts, for partitioned parallel scans.
-func (s *store) PartitionBounds(n int) []types.Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return smutil.TreePartitionBounds(s.tree, n)
-}
-
-// RecordCount implements core.StorageInstance.
-func (s *store) RecordCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tree.Len()
-}
-
-// ApplyLogged implements core.StorageInstance.
-func (s *store) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeMod(payload)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch p.Op {
-	case core.ModInsert:
-		if undo {
-			s.tree.Delete(p.Key)
-		} else {
-			s.tree.Set(p.Key, p.New.AppendEncode(nil))
-		}
-	case core.ModDelete:
-		if undo {
-			s.tree.Set(p.Key, p.Old.AppendEncode(nil))
-		} else {
-			s.tree.Delete(p.Key)
-		}
-	case core.ModUpdate:
-		if undo {
-			if !p.NewKey.Equal(p.Key) {
-				s.tree.Delete(p.NewKey)
-			}
-			s.tree.Set(p.Key, p.Old.AppendEncode(nil))
-		} else {
-			if !p.NewKey.Equal(p.Key) {
-				s.tree.Delete(p.Key)
-			}
-			s.tree.Set(p.NewKey, p.New.AppendEncode(nil))
-		}
-	default:
-		return fmt.Errorf("btreesm: bad logged op %v", p.Op)
-	}
-	return nil
-}
-
-var _ core.StorageInstance = (*store)(nil)

@@ -700,19 +700,7 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 			if !present {
 				return nil, fmt.Errorf("heap: %w: record %v not in snapshot", core.ErrNotFound, r)
 			}
-			if filter != nil {
-				match, ferr := s.env.Eval.EvalBool(filter, vrec, nil)
-				if ferr != nil {
-					return nil, ferr
-				}
-				if !match {
-					return nil, core.ErrFiltered
-				}
-			}
-			if fields != nil {
-				vrec = vrec.Project(fields)
-			}
-			return vrec, nil
+			return smutil.QualifyFetch(s.env, vrec, fields, filter)
 		}
 	}
 	var rec types.Record
@@ -1090,8 +1078,11 @@ func (sc *heapScan) Pos() core.ScanPos {
 	return core.ScanPos(encodeRID(sc.nextRID))
 }
 
-// Restore implements core.Scan.
+// Restore implements core.Scan. Like Next, it refuses a closed scan.
 func (sc *heapScan) Restore(pos core.ScanPos) error {
+	if sc.closed {
+		return fmt.Errorf("heap: scan is closed")
+	}
 	r, err := decodeRID(types.Key(pos))
 	if err != nil {
 		return err

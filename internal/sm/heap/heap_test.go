@@ -120,97 +120,6 @@ func TestUpdateGrowingMovesRecord(t *testing.T) {
 	}
 }
 
-func TestDeleteAndFetchFails(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkHeap(t, env, "t")
-	tx := env.Begin()
-	k, _ := r.Insert(tx, rec(1, "x"))
-	if err := r.Delete(tx, k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Fetch(tx, k, nil, nil); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
-	}
-	if err := r.Delete(tx, k); err == nil {
-		t.Fatal("double delete should fail")
-	}
-	tx.Commit()
-}
-
-func TestFetchFilterPushdown(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkHeap(t, env, "t")
-	tx := env.Begin()
-	k, _ := r.Insert(tx, rec(7, "x"))
-	pass := expr.Eq(expr.Field(0), expr.Const(types.Int(7)))
-	fail := expr.Eq(expr.Field(0), expr.Const(types.Int(8)))
-	if _, err := r.Fetch(tx, k, nil, pass); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Fetch(tx, k, nil, fail); !errors.Is(err, core.ErrFiltered) {
-		t.Fatalf("want ErrFiltered, got %v", err)
-	}
-	tx.Commit()
-}
-
-func TestScanFilterAndProjection(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkHeap(t, env, "t")
-	tx := env.Begin()
-	for i := 0; i < 100; i++ {
-		r.Insert(tx, rec(int64(i), fmt.Sprintf("p%d", i)))
-	}
-	filter := expr.Lt(expr.Field(0), expr.Const(types.Int(10)))
-	scan, err := r.OpenScan(tx, core.ScanOptions{Filter: filter, Fields: []int{0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, got, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if len(got) != 1 || got[0].AsInt() >= 10 {
-			t.Fatalf("scan returned %v", got)
-		}
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("scan matched %d, want 10", n)
-	}
-	tx.Commit()
-}
-
-func TestScanPositionAndDeleteAtPosition(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkHeap(t, env, "t")
-	tx := env.Begin()
-	for i := 0; i < 5; i++ {
-		r.Insert(tx, rec(int64(i), "x"))
-	}
-	scan, _ := r.OpenScan(tx, core.ScanOptions{})
-	k0, _, _, _ := scan.Next()
-	pos := scan.Pos()
-	r.Delete(tx, k0) // delete at position: scan sits just after
-	_, r1, ok, err := scan.Next()
-	if err != nil || !ok || r1[0].AsInt() != 1 {
-		t.Fatalf("next after delete-at-position: %v %v %v", r1, ok, err)
-	}
-	// Restore to the saved position: record 1 comes again.
-	if err := scan.Restore(pos); err != nil {
-		t.Fatal(err)
-	}
-	_, r1b, ok, _ := scan.Next()
-	if !ok || r1b[0].AsInt() != 1 {
-		t.Fatalf("restored scan returned %v", r1b)
-	}
-	tx.Commit()
-}
-
 func TestAbortRestoresHeap(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	r := mkHeap(t, env, "t")

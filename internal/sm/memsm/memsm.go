@@ -30,7 +30,7 @@ func init() {
 			return nil, nil // no descriptor state: everything lives in memory
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.StorageInstance, error) {
-			return smutil.NewTreeStore(env, rd, true), nil
+			return smutil.NewTreeStore(env, rd, true, nil), nil
 		},
 	})
 }

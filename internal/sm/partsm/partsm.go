@@ -1,26 +1,30 @@
-// Package partsm implements the partitioned relation storage method: a
-// relation hash-sharded across N foreign servers behind the ordinary
-// storage-method procedure vector, the scale-out composition of the
-// paper's foreign-database storage method.
+// Package partsm implements the two storage methods that keep a
+// relation's records on foreign servers behind the ordinary storage-method
+// procedure vector: "part", a relation hash-sharded across N servers, and
+// "remote", the paper's foreign-database storage method — the same store
+// with a partition map of one shard whose table is the named foreign table
+// and whose record keys the foreign server assigns.
 //
 // Direct-by-key operations route to the single shard owning the key
 // (FNV-1a of the order-preserving key encoding modulo the shard count);
 // key-sequential scans scatter to every shard and merge the per-shard
-// cursors back into global key order. Multi-shard transactions commit
-// with two-phase commit: writes are staged on the shards under the local
-// transaction id, every touched shard is prepared before the local
-// commit record is appended, and the commit record — forced by the
-// existing WAL group-commit machinery — IS the coordinator's logged
-// decision. Recovery resolves shards left in doubt by a crash between
-// prepare and decision delivery from the surviving log (presumed abort:
-// no commit record means abort).
+// cursors back into global key order. Transactions commit with two-phase
+// commit: writes are staged on the shards under the local transaction id,
+// every touched shard is prepared before the local commit record is
+// appended, and the commit record — forced by the existing WAL
+// group-commit machinery — IS the coordinator's logged decision. Recovery
+// resolves shards left in doubt by a crash between prepare and decision
+// delivery from the surviving log (presumed abort: no commit record means
+// abort).
 package partsm
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,8 +40,11 @@ import (
 	"dmx/internal/wal"
 )
 
-// Name is the DDL name of the storage method.
-const Name = "part"
+// DDL names of the two storage methods.
+const (
+	Name       = "part"
+	RemoteName = "remote"
+)
 
 // DefaultScanBatchSize is how many records one per-shard scan round trip
 // fetches unless the relation was created with a batch=<n> attribute.
@@ -48,12 +55,13 @@ const MaxShards = 64
 
 // ErrDuplicateKey is returned when inserting a record whose key fields
 // collide with an existing record (the key fields are the primary key).
-var ErrDuplicateKey = fmt.Errorf("partsm: duplicate key")
+var ErrDuplicateKey = smutil.ErrDuplicateKey
 
 const serverStateKey = "partsm.servers"
 
-// AttachServer makes a shard backend reachable from relations created
-// with servers=...,<name>,... in this environment.
+// AttachServer makes a foreign server reachable from relations created
+// with servers=...,<name>,... (part) or server=<name> (remote) in this
+// environment.
 func AttachServer(env *core.Env, name string, srv *remote.Server) {
 	reg := servers(env)
 	reg.mu.Lock()
@@ -64,13 +72,17 @@ func AttachServer(env *core.Env, name string, srv *remote.Server) {
 type serverRegistry struct {
 	mu     sync.Mutex
 	byName map[string]*remote.Server
+	// unresolved holds, per server that was not attached when Resolve ran,
+	// the committed-transaction set Resolve was working from: the first
+	// relation opened on the server settles its in-doubt transactions.
+	unresolved map[string]map[wal.TxnID]bool
 }
 
 func servers(env *core.Env) *serverRegistry {
 	if v, ok := env.ExtState(serverStateKey); ok {
 		return v.(*serverRegistry)
 	}
-	reg := &serverRegistry{byName: make(map[string]*remote.Server)}
+	reg := &serverRegistry{byName: make(map[string]*remote.Server), unresolved: make(map[string]map[wal.TxnID]bool)}
 	env.SetExtState(serverStateKey, reg)
 	return reg
 }
@@ -81,137 +93,158 @@ func lookupServer(env *core.Env, name string) (*remote.Server, error) {
 	defer reg.mu.Unlock()
 	srv, ok := reg.byName[name]
 	if !ok {
-		return nil, fmt.Errorf("partsm: no shard server %q attached to this environment", name)
+		return nil, fmt.Errorf("partsm: no foreign server %q attached to this environment", name)
 	}
 	return srv, nil
 }
 
 func init() {
-	core.RegisterStorageMethod(&core.StorageOps{
-		ID:   core.SMPart,
-		Name: Name,
-		// Shard contents live on the remote servers, but every
-		// modification is logged locally and checkpoints embed the full
-		// contents, so a crash that loses the servers can rebuild every
-		// shard from the local log alone. That also means attachments can
-		// be rebuilt by scanning at restart (servers are attached before
-		// Recover), so attachment log records are not replayed.
-		SnapshotContents: true,
+	part := storageOps(core.SMPart, Name, describePart, "key", "shards", "servers", "batch")
+	// Shard contents live on the remote servers, but every modification is
+	// logged locally and checkpoints embed the full contents, so a crash
+	// that loses the servers can rebuild every shard from the local log
+	// alone. That also means attachments can be rebuilt by scanning at
+	// restart (servers are attached before Recover), so attachment log
+	// records are not replayed.
+	part.SnapshotContents = true
+	part.Drop = dropShardTables
+	part.AfterRecovery = Resolve // covers remote relations too
+	core.RegisterStorageMethod(part)
+
+	rem := storageOps(core.SMRemote, RemoteName, describeRemote, "server", "table", "batch")
+	// The foreign table is the foreign database's own durable data: it is
+	// not embedded in checkpoints, not dropped with the local relation, and
+	// not assumed reachable at restart (a database reopened with Recover
+	// attaches its foreign servers afterwards), so restart recovery replays
+	// the attachment-owned log records instead of rescanning, and Resolve
+	// leaves an unattached server to the first relation opened on it.
+	rem.ReplayAttachments = true
+	core.RegisterStorageMethod(rem)
+}
+
+// storageOps builds the operation table both methods share. describe turns
+// a DDL attribute list into the method's storage descriptor (relName is
+// empty while only validating).
+func storageOps(id core.SMID, name string, describe func(relName string, schema *types.Schema, attrs core.AttrList) ([]byte, error), allowed ...string) *core.StorageOps {
+	return &core.StorageOps{
+		ID:   id,
+		Name: name,
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "key", "shards", "servers", "batch"); err != nil {
+			if err := attrs.CheckAllowed(name, allowed...); err != nil {
 				return err
 			}
-			if _, err := parseKeyAttr(schema, attrs); err != nil {
-				return err
-			}
-			if _, _, err := parseShardAttrs(attrs); err != nil {
-				return err
-			}
-			_, err := parseBatch(attrs)
+			_, err := describe("", schema, attrs)
 			return err
 		},
 		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, attrs core.AttrList) ([]byte, error) {
-			fields, err := parseKeyAttr(rd.Schema, attrs)
+			desc, err := describe(rd.Name, rd.Schema, attrs)
 			if err != nil {
 				return nil, err
 			}
-			shards, names, err := parseShardAttrs(attrs)
+			// Opening creates the shard tables; nothing else is needed yet.
+			s, err := open(env, rd, desc)
 			if err != nil {
 				return nil, err
 			}
-			batch, err := parseBatch(attrs)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < shards; i++ {
-				srv, err := lookupServer(env, names[i%len(names)])
-				if err != nil {
-					return nil, err
-				}
-				client := remote.Dial(srv)
-				err = client.CreateTable(shardTable(rd.Name, i))
-				client.Close()
-				if err != nil {
-					return nil, err
-				}
-			}
-			return encodeDesc(fields, shards, names, batch), nil
+			return desc, s.Close()
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.StorageInstance, error) {
-			fields, shards, names, batch, err := decodeDesc(rd.SMDesc)
-			if err != nil {
+			return open(env, rd, rd.SMDesc)
+		},
+	}
+}
+
+// layout is what either method's storage descriptor decodes to.
+type layout struct {
+	keyFields []int // nil: the single shard's server assigns sequence keys
+	batch     int
+	shards    []shardSpec
+}
+
+type shardSpec struct {
+	server string
+	table  string
+}
+
+var errTruncatedDesc = errors.New("partsm: truncated storage descriptor")
+
+// decodeLayout decodes desc, a descriptor of rd's storage method (rd's own
+// once the relation exists).
+func decodeLayout(rd *core.RelDesc, desc []byte) (layout, error) {
+	if rd.SM == core.SMRemote {
+		return decodeRemoteDesc(desc)
+	}
+	return decodePartDesc(rd.Name, desc)
+}
+
+// open dials every shard of the relation. Servers are volatile: a restart
+// may reattach them empty, and log replay only touches shards with logged
+// records, so each shard table is created here (idempotently) to keep
+// scans over untouched shards from failing.
+func open(env *core.Env, rd *core.RelDesc, desc []byte) (*store, error) {
+	lay, err := decodeLayout(rd, desc)
+	if err != nil {
+		return nil, err
+	}
+	s := &store{
+		env:       env,
+		rd:        rd,
+		keyFields: lay.keyFields,
+		batch:     lay.batch,
+		sessions:  make(map[wal.TxnID]*session),
+		pending:   make(map[uint64]bool),
+	}
+	for _, spec := range lay.shards {
+		srv, err := lookupServer(env, spec.server)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		sh := shard{shardSpec: spec, srv: srv, client: remote.Dial(srv)}
+		s.shards = append(s.shards, sh)
+		if err := sh.client.CreateTable(spec.table); err != nil {
+			s.Close()
+			return nil, err
+		}
+		// No live transaction can be prepared on a server nothing was
+		// connected to, so settling what Resolve left is safe here.
+		reg := servers(env)
+		reg.mu.Lock()
+		committed, unresolved := reg.unresolved[spec.server]
+		reg.mu.Unlock()
+		if unresolved {
+			if err := s.resolveShard(len(s.shards)-1, committed, nil); err != nil {
+				s.Close()
 				return nil, err
 			}
-			s := &store{
-				env:       env,
-				rd:        rd,
-				keyFields: fields,
-				batch:     batch,
-				sessions:  make(map[wal.TxnID]*session),
-				pending:   make(map[uint64]bool),
-			}
-			for i := 0; i < shards; i++ {
-				name := names[i%len(names)]
-				srv, err := lookupServer(env, name)
-				if err != nil {
-					return nil, err
-				}
-				client := remote.Dial(srv)
-				// Shard servers are volatile: a restart reattaches them
-				// empty, and log replay only touches shards with logged
-				// records. Creating the table is idempotent and keeps
-				// scans over untouched shards from failing.
-				if err := client.CreateTable(shardTable(rd.Name, i)); err != nil {
-					client.Close()
-					return nil, err
-				}
-				s.shards = append(s.shards, shard{
-					server: name,
-					table:  shardTable(rd.Name, i),
-					srv:    srv,
-					client: client,
-				})
-			}
-			return s, nil
-		},
-		Drop: func(env *core.Env, rd *core.RelDesc) error {
-			_, shards, names, _, err := decodeDesc(rd.SMDesc)
-			if err != nil {
-				return err
-			}
-			for i := 0; i < shards; i++ {
-				srv, err := lookupServer(env, names[i%len(names)])
-				if err != nil {
-					continue // server gone: nothing left to drop
-				}
-				client := remote.Dial(srv)
-				client.DropTable(shardTable(rd.Name, i))
-				client.Close()
-			}
-			return nil
-		},
-		AfterRecovery: Resolve,
-	})
+			reg.mu.Lock()
+			delete(reg.unresolved, spec.server)
+			reg.mu.Unlock()
+		}
+	}
+	return s, nil
+}
+
+// dropShardTables is part's Drop operation.
+func dropShardTables(env *core.Env, rd *core.RelDesc) error {
+	lay, err := decodeLayout(rd, rd.SMDesc)
+	if err != nil {
+		return err
+	}
+	for _, spec := range lay.shards {
+		srv, err := lookupServer(env, spec.server)
+		if err != nil {
+			continue // server gone: nothing left to drop
+		}
+		client := remote.Dial(srv)
+		client.DropTable(spec.table)
+		client.Close()
+	}
+	return nil
 }
 
 func shardTable(relName string, i int) string {
 	return fmt.Sprintf("%s#%d", relName, i)
-}
-
-func parseKeyAttr(schema *types.Schema, attrs core.AttrList) ([]int, error) {
-	spec, ok := attrs.Get("key")
-	if !ok || spec == "" {
-		return nil, fmt.Errorf("partsm: the part storage method requires a key=col,... attribute")
-	}
-	var fields []int
-	for _, name := range strings.Split(spec, ",") {
-		i := schema.ColIndex(strings.TrimSpace(name))
-		if i < 0 {
-			return nil, fmt.Errorf("partsm: key column %q not in schema", strings.TrimSpace(name))
-		}
-		fields = append(fields, i)
-	}
-	return fields, nil
 }
 
 func parseShardAttrs(attrs core.AttrList) (shards int, names []string, err error) {
@@ -249,11 +282,22 @@ func parseBatch(attrs core.AttrList) (int, error) {
 	return n, nil
 }
 
-func encodeDesc(fields []int, shards int, names []string, batch int) []byte {
-	out := []byte{byte(len(fields))}
-	for _, f := range fields {
-		out = binary.BigEndian.AppendUint16(out, uint16(f))
+// describePart encodes part's descriptor: the key-column list, the shard
+// count, the batch size, and the server names shards are dealt across.
+func describePart(_ string, schema *types.Schema, attrs core.AttrList) ([]byte, error) {
+	fields, err := smutil.ParseKeyColumns(Name, schema, attrs)
+	if err != nil {
+		return nil, err
 	}
+	shards, names, err := parseShardAttrs(attrs)
+	if err != nil {
+		return nil, err
+	}
+	batch, err := parseBatch(attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := smutil.AppendKeyColumns(nil, fields)
 	out = append(out, byte(shards))
 	out = binary.BigEndian.AppendUint16(out, uint16(batch))
 	out = append(out, byte(len(names)))
@@ -261,53 +305,80 @@ func encodeDesc(fields []int, shards int, names []string, batch int) []byte {
 		out = append(out, byte(len(n)))
 		out = append(out, n...)
 	}
-	return out
+	return out, nil
 }
 
-func decodeDesc(b []byte) (fields []int, shards int, names []string, batch int, err error) {
-	bad := func() ([]int, int, []string, int, error) {
-		return nil, 0, nil, 0, fmt.Errorf("partsm: truncated storage descriptor")
+func decodePartDesc(relName string, b []byte) (layout, error) {
+	fields, b, err := smutil.DecodeKeyColumns(b)
+	if err != nil || len(b) < 4 {
+		return layout{}, errTruncatedDesc
 	}
-	if len(b) < 1 {
-		return bad()
-	}
-	nf := int(b[0])
-	pos := 1
-	if len(b) < pos+2*nf+4 {
-		return bad()
-	}
-	for i := 0; i < nf; i++ {
-		fields = append(fields, int(binary.BigEndian.Uint16(b[pos:])))
-		pos += 2
-	}
-	shards = int(b[pos])
-	pos++
-	batch = int(binary.BigEndian.Uint16(b[pos:]))
-	pos += 2
-	nn := int(b[pos])
-	pos++
+	shards := int(b[0])
+	batch := int(binary.BigEndian.Uint16(b[1:]))
+	nn := int(b[3])
+	b = b[4:]
+	var names []string
 	for i := 0; i < nn; i++ {
-		if len(b) < pos+1 {
-			return bad()
+		if len(b) < 1 || len(b) < 1+int(b[0]) {
+			return layout{}, errTruncatedDesc
 		}
-		ln := int(b[pos])
-		pos++
-		if len(b) < pos+ln {
-			return bad()
-		}
-		names = append(names, string(b[pos:pos+ln]))
-		pos += ln
+		names = append(names, string(b[1:1+int(b[0])]))
+		b = b[1+int(b[0]):]
 	}
 	if shards < 1 || batch < 1 || len(names) < 1 {
-		return bad()
+		return layout{}, errTruncatedDesc
 	}
-	return fields, shards, names, batch, nil
+	lay := layout{keyFields: fields, batch: batch}
+	for i := 0; i < shards; i++ {
+		lay.shards = append(lay.shards, shardSpec{server: names[i%len(names)], table: shardTable(relName, i)})
+	}
+	return lay, nil
+}
+
+// describeRemote encodes remote's descriptor: server name, foreign table
+// name (default: the relation's), batch size.
+func describeRemote(relName string, _ *types.Schema, attrs core.AttrList) ([]byte, error) {
+	server, ok := attrs.Get("server")
+	if !ok {
+		return nil, fmt.Errorf("partsm: the remote storage method requires a server=<name> attribute")
+	}
+	tableName, ok := attrs.Get("table")
+	if !ok {
+		tableName = relName
+	}
+	batch, err := parseBatch(attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := []byte{byte(len(server))}
+	out = append(out, server...)
+	out = append(out, byte(len(tableName)))
+	out = append(out, tableName...)
+	return binary.BigEndian.AppendUint16(out, uint16(batch)), nil
+}
+
+func decodeRemoteDesc(b []byte) (layout, error) {
+	if len(b) < 1 || len(b) < 2+int(b[0]) {
+		return layout{}, errTruncatedDesc
+	}
+	n := int(b[0])
+	m := int(b[1+n])
+	if len(b) < 2+n+m+2 {
+		return layout{}, errTruncatedDesc
+	}
+	lay := layout{
+		batch:  int(binary.BigEndian.Uint16(b[2+n+m:])),
+		shards: []shardSpec{{server: string(b[1 : 1+n]), table: string(b[2+n : 2+n+m])}},
+	}
+	if lay.batch < 1 {
+		lay.batch = DefaultScanBatchSize
+	}
+	return lay, nil
 }
 
 // shard is one partition's backend binding.
 type shard struct {
-	server string
-	table  string
+	shardSpec
 	srv    *remote.Server
 	client *remote.Client
 }
@@ -318,7 +389,7 @@ type session struct {
 	touched map[int]bool
 }
 
-// store is the partitioned storage instance for one relation.
+// store is the storage instance for one relation of either method.
 type store struct {
 	env       *core.Env
 	rd        *core.RelDesc
@@ -333,18 +404,46 @@ type store struct {
 	// covers in-process delivery failures; across a restart the WAL's
 	// commit records are the authoritative decision history.
 	pending map[uint64]bool
+	closing bool // Close was called while transactions held sessions
 }
 
-// KeyOf composes the record key from the record's key fields.
-func (s *store) KeyOf(rec types.Record) types.Key {
-	return types.EncodeKeyFields(rec, s.keyFields)
+// Close implements io.Closer: every shard connection is dropped, which
+// ends the server goroutine behind it. The environment calls it when the
+// relation is dropped and when the environment itself closes. A
+// transaction that staged writes still owes the shards its decision —
+// the relation's own creation being rolled back, or a drop in the
+// transaction that wrote — so while any session is live the connections
+// stay up, and the last session's end drops them.
+func (s *store) Close() error {
+	s.mu.Lock()
+	s.closing = len(s.sessions) > 0
+	live := s.closing
+	s.mu.Unlock()
+	if live {
+		return nil
+	}
+	return s.hangUp()
 }
 
-// shardOf routes a record key to its owning shard.
+func (s *store) hangUp() error {
+	var first error
+	for i := range s.shards {
+		if err := s.shards[i].client.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// shardOf routes a record key to its owning shard: FNV-1a (32-bit) of the
+// key modulo the shard count, computed in place because every routed
+// operation pays for it.
 func (s *store) shardOf(key types.Key) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(len(s.shards)))
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(len(s.shards)))
 }
 
 func txnID(tx *txn.Txn) uint64 {
@@ -387,7 +486,11 @@ func (s *store) ensure(tx *txn.Txn) (*session, error) {
 	if err := tx.Subscribe(txn.EventEnd, func(tx *txn.Txn, _ string) error {
 		s.mu.Lock()
 		delete(s.sessions, tx.ID())
+		last := s.closing && len(s.sessions) == 0
 		s.mu.Unlock()
+		if last {
+			return s.hangUp()
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -452,63 +555,94 @@ func sortedShards(sess *session) []int {
 	return out
 }
 
+// stagePut buffers a put on the key's owning shard under transaction id,
+// invisible to other transactions until the commit decision reaches the
+// shard. The shard counts as touched even if the round trip fails: the
+// write may have been staged with only its acknowledgement lost.
+func (s *store) stagePut(id uint64, sess *session, key types.Key, rec types.Record) error {
+	i := s.shardOf(key)
+	sess.touched[i] = true
+	_, err := s.shards[i].client.StagePut(id, s.shards[i].table, key, rec)
+	return err
+}
+
+// stageDelete buffers a tombstone on the key's owning shard.
+func (s *store) stageDelete(id uint64, sess *session, key types.Key) error {
+	i := s.shardOf(key)
+	sess.touched[i] = true
+	return s.shards[i].client.StageDelete(id, s.shards[i].table, key)
+}
+
+// taken reports whether key holds a record visible to transaction id
+// (committed, or staged by the transaction itself).
+func (s *store) taken(id uint64, key types.Key) bool {
+	sh := &s.shards[s.shardOf(key)]
+	_, err := sh.client.Get(id, sh.table, key)
+	return err == nil
+}
+
 // Insert implements core.StorageInstance: the record is staged on its
-// owning shard under the transaction id, invisible to other transactions
-// until the commit decision reaches the shard.
+// owning shard. With key fields the key is composed locally and checked
+// for a collision; without, the single shard's server assigns it.
 func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
-	key := s.KeyOf(rec)
-	sh := s.shardOf(key)
 	sess, err := s.ensure(tx)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.shards[sh].client.GetTxn(uint64(tx.ID()), s.shards[sh].table, key); err == nil {
-		return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(s.keyFields))
+	id := uint64(tx.ID())
+	if s.keyFields == nil {
+		// The key is not known until the write is staged, so staging comes
+		// before logging here. The log append fails only when the log has
+		// crashed, and then the transaction can no longer commit: its abort
+		// discards the unlogged staged write with the rest.
+		sess.touched[0] = true
+		key, err := s.shards[0].client.StagePut(id, s.shards[0].table, nil, rec)
+		if err != nil {
+			return nil, err
+		}
+		return key, core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec})
+	}
+	key := types.EncodeKeyFields(rec, s.keyFields)
+	if s.taken(id, key) {
+		return nil, smutil.DuplicateKey(rec, s.keyFields)
 	}
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
 		return nil, err
 	}
-	if err := s.shards[sh].client.StagePut(uint64(tx.ID()), s.shards[sh].table, key, rec); err != nil {
-		return nil, err
-	}
-	sess.touched[sh] = true
-	return key, nil
+	return key, s.stagePut(id, sess, key, rec)
 }
 
 // Update implements core.StorageInstance: updating key fields moves the
 // record to its new key's owning shard — a genuinely multi-shard write.
+// Server-assigned keys are stable.
 func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) (types.Key, error) {
-	newKey := s.KeyOf(newRec)
-	oldShard, newShard := s.shardOf(key), s.shardOf(newKey)
 	sess, err := s.ensure(tx)
 	if err != nil {
 		return nil, err
 	}
-	if !newKey.Equal(key) {
-		if _, err := s.shards[newShard].client.GetTxn(uint64(tx.ID()), s.shards[newShard].table, newKey); err == nil {
-			return nil, fmt.Errorf("%w: %v", ErrDuplicateKey, newRec.Project(s.keyFields))
-		}
+	id := uint64(tx.ID())
+	newKey := key
+	if s.keyFields != nil {
+		newKey = types.EncodeKeyFields(newRec, s.keyFields)
+	}
+	moved := !newKey.Equal(key)
+	if moved && s.taken(id, newKey) {
+		return nil, smutil.DuplicateKey(newRec, s.keyFields)
 	}
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
 		return nil, err
 	}
-	if !newKey.Equal(key) {
-		if err := s.shards[oldShard].client.StageDelete(uint64(tx.ID()), s.shards[oldShard].table, key); err != nil {
+	if moved {
+		if err := s.stageDelete(id, sess, key); err != nil {
 			return nil, err
 		}
-		sess.touched[oldShard] = true
 	}
-	if err := s.shards[newShard].client.StagePut(uint64(tx.ID()), s.shards[newShard].table, newKey, newRec); err != nil {
-		return nil, err
-	}
-	sess.touched[newShard] = true
-	return newKey, nil
+	return newKey, s.stagePut(id, sess, newKey, newRec)
 }
 
 // Delete implements core.StorageInstance: a tombstone is staged on the
 // owning shard.
 func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	sh := s.shardOf(key)
 	sess, err := s.ensure(tx)
 	if err != nil {
 		return err
@@ -516,36 +650,20 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModDelete, Key: key, Old: oldRec}); err != nil {
 		return err
 	}
-	if err := s.shards[sh].client.StageDelete(uint64(tx.ID()), s.shards[sh].table, key); err != nil {
-		return err
-	}
-	sess.touched[sh] = true
-	return nil
+	return s.stageDelete(uint64(tx.ID()), sess, key)
 }
 
 // FetchByKey implements core.StorageInstance: one round trip to the
 // single shard owning the key, overlaying the transaction's own staged
 // writes; the filter runs locally on the fetched record.
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
-	sh := s.shardOf(key)
+	sh := &s.shards[s.shardOf(key)]
 	s.env.Obs.Part.RoutedReads.Add(1)
-	rec, err := s.shards[sh].client.GetTxn(txnID(tx), s.shards[sh].table, key)
+	rec, err := sh.client.Get(txnID(tx), sh.table, key)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, err)
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.QualifyFetch(s.env, rec, fields, filter)
 }
 
 // fullKeyLen walks the order-preserving key encoding and returns the
@@ -616,10 +734,9 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 	if opts.Start != nil {
 		// Start is inclusive; the remote protocol is exclusive-after, so
 		// position every cursor just before Start.
-		sc.after = beforeKey(opts.Start)
-		sc.started = true
+		sc.Started, sc.After = true, beforeKey(opts.Start)
 		for _, c := range sc.cursors {
-			c.after = sc.after
+			c.after = sc.After
 		}
 	}
 	return sc, nil
@@ -648,12 +765,12 @@ func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 	fan := float64(len(s.shards))
 	start, end, handled, point, depth := smutil.KeyRange(s.keyFields, req.Conjuncts)
 	est := core.CostEstimate{Usable: true, Start: start, End: end, Handled: handled,
-		Ordered: smutil.OrderSatisfiedBy(s.keyFields, req.OrderBy)}
+		Ordered: s.keyFields != nil && smutil.OrderSatisfiedBy(s.keyFields, req.OrderBy)}
 	switch {
 	case point:
 		est.IO = 4 // one round trip, one shard
 		est.CPU = 1
-		est.Selectivity = 1 / maxf(n, 1)
+		est.Selectivity = 1 / math.Max(n, 1)
 	case depth > 0:
 		frac := smutil.HandledSelectivity(req, handled)
 		est.IO = (n*frac/float64(s.batch) + fan) * 4
@@ -667,13 +784,6 @@ func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 	return est
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PartitionBounds implements core.RangePartitioner for parallel scans:
 // split points sampled from the first batch of keys on every shard.
 func (s *store) PartitionBounds(n int) []types.Key {
@@ -682,7 +792,7 @@ func (s *store) PartitionBounds(n int) []types.Key {
 	}
 	var keys []string
 	for i := range s.shards {
-		entries, err := s.shards[i].client.ScanBatch(s.shards[i].table, nil, s.batch)
+		entries, err := s.shards[i].client.ScanBatch(0, s.shards[i].table, nil, s.batch)
 		if err != nil {
 			return nil
 		}
@@ -722,7 +832,8 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 }
 
 // ApplyLoggedTxn implements core.TxnLoggedApplier. A live transaction's
-// rollback stages compensating writes under its own id, so the shard's
+// rollback stages compensating writes under its own id (last-op-wins
+// staging makes the compensation net out the original), so the shard's
 // committed state never sees the retracted effects at all. With no live
 // session (restart recovery), the modification is applied directly to the
 // committed shard state: redo rebuilds fresh shards from the log, undo
@@ -730,107 +841,36 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 // may already have committed or discarded the same effects shard-side
 // (deletes tolerate absent keys, puts overwrite).
 func (s *store) ApplyLoggedTxn(id wal.TxnID, payload []byte, undo bool) error {
-	p, err := core.DecodeMod(payload)
+	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	sess := s.sessions[id]
 	s.mu.Unlock()
-	if id != 0 && sess != nil {
-		return s.applyStaged(uint64(id), sess, p, undo)
-	}
-	return s.applyDirect(p, undo)
-}
-
-// applyStaged routes a live rollback's compensation through the
-// transaction's staged shard writes (last-op-wins staging makes the
-// compensation net out the original).
-func (s *store) applyStaged(id uint64, sess *session, p core.ModPayload, undo bool) error {
-	if !undo {
+	if sess != nil && !undo {
 		return fmt.Errorf("partsm: unexpected redo for live transaction %d", id)
 	}
-	put := func(key types.Key, rec types.Record) error {
-		sh := s.shardOf(key)
-		sess.touched[sh] = true
-		return s.shards[sh].client.StagePut(id, s.shards[sh].table, key, rec)
-	}
-	del := func(key types.Key) error {
-		sh := s.shardOf(key)
-		sess.touched[sh] = true
-		return s.shards[sh].client.StageDelete(id, s.shards[sh].table, key)
-	}
-	switch p.Op {
-	case core.ModInsert:
-		return del(p.Key)
-	case core.ModDelete:
-		return put(p.Key, p.Old)
-	case core.ModUpdate:
-		if !p.NewKey.Equal(p.Key) {
-			if err := del(p.NewKey); err != nil {
-				return err
-			}
+	if e.Del != nil {
+		if sess != nil {
+			err = s.stageDelete(uint64(id), sess, e.Del)
+		} else {
+			// A missing key is fine in both directions: the shard may
+			// already reflect the retraction (the decision arrived before
+			// the crash) or never received the staged write at all.
+			sh := &s.shards[s.shardOf(e.Del)]
+			sh.client.Delete(sh.table, e.Del)
 		}
-		return put(p.Key, p.Old)
-	default:
-		return fmt.Errorf("partsm: bad logged op %v", p.Op)
 	}
-}
-
-// applyDirect applies a logged modification to committed shard state
-// during restart recovery, creating shard tables idempotently (replay may
-// target fresh servers whose create round trips never re-ran).
-func (s *store) applyDirect(p core.ModPayload, undo bool) error {
-	put := func(key types.Key, rec types.Record) error {
-		sh := s.shardOf(key)
-		if err := s.shards[sh].client.CreateTable(s.shards[sh].table); err != nil {
-			return err
+	if e.Put != nil && err == nil {
+		if sess != nil {
+			err = s.stagePut(uint64(id), sess, e.Put, e.Rec)
+		} else {
+			sh := &s.shards[s.shardOf(e.Put)]
+			_, err = sh.client.Put(sh.table, e.Put, e.Rec)
 		}
-		_, err := s.shards[sh].client.Put(s.shards[sh].table, key, rec)
-		return err
 	}
-	del := func(key types.Key) error {
-		sh := s.shardOf(key)
-		if err := s.shards[sh].client.CreateTable(s.shards[sh].table); err != nil {
-			return err
-		}
-		// A missing key is fine in both directions: the shard may already
-		// reflect the retraction (the decision arrived before the crash)
-		// or never received the staged write at all.
-		s.shards[sh].client.Delete(s.shards[sh].table, key)
-		return nil
-	}
-	op, key, rec := p.Op, p.Key, p.New
-	if undo {
-		switch p.Op {
-		case core.ModInsert:
-			return del(p.Key)
-		case core.ModDelete:
-			op, rec = core.ModInsert, p.Old
-		case core.ModUpdate:
-			if !p.NewKey.Equal(p.Key) {
-				if err := del(p.NewKey); err != nil {
-					return err
-				}
-			}
-			op, rec = core.ModInsert, p.Old
-		}
-	} else if p.Op == core.ModUpdate {
-		if !p.NewKey.Equal(p.Key) {
-			if err := del(p.Key); err != nil {
-				return err
-			}
-		}
-		key = p.NewKey
-	}
-	switch op {
-	case core.ModInsert, core.ModUpdate:
-		return put(key, rec)
-	case core.ModDelete:
-		return del(key)
-	default:
-		return fmt.Errorf("partsm: bad logged op %v", p.Op)
-	}
+	return err
 }
 
 // ShardInfos implements core.ShardIntrospector for sys.stat_shards.
@@ -861,11 +901,12 @@ var (
 	_ core.TxnLoggedApplier  = (*store)(nil)
 	_ core.RangePartitioner  = (*store)(nil)
 	_ core.ShardIntrospector = (*store)(nil)
+	_ io.Closer              = (*store)(nil)
 )
 
-// Resolve drives every in-doubt shard transaction of every partitioned
-// relation to the coordinator's outcome: a commit record surviving in the
-// local log (or an in-process decision whose delivery failed) means
+// Resolve drives every in-doubt shard transaction of every partitioned or
+// remote relation to the coordinator's outcome: a commit record surviving
+// in the local log (or an in-process decision whose delivery failed) means
 // commit; no decision means abort — presumed abort, the coordinator never
 // logged one. Registered as the storage method's AfterRecovery hook and
 // callable directly to redeliver lost decisions without a restart.
@@ -873,15 +914,7 @@ func Resolve(env *core.Env) error {
 	var committed map[wal.TxnID]bool
 	for _, name := range env.Cat.List() {
 		rd, ok := env.Cat.ByName(name)
-		if !ok || core.IsSystemRelID(rd.RelID) || rd.SM != core.SMPart {
-			continue
-		}
-		inst, err := env.StorageInstance(rd)
-		if err != nil {
-			return err
-		}
-		s, ok := inst.(*store)
-		if !ok {
+		if !ok || core.IsSystemRelID(rd.RelID) || (rd.SM != core.SMPart && rd.SM != core.SMRemote) {
 			continue
 		}
 		if committed == nil {
@@ -891,6 +924,33 @@ func Resolve(env *core.Env) error {
 					committed[rec.Txn] = true
 				}
 			}
+		}
+		if rd.SM == core.SMRemote {
+			// A database reopened with Recover gets its foreign servers
+			// attached afterwards: leave the decisions, with the history
+			// they are read from, to the first open on the server.
+			lay, err := decodeLayout(rd, rd.SMDesc)
+			if err != nil {
+				return err
+			}
+			reg := servers(env)
+			reg.mu.Lock()
+			_, attached := reg.byName[lay.shards[0].server]
+			if !attached {
+				reg.unresolved[lay.shards[0].server] = committed
+			}
+			reg.mu.Unlock()
+			if !attached {
+				continue
+			}
+		}
+		inst, err := env.StorageInstance(rd)
+		if err != nil {
+			return err
+		}
+		s, ok := inst.(*store)
+		if !ok {
+			continue
 		}
 		if err := s.resolve(committed); err != nil {
 			return err
@@ -917,36 +977,42 @@ func (s *store) resolve(committed map[wal.TxnID]bool) error {
 			continue
 		}
 		seen[s.shards[i].srv] = true
-		ids, err := s.shards[i].client.InDoubt()
-		if err != nil {
-			return fmt.Errorf("partsm: shard %d in-doubt query: %w", i, err)
-		}
-		for _, id := range ids {
-			commit := committed[wal.TxnID(id)] || pending[id]
-			var derr error
-			if commit {
-				derr = s.shards[i].client.CommitTxn(id)
-			} else {
-				derr = s.shards[i].client.AbortTxn(id)
-			}
-			if derr != nil {
-				return fmt.Errorf("partsm: resolve txn %d on shard %d: %w", id, i, derr)
-			}
-			s.env.Obs.Part.Resolved.Add(1)
+		if err := s.resolveShard(i, committed, pending); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// scan merges per-shard batched cursors back into global key order.
+// resolveShard decides every prepared transaction on shard i's server.
+func (s *store) resolveShard(i int, committed map[wal.TxnID]bool, pending map[uint64]bool) error {
+	ids, err := s.shards[i].client.InDoubt()
+	if err != nil {
+		return fmt.Errorf("partsm: shard %d in-doubt query: %w", i, err)
+	}
+	for _, id := range ids {
+		if committed[wal.TxnID(id)] || pending[id] {
+			err = s.shards[i].client.CommitTxn(id)
+		} else {
+			err = s.shards[i].client.AbortTxn(id)
+		}
+		if err != nil {
+			return fmt.Errorf("partsm: resolve txn %d on shard %d: %w", id, i, err)
+		}
+		s.env.Obs.Part.Resolved.Add(1)
+	}
+	return nil
+}
+
+// scan merges per-shard batched cursors back into global key order. The
+// embedded position is global: the last key returned, whichever shard
+// owned it.
 type scan struct {
 	store   *store
 	tx      uint64
 	opts    core.ScanOptions
 	cursors []*cursor
-	after   types.Key // last key returned (global position)
-	started bool
-	closed  bool
+	smutil.Position
 }
 
 // cursor is one shard's batched window into its key-ordered table.
@@ -958,19 +1024,20 @@ type cursor struct {
 }
 
 // Next implements core.Scan: refill any empty cursor, then pop the
-// globally smallest head. Per-cursor strictly-after batching keeps
-// concurrent inserts and deletes from skipping or duplicating keys, same
-// as the single-backend remote scan.
+// globally smallest head. Every refill is anchored strictly after the
+// last key its cursor returned, so records inserted, changed or deleted
+// between refills — the anchor itself included — are neither skipped nor
+// repeated.
 func (sc *scan) Next() (types.Key, types.Record, bool, error) {
-	if sc.closed {
+	if sc.Closed {
 		return nil, nil, false, fmt.Errorf("partsm: scan is closed")
 	}
 	for {
 		best := -1
 		for ci, c := range sc.cursors {
 			if len(c.batch) == 0 && !c.done {
-				entries, err := sc.store.shards[c.shard].client.ScanBatchTxn(
-					sc.tx, sc.store.shards[c.shard].table, c.after, sc.store.batch)
+				sh := &sc.store.shards[c.shard]
+				entries, err := sh.client.ScanBatch(sc.tx, sh.table, c.after, sc.store.batch)
 				if err != nil {
 					return nil, nil, false, err
 				}
@@ -993,10 +1060,9 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		c := sc.cursors[best]
 		e := c.batch[0]
 		c.batch = c.batch[1:]
-		c.after = types.Key(e.Key)
 		key := types.Key(e.Key)
-		sc.after = key
-		sc.started = true
+		c.after = key
+		sc.Started, sc.After = true, key
 		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
 			return nil, nil, false, nil
 		}
@@ -1004,28 +1070,14 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if sc.opts.Filter != nil {
-			match, err := sc.store.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
+		rec, ok, err := smutil.Qualify(sc.store.env, rec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
+		if ok {
+			return key, rec, true, nil
 		}
-		return key, rec, true, nil
 	}
-}
-
-// Pos implements core.Scan: the global position is the last key returned.
-func (sc *scan) Pos() core.ScanPos {
-	if !sc.started {
-		return core.ScanPos{0}
-	}
-	return append(core.ScanPos{1}, sc.after...)
 }
 
 // Restore implements core.Scan: every cursor restarts strictly after the
@@ -1033,26 +1085,13 @@ func (sc *scan) Pos() core.ScanPos {
 // whichever shard owned them; shard data may have changed under partial
 // rollback, so the batches are refetched).
 func (sc *scan) Restore(pos core.ScanPos) error {
-	if len(pos) == 0 {
-		return fmt.Errorf("partsm: empty scan position")
-	}
-	if pos[0] == 0 {
-		sc.started = false
-		sc.after = nil
-	} else {
-		sc.started = true
-		sc.after = append(types.Key(nil), pos[1:]...)
+	if err := sc.Position.Restore(pos); err != nil {
+		return err
 	}
 	for _, c := range sc.cursors {
 		c.batch = nil
 		c.done = false
-		c.after = sc.after
+		c.after = sc.After
 	}
-	return nil
-}
-
-// Close implements core.Scan.
-func (sc *scan) Close() error {
-	sc.closed = true
 	return nil
 }

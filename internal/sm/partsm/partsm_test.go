@@ -3,13 +3,17 @@ package partsm_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"dmx/internal/core"
 	"dmx/internal/fault"
 	"dmx/internal/remote"
 	"dmx/internal/sm/partsm"
+	"dmx/internal/txn"
 	"dmx/internal/types"
+	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -448,5 +452,431 @@ func TestPartDecideCrashSite(t *testing.T) {
 	}
 	if _, err := env2.OpenRelation(rd2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flavour is one of the two storage methods the store serves: the
+// foreign-database method (one shard, a named foreign table, keys assigned
+// by the server) and three hash shards keyed by id.
+type flavour struct {
+	sm     string
+	attrs  core.AttrList
+	tables []string // per attached server s<i>
+}
+
+var flavours = []flavour{
+	{"remote", core.AttrList{"server": "s0", "table": "far_orders", "batch": "8"}, []string{"far_orders"}},
+	{"part", core.AttrList{"key": "id", "servers": "s0,s1,s2", "batch": "8"}, []string{"orders#0", "orders#1", "orders#2"}},
+}
+
+// open creates relation "orders" of the flavour over fresh servers.
+func (f flavour) open(t *testing.T, log *wal.Log) (*core.Env, []*remote.Server, *core.Relation) {
+	t.Helper()
+	env := core.NewEnv(core.Config{Log: log})
+	t.Cleanup(func() { env.Close() })
+	srvs := make([]*remote.Server, len(f.tables))
+	for i := range srvs {
+		srvs[i] = remote.NewServer(0)
+	}
+	attach(env, srvs)
+	tx := env.Begin()
+	rd, err := env.CreateRelation(tx, "orders", schema(), f.sm, f.attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := env.OpenRelation(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, srvs, r
+}
+
+// TestRemoteIsTheOneShardCase pins what USING remote promises on top of
+// the shared store: DDL, server-assigned keys, the named foreign table,
+// and the message arithmetic of a staged write and a batched scan.
+func TestRemoteIsTheOneShardCase(t *testing.T) {
+	env, srvs, r := flavours[0].open(t, nil)
+	srv := srvs[0]
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, "x", schema(), "remote", nil); err == nil {
+		t.Fatal("missing server attribute accepted")
+	}
+	if _, err := env.CreateRelation(tx, "x", schema(), "remote", core.AttrList{"server": "ghost"}); err == nil {
+		t.Fatal("unattached server accepted")
+	}
+	before := srv.Messages.Load()
+	k, err := r.Insert(tx, rec(0, "x"))
+	if err != nil || len(k) != 8 {
+		t.Fatalf("insert: key %v, %v (want a server-assigned 8-byte key)", k, err)
+	}
+	if n := srv.Messages.Load() - before; n != 1 {
+		t.Fatalf("insert took %d round trips, want 1", n)
+	}
+	for i := 1; i < 250; i++ {
+		if _, err := r.Insert(tx, rec(int64(i), "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Staged, not applied: another client of the foreign server sees
+	// nothing until the commit decision arrives.
+	other := remote.Dial(srv)
+	defer other.Close()
+	if n, err := other.Count("far_orders"); err != nil || n != 0 {
+		t.Fatalf("foreign table holds %d records before commit (%v)", n, err)
+	}
+	before = srv.Messages.Load()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Messages.Load() - before; n != 2 {
+		t.Fatalf("commit took %d round trips, want prepare + decision", n)
+	}
+	if n, _ := other.Count("far_orders"); n != 250 {
+		t.Fatalf("foreign table holds %d records after commit", n)
+	}
+	// 250 records at 8 per batch: 32 batches and one empty terminator.
+	before = srv.Messages.Load()
+	if got := scanAll(t, env, r); len(got) != 250 {
+		t.Fatalf("scanned %d", len(got))
+	}
+	if n := srv.Messages.Load() - before; n != 33 {
+		t.Fatalf("scan took %d round trips, want 33", n)
+	}
+}
+
+// TestRecoveryReplaysOntoFreshServers restarts over brand-new (empty)
+// servers: replaying the local log restores the foreign contents.
+func TestRecoveryReplaysOntoFreshServers(t *testing.T) {
+	for _, f := range flavours {
+		t.Run(f.sm, func(t *testing.T) {
+			log := wal.New()
+			env, _, r := f.open(t, log)
+			tx := env.Begin()
+			for i := 0; i < 20; i++ {
+				if _, err := r.Insert(tx, rec(int64(i), "durable")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			env2 := core.NewEnv(core.Config{Log: log})
+			defer env2.Close()
+			fresh := make([]*remote.Server, len(f.tables))
+			for i := range fresh {
+				fresh[i] = remote.NewServer(0)
+			}
+			attach(env2, fresh)
+			if err := env2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			r2, err := env2.OpenRelationByName("orders")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := r2.Storage().RecordCount(); n != 20 {
+				t.Fatalf("recovered count = %d", n)
+			}
+		})
+	}
+}
+
+// TestScanBatchBoundaryMutation pins the strictly-after refill contract.
+// A cursor anchors every refill on the last key it returned; records
+// mutated on the server between refills — including the anchor itself,
+// deleted out from under the scan by another of the server's clients —
+// must neither skip nor repeat anything the scan still owes. With several
+// shards the boundary is one cursor's: the others hold read-ahead the
+// mutations leave alone.
+func TestScanBatchBoundaryMutation(t *testing.T) {
+	for _, f := range flavours {
+		t.Run(f.sm, func(t *testing.T) {
+			env, srvs, r := f.open(t, nil)
+			tx := env.Begin()
+			for i := 0; i < 40*len(srvs); i++ {
+				if _, err := r.Insert(tx, rec(int64(i), "x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx.Commit()
+
+			// The first shard's table as its cursor will page through it.
+			c := remote.Dial(srvs[0])
+			defer c.Close()
+			table := f.tables[0]
+			entries, err := c.ScanBatch(0, table, nil, 1000)
+			if err != nil || len(entries) < 24 {
+				t.Fatalf("shard 0 holds %d records (%v); the test needs three batches", len(entries), err)
+			}
+			var own []types.Key
+			for _, e := range entries {
+				own = append(own, types.Key(e.Key))
+			}
+
+			tx2 := env.Begin()
+			scan, err := r.OpenScan(tx2, core.ScanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer scan.Close()
+			var got []string
+			vals := map[string]string{}
+			read := func() (types.Key, bool) {
+				k, g, ok, err := scan.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					got = append(got, string(k))
+					vals[string(k)] = g[1].S
+				}
+				return k, ok
+			}
+			// Drain through the end of shard 0's first batch; its cursor's
+			// next refill must anchor on own[7], the last record it returned.
+			for {
+				k, ok := read()
+				if !ok {
+					t.Fatal("scan ended inside the first batch")
+				}
+				if k.Equal(own[7]) {
+					break
+				}
+			}
+			want := append([]string(nil), got...)
+
+			// Another client mutates around the boundary: the refill anchor
+			// vanishes, the first not-yet-fetched record vanishes, a record
+			// further on changes, and a new record lands past the end.
+			if err := c.Delete(table, own[7]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete(table, own[8]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Put(table, own[20], rec(20, "patched")); err != nil {
+				t.Fatal(err)
+			}
+			late := append(own[len(own)-1].Clone(), 0xFF, 0xFF)
+			if _, err := c.Put(table, late, rec(1000, "late")); err != nil {
+				t.Fatal(err)
+			}
+
+			for {
+				if _, ok := read(); !ok {
+					break
+				}
+			}
+			// What the scan still owed at the boundary is exactly what a fresh
+			// scan finds after it now: own[8] gone, late present.
+			for _, k := range scanAllKeys(t, env, r) {
+				if k > want[len(want)-1] {
+					want = append(want, k)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("scanned %d keys, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("position %d: got key %x, want %x", i, got[i], want[i])
+				}
+			}
+			if vals[string(own[20])] != "patched" {
+				t.Fatalf("patched record read %q", vals[string(own[20])])
+			}
+			tx2.Commit()
+		})
+	}
+}
+
+// scanAllKeys returns the relation's record keys in scan order.
+func scanAllKeys(t *testing.T, env *core.Env, r *core.Relation) []string {
+	t.Helper()
+	tx := env.Begin()
+	defer tx.Commit()
+	sc, err := r.OpenScan(tx, core.ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var out []string
+	for {
+		k, _, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, string(k))
+	}
+}
+
+// TestShardConnectionsAreReleased checks the storage instance's io.Closer:
+// every shard connection runs a server goroutine, and dropping the
+// relation or closing the environment must end them all.
+func TestShardConnectionsAreReleased(t *testing.T) {
+	// Closing a connection waits for its goroutine's last statement, not
+	// for the scheduler to retire it (the same goes for the previous
+	// test's runner), so counts are read once they hold still at want.
+	settled := func(want int) bool {
+		for i := 0; i < 200 && runtime.NumGoroutine() != want; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine() == want
+	}
+	for _, f := range flavours { // no subtests: their runner goroutines would be counted
+		base := runtime.NumGoroutine()
+		for same := 0; same < 10; same++ {
+			time.Sleep(time.Millisecond)
+			if n := runtime.NumGoroutine(); n != base {
+				base, same = n, 0
+			}
+		}
+		env, _, r := f.open(t, nil)
+		tx := env.Begin()
+		if _, err := r.Insert(tx, rec(1, "x")); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		if n := runtime.NumGoroutine(); n != base+len(f.tables) {
+			t.Fatalf("%s: %d goroutines with the relation open, want %d + one per shard", f.sm, n, base)
+		}
+		tx = env.Begin()
+		if err := env.DropRelation(tx, "orders"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if !settled(base) {
+			t.Fatalf("%s: %d goroutines after DROP TABLE, want %d", f.sm, runtime.NumGoroutine(), base)
+		}
+		// A transaction that staged writes still owes the shards its
+		// decision when the relation goes away under it — its own CREATE
+		// rolled back, or a DROP in the transaction that wrote: the
+		// connections carry the decision first and are dropped after.
+		create := func(tx *txn.Txn) *core.Relation {
+			rd, err := env.CreateRelation(tx, "orders", schema(), f.sm, f.attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := env.OpenRelation(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Insert(tx, rec(2, "y")); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		tx = env.Begin()
+		create(tx)
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		tx = env.Begin()
+		create(tx)
+		if err := env.DropRelation(tx, "orders"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := env.Obs.Part.AckLost.Load(); n != 0 || !settled(base) {
+			t.Fatalf("%s: %d decisions undelivered, %d goroutines (want %d) after abort of CREATE and write+DROP",
+				f.sm, n, runtime.NumGoroutine(), base)
+		}
+		tx = env.Begin()
+		create(tx)
+		tx.Commit()
+		if err := env.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !settled(base) {
+			t.Fatalf("%s: %d goroutines after Env.Close, want %d", f.sm, runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestResolveWaitsForTheForeignServer recovers with the remote relation's
+// server not yet attached, as dmx.Open with Recover does: recovery leaves
+// the server's in-doubt transactions alone, and the first open after the
+// attach settles them from the commit history recovery read.
+func TestResolveWaitsForTheForeignServer(t *testing.T) {
+	log := wal.New()
+	env, srvs, _ := flavours[0].open(t, log)
+	if err := env.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tx := env.Begin() // any transaction with a commit record past the checkpoint
+	if _, err := env.CreateRelation(tx, "other", schema(), "remote", core.AttrList{"server": "s0"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c := remote.Dial(srvs[0])
+	defer c.Close()
+	for _, id := range []uint64{uint64(tx.ID()), 1 << 40} { // decided commit; never decided
+		if _, err := c.StagePut(id, "far_orders", nil, rec(int64(id), "staged")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Prepare(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env2 := core.NewEnv(core.Config{Log: log})
+	defer env2.Close()
+	if err := env2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := c.InDoubt(); len(ids) != 2 {
+		t.Fatalf("in doubt before the attach: %v, want both", ids)
+	}
+	attach(env2, srvs)
+	r, err := env2.OpenRelationByName("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, _ := c.InDoubt(); len(ids) != 0 || r.Storage().RecordCount() != 1 {
+		t.Fatalf("after the first open: in doubt %v, %d records, want none and the committed one", ids, r.Storage().RecordCount())
+	}
+}
+
+// TestStoredDescriptorFormats opens relations from descriptor bytes as
+// logs written before remote and part shared a store hold them: SMID 6 is
+// server, table, batch; SMID 8 is key columns, shard count, batch, servers.
+func TestStoredDescriptorFormats(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	defer env.Close()
+	attach(env, []*remote.Server{remote.NewServer(0), remote.NewServer(0)})
+	for _, tc := range []struct {
+		sm     core.SMID
+		desc   []byte
+		tables []string
+	}{
+		{core.SMRemote, []byte("\x02s1\x05far_t\x00\x05"), []string{"s1/far_t"}},
+		{core.SMPart, []byte("\x01\x00\x00\x03\x00\x04\x02\x02s0\x02s1"), []string{"s0/t#0", "s1/t#1", "s0/t#2"}},
+	} {
+		rd := &core.RelDesc{RelID: uint32(100 + tc.sm), Name: "t", Schema: schema(), SM: tc.sm, SMDesc: tc.desc}
+		inst, err := env.StorageInstance(rd)
+		if err != nil {
+			t.Fatalf("SMID %d: %v", tc.sm, err)
+		}
+		var got []string
+		for _, info := range inst.(core.ShardIntrospector).ShardInfos() {
+			got = append(got, info.Server+"/"+info.Table)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.tables) {
+			t.Fatalf("SMID %d: shards %v, want %v", tc.sm, got, tc.tables)
+		}
+		if _, err := env.StorageInstance(&core.RelDesc{RelID: uint32(200 + tc.sm), Name: "t", SM: tc.sm, SMDesc: tc.desc[:len(tc.desc)-1]}); err == nil {
+			t.Fatalf("SMID %d: truncated descriptor accepted", tc.sm)
+		}
 	}
 }

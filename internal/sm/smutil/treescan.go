@@ -28,9 +28,7 @@ type TreeScan struct {
 	end   types.Key // exclusive; nil = unbounded
 	emit  EmitFunc
 
-	started bool
-	pos     []byte // key of the item the scan is on
-	closed  bool
+	Position
 }
 
 // NewTreeScan starts a scan over tree bounded by [start, end) whose
@@ -41,24 +39,20 @@ func NewTreeScan(mu *sync.Mutex, tree *btree.Tree, start, end types.Key, emit Em
 
 // Next implements core.Scan.
 func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
-	if s.closed {
+	if s.Closed {
 		return nil, nil, false, fmt.Errorf("smutil: scan is closed")
 	}
 	for {
 		s.mu.Lock()
-		var from []byte
-		skipEqual := false
-		if s.started {
-			from = s.pos
-			skipEqual = true
-		} else if s.start != nil {
-			from = s.start
+		from := s.start
+		if s.Started {
+			from = s.After // resume strictly after the item the scan is on
 		}
 		// Collect the next candidate under the latch.
 		var ck, cv []byte
 		found := false
 		s.tree.Ascend(from, func(k, v []byte) bool {
-			if skipEqual && types.Key(k).Equal(types.Key(s.pos)) {
+			if s.Started && s.After.Equal(k) {
 				return true
 			}
 			if s.end != nil && types.Key(k).Compare(s.end) >= 0 {
@@ -73,8 +67,7 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 		if !found {
 			return nil, nil, false, nil
 		}
-		s.started = true
-		s.pos = ck
+		s.Started, s.After = true, ck
 		outK, outR, ok, err := s.emit(ck, cv)
 		if err != nil {
 			return nil, nil, false, err
@@ -84,38 +77,6 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 		}
 		// Entry filtered out: advance past it.
 	}
-}
-
-// Pos implements core.Scan: the opaque saved position.
-func (s *TreeScan) Pos() core.ScanPos {
-	if !s.started {
-		return core.ScanPos{0}
-	}
-	return append(core.ScanPos{1}, s.pos...)
-}
-
-// Restore implements core.Scan.
-func (s *TreeScan) Restore(pos core.ScanPos) error {
-	if len(pos) == 0 {
-		return fmt.Errorf("smutil: empty scan position")
-	}
-	switch pos[0] {
-	case 0:
-		s.started = false
-		s.pos = nil
-	case 1:
-		s.started = true
-		s.pos = append([]byte(nil), pos[1:]...)
-	default:
-		return fmt.Errorf("smutil: bad scan position tag %d", pos[0])
-	}
-	return nil
-}
-
-// Close implements core.Scan.
-func (s *TreeScan) Close() error {
-	s.closed = true
-	return nil
 }
 
 var _ core.Scan = (*TreeScan)(nil)

@@ -3,6 +3,7 @@ package smutil
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"dmx/internal/btree"
@@ -25,24 +26,28 @@ func EstimateSelectivity(conjuncts []*expr.Expr) float64 {
 	return sel
 }
 
-// TreeStore is a storage instance holding records in an in-memory B-tree
-// keyed by an 8-byte insertion sequence number (the storage method's
-// record-key definition). It backs both the main-memory storage method
-// (logged, recoverable) and the temporary-relation storage method
-// (unlogged, non-recoverable).
+// TreeStore is a storage instance holding records in an in-memory B-tree.
+// The record key is the storage method's choice: with no key fields it is
+// an 8-byte insertion sequence number; with key fields it is their
+// order-preserving encoding, which makes the fields the relation's primary
+// key and lets the store answer key predicates itself. It backs the
+// main-memory and B-tree-organised storage methods (logged, recoverable)
+// and the temporary-relation storage method (unlogged).
 type TreeStore struct {
-	env    *core.Env
-	rd     *core.RelDesc
-	logged bool
+	env       *core.Env
+	rd        *core.RelDesc
+	logged    bool
+	keyFields []int
 
 	mu      sync.Mutex
-	tree    *btree.Tree
+	tree    *btree.Tree // record key -> encoded record
 	nextSeq uint64
 }
 
-// NewTreeStore returns an empty store for rd.
-func NewTreeStore(env *core.Env, rd *core.RelDesc, logged bool) *TreeStore {
-	return &TreeStore{env: env, rd: rd, logged: logged, tree: btree.New(), nextSeq: 1}
+// NewTreeStore returns an empty store for rd. keyFields nil selects
+// sequence keys.
+func NewTreeStore(env *core.Env, rd *core.RelDesc, logged bool, keyFields []int) *TreeStore {
+	return &TreeStore{env: env, rd: rd, logged: logged, keyFields: keyFields, tree: btree.New(), nextSeq: 1}
 }
 
 func seqKey(seq uint64) types.Key {
@@ -60,10 +65,20 @@ func (s *TreeStore) log(tx *txn.Txn, p core.ModPayload) error {
 
 // Insert implements core.StorageInstance.
 func (s *TreeStore) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
+	var key types.Key
+	dup := false
 	s.mu.Lock()
-	key := seqKey(s.nextSeq)
-	s.nextSeq++
+	if s.keyFields == nil {
+		key = seqKey(s.nextSeq)
+		s.nextSeq++
+	} else {
+		key = types.EncodeKeyFields(rec, s.keyFields)
+		_, dup = s.tree.Get(key)
+	}
 	s.mu.Unlock()
+	if dup {
+		return nil, DuplicateKey(rec, s.keyFields)
+	}
 	if err := s.log(tx, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
 		return nil, err
 	}
@@ -73,21 +88,37 @@ func (s *TreeStore) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	return key, nil
 }
 
-// Update implements core.StorageInstance; the record key is stable.
+// Update implements core.StorageInstance. Sequence keys are stable;
+// updating key fields moves the record to its new key position.
 func (s *TreeStore) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) (types.Key, error) {
+	newKey := key
+	if s.keyFields != nil {
+		newKey = types.EncodeKeyFields(newRec, s.keyFields)
+	}
+	moved := !newKey.Equal(key)
 	s.mu.Lock()
 	_, exists := s.tree.Get(key)
+	dup := false
+	if moved {
+		_, dup = s.tree.Get(newKey)
+	}
 	s.mu.Unlock()
 	if !exists {
 		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, key)
 	}
-	if err := s.log(tx, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: key, Old: oldRec, New: newRec}); err != nil {
+	if dup {
+		return nil, DuplicateKey(newRec, s.keyFields)
+	}
+	if err := s.log(tx, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.tree.Set(key, newRec.AppendEncode(nil))
+	if moved {
+		s.tree.Delete(key)
+	}
+	s.tree.Set(newKey, newRec.AppendEncode(nil))
 	s.mu.Unlock()
-	return key, nil
+	return newKey, nil
 }
 
 // Delete implements core.StorageInstance.
@@ -116,59 +147,54 @@ func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter 
 	if err != nil {
 		return nil, err
 	}
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return QualifyFetch(s.env, rec, fields, filter)
 }
 
-// OpenScan implements core.StorageInstance.
+// OpenScan implements core.StorageInstance: record-key order, with range
+// bounds.
 func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
 		rec, _, err := types.DecodeRecord(v)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if opts.Filter != nil {
-			match, err := s.env.Eval.EvalBool(opts.Filter, rec, opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				return nil, nil, false, nil
-			}
+		rec, ok, err := Qualify(s.env, rec, opts.Filter, opts.Params, opts.Fields)
+		if !ok || err != nil {
+			return nil, nil, false, err
 		}
-		if opts.Fields != nil {
-			rec = rec.Project(opts.Fields)
-		}
-		return types.Key(k).Clone(), rec, true, nil
+		return types.Key(k).Clone(), rec, true, nil // k is the scan's own position
 	}
 	return NewTreeScan(&s.mu, s.tree, opts.Start, opts.End, emit), nil
 }
 
-// EstimateCost implements core.StorageInstance: memory-resident scans cost
-// no I/O and one CPU unit per record.
+// EstimateCost implements core.StorageInstance: memory-resident accesses
+// cost no I/O and one CPU unit per record touched, and predicates on a
+// prefix of the key fields make the store itself a cheap access path.
 func (s *TreeStore) EstimateCost(req core.CostRequest) core.CostEstimate {
-	n := float64(s.RecordCount())
-	return core.CostEstimate{
-		Usable:      true,
-		IO:          0,
-		CPU:         n,
-		Selectivity: RequestSelectivity(req),
+	s.mu.Lock()
+	n := float64(s.tree.Len())
+	height := float64(s.tree.Height())
+	s.mu.Unlock()
+	start, end, handled, point, depth := KeyRange(s.keyFields, req.Conjuncts)
+	est := core.CostEstimate{Usable: true, IO: 0, Start: start, End: end, Handled: handled,
+		Ordered: s.keyFields != nil && OrderSatisfiedBy(s.keyFields, req.OrderBy)}
+	switch {
+	case point:
+		est.CPU = height + 1
+		est.Selectivity = 1 / math.Max(n, 1)
+	case depth > 0:
+		frac := HandledSelectivity(req, handled)
+		est.CPU = height + n*frac
+		est.Selectivity = frac * ResidualSelectivity(req, handled)
+	default:
+		est.CPU = n
+		est.Selectivity = RequestSelectivity(req)
 	}
+	return est
 }
 
 // PartitionBounds implements core.RangePartitioner: interior split keys
-// dividing the sequence-key space into ~equal record counts.
+// dividing the record-key space into ~equal record counts.
 func (s *TreeStore) PartitionBounds(n int) []types.Key {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,38 +231,28 @@ func (s *TreeStore) RecordCount() int {
 // ApplyLogged implements core.StorageInstance: logical undo/redo of the
 // shared modification payload.
 func (s *TreeStore) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeMod(payload)
+	e, err := LoggedEffect(payload, undo)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	op := p.Op
-	if undo {
-		switch op {
-		case core.ModInsert:
-			op = core.ModDelete
-		case core.ModDelete:
-			op = core.ModInsert
-			p.New = p.Old
-		case core.ModUpdate:
-			p.New = p.Old
-		}
+	if e.Del != nil {
+		s.tree.Delete(e.Del)
 	}
-	switch op {
-	case core.ModInsert:
-		s.tree.Set(p.Key, p.New.AppendEncode(nil))
-		if seq := binary.BigEndian.Uint64(p.Key); seq >= s.nextSeq {
-			s.nextSeq = seq + 1
+	if e.Put != nil {
+		s.tree.Set(e.Put, e.Rec.AppendEncode(nil))
+		// Replayed sequence keys must never be handed out again.
+		if s.keyFields == nil {
+			if seq := binary.BigEndian.Uint64(e.Put); seq >= s.nextSeq {
+				s.nextSeq = seq + 1
+			}
 		}
-	case core.ModDelete:
-		s.tree.Delete(p.Key)
-	case core.ModUpdate:
-		s.tree.Set(p.Key, p.New.AppendEncode(nil))
-	default:
-		return fmt.Errorf("smutil: bad logged op %v", p.Op)
 	}
 	return nil
 }
 
-var _ core.StorageInstance = (*TreeStore)(nil)
+var (
+	_ core.StorageInstance  = (*TreeStore)(nil)
+	_ core.RangePartitioner = (*TreeStore)(nil)
+)

@@ -7,168 +7,78 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/sm/smutil"
-	_ "dmx/internal/sm/tempsm"
 	"dmx/internal/types"
 )
 
-func schema() *types.Schema {
-	return types.MustSchema(
+// The storage-method contract TreeStore implements is checked for the
+// methods built on it by the conformance suite (internal/sm); these tests
+// cover what only the store itself promises.
+
+func newStore(keyFields []int) (*core.Env, *smutil.TreeStore) {
+	env := core.NewEnv(core.Config{})
+	rd := &core.RelDesc{RelID: 1, Name: "t", SM: core.SMTemp, Schema: types.MustSchema(
 		types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
 		types.Column{Name: "v", Kind: types.KindString},
-	)
-}
-
-func newStore(t *testing.T, logged bool) (*core.Env, *smutil.TreeStore) {
-	t.Helper()
-	env := core.NewEnv(core.Config{})
-	rd := &core.RelDesc{RelID: 1, Name: "t", Schema: schema(), SM: core.SMTemp}
-	return env, smutil.NewTreeStore(env, rd, logged)
+	)}
+	return env, smutil.NewTreeStore(env, rd, false, keyFields)
 }
 
 func rec(id int64, v string) types.Record {
 	return types.Record{types.Int(id), types.Str(v)}
 }
 
-func TestTreeStoreCRUD(t *testing.T) {
-	env, s := newStore(t, false)
-	tx := env.Begin()
-	defer tx.Commit()
-
-	k1, err := s.Insert(tx, rec(1, "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, _ := s.Insert(tx, rec(2, "b"))
-	if k1.Equal(k2) {
-		t.Fatal("keys not unique")
-	}
-	if s.RecordCount() != 2 {
-		t.Fatal("count")
-	}
-	got, err := s.FetchByKey(tx, k1, nil, nil)
-	if err != nil || got[1].S != "a" {
-		t.Fatalf("fetch: %v %v", got, err)
-	}
-	// Update keeps the key.
-	nk, err := s.Update(tx, k1, got, rec(1, "a2"))
-	if err != nil || !nk.Equal(k1) {
-		t.Fatalf("update: %v %v", nk, err)
-	}
-	got, _ = s.FetchByKey(tx, k1, []int{1}, nil)
-	if len(got) != 1 || got[0].S != "a2" {
-		t.Fatalf("projected fetch: %v", got)
-	}
-	// Update of a missing key fails.
-	if _, err := s.Update(tx, types.Key{9, 9}, nil, rec(9, "x")); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("update missing: %v", err)
-	}
-	if err := s.Delete(tx, k1, got); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(tx, k1, got); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
-	}
-	if _, err := s.FetchByKey(tx, k1, nil, nil); !errors.Is(err, core.ErrNotFound) {
-		t.Fatalf("fetch deleted: %v", err)
+func TestTreeStoreMissingKeys(t *testing.T) {
+	for _, keyFields := range [][]int{nil, {0}} {
+		env, s := newStore(keyFields)
+		tx := env.Begin()
+		if _, err := s.Update(tx, types.Key{9, 9}, nil, rec(9, "x")); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("update of a missing key: %v", err)
+		}
+		if err := s.Delete(tx, types.Key{9, 9}, nil); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("delete of a missing key: %v", err)
+		}
+		if s.RecordCount() != 0 {
+			t.Fatal("failed operations left records behind")
+		}
+		tx.Commit()
 	}
 }
 
-func TestTreeStoreFilterAndScan(t *testing.T) {
-	env, s := newStore(t, false)
-	tx := env.Begin()
-	defer tx.Commit()
-	var k5 types.Key
-	for i := 0; i < 10; i++ {
-		k, _ := s.Insert(tx, rec(int64(i), "x"))
-		if i == 5 {
-			k5 = k
+func TestTreeStoreCostEstimates(t *testing.T) {
+	for _, keyFields := range [][]int{nil, {0}} {
+		env, s := newStore(keyFields)
+		tx := env.Begin()
+		for i := 0; i < 1000; i++ {
+			if _, err := s.Insert(tx, rec(int64(i), "x")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	pass := expr.Eq(expr.Field(0), expr.Const(types.Int(5)))
-	if _, err := s.FetchByKey(tx, k5, nil, pass); err != nil {
-		t.Fatal(err)
-	}
-	fail := expr.Eq(expr.Field(0), expr.Const(types.Int(6)))
-	if _, err := s.FetchByKey(tx, k5, nil, fail); !errors.Is(err, core.ErrFiltered) {
-		t.Fatalf("filtered fetch: %v", err)
-	}
-	scan, err := s.OpenScan(tx, core.ScanOptions{
-		Filter: expr.Lt(expr.Field(0), expr.Const(types.Int(3))),
-		Fields: []int{0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, r, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
+		tx.Commit()
+		estimate := func(c *expr.Expr) core.CostEstimate {
+			return s.EstimateCost(core.CostRequest{Conjuncts: []*expr.Expr{c}})
 		}
-		if !ok {
-			break
+		// Memory-resident: no I/O, one CPU unit per record for a full scan,
+		// which is all a predicate on a non-key field can get.
+		full := estimate(expr.Eq(expr.Field(1), expr.Const(types.Str("x"))))
+		if !full.Usable || full.IO != 0 || full.CPU != 1000 || len(full.Handled) != 0 {
+			t.Fatalf("full estimate = %+v", full)
 		}
-		if len(r) != 1 || r[0].AsInt() >= 3 {
-			t.Fatalf("row %v", r)
+		point := estimate(expr.Eq(expr.Field(0), expr.Const(types.Int(5))))
+		rng := estimate(expr.Lt(expr.Field(0), expr.Const(types.Int(100))))
+		if keyFields == nil {
+			// Sequence keys say nothing about field values.
+			if point.CPU != 1000 || rng.CPU != 1000 || point.Start != nil {
+				t.Fatalf("sequence-keyed estimates = %+v, %+v", point, rng)
+			}
+			continue
 		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("matches = %d", n)
-	}
-}
-
-func TestTreeStoreLoggedApply(t *testing.T) {
-	env, s := newStore(t, true)
-	tx := env.Begin()
-	k, err := s.Insert(tx, rec(1, "a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The insert was logged; undo via ApplyLogged removes it.
-	recs := env.Log.Records()
-	if len(recs) != 1 {
-		t.Fatalf("log records = %d", len(recs))
-	}
-	if err := s.ApplyLogged(recs[0].Payload, true); err != nil {
-		t.Fatal(err)
-	}
-	if s.RecordCount() != 0 {
-		t.Fatal("undo did not remove the record")
-	}
-	// Redo restores it, and the sequence does not collide afterwards.
-	if err := s.ApplyLogged(recs[0].Payload, false); err != nil {
-		t.Fatal(err)
-	}
-	if s.RecordCount() != 1 {
-		t.Fatal("redo did not restore the record")
-	}
-	k2, _ := s.Insert(tx, rec(2, "b"))
-	if k2.Equal(k) {
-		t.Fatal("sequence collided after replay")
-	}
-	tx.Commit()
-}
-
-func TestTreeStoreUnloggedWritesNothing(t *testing.T) {
-	env, s := newStore(t, false)
-	tx := env.Begin()
-	s.Insert(tx, rec(1, "a"))
-	if env.Log.Len() != 0 {
-		t.Fatal("unlogged store wrote log records")
-	}
-	tx.Commit()
-}
-
-func TestTreeStoreEstimate(t *testing.T) {
-	env, s := newStore(t, false)
-	tx := env.Begin()
-	for i := 0; i < 50; i++ {
-		s.Insert(tx, rec(int64(i), "x"))
-	}
-	tx.Commit()
-	est := s.EstimateCost(core.CostRequest{})
-	if !est.Usable || est.IO != 0 || est.CPU != 50 {
-		t.Fatalf("estimate = %+v", est)
+		// Point predicate on the key: near-constant cost, with key bounds.
+		if point.CPU > 10 || len(point.Handled) != 1 || point.Start == nil || point.End == nil {
+			t.Fatalf("point estimate = %+v", point)
+		}
+		// Range predicate: fractional cost.
+		if rng.CPU <= point.CPU || rng.CPU >= 1000 {
+			t.Fatalf("range estimate = %+v", rng)
+		}
 	}
 }

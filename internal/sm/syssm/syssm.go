@@ -29,6 +29,7 @@ import (
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -140,20 +141,7 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if ord < 0 || ord >= len(rows) {
 		return nil, fmt.Errorf("syssm: %w: %s row %d", core.ErrNotFound, s.rd.Name, ord)
 	}
-	rec := rows[ord]
-	if filter != nil {
-		match, err := s.env.Eval.EvalBool(filter, rec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, core.ErrFiltered
-		}
-	}
-	if fields != nil {
-		return rec.Project(fields), nil
-	}
-	return rec, nil
+	return smutil.QualifyFetch(s.env, rows[ord], fields, filter)
 }
 
 // OpenScan implements core.StorageInstance: the view is materialized once
@@ -230,20 +218,13 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 	for sc.next < sc.end {
 		ord := sc.next
 		sc.next++
-		rec := sc.rows[ord]
-		if sc.opts.Filter != nil {
-			match, err := sc.store.env.Eval.EvalBool(sc.opts.Filter, rec, sc.opts.Params)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if !match {
-				continue
-			}
+		rec, ok, err := smutil.Qualify(sc.store.env, sc.rows[ord], sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if sc.opts.Fields != nil {
-			rec = rec.Project(sc.opts.Fields)
+		if ok {
+			return ordKey(ord), rec, true, nil
 		}
-		return ordKey(ord), rec, true, nil
 	}
 	return nil, nil, false, nil
 }

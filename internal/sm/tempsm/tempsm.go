@@ -29,7 +29,7 @@ func init() {
 			return nil, nil
 		},
 		Open: func(env *core.Env, rd *core.RelDesc) (core.StorageInstance, error) {
-			return smutil.NewTreeStore(env, rd, false), nil
+			return smutil.NewTreeStore(env, rd, false, nil), nil
 		},
 	})
 }

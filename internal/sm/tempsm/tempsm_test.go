@@ -49,136 +49,3 @@ func TestTempRelationIsUnlogged(t *testing.T) {
 		t.Fatalf("count = %d (temp relations are not rolled back)", rel.Storage().RecordCount())
 	}
 }
-
-func mkTemp(t *testing.T, env *core.Env) *core.Relation {
-	t.Helper()
-	s := types.MustSchema(
-		types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
-		types.Column{Name: "v", Kind: types.KindString},
-	)
-	tx := env.Begin()
-	if _, err := env.CreateRelation(tx, "scratch", s, "temp", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := env.OpenRelationByName("scratch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func trec(id int64, v string) types.Record {
-	return types.Record{types.Int(id), types.Str(v)}
-}
-
-func TestTempRejectsUnknownAttrs(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	s := types.MustSchema(types.Column{Name: "id", Kind: types.KindInt})
-	tx := env.Begin()
-	if _, err := env.CreateRelation(tx, "t", s, "temp",
-		core.AttrList{"spill": "disk"}); err == nil {
-		t.Fatal("unknown attribute accepted")
-	}
-	tx.Commit()
-}
-
-func TestTempUpdateDeleteUnderScan(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkTemp(t, env)
-	tx := env.Begin()
-	for i := 0; i < 5; i++ {
-		r.Insert(tx, trec(int64(i), "x"))
-	}
-	scan, err := r.OpenScan(tx, core.ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k0, _, _, _ := scan.Next()
-	pos := scan.Pos()
-	if err := r.Delete(tx, k0); err != nil {
-		t.Fatal(err)
-	}
-	k1, r1, ok, err := scan.Next()
-	if err != nil || !ok || r1[0].AsInt() != 1 {
-		t.Fatalf("next after delete-at-position: %v %v %v", r1, ok, err)
-	}
-	if _, err := r.Update(tx, k1, trec(1, "changed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := scan.Restore(pos); err != nil {
-		t.Fatal(err)
-	}
-	_, r1b, ok, _ := scan.Next()
-	if !ok || r1b[0].AsInt() != 1 || r1b[1].S != "changed" {
-		t.Fatalf("restored scan returned %v", r1b)
-	}
-	tx.Commit()
-	if r.Storage().RecordCount() != 4 {
-		t.Fatalf("count = %d", r.Storage().RecordCount())
-	}
-}
-
-func TestTempKeyRangeScan(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := mkTemp(t, env)
-	tx := env.Begin()
-	keys := make([]types.Key, 0, 10)
-	for i := 0; i < 10; i++ {
-		k, _ := r.Insert(tx, trec(int64(i), "x"))
-		keys = append(keys, k)
-	}
-	scan, err := r.OpenScan(tx, core.ScanOptions{Start: keys[2], End: keys[5]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(2)
-	for {
-		_, got, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if got[0].AsInt() != want {
-			t.Fatalf("range scan returned id %d, want %d", got[0].AsInt(), want)
-		}
-		want++
-	}
-	if want != 5 {
-		t.Fatalf("range scan stopped at id %d, want 5", want)
-	}
-	tx.Commit()
-}
-
-func TestTempNotRecoveredAfterRestart(t *testing.T) {
-	// The relation itself (DDL) survives restart; its unlogged contents
-	// do not.
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	s := types.MustSchema(types.Column{Name: "id", Kind: types.KindInt})
-	tx := env.Begin()
-	if _, err := env.CreateRelation(tx, "scratch", s, "temp", nil); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	r, _ := env.OpenRelationByName("scratch")
-	tx2 := env.Begin()
-	r.Insert(tx2, types.Record{types.Int(1)})
-	tx2.Commit()
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := env2.OpenRelationByName("scratch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Storage().RecordCount() != 0 {
-		t.Fatalf("recovered temp count = %d, want 0", r2.Storage().RecordCount())
-	}
-}
