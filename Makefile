@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench crash race model ingest par part fmt vet staticcheck trace-demo
+.PHONY: build test check bench bench-diff crash race model ingest par part fmt vet staticcheck trace-demo
 
 build:
 	$(GO) build ./...
@@ -99,8 +99,22 @@ part:
 par:
 	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestParallelHashJoin|TestDuplicateKeyJoin' ./internal/plan/
 
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# all five workloads, untraced, one line per metric.
 bench:
-	$(GO) run ./cmd/dmxbench
+	bash bench/run.sh
+
+# bench-diff is the regression gate over the benchmark ledger: one complete
+# run of this tree per seed into .bench_build/out, then compared with the
+# committed baseline runs under BENCHMARK.json's bounds. Exits non-zero when
+# any (workload, metric) is `worse` or any run had a failed op.
+BENCH_SEEDS ?= 1 2 3 4 5
+bench-diff:
+	rm -rf .bench_build/out
+	for s in $(BENCH_SEEDS); do bash bench/run.sh --seed $$s --out .bench_build/out || exit 1; done
+	bash bench/run.sh -compare \
+		$$(ls bench/baseline/a-*.json | paste -sd, -) \
+		$$(ls .bench_build/out/result-*.json | paste -sd, -)
 
 fmt:
 	gofmt -l .

@@ -265,7 +265,11 @@ func printResult(w io.Writer, res *dmx.Result) {
 		}
 		fmt.Fprintln(w, ")")
 	case res.Message != "":
-		fmt.Fprintln(w, res.Message)
+		fmt.Fprint(w, res.Message)
+		if res.Explain != "" {
+			fmt.Fprintf(w, " (plan: %s)", res.Explain)
+		}
+		fmt.Fprintln(w)
 	default:
 		fmt.Fprintf(w, "(%d affected)\n", res.Affected)
 	}

@@ -348,7 +348,7 @@ func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
 		}
 		est := core.CostEstimate{
 			Usable: true, Instance: i, Handled: handled, Start: start, End: end,
-			Ordered: ordered,
+			Ordered: ordered, Point: point,
 		}
 		if point && d.Unique {
 			est.CPU = height + 1

@@ -7,6 +7,7 @@ import (
 
 	"dmx/internal/att/btreeix"
 	"dmx/internal/core"
+	"dmx/internal/expr"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -279,4 +280,44 @@ func TestLookupViaRelationAPI(t *testing.T) {
 		t.Fatal("bad instance accepted")
 	}
 	tx.Commit()
+}
+
+// TestEstimateReportsPointOnlyForAWholeKeyEquality: Point promises the
+// planner that Start is a complete index key it may probe with
+// LookupByKey; a range, or equality on a prefix of a composite key, is a
+// key-sequential access.
+func TestEstimateReportsPointOnlyForAWholeKeyEquality(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	r := setup(t, env, core.AttrList{"name": "bydeptid", "on": "dept,id"})
+	tx := env.Begin()
+	for i := int64(0); i < 20; i++ {
+		r.Insert(tx, rec(i, fmt.Sprintf("d%d", i%4), float64(i)))
+	}
+	tx.Commit()
+	deptEq := expr.Eq(expr.Field(1), expr.Const(types.Str("d1")))
+	idEq := expr.Eq(expr.Field(0), expr.Const(types.Int(5)))
+	idGt := expr.Gt(expr.Field(0), expr.Const(types.Int(5)))
+	for _, c := range []struct {
+		name      string
+		conjuncts []*expr.Expr
+		point     bool
+	}{
+		{"whole key", []*expr.Expr{deptEq, idEq}, true},
+		{"key prefix", []*expr.Expr{deptEq}, false},
+		{"prefix and range", []*expr.Expr{deptEq, idGt}, false},
+	} {
+		est := inst(t, r).EstimateCost(core.CostRequest{Conjuncts: c.conjuncts, RecordCount: 20})
+		if !est.Usable || est.Point != c.point {
+			t.Fatalf("%s: estimate %+v, want usable with Point=%v", c.name, est, c.point)
+		}
+		if !c.point {
+			continue
+		}
+		tx := env.Begin()
+		keys, err := inst(t, r).LookupByKey(tx, est.Instance, est.Start)
+		tx.Commit()
+		if err != nil || len(keys) != 1 {
+			t.Fatalf("%s: probing Start finds %d keys (%v), want the one record", c.name, len(keys), err)
+		}
+	}
 }

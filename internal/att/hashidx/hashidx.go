@@ -246,10 +246,6 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 	return nil, fmt.Errorf("hashidx: hash indexes support direct-by-key access only")
 }
 
-// DirectOnly implements core.DirectOnlyPath: the planner must fetch by
-// probe key rather than open a key-sequential access.
-func (ix *Instance) DirectOnly() bool { return true }
-
 // EstimateCost implements core.AccessPath: usable only when every index
 // field is bound by an equality conjunct.
 func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
@@ -284,7 +280,8 @@ func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
 		est := core.CostEstimate{
 			Usable: true, Instance: i, Handled: handled,
 			CPU: 1, IO: 0.1, Selectivity: 1 / math.Max(n, 1),
-			Start: key, End: key, // point probe key in Start
+			// Direct-by-key only: the probe key travels in Start.
+			Start: key, End: key, Point: true,
 		}
 		if est.Total() < best.Total() || !best.Usable {
 			best = est
@@ -304,5 +301,4 @@ var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
 	_ core.Reconfigurer       = (*Instance)(nil)
-	_ core.DirectOnlyPath     = (*Instance)(nil)
 )

@@ -88,8 +88,8 @@ func TestCostOnlyForEquality(t *testing.T) {
 	eq := ap.EstimateCost(core.CostRequest{Conjuncts: []*expr.Expr{
 		expr.Eq(expr.Field(1), expr.Const(types.Str("x"))),
 	}})
-	if !eq.Usable || eq.CPU != 1 {
-		t.Fatalf("equality estimate = %+v", eq)
+	if !eq.Usable || eq.CPU != 1 || !eq.Point {
+		t.Fatalf("equality estimate = %+v, want a usable point probe", eq)
 	}
 	rng := ap.EstimateCost(core.CostRequest{Conjuncts: []*expr.Expr{
 		expr.Gt(expr.Field(1), expr.Const(types.Str("a"))),

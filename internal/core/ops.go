@@ -82,6 +82,13 @@ type CostEstimate struct {
 	Ordered bool
 	// Start/End are the key bounds an index scan should use.
 	Start, End types.Key
+	// Point reports that the request binds the path's whole key by
+	// equality, so Start is a complete access-path key: the planner serves
+	// the access with a direct-by-key probe (Relation.LookupAccess, relation
+	// intention lock plus record locks) instead of a key-sequential access
+	// (relation S). Paths that cannot scan at all — hash indexes — always
+	// set it.
+	Point bool
 }
 
 // Total returns the weighted cost used for comparison (I/O dominates, as
@@ -121,13 +128,6 @@ type TableStatsProvider interface {
 // bounds mean the store is too small to split that finely.
 type RangePartitioner interface {
 	PartitionBounds(n int) []types.Key
-}
-
-// DirectOnlyPath is implemented by access paths that support only
-// direct-by-key probes (LookupByKey) and reject OpenScan — hash indexes.
-// The planner asks this instead of opening a throwaway scan to find out.
-type DirectOnlyPath interface {
-	DirectOnly() bool
 }
 
 // StorageInstance is the runtime handle for one relation's storage. The

@@ -319,14 +319,29 @@ func (r *Relation) smName() string {
 // storage method answers with the version visible in the transaction's
 // snapshot, so no writer coordination is needed.
 func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+	return r.fetch(tx, key, fields, filter, lock.ModeIS, lock.ModeS)
+}
+
+// FetchForUpdate is Fetch for a caller that will modify the record if it
+// qualifies: relation IX and record X are taken before the record is read,
+// so the filter is judged against the value the modification will see and
+// no record lock is upgraded afterwards.
+func (r *Relation) FetchForUpdate(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+	if tx.ReadOnly() {
+		return nil, txn.ErrReadOnly
+	}
+	return r.fetch(tx, key, fields, filter, lock.ModeIX, lock.ModeX)
+}
+
+func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr, relMode, keyMode lock.Mode) (types.Record, error) {
 	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
-		if err := tx.Lock(lock.RelResource(r.rd.RelID), lock.ModeIS); err != nil {
+		if err := tx.Lock(lock.RelResource(r.rd.RelID), relMode); err != nil {
 			return nil, err
 		}
-		if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeS); err != nil {
+		if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), keyMode); err != nil {
 			return nil, err
 		}
 	}
@@ -342,6 +357,26 @@ func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 		r.chargeRead(tx, 1)
 	}
 	return rec, err
+}
+
+// LockForWrite declares, before the first read, that the transaction will
+// modify records of the relation it is about to locate: SIX when it
+// locates them with a key-sequential access (which reads under the
+// relation lock), IX when it probes by key and locks each record itself.
+// Asking for the write mode up front — never S first and IX later — is
+// what keeps two writers of one relation from deadlocking on the upgrade.
+func (r *Relation) LockForWrite(tx *txn.Txn, scan bool) error {
+	if tx.ReadOnly() {
+		return txn.ErrReadOnly
+	}
+	if err := r.env.Authz.Check(tx, r.rd, PrivWrite); err != nil {
+		return err
+	}
+	mode := lock.ModeIX
+	if scan {
+		mode = lock.ModeSIX
+	}
+	return tx.Lock(lock.RelResource(r.rd.RelID), mode)
 }
 
 // OpenScan starts a key-sequential access through the storage method

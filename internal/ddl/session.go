@@ -29,8 +29,27 @@ type Session struct {
 	env     *core.Env
 	planner *plan.Planner
 	tx      *txn.Txn
-	plans   map[string]*plan.Bound
+	plans   map[string]*stmtPlan
 	user    string
+}
+
+// planCacheCap bounds Session.plans. The cache is keyed by exact statement
+// text, so literal-bearing SQL would otherwise add one bound plan per
+// statement forever; a full cache is simply emptied.
+const planCacheCap = 1024
+
+// stmtPlan is one cached translation: the bound plan plus what the
+// statement kind binds beside it.
+type stmtPlan struct {
+	bound *plan.Bound
+	cols  []string    // SELECT: result column names
+	set   []setClause // UPDATE: bound SET expressions
+}
+
+// setClause is one bound "col = expr" of an UPDATE.
+type setClause struct {
+	col int
+	val *expr.Expr
 }
 
 // SetUser attaches a user identity to the session; transactions the
@@ -39,7 +58,7 @@ func (s *Session) SetUser(user string) { s.user = user }
 
 // NewSession returns a session over env.
 func NewSession(env *core.Env) *Session {
-	return &Session{env: env, planner: plan.New(env), plans: make(map[string]*plan.Bound)}
+	return &Session{env: env, planner: plan.New(env), plans: make(map[string]*stmtPlan)}
 }
 
 // Env exposes the underlying environment.
@@ -239,54 +258,82 @@ func (s *Session) execInTxn(tx *txn.Txn, stmt Stmt, src string) (*Result, error)
 		}
 		return &Result{Message: fmt.Sprintf("DROP ATTACHMENT %s ON %s", st.Type, st.Table)}, nil
 	case Insert:
-		rel, err := s.env.OpenRelationByName(st.Table)
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range st.Rows {
-			if _, err := rel.Insert(tx, rec); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{Affected: len(st.Rows), Message: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
+		return s.atomic(tx, func() (*Result, error) { return s.execInsert(tx, st) })
 	case Select:
 		return s.execSelect(tx, st, src)
 	case Update:
-		return s.execUpdate(tx, st)
+		return s.atomic(tx, func() (*Result, error) { return s.execUpdate(tx, st, src) })
 	case Delete:
-		return s.execDelete(tx, st)
+		return s.atomic(tx, func() (*Result, error) { return s.execDelete(tx, st, src) })
 	default:
 		return nil, fmt.Errorf("ddl: unhandled statement %T", stmt)
 	}
 }
 
-// planFor returns the cached bound plan for the statement text, binding it
-// on first use (the "query binding" approach: translations are retained
-// and reused across executions).
-func (s *Session) planFor(src string, build func() (plan.Query, []string, error)) (*plan.Bound, []string, error) {
+// atomic runs one data-modifying statement so that it takes effect whole
+// or not at all. Relation.vetoed undoes only the single modification that
+// was vetoed; the rows the statement modified before it stay changed, and
+// inside BEGIN…COMMIT the transaction lives on with them. On any error the
+// statement is rolled back to its start through the common log.
+func (s *Session) atomic(tx *txn.Txn, run func() (*Result, error)) (*Result, error) {
+	mark := s.env.Log.LastLSN(tx.ID())
+	res, err := run()
+	if err == nil {
+		return res, nil
+	}
+	if rerr := s.env.Log.Rollback(tx.ID(), mark, s.env); rerr != nil {
+		return nil, fmt.Errorf("ddl: statement rollback failed: %v (statement: %w)", rerr, err)
+	}
+	return nil, err
+}
+
+func (s *Session) execInsert(tx *txn.Txn, st Insert) (*Result, error) {
+	rel, err := s.env.OpenRelationByName(st.Table)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range st.Rows {
+		if _, err := rel.Insert(tx, rec); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Affected: len(st.Rows), Message: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
+}
+
+// planFor returns the cached translation of the statement text, building
+// and binding it on first use (the "query binding" approach: translations
+// are retained and reused across executions). build resolves the statement
+// against the catalog; it runs only on a miss. An entry whose relations
+// have since changed is a miss too: the text is resolved again, because the
+// columns it names may have moved.
+func (s *Session) planFor(src string, build func() (plan.Query, stmtPlan, error)) (*stmtPlan, error) {
 	key := strings.TrimSpace(src)
-	q, cols, err := build()
+	if sp, ok := s.plans[key]; ok && sp.bound.Valid() {
+		return sp, nil
+	}
+	q, sp, err := build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if b, ok := s.plans[key]; ok {
-		return b, cols, nil
+	if sp.bound, err = s.planner.Plan(q); err != nil {
+		return nil, err
 	}
-	b, err := s.planner.Plan(q)
-	if err != nil {
-		return nil, nil, err
+	if len(s.plans) >= planCacheCap {
+		clear(s.plans)
 	}
-	s.plans[key] = b
-	return b, cols, nil
+	s.plans[key] = &sp
+	return &sp, nil
 }
 
 func (s *Session) execSelect(tx *txn.Txn, st Select, src string) (*Result, error) {
-	b, cols, err := s.planFor(src, func() (plan.Query, []string, error) {
-		return s.buildQuery(st)
+	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
+		q, cols, err := s.buildQuery(st)
+		return q, stmtPlan{cols: cols}, err
 	})
 	if err != nil {
 		return nil, err
 	}
+	b, cols := sp.bound, sp.cols
 	// Pull only LIMIT rows when no sort will reorder them afterwards.
 	pullLimit := -1
 	if st.Limit >= 0 && !st.Count &&
@@ -494,75 +541,108 @@ func (s *Session) buildQuery(st Select) (plan.Query, []string, error) {
 	return q, cols, nil
 }
 
-// matchKeys scans the table and returns the record keys satisfying where.
-func (s *Session) matchKeys(tx *txn.Txn, table string, where *rawExpr) (*core.Relation, []types.Key, error) {
-	rel, err := s.env.OpenRelationByName(table)
+// dmlQuery resolves the target and WHERE clause of an UPDATE or DELETE into
+// a planner query, so the statement finds its rows through whichever access
+// path the planner prices cheapest — the same binding a SELECT gets.
+func (s *Session) dmlQuery(table string, where *rawExpr, fields []int) (plan.Query, *types.Schema, error) {
+	rd, ok := s.env.Cat.ByName(table)
+	if !ok {
+		return plan.Query{}, nil, fmt.Errorf("ddl: %w: table %q", core.ErrNotFound, table)
+	}
+	filter, err := where.bind(rd.Schema, table)
+	if err != nil {
+		return plan.Query{}, nil, err
+	}
+	return plan.Query{Table: table, Filter: filter, Fields: fields, ForUpdate: true}, rd.Schema, nil
+}
+
+// matched drains the statement's keyed cursor: every qualifying record key
+// (and the selected fields of its record) is collected before the first
+// modification, so a statement that moves rows along the access path it is
+// reading — SET on the index key, or on the record key itself — meets each
+// row exactly once.
+func matched(b *plan.Bound, tx *txn.Txn) ([]types.Key, []types.Record, error) {
+	rows, err := b.ExecuteKeyed(tx)
 	if err != nil {
 		return nil, nil, err
 	}
-	filter, err := where.bind(rel.Desc().Schema, table)
-	if err != nil {
-		return nil, nil, err
-	}
-	scan, err := rel.OpenScan(tx, core.ScanOptions{Filter: filter, Fields: []int{}})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer scan.Close()
+	defer rows.Close()
 	var keys []types.Key
+	var recs []types.Record
 	for {
-		k, _, ok, err := scan.Next()
+		key, rec, ok, err := rows.NextKeyed()
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
-			return rel, keys, nil
+			return keys, recs, nil
 		}
-		keys = append(keys, k)
+		keys = append(keys, key)
+		recs = append(recs, rec)
 	}
 }
 
-func (s *Session) execUpdate(tx *txn.Txn, st Update) (*Result, error) {
-	rel, keys, err := s.matchKeys(tx, st.Table, st.Where)
+func (s *Session) execUpdate(tx *txn.Txn, st Update, src string) (*Result, error) {
+	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
+		q, schema, err := s.dmlQuery(st.Table, st.Where, nil)
+		if err != nil {
+			return q, stmtPlan{}, err
+		}
+		var sp stmtPlan
+		for col, raw := range st.Set {
+			i := schema.ColIndex(col)
+			if i < 0 {
+				return q, sp, fmt.Errorf("ddl: unknown column %q", col)
+			}
+			e, err := raw.bind(schema, st.Table)
+			if err != nil {
+				return q, sp, err
+			}
+			sp.set = append(sp.set, setClause{col: i, val: e})
+		}
+		return q, sp, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	schema := rel.Desc().Schema
-	// Bind SET expressions.
-	setters := map[int]*expr.Expr{}
-	for col, raw := range st.Set {
-		i := schema.ColIndex(col)
-		if i < 0 {
-			return nil, fmt.Errorf("ddl: unknown column %q", col)
-		}
-		e, err := raw.bind(schema, st.Table)
-		if err != nil {
-			return nil, err
-		}
-		setters[i] = e
+	keys, recs, err := matched(sp.bound, tx)
+	if err != nil {
+		return nil, err
 	}
-	for _, key := range keys {
-		oldRec, err := rel.Fetch(tx, key, nil, nil)
-		if err != nil {
-			return nil, err
-		}
+	rel, err := s.env.OpenRelationByName(st.Table)
+	if err != nil {
+		return nil, err
+	}
+	for i, key := range keys {
+		oldRec := recs[i]
 		newRec := oldRec.Clone()
-		for i, e := range setters {
-			v, err := s.env.Eval.Eval(e, oldRec, nil)
+		for _, c := range sp.set {
+			v, err := s.env.Eval.Eval(c.val, oldRec, nil)
 			if err != nil {
 				return nil, err
 			}
-			newRec[i] = v
+			newRec[c.col] = v
 		}
 		if _, err := rel.Update(tx, key, newRec); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(keys), Message: fmt.Sprintf("UPDATE %d", len(keys))}, nil
+	return &Result{Affected: len(keys), Message: fmt.Sprintf("UPDATE %d", len(keys)), Explain: sp.bound.Explain()}, nil
 }
 
-func (s *Session) execDelete(tx *txn.Txn, st Delete) (*Result, error) {
-	rel, keys, err := s.matchKeys(tx, st.Table, st.Where)
+func (s *Session) execDelete(tx *txn.Txn, st Delete, src string) (*Result, error) {
+	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
+		q, _, err := s.dmlQuery(st.Table, st.Where, []int{})
+		return q, stmtPlan{}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	keys, _, err := matched(sp.bound, tx)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := s.env.OpenRelationByName(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -571,5 +651,5 @@ func (s *Session) execDelete(tx *txn.Txn, st Delete) (*Result, error) {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(keys), Message: fmt.Sprintf("DELETE %d", len(keys))}, nil
+	return &Result{Affected: len(keys), Message: fmt.Sprintf("DELETE %d", len(keys)), Explain: sp.bound.Explain()}, nil
 }

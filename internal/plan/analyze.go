@@ -33,9 +33,20 @@ type OperatorStats struct {
 // the operator that caused them, and the span's duration is the
 // operator's cumulative in-cursor time, matching its ExecStats.
 func (b *Bound) track(tx *txn.Txn, name string, r Rows) Rows {
+	c := b.counted(tx, name, r)
+	return &c
+}
+
+// trackKeyed is track for the serial single-table operators, whose
+// cursor also hands back record keys.
+func (b *Bound) trackKeyed(tx *txn.Txn, name string, r KeyedRows) KeyedRows {
+	return &countedKeyedRows{countedRows: b.counted(tx, name, r), keyed: r}
+}
+
+func (b *Bound) counted(tx *txn.Txn, name string, r Rows) countedRows {
 	st := &OperatorStats{Name: name}
 	b.stats = append(b.stats, st)
-	c := &countedRows{inner: r, st: st}
+	c := countedRows{inner: r, st: st}
 	if tr := tx.Trace(); tr.Detailed() {
 		c.tr = tr
 		c.span = tr.OpenChild("plan.op", name, "next")
@@ -77,16 +88,36 @@ type countedRows struct {
 }
 
 func (c *countedRows) Next() (types.Record, bool, error) {
-	prev := c.tr.Enter(c.span)
-	start := time.Now()
+	prev, start := c.enter()
 	rec, ok, err := c.inner.Next()
+	c.exit(prev, start, ok)
+	return rec, ok, err
+}
+
+func (c *countedRows) enter() (*trace.Span, time.Time) {
+	return c.tr.Enter(c.span), time.Now()
+}
+
+func (c *countedRows) exit(prev *trace.Span, start time.Time, ok bool) {
 	c.st.Calls++
 	if ok {
 		c.st.Rows++
 	}
 	c.st.TimeNanos += time.Since(start).Nanoseconds()
 	c.tr.Exit(prev)
-	return rec, ok, err
+}
+
+// countedKeyedRows is countedRows over a keyed cursor.
+type countedKeyedRows struct {
+	countedRows
+	keyed KeyedRows
+}
+
+func (c *countedKeyedRows) NextKeyed() (types.Key, types.Record, bool, error) {
+	prev, start := c.enter()
+	key, rec, ok, err := c.keyed.NextKeyed()
+	c.exit(prev, start, ok)
+	return key, rec, ok, err
 }
 
 func (c *countedRows) Close() error {

@@ -341,7 +341,7 @@ func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, innerRD *co
 	tx.Trace().Event("plan.hashjoin", "plan",
 		fmt.Sprintf("build workers=%d rows=%d", len(scans), built), buildStart, time.Since(buildStart), nil)
 
-	outerRows, err := p.openAccess(tx, b, outer, nil)
+	outerRows, err := p.openAccess(tx, b, outer, nil, false)
 	if err != nil {
 		return nil, err
 	}

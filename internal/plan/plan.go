@@ -18,6 +18,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,6 +44,12 @@ type Query struct {
 	// though a full ordered pass would not.
 	Limit int
 	Join  *JoinSpec
+	// ForUpdate says the caller will modify the rows the plan returns (SQL
+	// UPDATE and DELETE). The plan is single-table and serial, so its
+	// cursor is keyed (Bound.ExecuteKeyed), and it takes its write locks
+	// before it reads: relation IX plus record X on each probed record
+	// when the access is a point probe, relation SIX for scans and ranges.
+	ForUpdate bool
 	// ForcePath, when set, pins the access path for Table instead of
 	// cost-based selection — the differential tests use it to prove every
 	// viable path returns the same rows.
@@ -83,6 +90,14 @@ type JoinSpec struct {
 type Rows interface {
 	Next() (types.Record, bool, error)
 	Close() error
+}
+
+// KeyedRows is the cursor of a serial single-table plan: every such
+// operator reaches its records by record key, and NextKeyed hands that key
+// back with the record.
+type KeyedRows interface {
+	Rows
+	NextKeyed() (types.Key, types.Record, bool, error)
 }
 
 // Planner translates queries against an environment.
@@ -135,7 +150,7 @@ func (b *Bound) Explain() string { return b.explain }
 // Execute validates the plan's dependencies (re-translating if any
 // relation or access path it uses changed or disappeared) and runs it.
 func (b *Bound) Execute(tx *txn.Txn) (Rows, error) {
-	if !b.valid() {
+	if !b.Valid() {
 		if err := b.translate(); err != nil {
 			return nil, fmt.Errorf("plan: re-translation failed: %w", err)
 		}
@@ -145,7 +160,24 @@ func (b *Bound) Execute(tx *txn.Txn) (Rows, error) {
 	return b.root(tx)
 }
 
-func (b *Bound) valid() bool {
+// ExecuteKeyed is Execute for plans whose cursor carries record keys:
+// serial single-table plans, which a ForUpdate query always is.
+func (b *Bound) ExecuteKeyed(tx *txn.Txn) (KeyedRows, error) {
+	rows, err := b.Execute(tx)
+	if err != nil {
+		return nil, err
+	}
+	keyed, ok := rows.(KeyedRows)
+	if !ok {
+		rows.Close()
+		return nil, fmt.Errorf("plan: %s does not deliver record keys", b.explain)
+	}
+	return keyed, nil
+}
+
+// Valid reports whether every relation the plan depends on is still at the
+// version it was translated against.
+func (b *Bound) Valid() bool {
 	for _, d := range b.deps {
 		rd, ok := b.planner.env.Cat.Get(d.relID)
 		if !ok || rd.Version != d.version {
@@ -162,6 +194,7 @@ type access struct {
 	instance int
 	start    types.Key
 	end      types.Key
+	filter   *expr.Expr // the whole single-table predicate
 	pushdown *expr.Expr // conjuncts the path does NOT handle (re-applied)
 	estimate core.CostEstimate
 }
@@ -219,7 +252,7 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 			rd: rd, useAtt: force.Att, instance: est.Instance,
 			start: est.Start, end: est.End, estimate: est,
 		}
-		return withResidual(best, conjuncts, est.Handled), nil
+		return withResidual(best, filter, conjuncts, est.Handled), nil
 	}
 
 	best := &access{rd: rd, useAtt: 0, estimate: sm.EstimateCost(req)}
@@ -230,7 +263,7 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 		if !best.estimate.Usable {
 			return nil, fmt.Errorf("%w: storage method scan", ErrForcedUnusable)
 		}
-		return withResidual(best, conjuncts, bestHandled), nil
+		return withResidual(best, filter, conjuncts, bestHandled), nil
 	}
 
 	for _, attID := range rd.AttachmentTypes() {
@@ -254,12 +287,13 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 			bestHandled = est.Handled
 		}
 	}
-	return withResidual(best, conjuncts, bestHandled), nil
+	return withResidual(best, filter, conjuncts, bestHandled), nil
 }
 
 // withResidual records the conjuncts the chosen path does not handle; the
 // executor re-applies them against the fetched records.
-func withResidual(a *access, conjuncts []*expr.Expr, handledIdx []int) *access {
+func withResidual(a *access, filter *expr.Expr, conjuncts []*expr.Expr, handledIdx []int) *access {
+	a.filter = filter
 	handled := map[int]bool{}
 	for _, h := range handledIdx {
 		handled[h] = true
@@ -292,6 +326,9 @@ func (b *Bound) translate() error {
 		return fmt.Errorf("plan: %w: relation %q", core.ErrNotFound, b.query.Table)
 	}
 	b.deps = append(b.deps, dep{rd.RelID, rd.Version})
+	if b.query.ForUpdate && b.query.Join != nil {
+		return fmt.Errorf("plan: a ForUpdate query reads one table")
+	}
 
 	outer, err := p.chooseAccess(rd, b.query.Filter, b.query.OrderBy, b.query.Limit, b.query.ForcePath)
 	if err != nil {
@@ -306,7 +343,7 @@ func (b *Bound) translate() error {
 		// work (CPU ≈ records touched). Partitions are drained in key order
 		// when the plan's order matters, so Ordered is preserved.
 		degree := 1
-		if outer.useAtt == 0 {
+		if outer.useAtt == 0 && !q.ForUpdate {
 			degree = chooseDegree(outer.estimate.CPU, q.ForceDegree)
 			if degree > 1 {
 				sm, err := p.env.StorageInstance(rd)
@@ -335,7 +372,7 @@ func (b *Bound) translate() error {
 			b.explain += " [ordered]"
 		}
 		b.root = func(tx *txn.Txn) (Rows, error) {
-			return p.openAccess(tx, b, outer, q.Fields)
+			return p.openAccess(tx, b, outer, q.Fields, q.ForUpdate)
 		}
 		return nil
 	}
@@ -496,18 +533,23 @@ type probeSpec struct {
 
 // openAccess opens a single-table cursor over the chosen access path,
 // registered with b for per-operator execution counters.
-func (p *Planner) openAccess(tx *txn.Txn, b *Bound, a *access, fields []int) (Rows, error) {
-	rows, err := p.openAccessRaw(tx, a, fields)
+func (p *Planner) openAccess(tx *txn.Txn, b *Bound, a *access, fields []int, forUpdate bool) (Rows, error) {
+	rows, err := p.openAccessRaw(tx, a, fields, forUpdate)
 	if err != nil {
 		return nil, err
 	}
-	return b.track(tx, a.describe(p.env), rows), nil
+	return b.trackKeyed(tx, a.describe(p.env), rows), nil
 }
 
-func (p *Planner) openAccessRaw(tx *txn.Txn, a *access, fields []int) (Rows, error) {
+func (p *Planner) openAccessRaw(tx *txn.Txn, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
 	rel, err := p.env.OpenRelation(a.rd)
 	if err != nil {
 		return nil, err
+	}
+	if forUpdate {
+		if err := rel.LockForWrite(tx, !a.estimate.Point); err != nil {
+			return nil, err
+		}
 	}
 	if a.useAtt == 0 {
 		scan, err := rel.OpenScan(tx, core.ScanOptions{
@@ -518,30 +560,29 @@ func (p *Planner) openAccessRaw(tx *txn.Txn, a *access, fields []int) (Rows, err
 		}
 		return scanRows{scan: scan}, nil
 	}
-	inst, err := p.env.AttachmentInstance(a.rd, a.useAtt)
-	if err != nil {
-		return nil, err
-	}
-	// Direct-by-key paths (hash indexes) cannot scan: probe, then fetch.
-	// The capability is declared (core.DirectOnlyPath), not discovered by
-	// opening a throwaway scan — the old probe-open leaked the scan (and
-	// its subscription) whenever the path could scan after all.
-	if dop, ok := inst.(core.DirectOnlyPath); ok && dop.DirectOnly() {
-		keys, lerr := rel.LookupAccess(tx, a.useAtt, a.instance, a.start)
-		if lerr != nil {
-			return nil, lerr
+	// An equality on the path's whole key (CostEstimate.Point; the only
+	// access a hash index offers) is a direct-by-key probe. The probe holds
+	// only an intention lock on the relation, so each record is judged
+	// against the whole predicate once its own lock is held: a record that
+	// changed or vanished since the probe is skipped.
+	if a.estimate.Point {
+		keys, err := rel.LookupAccess(tx, a.useAtt, a.instance, a.start)
+		if err != nil {
+			return nil, err
 		}
-		return &fetchRows{tx: tx, rel: rel, keys: keys, filter: a.pushdown, fields: fields}, nil
+		return &fetchRows{tx: tx, rel: rel, forUpdate: forUpdate, keys: keys, filter: a.filter, fields: fields}, nil
 	}
 	scan, err := rel.OpenAccessScan(tx, a.useAtt, a.instance, core.ScanOptions{Start: a.start, End: a.end})
 	if err != nil {
 		return nil, err
 	}
-	return &indexFetchRows{tx: tx, rel: rel, scan: scan, filter: a.pushdown, fields: fields}, nil
+	return &fetchRows{tx: tx, rel: rel, forUpdate: forUpdate, scan: scan, filter: a.pushdown, fields: fields}, nil
 }
 
 // scanRows adapts a storage-method scan.
 type scanRows struct{ scan core.Scan }
+
+func (r scanRows) NextKeyed() (types.Key, types.Record, bool, error) { return r.scan.Next() }
 
 func (r scanRows) Next() (types.Record, bool, error) {
 	_, rec, ok, err := r.scan.Next()
@@ -550,66 +591,72 @@ func (r scanRows) Next() (types.Record, bool, error) {
 
 func (r scanRows) Close() error { return r.scan.Close() }
 
-// indexFetchRows drives an access-path scan and fetches each record
-// directly via the storage method (tuple at a time).
-type indexFetchRows struct {
-	tx     *txn.Txn
-	rel    *core.Relation
-	scan   core.Scan
-	filter *expr.Expr
-	fields []int
+// fetchRows takes record keys from an access path — a key-sequential
+// access (scan) or the key list of a direct-by-key probe (keys) — and
+// fetches each record directly via the storage method, tuple at a time.
+// forUpdate fetches under the record's X lock (Relation.FetchForUpdate).
+type fetchRows struct {
+	tx        *txn.Txn
+	rel       *core.Relation
+	forUpdate bool
+	scan      core.Scan
+	keys      []types.Key
+	filter    *expr.Expr
+	fields    []int
 }
 
-func (r *indexFetchRows) Next() (types.Record, bool, error) {
+func (r *fetchRows) nextKey() (types.Key, bool, error) {
+	if r.scan != nil {
+		key, _, ok, err := r.scan.Next()
+		return key, ok, err
+	}
+	if len(r.keys) == 0 {
+		return nil, false, nil
+	}
+	key := r.keys[0]
+	r.keys = r.keys[1:]
+	return key, true, nil
+}
+
+func (r *fetchRows) NextKeyed() (types.Key, types.Record, bool, error) {
 	for {
-		recKey, _, ok, err := r.scan.Next()
+		key, ok, err := r.nextKey()
 		if err != nil || !ok {
-			return nil, false, err
+			return nil, nil, false, err
 		}
-		rec, err := r.rel.Fetch(r.tx, recKey, r.fields, r.filter)
-		if err == core.ErrFiltered {
+		fetch := r.rel.Fetch
+		if r.forUpdate {
+			fetch = r.rel.FetchForUpdate
+		}
+		rec, err := fetch(r.tx, key, r.fields, r.filter)
+		// A probe's keys were read without a lock that keeps their records
+		// in place: one deleted since is passed over, not an error.
+		if err == core.ErrFiltered || (r.scan == nil && errors.Is(err, core.ErrNotFound)) {
 			continue
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, nil, false, err
 		}
-		return rec, true, nil
+		return key, rec, true, nil
 	}
-}
-
-func (r *indexFetchRows) Close() error { return r.scan.Close() }
-
-// fetchRows fetches a fixed key list (hash-probe results).
-type fetchRows struct {
-	tx     *txn.Txn
-	rel    *core.Relation
-	keys   []types.Key
-	filter *expr.Expr
-	fields []int
 }
 
 func (r *fetchRows) Next() (types.Record, bool, error) {
-	for len(r.keys) > 0 {
-		key := r.keys[0]
-		r.keys = r.keys[1:]
-		rec, err := r.rel.Fetch(r.tx, key, r.fields, r.filter)
-		if err == core.ErrFiltered {
-			continue
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return rec, true, nil
-	}
-	return nil, false, nil
+	_, rec, ok, err := r.NextKeyed()
+	return rec, ok, err
 }
 
-func (r *fetchRows) Close() error { return nil }
+func (r *fetchRows) Close() error {
+	if r.scan != nil {
+		return r.scan.Close()
+	}
+	return nil
+}
 
 // openNL opens a naive nested-loop join: the inner relation is re-scanned
 // for every outer record (the tuple-at-a-time call volume of E2).
 func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, q Query) (Rows, error) {
-	outerRows, err := p.openAccess(tx, b, outer, nil)
+	outerRows, err := p.openAccess(tx, b, outer, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -690,7 +737,7 @@ func joinRecords(outer types.Record, outerFields []int, inner types.Record) type
 // openIndexNL opens an index nested-loop join probing the inner access
 // path with each outer join value.
 func (p *Planner) openIndexNL(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, probe probeSpec, q Query) (Rows, error) {
-	outerRows, err := p.openAccess(tx, b, outer, nil)
+	outerRows, err := p.openAccess(tx, b, outer, nil, false)
 	if err != nil {
 		return nil, err
 	}
