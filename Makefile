@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: tier-1 build + vet + static analysis +
+# check is the pre-merge gate: tier-1 build + gofmt + vet + static analysis +
 # tests with coverage in shuffled order (catches order-dependent tests
 # and tracks the covered fraction), then the full suite again under the
 # race detector with caching disabled (the crash-point harness sweep in
@@ -28,7 +28,7 @@ test:
 # go.mod) is tested last so a change to an engine type it reads
 # (dmx.ForeignServer, MetricsSnapshot, storage-method names) fails this
 # gate instead of the benchmark pipeline.
-check: build vet staticcheck
+check: build fmt vet staticcheck
 	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./...
 	$(MAKE) par
@@ -116,8 +116,9 @@ bench-diff:
 		$$(ls bench/baseline/a-*.json | paste -sd, -) \
 		$$(ls .bench_build/out/result-*.json | paste -sd, -)
 
+# fmt fails when any file is not gofmt-formatted (and names it).
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

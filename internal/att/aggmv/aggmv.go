@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
@@ -21,64 +20,34 @@ import (
 const Name = "aggregate"
 
 func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttAggMV,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "group", "value"); err != nil {
-				return err
-			}
-			_, _, err := parseAttrs(rd, attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*aggDef, *Instance]{
+		ID:    core.AttAggMV,
+		Name:  Name,
+		Attrs: []string{"group", "value"},
+		Parse: func(_ *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
 			groupField, valueField, err := parseAttrs(rd, attrs)
 			if err != nil {
-				return nil, err
+				return attutil.IndexDef{}, err
 			}
 			extra := binary.BigEndian.AppendUint16(nil, uint16(groupField+1)) // +1: 0 means global
 			extra = binary.BigEndian.AppendUint16(extra, uint16(valueField))
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:  attutil.InstanceName(attrs, prior),
-				Extra: extra,
-			})
+			return attutil.IndexDef{Extra: extra}, nil
 		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
+		Decode: func(_ *core.Env, _ *core.RelDesc, d attutil.IndexDef) (*aggDef, error) {
+			if len(d.Extra) < 4 {
+				return nil, fmt.Errorf("aggmv: corrupt descriptor for %q", d.Name)
 			}
-			return attutil.RemoveDef(prior, name)
+			return &aggDef{
+				groupField: int(binary.BigEndian.Uint16(d.Extra)) - 1,
+				valueField: int(binary.BigEndian.Uint16(d.Extra[2:])),
+				groups:     make(map[string]*agg),
+			}, nil
 		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd, groups: make(map[uint32]map[string]*agg)}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
+		Open: func(defs *attutil.Defs[*aggDef]) *Instance { return &Instance{defs} },
+		BuildRow: func(a *Instance, tx *txn.Txn, d *def, _ types.Key, rec types.Record) error {
+			return a.applyDelta(tx, d, d.X.groupKey(rec), rec[d.X.valueField].AsFloat(), 1)
 		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			instAny, err := env.AttachmentInstance(rd, core.AttAggMV)
-			if err != nil {
-				return err
-			}
-			inst := instAny.(*Instance)
-			inst.mu.Lock()
-			defs := inst.defs
-			inst.mu.Unlock()
-			if newOnly && len(defs) > 0 {
-				defs = defs[len(defs)-1:] // Create appends, so the new def is last
-			}
-			return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-				for _, d := range defs {
-					if err := inst.applyDelta(tx, d, inst.groupKey(d, rec), rec[d.valueField].AsFloat(), 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	})
+	}))
 }
 
 func parseAttrs(rd *core.RelDesc, attrs core.AttrList) (groupField, valueField int, err error) {
@@ -104,12 +73,14 @@ func parseAttrs(rd *core.RelDesc, attrs core.AttrList) (groupField, valueField i
 	return groupField, valueField, nil
 }
 
-type defCfg struct {
-	seq        uint32
-	name       string
+// aggDef is one aggregate instance: its columns and its groups.
+type aggDef struct {
 	groupField int // -1 = global aggregate
 	valueField int
+	groups     map[string]*agg // group key -> aggregate
 }
+
+type def = attutil.Def[*aggDef]
 
 type agg struct {
 	sum   float64
@@ -118,45 +89,10 @@ type agg struct {
 
 // Instance services every aggregate instance on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu     sync.Mutex
-	defs   []defCfg
-	groups map[uint32]map[string]*agg // by Seq: group key -> aggregate
+	*attutil.Defs[*aggDef]
 }
 
-// Reconfigure implements core.Reconfigurer.
-func (a *Instance) Reconfigure(rd *core.RelDesc) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	field := rd.AttDesc[core.AttAggMV]
-	a.defs = nil
-	if field == nil {
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	for _, d := range defs {
-		if len(d.Extra) < 4 {
-			return fmt.Errorf("aggmv: corrupt descriptor for %q", d.Name)
-		}
-		a.defs = append(a.defs, defCfg{
-			seq:        d.Seq,
-			name:       d.Name,
-			groupField: int(binary.BigEndian.Uint16(d.Extra)) - 1,
-			valueField: int(binary.BigEndian.Uint16(d.Extra[2:])),
-		})
-		if a.groups[d.Seq] == nil {
-			a.groups[d.Seq] = make(map[string]*agg)
-		}
-	}
-	return nil
-}
-
-func (a *Instance) groupKey(d defCfg, rec types.Record) types.Key {
+func (d *aggDef) groupKey(rec types.Record) types.Key {
 	if d.groupField < 0 {
 		return types.Key{}
 	}
@@ -180,43 +116,37 @@ func decodeDelta(b types.Key) (float64, int64, error) {
 		int64(binary.BigEndian.Uint64(b[8:])), nil
 }
 
-func (a *Instance) applyDelta(tx *txn.Txn, d defCfg, group types.Key, sum float64, count int64) error {
-	if err := core.LogAttachment(tx, a.rd, core.AttAggMV, core.EntryPayload{
-		Op: core.ModUpdate, Instance: int(d.seq), EntryKey: group, RecKey: encodeDelta(sum, count),
+func (a *Instance) applyDelta(tx *txn.Txn, d *def, group types.Key, sum float64, count int64) error {
+	if err := a.Log(tx, core.EntryPayload{
+		Op: core.ModUpdate, Instance: int(d.Seq), EntryKey: group, RecKey: encodeDelta(sum, count),
 	}); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	a.applyLocked(d.seq, group, sum, count)
-	a.mu.Unlock()
+	a.apply(d, group, sum, count)
 	return nil
 }
 
-func (a *Instance) applyLocked(seq uint32, group types.Key, sum float64, count int64) {
-	gm := a.groups[seq]
-	if gm == nil {
-		gm = make(map[string]*agg)
-		a.groups[seq] = gm
-	}
-	g := gm[string(group)]
+func (a *Instance) apply(d *def, group types.Key, sum float64, count int64) {
+	a.Mu.Lock()
+	defer a.Mu.Unlock()
+	g := d.X.groups[string(group)]
 	if g == nil {
 		g = &agg{}
-		gm[string(group)] = g
+		d.X.groups[string(group)] = g
 	}
 	g.sum += sum
 	g.count += count
-	if g.count == 0 && g.sum == 0 {
-		delete(gm, string(group))
+	// A group exists while it has members. Float sums do not cancel
+	// exactly, so the sum is no test for emptiness.
+	if g.count == 0 {
+		delete(d.X.groups, string(group))
 	}
 }
 
 // OnInsert implements core.AttachmentInstance.
 func (a *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	a.mu.Lock()
-	defs := a.defs
-	a.mu.Unlock()
-	for _, d := range defs {
-		if err := a.applyDelta(tx, d, a.groupKey(d, rec), rec[d.valueField].AsFloat(), 1); err != nil {
+	for _, d := range a.All() {
+		if err := a.applyDelta(tx, d, d.X.groupKey(rec), rec[d.X.valueField].AsFloat(), 1); err != nil {
 			return err
 		}
 	}
@@ -225,12 +155,9 @@ func (a *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error 
 
 // OnUpdate implements core.AttachmentInstance.
 func (a *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	a.mu.Lock()
-	defs := a.defs
-	a.mu.Unlock()
-	for _, d := range defs {
-		oldGroup, newGroup := a.groupKey(d, oldRec), a.groupKey(d, newRec)
-		oldVal, newVal := oldRec[d.valueField].AsFloat(), newRec[d.valueField].AsFloat()
+	for _, d := range a.All() {
+		oldGroup, newGroup := d.X.groupKey(oldRec), d.X.groupKey(newRec)
+		oldVal, newVal := oldRec[d.X.valueField].AsFloat(), newRec[d.X.valueField].AsFloat()
 		if oldGroup.Equal(newGroup) {
 			if oldVal == newVal {
 				continue
@@ -252,11 +179,8 @@ func (a *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRe
 
 // OnDelete implements core.AttachmentInstance.
 func (a *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	a.mu.Lock()
-	defs := a.defs
-	a.mu.Unlock()
-	for _, d := range defs {
-		if err := a.applyDelta(tx, d, a.groupKey(d, oldRec), -oldRec[d.valueField].AsFloat(), -1); err != nil {
+	for _, d := range a.All() {
+		if err := a.applyDelta(tx, d, d.X.groupKey(oldRec), -oldRec[d.X.valueField].AsFloat(), -1); err != nil {
 			return err
 		}
 	}
@@ -273,34 +197,34 @@ func (a *Instance) ApplyLogged(payload []byte, undo bool) error {
 	if err != nil {
 		return err
 	}
+	d, err := a.BySeq(uint32(p.Instance))
+	if err != nil {
+		return err
+	}
 	if undo {
 		sum, count = -sum, -count
 	}
-	a.mu.Lock()
-	a.applyLocked(uint32(p.Instance), p.EntryKey, sum, count)
-	a.mu.Unlock()
+	a.apply(d, p.EntryKey, sum, count)
 	return nil
 }
 
 // Lookup returns the precomputed SUM and COUNT for the named instance and
 // group value (pass types.Null() for a global aggregate).
 func (a *Instance) Lookup(name string, group types.Value) (sum float64, count int64, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, d := range a.defs {
-		if d.name != name {
-			continue
-		}
-		key := types.Key{}
-		if d.groupField >= 0 {
-			key = types.EncodeKeyValues(group)
-		}
-		if g := a.groups[d.seq][string(key)]; g != nil {
-			return g.sum, g.count, nil
-		}
-		return 0, 0, nil
+	d, err := a.Named(name)
+	if err != nil {
+		return 0, 0, err
 	}
-	return 0, 0, fmt.Errorf("aggmv: %w: instance %q", core.ErrNotFound, name)
+	key := types.Key{}
+	if d.X.groupField >= 0 {
+		key = types.EncodeKeyValues(group)
+	}
+	a.Mu.Lock()
+	defer a.Mu.Unlock()
+	if g := d.X.groups[string(key)]; g != nil {
+		return g.sum, g.count, nil
+	}
+	return 0, 0, nil
 }
 
 var (

@@ -7,7 +7,6 @@ import (
 	"dmx/internal/core"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -103,49 +102,6 @@ func TestGlobalAggregate(t *testing.T) {
 	}
 }
 
-func TestAbortRestoresAggregates(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec("eng", 100))
-	tx.Commit()
-	tx2 := env.Begin()
-	r.Insert(tx2, rec("eng", 900))
-	tx2.Abort()
-	if sum, count := lookup(t, r, "paybydept", types.Str("eng")); sum != 100 || count != 1 {
-		t.Fatalf("after abort = %v/%v", sum, count)
-	}
-}
-
-func TestBuildAndRecovery(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	tx := env.Begin()
-	env.CreateRelation(tx, "emp", schema(), "memory", nil)
-	r, _ := env.OpenRelationByName("emp")
-	r.Insert(tx, rec("eng", 10))
-	r.Insert(tx, rec("eng", 20))
-	// Build over existing records.
-	if _, err := env.CreateAttachment(tx, "emp", "aggregate",
-		core.AttrList{"name": "paybydept", "group": "dept", "value": "salary"}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	r, _ = env.OpenRelationByName("emp")
-	if sum, count := lookup(t, r, "paybydept", types.Str("eng")); sum != 30 || count != 2 {
-		t.Fatalf("built = %v/%v", sum, count)
-	}
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := env2.OpenRelationByName("emp")
-	if sum, count := lookup(t, r2, "paybydept", types.Str("eng")); sum != 30 || count != 2 {
-		t.Fatalf("recovered = %v/%v", sum, count)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	tx := env.Begin()
@@ -160,6 +116,36 @@ func TestValidation(t *testing.T) {
 	if _, err := env.CreateAttachment(tx, "emp", "aggregate",
 		core.AttrList{"value": "salary", "group": "zzz"}); err == nil {
 		t.Fatal("unknown group column accepted")
+	}
+	tx.Commit()
+}
+
+// A group lasts while it has members. Float sums do not cancel
+// (0.1 + 0.2 - 0.1 - 0.2 = 2.8e-17), so an emptied group must go by its
+// count; undoing the delete that emptied it brings it back.
+func TestEmptiedGroupIsDropped(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	r := setup(t, env)
+	tx := env.Begin()
+	k1, _ := r.Insert(tx, rec("eng", 0.1))
+	k2, _ := r.Insert(tx, rec("eng", 0.2))
+	if err := r.Delete(tx, k1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Savepoint("one-left"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(tx, k2); err != nil {
+		t.Fatal(err)
+	}
+	if sum, count := lookup(t, r, "paybydept", types.Str("eng")); sum != 0 || count != 0 {
+		t.Fatalf("emptied group reads %v/%v, want 0/0", sum, count)
+	}
+	if err := tx.RollbackTo("one-left"); err != nil {
+		t.Fatal(err)
+	}
+	if sum, count := lookup(t, r, "paybydept", types.Str("eng")); sum != 0.2 || count != 1 {
+		t.Fatalf("after undoing the last delete the group reads %v/%v, want 0.2/1", sum, count)
 	}
 	tx.Commit()
 }

@@ -1,6 +1,9 @@
-// Package attutil holds plumbing shared by the attachment extensions:
-// the per-instance definition lists stored in attachment descriptor
-// fields, and DDL column-list parsing.
+// Package attutil is the attachment kit: everything the attachment types
+// do alike. attutil.go has the per-instance definition lists stored in
+// attachment descriptor fields and DDL column-list parsing; kit.go the
+// registration and the def list an instance embeds; entries.go the logged
+// entry maintenance, with the uniqueness rule, for the types that keep
+// (entry key → record key) state.
 //
 // A single attachment descriptor field describes every instance of its
 // type on the relation; instances carry a stable creation sequence number
@@ -10,8 +13,10 @@
 package attutil
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmx/internal/core"
@@ -25,6 +30,11 @@ type IndexDef struct {
 	Fields []int // indexed record fields, in key order
 	Unique bool
 	Extra  []byte // attachment-specific payload
+}
+
+func (d IndexDef) equal(o IndexDef) bool {
+	return d.Seq == o.Seq && d.Name == o.Name && d.Unique == o.Unique &&
+		slices.Equal(d.Fields, o.Fields) && bytes.Equal(d.Extra, o.Extra)
 }
 
 // EncodeDefs serialises a definition list into a descriptor field. The
@@ -95,9 +105,21 @@ func DecodeDefs(b []byte) (nextSeq uint32, defs []IndexDef, err error) {
 	return nextSeq, defs, nil
 }
 
+// What the stored formats can carry: EncodeDefs writes the name, def and
+// field counts in one byte each and the Extra length in two, and
+// core.EntryPayload names an instance by the low 16 bits of its Seq.
+const (
+	maxNameLen  = 255
+	maxDefs     = 255
+	maxFields   = 255
+	maxExtraLen = 1<<16 - 1
+	maxSeq      = 1<<16 - 1
+)
+
 // AddDef appends a definition to a (possibly nil) prior descriptor field,
 // assigning its Seq, and returns the new field value. Instance names must
-// be unique within the type.
+// be unique within the type, and the definition must fit the stored
+// formats.
 func AddDef(prior []byte, d IndexDef) ([]byte, error) {
 	nextSeq, defs := uint32(1), []IndexDef(nil)
 	if prior != nil {
@@ -111,6 +133,18 @@ func AddDef(prior []byte, d IndexDef) ([]byte, error) {
 		if strings.EqualFold(e.Name, d.Name) {
 			return nil, fmt.Errorf("attutil: instance %q already exists", d.Name)
 		}
+	}
+	switch {
+	case len(d.Name) > maxNameLen:
+		return nil, fmt.Errorf("attutil: instance name is %d bytes, the limit is %d", len(d.Name), maxNameLen)
+	case len(defs) >= maxDefs:
+		return nil, fmt.Errorf("attutil: the relation already has %d instances of this type", maxDefs)
+	case len(d.Fields) > maxFields:
+		return nil, fmt.Errorf("attutil: instance %q covers %d fields, the limit is %d", d.Name, len(d.Fields), maxFields)
+	case len(d.Extra) > maxExtraLen:
+		return nil, fmt.Errorf("attutil: instance %q needs %d descriptor bytes, the limit is %d", d.Name, len(d.Extra), maxExtraLen)
+	case nextSeq > maxSeq:
+		return nil, fmt.Errorf("attutil: the relation has used all %d instance numbers of this type", maxSeq)
 	}
 	d.Seq = nextSeq
 	defs = append(defs, d)

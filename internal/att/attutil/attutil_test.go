@@ -1,6 +1,8 @@
 package attutil
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dmx/internal/core"
@@ -122,5 +124,56 @@ func TestFieldsChanged(t *testing.T) {
 	}
 	if !FieldsChanged([]int{5}, oldRec, same) {
 		t.Error("out-of-range field should be treated as changed")
+	}
+}
+
+// AddDef refuses what the stored formats cannot carry instead of letting
+// EncodeDefs truncate a length byte or a log record name another instance.
+func TestAddDefRefusesWhatTheCodecCannotCarry(t *testing.T) {
+	full := make([]IndexDef, 255)
+	for i := range full {
+		full[i] = IndexDef{Seq: uint32(i + 1), Name: fmt.Sprintf("ix%d", i+1)}
+	}
+	for _, tc := range []struct {
+		what  string
+		prior []byte
+		def   IndexDef
+		ok    bool
+	}{
+		{"a 255-byte name", nil, IndexDef{Name: strings.Repeat("n", 255)}, true},
+		{"a 256-byte name", nil, IndexDef{Name: strings.Repeat("n", 256)}, false},
+		{"the 255th instance", EncodeDefs(255, full[:254]), IndexDef{Name: "last"}, true},
+		{"the 256th instance", EncodeDefs(256, full), IndexDef{Name: "over"}, false},
+		{"255 fields", nil, IndexDef{Name: "f", Fields: make([]int, 255)}, true},
+		{"256 fields", nil, IndexDef{Name: "f", Fields: make([]int, 256)}, false},
+		{"65 535 bytes of Extra", nil, IndexDef{Name: "x", Extra: make([]byte, 1<<16-1)}, true},
+		{"65 536 bytes of Extra", nil, IndexDef{Name: "x", Extra: make([]byte, 1<<16)}, false},
+		{"Seq 65 535", EncodeDefs(1<<16-1, nil), IndexDef{Name: "s"}, true},
+		{"Seq 65 536", EncodeDefs(1<<16, nil), IndexDef{Name: "s"}, false},
+	} {
+		field, err := AddDef(tc.prior, tc.def)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s accepted", tc.what)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s refused: %v", tc.what, err)
+			continue
+		}
+		// What was accepted must come back as it went in.
+		_, defs, err := DecodeDefs(field)
+		if err != nil {
+			t.Errorf("%s: %v", tc.what, err)
+			continue
+		}
+		got := defs[len(defs)-1]
+		if got.Name != tc.def.Name || len(got.Fields) != len(tc.def.Fields) || len(got.Extra) != len(tc.def.Extra) {
+			t.Errorf("%s did not round-trip", tc.what)
+		}
+		if got.Seq > 1<<16-1 {
+			t.Errorf("%s: Seq %d does not fit a log record", tc.what, got.Seq)
+		}
 	}
 }

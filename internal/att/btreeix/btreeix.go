@@ -14,7 +14,6 @@ package btreeix
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/btree"
@@ -30,263 +29,72 @@ const Name = "btree"
 // ErrUniqueViolation is the veto reason for duplicate keys in a unique index.
 var ErrUniqueViolation = fmt.Errorf("btreeix: unique index violation")
 
-func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttBTree,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "on", "unique"); err != nil {
-				return err
-			}
-			_, err := attutil.ParseColumns(rd.Schema, attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			fields, err := attutil.ParseColumns(rd.Schema, attrs)
-			if err != nil {
-				return nil, err
-			}
-			uniq, _ := attrs.Get("unique")
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:   attutil.InstanceName(attrs, prior),
-				Fields: fields,
-				Unique: uniq == "true",
-			})
-		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil // drop all instances
-			}
-			return attutil.RemoveDef(prior, name)
-		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd, trees: make(map[uint32]*btree.Tree)}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			return buildFromRelation(env, tx, rd, newOnly)
-		},
-	})
+type def = attutil.Def[*btree.Tree]
+
+// Each instance's state is its tree of composite indexKey‖recordKey
+// entries, each holding the record key.
+var entries = attutil.EntryType[*btree.Tree]{
+	KeyOf: func(d *def, rec types.Record, recKey types.Key) (types.Key, bool, error) {
+		return append(types.EncodeKeyFields(rec, d.Fields), recKey...), true, nil
+	},
+	Add: func(d *def, entryKey, recKey types.Key) error {
+		d.X.Set(entryKey, recKey)
+		return nil
+	},
+	Remove: func(d *def, entryKey, _ types.Key) error {
+		d.X.Delete(entryKey)
+		return nil
+	},
+	Taken: func(d *def, indexKey types.Key) bool {
+		taken := false
+		d.X.AscendRange(indexKey, smutil.PrefixSuccessor(indexKey), func(k, v []byte) bool {
+			taken = true
+			return false
+		})
+		return taken
+	},
+	Violation: ErrUniqueViolation,
 }
 
-// buildFromRelation populates indexes from the relation's existing records
-// (entries are logged, so an aborted CREATE INDEX unwinds them).
-func buildFromRelation(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-	instAny, err := env.AttachmentInstance(rd, core.AttBTree)
-	if err != nil {
-		return err
-	}
-	inst := instAny.(*Instance)
-	inst.mu.Lock()
-	defs := inst.defs
-	inst.mu.Unlock()
-	if newOnly && len(defs) > 0 {
-		defs = defs[len(defs)-1:] // Create appends, so the new def is last
-	}
-	return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-		for _, d := range defs {
-			// Creating a unique index over duplicate-carrying contents
-			// vetoes the DDL.
-			if err := inst.checkUnique(d, rec, key); err != nil {
-				return err
-			}
-			if err := inst.apply(tx, d, core.ModInsert, rec, key); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+func init() {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*btree.Tree, *Instance]{
+		ID:    core.AttBTree,
+		Name:  Name,
+		Attrs: []string{"on", "unique"},
+		Parse: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
+			d, err := attutil.ParseOn(env, rd, attrs)
+			uniq, _ := attrs.Get("unique")
+			d.Unique = uniq == "true"
+			return d, err
+		},
+		Decode: func(*core.Env, *core.RelDesc, attutil.IndexDef) (*btree.Tree, error) {
+			return btree.New(), nil
+		},
+		Open: func(defs *attutil.Defs[*btree.Tree]) *Instance {
+			return &Instance{attutil.NewEntries(defs, &entries)}
+		},
+		// Entries are logged, so an aborted CREATE INDEX unwinds them;
+		// building a unique index over duplicates vetoes the DDL.
+		BuildRow: (*Instance).BuildRow,
+	}))
 }
 
 // Instance services every B-tree index instance on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu    sync.Mutex
-	defs  []attutil.IndexDef
-	trees map[uint32]*btree.Tree // by Seq; retained across reconfigure
-}
-
-// Reconfigure implements core.Reconfigurer.
-func (ix *Instance) Reconfigure(rd *core.RelDesc) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	field := rd.AttDesc[core.AttBTree]
-	if field == nil {
-		ix.defs = nil
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	ix.defs = defs
-	for _, d := range defs {
-		if ix.trees[d.Seq] == nil {
-			ix.trees[d.Seq] = btree.New()
-		}
-	}
-	return nil
-}
-
-// entryKey composes the stored composite key for a record in one index.
-func entryKey(d attutil.IndexDef, rec types.Record, recKey types.Key) types.Key {
-	ik := types.EncodeKeyFields(rec, d.Fields)
-	return append(ik, recKey...)
-}
-
-// indexKey is the index key alone (the composite's prefix).
-func indexKey(d attutil.IndexDef, rec types.Record) types.Key {
-	return types.EncodeKeyFields(rec, d.Fields)
-}
-
-func (ix *Instance) apply(tx *txn.Txn, d attutil.IndexDef, op core.ModOp, rec types.Record, recKey types.Key) error {
-	ek := entryKey(d, rec, recKey)
-	if err := core.LogAttachment(tx, ix.rd, core.AttBTree, core.EntryPayload{
-		Op: op, Instance: int(d.Seq), EntryKey: ek, RecKey: recKey,
-	}); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	tree := ix.trees[d.Seq]
-	if op == core.ModInsert {
-		tree.Set(ek, recKey)
-	} else {
-		tree.Delete(ek)
-	}
-	return nil
-}
-
-// checkUnique vetoes when the index key already maps to a different record.
-func (ix *Instance) checkUnique(d attutil.IndexDef, rec types.Record, recKey types.Key) error {
-	if !d.Unique {
-		return nil
-	}
-	ik := indexKey(d, rec)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	violated := false
-	ix.trees[d.Seq].AscendRange(ik, smutil.PrefixSuccessor(ik), func(k, v []byte) bool {
-		if !types.Key(v).Equal(recKey) {
-			violated = true
-		}
-		return !violated
-	})
-	if violated {
-		return fmt.Errorf("%w: index %q key %v", ErrUniqueViolation, d.Name, rec.Project(d.Fields))
-	}
-	return nil
-}
-
-// OnInsert implements core.AttachmentInstance.
-func (ix *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	for _, d := range defs {
-		if err := ix.checkUnique(d, rec, key); err != nil {
-			return err
-		}
-		if err := ix.apply(tx, d, core.ModInsert, rec, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnUpdate implements core.AttachmentInstance, skipping indexes none of
-// whose fields changed (when the record key is also unchanged).
-func (ix *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	keyMoved := !oldKey.Equal(newKey)
-	for _, d := range defs {
-		if !keyMoved && !attutil.FieldsChanged(d.Fields, oldRec, newRec) {
-			continue
-		}
-		if err := ix.checkUnique(d, newRec, oldKey); err != nil {
-			return err
-		}
-		if err := ix.apply(tx, d, core.ModDelete, oldRec, oldKey); err != nil {
-			return err
-		}
-		if err := ix.apply(tx, d, core.ModInsert, newRec, newKey); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnDelete implements core.AttachmentInstance.
-func (ix *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	for _, d := range defs {
-		if err := ix.apply(tx, d, core.ModDelete, oldRec, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyLogged implements core.AttachmentInstance.
-func (ix *Instance) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeEntry(payload)
-	if err != nil {
-		return err
-	}
-	op := p.Op
-	if undo {
-		if op == core.ModInsert {
-			op = core.ModDelete
-		} else {
-			op = core.ModInsert
-		}
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	tree := ix.trees[uint32(p.Instance)]
-	if tree == nil {
-		tree = btree.New()
-		ix.trees[uint32(p.Instance)] = tree
-	}
-	if op == core.ModInsert {
-		tree.Set(p.EntryKey, p.RecKey)
-	} else {
-		tree.Delete(p.EntryKey)
-	}
-	return nil
-}
-
-// defAt returns the dense-numbered instance definition.
-func (ix *Instance) defAt(instance int) (attutil.IndexDef, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if instance < 0 || instance >= len(ix.defs) {
-		return attutil.IndexDef{}, fmt.Errorf("btreeix: %w: instance %d of %d", core.ErrNotFound, instance, len(ix.defs))
-	}
-	return ix.defs[instance], nil
+	attutil.Entries[*btree.Tree]
 }
 
 // LookupByKey implements core.AccessPath: record keys whose index key has
 // the given (possibly partial) key as prefix.
 func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
-	d, err := ix.defAt(instance)
+	d, err := ix.At(instance)
 	if err != nil {
 		return nil, err
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.Mu.Lock()
+	defer ix.Mu.Unlock()
 	var out []types.Key
-	ix.trees[d.Seq].AscendRange(key, smutil.PrefixSuccessor(key), func(k, v []byte) bool {
+	d.X.AscendRange(key, smutil.PrefixSuccessor(key), func(k, v []byte) bool {
 		out = append(out, types.Key(v).Clone())
 		return true
 	})
@@ -296,7 +104,7 @@ func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]typ
 // OpenScan implements core.AccessPath: key-sequential access in index-key
 // order returning record keys plus the stored index key fields.
 func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (core.Scan, error) {
-	d, err := ix.defAt(instance)
+	d, err := ix.At(instance)
 	if err != nil {
 		return nil, err
 	}
@@ -307,30 +115,24 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 		}
 		return types.Key(v).Clone(), types.Record(keyVals), true, nil
 	}
-	ix.mu.Lock()
-	tree := ix.trees[d.Seq]
-	ix.mu.Unlock()
-	return smutil.NewTreeScan(&ix.mu, tree, opts.Start, opts.End, emit), nil
+	return smutil.NewTreeScan(&ix.Mu, d.X, opts.Start, opts.End, emit), nil
 }
 
 // EstimateCost implements core.AccessPath: the best instance for the
 // planner's eligible predicates ("a B-tree access path will return a low
 // cost if there is a predicate on the key of the B-tree").
 func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
 	best := core.CostEstimate{Usable: false, IO: math.Inf(1), CPU: math.Inf(1)}
-	for i, d := range defs {
+	for i, d := range ix.All() {
 		start, end, handled, point, depth := smutil.KeyRange(d.Fields, req.Conjuncts)
 		ordered := len(req.OrderBy) > 0 && smutil.OrderSatisfiedBy(d.Fields, req.OrderBy)
 		if depth == 0 && !ordered {
 			continue
 		}
-		ix.mu.Lock()
-		n := float64(ix.trees[d.Seq].Len())
-		height := float64(ix.trees[d.Seq].Height())
-		ix.mu.Unlock()
+		ix.Mu.Lock()
+		n := float64(d.X.Len())
+		height := float64(d.X.Height())
+		ix.Mu.Unlock()
 		if depth == 0 {
 			// No usable predicate: a full key-sequential pass through the
 			// index, valuable only because it delivers the order. Every
@@ -367,23 +169,16 @@ func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
 	return best
 }
 
-// InstanceCount implements core.AccessPath.
-func (ix *Instance) InstanceCount() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.defs)
-}
-
 // EntryCount returns the number of entries in the dense-numbered instance
 // (for tests and the experiment harness).
 func (ix *Instance) EntryCount(instance int) int {
-	d, err := ix.defAt(instance)
+	d, err := ix.At(instance)
 	if err != nil {
 		return -1
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.trees[d.Seq].Len()
+	ix.Mu.Lock()
+	defer ix.Mu.Unlock()
+	return d.X.Len()
 }
 
 var (

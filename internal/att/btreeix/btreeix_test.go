@@ -10,7 +10,6 @@ import (
 	"dmx/internal/expr"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -84,29 +83,6 @@ func TestMaintainedOnModifications(t *testing.T) {
 	tx.Commit()
 }
 
-func TestUpdateSkipsUnchangedIndexedFields(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env, core.AttrList{"name": "bydept", "on": "dept"})
-	tx := env.Begin()
-	k, _ := r.Insert(tx, rec(1, "eng", 100))
-	logBefore := env.Log.Len()
-	// Salary-only update: the B-tree update procedure must detect that no
-	// indexed field changed and skip index maintenance.
-	if _, err := r.Update(tx, k, rec(1, "eng", 999)); err != nil {
-		t.Fatal(err)
-	}
-	attRecords := 0
-	for _, lr := range env.Log.Records()[logBefore:] {
-		if lr.Kind == wal.RecUpdate && lr.Owner.Class == wal.OwnerAttachment {
-			attRecords++
-		}
-	}
-	if attRecords != 0 {
-		t.Fatalf("index logged %d records for a non-indexed update", attRecords)
-	}
-	tx.Commit()
-}
-
 func TestMultipleInstances(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	r := setup(t, env,
@@ -148,43 +124,6 @@ func TestUniqueIndexVetoes(t *testing.T) {
 	tx.Commit()
 }
 
-func TestBuildIndexesExistingRecords(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	for i := 0; i < 20; i++ {
-		r.Insert(tx, rec(int64(i), "eng", float64(i)))
-	}
-	if _, err := env.CreateAttachment(tx, "emp", "btree", core.AttrList{"name": "late", "on": "id"}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	r2, _ := env.OpenRelationByName("emp")
-	if got := inst(t, r2).EntryCount(0); got != 20 {
-		t.Fatalf("built entries = %d", got)
-	}
-}
-
-func TestCreateIndexAbortUnwindsBuild(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	load := env.Begin()
-	for i := 0; i < 10; i++ {
-		r.Insert(load, rec(int64(i), "eng", 1))
-	}
-	load.Commit()
-
-	tx := env.Begin()
-	if _, err := env.CreateAttachment(tx, "emp", "btree", core.AttrList{"name": "doomed", "on": "id"}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Abort()
-	cur, _ := env.Cat.ByName("emp")
-	if cur.HasAttachment(core.AttBTree) {
-		t.Fatal("descriptor should be restored after abort")
-	}
-}
-
 func TestIndexScanOrderAndKeys(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	r := setup(t, env, core.AttrList{"name": "bysalary", "on": "salary"})
@@ -218,66 +157,6 @@ func TestIndexScanOrderAndKeys(t *testing.T) {
 	}
 	if len(salaries) != 3 || salaries[0] != 10 || salaries[1] != 20 || salaries[2] != 30 {
 		t.Fatalf("index order = %v", salaries)
-	}
-	tx.Commit()
-}
-
-func TestAbortRestoresIndex(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env, core.AttrList{"name": "bydept", "on": "dept"})
-	tx := env.Begin()
-	r.Insert(tx, rec(1, "eng", 1))
-	tx.Commit()
-
-	tx2 := env.Begin()
-	r.Insert(tx2, rec(2, "eng", 2))
-	tx2.Abort()
-	if got := inst(t, r).EntryCount(0); got != 1 {
-		t.Fatalf("entries after abort = %d", got)
-	}
-}
-
-func TestRecoveryRebuildsIndex(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	r := setup(t, env, core.AttrList{"name": "bydept", "on": "dept"})
-	tx := env.Begin()
-	for i := 0; i < 15; i++ {
-		r.Insert(tx, rec(int64(i), fmt.Sprintf("d%d", i%3), 1))
-	}
-	tx.Commit()
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := env2.OpenRelationByName("emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx2 := env2.Begin()
-	ix := inst(t, r2)
-	if ix.EntryCount(0) != 15 {
-		t.Fatalf("recovered entries = %d", ix.EntryCount(0))
-	}
-	keys, err := ix.LookupByKey(tx2, 0, types.EncodeKeyValues(types.Str("d1")))
-	if err != nil || len(keys) != 5 {
-		t.Fatalf("recovered lookup = %v, %v", keys, err)
-	}
-	tx2.Commit()
-}
-
-func TestLookupViaRelationAPI(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env, core.AttrList{"name": "bydept", "on": "dept"})
-	tx := env.Begin()
-	r.Insert(tx, rec(1, "eng", 1))
-	keys, err := r.LookupAccess(tx, core.AttBTree, 0, types.EncodeKeyValues(types.Str("eng")))
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("LookupAccess = %v, %v", keys, err)
-	}
-	if _, err := r.LookupAccess(tx, core.AttBTree, 9, nil); err == nil {
-		t.Fatal("bad instance accepted")
 	}
 	tx.Commit()
 }

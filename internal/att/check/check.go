@@ -23,52 +23,31 @@ const Name = "check"
 var ErrViolation = fmt.Errorf("check: integrity constraint violated")
 
 func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttCheck,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			return attrs.CheckAllowed(Name, "name", "predicate")
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*expr.Expr, *Instance]{
+		ID:    core.AttCheck,
+		Name:  Name,
+		Attrs: []string{"predicate"},
+		Parse: func(env *core.Env, _ *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
 			pred, err := PredicateFromAttrs(env, attrs)
 			if err != nil {
-				return nil, err
+				return attutil.IndexDef{}, err
 			}
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:  attutil.InstanceName(attrs, prior),
-				Extra: pred.AppendEncode(nil),
-			})
+			return attutil.IndexDef{Extra: pred.AppendEncode(nil)}, nil
 		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
-		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			// Adding a constraint to a populated relation validates the
-			// existing records; a violation vetoes the DDL. Constraints
-			// keep no entry state, so re-validating satisfied constraints
-			// at restart rebuild is merely redundant, not harmful.
-			_ = newOnly
-			instAny, err := env.AttachmentInstance(rd, core.AttCheck)
+		Decode: func(_ *core.Env, _ *core.RelDesc, d attutil.IndexDef) (*expr.Expr, error) {
+			pred, _, err := expr.Decode(d.Extra)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("check: constraint %q: %w", d.Name, err)
 			}
-			inst := instAny.(*Instance)
-			return core.BuildScan(env, tx, rd, func(_ types.Key, rec types.Record) error {
-				return inst.test(rec)
-			})
+			return pred, nil
 		},
-	})
+		Open: func(defs *attutil.Defs[*expr.Expr]) *Instance { return &Instance{defs} },
+		// Adding a constraint to a populated relation validates the
+		// existing records; a violation vetoes the DDL.
+		BuildRow: func(c *Instance, _ *txn.Txn, d *attutil.Def[*expr.Expr], _ types.Key, rec types.Record) error {
+			return c.test(d, rec)
+		},
+	}))
 }
 
 // attrPredicates carries pre-parsed predicates from the DDL layer (which
@@ -95,54 +74,27 @@ func PredicateFromAttrs(env *core.Env, attrs core.AttrList) (*expr.Expr, error) 
 	return nil, fmt.Errorf("check: unknown predicate token %q (register it first)", tok)
 }
 
-// constraint is one decoded instance.
-type constraint struct {
-	name string
-	pred *expr.Expr
-}
-
-// Instance services every check constraint on one relation.
+// Instance services every check constraint on one relation; a
+// constraint's working form is its decoded predicate.
 type Instance struct {
-	env *core.Env
-
-	mu          sync.Mutex
-	constraints []constraint
+	*attutil.Defs[*expr.Expr]
 }
 
-// Reconfigure implements core.Reconfigurer.
-func (c *Instance) Reconfigure(rd *core.RelDesc) error {
-	field := rd.AttDesc[core.AttCheck]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.constraints = nil
-	if field == nil {
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
+func (c *Instance) test(d *attutil.Def[*expr.Expr], rec types.Record) error {
+	ok, err := c.Env().Eval.EvalBool(d.X, rec, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("check: constraint %q: %w", d.Name, err)
 	}
-	for _, d := range defs {
-		pred, _, err := expr.Decode(d.Extra)
-		if err != nil {
-			return fmt.Errorf("check: constraint %q: %w", d.Name, err)
-		}
-		c.constraints = append(c.constraints, constraint{name: d.Name, pred: pred})
+	if !ok {
+		return fmt.Errorf("%w: %q fails for %v", ErrViolation, d.Name, rec)
 	}
 	return nil
 }
 
-func (c *Instance) test(rec types.Record) error {
-	c.mu.Lock()
-	cons := c.constraints
-	c.mu.Unlock()
-	for _, con := range cons {
-		ok, err := c.env.Eval.EvalBool(con.pred, rec, nil)
-		if err != nil {
-			return fmt.Errorf("check: constraint %q: %w", con.name, err)
-		}
-		if !ok {
-			return fmt.Errorf("%w: %q fails for %v", ErrViolation, con.name, rec)
+func (c *Instance) testAll(rec types.Record) error {
+	for _, d := range c.All() {
+		if err := c.test(d, rec); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -150,12 +102,12 @@ func (c *Instance) test(rec types.Record) error {
 
 // OnInsert implements core.AttachmentInstance.
 func (c *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	return c.test(rec)
+	return c.testAll(rec)
 }
 
 // OnUpdate implements core.AttachmentInstance.
 func (c *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	return c.test(newRec)
+	return c.testAll(newRec)
 }
 
 // OnDelete implements core.AttachmentInstance: deletes cannot violate a

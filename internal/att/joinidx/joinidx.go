@@ -18,7 +18,6 @@ import (
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
-	"dmx/internal/txn"
 	"dmx/internal/types"
 )
 
@@ -30,7 +29,17 @@ const stateKey = "joinidx.shared"
 // shared is one logical join index's two-sided structure.
 type shared struct {
 	mu    sync.Mutex
-	sides map[uint32]map[string][]types.Key // relID -> join value -> record keys
+	sides map[uint32]attutil.Multimap // relID -> join value -> record keys
+}
+
+// side returns relID's side; s.mu is held.
+func (s *shared) side(relID uint32) attutil.Multimap {
+	side := s.sides[relID]
+	if side == nil {
+		side = attutil.Multimap{}
+		s.sides[relID] = side
+	}
+	return side
 }
 
 type stateRegistry struct {
@@ -50,218 +59,84 @@ func sharedFor(env *core.Env, indexName string) *shared {
 	defer reg.mu.Unlock()
 	s, ok := reg.byIndex[indexName]
 	if !ok {
-		s = &shared{sides: make(map[uint32]map[string][]types.Key)}
+		s = &shared{sides: make(map[uint32]attutil.Multimap)}
 		reg.byIndex[indexName] = s
 	}
 	return s
 }
 
-func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttJoin,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "on", "peer"); err != nil {
-				return err
-			}
-			if _, ok := attrs.Get("name"); !ok {
-				return fmt.Errorf("joinidx: a name=<join index> attribute is required (shared by both sides)")
-			}
-			if _, ok := attrs.Get("peer"); !ok {
-				return fmt.Errorf("joinidx: a peer=<relation> attribute is required")
-			}
-			_, err := attutil.ParseColumns(rd.Schema, attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			fields, err := attutil.ParseColumns(rd.Schema, attrs)
-			if err != nil {
-				return nil, err
-			}
-			name, _ := attrs.Get("name")
-			peer, _ := attrs.Get("peer")
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:   name,
-				Fields: fields,
-				Extra:  []byte(peer),
-			})
-		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
-		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			instAny, err := env.AttachmentInstance(rd, core.AttJoin)
-			if err != nil {
-				return err
-			}
-			inst := instAny.(*Instance)
-			defs := inst.snapshot()
-			if newOnly && len(defs) > 0 {
-				defs = defs[len(defs)-1:] // Create appends, so the new def is last
-			}
-			return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-				for _, d := range defs {
-					if err := inst.apply(tx, d, core.ModInsert, rec, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	})
-}
-
-type defCfg struct {
-	def     attutil.IndexDef
+// side is one relation's end of a join index.
+type side struct {
+	relID   uint32
 	peerRel string
 	state   *shared
 }
 
+type def = attutil.Def[side]
+
+var entries = attutil.EntryType[side]{
+	KeyOf: func(d *def, rec types.Record, _ types.Key) (types.Key, bool, error) {
+		return types.EncodeKeyFields(rec, d.Fields), true, nil
+	},
+	Add: func(d *def, val, recKey types.Key) error {
+		d.X.state.mu.Lock()
+		defer d.X.state.mu.Unlock()
+		d.X.state.side(d.X.relID).Add(val, recKey)
+		return nil
+	},
+	Remove: func(d *def, val, recKey types.Key) error {
+		d.X.state.mu.Lock()
+		defer d.X.state.mu.Unlock()
+		d.X.state.side(d.X.relID).Remove(val, recKey)
+		return nil
+	},
+}
+
+func init() {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[side, *Instance]{
+		ID:    core.AttJoin,
+		Name:  Name,
+		Attrs: []string{"on", "peer"},
+		Parse: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
+			name, ok := attrs.Get("name")
+			if !ok {
+				return attutil.IndexDef{}, fmt.Errorf("joinidx: a name=<join index> attribute is required (shared by both sides)")
+			}
+			peer, ok := attrs.Get("peer")
+			if !ok {
+				return attutil.IndexDef{}, fmt.Errorf("joinidx: a peer=<relation> attribute is required")
+			}
+			d, err := attutil.ParseOn(env, rd, attrs)
+			d.Name, d.Extra = name, []byte(peer)
+			return d, err
+		},
+		Decode: func(env *core.Env, rd *core.RelDesc, d attutil.IndexDef) (side, error) {
+			return side{relID: rd.RelID, peerRel: string(d.Extra), state: sharedFor(env, d.Name)}, nil
+		},
+		Open: func(defs *attutil.Defs[side]) *Instance {
+			return &Instance{attutil.NewEntries(defs, &entries)}
+		},
+		BuildRow: (*Instance).BuildRow,
+	}))
+}
+
 // Instance services every join-index side on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu   sync.Mutex
-	defs []defCfg
+	attutil.Entries[side]
 }
 
-// Reconfigure implements core.Reconfigurer.
-func (ix *Instance) Reconfigure(rd *core.RelDesc) error {
-	field := rd.AttDesc[core.AttJoin]
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.rd = rd
-	ix.defs = nil
-	if field == nil {
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
+// peerOf resolves the named join index on this relation and the
+// identifier of its peer relation.
+func (ix *Instance) peerOf(name string) (*def, uint32, error) {
+	d, err := ix.Named(name)
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	for _, d := range defs {
-		ix.defs = append(ix.defs, defCfg{
-			def:     d,
-			peerRel: string(d.Extra),
-			state:   sharedFor(ix.env, d.Name),
-		})
+	peerRD, ok := ix.Env().Cat.ByName(d.X.peerRel)
+	if !ok {
+		return nil, 0, fmt.Errorf("joinidx: %w: peer relation %q", core.ErrNotFound, d.X.peerRel)
 	}
-	return nil
-}
-
-func (ix *Instance) snapshot() []defCfg {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.defs
-}
-
-func (s *shared) apply(relID uint32, op core.ModOp, val types.Key, recKey types.Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	side := s.sides[relID]
-	if side == nil {
-		side = make(map[string][]types.Key)
-		s.sides[relID] = side
-	}
-	bucket := side[string(val)]
-	if op == core.ModInsert {
-		side[string(val)] = append(bucket, recKey.Clone())
-		return
-	}
-	for i, k := range bucket {
-		if k.Equal(recKey) {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(side, string(val))
-	} else {
-		side[string(val)] = bucket
-	}
-}
-
-func (ix *Instance) apply(tx *txn.Txn, d defCfg, op core.ModOp, rec types.Record, recKey types.Key) error {
-	val := types.EncodeKeyFields(rec, d.def.Fields)
-	if err := core.LogAttachment(tx, ix.rd, core.AttJoin, core.EntryPayload{
-		Op: op, Instance: int(d.def.Seq), EntryKey: val, RecKey: recKey,
-	}); err != nil {
-		return err
-	}
-	d.state.apply(ix.rd.RelID, op, val, recKey)
-	return nil
-}
-
-// OnInsert implements core.AttachmentInstance.
-func (ix *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	for _, d := range ix.snapshot() {
-		if err := ix.apply(tx, d, core.ModInsert, rec, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnUpdate implements core.AttachmentInstance.
-func (ix *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	keyMoved := !oldKey.Equal(newKey)
-	for _, d := range ix.snapshot() {
-		if !keyMoved && !attutil.FieldsChanged(d.def.Fields, oldRec, newRec) {
-			continue
-		}
-		if err := ix.apply(tx, d, core.ModDelete, oldRec, oldKey); err != nil {
-			return err
-		}
-		if err := ix.apply(tx, d, core.ModInsert, newRec, newKey); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnDelete implements core.AttachmentInstance.
-func (ix *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	for _, d := range ix.snapshot() {
-		if err := ix.apply(tx, d, core.ModDelete, oldRec, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyLogged implements core.AttachmentInstance.
-func (ix *Instance) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeEntry(payload)
-	if err != nil {
-		return err
-	}
-	op := p.Op
-	if undo {
-		if op == core.ModInsert {
-			op = core.ModDelete
-		} else {
-			op = core.ModInsert
-		}
-	}
-	for _, d := range ix.snapshot() {
-		if int(d.def.Seq) == p.Instance {
-			d.state.apply(ix.rd.RelID, op, p.EntryKey, p.RecKey)
-			return nil
-		}
-	}
-	return fmt.Errorf("joinidx: log record for unknown instance %d", p.Instance)
+	return d, peerRD.RelID, nil
 }
 
 // Pair is one matched record-key pair of a join index.
@@ -274,53 +149,35 @@ type Pair struct {
 // from this relation's perspective. The peer relation's side must have
 // been built (its attachment instance opened and maintained).
 func (ix *Instance) Pairs(name string) ([]Pair, error) {
-	for _, d := range ix.snapshot() {
-		if d.def.Name != name {
-			continue
-		}
-		peerRD, ok := ix.env.Cat.ByName(d.peerRel)
-		if !ok {
-			return nil, fmt.Errorf("joinidx: %w: peer relation %q", core.ErrNotFound, d.peerRel)
-		}
-		d.state.mu.Lock()
-		defer d.state.mu.Unlock()
-		own := d.state.sides[ix.rd.RelID]
-		peer := d.state.sides[peerRD.RelID]
-		var out []Pair
-		for val, ownKeys := range own {
-			peerKeys := peer[val]
-			for _, ok1 := range ownKeys {
-				for _, pk := range peerKeys {
-					out = append(out, Pair{Own: ok1.Clone(), Peer: pk.Clone()})
-				}
+	d, peerID, err := ix.peerOf(name)
+	if err != nil {
+		return nil, err
+	}
+	state := d.X.state
+	state.mu.Lock()
+	defer state.mu.Unlock()
+	peer := state.sides[peerID]
+	var out []Pair
+	for val, ownKeys := range state.sides[d.X.relID] {
+		for _, ok1 := range ownKeys {
+			for _, pk := range peer[val] {
+				out = append(out, Pair{Own: ok1.Clone(), Peer: pk.Clone()})
 			}
 		}
-		return out, nil
 	}
-	return nil, fmt.Errorf("joinidx: %w: instance %q", core.ErrNotFound, name)
+	return out, nil
 }
 
 // PeerKeys returns the peer-relation record keys whose join value matches
 // val (an order-preserving key encoding of the join columns).
 func (ix *Instance) PeerKeys(name string, val types.Key) ([]types.Key, error) {
-	for _, d := range ix.snapshot() {
-		if d.def.Name != name {
-			continue
-		}
-		peerRD, ok := ix.env.Cat.ByName(d.peerRel)
-		if !ok {
-			return nil, fmt.Errorf("joinidx: %w: peer relation %q", core.ErrNotFound, d.peerRel)
-		}
-		d.state.mu.Lock()
-		defer d.state.mu.Unlock()
-		bucket := d.state.sides[peerRD.RelID][string(val)]
-		out := make([]types.Key, len(bucket))
-		for i, k := range bucket {
-			out[i] = k.Clone()
-		}
-		return out, nil
+	d, peerID, err := ix.peerOf(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("joinidx: %w: instance %q", core.ErrNotFound, name)
+	d.X.state.mu.Lock()
+	defer d.X.state.mu.Unlock()
+	return d.X.state.sides[peerID].Get(val), nil
 }
 
 var (

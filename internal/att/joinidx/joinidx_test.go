@@ -7,7 +7,6 @@ import (
 	"dmx/internal/core"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func deptSchema() *types.Schema {
@@ -125,53 +124,6 @@ func TestPeerKeysProbe(t *testing.T) {
 	}
 	if _, err := inst(t, e).PeerKeys("ghost", nil); err == nil {
 		t.Fatal("unknown join index accepted")
-	}
-}
-
-func TestAbortAndRecovery(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	d, e := setup(t, env)
-	tx := env.Begin()
-	d.Insert(tx, types.Record{types.Int(10), types.Str("eng")})
-	e.Insert(tx, types.Record{types.Int(1), types.Int(10)})
-	tx.Commit()
-
-	tx2 := env.Begin()
-	e.Insert(tx2, types.Record{types.Int(2), types.Int(10)})
-	tx2.Abort()
-	if pairs, _ := inst(t, e).Pairs("empdept"); len(pairs) != 1 {
-		t.Fatalf("pairs after abort = %d", len(pairs))
-	}
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	e2, _ := env2.OpenRelationByName("emp")
-	pairs, err := inst(t, e2).Pairs("empdept")
-	if err != nil || len(pairs) != 1 {
-		t.Fatalf("recovered pairs = %d, %v", len(pairs), err)
-	}
-}
-
-func TestBuildOverExistingRecords(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	tx := env.Begin()
-	env.CreateRelation(tx, "dept", deptSchema(), "memory", nil)
-	env.CreateRelation(tx, "emp", empSchema(), "memory", nil)
-	d, _ := env.OpenRelationByName("dept")
-	e, _ := env.OpenRelationByName("emp")
-	d.Insert(tx, types.Record{types.Int(10), types.Str("eng")})
-	e.Insert(tx, types.Record{types.Int(1), types.Int(10)})
-	// Create the join index after the data exists.
-	env.CreateAttachment(tx, "emp", "joinindex", core.AttrList{"name": "jj", "on": "dno", "peer": "dept"})
-	env.CreateAttachment(tx, "dept", "joinindex", core.AttrList{"name": "jj", "on": "dno", "peer": "emp"})
-	tx.Commit()
-	e, _ = env.OpenRelationByName("emp")
-	pairs, err := inst(t, e).Pairs("jj")
-	if err != nil || len(pairs) != 1 {
-		t.Fatalf("built pairs = %d, %v", len(pairs), err)
 	}
 }
 

@@ -14,7 +14,6 @@ package refint
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
@@ -54,42 +53,22 @@ const (
 )
 
 func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttRefInt,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "role", "on", "peer", "peerkey", "action", "timing"); err != nil {
-				return err
-			}
-			_, err := parseDef(env, rd, attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*defCfg, *Instance]{
+		ID:    core.AttRefInt,
+		Name:  Name,
+		Attrs: []string{"role", "on", "peer", "peerkey", "action", "timing"},
+		Parse: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
 			cfg, err := parseDef(env, rd, attrs)
 			if err != nil {
-				return nil, err
+				return attutil.IndexDef{}, err
 			}
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:   attutil.InstanceName(attrs, prior),
-				Fields: cfg.ownFields,
-				Extra:  cfg.encodeExtra(),
-			})
+			return attutil.IndexDef{Fields: cfg.ownFields, Extra: cfg.encodeExtra()}, nil
 		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
+		Decode: func(_ *core.Env, _ *core.RelDesc, d attutil.IndexDef) (*defCfg, error) {
+			return decodeExtra(d.Name, d.Fields, d.Extra)
 		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-	})
+		Open: func(defs *attutil.Defs[*defCfg]) *Instance { return &Instance{defs} },
+	}))
 }
 
 type defCfg struct {
@@ -187,41 +166,7 @@ func decodeExtra(name string, fields []int, b []byte) (*defCfg, error) {
 
 // Instance services every referential-integrity instance on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu   sync.Mutex
-	defs []*defCfg
-}
-
-// Reconfigure implements core.Reconfigurer.
-func (in *Instance) Reconfigure(rd *core.RelDesc) error {
-	field := rd.AttDesc[core.AttRefInt]
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rd = rd
-	in.defs = nil
-	if field == nil {
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	for _, d := range defs {
-		cfg, err := decodeExtra(d.Name, d.Fields, d.Extra)
-		if err != nil {
-			return err
-		}
-		in.defs = append(in.defs, cfg)
-	}
-	return nil
-}
-
-func (in *Instance) snapshot() []*defCfg {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.defs
+	*attutil.Defs[*defCfg]
 }
 
 // matchFilter builds the equality predicate binding peer fields to the
@@ -236,7 +181,7 @@ func matchFilter(fields []int, vals []types.Value) *expr.Expr {
 
 // peerMatches returns the keys of peer records matching vals on fields.
 func (in *Instance) peerMatches(tx *txn.Txn, cfg *defCfg, vals []types.Value, limit int) ([]types.Key, error) {
-	peer, err := in.env.OpenRelationByName(cfg.peerRel)
+	peer, err := in.Env().OpenRelationByName(cfg.peerRel)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +232,7 @@ func (in *Instance) checkParentExists(tx *txn.Txn, cfg *defCfg, vals []types.Val
 // deferCheck queues the parent-existence test on the deferred action
 // queue for the before-prepare event, deduplicating by constraint+values.
 func (in *Instance) deferCheck(tx *txn.Txn, cfg *defCfg, vals []types.Value) error {
-	stashKey := fmt.Sprintf("refint:%d:%s:%v", in.rd.RelID, cfg.name, vals)
+	stashKey := fmt.Sprintf("refint:%d:%s:%v", in.RelID(), cfg.name, vals)
 	if _, dup := tx.Stash()[stashKey]; dup {
 		return nil
 	}
@@ -310,7 +255,7 @@ func (in *Instance) deferCheck(tx *txn.Txn, cfg *defCfg, vals []types.Value) err
 // selfMatches reports whether the constrained relation still holds at
 // least one record with the given foreign-key values.
 func (in *Instance) selfMatches(tx *txn.Txn, cfg *defCfg, vals []types.Value) (bool, error) {
-	self, err := in.env.OpenRelationByName(in.rd.Name)
+	self, err := in.Env().OpenRelationByName(in.Desc().Name)
 	if err != nil {
 		return false, err
 	}
@@ -341,7 +286,7 @@ func (in *Instance) parentKeyRemoved(tx *txn.Txn, cfg *defCfg, oldRec types.Reco
 	if vals == nil {
 		return nil
 	}
-	childRel, err := in.env.OpenRelationByName(cfg.peerRel)
+	childRel, err := in.Env().OpenRelationByName(cfg.peerRel)
 	if err != nil {
 		return err
 	}
@@ -368,7 +313,8 @@ func (in *Instance) parentKeyRemoved(tx *txn.Txn, cfg *defCfg, oldRec types.Reco
 
 // OnInsert implements core.AttachmentInstance.
 func (in *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	for _, cfg := range in.snapshot() {
+	for _, d := range in.All() {
+		cfg := d.X
 		if cfg.role != roleChild {
 			continue
 		}
@@ -381,7 +327,8 @@ func (in *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error
 
 // OnUpdate implements core.AttachmentInstance.
 func (in *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	for _, cfg := range in.snapshot() {
+	for _, d := range in.All() {
+		cfg := d.X
 		if !attutil.FieldsChanged(cfg.ownFields, oldRec, newRec) {
 			continue
 		}
@@ -401,7 +348,8 @@ func (in *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newR
 
 // OnDelete implements core.AttachmentInstance.
 func (in *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	for _, cfg := range in.snapshot() {
+	for _, d := range in.All() {
+		cfg := d.X
 		if cfg.role != roleParent {
 			continue
 		}

@@ -12,7 +12,6 @@ package rtreeix
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
@@ -29,254 +28,69 @@ const Name = "rtree"
 // ModeKey encodes a search mode as the scan End key.
 func ModeKey(m rtree.Mode) types.Key { return types.Key{byte(m)} }
 
+type def = attutil.Def[*rtree.Tree]
+
+// Each instance's state is its tree; an entry's key is the record's box
+// encoding, and a record whose box is NULL has no entry.
+var entries = attutil.EntryType[*rtree.Tree]{
+	KeyOf: func(d *def, rec types.Record, _ types.Key) (types.Key, bool, error) {
+		v := rec[d.Fields[0]]
+		if v.IsNull() {
+			return nil, false, nil
+		}
+		box, err := expr.DecodeBox(v)
+		if err != nil {
+			return nil, false, err
+		}
+		return types.Key(box.Value().B), true, nil
+	},
+	Add: func(d *def, boxKey, recKey types.Key) error {
+		box, err := expr.DecodeBox(types.Bytes(boxKey))
+		if err != nil {
+			return err
+		}
+		d.X.Insert(box, recKey)
+		return nil
+	},
+	Remove: func(d *def, boxKey, recKey types.Key) error {
+		box, err := expr.DecodeBox(types.Bytes(boxKey))
+		if err != nil {
+			return err
+		}
+		d.X.Delete(box, recKey)
+		return nil
+	},
+}
+
 func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttRTree,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "on"); err != nil {
-				return err
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*rtree.Tree, *Instance]{
+		ID:    core.AttRTree,
+		Name:  Name,
+		Attrs: []string{"on"},
+		Parse: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
+			d, err := attutil.ParseOn(env, rd, attrs)
+			if err == nil && (len(d.Fields) != 1 || rd.Schema.Cols[d.Fields[0]].Kind != types.KindBytes) {
+				err = fmt.Errorf("rtreeix: exactly one BYTES (box) column is required")
 			}
-			fields, err := attutil.ParseColumns(rd.Schema, attrs)
-			if err != nil {
-				return err
-			}
-			if len(fields) != 1 || rd.Schema.Cols[fields[0]].Kind != types.KindBytes {
-				return fmt.Errorf("rtreeix: exactly one BYTES (box) column is required")
-			}
-			return nil
+			return d, err
 		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			fields, err := attutil.ParseColumns(rd.Schema, attrs)
-			if err != nil {
-				return nil, err
-			}
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:   attutil.InstanceName(attrs, prior),
-				Fields: fields,
-			})
+		Decode: func(*core.Env, *core.RelDesc, attutil.IndexDef) (*rtree.Tree, error) {
+			return rtree.New(), nil
 		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
+		Open: func(defs *attutil.Defs[*rtree.Tree]) *Instance {
+			return &Instance{attutil.NewEntries(defs, &entries)}
 		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd, trees: make(map[uint32]*rtree.Tree)}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			instAny, err := env.AttachmentInstance(rd, core.AttRTree)
-			if err != nil {
-				return err
-			}
-			inst := instAny.(*Instance)
-			inst.mu.Lock()
-			defs := inst.defs
-			inst.mu.Unlock()
-			if newOnly && len(defs) > 0 {
-				defs = defs[len(defs)-1:] // Create appends, so the new def is last
-			}
-			return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-				for _, d := range defs {
-					box, ok, err := inst.boxOf(d, rec)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					if err := inst.apply(tx, d, core.ModInsert, box, key); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	})
+		BuildRow: (*Instance).BuildRow,
+	}))
 }
 
 // Instance services every R-tree instance on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu    sync.Mutex
-	defs  []attutil.IndexDef
-	trees map[uint32]*rtree.Tree
-}
-
-// Reconfigure implements core.Reconfigurer.
-func (ix *Instance) Reconfigure(rd *core.RelDesc) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	field := rd.AttDesc[core.AttRTree]
-	if field == nil {
-		ix.defs = nil
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	ix.defs = defs
-	for _, d := range defs {
-		if ix.trees[d.Seq] == nil {
-			ix.trees[d.Seq] = rtree.New()
-		}
-	}
-	return nil
-}
-
-func (ix *Instance) boxOf(d attutil.IndexDef, rec types.Record) (expr.Box, bool, error) {
-	v := rec[d.Fields[0]]
-	if v.IsNull() {
-		return expr.Box{}, false, nil
-	}
-	b, err := expr.DecodeBox(v)
-	if err != nil {
-		return expr.Box{}, false, err
-	}
-	return b, true, nil
-}
-
-func (ix *Instance) apply(tx *txn.Txn, d attutil.IndexDef, op core.ModOp, box expr.Box, recKey types.Key) error {
-	if err := core.LogAttachment(tx, ix.rd, core.AttRTree, core.EntryPayload{
-		Op: op, Instance: int(d.Seq), EntryKey: types.Key(box.Value().B), RecKey: recKey,
-	}); err != nil {
-		return err
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if op == core.ModInsert {
-		ix.trees[d.Seq].Insert(box, recKey)
-	} else {
-		ix.trees[d.Seq].Delete(box, recKey)
-	}
-	return nil
-}
-
-// OnInsert implements core.AttachmentInstance.
-func (ix *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	for _, d := range defs {
-		box, ok, err := ix.boxOf(d, rec)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := ix.apply(tx, d, core.ModInsert, box, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnUpdate implements core.AttachmentInstance.
-func (ix *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	keyMoved := !oldKey.Equal(newKey)
-	for _, d := range defs {
-		if !keyMoved && !attutil.FieldsChanged(d.Fields, oldRec, newRec) {
-			continue
-		}
-		oldBox, hadOld, err := ix.boxOf(d, oldRec)
-		if err != nil {
-			return err
-		}
-		newBox, hasNew, err := ix.boxOf(d, newRec)
-		if err != nil {
-			return err
-		}
-		if hadOld {
-			if err := ix.apply(tx, d, core.ModDelete, oldBox, oldKey); err != nil {
-				return err
-			}
-		}
-		if hasNew {
-			if err := ix.apply(tx, d, core.ModInsert, newBox, newKey); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// OnDelete implements core.AttachmentInstance.
-func (ix *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
-	for _, d := range defs {
-		box, ok, err := ix.boxOf(d, oldRec)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := ix.apply(tx, d, core.ModDelete, box, key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyLogged implements core.AttachmentInstance.
-func (ix *Instance) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeEntry(payload)
-	if err != nil {
-		return err
-	}
-	box, err := expr.DecodeBox(types.Bytes(p.EntryKey))
-	if err != nil {
-		return err
-	}
-	op := p.Op
-	if undo {
-		if op == core.ModInsert {
-			op = core.ModDelete
-		} else {
-			op = core.ModInsert
-		}
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	tree := ix.trees[uint32(p.Instance)]
-	if tree == nil {
-		tree = rtree.New()
-		ix.trees[uint32(p.Instance)] = tree
-	}
-	if op == core.ModInsert {
-		tree.Insert(box, p.RecKey)
-	} else {
-		tree.Delete(box, p.RecKey)
-	}
-	return nil
-}
-
-func (ix *Instance) defAt(instance int) (attutil.IndexDef, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if instance < 0 || instance >= len(ix.defs) {
-		return attutil.IndexDef{}, fmt.Errorf("rtreeix: %w: instance %d of %d", core.ErrNotFound, instance, len(ix.defs))
-	}
-	return ix.defs[instance], nil
+	attutil.Entries[*rtree.Tree]
 }
 
 func (ix *Instance) search(instance int, key types.Key, mode rtree.Mode) ([]rtree.Entry, error) {
-	d, err := ix.defAt(instance)
+	d, err := ix.At(instance)
 	if err != nil {
 		return nil, err
 	}
@@ -284,10 +98,10 @@ func (ix *Instance) search(instance int, key types.Key, mode rtree.Mode) ([]rtre
 	if err != nil {
 		return nil, err
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	ix.Mu.Lock()
+	defer ix.Mu.Unlock()
 	var out []rtree.Entry
-	ix.trees[d.Seq].Search(query, mode, func(e rtree.Entry) bool {
+	d.X.Search(query, mode, func(e rtree.Entry) bool {
 		out = append(out, e)
 		return true
 	})
@@ -328,25 +142,22 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 
 // EstimateCost implements core.AccessPath: recognises spatial conjuncts.
 func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
-	ix.mu.Lock()
-	defs := ix.defs
-	ix.mu.Unlock()
 	best := core.CostEstimate{Usable: false, IO: math.Inf(1), CPU: math.Inf(1)}
-	for i, d := range defs {
+	for i, d := range ix.All() {
 		for ci, c := range req.Conjuncts {
 			query, mode, ok := MatchSpatialConjunct(c, d.Fields[0])
 			if !ok {
 				continue
 			}
-			ix.mu.Lock()
-			tree := ix.trees[d.Seq]
+			ix.Mu.Lock()
+			tree := d.X
 			n := float64(tree.Len())
 			height := float64(tree.Height())
 			sel := 0.1
 			if bounds, okb := tree.Bounds(); okb && bounds.Area() > 0 {
 				sel = math.Min(1, query.Area()/bounds.Area())
 			}
-			ix.mu.Unlock()
+			ix.Mu.Unlock()
 			est := core.CostEstimate{
 				Usable: true, Instance: i, Handled: []int{ci},
 				CPU: height + n*sel, IO: n * sel * 0.05,
@@ -405,13 +216,6 @@ func MatchSpatialConjunct(c *expr.Expr, boxField int) (expr.Box, rtree.Mode, boo
 	return expr.Box{}, 0, false
 }
 
-// InstanceCount implements core.AccessPath.
-func (ix *Instance) InstanceCount() int {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return len(ix.defs)
-}
-
 var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
@@ -444,12 +248,20 @@ func (s *spatialScan) Pos() core.ScanPos {
 	return core.ScanPos{byte(s.next >> 24), byte(s.next >> 16), byte(s.next >> 8), byte(s.next)}
 }
 
-// Restore implements core.Scan.
+// Restore implements core.Scan. A closed scan stays closed, and a position
+// is an index into this scan's snapshot.
 func (s *spatialScan) Restore(pos core.ScanPos) error {
+	if s.closed {
+		return fmt.Errorf("rtreeix: scan is closed")
+	}
 	if len(pos) != 4 {
 		return fmt.Errorf("rtreeix: bad scan position")
 	}
-	s.next = int(pos[0])<<24 | int(pos[1])<<16 | int(pos[2])<<8 | int(pos[3])
+	next := int(pos[0])<<24 | int(pos[1])<<16 | int(pos[2])<<8 | int(pos[3])
+	if next > len(s.entries) {
+		return fmt.Errorf("rtreeix: scan position %d is beyond the %d entries of the scan", next, len(s.entries))
+	}
+	s.next = next
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"dmx/internal/rtree"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -164,57 +163,4 @@ func TestCostEstimateRecognisesSpatialPredicates(t *testing.T) {
 	if est2.Usable {
 		t.Fatal("non-spatial conjunct should be unusable")
 	}
-}
-
-func TestAbortAndRecovery(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	r := setup(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec(1, expr.NewBox(0, 0, 1, 1)))
-	tx.Commit()
-	tx2 := env.Begin()
-	r.Insert(tx2, rec(2, expr.NewBox(0, 0, 1, 1)))
-	tx2.Abort()
-	tx3 := env.Begin()
-	keys, _ := r.LookupAccess(tx3, core.AttRTree, 0, types.Key(expr.NewBox(-1, -1, 2, 2).Value().B))
-	if len(keys) != 1 {
-		t.Fatalf("entries after abort = %d", len(keys))
-	}
-	tx3.Commit()
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := env2.OpenRelationByName("parcels")
-	tx4 := env2.Begin()
-	keys, err := r2.LookupAccess(tx4, core.AttRTree, 0, types.Key(expr.NewBox(-1, -1, 2, 2).Value().B))
-	if err != nil || len(keys) != 1 {
-		t.Fatalf("recovered entries = %v, %v", keys, err)
-	}
-	tx4.Commit()
-}
-
-func TestScanPositionRestore(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	for i := 0; i < 5; i++ {
-		r.Insert(tx, rec(int64(i), expr.NewBox(float64(i), 0, float64(i)+1, 1)))
-	}
-	scan, _ := r.OpenAccessScan(tx, core.AttRTree, 0, core.ScanOptions{
-		Start: types.Key(expr.NewBox(-1, -1, 10, 10).Value().B),
-	})
-	scan.Next()
-	pos := scan.Pos()
-	k2a, _, _, _ := scan.Next()
-	if err := scan.Restore(pos); err != nil {
-		t.Fatal(err)
-	}
-	k2b, _, _, _ := scan.Next()
-	if !k2a.Equal(k2b) {
-		t.Fatal("restore did not reposition")
-	}
-	tx.Commit()
 }

@@ -17,7 +17,6 @@ package stats
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
@@ -40,35 +39,23 @@ const (
 )
 
 func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
+	core.RegisterAttachment(attutil.Ops(attutil.Type[*table, *Instance]{
 		ID:   core.AttStats,
 		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			return attrs.CheckAllowed(Name, "name")
+		Parse: func(*core.Env, *core.RelDesc, core.AttrList) (attutil.IndexDef, error) {
+			return attutil.IndexDef{Name: "stats"}, nil
 		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			if prior != nil {
-				return prior, nil // one statistics instance per relation
-			}
-			return attutil.AddDef(nil, attutil.IndexDef{Name: "stats"})
+		// One statistics instance per relation: its log records name no
+		// instance.
+		Single: true,
+		Decode: func(*core.Env, *core.RelDesc, attutil.IndexDef) (*table, error) {
+			return &table{cols: make(map[int]*colStat), rng: rngSeed}, nil
 		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			return &Instance{rd: rd, cols: make(map[int]*colStat), rng: rngSeed}, nil
+		Open: func(defs *attutil.Defs[*table]) *Instance { return &Instance{defs} },
+		BuildRow: func(s *Instance, tx *txn.Txn, _ *attutil.Def[*table], key types.Key, rec types.Record) error {
+			return s.OnInsert(tx, key, rec)
 		},
-		// Statistics are a singleton per relation (a repeated create is a
-		// no-op Create, so CreateAttachment skips Build), hence newOnly
-		// and full rebuild coincide.
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, _ bool) error {
-			instAny, err := env.AttachmentInstance(rd, core.AttStats)
-			if err != nil {
-				return err
-			}
-			inst := instAny.(*Instance)
-			return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-				return inst.OnInsert(tx, key, rec)
-			})
-		},
-	})
+	}))
 }
 
 // colStat accumulates one column's distribution summary.
@@ -80,21 +67,32 @@ type colStat struct {
 	hll      [hllRegisters]uint8
 }
 
-// Instance maintains statistics for one relation.
-type Instance struct {
-	rd *core.RelDesc
-
-	mu    sync.Mutex
+// table is the statistics instance's state, guarded by the def list's
+// latch.
+type table struct {
 	count int64
 	cols  map[int]*colStat
 	rng   uint64 // deterministic splitmix64 state for reservoir sampling
 }
 
+// Instance maintains statistics for one relation.
+type Instance struct {
+	*attutil.Defs[*table]
+}
+
+// current returns the relation's statistics, nil once they are dropped.
+func (s *Instance) current() *table {
+	if defs := s.All(); len(defs) > 0 {
+		return defs[0].X
+	}
+	return nil
+}
+
 // rngSeed is a fixed odd seed so statistics are reproducible run to run.
 const rngSeed = 0x9e3779b97f4a7c15
 
-// nextRand advances the deterministic PRNG (splitmix64). Called under mu.
-func (s *Instance) nextRand() uint64 {
+// nextRand advances the deterministic PRNG (splitmix64). Called under the latch.
+func (s *table) nextRand() uint64 {
 	s.rng += 0x9e3779b97f4a7c15
 	z := s.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -138,15 +136,19 @@ type Snapshot struct {
 
 // Snapshot returns the current statistics.
 func (s *Instance) Snapshot() Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := Snapshot{
-		Count: s.count,
-		Mins:  make(map[int]types.Value),
-		Maxs:  make(map[int]types.Value),
-		Cols:  make(map[int]ColumnSnapshot),
+		Mins: make(map[int]types.Value),
+		Maxs: make(map[int]types.Value),
+		Cols: make(map[int]ColumnSnapshot),
 	}
-	for i, c := range s.cols {
+	t := s.current()
+	if t == nil {
+		return out
+	}
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	out.Count = t.count
+	for i, c := range t.cols {
 		cs := ColumnSnapshot{Min: c.min, Max: c.max, Distinct: c.estimateDistinct(), Hist: c.histBounds()}
 		if total := c.seen + c.nulls; total > 0 {
 			cs.NullFrac = float64(c.nulls) / float64(total)
@@ -227,8 +229,8 @@ func (c *colStat) histBounds() []types.Value {
 	return bounds
 }
 
-// observe folds one record into the summaries. Called under mu.
-func (s *Instance) observe(rec types.Record) {
+// observe folds one record into the summaries. Called under the latch.
+func (s *table) observe(rec types.Record) {
 	for i, v := range rec {
 		c := s.cols[i]
 		if c == nil {
@@ -266,43 +268,44 @@ func (s *Instance) observe(rec types.Record) {
 	}
 }
 
-func (s *Instance) logDelta(tx *txn.Txn, delta int) error {
-	op := core.ModInsert
-	if delta < 0 {
-		op = core.ModDelete
+// change logs and applies a count delta and folds rec, when there is one,
+// into the summaries.
+func (s *Instance) change(tx *txn.Txn, delta int64, rec types.Record) error {
+	t := s.current()
+	if t == nil {
+		return nil
 	}
-	return core.LogAttachment(tx, s.rd, core.AttStats, core.EntryPayload{Op: op})
+	if delta != 0 {
+		op := core.ModInsert
+		if delta < 0 {
+			op = core.ModDelete
+		}
+		if err := s.Log(tx, core.EntryPayload{Op: op}); err != nil {
+			return err
+		}
+	}
+	s.Mu.Lock()
+	defer s.Mu.Unlock()
+	t.count += delta
+	if rec != nil {
+		t.observe(rec)
+	}
+	return nil
 }
 
 // OnInsert implements core.AttachmentInstance.
 func (s *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	if err := s.logDelta(tx, 1); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.count++
-	s.observe(rec)
-	s.mu.Unlock()
-	return nil
+	return s.change(tx, 1, rec)
 }
 
 // OnUpdate implements core.AttachmentInstance.
 func (s *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	s.mu.Lock()
-	s.observe(newRec)
-	s.mu.Unlock()
-	return nil
+	return s.change(tx, 0, newRec)
 }
 
 // OnDelete implements core.AttachmentInstance.
 func (s *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	if err := s.logDelta(tx, -1); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.count--
-	s.mu.Unlock()
-	return nil
+	return s.change(tx, -1, nil)
 }
 
 // ApplyLogged implements core.AttachmentInstance.
@@ -318,9 +321,11 @@ func (s *Instance) ApplyLogged(payload []byte, undo bool) error {
 	if undo {
 		delta = -delta
 	}
-	s.mu.Lock()
-	s.count += delta
-	s.mu.Unlock()
+	if t := s.current(); t != nil {
+		s.Mu.Lock()
+		t.count += delta
+		s.Mu.Unlock()
+	}
 	return nil
 }
 

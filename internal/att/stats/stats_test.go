@@ -7,7 +7,6 @@ import (
 	"dmx/internal/core"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -70,70 +69,4 @@ func TestCountAndWatermarks(t *testing.T) {
 		t.Fatal("update did not widen max")
 	}
 	tx.Commit()
-}
-
-func TestCountSurvivesAbortAndVeto(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec(1, 1))
-	tx.Commit()
-
-	tx2 := env.Begin()
-	r.Insert(tx2, rec(2, 2))
-	r.Insert(tx2, rec(3, 3))
-	tx2.Abort()
-	if got := snap(t, r).Count; got != 1 {
-		t.Fatalf("count after abort = %d", got)
-	}
-}
-
-func TestBuildCountsExistingRecords(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	tx := env.Begin()
-	env.CreateRelation(tx, "t", schema(), "memory", nil)
-	r, _ := env.OpenRelationByName("t")
-	for i := 0; i < 7; i++ {
-		r.Insert(tx, rec(int64(i), 0))
-	}
-	env.CreateAttachment(tx, "t", "stats", nil)
-	tx.Commit()
-	r, _ = env.OpenRelationByName("t")
-	if got := snap(t, r).Count; got != 7 {
-		t.Fatalf("built count = %d", got)
-	}
-}
-
-func TestSecondCreateIsIdempotent(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	if _, err := env.CreateAttachment(tx, "t", "stats", nil); err != nil {
-		t.Fatal(err)
-	}
-	r.Insert(tx, rec(1, 1))
-	tx.Commit()
-	if got := snap(t, r).Count; got != 1 {
-		t.Fatalf("count with duplicate stats attachment = %d", got)
-	}
-}
-
-func TestRecoveryRestoresCount(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	r := setup(t, env)
-	tx := env.Begin()
-	for i := 0; i < 5; i++ {
-		r.Insert(tx, rec(int64(i), 0))
-	}
-	tx.Commit()
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := env2.OpenRelationByName("t")
-	if got := snap(t, r2).Count; got != 5 {
-		t.Fatalf("recovered count = %d", got)
-	}
 }

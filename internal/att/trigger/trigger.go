@@ -95,116 +95,54 @@ func parseEvents(attrs core.AttrList) (Event, error) {
 	return mask, nil
 }
 
-func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttTrigger,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "call", "events"); err != nil {
-				return err
-			}
-			call, ok := attrs.Get("call")
-			if !ok {
-				return fmt.Errorf("trigger: a call=<function> attribute is required")
-			}
-			if _, err := lookup(env, call); err != nil {
-				return err
-			}
-			_, err := parseEvents(attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			call, ok := attrs.Get("call")
-			if !ok {
-				return nil, fmt.Errorf("trigger: a call=<function> attribute is required")
-			}
-			if _, err := lookup(env, call); err != nil {
-				return nil, err
-			}
-			mask, err := parseEvents(attrs)
-			if err != nil {
-				return nil, err
-			}
-			extra := append([]byte{byte(mask)}, call...)
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:  attutil.InstanceName(attrs, prior),
-				Extra: extra,
-			})
-		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
-		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-	})
+// call is one trigger instance: which events fire which function.
+type call struct {
+	mask Event
+	fn   string
 }
 
-type instanceDef struct {
-	name string
-	mask Event
-	call string
+func init() {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[call, *Instance]{
+		ID:    core.AttTrigger,
+		Name:  Name,
+		Attrs: []string{"call", "events"},
+		Parse: func(env *core.Env, _ *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
+			fn, ok := attrs.Get("call")
+			if !ok {
+				return attutil.IndexDef{}, fmt.Errorf("trigger: a call=<function> attribute is required")
+			}
+			if _, err := lookup(env, fn); err != nil {
+				return attutil.IndexDef{}, err
+			}
+			mask, err := parseEvents(attrs)
+			return attutil.IndexDef{Extra: append([]byte{byte(mask)}, fn...)}, err
+		},
+		Decode: func(_ *core.Env, _ *core.RelDesc, d attutil.IndexDef) (call, error) {
+			if len(d.Extra) < 1 {
+				return call{}, fmt.Errorf("trigger: corrupt descriptor for %q", d.Name)
+			}
+			return call{mask: Event(d.Extra[0]), fn: string(d.Extra[1:])}, nil
+		},
+		Open: func(defs *attutil.Defs[call]) *Instance { return &Instance{defs} },
+	}))
 }
 
 // Instance services every trigger instance on one relation.
 type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
-
-	mu   sync.Mutex
-	defs []instanceDef
-}
-
-// Reconfigure implements core.Reconfigurer.
-func (in *Instance) Reconfigure(rd *core.RelDesc) error {
-	field := rd.AttDesc[core.AttTrigger]
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.rd = rd
-	in.defs = nil
-	if field == nil {
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	for _, d := range defs {
-		if len(d.Extra) < 1 {
-			return fmt.Errorf("trigger: corrupt descriptor for %q", d.Name)
-		}
-		in.defs = append(in.defs, instanceDef{
-			name: d.Name,
-			mask: Event(d.Extra[0]),
-			call: string(d.Extra[1:]),
-		})
-	}
-	return nil
+	*attutil.Defs[call]
 }
 
 func (in *Instance) fire(tx *txn.Txn, ev Event, key types.Key, oldRec, newRec types.Record) error {
-	in.mu.Lock()
-	defs := in.defs
-	rd := in.rd
-	in.mu.Unlock()
-	for _, d := range defs {
-		if d.mask&ev == 0 {
+	for _, d := range in.All() {
+		if d.X.mask&ev == 0 {
 			continue
 		}
-		fn, err := lookup(in.env, d.call)
+		fn, err := lookup(in.Env(), d.X.fn)
 		if err != nil {
 			return err
 		}
-		if err := fn(in.env, tx, ev, rd, key, oldRec, newRec); err != nil {
-			return fmt.Errorf("trigger %q: %w", d.name, err)
+		if err := fn(in.Env(), tx, ev, in.Desc(), key, oldRec, newRec); err != nil {
+			return fmt.Errorf("trigger %q: %w", d.Name, err)
 		}
 	}
 	return nil

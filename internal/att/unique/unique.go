@@ -6,11 +6,9 @@ package unique
 
 import (
 	"fmt"
-	"sync"
 
 	"dmx/internal/att/attutil"
 	"dmx/internal/core"
-	"dmx/internal/txn"
 	"dmx/internal/types"
 )
 
@@ -20,225 +18,63 @@ const Name = "unique"
 // ErrViolation is the veto reason for duplicate values.
 var ErrViolation = fmt.Errorf("unique: uniqueness constraint violated")
 
-func init() {
-	core.RegisterAttachment(&core.AttachmentOps{
-		ID:   core.AttUnique,
-		Name: Name,
-		ValidateAttrs: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) error {
-			if err := attrs.CheckAllowed(Name, "name", "on"); err != nil {
-				return err
-			}
-			_, err := attutil.ParseColumns(rd.Schema, attrs)
-			return err
-		},
-		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			fields, err := attutil.ParseColumns(rd.Schema, attrs)
-			if err != nil {
-				return nil, err
-			}
-			return attutil.AddDef(prior, attutil.IndexDef{
-				Name:   attutil.InstanceName(attrs, prior),
-				Fields: fields,
-				Unique: true,
-			})
-		},
-		Drop: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, prior []byte, attrs core.AttrList) ([]byte, error) {
-			name, ok := attrs.Get("name")
-			if !ok {
-				return nil, nil
-			}
-			return attutil.RemoveDef(prior, name)
-		},
-		Open: func(env *core.Env, rd *core.RelDesc) (core.AttachmentInstance, error) {
-			inst := &Instance{env: env, rd: rd, sets: make(map[uint32]map[string]int)}
-			if err := inst.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			return inst, nil
-		},
-		Build: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, newOnly bool) error {
-			instAny, err := env.AttachmentInstance(rd, core.AttUnique)
-			if err != nil {
-				return err
-			}
-			inst := instAny.(*Instance)
-			inst.mu.Lock()
-			defs := inst.defs
-			inst.mu.Unlock()
-			if newOnly && len(defs) > 0 {
-				defs = defs[len(defs)-1:] // Create appends, so the new def is last
-			}
-			return core.BuildScan(env, tx, rd, func(key types.Key, rec types.Record) error {
-				for _, d := range defs {
-					// add also vetoes the DDL when existing contents
-					// already violate the new constraint.
-					if err := inst.add(tx, d, rec); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-	})
-}
+// set is one constraint's state: key value -> count. Values are counted so
+// a same-transaction delete+insert of one value replays correctly in
+// either undo direction.
+type set = map[string]int
 
-// Instance services every uniqueness constraint on one relation. Sets are
-// reference-counted so a same-transaction delete+insert of the same value
-// replays correctly in either undo direction.
-type Instance struct {
-	env *core.Env
-	rd  *core.RelDesc
+type def = attutil.Def[set]
 
-	mu   sync.Mutex
-	defs []attutil.IndexDef
-	sets map[uint32]map[string]int // by Seq: key value -> count
-}
-
-// Reconfigure implements core.Reconfigurer.
-func (u *Instance) Reconfigure(rd *core.RelDesc) error {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	field := rd.AttDesc[core.AttUnique]
-	if field == nil {
-		u.defs = nil
-		return nil
-	}
-	_, defs, err := attutil.DecodeDefs(field)
-	if err != nil {
-		return err
-	}
-	u.defs = defs
-	for _, d := range defs {
-		if u.sets[d.Seq] == nil {
-			u.sets[d.Seq] = make(map[string]int)
-		}
-	}
-	return nil
-}
-
-func (u *Instance) add(tx *txn.Txn, d attutil.IndexDef, rec types.Record) error {
+var entries = attutil.EntryType[set]{
 	// NULL values do not participate in uniqueness (SQL convention).
-	for _, f := range d.Fields {
-		if rec[f].IsNull() {
-			return nil
+	KeyOf: func(d *def, rec types.Record, _ types.Key) (types.Key, bool, error) {
+		for _, f := range d.Fields {
+			if rec[f].IsNull() {
+				return nil, false, nil
+			}
 		}
-	}
-	key := types.EncodeKeyFields(rec, d.Fields)
-	u.mu.Lock()
-	n := u.sets[d.Seq][string(key)]
-	u.mu.Unlock()
-	if n > 0 {
-		return fmt.Errorf("%w: %q value %v", ErrViolation, d.Name, rec.Project(d.Fields))
-	}
-	if err := core.LogAttachment(tx, u.rd, core.AttUnique, core.EntryPayload{
-		Op: core.ModInsert, Instance: int(d.Seq), EntryKey: key,
-	}); err != nil {
-		return err
-	}
-	u.mu.Lock()
-	u.sets[d.Seq][string(key)]++
-	u.mu.Unlock()
-	return nil
-}
-
-func (u *Instance) remove(tx *txn.Txn, d attutil.IndexDef, rec types.Record) error {
-	for _, f := range d.Fields {
-		if rec[f].IsNull() {
-			return nil
-		}
-	}
-	key := types.EncodeKeyFields(rec, d.Fields)
-	if err := core.LogAttachment(tx, u.rd, core.AttUnique, core.EntryPayload{
-		Op: core.ModDelete, Instance: int(d.Seq), EntryKey: key,
-	}); err != nil {
-		return err
-	}
-	u.mu.Lock()
-	u.applyLocked(d.Seq, core.ModDelete, key)
-	u.mu.Unlock()
-	return nil
-}
-
-func (u *Instance) applyLocked(seq uint32, op core.ModOp, key types.Key) {
-	set := u.sets[seq]
-	if set == nil {
-		set = make(map[string]int)
-		u.sets[seq] = set
-	}
-	if op == core.ModInsert {
-		set[string(key)]++
-		return
-	}
-	if set[string(key)] <= 1 {
-		delete(set, string(key))
-	} else {
-		set[string(key)]--
-	}
-}
-
-// OnInsert implements core.AttachmentInstance.
-func (u *Instance) OnInsert(tx *txn.Txn, key types.Key, rec types.Record) error {
-	u.mu.Lock()
-	defs := u.defs
-	u.mu.Unlock()
-	for _, d := range defs {
-		if err := u.add(tx, d, rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnUpdate implements core.AttachmentInstance.
-func (u *Instance) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newRec types.Record) error {
-	u.mu.Lock()
-	defs := u.defs
-	u.mu.Unlock()
-	for _, d := range defs {
-		if !attutil.FieldsChanged(d.Fields, oldRec, newRec) {
-			continue
-		}
-		if err := u.remove(tx, d, oldRec); err != nil {
-			return err
-		}
-		if err := u.add(tx, d, newRec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnDelete implements core.AttachmentInstance.
-func (u *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
-	u.mu.Lock()
-	defs := u.defs
-	u.mu.Unlock()
-	for _, d := range defs {
-		if err := u.remove(tx, d, oldRec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyLogged implements core.AttachmentInstance.
-func (u *Instance) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeEntry(payload)
-	if err != nil {
-		return err
-	}
-	op := p.Op
-	if undo {
-		if op == core.ModInsert {
-			op = core.ModDelete
+		return types.EncodeKeyFields(rec, d.Fields), true, nil
+	},
+	KeyOnly: true,
+	Add: func(d *def, value, _ types.Key) error {
+		d.X[string(value)]++
+		return nil
+	},
+	Remove: func(d *def, value, _ types.Key) error {
+		if d.X[string(value)] <= 1 {
+			delete(d.X, string(value))
 		} else {
-			op = core.ModInsert
+			d.X[string(value)]--
 		}
-	}
-	u.mu.Lock()
-	u.applyLocked(uint32(p.Instance), op, p.EntryKey)
-	u.mu.Unlock()
-	return nil
+		return nil
+	},
+	Taken:     func(d *def, value types.Key) bool { return d.X[string(value)] > 0 },
+	Violation: ErrViolation,
+}
+
+func init() {
+	core.RegisterAttachment(attutil.Ops(attutil.Type[set, *Instance]{
+		ID:    core.AttUnique,
+		Name:  Name,
+		Attrs: []string{"on"},
+		Parse: func(env *core.Env, rd *core.RelDesc, attrs core.AttrList) (attutil.IndexDef, error) {
+			d, err := attutil.ParseOn(env, rd, attrs)
+			d.Unique = true
+			return d, err
+		},
+		Decode: func(*core.Env, *core.RelDesc, attutil.IndexDef) (set, error) { return set{}, nil },
+		Open: func(defs *attutil.Defs[set]) *Instance {
+			return &Instance{attutil.NewEntries(defs, &entries)}
+		},
+		// Building over contents that already violate the new constraint
+		// vetoes the DDL.
+		BuildRow: (*Instance).BuildRow,
+	}))
+}
+
+// Instance services every uniqueness constraint on one relation.
+type Instance struct {
+	attutil.Entries[set]
 }
 
 var (

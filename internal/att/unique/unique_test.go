@@ -8,7 +8,6 @@ import (
 	"dmx/internal/core"
 	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
-	"dmx/internal/wal"
 )
 
 func schema() *types.Schema {
@@ -91,29 +90,6 @@ func TestDeleteFreesValueUpdateMovesIt(t *testing.T) {
 	tx.Commit()
 }
 
-func TestAbortRestoresSet(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	r := setup(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec(1, "a@x"))
-	tx.Commit()
-
-	tx2 := env.Begin()
-	k, _ := r.Insert(tx2, rec(2, "b@x"))
-	r.Delete(tx2, k)
-	tx2.Abort()
-
-	tx3 := env.Begin()
-	// After abort, b@x must be free and a@x still taken.
-	if _, err := r.Insert(tx3, rec(3, "b@x")); err != nil {
-		t.Fatalf("b@x should be free: %v", err)
-	}
-	if _, err := r.Insert(tx3, rec(4, "a@x")); err == nil {
-		t.Fatal("a@x should still be taken")
-	}
-	tx3.Commit()
-}
-
 func TestBuildRejectsExistingDuplicates(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	tx := env.Begin()
@@ -125,27 +101,4 @@ func TestBuildRejectsExistingDuplicates(t *testing.T) {
 		t.Fatal("constraint built over duplicates")
 	}
 	tx.Abort()
-}
-
-func TestRecoveryRestoresSet(t *testing.T) {
-	log := wal.New()
-	env := core.NewEnv(core.Config{Log: log})
-	r := setup(t, env)
-	tx := env.Begin()
-	r.Insert(tx, rec(1, "a@x"))
-	tx.Commit()
-
-	env2 := core.NewEnv(core.Config{Log: log})
-	if err := env2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r2, _ := env2.OpenRelationByName("users")
-	tx2 := env2.Begin()
-	if _, err := r2.Insert(tx2, rec(2, "a@x")); err == nil {
-		t.Fatal("recovered set lost the taken value")
-	}
-	if _, err := r2.Insert(tx2, rec(3, "new@x")); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Commit()
 }

@@ -129,6 +129,17 @@ func KeyResource(relID uint32, key []byte) Resource {
 	return Resource{Rel: relID, Key: string(key)}
 }
 
+// ExtResource returns an extension-private resource within a relation: ext
+// identifies the extension (an attachment type id) and name what it locks.
+// The leading 0xFF byte keeps these apart from record-level resources: an
+// order-preserving key encoding starts with a kind tag, and a fixed-width
+// record key starts with the high byte of a page or sequence number. A
+// clash could in any case only make two transactions wait for each other
+// needlessly.
+func ExtResource(relID uint32, ext uint8, name []byte) Resource {
+	return Resource{Rel: relID, Key: string([]byte{0xFF, ext}) + string(name)}
+}
+
 type request struct {
 	txn  wal.TxnID
 	res  Resource // the resource the request queues on (for targeted DFS)
