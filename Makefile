@@ -27,11 +27,13 @@ test:
 # interleavings it actually executes. The benchmark module (bench/, its own
 # go.mod) is tested last so a change to an engine type it reads
 # (dmx.ForeignServer, MetricsSnapshot, storage-method names) fails this
-# gate instead of the benchmark pipeline.
+# gate instead of the benchmark pipeline. trace-demo is the one end-to-end
+# self-read of the debug server (/metrics, /traces, /healthz).
 check: build fmt vet staticcheck
 	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./...
 	$(MAKE) par
+	$(MAKE) trace-demo
 	cd bench && $(GO) test ./...
 
 # staticcheck (honnef.co/go/tools) is part of the check gate — the tree

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -100,7 +99,6 @@ func main() {
 		{"A1", "ablation: skipping index maintenance when no indexed field changed", a1SkipUnchanged},
 		{"A2", "ablation: remote scan batch size", a2RemoteBatch},
 		{"A3", "ablation: ORDER BY via ordered access path vs scan + sort", a3OrderedAccess},
-		{"OBS", "engine-wide observability snapshot after a mixed workload", obsSnapshot},
 		{"TRACE", "span-tracing overhead at off / 1% / 100% sampling", traceOverhead},
 		{"CRASH", "restart replay cost vs checkpoint interval", crashRecovery},
 	}
@@ -220,8 +218,11 @@ func e2Join() []*rig.Table {
 		if err != nil {
 			panic(err)
 		}
-		callsBefore := env.Metrics.SMCalls.Load() + env.Metrics.AttCalls.Load() +
-			env.Metrics.Fetches.Load() + env.Metrics.Scans.Load()
+		calls := func() int64 {
+			tot := env.MetricsSnapshot().Totals
+			return tot.SMCalls + tot.AttCalls + tot.Fetches + tot.Scans
+		}
+		callsBefore := calls()
 		rows := 0
 		d := rig.Time(func() {
 			tx := env.Begin()
@@ -242,9 +243,7 @@ func e2Join() []*rig.Table {
 			rs.Close()
 			tx.Commit()
 		})
-		calls := env.Metrics.SMCalls.Load() + env.Metrics.AttCalls.Load() +
-			env.Metrics.Fetches.Load() + env.Metrics.Scans.Load() - callsBefore
-		t.Add(s.name, rows, calls, d, rig.PerOp(d, rows))
+		t.Add(s.name, rows, calls()-callsBefore, d, rig.PerOp(d, rows))
 	}
 	return []*rig.Table{t}
 }
@@ -416,9 +415,9 @@ func e5Attachments() []*rig.Table {
 	env := core.NewEnv(core.Config{})
 	emp := rig.MustCreate(env, "emp", "memory", nil)
 	measure := func(label string, natt int) {
-		callsBefore := env.Metrics.AttCalls.Load()
+		callsBefore := env.MetricsSnapshot().Totals.AttCalls
 		d := rig.Time(func() { rig.Load(env, emp, inserts, 20) })
-		calls := env.Metrics.AttCalls.Load() - callsBefore
+		calls := env.MetricsSnapshot().Totals.AttCalls - callsBefore
 		t.Add(label, natt, rig.PerOp(d, inserts), float64(calls)/float64(inserts))
 		// Reset contents between measurements.
 		rig.WithTxn(env, func(tx *txn.Txn) {
@@ -841,7 +840,7 @@ func e9Deferred() []*rig.Table {
 			"peer": "dept", "peerkey": "dno", "timing": timing,
 		})
 		emp, _ := env.OpenRelationByName("emp")
-		scansBefore := env.Metrics.Scans.Load()
+		scansBefore := env.MetricsSnapshot().Totals.Scans
 		d := rig.Time(func() {
 			rig.WithTxn(env, func(tx *txn.Txn) {
 				for i := 0; i < children; i++ {
@@ -851,7 +850,7 @@ func e9Deferred() []*rig.Table {
 				}
 			})
 		})
-		checks := env.Metrics.Scans.Load() - scansBefore
+		checks := env.MetricsSnapshot().Totals.Scans - scansBefore
 		t.Add(timing, children, checks, d, rig.PerOp(d, children))
 	}
 	return []*rig.Table{t}
@@ -1698,107 +1697,6 @@ func a3OrderedAccess() []*rig.Table {
 	measure("full table (ORDER BY, no limit)",
 		plan.Query{Table: "emp", Fields: []int{2}, OrderBy: []int{2}}, -1)
 	return []*rig.Table{t}
-}
-
-// --- OBS: engine-wide observability snapshot ---
-
-// obsSnapshot drives every instrumented subsystem — per-extension dispatch
-// (heap + b-tree index + check constraint), a veto with log-driven undo,
-// lock contention, file-backed log appends and syncs, buffer traffic —
-// then prints the Env.MetricsSnapshot JSON document.
-func obsSnapshot() []*rig.Table {
-	check.RegisterPredicate("obspos", expr.Ge(expr.Field(0), expr.Const(types.Int(0))))
-	dir, err := os.MkdirTemp("", "dmxbench-obs")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	log, err := wal.Open(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		panic(err)
-	}
-	defer log.Close()
-	env := core.NewEnv(core.Config{Log: log, PoolFrames: 64})
-	rig.MustCreate(env, "emp", "heap", nil)
-	rig.MustAttach(env, "emp", "btree", core.AttrList{"name": "i1", "on": "dno"})
-	rig.MustAttach(env, "emp", "check", core.AttrList{"name": "pos", "predicate": "obspos"})
-	emp, err := env.OpenRelationByName("emp")
-	if err != nil {
-		panic(err)
-	}
-
-	rows := n(1000)
-	var keys []types.Key
-	rig.WithTxn(env, func(tx *txn.Txn) {
-		for i := 0; i < rows; i++ {
-			k, err := emp.Insert(tx, rig.EmpRecord(i, 20))
-			if err != nil {
-				panic(err)
-			}
-			keys = append(keys, k)
-		}
-	})
-	rig.WithTxn(env, func(tx *txn.Txn) {
-		for i := 0; i < rows/10; i++ {
-			if _, err := emp.Fetch(tx, keys[i], nil, nil); err != nil {
-				panic(err)
-			}
-		}
-		if _, err := emp.Update(tx, keys[0], rig.EmpRecord(rows, 20)); err != nil {
-			panic(err)
-		}
-		if err := emp.Delete(tx, keys[1]); err != nil {
-			panic(err)
-		}
-		scan, err := emp.OpenScan(tx, core.ScanOptions{})
-		if err != nil {
-			panic(err)
-		}
-		for {
-			if _, _, ok, err := scan.Next(); err != nil || !ok {
-				break
-			}
-		}
-		scan.Close()
-	})
-	// A vetoed insert exercises the per-attachment veto counter and the
-	// log-driven undo path.
-	rig.WithTxn(env, func(tx *txn.Txn) {
-		rec := rig.EmpRecord(rows+1, 20)
-		rec[0] = types.Int(-1)
-		if _, err := emp.Insert(tx, rec); err == nil {
-			panic("vetoed insert accepted")
-		}
-	})
-	// Lock contention: a second transaction waits on a key the first holds.
-	hot := lock.KeyResource(999, []byte("hot"))
-	tx1 := env.Begin()
-	if err := tx1.Lock(hot, lock.ModeX); err != nil {
-		panic(err)
-	}
-	released := make(chan struct{})
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		tx1.Commit()
-		close(released)
-	}()
-	tx2 := env.Begin()
-	if err := tx2.Lock(hot, lock.ModeX); err != nil {
-		panic(err)
-	}
-	tx2.Commit()
-	<-released
-	if err := log.Sync(); err != nil {
-		panic(err)
-	}
-
-	fmt.Println("engine metrics snapshot (Env.MetricsSnapshot):")
-	raw, err := json.MarshalIndent(env.MetricsSnapshot(), "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(string(raw))
-	return nil
 }
 
 // --- CRASH: restart replay cost vs checkpoint interval ---

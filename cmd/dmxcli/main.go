@@ -150,8 +150,9 @@ func command(env *dmx.Env, session *dmx.Session, w io.Writer, stmt string) error
 
 const helpText = `shell commands:
   \help            this text
-  \stat VIEW       dump a system relation (activity, relations, locks,
-                   lsm, buffer, traces, history — or any sys.* name)
+  \stat VIEW       dump a system relation (activity, history, relations,
+                   locks, lsm, buffer, traces, shards, metrics — or any
+                   sys.* name)
   \top [N]         top transactions by lock wait (default 10)
   \metrics         engine counters as JSON
   \trace ...       transaction tracer (\trace on|off|show)

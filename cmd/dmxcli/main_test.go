@@ -86,8 +86,10 @@ CREATE TABLE emp (eno INT NOT NULL, name STRING) USING heap
 INSERT INTO emp VALUES (1, 'ada'), (2, 'bob')
 SELECT * FROM emp
 \metrics
+\stat metrics
 `)
-	for _, want := range []string{`"storage_methods"`, `"heap"`, `"lock"`, `"wal"`, `"buffer"`, `"totals"`} {
+	for _, want := range []string{`"storage_methods"`, `"heap"`, `"lock"`, `"wal"`, `"buffer"`, `"totals"`,
+		`"dmx_lock_waits_total" | "counter" | "" | 0`, `"dmx_trace_sample_rate" | "gauge"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("\\metrics output missing %s:\n%s", want, out)
 		}

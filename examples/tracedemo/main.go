@@ -69,6 +69,13 @@ func main() {
 	if !strings.Contains(metrics, "dmx_att_vetoes_total") {
 		log.Fatal("metrics missing the attachment veto counter")
 	}
+	// Every subsystem declares its metrics on its snapshot struct; a
+	// subsystem missing here has dropped out of the walk behind /metrics.
+	for _, sub := range []string{"sm", "att", "lock", "wal", "buffer", "mvcc", "lsm", "txn", "plan", "part", "trace"} {
+		if !strings.Contains(metrics, "# TYPE dmx_"+sub+"_") {
+			log.Fatalf("metrics has no dmx_%s_ family", sub)
+		}
+	}
 
 	traces := get(addr, "/traces?limit=1")
 	var parsed struct {

@@ -298,7 +298,7 @@ func TestVetoUndoesStorageAndPriorAttachments(t *testing.T) {
 	if r.Storage().RecordCount() != 2 {
 		t.Fatalf("final count = %d", r.Storage().RecordCount())
 	}
-	if env.Metrics.Vetoes.Load() != 1 {
+	if env.MetricsSnapshot().Totals.Vetoes != 1 {
 		t.Fatal("veto metric")
 	}
 }
@@ -614,8 +614,8 @@ func TestMetricsCountCalls(t *testing.T) {
 		r.Insert(tx, rec(int64(i), "x"))
 	}
 	tx.Commit()
-	if env.Metrics.SMCalls.Load() != 10 || env.Metrics.AttCalls.Load() != 10 {
-		t.Fatalf("metrics: sm=%d att=%d", env.Metrics.SMCalls.Load(), env.Metrics.AttCalls.Load())
+	if tot := env.MetricsSnapshot().Totals; tot.SMCalls != 10 || tot.AttCalls != 10 {
+		t.Fatalf("metrics: %+v", tot)
 	}
 }
 
@@ -716,7 +716,7 @@ func TestMetricsSnapshotMixedWorkload(t *testing.T) {
 	if snap.WAL.Rollbacks == 0 {
 		t.Error("veto should have driven a log rollback")
 	}
-	if snap.Totals.SMCalls != env.Metrics.SMCalls.Load() || snap.Totals.Vetoes != 1 {
+	if snap.Totals.SMCalls != 8 || snap.Totals.Vetoes != 1 { // 6 inserts (one vetoed), 1 update, 1 delete
 		t.Errorf("totals mismatch: %+v", snap.Totals)
 	}
 

@@ -97,29 +97,10 @@ func (env *Env) DebugAddr() string {
 }
 
 func (env *Env) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := env.MetricsSnapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WritePrometheus(w, snap.Snapshot); err != nil {
-		// Headers are out; nothing more to do than drop the connection.
-		return
-	}
-	// Tracer activity rides along as plain gauges/counters.
-	st := env.Tracer.Stats()
-	fmt.Fprintf(w, "# HELP dmx_trace_sample_rate fraction of transactions carrying a detailed span trace\n")
-	fmt.Fprintf(w, "# TYPE dmx_trace_sample_rate gauge\n")
-	fmt.Fprintf(w, "dmx_trace_sample_rate %g\n", env.Tracer.SampleRate())
-	fmt.Fprintf(w, "# HELP dmx_trace_txns_started_total transactions given a trace\n")
-	fmt.Fprintf(w, "# TYPE dmx_trace_txns_started_total counter\n")
-	fmt.Fprintf(w, "dmx_trace_txns_started_total %d\n", st.Started)
-	fmt.Fprintf(w, "# HELP dmx_trace_txns_sampled_total transactions with detailed span trees\n")
-	fmt.Fprintf(w, "# TYPE dmx_trace_txns_sampled_total counter\n")
-	fmt.Fprintf(w, "dmx_trace_txns_sampled_total %d\n", st.Sampled)
-	fmt.Fprintf(w, "# HELP dmx_trace_slow_spans_total spans that exceeded the slow threshold\n")
-	fmt.Fprintf(w, "# TYPE dmx_trace_slow_spans_total counter\n")
-	fmt.Fprintf(w, "dmx_trace_slow_spans_total %d\n", st.SlowSpans)
-	fmt.Fprintf(w, "# HELP dmx_trace_slow_txns_total transactions that exceeded the slow threshold\n")
-	fmt.Fprintf(w, "# TYPE dmx_trace_slow_txns_total counter\n")
-	fmt.Fprintf(w, "dmx_trace_slow_txns_total %d\n", st.SlowTxns)
+	// Headers are out: on a write error there is nothing more to do than
+	// drop the connection.
+	_ = obs.WritePrometheus(w, env.MetricFamilies())
 }
 
 func (env *Env) handleTraces(w http.ResponseWriter, r *http.Request) {

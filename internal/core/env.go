@@ -18,18 +18,6 @@ import (
 	"dmx/internal/wal"
 )
 
-// Metrics counts extension activity; the experiment harness reads these to
-// validate the paper's tuple-at-a-time call-volume claims. The counters are
-// coarse totals; the per-extension breakdown (with latency) lives in
-// Env.Obs and is exported by MetricsSnapshot.
-type Metrics struct {
-	SMCalls  obs.Counter // storage method generic operation invocations
-	AttCalls obs.Counter // attached procedure invocations
-	Fetches  obs.Counter // direct-by-key accesses
-	Scans    obs.Counter // key-sequential accesses opened
-	Vetoes   obs.Counter // vetoed relation modifications
-}
-
 // Config assembles an environment.
 type Config struct {
 	// Registry of linked-in extensions; nil means DefaultRegistry.
@@ -68,17 +56,16 @@ type Config struct {
 // vectors. Env implements wal.Undoer and wal.Redoer, dispatching log
 // records to the owning extension.
 type Env struct {
-	Reg     *Registry
-	Log     *wal.Log
-	Locks   *lock.Manager
-	Txns    *txn.Manager
-	Pool    *buffer.Pool
-	Eval    *expr.Evaluator
-	Cat     *Catalog
-	Authz   *Authz
-	Metrics Metrics
-	Obs     *obs.Engine
-	Tracer  *trace.Tracer
+	Reg    *Registry
+	Log    *wal.Log
+	Locks  *lock.Manager
+	Txns   *txn.Manager
+	Pool   *buffer.Pool
+	Eval   *expr.Evaluator
+	Cat    *Catalog
+	Authz  *Authz
+	Obs    *obs.Engine
+	Tracer *trace.Tracer
 
 	// Faults is the crash-point injector handed in via Config.Faults (nil
 	// in production). Storage methods with their own durability-bearing
@@ -102,6 +89,10 @@ type Env struct {
 	// relStats holds the per-relation dispatch rollups behind
 	// sys.stat_relations, keyed by relation ID.
 	relStats relStatsTable
+
+	// vetoes counts vetoed relation modifications (TotalsSnapshot.Vetoes):
+	// the one total the dispatch vectors do not already hold.
+	vetoes obs.Counter
 
 	recovering    atomic.Bool // restart recovery in progress
 	checkpointing atomic.Bool // guards against overlapping checkpoints

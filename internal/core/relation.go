@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -106,14 +107,9 @@ func (r *Relation) Insert(tx *txn.Txn, rec types.Record) (key types.Key, err err
 		return nil, err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpInsert)
-	start := time.Now()
+	d := r.begin(tx, viaSM, obs.OpInsert)
 	key, err = r.sm.Insert(tx, rec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpInsert, d, err != nil)
-	r.stat.observe(obs.OpInsert, d, err != nil)
-	smSp.End(err)
+	d.end(err)
 	if err != nil {
 		return nil, r.vetoed(tx, mark, r.smName(), err)
 	}
@@ -157,14 +153,9 @@ func (r *Relation) Update(tx *txn.Txn, key types.Key, newRec types.Record) (newK
 		return nil, err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpUpdate)
-	start := time.Now()
+	d := r.begin(tx, viaSM, obs.OpUpdate)
 	newKey, err = r.sm.Update(tx, key, oldRec, newRec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpUpdate, d, err != nil)
-	r.stat.observe(obs.OpUpdate, d, err != nil)
-	smSp.End(err)
+	d.end(err)
 	if err != nil {
 		return nil, r.vetoed(tx, mark, r.smName(), err)
 	}
@@ -206,14 +197,9 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 		return err
 	}
 	mark := r.env.Log.LastLSN(tx.ID())
-	r.env.Metrics.SMCalls.Add(1)
-	smSp := r.smSpan(tx, obs.OpDelete)
-	start := time.Now()
+	d := r.begin(tx, viaSM, obs.OpDelete)
 	err = r.sm.Delete(tx, key, oldRec)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpDelete, d, err != nil)
-	r.stat.observe(obs.OpDelete, d, err != nil)
-	smSp.End(err)
+	d.end(err)
 	if err != nil {
 		return r.vetoed(tx, mark, r.smName(), err)
 	}
@@ -243,44 +229,69 @@ func (r *Relation) notify(tx *txn.Txn, op obs.Op, call func(AttachmentInstance) 
 		if err != nil {
 			return err
 		}
-		r.env.Metrics.AttCalls.Add(1)
-		attSp := r.attSpan(tx, id, op)
-		start := time.Now()
+		d := r.begin(tx, id, op)
 		err = call(inst)
-		r.env.Obs.Att.Observe(i, op, time.Since(start), err != nil)
+		d.end(err)
 		if err != nil {
-			r.env.Obs.AttVetoes[i].Inc()
-			attSp.MarkVeto()
-			attSp.End(err)
 			return r.vetoed(tx, mark, r.env.Reg.AttachmentOps(id).Name, err)
 		}
-		attSp.End(nil)
 	}
 	return nil
 }
 
-// smSpan opens a storage-method dispatch span for a detailed-traced
-// transaction (nil, at the cost of one nil check, otherwise).
-func (r *Relation) smSpan(tx *txn.Txn, op obs.Op) *trace.Span {
-	tr := tx.Trace()
-	if !tr.Detailed() {
-		return nil
-	}
-	return tr.StartSpan("sm."+op.String(), r.smName(), op.String())
+// dispatch is one call through a procedure vector being charged. begin and
+// end are the only code that reads the clock, opens the dispatch span,
+// observes the obs.Vector cell, charges the relation rollup and decides
+// what counts as a failed call; every dispatch point of this file brackets
+// its call with them. A value, so the pair adds no allocation per call.
+type dispatch struct {
+	r     *Relation
+	via   AttID // the attachment type called, or viaSM
+	op    obs.Op
+	span  *trace.Span // nil unless the transaction is traced in detail
+	start time.Time
 }
 
-// attSpan opens an attached-procedure dispatch span for a detailed-traced
-// transaction.
-func (r *Relation) attSpan(tx *txn.Txn, id AttID, op obs.Op) *trace.Span {
-	tr := tx.Trace()
-	if !tr.Detailed() {
-		return nil
+// viaSM is begin's "no attachment type": the call goes through the
+// storage-method vector (attachment identifiers start at 1).
+const viaSM AttID = 0
+
+func (r *Relation) begin(tx *txn.Txn, via AttID, op obs.Op) dispatch {
+	d := dispatch{r: r, via: via, op: op}
+	if tr := tx.Trace(); tr.Detailed() {
+		layer, name := "sm.", r.smName()
+		if via != viaSM {
+			layer, name = "att.", fmt.Sprintf("attachment-%d", via)
+			if ops := r.env.Reg.AttachmentOps(via); ops != nil {
+				name = ops.Name
+			}
+		}
+		d.span = tr.StartSpan(layer+op.String(), name, op.String())
 	}
-	name := fmt.Sprintf("attachment-%d", id)
-	if ops := r.env.Reg.AttachmentOps(id); ops != nil {
-		name = ops.Name
+	d.start = time.Now()
+	return d
+}
+
+// end charges the call. A fetch that finds no record, or one the
+// pushed-down filter rejects, has answered the question asked: the caller
+// still sees ErrNotFound or ErrFiltered, but neither is a failure of the
+// storage method. An attachment failing a modification is a veto.
+func (d dispatch) end(err error) {
+	took := time.Since(d.start)
+	if d.op == obs.OpFetch && (errors.Is(err, ErrNotFound) || errors.Is(err, ErrFiltered)) {
+		err = nil
 	}
-	return tr.StartSpan("att."+op.String(), name, op.String())
+	if d.via == viaSM {
+		d.r.env.Obs.SM.Observe(int(d.r.rd.SM), d.op, took, err != nil)
+		d.r.stat.observe(d.op, took, err != nil)
+	} else {
+		d.r.env.Obs.Att.Observe(int(d.via), d.op, took, err != nil)
+		if err != nil && d.op <= obs.OpDelete {
+			d.r.env.Obs.AttVetoes[d.via].Inc()
+			d.span.MarkVeto()
+		}
+	}
+	d.span.End(err)
 }
 
 // MarkLSN marks a statement-level rollback point: the transaction's last
@@ -290,7 +301,7 @@ type MarkLSN = wal.LSN
 // vetoed undoes the partial effects of the current relation modification
 // through the common recovery log and wraps the veto reason.
 func (r *Relation) vetoed(tx *txn.Txn, mark MarkLSN, extension string, reason error) error {
-	r.env.Metrics.Vetoes.Add(1)
+	r.env.vetoes.Inc()
 	if ve, ok := reason.(*VetoError); ok {
 		// A cascaded modification already vetoed and rolled back deeper
 		// effects; unwind the rest back to this statement's mark.
@@ -345,14 +356,9 @@ func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 			return nil, err
 		}
 	}
-	r.env.Metrics.Fetches.Add(1)
-	smSp := r.smSpan(tx, obs.OpFetch)
-	start := time.Now()
+	d := r.begin(tx, viaSM, obs.OpFetch)
 	rec, err := r.sm.FetchByKey(tx, key, fields, filter)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpFetch, d, err != nil)
-	r.stat.observe(obs.OpFetch, d, err != nil)
-	smSp.End(err)
+	d.end(err)
 	if err == nil {
 		r.chargeRead(tx, 1)
 	}
@@ -392,14 +398,9 @@ func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
 			return nil, err
 		}
 	}
-	r.env.Metrics.Scans.Add(1)
-	smSp := r.smSpan(tx, obs.OpScan)
-	start := time.Now()
+	d := r.begin(tx, viaSM, obs.OpScan)
 	s, err := r.sm.OpenScan(tx, opts)
-	d := time.Since(start)
-	r.env.Obs.SM.Observe(int(r.rd.SM), obs.OpScan, d, err != nil)
-	r.stat.observe(obs.OpScan, d, err != nil)
-	smSp.End(err)
+	d.end(err)
 	if err != nil {
 		return nil, err
 	}
@@ -433,12 +434,9 @@ func (r *Relation) OpenAccessScan(tx *txn.Txn, id AttID, instance int, opts Scan
 	if !ok {
 		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
 	}
-	r.env.Metrics.Scans.Add(1)
-	attSp := r.attSpan(tx, id, obs.OpScan)
-	start := time.Now()
+	d := r.begin(tx, id, obs.OpScan)
 	s, err := ap.OpenScan(tx, instance, opts)
-	r.env.Obs.Att.Observe(int(id), obs.OpScan, time.Since(start), err != nil)
-	attSp.End(err)
+	d.end(err)
 	if err != nil {
 		return nil, err
 	}
@@ -472,12 +470,9 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 	if !ok {
 		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
 	}
-	r.env.Metrics.Fetches.Add(1)
-	attSp := r.attSpan(tx, id, obs.OpLookup)
-	start := time.Now()
+	d := r.begin(tx, id, obs.OpLookup)
 	keys, err := ap.LookupByKey(tx, instance, key)
-	r.env.Obs.Att.Observe(int(id), obs.OpLookup, time.Since(start), err != nil)
-	attSp.End(err)
+	d.end(err)
 	if err == nil && r.lockFree(tx) {
 		if vs, ok := r.sm.(VersionedStorage); ok {
 			kept := keys[:0]
@@ -501,16 +496,13 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 type countedScan struct {
 	Scan
 	tx *txn.Txn
-	rs *RelStat
+	r  *Relation
 }
 
 func (s *countedScan) Next() (types.Key, types.Record, bool, error) {
 	key, rec, ok, err := s.Scan.Next()
 	if ok && err == nil {
-		if st := s.tx.Acct(); st != nil {
-			st.RowsRead.Add(1)
-			s.rs.RowsRead.Add(1)
-		}
+		s.r.chargeRead(s.tx, 1)
 	}
 	return key, rec, ok, err
 }
@@ -521,7 +513,7 @@ func (r *Relation) counted(tx *txn.Txn, s Scan) Scan {
 	if tx == nil {
 		return s
 	}
-	return &countedScan{Scan: s, tx: tx, rs: r.stat}
+	return &countedScan{Scan: s, tx: tx, r: r}
 }
 
 // snapFilterScan drops access-path entries that are not visible in the

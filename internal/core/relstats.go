@@ -16,18 +16,14 @@ import (
 // funnels through. Counters are atomics because relations are operated on
 // from many transactions concurrently and snapshotted by observers.
 type RelStat struct {
-	Inserts     atomic.Int64
-	Updates     atomic.Int64
-	Deletes     atomic.Int64
-	Fetches     atomic.Int64
-	Scans       atomic.Int64
+	Calls       [obs.OpScan + 1]atomic.Int64 // storage-method calls by operation, insert through scan
 	Errors      atomic.Int64
 	RowsRead    atomic.Int64
 	RowsWritten atomic.Int64
 	SMNanos     atomic.Int64 // cumulative storage-method dispatch time
 }
 
-// observe books one dispatch call. Gated on the same switch as the
+// observe books one storage-method call. Gated on the same switch as the
 // per-transaction ledgers so the SELFOBS benchmark measures the whole
 // accounting layer.
 func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
@@ -38,18 +34,7 @@ func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
 	if failed {
 		rs.Errors.Add(1)
 	}
-	switch op {
-	case obs.OpInsert:
-		rs.Inserts.Add(1)
-	case obs.OpUpdate:
-		rs.Updates.Add(1)
-	case obs.OpDelete:
-		rs.Deletes.Add(1)
-	case obs.OpFetch:
-		rs.Fetches.Add(1)
-	case obs.OpScan:
-		rs.Scans.Add(1)
-	}
+	rs.Calls[op].Add(1)
 }
 
 // RelStatRow is one sys.stat_relations row: a point-in-time copy of one
@@ -111,11 +96,11 @@ func (env *Env) RelStatRows() []RelStatRow {
 	for id, rs := range stats {
 		row := RelStatRow{
 			RelID:       id,
-			Inserts:     rs.Inserts.Load(),
-			Updates:     rs.Updates.Load(),
-			Deletes:     rs.Deletes.Load(),
-			Fetches:     rs.Fetches.Load(),
-			Scans:       rs.Scans.Load(),
+			Inserts:     rs.Calls[obs.OpInsert].Load(),
+			Updates:     rs.Calls[obs.OpUpdate].Load(),
+			Deletes:     rs.Calls[obs.OpDelete].Load(),
+			Fetches:     rs.Calls[obs.OpFetch].Load(),
+			Scans:       rs.Calls[obs.OpScan].Load(),
 			Errors:      rs.Errors.Load(),
 			RowsRead:    rs.RowsRead.Load(),
 			RowsWritten: rs.RowsWritten.Load(),

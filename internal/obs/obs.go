@@ -16,6 +16,8 @@ package obs
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -38,24 +40,14 @@ const (
 	NumOps
 )
 
+var opNames = [NumOps]string{"insert", "update", "delete", "fetch", "scan", "lookup"}
+
 // String returns the operation name.
 func (o Op) String() string {
-	switch o {
-	case OpInsert:
-		return "insert"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	case OpFetch:
-		return "fetch"
-	case OpScan:
-		return "scan"
-	case OpLookup:
-		return "lookup"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
+	if o < NumOps {
+		return opNames[o]
 	}
+	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // Counter is a lock-free monotonic counter.
@@ -76,36 +68,30 @@ type Gauge struct {
 	max atomic.Int64
 }
 
-// Inc raises the gauge, updating the high-water mark. The mark is
-// maintained by a CAS loop over the value returned by the counter add, so
-// concurrent Incs cannot lose a peak: every thread retries until the mark
-// is at least the value it personally observed, and the mark ends at the
-// largest value any thread saw.
-func (g *Gauge) Inc() {
-	n := g.v.Add(1)
+// raise lifts the high-water mark to at least n. It is a CAS loop, so
+// concurrent raisers cannot lose a peak: every thread retries until the
+// mark is at least the value it personally observed, and the mark ends at
+// the largest value any thread saw.
+func raise(mark *atomic.Int64, n int64) {
 	for {
-		m := g.max.Load()
-		if n <= m || g.max.CompareAndSwap(m, n) {
+		m := mark.Load()
+		if n <= m || mark.CompareAndSwap(m, n) {
 			return
 		}
 	}
 }
 
+// Inc raises the gauge by one, updating the high-water mark.
+func (g *Gauge) Inc() { g.Add(1) }
+
 // Dec lowers the gauge.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Add moves the gauge by d (either direction), maintaining the high-water
-// mark with the same CAS loop as Inc when the move raises the value.
+// Add moves the gauge by d (either direction), raising the high-water
+// mark to the value returned by the counter add when the move is upward.
 func (g *Gauge) Add(d int64) {
-	n := g.v.Add(d)
-	if d <= 0 {
-		return
-	}
-	for {
-		m := g.max.Load()
-		if n <= m || g.max.CompareAndSwap(m, n) {
-			return
-		}
+	if n := g.v.Add(d); d > 0 {
+		raise(&g.max, n)
 	}
 }
 
@@ -168,12 +154,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	n := d.Nanoseconds()
 	h.count.Add(1)
 	h.sum.Add(n)
-	for {
-		m := h.max.Load()
-		if n <= m || h.max.CompareAndSwap(m, n) {
-			break
-		}
-	}
+	raise(&h.max, n)
 	h.buckets[bucketFor(d)].Add(1)
 }
 
@@ -274,14 +255,6 @@ func (v *Vector) Observe(id int, op Op, d time.Duration, failed bool) {
 		return
 	}
 	v.stats[id][op].Observe(d, failed)
-}
-
-// At returns the stat cell for (id, op) (nil when out of range).
-func (v *Vector) At(id int, op Op) *OpStat {
-	if id < 0 || id >= MaxExt || op >= NumOps {
-		return nil
-	}
-	return &v.stats[id][op]
 }
 
 // LockStats instruments the common lock manager.
@@ -397,15 +370,32 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Snapshot is the JSON-marshalable view of an Engine. Extension entries
 // appear only for identifiers with recorded activity.
+//
+// A snapshot field is also the one declaration of the metric it holds: its
+// tags say how Engine.Snapshot fills it and how Families exposes it, so
+// /metrics, sys.stat_metrics and this JSON document cannot disagree
+// (DESIGN.md, "Adding a metric", has the recipe and examples).
+//
+//	metric:"NAME [LABEL=VALUE]"  family name; NAME ending in _total is a counter, a
+//	                             HistogramSnapshot a histogram, else a gauge; fields
+//	                             sharing NAME are one family told apart by the label
+//	help:"TEXT"                  the family's HELP line (on its first field)
+//	from:"FIELD[.Max]"           the live field if not of the same name; .Max reads
+//	                             a Gauge's high-water mark
+//	ratio:"A/B[+C]"              not stored live: snapshot field A over B (+ C) of
+//	                             the same struct, 0 while the divisor is 0
+//	vetoes:"FIELD"               on a dispatch vector: the live per-extension veto
+//	                             counters, exposed as NAME_vetoes_total
+//	after:"FIELD"                exposed after sibling FIELD, not in declared order
 type Snapshot struct {
-	SM     []ExtSnapshot  `json:"storage_methods"`
-	Att    []ExtSnapshot  `json:"attachments"`
+	SM     []ExtSnapshot  `json:"storage_methods" metric:"sm" help:"storage-method dispatch"`
+	Att    []ExtSnapshot  `json:"attachments" metric:"att" help:"attachment dispatch" vetoes:"AttVetoes"`
 	Lock   LockSnapshot   `json:"lock"`
 	WAL    WALSnapshot    `json:"wal"`
 	Buffer BufferSnapshot `json:"buffer"`
 	MVCC   MVCCSnapshot   `json:"mvcc"`
 	LSM    LSMSnapshot    `json:"lsm"`
-	Plan   PlanSnapshot   `json:"plan"`
+	Plan   PlanSnapshot   `json:"plan" after:"Txn"` // /metrics has always listed txn ahead of plan
 	Txn    TxnSnapshot    `json:"txn"`
 	Part   PartSnapshot   `json:"part"`
 }
@@ -430,96 +420,96 @@ type OpSnapshot struct {
 
 // LockSnapshot is the lock-manager view.
 type LockSnapshot struct {
-	Requests      int64             `json:"requests"`
-	Waits         int64             `json:"waits"`
-	Deadlocks     int64             `json:"deadlocks"`
-	Waiting       int64             `json:"waiting"`
-	MaxQueueDepth int64             `json:"max_queue_depth"`
-	WaitTime      HistogramSnapshot `json:"wait_time"`
+	Requests      int64             `json:"requests" metric:"lock_requests_total" help:"lock manager Acquire and TryAcquire calls"`
+	Waits         int64             `json:"waits" metric:"lock_waits_total" help:"lock requests that blocked"`
+	Deadlocks     int64             `json:"deadlocks" metric:"lock_deadlocks_total" help:"lock requests refused as deadlock victims"`
+	Waiting       int64             `json:"waiting" metric:"lock_waiting" help:"transactions currently blocked on a lock" from:"Queue"`
+	MaxQueueDepth int64             `json:"max_queue_depth" metric:"lock_queue_depth_max" help:"high-water mark of concurrently blocked transactions" from:"Queue.Max"`
+	WaitTime      HistogramSnapshot `json:"wait_time" metric:"lock_wait_seconds" help:"time spent blocked on lock acquisition"`
 }
 
 // WALSnapshot is the recovery-log view. CommitsPerFsync is the group-commit
 // batching ratio: commit syncs served per leader fsync round (> 1 means
 // concurrent commits shared fsyncs).
 type WALSnapshot struct {
-	Appends         int64   `json:"appends"`
-	AppendBytes     int64   `json:"append_bytes"`
-	Syncs           int64   `json:"syncs"`
-	Rollbacks       int64   `json:"rollbacks"`
-	Checkpoints     int64   `json:"checkpoints"`
-	RedoRecords     int64   `json:"redo_records"`
-	GroupCommits    int64   `json:"group_commits"`
-	GroupBatches    int64   `json:"group_batches"`
-	ForcedSyncs     int64   `json:"forced_syncs"`
-	CommitsPerFsync float64 `json:"commits_per_fsync"`
+	Appends         int64   `json:"appends" metric:"wal_appends_total" help:"recovery-log records written"`
+	AppendBytes     int64   `json:"append_bytes" metric:"wal_append_bytes_total" help:"recovery-log payload bytes appended"`
+	Syncs           int64   `json:"syncs" metric:"wal_syncs_total" help:"recovery-log backing-file fsyncs"`
+	Rollbacks       int64   `json:"rollbacks" metric:"wal_rollbacks_total" help:"log-driven rollbacks (veto, savepoint, abort)"`
+	Checkpoints     int64   `json:"checkpoints" metric:"wal_checkpoints_total" help:"completed checkpoints"`
+	RedoRecords     int64   `json:"redo_records" metric:"wal_redo_records_total" help:"records dispatched to redo during restart recovery"`
+	GroupCommits    int64   `json:"group_commits" metric:"wal_group_commits_total" help:"commit syncs served by group commit"`
+	GroupBatches    int64   `json:"group_batches" metric:"wal_group_batches_total" help:"fsync rounds driven by the group-commit leader"`
+	ForcedSyncs     int64   `json:"forced_syncs" metric:"wal_forced_syncs_total" help:"WAL-before-data forces from the buffer pool"`
+	CommitsPerFsync float64 `json:"commits_per_fsync" metric:"wal_commits_per_fsync" help:"group-commit batching ratio" ratio:"GroupCommits/GroupBatches"`
 }
 
 // MVCCSnapshot is the snapshot-read view.
 type MVCCSnapshot struct {
-	SnapshotReads   int64 `json:"snapshot_reads"`
-	ChainWalks      int64 `json:"chain_walks"`
-	Reconstructions int64 `json:"reconstructions"`
-	Pruned          int64 `json:"pruned"`
-	Frozen          int64 `json:"frozen"`
+	SnapshotReads   int64 `json:"snapshot_reads" metric:"mvcc_snapshot_reads_total" help:"lock-free fetches and scans by snapshot transactions"`
+	ChainWalks      int64 `json:"chain_walks" metric:"mvcc_chain_walks_total" help:"version-chain walks past an invisible head"`
+	Reconstructions int64 `json:"reconstructions" metric:"mvcc_reconstructions_total" help:"record versions rebuilt from WAL records"`
+	Pruned          int64 `json:"pruned" metric:"mvcc_pruned_total" help:"version-chain entries pruned below the oldest snapshot"`
+	Frozen          int64 `json:"frozen" metric:"mvcc_frozen_total" help:"version chains retired by checkpoint freezes"`
 }
 
 // LSMSnapshot is the tiered-ingest storage-method view. BloomSkipRatio is
 // the fraction of per-run probes the filters answered without a search.
 type LSMSnapshot struct {
-	Flushes             int64   `json:"flushes"`
-	FlushedEntries      int64   `json:"flushed_entries"`
-	Compactions         int64   `json:"compactions"`
-	CompactedRuns       int64   `json:"compacted_runs"`
-	TombstonesDropped   int64   `json:"tombstones_dropped"`
-	BloomProbes         int64   `json:"bloom_probes"`
-	BloomSkips          int64   `json:"bloom_skips"`
-	BloomFalsePositives int64   `json:"bloom_false_positives"`
-	BloomSkipRatio      float64 `json:"bloom_skip_ratio"`
-	MemtableBytes       int64   `json:"memtable_bytes"`
-	MemtableBytesMax    int64   `json:"memtable_bytes_max"`
-	Runs                int64   `json:"runs"`
-	RunsMax             int64   `json:"runs_max"`
+	Flushes             int64   `json:"flushes" metric:"lsm_flushes_total" help:"LSM memtables sealed into sorted runs"`
+	FlushedEntries      int64   `json:"flushed_entries" metric:"lsm_flushed_entries_total" help:"entries moved out of LSM memtables by flushes"`
+	Compactions         int64   `json:"compactions" metric:"lsm_compactions_total" help:"LSM run-merge rounds installed"`
+	CompactedRuns       int64   `json:"compacted_runs" metric:"lsm_compacted_runs_total" help:"input runs consumed by LSM merges"`
+	TombstonesDropped   int64   `json:"tombstones_dropped" metric:"lsm_tombstones_dropped_total" help:"delete markers retired by full-depth LSM merges"`
+	BloomProbes         int64   `json:"bloom_probes" metric:"lsm_bloom_probes_total" help:"runs consulted by LSM direct-by-key lookups"`
+	BloomSkips          int64   `json:"bloom_skips" metric:"lsm_bloom_skips_total" help:"runs skipped by their bloom filter"`
+	BloomFalsePositives int64   `json:"bloom_false_positives" metric:"lsm_bloom_false_positives_total" help:"bloom passes that then found no key"`
+	BloomSkipRatio      float64 `json:"bloom_skip_ratio" metric:"lsm_bloom_skip_ratio" help:"fraction of per-run probes answered by the bloom filter" ratio:"BloomSkips/BloomProbes"`
+	MemtableBytes       int64   `json:"memtable_bytes" metric:"lsm_memtable_bytes" help:"resident LSM memtable payload bytes"`
+	MemtableBytesMax    int64   `json:"memtable_bytes_max" metric:"lsm_memtable_bytes_max" help:"high-water mark of resident LSM memtable bytes" from:"MemtableBytes.Max"`
+	Runs                int64   `json:"runs" metric:"lsm_runs" help:"resident LSM sorted runs"`
+	RunsMax             int64   `json:"runs_max" metric:"lsm_runs_max" help:"high-water mark of resident LSM sorted runs" from:"Runs.Max"`
 }
 
 // PlanSnapshot is the parallel-execution view of the query planner.
 type PlanSnapshot struct {
-	ParallelScans int64 `json:"parallel_scans"`
-	HashJoins     int64 `json:"hash_joins"`
-	Workers       int64 `json:"workers"`
-	WorkersMax    int64 `json:"workers_max"`
-	WorkerRows    int64 `json:"worker_rows"`
+	ParallelScans int64 `json:"parallel_scans" metric:"plan_parallel_scans_total" help:"partitioned parallel scans opened by the planner"`
+	HashJoins     int64 `json:"hash_joins" metric:"plan_hash_joins_total" help:"hash joins chosen over nested loops"`
+	Workers       int64 `json:"workers" metric:"plan_workers" help:"parallel scan/build workers currently running"`
+	WorkersMax    int64 `json:"workers_max" metric:"plan_workers_max" help:"high-water mark of concurrent parallel workers" from:"Workers.Max"`
+	WorkerRows    int64 `json:"worker_rows" metric:"plan_worker_rows_total" help:"rows produced inside parallel workers"`
 }
 
 // TxnSnapshot is the transaction-lifecycle view.
 type TxnSnapshot struct {
-	CommitsWrite    int64 `json:"commits_write"`
-	CommitsReadOnly int64 `json:"commits_readonly"`
-	Aborts          int64 `json:"aborts"`
-	LockWaitNanos   int64 `json:"lock_wait_nanos"`
-	WALBytes        int64 `json:"wal_bytes"`
-	RowsRead        int64 `json:"rows_read"`
-	RowsWritten     int64 `json:"rows_written"`
+	CommitsWrite    int64 `json:"commits_write" metric:"txn_commits_total mode=write" help:"committed transactions by mode"`
+	CommitsReadOnly int64 `json:"commits_readonly" metric:"txn_commits_total mode=readonly"`
+	Aborts          int64 `json:"aborts" metric:"txn_aborts_total" help:"aborted transactions (incl. commit failures)"`
+	LockWaitNanos   int64 `json:"lock_wait_nanos" metric:"txn_lock_wait_nanos_total" help:"cumulative per-transaction lock-wait time"`
+	WALBytes        int64 `json:"wal_bytes" metric:"txn_wal_bytes_total" help:"WAL payload bytes charged to finished transactions"`
+	RowsRead        int64 `json:"rows_read" metric:"txn_rows_read_total" help:"rows returned to finished transactions"`
+	RowsWritten     int64 `json:"rows_written" metric:"txn_rows_written_total" help:"rows modified by finished transactions"`
 }
 
 // PartSnapshot is the partitioned storage-method view.
 type PartSnapshot struct {
-	RoutedReads  int64 `json:"routed_reads"`
-	RoutedScans  int64 `json:"routed_scans"`
-	ScatterScans int64 `json:"scatter_scans"`
-	Prepares     int64 `json:"prepares"`
-	Commits      int64 `json:"commits"`
-	Aborts       int64 `json:"aborts"`
-	AckLost      int64 `json:"ack_lost"`
-	Resolved     int64 `json:"resolved"`
+	RoutedReads  int64 `json:"routed_reads" metric:"part_routed_reads_total" help:"point reads routed to exactly one shard"`
+	RoutedScans  int64 `json:"routed_scans" metric:"part_routed_scans_total" help:"single-key scan ranges routed to one shard"`
+	ScatterScans int64 `json:"scatter_scans" metric:"part_scatter_scans_total" help:"scans fanned out across every shard"`
+	Prepares     int64 `json:"prepares" metric:"part_prepares_total" help:"shard prepare requests sent (2PC phase one)"`
+	Commits      int64 `json:"commits" metric:"part_commits_total" help:"shard commit decisions delivered (2PC phase two)"`
+	Aborts       int64 `json:"aborts" metric:"part_aborts_total" help:"shard abort decisions delivered"`
+	AckLost      int64 `json:"ack_lost" metric:"part_ack_lost_total" help:"shard decision deliveries whose acknowledgement was lost"`
+	Resolved     int64 `json:"resolved" metric:"part_resolved_total" help:"in-doubt shard transactions resolved at recovery"`
 }
 
 // BufferSnapshot is the buffer-pool view.
 type BufferSnapshot struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	Flushes   int64   `json:"flushes"`
-	HitRatio  float64 `json:"hit_ratio"`
+	Hits      int64   `json:"hits" metric:"buffer_hits_total" help:"buffer pool page hits"`
+	Misses    int64   `json:"misses" metric:"buffer_misses_total" help:"buffer pool page misses"`
+	Evictions int64   `json:"evictions" metric:"buffer_evictions_total" help:"buffer pool frame evictions"`
+	Flushes   int64   `json:"flushes" metric:"buffer_flushes_total" help:"dirty pages written back by FlushAll"`
+	HitRatio  float64 `json:"hit_ratio" metric:"buffer_hit_ratio" help:"buffer pool hit ratio" ratio:"Hits/Hits+Misses"`
 }
 
 func snapshotVector(v *Vector, vetoes *[MaxExt]Counter) []ExtSnapshot {
@@ -554,96 +544,57 @@ func snapshotVector(v *Vector, vetoes *[MaxExt]Counter) []ExtSnapshot {
 // concurrent recording; the result is a consistent-enough point-in-time
 // view (individual values are exact, cross-value skew is possible).
 func (e *Engine) Snapshot() Snapshot {
-	hits, misses := e.Buffer.Hits.Load(), e.Buffer.Misses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	commitsPerFsync := 0.0
-	if b := e.WAL.GroupBatches.Load(); b > 0 {
-		commitsPerFsync = float64(e.WAL.GroupCommits.Load()) / float64(b)
-	}
-	bloomSkipRatio := 0.0
-	if probes := e.LSM.BloomProbes.Load(); probes > 0 {
-		bloomSkipRatio = float64(e.LSM.BloomSkips.Load()) / float64(probes)
-	}
-	return Snapshot{
-		SM:  snapshotVector(&e.SM, nil),
-		Att: snapshotVector(&e.Att, &e.AttVetoes),
-		Lock: LockSnapshot{
-			Requests:      e.Lock.Requests.Load(),
-			Waits:         e.Lock.Waits.Load(),
-			Deadlocks:     e.Lock.Deadlocks.Load(),
-			Waiting:       e.Lock.Queue.Load(),
-			MaxQueueDepth: e.Lock.Queue.Max(),
-			WaitTime:      e.Lock.WaitTime.Snapshot(),
-		},
-		WAL: WALSnapshot{
-			Appends:         e.WAL.Appends.Load(),
-			AppendBytes:     e.WAL.AppendBytes.Load(),
-			Syncs:           e.WAL.Syncs.Load(),
-			Rollbacks:       e.WAL.Rollbacks.Load(),
-			Checkpoints:     e.WAL.Checkpoints.Load(),
-			RedoRecords:     e.WAL.RedoRecords.Load(),
-			GroupCommits:    e.WAL.GroupCommits.Load(),
-			GroupBatches:    e.WAL.GroupBatches.Load(),
-			ForcedSyncs:     e.WAL.ForcedSyncs.Load(),
-			CommitsPerFsync: commitsPerFsync,
-		},
-		Buffer: BufferSnapshot{
-			Hits:      hits,
-			Misses:    misses,
-			Evictions: e.Buffer.Evictions.Load(),
-			Flushes:   e.Buffer.Flushes.Load(),
-			HitRatio:  ratio,
-		},
-		MVCC: MVCCSnapshot{
-			SnapshotReads:   e.MVCC.SnapshotReads.Load(),
-			ChainWalks:      e.MVCC.ChainWalks.Load(),
-			Reconstructions: e.MVCC.Reconstructions.Load(),
-			Pruned:          e.MVCC.Pruned.Load(),
-			Frozen:          e.MVCC.Frozen.Load(),
-		},
-		LSM: LSMSnapshot{
-			Flushes:             e.LSM.Flushes.Load(),
-			FlushedEntries:      e.LSM.FlushedEntries.Load(),
-			Compactions:         e.LSM.Compactions.Load(),
-			CompactedRuns:       e.LSM.CompactedRuns.Load(),
-			TombstonesDropped:   e.LSM.TombstonesDropped.Load(),
-			BloomProbes:         e.LSM.BloomProbes.Load(),
-			BloomSkips:          e.LSM.BloomSkips.Load(),
-			BloomFalsePositives: e.LSM.BloomFalsePositives.Load(),
-			BloomSkipRatio:      bloomSkipRatio,
-			MemtableBytes:       e.LSM.MemtableBytes.Load(),
-			MemtableBytesMax:    e.LSM.MemtableBytes.Max(),
-			Runs:                e.LSM.Runs.Load(),
-			RunsMax:             e.LSM.Runs.Max(),
-		},
-		Plan: PlanSnapshot{
-			ParallelScans: e.Plan.ParallelScans.Load(),
-			HashJoins:     e.Plan.HashJoins.Load(),
-			Workers:       e.Plan.Workers.Load(),
-			WorkersMax:    e.Plan.Workers.Max(),
-			WorkerRows:    e.Plan.WorkerRows.Load(),
-		},
-		Txn: TxnSnapshot{
-			CommitsWrite:    e.Txn.CommitsWrite.Load(),
-			CommitsReadOnly: e.Txn.CommitsReadOnly.Load(),
-			Aborts:          e.Txn.Aborts.Load(),
-			LockWaitNanos:   e.Txn.LockWaitNanos.Load(),
-			WALBytes:        e.Txn.WALBytes.Load(),
-			RowsRead:        e.Txn.RowsRead.Load(),
-			RowsWritten:     e.Txn.RowsWritten.Load(),
-		},
-		Part: PartSnapshot{
-			RoutedReads:  e.Part.RoutedReads.Load(),
-			RoutedScans:  e.Part.RoutedScans.Load(),
-			ScatterScans: e.Part.ScatterScans.Load(),
-			Prepares:     e.Part.Prepares.Load(),
-			Commits:      e.Part.Commits.Load(),
-			Aborts:       e.Part.Aborts.Load(),
-			AckLost:      e.Part.AckLost.Load(),
-			Resolved:     e.Part.Resolved.Load(),
-		},
+	var s Snapshot
+	fill(reflect.ValueOf(&s).Elem(), reflect.ValueOf(e).Elem())
+	return s
+}
+
+// fill loads the snapshot struct dst from the live struct beside it, field
+// by field as the tags on Snapshot describe. A snapshot field without a
+// live source is a programming error and panics on the first snapshot.
+func fill(dst, live reflect.Value) {
+	t := dst.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, out := t.Field(i), dst.Field(i)
+		if ratio, ok := f.Tag.Lookup("ratio"); ok {
+			over, under, _ := strings.Cut(ratio, "/")
+			var sum int64
+			for _, name := range strings.Split(under, "+") {
+				sum += dst.FieldByName(name).Int()
+			}
+			if sum > 0 {
+				out.SetFloat(float64(dst.FieldByName(over).Int()) / float64(sum))
+			}
+			continue
+		}
+		from, ok := f.Tag.Lookup("from")
+		if !ok {
+			from = f.Name
+		}
+		from, highWater := strings.CutSuffix(from, ".Max")
+		src := live.FieldByName(from)
+		if !src.IsValid() {
+			panic(fmt.Sprintf("obs: %s.%s has no live field %s.%s", t.Name(), f.Name, live.Type().Name(), from))
+		}
+		switch m := src.Addr().Interface().(type) {
+		case *Counter:
+			out.SetInt(m.Load())
+		case *Gauge:
+			if highWater {
+				out.SetInt(m.Max())
+			} else {
+				out.SetInt(m.Load())
+			}
+		case *Histogram:
+			out.Set(reflect.ValueOf(m.Snapshot()))
+		case *Vector:
+			var vetoes *[MaxExt]Counter
+			if name, ok := f.Tag.Lookup("vetoes"); ok {
+				vetoes = live.FieldByName(name).Addr().Interface().(*[MaxExt]Counter)
+			}
+			out.Set(reflect.ValueOf(snapshotVector(m, vetoes)))
+		default:
+			fill(out, src)
+		}
 	}
 }

@@ -169,7 +169,7 @@ func TestWritePrometheusValid(t *testing.T) {
 	snap.Att[0].Name = `ref"int\idx` // label escaping must hold
 
 	var b strings.Builder
-	if err := WritePrometheus(&b, snap); err != nil {
+	if err := WritePrometheus(&b, Families(snap)); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -213,7 +213,7 @@ func TestWritePrometheusLSMFamilies(t *testing.T) {
 		t.Fatalf("bloom skip ratio = %v, want 0.75", snap.LSM.BloomSkipRatio)
 	}
 	var b strings.Builder
-	if err := WritePrometheus(&b, snap); err != nil {
+	if err := WritePrometheus(&b, Families(snap)); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -240,7 +240,7 @@ func TestWritePrometheusLSMFamilies(t *testing.T) {
 
 func TestWritePrometheusEmptyEngine(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, NewEngine().Snapshot()); err != nil {
+	if err := WritePrometheus(&b, Families(NewEngine().Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	validatePrometheus(t, b.String())
@@ -257,7 +257,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWritePrometheusPropagatesWriteError(t *testing.T) {
-	if err := WritePrometheus(&failWriter{after: 3}, NewEngine().Snapshot()); err == nil {
+	if err := WritePrometheus(&failWriter{after: 3}, Families(NewEngine().Snapshot())); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }

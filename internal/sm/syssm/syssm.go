@@ -58,6 +58,7 @@ var views = []view{
 	{"sys.stat_buffer", bufferSchema, bufferRows},
 	{"sys.stat_traces", tracesSchema, tracesRows},
 	{"sys.stat_shards", shardsSchema, shardsRows},
+	{"sys.stat_metrics", metricsSchema, metricsRows},
 }
 
 func init() {
@@ -579,6 +580,30 @@ func tracesRows(env *core.Env) ([]types.Record, error) {
 			types.Str(t.Root.Name),
 			types.Int(t.Root.DurNanos),
 		})
+	}
+	return rows, nil
+}
+
+// ---- sys.stat_metrics ----
+
+var metricsSchema = types.MustSchema(
+	types.Column{Name: "name", Kind: types.KindString, NotNull: true},
+	types.Column{Name: "kind", Kind: types.KindString, NotNull: true},
+	types.Column{Name: "labels", Kind: types.KindString, NotNull: true},
+	types.Column{Name: "value", Kind: types.KindFloat, NotNull: true},
+)
+
+// metricsRows serves the list /metrics renders, one row per sample; a
+// histogram is its _sum and _count rows (the buckets stay on /metrics).
+func metricsRows(env *core.Env) ([]types.Record, error) {
+	var rows []types.Record
+	for _, f := range env.MetricFamilies() {
+		for _, s := range f.Samples {
+			if f.Kind == "histogram" && strings.HasSuffix(s.Name, "_bucket") {
+				continue
+			}
+			rows = append(rows, types.Record{types.Str(s.Name), types.Str(f.Kind), types.Str(s.Labels), types.Float(s.Value)})
+		}
 	}
 	return rows, nil
 }

@@ -77,6 +77,7 @@ func TestSystemRelationsInstalled(t *testing.T) {
 	for _, name := range []string{
 		"sys.stat_activity", "sys.stat_history", "sys.stat_relations",
 		"sys.stat_locks", "sys.stat_lsm", "sys.stat_buffer", "sys.stat_traces",
+		"sys.stat_shards", "sys.stat_metrics",
 	} {
 		rd, ok := env.Cat.ByName(name)
 		if !ok {
@@ -478,6 +479,88 @@ func TestDebugStatEndpoint(t *testing.T) {
 	}
 	if code, _ := get("/stat/bogus"); code != http.StatusNotFound {
 		t.Fatal("unknown view did not 404")
+	}
+}
+
+// TestStatMetricsIsTheMetricsEndpoint: sys.stat_metrics and /metrics are
+// two renderings of one walk, so every sample line of the endpoint (the
+// histogram buckets apart) is a row of the view, name and labels alike,
+// through SQL, the scan path and /stat/metrics — with no metric named in
+// syssm.
+func TestStatMetricsIsTheMetricsEndpoint(t *testing.T) {
+	env := newEnv(t)
+	sess := ddl.NewSession(env)
+	for _, stmt := range []string{
+		"CREATE TABLE t (id INT NOT NULL, v STRING)",
+		"INSERT INTO t VALUES (1, 'a'), (2, 'b')",
+		"SELECT v FROM t WHERE id = 2",
+	} {
+		if _, err := sess.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	res, err := sess.Exec("SELECT value FROM sys.stat_metrics WHERE name = 'dmx_lock_waits_total'")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].F != 0 {
+		t.Fatalf("lock waits through SQL: %+v, %v", res, err)
+	}
+	res, err = sess.Exec("SELECT value FROM sys.stat_metrics WHERE name = 'dmx_sm_ops_total' AND labels = 'id=\"2\",ext=\"heap\",op=\"insert\"'")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].F != 2 {
+		t.Fatalf("heap inserts through SQL: %+v, %v", res, err)
+	}
+
+	addr, err := env.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	get := func(path string) string {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d: %s", path, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	endpoint := map[string]bool{}
+	for _, line := range strings.Split(get("/metrics"), "\n") {
+		series, _, ok := strings.Cut(line, " ")
+		if ok && !strings.HasPrefix(line, "#") && !strings.Contains(series, "_bucket{") {
+			endpoint[series] = true
+		}
+	}
+	rows := scanView(t, env, "sys.stat_metrics")
+	for _, r := range rows {
+		series := r[0].S
+		if r[2].S != "" {
+			series += "{" + r[2].S + "}"
+		}
+		if !endpoint[series] {
+			t.Errorf("row %s (%s) is not a /metrics sample", series, r[1].S)
+		}
+		delete(endpoint, series)
+	}
+	for series := range endpoint {
+		t.Errorf("/metrics sample %s has no sys.stat_metrics row", series)
+	}
+	for _, prefix := range []string{"dmx_sm_", "dmx_att_", "dmx_lock_", "dmx_wal_", "dmx_buffer_", "dmx_mvcc_",
+		"dmx_lsm_", "dmx_txn_", "dmx_plan_", "dmx_part_", "dmx_trace_"} {
+		found := false
+		for _, r := range rows {
+			found = found || strings.HasPrefix(r[0].S, prefix)
+		}
+		if !found && prefix != "dmx_att_" { // no attachment on t: the att families have headers but no samples
+			t.Errorf("no sys.stat_metrics row under %s", prefix)
+		}
+	}
+	var served struct {
+		Rows []map[string]any `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(get("/stat/metrics")), &served); err != nil || len(served.Rows) < len(rows) {
+		t.Fatalf("/stat/metrics: %d rows, %v", len(served.Rows), err)
 	}
 }
 

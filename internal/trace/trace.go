@@ -343,13 +343,15 @@ type Config struct {
 	SlowLog io.Writer
 }
 
-// Stats counts tracer activity.
+// Stats is the tracer's activity, tagged like an obs.Snapshot section so
+// obs.Families exposes it beside the engine's metrics.
 type Stats struct {
-	Started   int64 `json:"started"`   // transactions given a trace
-	Sampled   int64 `json:"sampled"`   // transactions with detailed spans
-	Completed int64 `json:"completed"` // traces pushed to the ring
-	SlowSpans int64 `json:"slow_spans"`
-	SlowTxns  int64 `json:"slow_txns"`
+	SampleRate float64 `json:"sample_rate" metric:"trace_sample_rate" help:"fraction of transactions carrying a detailed span trace"`
+	Started    int64   `json:"started" metric:"trace_txns_started_total" help:"transactions given a trace"`
+	Sampled    int64   `json:"sampled" metric:"trace_txns_sampled_total" help:"transactions with detailed span trees"`
+	Completed  int64   `json:"completed" metric:"trace_txns_completed_total" help:"traces pushed to the completed-trace ring"`
+	SlowSpans  int64   `json:"slow_spans" metric:"trace_slow_spans_total" help:"spans that exceeded the slow threshold"`
+	SlowTxns   int64   `json:"slow_txns" metric:"trace_slow_txns_total" help:"transactions that exceeded the slow threshold"`
 }
 
 // Tracer owns sampling, the completed-trace ring, and the slow-event log.
@@ -594,11 +596,12 @@ func (tr *Tracer) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Started:   tr.started.Load(),
-		Sampled:   tr.sampled.Load(),
-		Completed: tr.completed.Load(),
-		SlowSpans: tr.slowSpans.Load(),
-		SlowTxns:  tr.slowTxns.Load(),
+		SampleRate: tr.SampleRate(),
+		Started:    tr.started.Load(),
+		Sampled:    tr.sampled.Load(),
+		Completed:  tr.completed.Load(),
+		SlowSpans:  tr.slowSpans.Load(),
+		SlowTxns:   tr.slowTxns.Load(),
 	}
 }
 
@@ -609,5 +612,5 @@ func (tr *Tracer) String() string {
 	}
 	s := tr.Stats()
 	return fmt.Sprintf("trace: sample=%.4g slow>%s started=%d sampled=%d completed=%d slow_spans=%d slow_txns=%d",
-		tr.SampleRate(), tr.SlowThreshold(), s.Started, s.Sampled, s.Completed, s.SlowSpans, s.SlowTxns)
+		s.SampleRate, tr.SlowThreshold(), s.Started, s.Sampled, s.Completed, s.SlowSpans, s.SlowTxns)
 }
