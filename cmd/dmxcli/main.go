@@ -141,7 +141,7 @@ func command(env *dmx.Env, session *dmx.Session, w io.Writer, stmt string) error
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "debug server on http://%s (/metrics /traces /healthz)\n", addr)
+		fmt.Fprintf(w, "debug server on http://%s (/metrics /traces /healthz /debug/pprof/)\n", addr)
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q (try \\help)", fields[0])
@@ -156,7 +156,9 @@ const helpText = `shell commands:
   \top [N]         top transactions by lock wait (default 10)
   \metrics         engine counters as JSON
   \trace ...       transaction tracer (\trace on|off|show)
-  \serve ADDR      start the debug HTTP server
+  \serve ADDR      start the debug HTTP server (/metrics, /traces,
+                   /stat/<view>, /healthz, and Go profiles under
+                   /debug/pprof/ for 'go tool pprof')
 SQL statements run as typed; a trailing \ continues on the next line.
 `
 

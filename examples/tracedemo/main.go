@@ -1,9 +1,9 @@
 // Command tracedemo exercises the engine's observability surface end to
 // end: it opens a fully-sampled database with a slow-span threshold, runs
 // a small workload whose constraint attachment vetoes one insert, starts
-// the debug HTTP server, and then reads its own /metrics, /traces, and
-// /healthz endpoints — the same ones an operator would point a browser or
-// a Prometheus scraper at. It exits non-zero if any endpoint misbehaves,
+// the debug HTTP server, and then reads its own /metrics, /traces,
+// /healthz and /debug/pprof/heap endpoints — the same ones an operator
+// would point a browser, a Prometheus scraper or `go tool pprof` at. It exits non-zero if any endpoint misbehaves,
 // so `make trace-demo` doubles as a smoke test.
 package main
 
@@ -96,6 +96,12 @@ func main() {
 	if !strings.Contains(health, `"ok": true`) {
 		log.Fatal("healthz reports unhealthy")
 	}
+
+	heap := get(addr, "/debug/pprof/heap?debug=1")
+	if !strings.HasPrefix(heap, "heap profile:") {
+		log.Fatalf("bad /debug/pprof/heap response: %.200s", heap)
+	}
+	fmt.Printf("\n== /debug/pprof/heap?debug=1 ==\n%s\n", heap[:strings.IndexByte(heap, '\n')])
 }
 
 func must(res *dmx.Result, err error) {

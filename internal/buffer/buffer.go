@@ -210,16 +210,16 @@ func (p *Pool) NewPage() (*Frame, error) {
 		sh := p.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		if len(sh.frames) >= sh.cap {
-			if err := p.evictLocked(sh); err != nil {
-				return nil, err
-			}
+		buf, err := p.bufferLocked(sh)
+		if err != nil {
+			return nil, err
 		}
 		id, err := p.disk.Allocate()
 		if err != nil {
 			return nil, err
 		}
-		f := &Frame{ID: id, Data: make([]byte, pagefile.PageSize), pins: 1, dirty: true}
+		clear(buf)
+		f := &Frame{ID: id, Data: buf, pins: 1, dirty: true}
 		sh.frames[id] = f
 		return f, nil
 	}
@@ -231,15 +231,15 @@ func (p *Pool) NewPage() (*Frame, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.frames) >= sh.cap {
-		if err := p.evictLocked(sh); err != nil {
-			p.strandMu.Lock()
-			p.stranded = append(p.stranded, id)
-			p.strandMu.Unlock()
-			return nil, err
-		}
+	buf, err := p.bufferLocked(sh)
+	if err != nil {
+		p.strandMu.Lock()
+		p.stranded = append(p.stranded, id)
+		p.strandMu.Unlock()
+		return nil, err
 	}
-	f := &Frame{ID: id, Data: make([]byte, pagefile.PageSize), pins: 1, dirty: true}
+	clear(buf)
+	f := &Frame{ID: id, Data: buf, pins: 1, dirty: true}
 	sh.frames[id] = f
 	return f, nil
 }
@@ -260,34 +260,45 @@ func (p *Pool) reservePageID() (pagefile.PageID, error) {
 // frameForLocked finds or evicts a frame for id in sh and returns it
 // pinned with undefined contents. Caller holds sh.mu.
 func (p *Pool) frameForLocked(sh *shard, id pagefile.PageID) (*Frame, error) {
-	if len(sh.frames) >= sh.cap {
-		if err := p.evictLocked(sh); err != nil {
-			return nil, err
-		}
+	buf, err := p.bufferLocked(sh)
+	if err != nil {
+		return nil, err
 	}
-	f := &Frame{ID: id, Data: make([]byte, pagefile.PageSize), pins: 1}
+	f := &Frame{ID: id, Data: buf, pins: 1}
 	sh.frames[id] = f
 	return f, nil
 }
 
-// evictLocked writes back and drops sh's LRU victim. Dirty victims are
-// subject to the write-ahead rule: the log is forced up to the victim's
-// page LSN before the page reaches disk. Caller holds sh.mu.
-func (p *Pool) evictLocked(sh *shard) error {
+// bufferLocked returns a page buffer of undefined contents for a frame
+// about to join sh: a full shard evicts its LRU victim and hands over the
+// victim's buffer, so a pool at capacity replaces pages without allocating.
+// Caller holds sh.mu.
+func (p *Pool) bufferLocked(sh *shard) ([]byte, error) {
+	if len(sh.frames) < sh.cap {
+		return make([]byte, pagefile.PageSize), nil
+	}
+	return p.evictLocked(sh)
+}
+
+// evictLocked writes back and drops sh's LRU victim, returning its page
+// buffer (nothing references an unpinned frame once it leaves the table).
+// Dirty victims are subject to the write-ahead rule: the log is forced up
+// to the victim's page LSN before the page reaches disk. Caller holds sh.mu.
+func (p *Pool) evictLocked(sh *shard) ([]byte, error) {
 	el := sh.lru.Front()
 	if el == nil {
-		return fmt.Errorf("buffer: pool exhausted: all %d frames of the shard pinned (pool capacity %d)", sh.cap, p.capacity)
+		return nil, fmt.Errorf("buffer: pool exhausted: all %d frames of the shard pinned (pool capacity %d)", sh.cap, p.capacity)
 	}
 	victim := el.Value.(*Frame)
 	if victim.dirty {
 		if err := p.forceForLocked(victim); err != nil {
-			return err
+			return nil, err
 		}
 		if err := p.faults.Hit(fault.SiteBufFlush); err != nil {
-			return err
+			return nil, err
 		}
 		if err := p.disk.WritePage(victim.ID, victim.Data); err != nil {
-			return err
+			return nil, err
 		}
 		victim.dirty = false
 	}
@@ -295,7 +306,9 @@ func (p *Pool) evictLocked(sh *shard) error {
 	victim.lru = nil
 	delete(sh.frames, victim.ID)
 	p.obs.Evictions.Inc()
-	return nil
+	buf := victim.Data
+	victim.Data = nil
+	return buf, nil
 }
 
 // forceForLocked honours WAL-before-data for one dirty frame.

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"dmx/internal/pagefile"
@@ -440,4 +441,61 @@ func TestDiskAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Unpin(f, false)
+}
+
+// A pool at capacity replaces pages without allocating page buffers: the
+// victim's buffer goes to the frame that replaces it, and the page read
+// or formatted into it is the right one.
+func TestReplacementReusesVictimBuffer(t *testing.T) {
+	for _, capacity := range []int{8, 128} { // single-shard and sharded
+		pages := 10 * capacity
+		p, d := newPool(t, capacity, pages)
+		buf := make([]byte, pagefile.PageSize)
+		for i := 0; i < pages; i++ {
+			buf[0], buf[pagefile.PageSize-1] = byte(i), byte(i>>8)
+			if err := d.WritePage(pagefile.PageID(i), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sweep := func() {
+			for i := 0; i < pages; i++ {
+				f, err := p.Pin(pagefile.PageID(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Data[0] != byte(i) || f.Data[pagefile.PageSize-1] != byte(i>>8) {
+					t.Fatalf("page %d read into a reused buffer holds another page's bytes", i)
+				}
+				if err := p.Unpin(f, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sweep() // warm-up: the pool fills and starts evicting
+		before := p.Stats().Misses
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sweep()
+		runtime.ReadMemStats(&m1)
+		misses := p.Stats().Misses - before
+		if misses != int64(pages) {
+			t.Fatalf("capacity %d: %d misses in a sweep of %d pages", capacity, misses, pages)
+		}
+		if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / uint64(misses); perMiss >= pagefile.PageSize/8 {
+			t.Fatalf("capacity %d: %d bytes allocated per miss after warm-up, want frame bookkeeping only", capacity, perMiss)
+		}
+		// A page formatted into a victim's buffer starts zeroed.
+		f, err := p.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range f.Data {
+			if b != 0 {
+				t.Fatalf("capacity %d: new page byte %d = %d, want zero", capacity, i, b)
+			}
+		}
+		if err := p.Unpin(f, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -33,6 +34,9 @@ type debugServer struct {
 //	              relation machinery
 //	/healthz      WAL/buffer/lock liveness as JSON; 503 when a subsystem
 //	              probe fails
+//	/debug/pprof/ the Go runtime's profiles (net/http/pprof): heap, profile
+//	              (CPU), mutex, block, goroutine, trace — performance work
+//	              starts from one
 //
 // The server runs until Env.Close (or StopDebug); a second ServeDebug
 // call replaces the first server.
@@ -46,6 +50,11 @@ func (env *Env) ServeDebug(addr string) (string, error) {
 	mux.HandleFunc("/traces", env.handleTraces)
 	mux.HandleFunc("/stat/", env.handleStat)
 	mux.HandleFunc("/healthz", env.handleHealthz)
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // serves every named profile
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ds := &debugServer{
 		env: env,
 		srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},

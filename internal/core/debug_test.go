@@ -164,6 +164,18 @@ func TestDebugServerHealthz(t *testing.T) {
 	}
 }
 
+// The Go runtime's profiles ride on the same listener: a named profile
+// through the index handler, and the index itself.
+func TestDebugServerPprof(t *testing.T) {
+	_, addr := debugEnv(t)
+	if code, body := debugGet(t, addr, "/debug/pprof/heap?debug=1"); code != http.StatusOK || !strings.HasPrefix(body, "heap profile:") {
+		t.Errorf("/debug/pprof/heap?debug=1: status %d, body %.80q", code, body)
+	}
+	if code, body := debugGet(t, addr, "/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/: status %d, body %.80q", code, body)
+	}
+}
+
 func TestDebugServerReplacedAndStopped(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	defer env.Close()

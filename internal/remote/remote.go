@@ -169,6 +169,9 @@ type Server struct {
 	Messages atomic.Int64
 	// Faulted counts requests that an injected fault made fail.
 	Faulted atomic.Int64
+	// Serving counts the Serve loops running now: the server's open
+	// connections. A connection leak shows here, deterministically.
+	Serving atomic.Int64
 }
 
 // NewServer returns an empty foreign database.
@@ -209,6 +212,8 @@ func (s *Server) takeFault(op Op) FaultMode {
 
 // Serve handles requests on conn until it closes. Run it in a goroutine.
 func (s *Server) Serve(conn net.Conn) {
+	s.Serving.Add(1)
+	defer s.Serving.Add(-1)
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {

@@ -168,6 +168,7 @@ func TestConformance(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			t.Run("ddl", m.testDDL)
 			t.Run("fetch", m.testFetch)
+			t.Run("missing-key", m.testMissingKey)
 			t.Run("keys", m.testKeys)
 			t.Run("scan", m.testScan)
 			t.Run("scan-mutation", m.testScanMutation)
@@ -238,6 +239,55 @@ func (m method) testFetch(t *testing.T) {
 	if n := r.Storage().RecordCount(); n != 4 {
 		t.Fatalf("count after commit = %d, want 4", n)
 	}
+}
+
+// testMissingKey: a well-formed record key that was never issued is not
+// found by fetch, update or delete, from a locking transaction or a
+// snapshot, and looking for it leaves the relation's size alone — a read
+// never grows a relation.
+func (m method) testMissingKey(t *testing.T) {
+	env := newEnv(t, nil)
+	r := m.create(t, env)
+	load(t, env, r, 1)
+	missing := types.EncodeKeyValues(types.Int(999))
+	if !m.keyed {
+		// Assigned keys are 8 bytes — a sequence number, or heap's (page,
+		// slot): an issued key with high-order bytes set names sequence
+		// number 0x1388…, or slot 0 of page 5000.
+		missing = contents(t, env, r)[0].key.Clone()
+		missing[2], missing[3] = 0x13, 0x88
+	}
+	type pageCounter interface{ PageCount() int }
+	pages := func() int {
+		if pc, ok := r.Storage().(pageCounter); ok {
+			return pc.PageCount()
+		}
+		return 0
+	}
+	before := pages()
+	tx := env.Begin()
+	if _, err := r.Fetch(tx, missing, nil, nil); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("fetch of a key never issued: %v", err)
+	}
+	if _, err := r.Update(tx, missing, rec(1, "x")); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("update of a key never issued: %v", err)
+	}
+	if err := r.Delete(tx, missing); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("delete of a key never issued: %v", err)
+	}
+	must(t, tx.Commit())
+	ro := env.BeginReadOnly()
+	if _, err := r.Fetch(ro, missing, nil, nil); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("read-only fetch of a key never issued: %v", err)
+	}
+	must(t, ro.Commit())
+	if n := r.Storage().RecordCount(); n != 1 {
+		t.Errorf("RecordCount = %d after looking for a missing key, want 1", n)
+	}
+	if after := pages(); after != before {
+		t.Errorf("PageCount %d -> %d: looking for a missing key grew the relation", before, after)
+	}
+	wantRows(t, "contents", contents(t, env, r), map[int64]string{1: "v1"})
 }
 
 // testKeys: what keyed methods promise about record keys.

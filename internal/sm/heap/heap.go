@@ -13,6 +13,7 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -68,11 +69,12 @@ type rid struct {
 	slot uint32
 }
 
+// ord is the rid's position in record-address order, which is also the
+// byte order of its encoded key.
+func (r rid) ord() uint64 { return uint64(r.page)<<32 | uint64(r.slot) }
+
 func encodeRID(r rid) types.Key {
-	k := make(types.Key, 8)
-	binary.BigEndian.PutUint32(k, r.page)
-	binary.BigEndian.PutUint32(k[4:], r.slot)
-	return k
+	return binary.BigEndian.AppendUint64(make(types.Key, 0, 8), r.ord())
 }
 
 func decodeRID(k types.Key) (rid, error) {
@@ -87,11 +89,15 @@ type store struct {
 	env *core.Env
 	rd  *core.RelDesc
 
-	mu       sync.Mutex
+	// mu latches the page table, the pages' contents and the version
+	// chains. Readers (scan, fetch, SnapshotVisible) hold it shared and so
+	// must never extend the page table; everything else holds it exclusive.
+	mu       sync.RWMutex
 	pages    []pagefile.PageID // logical page number -> physical page
 	free     []int             // free bytes per logical page
 	nrecords int
 	vers     map[rid]*verMeta // MVCC version chains, newest first (nil until a write stamps one)
+	sweptHW  uint64           // snapshot horizon at the last retireVersions sweep
 }
 
 // verMeta is one entry of a record address's version chain: the state
@@ -143,42 +149,21 @@ func (s *store) ensurePage(p uint32) error {
 // one silently dropped is not.
 //
 // tx is the transaction charged for buffer faults in its span trace; nil
-// on recovery and replay paths, which run with no transaction.
+// on recovery and replay paths, which run with no transaction. A page the
+// relation does not have is ErrNotFound: only insert placement and redo
+// (ensurePage) extend the page table, never a lookup.
 func (s *store) withPage(tx *txn.Txn, p uint32, write bool, fn func(f *buffer.Frame) error) error {
-	if err := s.ensurePage(p); err != nil {
-		return err
+	if int(p) >= len(s.pages) {
+		return fmt.Errorf("heap: %w: page %d", core.ErrNotFound, p)
 	}
 	tr := tx.Trace()
-	acct := tx.Acct()
-	if !tr.Detailed() {
-		if acct == nil {
-			f, err := s.env.Pool.Pin(s.pages[p])
-			if err != nil {
-				return err
-			}
-			ferr := fn(f)
-			uerr := s.env.Pool.Unpin(f, write)
-			if ferr != nil {
-				return ferr
-			}
-			return uerr
-		}
-		f, st, err := s.env.Pool.PinWithStats(s.pages[p])
-		chargePin(acct, st)
-		if err != nil {
-			return err
-		}
-		ferr := fn(f)
-		uerr := s.env.Pool.Unpin(f, write)
-		if ferr != nil {
-			return ferr
-		}
-		return uerr
+	var start time.Time
+	if tr.Detailed() {
+		start = time.Now()
 	}
-	start := time.Now()
 	f, st, err := s.env.Pool.PinWithStats(s.pages[p])
-	chargePin(acct, st)
-	if st.Miss || err != nil {
+	chargePin(tx.Acct(), st)
+	if tr.Detailed() && (st.Miss || err != nil) {
 		op := "pin"
 		if st.Evicted {
 			op = "pin+evict"
@@ -397,8 +382,8 @@ func (s *store) SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error) {
 	if snap == nil {
 		return false, fmt.Errorf("heap: SnapshotVisible requires a snapshot transaction")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if int(r.page) >= len(s.pages) {
 		return false, nil
 	}
@@ -432,14 +417,47 @@ func (s *store) FreezeVersions() {
 	s.mu.Unlock()
 }
 
+// retireVersions drops every chain whose head all open and future
+// snapshots can see (visibility is by high-water alone): page state is
+// that version, which is what a chainless record means. It runs when a
+// scan opens and the snapshot horizon has advanced since the last sweep,
+// so a loaded, quiescent relation scans chainless without waiting for a
+// checkpoint. An uncommitted head (stamp 0) always stays.
+func (s *store) retireVersions() {
+	s.mu.RLock()
+	chains, swept := len(s.vers), s.sweptHW
+	s.mu.RUnlock()
+	if chains == 0 {
+		return
+	}
+	horizon := s.env.Txns.OldestSnapshotHW()
+	if horizon <= swept {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	retired := int64(0)
+	for r, head := range s.vers {
+		if head.stamp == 0 || head.stamp > horizon {
+			continue
+		}
+		for e := head; e != nil; e = e.prev {
+			retired++
+		}
+		delete(s.vers, r)
+	}
+	s.env.Obs.MVCC.Pruned.Add(retired)
+	s.sweptHW = horizon
+}
+
 // VersionChainLen reports the version-chain length at key (tests).
 func (s *store) VersionChainLen(key types.Key) int {
 	r, err := decodeRID(key)
 	if err != nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
 	for e := s.vers[r]; e != nil; e = e.prev {
 		n++
@@ -672,15 +690,17 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 	})
 }
 
-// FetchByKey implements core.StorageInstance. The filter predicate is
-// evaluated while the record is in the buffer pool; only qualifying
-// records are materialised for the caller.
+// FetchByKey implements core.StorageInstance. A field list is decoded
+// straight from the buffer-resident record; a filter qualifies the one
+// decoded record through the kit, like every method's fetch — isolating
+// the filter's fields first pays where rows are rejected in bulk, the scan.
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
 	r, err := decodeRID(key)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	// Snapshot transactions read the version visible at their high-water.
 	// When that is current page state the ordinary path below serves it;
 	// a record overwritten or deleted since the snapshot is reconstructed
@@ -690,7 +710,6 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 		start := time.Now()
 		usePage, vrec, present, verr := s.versionFor(tx, r, tx.Snapshot())
 		if !usePage || verr != nil {
-			s.mu.Unlock()
 			if tr := tx.Trace(); tr.Detailed() {
 				tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
 			}
@@ -713,40 +732,25 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 		if f.Data[so+6]&flagDeleted != 0 {
 			return fmt.Errorf("heap: %w: record %v deleted", core.ErrNotFound, r)
 		}
-		off := int(binary.BigEndian.Uint16(f.Data[so:]))
-		n := int(binary.BigEndian.Uint16(f.Data[so+4:]))
-		body := f.Data[off : off+n]
-		if filter != nil {
-			// Isolate the filter's fields while the record is buffer
-			// resident; rejected records are never materialised.
-			probe, _, derr := types.DecodeRecordFields(body, expr.FieldsUsed(filter))
-			if derr != nil {
-				return derr
-			}
-			match, ferr := s.env.Eval.EvalBool(filter, probe, nil)
-			if ferr != nil {
-				return ferr
-			}
-			if !match {
-				return core.ErrFiltered
-			}
-		}
 		var derr error
-		if fields != nil {
-			rec, _, derr = types.DecodeRecordFields(body, fields)
+		if filter != nil || fields == nil { // a filter reads the whole record
+			rec, _, derr = types.DecodeRecord(slotBody(f, so))
 		} else {
-			rec, _, derr = types.DecodeRecord(body)
+			sel := types.NewSelector(fields)
+			rec, derr = sel.Project(slotBody(f, so))
 		}
 		return derr
 	})
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if err != nil || filter == nil {
+		return rec, err
 	}
-	if fields != nil {
-		rec = rec.Project(fields)
-	}
-	return rec, nil
+	return smutil.QualifyFetch(s.env, rec, fields, filter)
+}
+
+// slotBody is the record bytes of the live slot whose directory entry is at so.
+func slotBody(f *buffer.Frame, so int) []byte {
+	off := int(binary.BigEndian.Uint16(f.Data[so:]))
+	return f.Data[off : off+int(binary.BigEndian.Uint16(f.Data[so+4:]))]
 }
 
 // OpenScan implements core.StorageInstance: record-address order. A
@@ -754,13 +758,19 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 // passes is resolved against it, so the scan observes one consistent
 // state no matter which transactions commit while it is open.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &heapScan{store: s, tx: tx, opts: opts, nextRID: startRID(opts.Start)}
+	sc := &heapScan{store: s, tx: tx, opts: opts, nextRID: startRID(opts.Start), end: math.MaxUint64,
+		probe: types.NewSelector(expr.FieldsUsed(opts.Filter)), out: types.NewSelector(opts.Fields)}
+	if opts.End != nil {
+		end, err := decodeRID(opts.End)
+		if err != nil {
+			return nil, err
+		}
+		sc.end = end.ord()
+	}
+	s.retireVersions()
 	if tx.ReadOnly() {
 		sc.snap = tx.Snapshot()
 		s.env.Obs.MVCC.SnapshotReads.Inc()
-	}
-	if opts.Filter != nil {
-		sc.filterFields = expr.FieldsUsed(opts.Filter)
 	}
 	return sc, nil
 }
@@ -779,10 +789,10 @@ func startRID(k types.Key) rid {
 // EstimateCost implements core.StorageInstance: a heap scan reads every
 // page of the relation.
 func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
-	s.mu.Lock()
+	s.mu.RLock()
 	npages := len(s.pages)
 	n := s.nrecords
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	return core.CostEstimate{
 		Usable:      true,
 		IO:          float64(npages),
@@ -794,9 +804,9 @@ func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 // PartitionBounds implements core.RangePartitioner: split the record-key
 // (page, slot) space at page boundaries, ~equal page counts per worker.
 func (s *store) PartitionBounds(n int) []types.Key {
-	s.mu.Lock()
+	s.mu.RLock()
 	npages := len(s.pages)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if n <= 1 || npages < 2*n {
 		return nil
 	}
@@ -810,15 +820,15 @@ func (s *store) PartitionBounds(n int) []types.Key {
 
 // RecordCount implements core.StorageInstance.
 func (s *store) RecordCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.nrecords
 }
 
 // PageCount reports the number of pages (for the experiment harness).
 func (s *store) PageCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return len(s.pages)
 }
 
@@ -828,37 +838,34 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 	if err != nil {
 		return err
 	}
+	oldR, err := decodeRID(p.Key)
+	newR := oldR
+	if err == nil && p.Op == core.ModUpdate {
+		newR, err = decodeRID(p.NewKey)
+	}
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !undo { // redo may address pages a restarted relation has not reached yet
+		if err := s.ensurePage(max(oldR.page, newR.page)); err != nil {
+			return err
+		}
+	}
 	switch p.Op {
 	case core.ModInsert:
-		r, err := decodeRID(p.Key)
-		if err != nil {
-			return err
-		}
 		if undo {
-			s.unchain(r)
-			return s.setDeleted(r, true)
+			s.unchain(oldR)
+			return s.setDeleted(oldR, true)
 		}
-		return s.redoPlace(r, p.New)
+		return s.redoPlace(oldR, p.New)
 	case core.ModDelete:
-		r, err := decodeRID(p.Key)
-		if err != nil {
-			return err
-		}
 		if undo {
-			s.unchain(r)
+			s.unchain(oldR)
 		}
-		return s.setDeleted(r, !undo)
+		return s.setDeleted(oldR, !undo)
 	case core.ModUpdate:
-		oldR, err := decodeRID(p.Key)
-		if err != nil {
-			return err
-		}
-		newR, err := decodeRID(p.NewKey)
-		if err != nil {
-			return err
-		}
 		if oldR == newR {
 			rec := p.New
 			if undo {
@@ -951,46 +958,45 @@ var _ core.StorageInstance = (*store)(nil)
 
 // heapScan is a key-sequential access in record-address order.
 type heapScan struct {
-	store        *store
-	tx           *txn.Txn // buffer faults during the scan charge its trace
-	opts         core.ScanOptions
-	filterFields []int // fields the filter needs, isolated before decoding
-	nextRID      rid   // first candidate to examine
-	closed       bool
-	snap         *txn.Snapshot // non-nil: resolve every slot against this snapshot
+	store   *store
+	tx      *txn.Txn // buffer faults during the scan charge its trace
+	opts    core.ScanOptions
+	probe   types.Selector // the filter's fields, isolated before anything is materialised
+	out     types.Selector // opts.Fields
+	scratch types.Record   // the probed record, reused for every slot examined
+	nextRID rid            // first candidate to examine
+	end     uint64         // ord of the exclusive end bound
+	closed  bool
+	snap    *txn.Snapshot // non-nil: resolve every slot against this snapshot
 }
 
-// Next implements core.Scan. Each page is pinned once and its slots are
-// filtered while buffer resident; only qualifying records are materialised
-// and returned.
+// Next implements core.Scan. Each page is pinned once, under the shared
+// latch, and its slots are filtered while buffer resident: a rejected slot
+// costs a probe into the scan's scratch record and nothing else — its key
+// is never encoded, and its version chain is looked up only while the
+// store has chains at all. Only the qualifying record is materialised.
 func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 	if sc.closed {
 		return nil, nil, false, fmt.Errorf("heap: scan is closed")
 	}
 	s := sc.store
 	for {
-		s.mu.Lock()
-		if int(sc.nextRID.page) >= len(s.pages) {
-			s.mu.Unlock()
+		s.mu.RLock()
+		if int(sc.nextRID.page) >= len(s.pages) || sc.nextRID.ord() >= sc.end {
+			s.mu.RUnlock()
 			return nil, nil, false, nil
 		}
 		page := sc.nextRID.page
-		var outKey types.Key
+		var out rid
 		var outRec types.Record
 		found := false
-		ended := false
 		err := s.withPage(sc.tx, page, false, func(f *buffer.Frame) error {
 			nslots := int(binary.BigEndian.Uint16(f.Data))
-			for int(sc.nextRID.slot) < nslots {
+			for int(sc.nextRID.slot) < nslots && sc.nextRID.ord() < sc.end {
 				cur := sc.nextRID
-				key := encodeRID(cur)
-				if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
-					ended = true
-					return nil
-				}
-				sc.nextRID = rid{page: cur.page, slot: cur.slot + 1}
+				sc.nextRID.slot++
 				so := slotOffset(int(cur.slot))
-				if sc.snap != nil {
+				if sc.snap != nil && len(s.vers) > 0 {
 					// Snapshot scan: slots whose visible version is not
 					// current page state are reconstructed (a record
 					// deleted or moved since the snapshot) or skipped (a
@@ -1003,39 +1009,28 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 						if !present {
 							continue
 						}
-						if sc.opts.Filter != nil {
-							match, ferr := s.env.Eval.EvalBool(sc.opts.Filter, vrec, sc.opts.Params)
-							if ferr != nil {
-								return ferr
-							}
-							if !match {
-								continue
-							}
+						var qerr error
+						outRec, found, qerr = smutil.Qualify(s.env, vrec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+						if qerr != nil || found {
+							out = cur
+							return qerr
 						}
-						outKey = key
-						outRec = vrec
-						found = true
-						return nil
+						continue
 					}
 				}
 				if f.Data[so+6]&flagDeleted != 0 {
 					continue
 				}
-				off := int(binary.BigEndian.Uint16(f.Data[so:]))
-				n := int(binary.BigEndian.Uint16(f.Data[so+4:]))
-				body := f.Data[off : off+n]
-				// Early filtering: only the fields the predicate needs
-				// are isolated from the buffer-resident record;
-				// unqualified entries are skipped without materialising
-				// the rest.
+				body := slotBody(f, so)
 				if sc.opts.Filter != nil {
-					probe, _, derr := types.DecodeRecordFields(body, sc.filterFields)
-					if derr != nil {
-						return derr
+					probe, err := sc.probe.Probe(body, sc.scratch)
+					if err != nil {
+						return err
 					}
-					match, ferr := s.env.Eval.EvalBool(sc.opts.Filter, probe, sc.opts.Params)
-					if ferr != nil {
-						return ferr
+					sc.scratch = probe
+					match, err := s.env.Eval.EvalBool(sc.opts.Filter, probe, sc.opts.Params)
+					if err != nil {
+						return err
 					}
 					if !match {
 						continue
@@ -1043,32 +1038,24 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 				}
 				var derr error
 				if sc.opts.Fields != nil {
-					outRec, _, derr = types.DecodeRecordFields(body, sc.opts.Fields)
+					outRec, derr = sc.out.Project(body)
 				} else {
 					outRec, _, derr = types.DecodeRecord(body)
 				}
-				if derr != nil {
-					return derr
-				}
-				outKey = key
-				found = true
-				return nil
+				out, found = cur, derr == nil
+				return derr
 			}
-			sc.nextRID = rid{page: page + 1}
+			if int(sc.nextRID.slot) >= nslots {
+				sc.nextRID = rid{page: page + 1}
+			}
 			return nil
 		})
-		s.mu.Unlock()
+		s.mu.RUnlock()
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if ended {
-			return nil, nil, false, nil
-		}
 		if found {
-			if sc.opts.Fields != nil {
-				outRec = outRec.Project(sc.opts.Fields)
-			}
-			return outKey, outRec, true, nil
+			return encodeRID(out), outRec, true, nil
 		}
 	}
 }

@@ -420,3 +420,112 @@ func TestStampsSurviveCheckpointRecovery(t *testing.T) {
 		t.Fatalf("post-restart commit stamped %d, want above restored high-water %d", got, hw)
 	}
 }
+
+// Only insert placement and redo extend the page table: a lookup by a
+// well-formed record key past the relation's last page is ErrNotFound
+// (or "not visible") at the storage-method level too, and allocates no
+// page. Readers hold the store latch shared on the strength of this.
+func TestLookupNeverGrowsRelation(t *testing.T) {
+	env := core.NewEnv(core.Config{Log: wal.New()})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	k, err := r.Insert(tx, rec(1, "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	far := k.Clone()
+	far[2], far[3] = 0x13, 0x88 // page 5000
+	sm := r.Storage()
+	pages := sm.(interface{ PageCount() int }).PageCount
+
+	tx = env.Begin()
+	if _, err := sm.FetchByKey(tx, far, nil, nil); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("FetchByKey: %v", err)
+	}
+	if _, err := sm.Update(tx, far, rec(1, "v"), rec(1, "w")); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("Update: %v", err)
+	}
+	if err := sm.Delete(tx, far, rec(1, "v")); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("Delete: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ro := env.BeginReadOnly()
+	if vis, err := sm.(core.VersionedStorage).SnapshotVisible(ro, far); vis || err != nil {
+		t.Errorf("SnapshotVisible: %v %v", vis, err)
+	}
+	ro.Commit()
+	if n, pc := sm.RecordCount(), pages(); n != 1 || pc != 1 {
+		t.Fatalf("after lookups of page 5000: %d records on %d pages, want 1 on 1", n, pc)
+	}
+}
+
+// loadRows commits n ~100-byte rows into a fresh heap over a pool far
+// smaller than the larger relations below, and returns the last key.
+func loadRows(t *testing.T, n int) (*core.Env, *core.Relation, types.Key) {
+	t.Helper()
+	env := core.NewEnv(core.Config{PoolFrames: 16})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	var k types.Key
+	for i := 0; i < n; i++ {
+		var err error
+		if k, err = r.Insert(tx, rec(int64(i), strings.Repeat("x", 80))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return env, r, k
+}
+
+// A row the scan rejects costs no allocation: a filtered scan that
+// rejects every row allocates per scan and per page pinned (two today:
+// the buffer pool's frame header on a miss and its LRU element on unpin),
+// never per row examined.
+func TestRejectedRowsAllocateNothing(t *testing.T) {
+	const allocsPerPage = 3
+	reject := expr.Eq(expr.Field(0), expr.Const(types.Int(-1)))
+	measure := func(n int) (allocs float64, pages int) {
+		env, r, _ := loadRows(t, n)
+		tx := env.BeginReadOnly()
+		defer tx.Commit()
+		allocs = testing.AllocsPerRun(5, func() {
+			sc, err := r.OpenScan(tx, core.ScanOptions{Filter: reject, Fields: []int{1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok, err := sc.Next(); ok || err != nil {
+				t.Fatalf("rejecting scan returned a row: %v %v", ok, err)
+			}
+			sc.Close()
+		})
+		return allocs, r.Storage().(interface{ PageCount() int }).PageCount()
+	}
+	small, smallPages := measure(2000)
+	large, largePages := measure(20000)
+	if extra, bound := large-small, float64(allocsPerPage*(largePages-smallPages)); extra > bound {
+		t.Fatalf("rejecting 20000 rows on %d pages: %v allocs, 2000 rows on %d pages: %v; the extra %v exceeds %d per extra page",
+			largePages, large, smallPages, small, extra, allocsPerPage)
+	}
+}
+
+// A fetch with a field list decodes straight into the output record.
+func TestProjectedFetchAllocations(t *testing.T) {
+	env, r, k := loadRows(t, 100)
+	tx := env.Begin()
+	defer tx.Commit()
+	fields := []int{0}
+	if n := testing.AllocsPerRun(200, func() {
+		if got, err := r.Storage().FetchByKey(tx, k, fields, nil); err != nil || got[0].AsInt() != 99 {
+			t.Fatalf("fetch: %v %v", got, err)
+		}
+	}); n > 2 {
+		t.Fatalf("FetchByKey with a field list allocates %v times, want <= 2", n)
+	}
+}

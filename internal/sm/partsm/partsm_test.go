@@ -3,9 +3,7 @@ package partsm_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"dmx/internal/core"
 	"dmx/internal/fault"
@@ -717,34 +715,26 @@ func scanAllKeys(t *testing.T, env *core.Env, r *core.Relation) []string {
 }
 
 // TestShardConnectionsAreReleased checks the storage instance's io.Closer:
-// every shard connection runs a server goroutine, and dropping the
-// relation or closing the environment must end them all.
+// every shard connection holds a serve loop on its server, and dropping
+// the relation or closing the environment must end them all. Closing a
+// connection returns once its serve loop has, so remote.Server.Serving is
+// exact the moment DROP, abort or Close returns.
 func TestShardConnectionsAreReleased(t *testing.T) {
-	// Closing a connection waits for its goroutine's last statement, not
-	// for the scheduler to retire it (the same goes for the previous
-	// test's runner), so counts are read once they hold still at want.
-	settled := func(want int) bool {
-		for i := 0; i < 200 && runtime.NumGoroutine() != want; i++ {
-			time.Sleep(time.Millisecond)
-		}
-		return runtime.NumGoroutine() == want
-	}
-	for _, f := range flavours { // no subtests: their runner goroutines would be counted
-		base := runtime.NumGoroutine()
-		for same := 0; same < 10; same++ {
-			time.Sleep(time.Millisecond)
-			if n := runtime.NumGoroutine(); n != base {
-				base, same = n, 0
+	for _, f := range flavours {
+		env, srvs, r := f.open(t, nil)
+		serving := func() (n int64) {
+			for _, srv := range srvs {
+				n += srv.Serving.Load()
 			}
+			return n
 		}
-		env, _, r := f.open(t, nil)
 		tx := env.Begin()
 		if _, err := r.Insert(tx, rec(1, "x")); err != nil {
 			t.Fatal(err)
 		}
 		tx.Commit()
-		if n := runtime.NumGoroutine(); n != base+len(f.tables) {
-			t.Fatalf("%s: %d goroutines with the relation open, want %d + one per shard", f.sm, n, base)
+		if n := serving(); n != int64(len(f.tables)) {
+			t.Fatalf("%s: %d connections with the relation open, want one per shard (%d)", f.sm, n, len(f.tables))
 		}
 		tx = env.Begin()
 		if err := env.DropRelation(tx, "orders"); err != nil {
@@ -753,8 +743,8 @@ func TestShardConnectionsAreReleased(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if !settled(base) {
-			t.Fatalf("%s: %d goroutines after DROP TABLE, want %d", f.sm, runtime.NumGoroutine(), base)
+		if n := serving(); n != 0 {
+			t.Fatalf("%s: %d connections after DROP TABLE, want 0", f.sm, n)
 		}
 		// A transaction that staged writes still owes the shards its
 		// decision when the relation goes away under it — its own CREATE
@@ -787,9 +777,9 @@ func TestShardConnectionsAreReleased(t *testing.T) {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if n := env.Obs.Part.AckLost.Load(); n != 0 || !settled(base) {
-			t.Fatalf("%s: %d decisions undelivered, %d goroutines (want %d) after abort of CREATE and write+DROP",
-				f.sm, n, runtime.NumGoroutine(), base)
+		if n := env.Obs.Part.AckLost.Load(); n != 0 || serving() != 0 {
+			t.Fatalf("%s: %d decisions undelivered, %d connections (want 0) after abort of CREATE and write+DROP",
+				f.sm, n, serving())
 		}
 		tx = env.Begin()
 		create(tx)
@@ -797,8 +787,8 @@ func TestShardConnectionsAreReleased(t *testing.T) {
 		if err := env.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !settled(base) {
-			t.Fatalf("%s: %d goroutines after Env.Close, want %d", f.sm, runtime.NumGoroutine(), base)
+		if n := serving(); n != 0 {
+			t.Fatalf("%s: %d connections after Env.Close, want 0", f.sm, n)
 		}
 	}
 }

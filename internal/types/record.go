@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -234,46 +235,89 @@ func skipValue(b []byte) (int, error) {
 	}
 }
 
-// DecodeRecordFields decodes only the given fields of an encoded record,
-// skipping (without materialising) the rest. The result has the record's
-// full arity with non-requested fields NULL. Storage methods use it to
-// isolate the fields a filter predicate needs while the record bytes are
-// still in the buffer pool.
-func DecodeRecordFields(b []byte, fields []int) (Record, int, error) {
+// Selector decodes chosen fields of encoded records, skipping (without
+// materialising) the rest. It is built once per scan or fetch; storage
+// methods use it to isolate the fields a filter predicate needs, and the
+// fields the caller asked for, while the record bytes are still in the
+// buffer pool.
+type Selector struct {
+	field []int // ascending
+	slot  []int // field[i]'s index in the caller's list; nil: i itself
+}
+
+// NewSelector returns the selector of fields, in any order, duplicates
+// allowed. An ascending list — the usual case — is used as given, not
+// copied: the caller leaves it alone while the selector is in use.
+func NewSelector(fields []int) Selector {
+	if sort.IntsAreSorted(fields) {
+		return Selector{field: fields}
+	}
+	pairs := make([]int, 2*len(fields))
+	s := Selector{field: pairs[:len(fields)], slot: pairs[len(fields):]}
+	for i, f := range fields { // insertion sort; lists are tiny
+		j := i
+		for ; j > 0 && s.field[j-1] > f; j-- {
+			s.field[j], s.slot[j] = s.field[j-1], s.slot[j-1]
+		}
+		s.field[j], s.slot[j] = f, i
+	}
+	return s
+}
+
+// Project decodes the selected fields of b into a new record in the
+// caller's field order (Record.Project of the decoded record, without
+// decoding it). A field past the record's arity is NULL.
+func (s *Selector) Project(b []byte) (Record, error) {
+	out := make(Record, len(s.field))
+	return out, s.decode(b, out, s.slot)
+}
+
+// Probe decodes the selected fields of b into their own positions of
+// scratch, grown to the record's arity; the other positions are NULL. The
+// result aliases scratch, which the caller owns, hands back on the next
+// call, and uses with no other selector.
+func (s *Selector) Probe(b []byte, scratch Record) (Record, error) {
 	if len(b) < 2 {
-		return nil, 0, fmt.Errorf("types: truncated record")
+		return nil, fmt.Errorf("types: truncated record")
+	}
+	if arity := int(binary.BigEndian.Uint16(b)); arity > cap(scratch) {
+		scratch = make(Record, arity)
+	} else {
+		scratch = scratch[:arity]
+	}
+	return scratch, s.decode(b, scratch, s.field)
+}
+
+// decode stores the i-th selected field at dst[at[i]] (dst[i] for nil at).
+func (s *Selector) decode(b []byte, dst Record, at []int) error {
+	if len(b) < 2 {
+		return fmt.Errorf("types: truncated record")
 	}
 	arity := int(binary.BigEndian.Uint16(b))
-	pos := 2
-	rec := make(Record, arity)
-	want := make(map[int]bool, len(fields))
-	maxField := -1
-	for _, f := range fields {
-		want[f] = true
-		if f > maxField {
-			maxField = f
-		}
-	}
-	for i := 0; i < arity; i++ {
-		if i > maxField {
-			break // nothing further is needed
-		}
-		if want[i] {
-			v, used, err := DecodeValue(b[pos:])
+	pos, next := 2, 0
+	for i := 0; i < arity && next < len(s.field); i++ {
+		if s.field[next] != i {
+			used, err := skipValue(b[pos:])
 			if err != nil {
-				return nil, 0, fmt.Errorf("types: record field %d: %w", i, err)
+				return fmt.Errorf("types: record field %d: %w", i, err)
 			}
-			rec[i] = v
 			pos += used
 			continue
 		}
-		used, err := skipValue(b[pos:])
+		v, used, err := DecodeValue(b[pos:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("types: record field %d: %w", i, err)
+			return fmt.Errorf("types: record field %d: %w", i, err)
 		}
 		pos += used
+		for ; next < len(s.field) && s.field[next] == i; next++ {
+			if at == nil {
+				dst[next] = v
+			} else {
+				dst[at[next]] = v
+			}
+		}
 	}
-	return rec, pos, nil
+	return nil
 }
 
 // Key is an opaque record key. The defining storage method controls its

@@ -184,11 +184,15 @@ func TestKeyOrderingComposite(t *testing.T) {
 	}
 }
 
-func TestDecodeRecordFields(t *testing.T) {
+func TestSelector(t *testing.T) {
 	rec := Record{Int(7), Str("skip-me"), Float(2.5), Bytes([]byte{1, 2}), Null()}
 	enc := rec.AppendEncode(nil)
 
-	got, _, err := DecodeRecordFields(enc, []int{0, 2})
+	probe := func(fields ...int) (Record, error) {
+		sel := NewSelector(fields)
+		return sel.Probe(enc, nil)
+	}
+	got, err := probe(0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,29 +207,67 @@ func TestDecodeRecordFields(t *testing.T) {
 	}
 
 	// Empty field set: nothing materialised.
-	got, _, err = DecodeRecordFields(enc, nil)
+	got, err = probe()
 	if err != nil || len(got) != len(rec) {
 		t.Fatalf("empty fields: %v %v", got, err)
 	}
 	// Last field requested: all prior fields skipped, value correct.
-	got, _, err = DecodeRecordFields(enc, []int{4})
+	got, err = probe(4)
 	if err != nil || !got[4].IsNull() {
 		t.Fatalf("last field: %v %v", got, err)
 	}
-	got, _, err = DecodeRecordFields(enc, []int{3})
+	got, err = probe(3)
 	if err != nil || !Equal(got[3], Bytes([]byte{1, 2})) {
 		t.Fatalf("bytes field: %v %v", got, err)
 	}
-	// Errors on corrupt input.
-	if _, _, err := DecodeRecordFields(nil, []int{0}); err == nil {
-		t.Error("nil input accepted")
+	// Projection: caller's order, duplicates, a field past the arity.
+	sel := NewSelector([]int{2, 0, 2, 9})
+	out, err := sel.Project(enc)
+	if err != nil || !out.Equal(Record{Float(2.5), Int(7), Float(2.5), Null()}) {
+		t.Fatalf("project: %v %v", out, err)
 	}
-	if _, _, err := DecodeRecordFields(enc[:5], []int{2}); err == nil {
+	sel = NewSelector([]int{0, 0, 3}) // ascending: used as given
+	out, err = sel.Project(enc)
+	if err != nil || !out.Equal(Record{Int(7), Int(7), Bytes([]byte{1, 2})}) {
+		t.Fatalf("ascending project: %v %v", out, err)
+	}
+	// Errors on corrupt input.
+	sel = NewSelector([]int{2})
+	if _, err := sel.Probe(nil, nil); err == nil {
+		t.Error("nil input accepted by Probe")
+	}
+	if _, err := sel.Project(enc[:1]); err == nil {
+		t.Error("truncated header accepted by Project")
+	}
+	if _, err := sel.Project(enc[:5]); err == nil {
 		t.Error("truncated input accepted")
 	}
 }
 
-func TestDecodeRecordFieldsMatchesFullDecodeProperty(t *testing.T) {
+// The scratch record is reused across records of different arity without
+// leaking one record's values into the next probe.
+func TestSelectorProbeReusesScratch(t *testing.T) {
+	sel := NewSelector([]int{1, 3})
+	wide := Record{Int(1), Int(2), Int(3), Int(4)}.AppendEncode(nil)
+	narrow := Record{Int(5), Int(6)}.AppendEncode(nil)
+	scratch, err := sel.Probe(wide, nil)
+	if err != nil || !scratch.Equal(Record{Null(), Int(2), Null(), Int(4)}) {
+		t.Fatalf("wide: %v %v", scratch, err)
+	}
+	scratch, err = sel.Probe(narrow, scratch)
+	if err != nil || !scratch.Equal(Record{Null(), Int(6)}) {
+		t.Fatalf("narrow: %v %v", scratch, err)
+	}
+	scratch, err = sel.Probe(Record{Int(7), Int(8), Int(9), Null()}.AppendEncode(nil), scratch)
+	if err != nil || !scratch.Equal(Record{Null(), Int(8), Null(), Null()}) {
+		t.Fatalf("wide again: %v %v", scratch, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { scratch, _ = sel.Probe(wide, scratch) }); n != 0 {
+		t.Fatalf("Probe into a large-enough scratch allocates %v times", n)
+	}
+}
+
+func TestSelectorMatchesFullDecodeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 300; i++ {
 		rec := make(Record, 1+r.Intn(8))
@@ -233,14 +275,16 @@ func TestDecodeRecordFieldsMatchesFullDecodeProperty(t *testing.T) {
 			rec[j] = randValue(r)
 		}
 		enc := rec.AppendEncode(nil)
-		// A random subset of fields.
+		// A random list of fields, in random order.
 		var fields []int
 		for j := range rec {
 			if r.Intn(2) == 0 {
 				fields = append(fields, j)
 			}
 		}
-		got, _, err := DecodeRecordFields(enc, fields)
+		r.Shuffle(len(fields), func(a, b int) { fields[a], fields[b] = fields[b], fields[a] })
+		sel := NewSelector(fields)
+		got, err := sel.Probe(enc, nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -248,6 +292,10 @@ func TestDecodeRecordFieldsMatchesFullDecodeProperty(t *testing.T) {
 			if !Equal(got[f], rec[f]) {
 				t.Fatalf("field %d: %v != %v", f, got[f], rec[f])
 			}
+		}
+		out, err := sel.Project(enc)
+		if err != nil || !out.Equal(rec.Project(fields)) {
+			t.Fatalf("project %v: %v != %v (%v)", fields, out, rec.Project(fields), err)
 		}
 	}
 }

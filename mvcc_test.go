@@ -2,6 +2,8 @@ package dmx
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dmx/internal/core"
@@ -371,5 +373,179 @@ func TestWriterReadsOwnUncommittedWrites(t *testing.T) {
 	}
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func versionChainLen(t *testing.T, rel *Relation, key Key) int {
+	t.Helper()
+	return rel.Storage().(interface{ VersionChainLen(types.Key) int }).VersionChainLen(key)
+}
+
+// A scan retires the version chains every open and future snapshot can
+// see the head of — and only those. While snapshot S1 predates a commit,
+// a later snapshot's scan must leave that commit's chain alone: S1 still
+// needs it to read the old value by scan, by fetch and through an access
+// path. Once S1 ends, the next scan drops the chain and the relation is
+// back on the chainless fast path without a checkpoint.
+func TestScanRetiresVersionChainsBelowTheSnapshotHorizon(t *testing.T) {
+	db, rel, keys := mvccDB(t, 3)
+	pruned := func() int64 { return db.Env.MetricsSnapshot().MVCC.Pruned }
+	scan := func(tx *Txn) []Record {
+		t.Helper()
+		sc, err := rel.OpenScan(tx, core.ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		return drainScan(t, sc)
+	}
+
+	// The seed load left one committed chain per record; the first scan
+	// with no older snapshot open retires them all.
+	if n := versionChainLen(t, rel, keys[0]); n != 1 {
+		t.Fatalf("chain after load = %d, want 1", n)
+	}
+	s0 := db.BeginReadOnly()
+	before := pruned()
+	scan(s0)
+	s0.Commit()
+	for _, k := range keys {
+		if n := versionChainLen(t, rel, k); n != 0 {
+			t.Fatalf("chain at %v = %d after a quiescent scan, want 0", k, n)
+		}
+	}
+	if got := pruned() - before; got != 3 {
+		t.Fatalf("dmx_mvcc_pruned_total moved by %d, want 3", got)
+	}
+
+	s1 := db.BeginReadOnly()
+	w := db.Begin()
+	if _, err := rel.Update(w, keys[1], Record{Int(1), Str("edit")}); err != nil { // same length: in place
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := db.BeginReadOnly()
+	for _, rec := range scan(s2) {
+		if want := map[int64]string{0: "seed", 1: "edit", 2: "seed"}[rec[0].AsInt()]; rec[1].S != want {
+			t.Fatalf("S2 scan sees %v, want %q", rec, want)
+		}
+	}
+	if n := versionChainLen(t, rel, keys[1]); n != 1 {
+		t.Fatalf("chain = %d after S2's scan while S1 is open, want 1 (S1 cannot see its head)", n)
+	}
+	for _, rec := range scan(s1) {
+		if rec[1].S != "seed" {
+			t.Fatalf("S1 scan sees a later commit: %v", rec)
+		}
+	}
+	if got, err := rel.Fetch(s1, keys[1], nil, nil); err != nil || got[1].S != "seed" {
+		t.Fatalf("S1 fetch: %v %v", got, err)
+	}
+	hits, err := rel.LookupAccess(s1, core.AttHash, 0, types.EncodeKeyValues(types.Int(1)))
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("S1 hash lookup: %v %v", hits, err)
+	}
+	if got, err := rel.Fetch(s1, hits[0], nil, nil); err != nil || got[1].S != "seed" {
+		t.Fatalf("S1 fetch through the hash access path: %v %v", got, err)
+	}
+	s1.Commit()
+
+	// An uncommitted head is never retired, whatever the horizon.
+	w2 := db.Begin()
+	if _, err := rel.Update(w2, keys[2], Record{Int(2), Str("open")}); err != nil {
+		t.Fatal(err)
+	}
+	before = pruned()
+	scan(s2)
+	if n := versionChainLen(t, rel, keys[1]); n != 0 {
+		t.Fatalf("chain = %d after the first scan past S1's end, want 0", n)
+	}
+	if n := versionChainLen(t, rel, keys[2]); n != 1 {
+		t.Fatalf("uncommitted chain = %d after the sweep, want 1", n)
+	}
+	if got := pruned() - before; got != 1 {
+		t.Fatalf("dmx_mvcc_pruned_total moved by %d, want 1", got)
+	}
+	if got, err := rel.Fetch(s2, keys[2], nil, nil); err != nil || got[1].S != "seed" {
+		t.Fatalf("S2 sees an uncommitted write: %v %v", got, err)
+	}
+	if err := w2.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Commit()
+}
+
+// Two partition workers scan under the shared latch while a writer
+// commits in-place updates and every new scan sweeps the chains: each
+// snapshot still sees every row exactly once at one consistent value per
+// commit (both halves of a two-row update, or neither).
+func TestParallelSnapshotScansAgainstWriterAndRetirement(t *testing.T) {
+	db, rel, keys := mvccDB(t, 600) // enough pages for two partitions
+	bound, err := db.Plan(Query{Table: "t", ForceDegree: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(bound.Explain(), "workers=2") {
+		t.Fatalf("plan is %q, want a two-worker partitioned scan", bound.Explain())
+	}
+	const rounds = 40
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= rounds; i++ {
+			w := db.Begin()
+			v := Str(fmt.Sprintf("%04d", i)) // as long as "seed": in place
+			_, err := rel.Update(w, keys[0], Record{Int(0), v})
+			if err == nil {
+				_, err = rel.Update(w, keys[len(keys)-1], Record{Int(int64(len(keys) - 1)), v})
+			}
+			if err == nil {
+				err = w.Commit()
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		ro := db.BeginReadOnly()
+		rows, err := bound.Execute(ro)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]string{}
+		for {
+			rec, ok, err := rows.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if _, dup := seen[rec[0].AsInt()]; dup {
+				t.Fatalf("row %d returned twice", rec[0].AsInt())
+			}
+			seen[rec[0].AsInt()] = rec[1].S
+		}
+		rows.Close()
+		ro.Commit()
+		if len(seen) != len(keys) || seen[0] != seen[int64(len(keys)-1)] {
+			t.Fatalf("snapshot saw %d rows, first %q last %q: want %d rows and one commit's pair",
+				len(seen), seen[0], seen[int64(len(keys)-1)], len(keys))
+		}
+	}
+	if n := versionChainLen(t, rel, keys[0]); n > 2 {
+		t.Fatalf("chain = %d after %d commits with scans sweeping, want <= 2", n, rounds)
 	}
 }
