@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-diff crash race model ingest par part fmt vet staticcheck trace-demo
+.PHONY: build test check bench bench-diff crash race model ingest par part fmt vet staticcheck examples trace-demo
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,14 @@ test:
 # interleavings it actually executes. The benchmark module (bench/, its own
 # go.mod) is tested last so a change to an engine type it reads
 # (dmx.ForeignServer, MetricsSnapshot, storage-method names) fails this
-# gate instead of the benchmark pipeline. trace-demo is the one end-to-end
-# self-read of the debug server (/metrics, /traces, /healthz).
+# gate instead of the benchmark pipeline. examples runs the six example
+# programs; tracedemo among them is the one end-to-end self-read of the
+# debug server (/metrics, /traces, /healthz).
 check: build fmt vet staticcheck
 	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./...
 	$(MAKE) par
-	$(MAKE) trace-demo
+	$(MAKE) examples
 	cd bench && $(GO) test ./...
 
 # staticcheck (honnef.co/go/tools) is part of the check gate — the tree
@@ -45,9 +46,16 @@ staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck: not installed — SKIPPED"; fi
 
+# examples runs every example program and stops at the first non-zero
+# exit: they are the executable reproductions of the paper's Figures 1 and
+# 2 and the only users of some facade calls.
+EXAMPLES = quickstart bank spatial publish federation tracedemo
+examples:
+	@for e in $(EXAMPLES); do echo "== examples/$$e"; $(GO) run ./examples/$$e >/dev/null || exit 1; done
+
 # trace-demo smoke-tests the observability surface end to end: traced
 # workload, debug HTTP server, and a self-read of /metrics, /traces, and
-# /healthz (non-zero exit on any malformed endpoint).
+# /healthz (non-zero exit on any malformed endpoint). Part of `examples`.
 trace-demo:
 	$(GO) run ./examples/tracedemo
 
@@ -125,5 +133,9 @@ bench-diff:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# The repository root is for correctness suites (crash_*, model, mvcc,
+# stress, telemetry, claims); timing lives in bench/. Package-local
+# microbenchmarks (internal/btree's) stay where they are.
 vet:
 	$(GO) vet ./...
+	@! grep -ln '^func Benchmark' *_test.go || { echo "root *_test.go declares a Benchmark: timing belongs in bench/"; exit 1; }

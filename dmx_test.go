@@ -154,6 +154,17 @@ func TestForeignServerThroughFacade(t *testing.T) {
 	if srv.Messages.Load() == 0 {
 		t.Fatal("no messages reached the foreign server")
 	}
+	// A remote relation is the one-shard partitioned store: the operator
+	// sees it in sys.stat_shards like any shard.
+	stat, err := db.Exec("SELECT name, shard, server, table_name, records, in_doubt, messages FROM sys.stat_shards")
+	if err != nil || len(stat.Rows) != 1 {
+		t.Fatalf("stat_shards = %+v, %v", stat, err)
+	}
+	r := stat.Rows[0]
+	if r[0].S != "far" || r[1].AsInt() != 0 || r[2].S != "fed" || r[3].S != "far" ||
+		r[4].AsInt() != 1 || r[5].AsInt() != 0 || r[6].AsInt() <= 0 {
+		t.Fatalf("stat_shards row = %v", r)
+	}
 }
 
 // TestForeignTableAcrossReopen reopens a database holding a remote relation
@@ -186,6 +197,10 @@ func TestForeignTableAcrossReopen(t *testing.T) {
 	defer db2.Close()
 	if _, err := db2.Exec("SELECT v FROM far"); err == nil {
 		t.Fatal("remote relation answered with no server attached")
+	}
+	// The unattached relation is left out of the view, not failing it.
+	if stat, err := db2.Exec("SELECT name FROM sys.stat_shards"); err != nil || len(stat.Rows) != 0 {
+		t.Fatalf("stat_shards with no server attached = %+v, %v", stat, err)
 	}
 	db2.AttachForeignServer("fed", srv)
 	if _, err := db2.Exec("INSERT INTO far VALUES (2, 'after reopen')"); err != nil {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dmx/internal/obs"
-	"dmx/internal/txn"
 )
 
 // RelStat is the per-relation dispatch rollup behind sys.stat_relations:
@@ -23,11 +22,9 @@ type RelStat struct {
 	SMNanos     atomic.Int64 // cumulative storage-method dispatch time
 }
 
-// observe books one storage-method call. Gated on the same switch as the
-// per-transaction ledgers so the SELFOBS benchmark measures the whole
-// accounting layer.
+// observe books one storage-method call.
 func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
-	if rs == nil || !txn.AccountingEnabled() {
+	if rs == nil {
 		return
 	}
 	rs.SMNanos.Add(int64(d))

@@ -499,11 +499,17 @@ func shardsRows(env *core.Env) ([]types.Record, error) {
 		if !ok || core.IsSystemRelID(rd.RelID) {
 			continue
 		}
-		if rd.SM != core.SMPart {
+		if rd.SM != core.SMPart && rd.SM != core.SMRemote {
 			continue
 		}
 		inst, err := env.StorageInstance(rd)
 		if err != nil {
+			if rd.SM == core.SMRemote {
+				// A database reopened with Recover attaches its foreign
+				// servers afterwards; until then the relation has no
+				// shard to report, and the other relations still do.
+				continue
+			}
 			return nil, err
 		}
 		si, ok := inst.(core.ShardIntrospector)

@@ -16,8 +16,7 @@ import (
 // ledger of in-flight transactions from other goroutines, and the lock
 // manager's wait path charges the waiter from inside Acquire.
 //
-// Accounting is always on; SetAccounting exists so the overhead benchmark
-// can measure the delta honestly, not so deployments can turn it off.
+// Accounting is always on, so sys.stat_activity always has live data.
 type Stats struct {
 	RowsRead      atomic.Int64 // records returned by fetches and scan Next
 	RowsWritten   atomic.Int64 // records inserted, updated, or deleted
@@ -61,29 +60,15 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// accountingOn gates the accounting charge points. Defaults to on; only
-// the SELFOBS overhead benchmark flips it.
-var accountingOn atomic.Bool
-
-func init() { accountingOn.Store(true) }
-
-// SetAccounting enables or disables per-transaction resource accounting
-// process-wide and returns the previous setting. Exists for overhead
-// measurement (cmd/dmxbench -run SELFOBS); production keeps it on.
-func SetAccounting(on bool) bool { return accountingOn.Swap(on) }
-
-// AccountingEnabled reports whether per-transaction accounting is on.
-func AccountingEnabled() bool { return accountingOn.Load() }
-
-// Acct returns the transaction's resource ledger, or nil when there is
-// nothing to charge: a nil transaction (recovery and maintenance paths
-// run with none) or accounting disabled. Charge points write through it:
+// Acct returns the transaction's resource ledger, or nil for a nil
+// transaction (recovery and maintenance paths run with none). Charge
+// points write through it:
 //
 //	if st := tx.Acct(); st != nil {
 //		st.RowsRead.Add(1)
 //	}
 func (tx *Txn) Acct() *Stats {
-	if tx == nil || !accountingOn.Load() {
+	if tx == nil {
 		return nil
 	}
 	return &tx.stats
@@ -257,9 +242,6 @@ func (m *Manager) recordFinished(tx *Txn, outcome string) {
 // owning transaction if it is still open. Only the slow path pays the map
 // lookup; uncontended grants never reach here.
 func (m *Manager) chargeLockWait(id wal.TxnID, d time.Duration) {
-	if !accountingOn.Load() {
-		return
-	}
 	m.mu.Lock()
 	tx := m.active[id]
 	m.mu.Unlock()
