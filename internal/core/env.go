@@ -512,18 +512,15 @@ func (env *Env) Recover() error {
 	// a commit's force and its stamp publication leaves the transaction
 	// either fully in or fully out, never half-published.
 	var maxStamp uint64
-	for _, rec := range env.Log.Records() {
-		var s uint64
+	env.Log.Scan(0, func(rec wal.Record) bool {
 		switch rec.Kind {
 		case wal.RecCommit:
-			s = wal.DecodeCommitStamp(rec.Payload)
+			maxStamp = max(maxStamp, wal.DecodeCommitStamp(rec.Payload))
 		case wal.RecCheckpoint:
-			s = wal.DecodeCheckpointStamp(rec.Payload)
+			maxStamp = max(maxStamp, wal.DecodeCheckpointStamp(rec.Payload))
 		}
-		if s > maxStamp {
-			maxStamp = s
-		}
-	}
+		return true
+	})
 	env.Txns.RestoreStamps(maxStamp)
 	if err := env.rebuildAttachments(); err != nil {
 		return err

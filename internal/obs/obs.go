@@ -268,15 +268,16 @@ type LockStats struct {
 
 // WALStats instruments the common recovery log.
 type WALStats struct {
-	Appends      Counter // log records written
-	AppendBytes  Counter // payload bytes appended
-	Syncs        Counter // backing-file fsyncs
-	Rollbacks    Counter // log-driven rollbacks (veto, savepoint, abort)
-	Checkpoints  Counter // completed checkpoints (snapshot + truncation)
-	RedoRecords  Counter // records dispatched to redo during restart recovery
-	GroupCommits Counter // commit syncs served (leader or batched follower)
-	GroupBatches Counter // fsync rounds driven by the group-commit leader
-	ForcedSyncs  Counter // WAL-before-data forces from the buffer pool
+	Appends      Counter   // log records written
+	AppendBytes  Counter   // payload bytes appended
+	Syncs        Counter   // backing-file fsyncs
+	Rollbacks    Counter   // log-driven rollbacks (veto, savepoint, abort)
+	Checkpoints  Counter   // completed checkpoints (snapshot + truncation)
+	RedoRecords  Counter   // records dispatched to redo during restart recovery
+	GroupCommits Counter   // commit syncs served (leader or batched follower)
+	GroupBatches Counter   // fsync rounds driven by the group-commit leader
+	ForcedSyncs  Counter   // WAL-before-data forces from the buffer pool
+	ForceSeconds Histogram // a force round's file write and fsync, the log's lock not held
 }
 
 // BufferStats instruments the shared buffer pool.
@@ -432,16 +433,17 @@ type LockSnapshot struct {
 // batching ratio: commit syncs served per leader fsync round (> 1 means
 // concurrent commits shared fsyncs).
 type WALSnapshot struct {
-	Appends         int64   `json:"appends" metric:"wal_appends_total" help:"recovery-log records written"`
-	AppendBytes     int64   `json:"append_bytes" metric:"wal_append_bytes_total" help:"recovery-log payload bytes appended"`
-	Syncs           int64   `json:"syncs" metric:"wal_syncs_total" help:"recovery-log backing-file fsyncs"`
-	Rollbacks       int64   `json:"rollbacks" metric:"wal_rollbacks_total" help:"log-driven rollbacks (veto, savepoint, abort)"`
-	Checkpoints     int64   `json:"checkpoints" metric:"wal_checkpoints_total" help:"completed checkpoints"`
-	RedoRecords     int64   `json:"redo_records" metric:"wal_redo_records_total" help:"records dispatched to redo during restart recovery"`
-	GroupCommits    int64   `json:"group_commits" metric:"wal_group_commits_total" help:"commit syncs served by group commit"`
-	GroupBatches    int64   `json:"group_batches" metric:"wal_group_batches_total" help:"fsync rounds driven by the group-commit leader"`
-	ForcedSyncs     int64   `json:"forced_syncs" metric:"wal_forced_syncs_total" help:"WAL-before-data forces from the buffer pool"`
-	CommitsPerFsync float64 `json:"commits_per_fsync" metric:"wal_commits_per_fsync" help:"group-commit batching ratio" ratio:"GroupCommits/GroupBatches"`
+	Appends         int64             `json:"appends" metric:"wal_appends_total" help:"recovery-log records written"`
+	AppendBytes     int64             `json:"append_bytes" metric:"wal_append_bytes_total" help:"recovery-log payload bytes appended"`
+	Syncs           int64             `json:"syncs" metric:"wal_syncs_total" help:"recovery-log backing-file fsyncs"`
+	Rollbacks       int64             `json:"rollbacks" metric:"wal_rollbacks_total" help:"log-driven rollbacks (veto, savepoint, abort)"`
+	Checkpoints     int64             `json:"checkpoints" metric:"wal_checkpoints_total" help:"completed checkpoints"`
+	RedoRecords     int64             `json:"redo_records" metric:"wal_redo_records_total" help:"records dispatched to redo during restart recovery"`
+	GroupCommits    int64             `json:"group_commits" metric:"wal_group_commits_total" help:"commit syncs served by group commit"`
+	GroupBatches    int64             `json:"group_batches" metric:"wal_group_batches_total" help:"fsync rounds driven by the group-commit leader"`
+	ForcedSyncs     int64             `json:"forced_syncs" metric:"wal_forced_syncs_total" help:"WAL-before-data forces from the buffer pool"`
+	CommitsPerFsync float64           `json:"commits_per_fsync" metric:"wal_commits_per_fsync" help:"group-commit batching ratio" ratio:"GroupCommits/GroupBatches"`
+	ForceSeconds    HistogramSnapshot `json:"force_seconds" metric:"wal_force_seconds" help:"file write and fsync of one recovery-log force round (device time, not time waiting for the log)"`
 }
 
 // MVCCSnapshot is the snapshot-read view.

@@ -9,6 +9,7 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	_ "dmx/internal/sm/heap"
+	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
 )
@@ -357,6 +358,65 @@ func TestVersionChainBoundedOnceSnapshotAdvances(t *testing.T) {
 	// no snapshots open that is the chain head's predecessor.
 	if got := chainLen(t, r, k); got > 2 {
 		t.Fatalf("chain len %d after the oldest snapshot advanced, want <= 2", got)
+	}
+}
+
+// A snapshot's version is rebuilt from a log record whose payload aliases
+// the log's window. The record here sits in the head segment a checkpoint
+// truncated into (the segment stays, the records before the checkpoint are
+// out of reach), and is then left several segments behind the tail: the
+// rebuilt version, and a copy of it held across all that, do not change.
+func TestReconstructedVersionSurvivesTruncationAndAppends(t *testing.T) {
+	log := wal.New()
+	env := core.NewEnv(core.Config{Log: log})
+	r := mkHeap(t, env, "t")
+	commit := func(fn func(tx *txn.Txn) error) {
+		t.Helper()
+		tx := env.Begin()
+		if err := fn(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var k types.Key
+	commit(func(tx *txn.Txn) (err error) { k, err = r.Insert(tx, rec(1, "v0")); return })
+	if err := env.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if log.Base() == 0 {
+		t.Fatal("checkpoint did not truncate the log head")
+	}
+	commit(func(tx *txn.Txn) (err error) { _, err = r.Update(tx, k, rec(1, "v1")); return })
+	ro := env.BeginReadOnly()
+	commit(func(tx *txn.Txn) (err error) { _, err = r.Update(tx, k, rec(1, "v2")); return })
+	held, err := r.Fetch(ro, k, nil, nil)
+	if err != nil || held[1].S != "v1" {
+		t.Fatalf("snapshot reads %v %v, want v1", held, err)
+	}
+	before := log.Len()
+	filler := strings.Repeat("f", 200)
+	commit(func(tx *txn.Txn) error {
+		for i := int64(0); i < 1500; i++ { // ~5 log segments
+			if _, err := r.Insert(tx, rec(100+i, filler)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if log.Len() < before+1500 {
+		t.Fatalf("log grew by %d records", log.Len()-before)
+	}
+	again, err := r.Fetch(ro, k, nil, nil)
+	if err != nil || again[1].S != "v1" || held[1].S != "v1" {
+		t.Fatalf("after appends the snapshot reads %v (%v), the held copy %v", again, err, held)
+	}
+	if n := env.Obs.MVCC.Reconstructions.Load(); n < 2 {
+		t.Fatalf("%d versions rebuilt from the log, want both fetches", n)
+	}
+	if err := ro.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -919,11 +919,12 @@ func Resolve(env *core.Env) error {
 		}
 		if committed == nil {
 			committed = make(map[wal.TxnID]bool)
-			for _, rec := range env.Log.Records() {
+			env.Log.Scan(0, func(rec wal.Record) bool {
 				if rec.Kind == wal.RecCommit {
 					committed[rec.Txn] = true
 				}
-			}
+				return true
+			})
 		}
 		if rd.SM == core.SMRemote {
 			// A database reopened with Recover gets its foreign servers

@@ -9,9 +9,10 @@
 // interpret extension payloads; it dispatches undo and redo back to the
 // owning extension, identified by an Owner tag on each update record.
 //
-// Durability: appended records are buffered in memory and reach the
-// backing file only on Sync (or Close). A transaction is durable once the
-// Sync after its COMMIT record returns — that is the commit-durability
+// Durability: appended records are encoded once, into an in-memory window
+// that is the image of the backing file (window.go), and reach the file
+// when a force round writes them (force.go). A transaction is durable once
+// the force covering its COMMIT record returns — the commit-durability
 // contract internal/txn relies on. Checkpoints bound restart work: a
 // completed checkpoint embeds a replayable snapshot of the engine state
 // in the log, after which the log head before the checkpoint record is
@@ -21,7 +22,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -134,36 +134,52 @@ type ATTEntry struct {
 // recovery. A Log is safe for concurrent use.
 type Log struct {
 	mu        sync.Mutex
-	base      LSN // LSN of records[0] minus one (head truncation offset)
-	records   []Record
+	base      LSN       // highest LSN truncated from the head
+	next      LSN       // LSN the next append gets
+	segs      []segment // the window: records base+1..next-1, as the frames the file holds
 	lastLSN   map[TxnID]LSN
-	path      string // backing file path (checkpoint truncation rewrites it)
-	file      *os.File
-	pending   []byte // encoded frames appended but not yet flushed
-	goodEnd   int64  // verified durable length of the backing file
-	sinceCkpt int    // records appended since the last completed checkpoint
+	ckptOpen  LSN // newest RecCheckpoint still waiting for its END
+	ckptDone  LSN // newest RecCheckpoint closed by its END (0 if none)
+	sinceCkpt int // records appended since the last completed checkpoint
 	obs       *obs.WALStats
 	faults    *fault.Injector
 
-	// Group commit. durable is the highest LSN known to be on stable
-	// storage; syncing marks an in-flight leader fsync round; synced is
-	// broadcast when durable advances or the round ends. window is the
-	// optional batching delay a leader waits before its fsync so more
-	// concurrent committers can join the round.
-	durable LSN
-	syncing bool
-	synced  *sync.Cond
-	window  time.Duration
+	// The backing file. Frames through durable occupy [0, goodEnd); the
+	// file is zero-filled from there to allocated. The fields change only
+	// in a force round or with none in flight.
+	path      string // checkpoint truncation rewrites the file here
+	file      logFile
+	goodEnd   int64
+	allocated int64
+
+	// Forces. durable is the highest LSN known to be on stable storage;
+	// forcing marks the one round in flight; synced is broadcast when it
+	// ends. batchDelay is a group-commit leader's wait before its round.
+	durable    LSN
+	forcing    bool
+	synced     *sync.Cond
+	cut        [][]byte // the round's slices of the window, reused
+	batchDelay time.Duration
+}
+
+// logFile is what the log needs of its backing file: positioned writes, a
+// force, and trimming. Tests substitute files that block or fail.
+type logFile interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // New returns an in-memory log (no persistence).
 func New() *Log {
-	l := &Log{lastLSN: make(map[TxnID]LSN), obs: &obs.WALStats{}}
+	l := &Log{next: 1, lastLSN: make(map[TxnID]LSN), obs: &obs.WALStats{}}
 	l.synced = sync.NewCond(&l.mu)
 	return l
 }
 
 // SetObs points the log's instrumentation at a shared metric registry.
+// Call at assembly, before traffic.
 func (l *Log) SetObs(ws *obs.WALStats) {
 	if ws == nil {
 		return
@@ -174,6 +190,7 @@ func (l *Log) SetObs(ws *obs.WALStats) {
 }
 
 // SetFaults arms the log's crash sites with a fault injector (testing).
+// Call at assembly, before traffic.
 func (l *Log) SetFaults(in *fault.Injector) {
 	l.mu.Lock()
 	l.faults = in
@@ -181,72 +198,44 @@ func (l *Log) SetFaults(in *fault.Injector) {
 }
 
 // Open returns a log mirrored to the file at path, first loading any
-// records already present (e.g. after a crash). Corrupt trailing frames —
-// a torn final write — are truncated away. On any error the partially
-// loaded state is discarded and the file handle closed.
+// records already present (e.g. after a crash). Whatever follows the last
+// whole record — a torn final write, the zero fill of a preallocated
+// extent — is trimmed away.
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	records, lastLSN, validEnd, err := load(f)
-	if err == nil && validEnd >= 0 {
-		if terr := f.Truncate(validEnd); terr != nil {
-			err = fmt.Errorf("wal: truncate torn tail: %w", terr)
-		} else if _, serr := f.Seek(0, io.SeekEnd); serr != nil {
-			err = fmt.Errorf("wal: seek: %w", serr)
-		}
+	l := New()
+	data, err := io.ReadAll(f)
+	if err == nil {
+		l.goodEnd = l.load(data)
+		err = f.Truncate(l.goodEnd)
 	}
 	if err != nil {
-		// Do not hand back half-loaded state: the caller sees either a
-		// fully opened log or nothing.
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("wal: load %s: %w", path, err)
 	}
-	l := New()
-	l.records, l.lastLSN, l.file, l.goodEnd = records, lastLSN, f, validEnd
-	l.path = path
-	if len(records) > 0 {
-		l.base = records[0].LSN - 1
-		// Everything loaded survived the crash on stable storage.
-		l.durable = records[len(records)-1].LSN
-	}
+	l.path, l.file, l.allocated = path, f, l.goodEnd
+	// Everything loaded survived the crash on stable storage.
+	l.durable = l.next - 1
 	return l, nil
 }
 
 // SetGroupCommitWindow sets the batching delay a group-commit leader waits
 // before forcing the log, so commits arriving within the window share one
-// fsync. Zero (the default) still batches naturally: committers that
-// arrive while a round's fsync is in flight are absorbed by the next
-// round. Call at assembly, before traffic.
+// fsync. Zero (the default) still batches: committers that append while a
+// round's fsync is in flight are all covered by the next round. Call at
+// assembly, before traffic.
 func (l *Log) SetGroupCommitWindow(d time.Duration) {
 	l.mu.Lock()
-	l.window = d
+	l.batchDelay = d
 	l.mu.Unlock()
 }
 
-// Close flushes buffered records to stable storage and releases the
-// backing file, if any.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.file == nil {
-		return nil
-	}
-	err := l.flushLocked()
-	if err == nil {
-		err = l.file.Sync()
-	}
-	if cerr := l.file.Close(); err == nil {
-		err = cerr
-	}
-	l.file = nil
-	return err
-}
-
 // Append writes a record for txn owned by owner and returns its LSN.
-// Payload is copied. The record is buffered: it reaches stable storage at
-// the next Sync.
+// Payload is copied. The record is buffered: it reaches stable storage
+// with the next force.
 func (l *Log) Append(txn TxnID, kind RecKind, owner Owner, payload []byte) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -265,156 +254,30 @@ func (l *Log) appendLocked(txn TxnID, kind RecKind, owner Owner, payload []byte,
 	if err := l.faults.Hit(fault.SiteWALAppend); err != nil {
 		return 0, err
 	}
-	rec := Record{
-		LSN:      l.base + LSN(len(l.records)) + 1,
-		Txn:      txn,
-		PrevLSN:  l.lastLSN[txn],
-		UndoNext: undoNext,
-		Kind:     kind,
-		Owner:    owner,
-		Payload:  append([]byte(nil), payload...),
-	}
-	if l.file != nil {
-		l.pending = appendFrame(l.pending, rec)
-	}
-	l.records = append(l.records, rec)
-	if kind == RecEnd {
-		delete(l.lastLSN, txn)
-	} else {
-		l.lastLSN[txn] = rec.LSN
-	}
+	rec := Record{LSN: l.next, Txn: txn, PrevLSN: l.lastLSN[txn], UndoNext: undoNext, Kind: kind, Owner: owner, Payload: payload}
+	// Only a frame that can reach a file needs its checksum.
+	putFrame(l.reserve(frameSize(len(payload))), rec, l.file != nil)
+	l.track(rec)
 	l.sinceCkpt++
 	l.obs.Appends.Inc()
-	l.obs.AppendBytes.Add(int64(len(rec.Payload)))
+	l.obs.AppendBytes.Add(int64(len(payload)))
 	return rec.LSN, nil
 }
 
-// flushLocked writes buffered frames to the file. A short write from the
-// file system truncates the file back to the last fully durable frame so
-// memory and disk never diverge silently; the buffered frames are kept
-// and the next flush retries them. An injected torn write leaves the tear
-// on disk (the simulated machine is off).
-func (l *Log) flushLocked() error {
-	if l.file == nil || len(l.pending) == 0 {
-		return nil
+// track folds one more record into the per-transaction chain heads and
+// the last-complete-checkpoint pointer.
+func (l *Log) track(rec Record) {
+	if rec.Kind != RecEnd {
+		l.lastLSN[rec.Txn] = rec.LSN
+		if rec.Kind == RecCheckpoint {
+			l.ckptOpen = rec.LSN
+		}
+		return
 	}
-	allow, ferr := l.faults.BeforeWrite(fault.SiteWALFlush, len(l.pending))
-	if ferr != nil {
-		if allow > 0 {
-			l.file.Write(l.pending[:allow])
-		}
-		return ferr
+	delete(l.lastLSN, rec.Txn)
+	if rec.Txn == CheckpointTxn && l.ckptOpen != 0 {
+		l.ckptDone, l.ckptOpen = l.ckptOpen, 0
 	}
-	if _, err := l.file.Write(l.pending); err != nil {
-		// A partial frame may be on disk. Cut back to the last good
-		// frame; the in-memory copy still holds every record and the
-		// pending buffer is retained for retry.
-		if terr := l.file.Truncate(l.goodEnd); terr == nil {
-			l.file.Seek(0, io.SeekEnd)
-		}
-		return fmt.Errorf("wal: write frames: %w", err)
-	}
-	l.goodEnd += int64(len(l.pending))
-	l.pending = l.pending[:0]
-	return nil
-}
-
-// Sync flushes buffered records and forces them to stable storage. A
-// transaction's effects are durable once the Sync after its COMMIT record
-// returns nil.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	// Everything appended so far is covered by this force.
-	target := l.base + LSN(len(l.records))
-	if l.file != nil {
-		if err := l.flushLocked(); err != nil {
-			return err
-		}
-		l.obs.Syncs.Inc()
-		if err := l.file.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-	}
-	// The post-fsync crash site models losing the process after the
-	// records are durable but before anyone learns of it.
-	if err := l.faults.Hit(fault.SiteWALSynced); err != nil {
-		return err
-	}
-	if target > l.durable {
-		l.durable = target
-		l.synced.Broadcast()
-	}
-	return nil
-}
-
-// Durable returns the highest LSN known to be on stable storage.
-func (l *Log) Durable() LSN {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
-
-// SyncCommitted makes the commit record at lsn durable using group
-// commit: the first committer to arrive becomes the round leader,
-// optionally waits the batching window, and forces the log once for every
-// commit appended so far; committers arriving during the round wait on it
-// (or on the next) instead of issuing their own fsync. Returns nil once
-// lsn is on stable storage.
-func (l *Log) SyncCommitted(lsn LSN) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.durable < lsn {
-		if l.syncing {
-			// Follower: a leader's round is in flight. Wait for it; if it
-			// did not cover lsn (we appended after its cut) or it failed,
-			// loop and lead the next round ourselves.
-			l.synced.Wait()
-			continue
-		}
-		l.syncing = true
-		if w := l.window; w > 0 {
-			// Batching window: let concurrent committers append their
-			// records before the cut. The lock is dropped so they can.
-			l.mu.Unlock()
-			time.Sleep(w)
-			l.mu.Lock()
-		}
-		err := l.syncLocked()
-		l.syncing = false
-		// Wake followers even on failure so they retry as leaders and
-		// observe their own errors rather than waiting forever.
-		l.synced.Broadcast()
-		if err != nil {
-			return err
-		}
-		l.obs.GroupBatches.Inc()
-	}
-	l.obs.GroupCommits.Inc()
-	return nil
-}
-
-// ForceTo forces the log through lsn without group-commit batching. The
-// buffer pool calls it to honour the write-ahead rule before a dirty page
-// leaves the pool; it returns immediately when lsn is already durable.
-func (l *Log) ForceTo(lsn LSN) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.durable < lsn {
-		if l.syncing {
-			l.synced.Wait()
-			continue
-		}
-		l.obs.ForcedSyncs.Inc()
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LastLSN returns the most recent LSN written for txn (0 if none).
@@ -428,7 +291,7 @@ func (l *Log) LastLSN(txn TxnID) LSN {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return int(l.next - 1 - l.base)
 }
 
 // Base returns the truncation offset: the highest LSN dropped from the
@@ -448,25 +311,39 @@ func (l *Log) AppendsSinceCheckpoint() int {
 }
 
 // At returns the record with the given LSN. Records before the truncated
-// head are gone and report false.
+// head are gone and report false. The payload aliases the window: it
+// stays valid and unchanged for as long as the caller holds it, and must
+// not be written to.
 func (l *Log) At(lsn LSN) (Record, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.atLocked(lsn)
 }
 
-func (l *Log) atLocked(lsn LSN) (Record, bool) {
-	if lsn <= l.base || int(lsn-l.base) > len(l.records) {
-		return Record{}, false
+// Scan calls fn with each record from LSN from (or the head of the window,
+// if that is later) through the last one appended before the call, in LSN
+// order, until fn returns false. fn runs without the log's lock and may
+// use the log; payloads alias the window under At's rule.
+func (l *Log) Scan(from LSN, fn func(Record) bool) {
+	l.mu.Lock()
+	chunks := l.chunksLocked(nil, from)
+	l.mu.Unlock()
+	for _, frames := range chunks {
+		for len(frames) > 0 {
+			n := frameHeader + int(binary.BigEndian.Uint32(frames))
+			if !fn(decodeRecord(frames[frameHeader:n])) {
+				return
+			}
+			frames = frames[n:]
+		}
 	}
-	return l.records[lsn-l.base-1], true
 }
 
-// Records returns a snapshot copy of the in-memory window, in LSN order.
+// Records returns the window as a slice (tests; the engine scans).
 func (l *Log) Records() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Record(nil), l.records...)
+	var out []Record
+	l.Scan(0, func(rec Record) bool { out = append(out, rec); return true })
+	return out
 }
 
 // Rollback undoes txn's update records back to (but not including) toLSN,
@@ -483,28 +360,27 @@ func (l *Log) Rollback(txn TxnID, toLSN LSN, d Undoer) error {
 	l.obs.Rollbacks.Inc()
 	l.mu.Lock()
 	var chain []Record
-	cur := l.lastLSN[txn]
-	for cur > toLSN {
+	var err error
+	for cur := l.lastLSN[txn]; cur > toLSN && err == nil; {
 		rec, ok := l.atLocked(cur)
-		if !ok {
-			l.mu.Unlock()
-			return fmt.Errorf("wal: broken undo chain: txn %d lsn %d", txn, cur)
-		}
-		if rec.Txn != txn {
-			l.mu.Unlock()
-			return fmt.Errorf("wal: undo chain crossed transactions at lsn %d", cur)
-		}
-		switch rec.Kind {
-		case RecCompensation:
+		switch {
+		case !ok:
+			err = fmt.Errorf("wal: broken undo chain: txn %d lsn %d", txn, cur)
+		case rec.Txn != txn:
+			err = fmt.Errorf("wal: undo chain crossed transactions at lsn %d", cur)
+		case rec.Kind == RecCompensation:
 			cur = rec.UndoNext
-		case RecUpdate:
-			chain = append(chain, rec)
-			cur = rec.PrevLSN
-		default: // savepoints, commit markers: nothing to undo
+		default: // savepoints and commit markers have nothing to undo
+			if rec.Kind == RecUpdate {
+				chain = append(chain, rec)
+			}
 			cur = rec.PrevLSN
 		}
 	}
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	for _, rec := range chain {
 		if err := d.Undo(txn, rec.Owner, rec.Payload); err != nil {
 			return fmt.Errorf("wal: undo dispatch lsn %d: %w", rec.LSN, err)
@@ -564,92 +440,70 @@ func (l *Log) Checkpoint(att []TxnID, stampHW uint64, snap func(emit func(owner 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.appendLocked(CheckpointTxn, RecEnd, Owner{}, nil, 0); err != nil {
+	end, err := l.appendLocked(CheckpointTxn, RecEnd, Owner{}, nil, 0)
+	if err != nil {
 		return err
 	}
-	if err := l.syncLocked(); err != nil {
+	if err := l.forceLocked(end, 0, nil); err != nil {
 		return err
 	}
 	// The checkpoint is complete and durable; drop the head. Crashing
 	// anywhere before this point leaves an incomplete checkpoint that
-	// recovery ignores in favour of the previous one.
+	// recovery ignores in favour of the previous one. The file is swapped
+	// with no round in flight.
+	l.idleLocked()
 	l.truncateHeadLocked(ckptLSN)
 	l.sinceCkpt = 0
 	l.obs.Checkpoints.Inc()
 	return nil
 }
 
-// truncateHeadLocked drops every record with LSN < keep from memory and
-// rewrites the backing file to match. A failure rewriting the file is
-// benign — the full log simply remains on disk and recovery still starts
-// at the checkpoint — so it is not reported.
+// truncateHeadLocked drops every record with LSN < keep from the window —
+// whole segments; the one holding keep stays entire, its head out of
+// reach — and rewrites the backing file to start at keep, which forces
+// every record appended so far. A failure rewriting the file is benign —
+// the full log stays on disk and recovery still starts at the checkpoint.
 func (l *Log) truncateHeadLocked(keep LSN) {
-	idx := int(keep - l.base - 1)
-	if idx <= 0 {
+	if keep <= l.base+1 || keep >= l.next {
 		return
 	}
-	if idx > len(l.records) {
-		idx = len(l.records)
-	}
-	l.records = append([]Record(nil), l.records[idx:]...)
+	l.segs = append([]segment(nil), l.segs[l.segIndex(keep):]...)
 	l.base = keep - 1
 	if l.file == nil {
 		return
 	}
-	// Note: l.path, not l.file.Name() — after the first swap the handle's
-	// recorded name is the temporary one.
-	path := l.path
-	tmp, err := os.OpenFile(path+".ckpt", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := os.OpenFile(l.path+".ckpt", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return
 	}
-	var buf []byte
-	for _, rec := range l.records {
-		buf = appendFrame(buf, rec)
+	var size int64
+	for _, frames := range l.chunksLocked(nil, keep) {
+		if err == nil {
+			_, err = tmp.Write(frames)
+			size += int64(len(frames))
+		}
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(path + ".ckpt")
-		return
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(path + ".ckpt")
-		return
+	if err == nil {
+		err = os.Rename(l.path+".ckpt", l.path)
 	}
-	if err := os.Rename(path+".ckpt", path); err != nil {
+	if err != nil {
 		tmp.Close()
-		os.Remove(path + ".ckpt")
+		os.Remove(l.path + ".ckpt")
 		return
 	}
 	l.file.Close()
-	l.file = tmp
-	l.goodEnd = int64(len(buf))
-	if _, err := l.file.Seek(0, io.SeekEnd); err != nil {
-		// Leave the handle; subsequent writes will surface the problem.
-		return
-	}
-}
-
-// lastCompleteCheckpoint returns the LSN of the newest RecCheckpoint that
-// is followed by its closing END record (0 if none).
-func lastCompleteCheckpoint(recs []Record) LSN {
-	var done, open LSN
-	for _, rec := range recs {
-		switch {
-		case rec.Kind == RecCheckpoint:
-			open = rec.LSN
-		case rec.Kind == RecEnd && rec.Txn == CheckpointTxn && open != 0:
-			done, open = open, 0
-		}
-	}
-	return done
+	l.file, l.goodEnd, l.allocated, l.durable = tmp, size, size, l.next-1
 }
 
 // CheckpointLSN returns the LSN of the last complete checkpoint in the
-// log (0 if none).
+// log — the newest RecCheckpoint followed by its closing END (0 if none).
 func (l *Log) CheckpointLSN() LSN {
-	return lastCompleteCheckpoint(l.Records())
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ckptDone
 }
 
 // Recover performs restart recovery: redo every update and compensation
@@ -663,26 +517,23 @@ func (l *Log) CheckpointLSN() LSN {
 // re-place values the surrounding records already produced) and its open
 // CheckpointTxn chain is closed without undo.
 func (l *Log) Recover(r Redoer, u Undoer) error {
-	recs := l.Records()
-	ckptLSN := lastCompleteCheckpoint(recs)
 	committed := map[TxnID]bool{}
-	for _, rec := range recs {
-		if rec.Kind == RecCommit {
+	ckptLSN := l.CheckpointLSN() // records up to it are superseded by its snapshot
+	var err error
+	l.Scan(0, func(rec Record) bool {
+		switch {
+		case rec.Kind == RecCommit:
 			committed[rec.Txn] = true
+		case rec.LSN > ckptLSN && (rec.Kind == RecUpdate || rec.Kind == RecCompensation):
+			l.obs.RedoRecords.Inc()
+			if rerr := r.Redo(rec.Txn, rec.Owner, rec.Payload, rec.Kind == RecCompensation); rerr != nil {
+				err = fmt.Errorf("wal: redo lsn %d: %w", rec.LSN, rerr)
+			}
 		}
-	}
-	for _, rec := range recs {
-		if rec.Kind != RecUpdate && rec.Kind != RecCompensation {
-			continue
-		}
-		if rec.LSN <= ckptLSN {
-			// Before the checkpoint: superseded by the snapshot.
-			continue
-		}
-		l.obs.RedoRecords.Inc()
-		if err := r.Redo(rec.Txn, rec.Owner, rec.Payload, rec.Kind == RecCompensation); err != nil {
-			return fmt.Errorf("wal: redo lsn %d: %w", rec.LSN, err)
-		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	for _, txn := range l.ActiveTxns() {
 		if txn == CheckpointTxn || committed[txn] {
@@ -719,26 +570,6 @@ func EncodeATT(entries []ATTEntry) []byte {
 	return out
 }
 
-// DecodeATT reverses EncodeATT.
-func DecodeATT(b []byte) ([]ATTEntry, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("wal: short ATT payload")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) < 4+16*n {
-		return nil, fmt.Errorf("wal: truncated ATT payload")
-	}
-	out := make([]ATTEntry, 0, n)
-	for i := 0; i < n; i++ {
-		off := 4 + 16*i
-		out = append(out, ATTEntry{
-			Txn:     TxnID(binary.BigEndian.Uint64(b[off:])),
-			LastLSN: LSN(binary.BigEndian.Uint64(b[off+8:])),
-		})
-	}
-	return out, nil
-}
-
 // EncodeCommitStamp serialises a commit stamp for a RecCommit payload.
 func EncodeCommitStamp(stamp uint64) []byte {
 	return binary.BigEndian.AppendUint64(nil, stamp)
@@ -766,84 +597,4 @@ func DecodeCheckpointStamp(b []byte) uint64 {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b[off:])
-}
-
-// frame format: len(u32) | crc(u32) | body; body is the encoded record.
-
-func appendFrame(dst []byte, rec Record) []byte {
-	body := encodeRecord(rec)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
-}
-
-// load parses the frames in f. It returns the records, the rebuilt
-// per-transaction chain heads, and the file offset after the last valid
-// frame (torn or corrupt tails end the parse). The first record's LSN
-// sets the truncation base; a gap in the LSN sequence is treated as a
-// corrupt tail.
-func load(f *os.File) (records []Record, lastLSN map[TxnID]LSN, validEnd int64, err error) {
-	lastLSN = make(map[TxnID]LSN)
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("wal: read: %w", err)
-	}
-	pos := 0
-	for {
-		if pos+8 > len(data) {
-			break
-		}
-		n := int(binary.BigEndian.Uint32(data[pos:]))
-		sum := binary.BigEndian.Uint32(data[pos+4:])
-		if pos+8+n > len(data) {
-			break // torn tail
-		}
-		body := data[pos+8 : pos+8+n]
-		if crc32.ChecksumIEEE(body) != sum {
-			break // corrupt tail
-		}
-		rec, derr := decodeRecord(body)
-		if derr != nil {
-			break
-		}
-		if len(records) > 0 && rec.LSN != records[len(records)-1].LSN+1 {
-			break // LSN gap: treat as corrupt tail
-		}
-		records = append(records, rec)
-		if rec.Kind == RecEnd {
-			delete(lastLSN, rec.Txn)
-		} else {
-			lastLSN[rec.Txn] = rec.LSN
-		}
-		pos += 8 + n
-	}
-	return records, lastLSN, int64(pos), nil
-}
-
-func encodeRecord(rec Record) []byte {
-	out := make([]byte, 0, 40+len(rec.Payload))
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.LSN))
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.Txn))
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.PrevLSN))
-	out = binary.BigEndian.AppendUint64(out, uint64(rec.UndoNext))
-	out = append(out, byte(rec.Kind), byte(rec.Owner.Class), rec.Owner.ExtID)
-	out = binary.BigEndian.AppendUint32(out, rec.Owner.RelID)
-	out = append(out, rec.Payload...)
-	return out
-}
-
-func decodeRecord(b []byte) (Record, error) {
-	if len(b) < 39 {
-		return Record{}, fmt.Errorf("wal: short record body (%d bytes)", len(b))
-	}
-	rec := Record{
-		LSN:      LSN(binary.BigEndian.Uint64(b[0:])),
-		Txn:      TxnID(binary.BigEndian.Uint64(b[8:])),
-		PrevLSN:  LSN(binary.BigEndian.Uint64(b[16:])),
-		UndoNext: LSN(binary.BigEndian.Uint64(b[24:])),
-		Kind:     RecKind(b[32]),
-		Owner:    Owner{Class: OwnerClass(b[33]), ExtID: b[34], RelID: binary.BigEndian.Uint32(b[35:])},
-	}
-	rec.Payload = append([]byte(nil), b[39:]...)
-	return rec, nil
 }
