@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-diff crash race model ingest par part fmt vet staticcheck examples trace-demo
+.PHONY: build test check bench bench-diff crash race model fuzz ingest par part fmt vet staticcheck examples trace-demo
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,14 @@ DMX_MODEL_CRASH_SEEDS ?= 100
 model:
 	DMX_MODEL_SEEDS=$(DMX_MODEL_SEEDS) DMX_MODEL_CRASH_SEEDS=$(DMX_MODEL_CRASH_SEEDS) \
 		$(GO) test -count=1 -run 'TestModel$$|TestModelCrashRecovery' -v .
+
+# fuzz runs the coverage-guided fuzz targets for FUZZTIME each (their seed
+# corpora already run under plain `go test`): FuzzParse holds the SQL lexer
+# and parser to "reject, never panic" and to the slot round trip — a
+# statement's key with its parameters written back in lexes to that key.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -1,6 +1,8 @@
 package ddl_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -445,4 +447,105 @@ func TestOrderByUsesIndexWhenAvailable(t *testing.T) {
 			t.Fatal("not ordered")
 		}
 	}
+}
+
+// TestUnaryMinusNegatesOnlyNumbers: a minus sign in front of a string,
+// TRUE, FALSE or NULL is a parse error, not a zero.
+func TestUnaryMinusNegatesOnlyNumbers(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s,
+		"CREATE TABLE t (id INT NOT NULL, v STRING) USING memory",
+		"INSERT INTO t VALUES (0, 'zero')")
+	for _, bad := range []string{
+		"SELECT v FROM t WHERE id = -'abc'",
+		"INSERT INTO t VALUES (-'abc', 'x')",
+		"SELECT v FROM t WHERE id = -TRUE",
+		"INSERT INTO t VALUES (-FALSE, 'x')",
+		"SELECT v FROM t WHERE id = - NULL",
+	} {
+		if res, err := s.Exec(bad); err == nil {
+			t.Errorf("%s accepted: %+v", bad, res)
+		}
+	}
+	if n := mustExec(t, s, "SELECT COUNT(*) FROM t").Rows[0][0].I; n != 1 {
+		t.Fatalf("%d rows, want the one inserted", n)
+	}
+}
+
+// TestSmallestInt64Literal: -9223372036854775808 is a literal; one more in
+// magnitude, either sign, is out of range.
+func TestSmallestInt64Literal(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s,
+		"CREATE TABLE t (id INT NOT NULL, v STRING) USING memory",
+		"INSERT INTO t VALUES (-9223372036854775808, 'min'), (9223372036854775807, 'max')")
+	res := mustExec(t, s, "SELECT id, v FROM t WHERE id < 0")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != math.MinInt64 || res.Rows[0][1].S != "min" {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	for _, bad := range []string{
+		"SELECT v FROM t WHERE id = 9223372036854775808",
+		"SELECT v FROM t WHERE id = -9223372036854775809",
+	} {
+		if _, err := s.Exec(bad); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
+
+// TestBinaryMinusKeepsItsMeaning: a minus after an operand subtracts,
+// however it is spaced, and a signed literal may follow it.
+func TestBinaryMinusKeepsItsMeaning(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s,
+		"CREATE TABLE t (id INT NOT NULL, v INT) USING memory",
+		"INSERT INTO t VALUES (1, 10), (2, -10)")
+	for _, c := range []struct{ where, ids string }{
+		{"v - 5 = 5", "[(1)]"},
+		{"v -5 = 5", "[(1)]"},
+		{"v-5 = 5", "[(1)]"},
+		{"v - -5 = 15", "[(1)]"},
+		{"(v)-5 = -15", "[(2)]"},
+		{"-5 - v = 5", "[(2)]"},
+		{"v > -9223372036854775808 - -1", "[(1) (2)]"},
+	} {
+		res := mustExec(t, s, "SELECT id FROM t WHERE "+c.where+" ORDER BY id")
+		if got := fmt.Sprint(res.Rows); got != c.ids {
+			t.Errorf("WHERE %s: ids %s, want %s", c.where, got, c.ids)
+		}
+	}
+}
+
+// TestUpdateAssignsEachColumnOnce: a SET list naming a column twice is an
+// error, not "the last one wins".
+func TestUpdateAssignsEachColumnOnce(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s,
+		"CREATE TABLE t (id INT NOT NULL, v INT) USING memory",
+		"INSERT INTO t VALUES (1, 0)")
+	for _, bad := range []string{"UPDATE t SET v = 1, v = 2", "UPDATE t SET v = 1, id = 2, V = 3"} {
+		if _, err := s.Exec(bad); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+	mustExec(t, s, "UPDATE t SET id = v + 5, v = id")
+	if res := mustExec(t, s, "SELECT id, v FROM t"); fmt.Sprint(res.Rows) != "[(5, 1)]" {
+		t.Fatalf("rows = %v, want [(5, 1)]", res.Rows)
+	}
+}
+
+// TestAttributeValueIsNoMarker: a WITH value is text the statement spells
+// out; a ? marker there is an error, while the string literal '?' is the
+// text "?".
+func TestAttributeValueIsNoMarker(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "CREATE TABLE t (id INT NOT NULL, v INT) USING heap")
+	if _, err := s.Exec("CREATE ATTACHMENT hash ON t WITH (name=h, on=?)", types.Str("v")); err == nil {
+		t.Fatal("a ? marker accepted as an attribute value")
+	}
+	mustExec(t, s, "CREATE ATTACHMENT hash ON t WITH (name='?', on=v)")
+	if _, err := s.Exec("DROP ATTACHMENT hash ON t WITH (name=?)", types.Str("?")); err == nil {
+		t.Fatal("a ? marker accepted as an attribute value")
+	}
+	mustExec(t, s, "DROP ATTACHMENT hash ON t WITH (name='?')")
 }

@@ -110,33 +110,35 @@ func scanDML(t *testing.T, env *core.Env, filter *expr.Expr, set func(types.Reco
 	return len(keys)
 }
 
-func intConst(v int64) *expr.Expr { return expr.Const(types.Int(v)) }
-
 // TestPlannedDMLMatchesFullScan: whichever access path the planner picks
 // for an UPDATE or DELETE, the rows affected and the table left behind are
-// those of the filtered full scan.
+// those of the filtered full scan. Each case runs twice in one session with
+// other literals of the same shape: the second statement runs the plan the
+// first one cached, with its own values.
 func TestPlannedDMLMatchesFullScan(t *testing.T) {
 	const id, v, h, n = 0, 1, 2, 3
+	p0, p1 := expr.Param(0), expr.Param(1)
 	preds := []struct {
-		name, where string
-		filter      *expr.Expr
-		via         string // access the heap table must report, "" = any
+		name, where string     // where: a format over each pass's literals
+		lits        [2][]any   // the literals of the two passes
+		filter      *expr.Expr // where, with the literals as parameters
+		via         string     // access the heap table must report, "" = any
 	}{
-		{"eq on btree column", "v = 17", expr.Eq(expr.Field(v), intConst(17)), "btree"},
-		{"range on btree column", "v >= 10 AND v < 13",
-			expr.And(expr.Ge(expr.Field(v), intConst(10)), expr.Lt(expr.Field(v), intConst(13))), "btree"},
-		{"eq on hash column", "h = 3", expr.Eq(expr.Field(h), intConst(3)), "hash"},
-		{"non-indexed column", "n = 5", expr.Eq(expr.Field(n), intConst(5)), "scan("},
-		{"btree eq and hash eq", "v = 17 AND h = 3",
-			expr.And(expr.Eq(expr.Field(v), intConst(17)), expr.Eq(expr.Field(h), intConst(3))), ""},
-		{"hash eq and non-indexed", "h = 3 AND n = 5",
-			expr.And(expr.Eq(expr.Field(h), intConst(3)), expr.Eq(expr.Field(n), intConst(5))), "hash"},
-		{"btree range and non-indexed", "v > 45 AND n = 2",
-			expr.And(expr.Gt(expr.Field(v), intConst(45)), expr.Eq(expr.Field(n), intConst(2))), ""},
-		{"record key eq", "id = 42", expr.Eq(expr.Field(id), intConst(42)), ""},
-		{"record key range", "id >= 190", expr.Ge(expr.Field(id), intConst(190)), ""},
-		{"no where", "", nil, "scan("},
-		{"matches nothing", "v = 999", expr.Eq(expr.Field(v), intConst(999)), ""},
+		{"eq on btree column", "v = %d", [2][]any{{17}, {22}}, expr.Eq(expr.Field(v), p0), "btree"},
+		{"range on btree column", "v >= %d AND v < %d", [2][]any{{10, 13}, {30, 33}},
+			expr.And(expr.Ge(expr.Field(v), p0), expr.Lt(expr.Field(v), p1)), "btree"},
+		{"eq on hash column", "h = %d", [2][]any{{3}, {5}}, expr.Eq(expr.Field(h), p0), "hash"},
+		{"non-indexed column", "n = %d", [2][]any{{5}, {7}}, expr.Eq(expr.Field(n), p0), "scan("},
+		{"btree eq and hash eq", "v = %d AND h = %d", [2][]any{{17, 3}, {22, 1}},
+			expr.And(expr.Eq(expr.Field(v), p0), expr.Eq(expr.Field(h), p1)), ""},
+		{"hash eq and non-indexed", "h = %d AND n = %d", [2][]any{{3, 5}, {4, 2}},
+			expr.And(expr.Eq(expr.Field(h), p0), expr.Eq(expr.Field(n), p1)), "hash"},
+		{"btree range and non-indexed", "v > %d AND n = %d", [2][]any{{45, 2}, {40, 3}},
+			expr.And(expr.Gt(expr.Field(v), p0), expr.Eq(expr.Field(n), p1)), ""},
+		{"record key eq", "id = %d", [2][]any{{42}, {43}}, expr.Eq(expr.Field(id), p0), ""},
+		{"record key range", "id >= %d", [2][]any{{190}, {180}}, expr.Ge(expr.Field(id), p0), ""},
+		{"no where", "", [2][]any{}, nil, "scan("},
+		{"matches nothing", "v = %d", [2][]any{{999}, {998}}, expr.Eq(expr.Field(v), p0), ""},
 	}
 	stmts := []struct {
 		name, sql string
@@ -154,46 +156,58 @@ func TestPlannedDMLMatchesFullScan(t *testing.T) {
 				t.Run(tbl.name+"/"+st.name+"/"+p.name, func(t *testing.T) {
 					planned := newDMLSession(t, tbl.create)
 					ref := newDMLSession(t, tbl.create)
-					sql := st.sql
-					if p.where != "" {
-						sql += " WHERE " + p.where
-					}
-					res := mustExec(t, planned, sql)
-					want := scanDML(t, ref.Env(), p.filter, st.set)
-					if res.Affected != want {
-						t.Fatalf("%s: affected %d rows via %s, full scan %d", sql, res.Affected, res.Explain, want)
-					}
-					if p.where != "" && p.name != "matches nothing" && want == 0 {
-						t.Fatalf("%s: the case matches no row", sql)
-					}
-					got, exp := tableContents(t, planned.Env()), tableContents(t, ref.Env())
-					if fmt.Sprint(got) != fmt.Sprint(exp) {
-						t.Fatalf("%s via %s: table differs from the full-scan reference\ngot  %v\nwant %v",
-							sql, res.Explain, got, exp)
-					}
-					if res.Explain == "" {
-						t.Fatalf("%s: no Explain", sql)
-					}
-					if tbl.name == "heap" && !strings.Contains(res.Explain, p.via) {
-						t.Fatalf("%s: explain %q, want access via %q", sql, res.Explain, p.via)
-					}
-					// The indexes followed the rows: probing them finds what
-					// the table holds.
-					for _, probe := range []struct {
-						col  string
-						i    int
-						want int64
-					}{{"v", v, 22}, {"v", v, 17}, {"h", h, 4}, {"h", h, 3}} {
-						var inTable int64
-						for _, r := range got {
-							if r[probe.i].I == probe.want {
-								inTable++
-							}
+					for pass, lits := range p.lits {
+						sql := st.sql
+						if p.where != "" {
+							sql += " WHERE " + fmt.Sprintf(p.where, lits...)
 						}
-						idx := mustExec(t, planned, fmt.Sprintf("SELECT COUNT(*) FROM t WHERE %s = %d", probe.col, probe.want))
-						if idx.Rows[0][0].I != inTable {
-							t.Fatalf("%s: afterwards %s = %d counts %d via %s, the table holds %d",
-								sql, probe.col, probe.want, idx.Rows[0][0].I, idx.Explain, inTable)
+						before := planned.Env().Obs.Snapshot().Plan
+						res := mustExec(t, planned, sql)
+						after := planned.Env().Obs.Snapshot().Plan
+						if pass == 1 && (after.CacheHits != before.CacheHits+1 || after.CacheMisses != before.CacheMisses) {
+							t.Fatalf("%s: the second pass did not run the cached plan (hits +%d, misses +%d)",
+								sql, after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses)
+						}
+						params := make([]types.Value, len(lits))
+						for i, l := range lits {
+							params[i] = types.Int(int64(l.(int)))
+						}
+						want := scanDML(t, ref.Env(), expr.Bind(p.filter, params), st.set)
+						if res.Affected != want {
+							t.Fatalf("%s: affected %d rows via %s, full scan %d", sql, res.Affected, res.Explain, want)
+						}
+						if pass == 0 && p.where != "" && p.name != "matches nothing" && want == 0 {
+							t.Fatalf("%s: the case matches no row", sql)
+						}
+						got, exp := tableContents(t, planned.Env()), tableContents(t, ref.Env())
+						if fmt.Sprint(got) != fmt.Sprint(exp) {
+							t.Fatalf("%s via %s: table differs from the full-scan reference\ngot  %v\nwant %v",
+								sql, res.Explain, got, exp)
+						}
+						if res.Explain == "" {
+							t.Fatalf("%s: no Explain", sql)
+						}
+						if tbl.name == "heap" && !strings.Contains(res.Explain, p.via) {
+							t.Fatalf("%s: explain %q, want access via %q", sql, res.Explain, p.via)
+						}
+						// The indexes followed the rows: probing them finds what
+						// the table holds.
+						for _, probe := range []struct {
+							col  string
+							i    int
+							want int64
+						}{{"v", v, 22}, {"v", v, 17}, {"h", h, 4}, {"h", h, 3}} {
+							var inTable int64
+							for _, r := range got {
+								if r[probe.i].I == probe.want {
+									inTable++
+								}
+							}
+							idx := mustExec(t, planned, fmt.Sprintf("SELECT COUNT(*) FROM t WHERE %s = %d", probe.col, probe.want))
+							if idx.Rows[0][0].I != inTable {
+								t.Fatalf("%s: afterwards %s = %d counts %d via %s, the table holds %d",
+									sql, probe.col, probe.want, idx.Rows[0][0].I, idx.Explain, inTable)
+							}
 						}
 					}
 				})

@@ -2,7 +2,6 @@ package ddl
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"dmx/internal/core"
@@ -38,10 +37,11 @@ type DropAttachment struct {
 	Attrs core.AttrList
 }
 
-// Insert is INSERT INTO table VALUES (...), (...).
+// Insert is INSERT INTO table VALUES (...), (...). Each value is a slot or
+// a constant (TRUE, FALSE, NULL, BOX(...)).
 type Insert struct {
 	Table string
-	Rows  []types.Record
+	Rows  [][]*rawExpr
 }
 
 // Select is SELECT cols FROM table [JOIN t2 ON a = b [USING JOININDEX n]]
@@ -71,8 +71,13 @@ type joinClause struct {
 // Update is UPDATE table SET col = expr, ... [WHERE pred].
 type Update struct {
 	Table string
-	Set   map[string]*rawExpr
+	Set   []assignment // in statement order, each column at most once
 	Where *rawExpr
+}
+
+type assignment struct {
+	col string // lower case
+	val *rawExpr
 }
 
 // Delete is DELETE FROM table [WHERE pred].
@@ -126,47 +131,81 @@ func (Grant) stmt()            {}
 func (Revoke) stmt()           {}
 
 // rawExpr is an unresolved expression tree: column references are by name
-// and get bound to field positions against a schema at execution time.
+// and get bound to field positions against a schema at execution time, and
+// a literal is a slot (op expr.OpParam) whose value each execution brings.
 type rawExpr struct {
 	op   expr.Op
-	val  types.Value
+	val  types.Value // OpConst: TRUE, FALSE, NULL or a BOX
+	slot int         // OpParam
 	col  colRef
 	name string // function name
 	args []*rawExpr
 }
 
-// Parse parses one statement.
+// value is a VALUES entry's value under params.
+func (r *rawExpr) value(params []types.Value) types.Value {
+	if r.op == expr.OpParam {
+		return params[r.slot]
+	}
+	return r.val
+}
+
+// Parse parses one statement. Its literals are parameter slots; the values
+// the text gives them are not part of the result.
 func Parse(src string) (Stmt, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	l := lexer{src: src}
+	stmt, _, err := parse(&l)
+	return stmt, err
+}
+
+// parse parses l's text from its start. pinned lists the slots whose
+// values are part of the statement's shape rather than parameters: a LIMIT
+// count and BOX corners.
+func parse(l *lexer) (Stmt, []int, error) {
+	l.reset(l.src, l.args)
+	p := &parser{l: l}
+	p.advance()
 	stmt, err := p.statement()
+	if err == nil && !p.atEOF() {
+		err = fmt.Errorf("ddl: trailing input at %q", p.peek().text)
+	}
+	if l.err != nil {
+		err = l.err // the parser met tokEOF where lexing failed
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if !p.atEOF() {
-		return nil, fmt.Errorf("ddl: trailing input at %q", p.peek().text)
-	}
-	return stmt, nil
+	return stmt, p.pinned, nil
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	l      *lexer
+	tok    token // the next token
+	pinned []int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+// pin consumes a slot whose value shapes the statement and returns it.
+func (p *parser) pin() (types.Value, bool) {
+	t := p.peek()
+	if t.kind != tokSlot {
+		return types.Value{}, false
+	}
+	p.advance()
+	p.pinned = append(p.pinned, t.slot)
+	return p.l.params[t.slot], true
+}
+
+func (p *parser) advance()    { p.tok = p.l.next() }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
 
 // kw reports whether the next token is the given keyword (case-insensitive)
 // and consumes it if so.
 func (p *parser) kw(word string) bool {
 	t := p.peek()
 	if t.kind == tokIdent && strings.EqualFold(t.text, word) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -182,7 +221,7 @@ func (p *parser) expectKw(word string) error {
 func (p *parser) punct(s string) bool {
 	t := p.peek()
 	if t.kind == tokPunct && t.text == s {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -200,7 +239,7 @@ func (p *parser) ident() (string, error) {
 	if t.kind != tokIdent {
 		return "", fmt.Errorf("ddl: expected identifier, got %q", t.text)
 	}
-	p.pos++
+	p.advance()
 	return t.text, nil
 }
 
@@ -404,8 +443,8 @@ func (p *parser) withAttrs() (core.AttrList, error) {
 		val := "true"
 		if p.punct("=") {
 			t := p.next()
-			switch t.kind {
-			case tokIdent, tokNumber, tokString:
+			switch {
+			case t.kind == tokIdent || t.kind == tokSlot && !t.marker:
 				val = t.text
 				// Attribute values like column lists may continue with
 				// commas inside: on=a,b is written as on='a,b' instead.
@@ -518,12 +557,12 @@ func (p *parser) insert() (Stmt, error) {
 	if err := p.expectKw("values"); err != nil {
 		return nil, err
 	}
-	var rows []types.Record
+	var rows [][]*rawExpr
 	for {
 		if err := p.expectPunct("("); err != nil {
 			return nil, err
 		}
-		var rec types.Record
+		var rec []*rawExpr
 		for {
 			v, err := p.literal()
 			if err != nil {
@@ -547,61 +586,44 @@ func (p *parser) insert() (Stmt, error) {
 	return Insert{Table: table, Rows: rows}, nil
 }
 
-// literal parses a literal value: number, string, TRUE/FALSE/NULL, or
-// BOX(x1,y1,x2,y2).
-func (p *parser) literal() (types.Value, error) {
+// literal parses a value: a slot, TRUE/FALSE/NULL, or BOX(x1,y1,x2,y2)
+// over pinned slots.
+func (p *parser) literal() (*rawExpr, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tokNumber:
-		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			return types.Float(f), err
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		return types.Int(i), err
-	case t.kind == tokPunct && t.text == "-":
-		p.pos++
-		v, err := p.literal()
-		if err != nil {
-			return types.Null(), err
-		}
-		if v.K == types.KindFloat {
-			return types.Float(-v.F), nil
-		}
-		return types.Int(-v.I), nil
-	case t.kind == tokString:
-		p.pos++
-		return types.Str(t.text), nil
+	case t.kind == tokSlot:
+		p.advance()
+		return &rawExpr{op: expr.OpParam, slot: t.slot}, nil
 	case p.kw("true"):
-		return types.Bool(true), nil
+		return &rawExpr{op: expr.OpConst, val: types.Bool(true)}, nil
 	case p.kw("false"):
-		return types.Bool(false), nil
+		return &rawExpr{op: expr.OpConst, val: types.Bool(false)}, nil
 	case p.kw("null"):
-		return types.Null(), nil
+		return &rawExpr{op: expr.OpConst, val: types.Null()}, nil
 	case p.kw("box"):
 		if err := p.expectPunct("("); err != nil {
-			return types.Null(), err
+			return nil, err
 		}
 		var coords [4]float64
-		for i := 0; i < 4; i++ {
-			v, err := p.literal()
-			if err != nil {
-				return types.Null(), err
-			}
-			coords[i] = v.AsFloat()
-			if i < 3 {
+		for i := range coords {
+			if i > 0 {
 				if err := p.expectPunct(","); err != nil {
-					return types.Null(), err
+					return nil, err
 				}
 			}
+			v, ok := p.pin()
+			if !ok {
+				return nil, fmt.Errorf("ddl: BOX corner must be a literal, got %q", p.peek().text)
+			}
+			coords[i] = v.AsFloat()
 		}
 		if err := p.expectPunct(")"); err != nil {
-			return types.Null(), err
+			return nil, err
 		}
-		return expr.NewBox(coords[0], coords[1], coords[2], coords[3]).Value(), nil
+		box := expr.NewBox(coords[0], coords[1], coords[2], coords[3]).Value()
+		return &rawExpr{op: expr.OpConst, val: box}, nil
 	default:
-		return types.Null(), fmt.Errorf("ddl: expected literal, got %q", t.text)
+		return nil, fmt.Errorf("ddl: expected literal, got %q", t.text)
 	}
 }
 
@@ -716,15 +738,12 @@ func (p *parser) selectStmt() (Stmt, error) {
 		}
 	}
 	if p.kw("limit") {
-		t := p.next()
-		if t.kind != tokNumber {
-			return nil, fmt.Errorf("ddl: LIMIT wants a number, got %q", t.text)
+		t := p.peek()
+		n, ok := p.pin()
+		if !ok || n.K != types.KindInt || n.I < 0 {
+			return nil, fmt.Errorf("ddl: LIMIT wants a count, got %q", t.text)
 		}
-		n, err := strconv.Atoi(t.text)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("ddl: bad LIMIT %q", t.text)
-		}
-		sel.Limit = n
+		sel.Limit = int(n.I)
 	}
 	return sel, nil
 }
@@ -737,11 +756,17 @@ func (p *parser) update() (Stmt, error) {
 	if err := p.expectKw("set"); err != nil {
 		return nil, err
 	}
-	set := map[string]*rawExpr{}
+	var set []assignment
 	for {
 		col, err := p.ident()
 		if err != nil {
 			return nil, err
+		}
+		col = strings.ToLower(col)
+		for _, a := range set {
+			if a.col == col {
+				return nil, fmt.Errorf("ddl: column %q is assigned twice", col)
+			}
 		}
 		if err := p.expectPunct("="); err != nil {
 			return nil, err
@@ -750,7 +775,7 @@ func (p *parser) update() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		set[strings.ToLower(col)] = e
+		set = append(set, assignment{col: col, val: e})
 		if p.punct(",") {
 			continue
 		}
@@ -836,14 +861,10 @@ func (p *parser) cmpExpr() (*rawExpr, error) {
 		}
 		return &rawExpr{op: expr.OpIsNull, args: []*rawExpr{left}}, nil
 	}
-	ops := map[string]expr.Op{
-		"=": expr.OpEq, "<>": expr.OpNe, "<": expr.OpLt,
-		"<=": expr.OpLe, ">": expr.OpGt, ">=": expr.OpGe,
-	}
 	t := p.peek()
 	if t.kind == tokPunct {
-		if op, ok := ops[t.text]; ok {
-			p.pos++
+		if op, ok := cmpOps[t.text]; ok {
+			p.advance()
 			right, err := p.sum()
 			if err != nil {
 				return nil, err
@@ -852,6 +873,11 @@ func (p *parser) cmpExpr() (*rawExpr, error) {
 		}
 	}
 	return left, nil
+}
+
+var cmpOps = map[string]expr.Op{
+	"=": expr.OpEq, "<>": expr.OpNe, "<": expr.OpLt,
+	"<=": expr.OpLe, ">": expr.OpGt, ">=": expr.OpGe,
 }
 
 func (p *parser) sum() (*rawExpr, error) {
@@ -903,15 +929,10 @@ func (p *parser) term() (*rawExpr, error) {
 func (p *parser) factor() (*rawExpr, error) {
 	t := p.peek()
 	switch {
-	case t.kind == tokNumber, t.kind == tokString,
-		t.kind == tokPunct && t.text == "-":
-		v, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		return &rawExpr{op: expr.OpConst, val: v}, nil
+	case t.kind == tokSlot:
+		return p.literal()
 	case t.kind == tokPunct && t.text == "(":
-		p.pos++
+		p.advance()
 		inner, err := p.orExpr()
 		if err != nil {
 			return nil, err
@@ -921,16 +942,18 @@ func (p *parser) factor() (*rawExpr, error) {
 		}
 		return inner, nil
 	case t.kind == tokIdent:
-		upper := strings.ToUpper(t.text)
+		upper := ""
+		for _, w := range [...]string{"TRUE", "FALSE", "NULL", "BOX", "ENCLOSES", "OVERLAPS"} {
+			if strings.EqualFold(t.text, w) {
+				upper = w
+				break
+			}
+		}
 		switch upper {
 		case "TRUE", "FALSE", "NULL", "BOX":
-			v, err := p.literal()
-			if err != nil {
-				return nil, err
-			}
-			return &rawExpr{op: expr.OpConst, val: v}, nil
+			return p.literal()
 		case "ENCLOSES", "OVERLAPS":
-			p.pos++
+			p.advance()
 			args, err := p.callArgs()
 			if err != nil {
 				return nil, err
@@ -1007,6 +1030,8 @@ func (r *rawExpr) bind(schema *types.Schema, tableName string) (*expr.Expr, erro
 	switch r.op {
 	case expr.OpConst:
 		return expr.Const(r.val), nil
+	case expr.OpParam:
+		return expr.Param(r.slot), nil
 	case expr.OpField:
 		if r.col.Table != "" && !strings.EqualFold(r.col.Table, tableName) {
 			return nil, fmt.Errorf("ddl: column %s.%s does not belong to %s",

@@ -21,29 +21,35 @@ type Result struct {
 	Explain  string
 }
 
-// Session executes statements against an environment. Queries are bound
-// once and the saved execution plans are reused whenever the same query
-// text is executed again; invalidated plans re-translate automatically.
-// A session is confined to one goroutine.
+// Session executes statements against an environment. A statement's
+// literals are parameters: statements of one shape — the same text but for
+// the literals — share one parsed statement and one bound plan, which runs
+// with each statement's values; invalidated plans are bound again from the
+// parsed statement. A session is confined to one goroutine.
 type Session struct {
 	env     *core.Env
 	planner *plan.Planner
 	tx      *txn.Txn
-	plans   map[string]*stmtPlan
+	lx      lexer                  // reused by every statement
+	plans   map[string][]*stmtPlan // by shape (lexer.key); one entry per pinned-value variant
+	nplans  int
 	user    string
 }
 
-// planCacheCap bounds Session.plans. The cache is keyed by exact statement
-// text, so literal-bearing SQL would otherwise add one bound plan per
-// statement forever; a full cache is simply emptied.
+// planCacheCap bounds the entries in Session.plans; a full cache is simply
+// emptied.
 const planCacheCap = 1024
 
-// stmtPlan is one cached translation: the bound plan plus what the
-// statement kind binds beside it.
+// stmtPlan is one cached statement shape: the parsed statement, the values
+// its pinned slots must hold for the entry to apply, and for SELECT, UPDATE
+// and DELETE the bound plan plus what the statement kind binds beside it.
 type stmtPlan struct {
-	bound *plan.Bound
-	cols  []string    // SELECT: result column names
-	set   []setClause // UPDATE: bound SET expressions
+	stmt   Stmt
+	pinned []int         // slots whose values are part of the shape,
+	pins   []types.Value // and those values
+	bound  *plan.Bound
+	cols   []string    // SELECT: result column names
+	set    []setClause // UPDATE: bound SET expressions
 }
 
 // setClause is one bound "col = expr" of an UPDATE.
@@ -58,7 +64,7 @@ func (s *Session) SetUser(user string) { s.user = user }
 
 // NewSession returns a session over env.
 func NewSession(env *core.Env) *Session {
-	return &Session{env: env, planner: plan.New(env), plans: make(map[string]*stmtPlan)}
+	return &Session{env: env, planner: plan.New(env), plans: make(map[string][]*stmtPlan)}
 }
 
 // Env exposes the underlying environment.
@@ -67,13 +73,14 @@ func (s *Session) Env() *core.Env { return s.env }
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.tx != nil }
 
-// Exec parses and executes one statement. Outside an explicit BEGIN,
-// each statement runs in its own transaction.
-func (s *Session) Exec(src string) (*Result, error) {
-	stmt, err := Parse(src)
+// Exec executes one statement, with args as the values of its ? markers.
+// Outside an explicit BEGIN, each statement runs in its own transaction.
+func (s *Session) Exec(src string, args ...types.Value) (*Result, error) {
+	entry, err := s.statement(src, args)
 	if err != nil {
 		return nil, err
 	}
+	stmt, params := entry.stmt, s.lx.params
 	switch st := stmt.(type) {
 	case Begin:
 		if s.tx != nil {
@@ -152,7 +159,7 @@ func (s *Session) Exec(src string) (*Result, error) {
 			sp.SetNote(truncateSrc(src))
 			defer func() { sp.End(err) }()
 		}
-		res, err = s.execInTxn(tx, stmt, src)
+		res, err = s.execInTxn(tx, entry, params)
 		return err
 	})
 	if runErr != nil {
@@ -235,8 +242,101 @@ func (s *Session) withTxn(fn func(tx *txn.Txn) error) error {
 	return tx.Commit()
 }
 
-func (s *Session) execInTxn(tx *txn.Txn, stmt Stmt, src string) (*Result, error) {
-	switch st := stmt.(type) {
+// statement lexes src and returns its shape's cache entry, parsing and
+// binding only when no valid entry exists. Statements without a plan to
+// reuse (DDL, transaction control) are parsed every time.
+func (s *Session) statement(src string, args []types.Value) (*stmtPlan, error) {
+	l := &s.lx
+	if err := l.lex(src, args); err != nil {
+		return nil, err
+	}
+	sp := s.lookup(l.key)
+	if sp != nil && (sp.bound == nil || sp.bound.Valid()) {
+		s.env.Obs.Plan.CacheHits.Inc()
+		return sp, nil
+	}
+	fresh := sp == nil
+	if fresh {
+		stmt, pinned, err := parse(l)
+		if err != nil {
+			return nil, err
+		}
+		switch stmt.(type) {
+		case Select, Insert, Update, Delete:
+		default:
+			return &stmtPlan{stmt: stmt}, nil
+		}
+		sp = &stmtPlan{stmt: stmt, pinned: pinned}
+		for _, i := range pinned {
+			sp.pins = append(sp.pins, l.params[i])
+		}
+	}
+	s.env.Obs.Plan.CacheMisses.Inc()
+	if err := s.bind(sp, l.params); err != nil {
+		return nil, err
+	}
+	if fresh {
+		s.store(l.key, sp)
+	}
+	return sp, nil
+}
+
+// lookup returns the entry for the statement just lexed: the same shape
+// with the same pinned values.
+func (s *Session) lookup(key []byte) *stmtPlan {
+	for _, sp := range s.plans[string(key)] {
+		match := true
+		for i, slot := range sp.pinned {
+			v := s.lx.params[slot]
+			match = match && v.K == sp.pins[i].K && types.Compare(v, sp.pins[i]) == 0
+		}
+		if match {
+			return sp
+		}
+	}
+	return nil
+}
+
+// store caches sp under shape key.
+func (s *Session) store(key []byte, sp *stmtPlan) {
+	if s.nplans >= planCacheCap {
+		clear(s.plans)
+		s.nplans = 0
+	}
+	k := string(key)
+	s.plans[k] = append(s.plans[k], sp)
+	s.nplans++
+}
+
+// bind resolves the entry's statement against the catalog and translates
+// it, pricing the access paths with params (INSERT has nothing to bind).
+func (s *Session) bind(sp *stmtPlan, params []types.Value) error {
+	var q plan.Query
+	var err error
+	switch st := sp.stmt.(type) {
+	case Select:
+		q, sp.cols, err = s.buildQuery(st)
+	case Update:
+		q, sp.set, err = s.updateQuery(st)
+	case Delete:
+		q, _, err = s.dmlQuery(st.Table, st.Where, []int{})
+	default:
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	q.Params = params
+	b, err := s.planner.Plan(q)
+	if err != nil {
+		return err
+	}
+	sp.bound = b
+	return nil
+}
+
+func (s *Session) execInTxn(tx *txn.Txn, sp *stmtPlan, params []types.Value) (*Result, error) {
+	switch st := sp.stmt.(type) {
 	case CreateTable:
 		if _, err := s.env.CreateRelation(tx, st.Name, st.Schema, st.Using, st.Attrs); err != nil {
 			return nil, err
@@ -258,15 +358,15 @@ func (s *Session) execInTxn(tx *txn.Txn, stmt Stmt, src string) (*Result, error)
 		}
 		return &Result{Message: fmt.Sprintf("DROP ATTACHMENT %s ON %s", st.Type, st.Table)}, nil
 	case Insert:
-		return s.atomic(tx, func() (*Result, error) { return s.execInsert(tx, st) })
+		return s.atomic(tx, func() (*Result, error) { return s.execInsert(tx, st, params) })
 	case Select:
-		return s.execSelect(tx, st, src)
+		return s.execSelect(tx, st, sp, params)
 	case Update:
-		return s.atomic(tx, func() (*Result, error) { return s.execUpdate(tx, st, src) })
+		return s.atomic(tx, func() (*Result, error) { return s.execUpdate(tx, st, sp, params) })
 	case Delete:
-		return s.atomic(tx, func() (*Result, error) { return s.execDelete(tx, st, src) })
+		return s.atomic(tx, func() (*Result, error) { return s.execDelete(tx, st, sp, params) })
 	default:
-		return nil, fmt.Errorf("ddl: unhandled statement %T", stmt)
+		return nil, fmt.Errorf("ddl: unhandled statement %T", st)
 	}
 }
 
@@ -287,12 +387,16 @@ func (s *Session) atomic(tx *txn.Txn, run func() (*Result, error)) (*Result, err
 	return nil, err
 }
 
-func (s *Session) execInsert(tx *txn.Txn, st Insert) (*Result, error) {
+func (s *Session) execInsert(tx *txn.Txn, st Insert, params []types.Value) (*Result, error) {
 	rel, err := s.env.OpenRelationByName(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range st.Rows {
+	for _, row := range st.Rows {
+		rec := make(types.Record, len(row))
+		for i, v := range row {
+			rec[i] = v.value(params)
+		}
 		if _, err := rel.Insert(tx, rec); err != nil {
 			return nil, err
 		}
@@ -300,47 +404,16 @@ func (s *Session) execInsert(tx *txn.Txn, st Insert) (*Result, error) {
 	return &Result{Affected: len(st.Rows), Message: fmt.Sprintf("INSERT %d", len(st.Rows))}, nil
 }
 
-// planFor returns the cached translation of the statement text, building
-// and binding it on first use (the "query binding" approach: translations
-// are retained and reused across executions). build resolves the statement
-// against the catalog; it runs only on a miss. An entry whose relations
-// have since changed is a miss too: the text is resolved again, because the
-// columns it names may have moved.
-func (s *Session) planFor(src string, build func() (plan.Query, stmtPlan, error)) (*stmtPlan, error) {
-	key := strings.TrimSpace(src)
-	if sp, ok := s.plans[key]; ok && sp.bound.Valid() {
-		return sp, nil
-	}
-	q, sp, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if sp.bound, err = s.planner.Plan(q); err != nil {
-		return nil, err
-	}
-	if len(s.plans) >= planCacheCap {
-		clear(s.plans)
-	}
-	s.plans[key] = &sp
-	return &sp, nil
-}
-
-func (s *Session) execSelect(tx *txn.Txn, st Select, src string) (*Result, error) {
-	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
-		q, cols, err := s.buildQuery(st)
-		return q, stmtPlan{cols: cols}, err
-	})
-	if err != nil {
-		return nil, err
-	}
+func (s *Session) execSelect(tx *txn.Txn, st Select, sp *stmtPlan, params []types.Value) (*Result, error) {
 	b, cols := sp.bound, sp.cols
-	// Pull only LIMIT rows when no sort will reorder them afterwards.
+	rs, rerr := b.Execute(tx, params...)
+	// Pull only LIMIT rows when no sort will reorder them afterwards. Ask
+	// after Execute: params may have moved the plan to another path.
 	pullLimit := -1
 	if st.Limit >= 0 && !st.Count &&
 		(st.OrderBy == nil || (b.Ordered() && !st.OrderDesc)) {
 		pullLimit = st.Limit
 	}
-	rs, rerr := b.Execute(tx)
 	rows, err := collectLimit(rs, rerr, pullLimit)
 	if err != nil {
 		return nil, err
@@ -561,8 +634,8 @@ func (s *Session) dmlQuery(table string, where *rawExpr, fields []int) (plan.Que
 // modification, so a statement that moves rows along the access path it is
 // reading — SET on the index key, or on the record key itself — meets each
 // row exactly once.
-func matched(b *plan.Bound, tx *txn.Txn) ([]types.Key, []types.Record, error) {
-	rows, err := b.ExecuteKeyed(tx)
+func matched(b *plan.Bound, tx *txn.Txn, params []types.Value) ([]types.Key, []types.Record, error) {
+	rows, err := b.ExecuteKeyed(tx, params...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -582,30 +655,30 @@ func matched(b *plan.Bound, tx *txn.Txn) ([]types.Key, []types.Record, error) {
 	}
 }
 
-func (s *Session) execUpdate(tx *txn.Txn, st Update, src string) (*Result, error) {
-	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
-		q, schema, err := s.dmlQuery(st.Table, st.Where, nil)
-		if err != nil {
-			return q, stmtPlan{}, err
-		}
-		var sp stmtPlan
-		for col, raw := range st.Set {
-			i := schema.ColIndex(col)
-			if i < 0 {
-				return q, sp, fmt.Errorf("ddl: unknown column %q", col)
-			}
-			e, err := raw.bind(schema, st.Table)
-			if err != nil {
-				return q, sp, err
-			}
-			sp.set = append(sp.set, setClause{col: i, val: e})
-		}
-		return q, sp, nil
-	})
+// updateQuery resolves an UPDATE: the query locating its rows and its SET
+// clauses.
+func (s *Session) updateQuery(st Update) (plan.Query, []setClause, error) {
+	q, schema, err := s.dmlQuery(st.Table, st.Where, nil)
 	if err != nil {
-		return nil, err
+		return q, nil, err
 	}
-	keys, recs, err := matched(sp.bound, tx)
+	var set []setClause
+	for _, a := range st.Set {
+		i := schema.ColIndex(a.col)
+		if i < 0 {
+			return q, nil, fmt.Errorf("ddl: unknown column %q", a.col)
+		}
+		e, err := a.val.bind(schema, st.Table)
+		if err != nil {
+			return q, nil, err
+		}
+		set = append(set, setClause{col: i, val: e})
+	}
+	return q, set, nil
+}
+
+func (s *Session) execUpdate(tx *txn.Txn, st Update, sp *stmtPlan, params []types.Value) (*Result, error) {
+	keys, recs, err := matched(sp.bound, tx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +690,7 @@ func (s *Session) execUpdate(tx *txn.Txn, st Update, src string) (*Result, error
 		oldRec := recs[i]
 		newRec := oldRec.Clone()
 		for _, c := range sp.set {
-			v, err := s.env.Eval.Eval(c.val, oldRec, nil)
+			v, err := s.env.Eval.Eval(c.val, oldRec, params)
 			if err != nil {
 				return nil, err
 			}
@@ -630,15 +703,8 @@ func (s *Session) execUpdate(tx *txn.Txn, st Update, src string) (*Result, error
 	return &Result{Affected: len(keys), Message: fmt.Sprintf("UPDATE %d", len(keys)), Explain: sp.bound.Explain()}, nil
 }
 
-func (s *Session) execDelete(tx *txn.Txn, st Delete, src string) (*Result, error) {
-	sp, err := s.planFor(src, func() (plan.Query, stmtPlan, error) {
-		q, _, err := s.dmlQuery(st.Table, st.Where, []int{})
-		return q, stmtPlan{}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	keys, _, err := matched(sp.bound, tx)
+func (s *Session) execDelete(tx *txn.Txn, st Delete, sp *stmtPlan, params []types.Value) (*Result, error) {
+	keys, _, err := matched(sp.bound, tx, params)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	_ "dmx/internal/att/btreeix"
 	"dmx/internal/core"
 	"dmx/internal/lock"
-	"dmx/internal/plan"
 	_ "dmx/internal/sm/heap"
 	_ "dmx/internal/sm/memsm"
 )
@@ -26,11 +25,13 @@ func execAll(t *testing.T, s *Session, stmts ...string) *Result {
 	return res
 }
 
-// TestPlanCacheIsBoundedAndProbedFirst: literal-bearing SQL never repeats
-// its text, so the cache must not keep a plan per statement; and a text
-// that does repeat must not be resolved and bound again.
+// TestPlanCacheIsBoundedAndProbedFirst: statements that differ only in
+// their literals are one shape, parsed and bound once; a pinned slot (a
+// LIMIT count) takes part in the match, so another count is another entry;
+// and the cache stays bounded however many shapes it sees.
 func TestPlanCacheIsBoundedAndProbedFirst(t *testing.T) {
-	s := NewSession(core.NewEnv(core.Config{}))
+	env := core.NewEnv(core.Config{})
+	s := NewSession(env)
 	execAll(t, s,
 		"CREATE TABLE t (id INT NOT NULL, v INT) USING memory",
 		"INSERT INTO t VALUES (1, 1), (2, 2)")
@@ -38,6 +39,8 @@ func TestPlanCacheIsBoundedAndProbedFirst(t *testing.T) {
 	if testing.Short() {
 		n = 3 * planCacheCap
 	}
+	misses := func() int64 { return env.Obs.Snapshot().Plan.CacheMisses }
+	before := misses()
 	for i := 0; i < n; i++ {
 		var stmt string
 		switch i % 3 {
@@ -51,26 +54,27 @@ func TestPlanCacheIsBoundedAndProbedFirst(t *testing.T) {
 		if _, err := s.Exec(stmt); err != nil {
 			t.Fatalf("%s: %v", stmt, err)
 		}
-		if len(s.plans) > planCacheCap {
-			t.Fatalf("after %d distinct statements the cache holds %d plans, cap %d", i+1, len(s.plans), planCacheCap)
-		}
+	}
+	if builds := misses() - before; builds != 3 || s.nplans != 4 {
+		t.Fatalf("%d statements of 3 shapes: %d builds, %d entries (INSERT's and 3)", n, builds, s.nplans)
 	}
 
-	builds := 0
-	build := func() (plan.Query, stmtPlan, error) {
-		builds++
-		return plan.Query{Table: "t"}, stmtPlan{cols: []string{"id", "v"}}, nil
+	sel := s.plans[" SELECT v FROM t WHERE id = ?i"]
+	for _, limit := range []int{1, 2, 1} {
+		res := execAll(t, s, fmt.Sprintf("SELECT id FROM t LIMIT %d", limit))
+		if len(res.Rows) != limit {
+			t.Fatalf("LIMIT %d returned %d rows", limit, len(res.Rows))
+		}
 	}
-	first, err := s.planFor("  SELECT * FROM t ", build)
-	if err != nil {
-		t.Fatal(err)
+	if len(sel) != 1 || len(s.plans[" SELECT id FROM t LIMIT ?i"]) != 2 || misses()-before != 5 {
+		t.Fatalf("LIMIT 1, 2, 1: entries %d, builds %d", len(s.plans[" SELECT id FROM t LIMIT ?i"]), misses()-before)
 	}
-	again, err := s.planFor("SELECT * FROM t", build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds != 1 || again != first || len(again.cols) != 2 {
-		t.Fatalf("repeated text: %d builds, same entry %v, cols %v", builds, again == first, again.cols)
+
+	for i := 0; i < 2*planCacheCap; i++ {
+		execAll(t, s, fmt.Sprintf("SELECT id FROM t LIMIT %d", i))
+		if s.nplans > planCacheCap || len(s.plans) > planCacheCap {
+			t.Fatalf("after %d LIMIT values the cache holds %d entries, cap %d", i+1, s.nplans, planCacheCap)
+		}
 	}
 }
 

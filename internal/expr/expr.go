@@ -396,6 +396,53 @@ func Conjuncts(e *Expr) []*Expr {
 	return []*Expr{e}
 }
 
+// Bind returns e with every parameter marker that params covers replaced by
+// a constant holding its value. Only the nodes on a path from the root to a
+// marker are copied, and e itself comes back when it has none, so binding a
+// parameter-free expression costs nothing.
+func Bind(e *Expr, params []types.Value) *Expr {
+	if e == nil {
+		return nil
+	}
+	if e.Op == OpParam {
+		if e.Field >= 0 && e.Field < len(params) {
+			return Const(params[e.Field])
+		}
+		return e
+	}
+	var args []*Expr
+	for i, a := range e.Args {
+		if b := Bind(a, params); b != a {
+			if args == nil {
+				args = append([]*Expr(nil), e.Args...)
+			}
+			args[i] = b
+		}
+	}
+	if args == nil {
+		return e
+	}
+	c := *e
+	c.Args = args
+	return &c
+}
+
+// NumParams returns how many parameter values e needs bound: its highest
+// parameter index plus one, 0 when it has no marker.
+func NumParams(e *Expr) int {
+	if e == nil {
+		return 0
+	}
+	n := 0
+	if e.Op == OpParam {
+		n = e.Field + 1
+	}
+	for _, a := range e.Args {
+		n = max(n, NumParams(a))
+	}
+	return n
+}
+
 // FieldsUsed returns the sorted set of record field indexes referenced by e.
 // Access procedures use it to isolate the fields the filter needs before
 // invoking the evaluator.

@@ -133,6 +133,31 @@ func TestParams(t *testing.T) {
 	}
 }
 
+// TestBind: binding copies only the spine above a marker, leaves the
+// expression it was given untouched, and returns a marker-free expression
+// as is.
+func TestBind(t *testing.T) {
+	free := Gt(Field(1), Const(types.Int(3)))
+	e := And(Eq(Field(0), Param(1)), free)
+	params := []types.Value{types.Str("unused"), types.Int(7)}
+	got := Bind(e, params)
+	if got.String() != "(($0 = 7) AND ($1 > 3))" || e.String() != "(($0 = ?1) AND ($1 > 3))" {
+		t.Fatalf("Bind = %s, original now %s", got, e)
+	}
+	if got.Args[1] != free || got.Args[0].Args[0] != e.Args[0].Args[0] {
+		t.Error("Bind copied a subtree without a marker")
+	}
+	if Bind(free, params) != free || Bind(nil, params) != nil {
+		t.Error("Bind copied a marker-free expression")
+	}
+	if Bind(e, params[:1]).Args[0].Args[1].Op != OpParam {
+		t.Error("a marker with no value was replaced")
+	}
+	if NumParams(e) != 2 || NumParams(free) != 0 || NumParams(nil) != 0 {
+		t.Errorf("NumParams = %d, %d", NumParams(e), NumParams(free))
+	}
+}
+
 func TestFunctions(t *testing.T) {
 	local := NewEvaluator()
 	local.Register("abs", func(args []types.Value) (types.Value, error) {

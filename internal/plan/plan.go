@@ -21,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
@@ -34,7 +36,11 @@ import (
 type Query struct {
 	Table  string
 	Filter *expr.Expr // over Table's columns
-	Fields []int      // projection over Table's columns (nil = all)
+	// Params are values for the parameter markers (expr.Param) in Filter,
+	// used to price the access paths. The plan does not keep them: each
+	// Execute binds its own.
+	Params []types.Value
+	Fields []int // projection over Table's columns (nil = all)
 	// OrderBy asks for records ordered (ascending) by these Table columns;
 	// the planner prefers an access path that delivers the order (check
 	// Bound.Ordered; the caller sorts when it reports false).
@@ -119,6 +125,8 @@ type Bound struct {
 	planner *Planner
 	query   Query
 	root    builder
+	outer   *access // the chosen access to Table, handed to root
+	slots   int     // parameter values an execution binds (expr.NumParams of Filter)
 	deps    []dep
 	explain string
 	ordered bool
@@ -132,13 +140,16 @@ type Bound struct {
 // after Execute: a re-translation may change the answer.
 func (b *Bound) Ordered() bool { return b.ordered }
 
-// builder constructs the operator tree for one execution.
-type builder func(tx *txn.Txn) (Rows, error)
+// builder constructs the operator tree for one execution over the access
+// to Table with that execution's parameter values filled in.
+type builder func(tx *txn.Txn, outer *access) (Rows, error)
 
 // Plan translates q into a bound plan.
 func (p *Planner) Plan(q Query) (*Bound, error) {
-	b := &Bound{planner: p, query: q}
-	if err := b.translate(); err != nil {
+	params := q.Params
+	q.Params = nil
+	b := &Bound{planner: p, query: q, slots: expr.NumParams(q.Filter)}
+	if err := b.translate(params); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -148,22 +159,85 @@ func (p *Planner) Plan(q Query) (*Bound, error) {
 func (b *Bound) Explain() string { return b.explain }
 
 // Execute validates the plan's dependencies (re-translating if any
-// relation or access path it uses changed or disappeared) and runs it.
-func (b *Bound) Execute(tx *txn.Txn) (Rows, error) {
+// relation or access path it uses changed or disappeared) and runs it with
+// params as the values of the filter's parameter markers. A plan with
+// markers asks only its chosen access path for the key range under these
+// values; it is translated again when that path cannot serve them or they
+// fall in another cardinality class than the plan was chosen for.
+func (b *Bound) Execute(tx *txn.Txn, params ...types.Value) (Rows, error) {
+	if len(params) < b.slots {
+		return nil, fmt.Errorf("plan: %d parameter values for %d markers", len(params), b.slots)
+	}
 	if !b.Valid() {
-		if err := b.translate(); err != nil {
-			return nil, fmt.Errorf("plan: re-translation failed: %w", err)
+		if err := b.replan(params); err != nil {
+			return nil, err
 		}
-		b.Replans++
+	}
+	outer := b.outer
+	if b.slots > 0 {
+		var same bool
+		var err error
+		if outer, same, err = b.rebind(params); err == nil && !same {
+			if err = b.replan(params); err == nil {
+				outer, _, err = b.rebind(params)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	b.stats = nil
-	return b.root(tx)
+	return b.root(tx, outer)
+}
+
+// replan translates the plan again, pricing with params, and counts it.
+func (b *Bound) replan(params []types.Value) error {
+	if err := b.translate(params); err != nil {
+		return fmt.Errorf("plan: re-translation failed: %w", err)
+	}
+	b.Replans++
+	b.planner.env.Obs.Plan.Replans.Inc()
+	return nil
+}
+
+// rebind returns the chosen access with params filled in: the filter and
+// residual carry the values, and start, end and the point flag are the
+// chosen path's answer for them. same reports that the path still serves
+// them in the plan's cardinality class: the same point flag, handled
+// conjuncts and power-of-4 bucket of expected rows.
+func (b *Bound) rebind(params []types.Value) (a *access, same bool, err error) {
+	o := b.outer
+	bound := *o
+	bound.filter = expr.Bind(o.filter, params)
+	bound.pushdown = expr.Bind(o.pushdown, params)
+	req, _, err := b.planner.costRequest(o.rd, bound.filter, b.query.OrderBy)
+	if err != nil {
+		return nil, false, err
+	}
+	est, err := b.planner.estimate(o.rd, o.useAtt, req)
+	if err != nil {
+		return nil, false, err
+	}
+	bound.start, bound.end, bound.estimate = est.Start, est.End, est
+	bound.rows = expectedRows(req.RecordCount, est)
+	same = est.Usable && est.Point == o.estimate.Point && est.Instance == o.instance &&
+		slices.Equal(est.Handled, o.estimate.Handled) && rowClass(bound.rows) == rowClass(o.rows)
+	return &bound, same, nil
+}
+
+// rowClass is the power-of-4 bucket of an expected row count.
+func rowClass(rows float64) int {
+	c := 0
+	for ; rows >= 4 && c < 32; rows /= 4 {
+		c++
+	}
+	return c
 }
 
 // ExecuteKeyed is Execute for plans whose cursor carries record keys:
 // serial single-table plans, which a ForUpdate query always is.
-func (b *Bound) ExecuteKeyed(tx *txn.Txn) (KeyedRows, error) {
-	rows, err := b.Execute(tx)
+func (b *Bound) ExecuteKeyed(tx *txn.Txn, params ...types.Value) (KeyedRows, error) {
+	rows, err := b.Execute(tx, params...)
 	if err != nil {
 		return nil, err
 	}
@@ -197,25 +271,69 @@ type access struct {
 	filter   *expr.Expr // the whole single-table predicate
 	pushdown *expr.Expr // conjuncts the path does NOT handle (re-applied)
 	estimate core.CostEstimate
+	rows     float64 // expected qualifying records (RecordCount × Selectivity)
+	name     string  // describe's answer: the operator's name in every execution
 }
 
-// chooseAccess asks the storage method and every access-path attachment
-// for a cost estimate and picks the cheapest — or, when force is set,
-// exactly the requested path.
-func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []int, limit int, force *ForcedPath) (*access, error) {
+// costRequest is what the planner asks rd's access paths about filter.
+func (p *Planner) costRequest(rd *core.RelDesc, filter *expr.Expr, orderBy []int) (core.CostRequest, core.StorageInstance, error) {
+	sm, err := p.env.StorageInstance(rd)
+	if err != nil {
+		return core.CostRequest{}, nil, err
+	}
 	conjuncts := expr.Conjuncts(filter)
 	ts, hasStats := p.tableStatsFor(rd)
-	req := core.CostRequest{
+	return core.CostRequest{
 		Conjuncts:   conjuncts,
 		OrderBy:     orderBy,
 		ConjunctSel: conjunctSels(ts, hasStats, conjuncts),
-	}
+		RecordCount: sm.RecordCount(),
+	}, sm, nil
+}
 
-	sm, err := p.env.StorageInstance(rd)
+// estimate prices req on rd's access path att, its storage method when att
+// is 0.
+func (p *Planner) estimate(rd *core.RelDesc, att core.AttID, req core.CostRequest) (core.CostEstimate, error) {
+	if att == 0 {
+		sm, err := p.env.StorageInstance(rd)
+		if err != nil {
+			return core.CostEstimate{}, err
+		}
+		return sm.EstimateCost(req), nil
+	}
+	inst, err := p.env.AttachmentInstance(rd, att)
+	if err != nil {
+		return core.CostEstimate{}, err
+	}
+	ap, ok := inst.(core.AccessPath)
+	if !ok {
+		return core.CostEstimate{}, fmt.Errorf("%w: attachment %d is not an access path", ErrForcedUnusable, att)
+	}
+	return ap.EstimateCost(req), nil
+}
+
+func expectedRows(recordCount int, est core.CostEstimate) float64 {
+	return float64(recordCount) * est.Selectivity
+}
+
+// chooseAccess asks the storage method and every access-path attachment
+// for a cost estimate of filter with params filled in and picks the
+// cheapest — or, when force is set, exactly the requested path.
+func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, params []types.Value, orderBy []int, limit int, force *ForcedPath) (*access, error) {
+	bound := expr.Bind(filter, params)
+	req, sm, err := p.costRequest(rd, bound, orderBy)
 	if err != nil {
 		return nil, err
 	}
-	req.RecordCount = sm.RecordCount()
+	conjuncts := req.Conjuncts // of filter itself when it has no parameter
+	if bound != filter {
+		conjuncts = expr.Conjuncts(filter)
+	}
+	pick := func(att core.AttID, est core.CostEstimate) *access {
+		a := &access{rd: rd, useAtt: att, instance: est.Instance, start: est.Start, end: est.End,
+			estimate: est, rows: expectedRows(req.RecordCount, est)}
+		return withResidual(a, filter, conjuncts)
+	}
 
 	// When an order is requested, accesses that do not deliver it pay the
 	// in-memory sort the caller will have to run; accesses that do deliver
@@ -225,7 +343,7 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 		if len(orderBy) == 0 {
 			return t
 		}
-		expected := float64(req.RecordCount) * est.Selectivity
+		expected := expectedRows(req.RecordCount, est)
 		if !est.Ordered {
 			return t + expected*math.Log2(expected+2)*0.1
 		}
@@ -236,34 +354,22 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 	}
 
 	if force != nil && force.Att != 0 {
-		inst, err := p.env.AttachmentInstance(rd, force.Att)
+		est, err := p.estimate(rd, force.Att, req)
 		if err != nil {
 			return nil, err
 		}
-		ap, ok := inst.(core.AccessPath)
-		if !ok {
-			return nil, fmt.Errorf("%w: attachment %d is not an access path", ErrForcedUnusable, force.Att)
-		}
-		est := ap.EstimateCost(req)
 		if !est.Usable {
 			return nil, fmt.Errorf("%w: attachment %d", ErrForcedUnusable, force.Att)
 		}
-		best := &access{
-			rd: rd, useAtt: force.Att, instance: est.Instance,
-			start: est.Start, end: est.End, estimate: est,
-		}
-		return withResidual(best, filter, conjuncts, est.Handled), nil
+		return pick(force.Att, est), nil
 	}
 
-	best := &access{rd: rd, useAtt: 0, estimate: sm.EstimateCost(req)}
-	bestHandled := best.estimate.Handled
-	best.start, best.end = best.estimate.Start, best.estimate.End
-
+	bestAtt, best := core.AttID(0), sm.EstimateCost(req)
 	if force != nil {
-		if !best.estimate.Usable {
+		if !best.Usable {
 			return nil, fmt.Errorf("%w: storage method scan", ErrForcedUnusable)
 		}
-		return withResidual(best, filter, conjuncts, bestHandled), nil
+		return pick(0, best), nil
 	}
 
 	for _, attID := range rd.AttachmentTypes() {
@@ -279,28 +385,22 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, orderBy []in
 		if !est.Usable {
 			continue
 		}
-		if !best.estimate.Usable || adjusted(est) < adjusted(best.estimate) {
-			best = &access{
-				rd: rd, useAtt: attID, instance: est.Instance,
-				start: est.Start, end: est.End, estimate: est,
-			}
-			bestHandled = est.Handled
+		if !best.Usable || adjusted(est) < adjusted(best) {
+			bestAtt, best = attID, est
 		}
 	}
-	return withResidual(best, filter, conjuncts, bestHandled), nil
+	return pick(bestAtt, best), nil
 }
 
-// withResidual records the conjuncts the chosen path does not handle; the
-// executor re-applies them against the fetched records.
-func withResidual(a *access, filter *expr.Expr, conjuncts []*expr.Expr, handledIdx []int) *access {
+// withResidual records the conjuncts of filter the chosen path does not
+// handle; the executor re-applies them against the fetched records.
+// Binding parameters keeps the conjunct order, so the path's Handled
+// indexes address the unbound filter's conjuncts too.
+func withResidual(a *access, filter *expr.Expr, conjuncts []*expr.Expr) *access {
 	a.filter = filter
-	handled := map[int]bool{}
-	for _, h := range handledIdx {
-		handled[h] = true
-	}
 	var residual []*expr.Expr
 	for i, c := range conjuncts {
-		if !handled[i] {
+		if !slices.Contains(a.estimate.Handled, i) {
 			residual = append(residual, c)
 		}
 	}
@@ -310,15 +410,15 @@ func withResidual(a *access, filter *expr.Expr, conjuncts []*expr.Expr, handledI
 
 func (a *access) describe(env *core.Env) string {
 	if a.useAtt == 0 {
-		ops := env.Reg.StorageOps(a.rd.SM)
-		return fmt.Sprintf("scan(%s via %s)", a.rd.Name, ops.Name)
+		return "scan(" + a.rd.Name + " via " + env.Reg.StorageOps(a.rd.SM).Name + ")"
 	}
-	ops := env.Reg.AttachmentOps(a.useAtt)
-	return fmt.Sprintf("access(%s via %s #%d)", a.rd.Name, ops.Name, a.instance)
+	return "access(" + a.rd.Name + " via " + env.Reg.AttachmentOps(a.useAtt).Name +
+		" #" + strconv.Itoa(a.instance) + ")"
 }
 
-// translate plans the query and captures dependencies.
-func (b *Bound) translate() error {
+// translate plans the query, pricing with params, and captures
+// dependencies.
+func (b *Bound) translate(params []types.Value) error {
 	p := b.planner
 	b.deps = nil
 	rd, ok := p.env.Cat.ByName(b.query.Table)
@@ -330,13 +430,15 @@ func (b *Bound) translate() error {
 		return fmt.Errorf("plan: a ForUpdate query reads one table")
 	}
 
-	outer, err := p.chooseAccess(rd, b.query.Filter, b.query.OrderBy, b.query.Limit, b.query.ForcePath)
+	outer, err := p.chooseAccess(rd, b.query.Filter, params, b.query.OrderBy, b.query.Limit, b.query.ForcePath)
 	if err != nil {
 		return err
 	}
+	outer.name = outer.describe(p.env)
+	b.outer = outer
 
 	if b.query.Join == nil {
-		q := b.query
+		q := &b.query
 		b.ordered = outer.estimate.Ordered
 		// Partitioned parallel scan: only access path zero (the storage
 		// method itself) partitions; the degree follows the estimated scan
@@ -362,16 +464,16 @@ func (b *Bound) translate() error {
 				b.explain += " [ordered]"
 			}
 			deg := degree
-			b.root = func(tx *txn.Txn) (Rows, error) {
+			b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 				return p.openParallelScan(tx, b, outer, q.Fields, deg)
 			}
 			return nil
 		}
-		b.explain = outer.describe(p.env)
+		b.explain = outer.name
 		if b.ordered {
 			b.explain += " [ordered]"
 		}
-		b.root = func(tx *txn.Txn) (Rows, error) {
+		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openAccess(tx, b, outer, q.Fields, q.ForUpdate)
 		}
 		return nil
@@ -390,8 +492,8 @@ func (b *Bound) translate() error {
 	if j.JoinIndex != "" && rd.HasAttachment(core.AttJoin) && b.query.ForceJoin == "" {
 		b.explain = fmt.Sprintf("joinindex(%s ⋈ %s via %q)", rd.Name, innerRD.Name, j.JoinIndex)
 		q := b.query
-		b.root = func(tx *txn.Txn) (Rows, error) {
-			return p.openJoinIndex(tx, b, rd, innerRD, q)
+		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
+			return p.openJoinIndex(tx, b, outer, innerRD, q)
 		}
 		return nil
 	}
@@ -497,23 +599,23 @@ func (b *Bound) translate() error {
 	case "indexnl":
 		pr := *probe
 		if pr.viaSM {
-			b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s via sm-key)", outer.describe(p.env), innerRD.Name)
+			b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s via sm-key)", outer.name, innerRD.Name)
 		} else {
 			b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s via %s #%d)",
-				outer.describe(p.env), innerRD.Name, p.env.Reg.AttachmentOps(pr.attID).Name, pr.instance)
+				outer.name, innerRD.Name, p.env.Reg.AttachmentOps(pr.attID).Name, pr.instance)
 		}
-		b.root = func(tx *txn.Txn) (Rows, error) {
+		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openIndexNL(tx, b, outer, innerRD, pr, q)
 		}
 	case "hash":
 		degree := chooseDegree(float64(innerN), q.ForceDegree)
-		b.explain = fmt.Sprintf("hash(%s ⋈ %s, inner=%d)", outer.describe(p.env), innerRD.Name, innerN)
-		b.root = func(tx *txn.Txn) (Rows, error) {
+		b.explain = fmt.Sprintf("hash(%s ⋈ %s, inner=%d)", outer.name, innerRD.Name, innerN)
+		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openHashJoin(tx, b, outer, innerRD, q, degree)
 		}
 	default:
-		b.explain = fmt.Sprintf("nestedloop(%s × scan(%s), inner=%d)", outer.describe(p.env), innerRD.Name, innerN)
-		b.root = func(tx *txn.Txn) (Rows, error) {
+		b.explain = fmt.Sprintf("nestedloop(%s × scan(%s), inner=%d)", outer.name, innerRD.Name, innerN)
+		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openNL(tx, b, outer, innerRD, q)
 		}
 	}
@@ -538,7 +640,7 @@ func (p *Planner) openAccess(tx *txn.Txn, b *Bound, a *access, fields []int, for
 	if err != nil {
 		return nil, err
 	}
-	return b.trackKeyed(tx, a.describe(p.env), rows), nil
+	return b.trackKeyed(tx, a.name, rows), nil
 }
 
 func (p *Planner) openAccessRaw(tx *txn.Txn, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
@@ -857,10 +959,12 @@ func (r *indexNLRows) Close() error {
 }
 
 // openJoinIndex executes the join by enumerating the join index's matched
-// record-key pairs and fetching both sides directly. The attachment is
-// addressed structurally (any attachment exposing PairKeys qualifies), so
-// the planner stays decoupled from the concrete join-index package.
-func (p *Planner) openJoinIndex(tx *txn.Txn, b *Bound, outerRD, innerRD *core.RelDesc, q Query) (Rows, error) {
+// record-key pairs and fetching both sides directly; outer carries the
+// outer filter. The attachment is addressed structurally (any attachment
+// exposing PairKeys qualifies), so the planner stays decoupled from the
+// concrete join-index package.
+func (p *Planner) openJoinIndex(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, q Query) (Rows, error) {
+	outerRD := outer.rd
 	inst, err := p.env.AttachmentInstance(outerRD, core.AttJoin)
 	if err != nil {
 		return nil, err
@@ -884,12 +988,14 @@ func (p *Planner) openJoinIndex(tx *txn.Txn, b *Bound, outerRD, innerRD *core.Re
 		return nil, err
 	}
 	name := fmt.Sprintf("joinindex(%s ⋈ %s)", outerRD.Name, innerRD.Name)
-	return b.track(tx, name, &joinIndexRows{tx: tx, q: q, outerRel: outerRel, innerRel: innerRel, pairs: pairs}), nil
+	return b.track(tx, name, &joinIndexRows{tx: tx, q: q, filter: outer.filter,
+		outerRel: outerRel, innerRel: innerRel, pairs: pairs}), nil
 }
 
 type joinIndexRows struct {
 	tx       *txn.Txn
 	q        Query
+	filter   *expr.Expr // over the outer relation
 	outerRel *core.Relation
 	innerRel *core.Relation
 	pairs    [][2]types.Key
@@ -899,7 +1005,7 @@ func (r *joinIndexRows) Next() (types.Record, bool, error) {
 	for len(r.pairs) > 0 {
 		pair := r.pairs[0]
 		r.pairs = r.pairs[1:]
-		outer, err := r.outerRel.Fetch(r.tx, pair[0], nil, r.q.Filter)
+		outer, err := r.outerRel.Fetch(r.tx, pair[0], nil, r.filter)
 		if err == core.ErrFiltered {
 			continue
 		}

@@ -2,9 +2,11 @@ package dmx
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"dmx/internal/expr"
 	"dmx/internal/obs"
 	"dmx/internal/types"
 )
@@ -86,5 +88,72 @@ func TestFilteredFetchIsAnOutcomeNotAnError(t *testing.T) {
 	tx.Commit()
 	if c := opCell(db.Env.MetricsSnapshot().SM, "sys", "fetch"); c.Count != 1 || c.Errors != 1 {
 		t.Errorf("sys fetch cell: count=%d errors=%d, want 1 and 1", c.Count, c.Errors)
+	}
+}
+
+// TestPlanCacheCountersOnOLTPMix: a session running the oltp-sql mix —
+// point SELECT, UPDATE, INSERT and DELETE with fresh literals each time,
+// over a heap with btree, unique, check and hash attachments — parses and
+// binds each statement shape once, as sys.stat_metrics reports.
+func TestPlanCacheCountersOnOLTPMix(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.RegisterCheckPredicate("cache_test_sal_nonneg", expr.Ge(expr.Field(2), expr.Const(Int(0))))
+	exec := func(stmt string) *Result {
+		t.Helper()
+		res, err := db.Exec(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		return res
+	}
+	exec("CREATE TABLE emp (eno INT NOT NULL, dno INT, salary INT, name STRING) USING heap")
+	insert := func(eno, salary int) string {
+		return fmt.Sprintf("INSERT INTO emp VALUES (%d, %d, %d, 'name-%d')", eno, eno%100, salary, eno)
+	}
+	low, high := 0, 1000
+	for i := low; i < high; i++ {
+		exec(insert(i, i))
+	}
+	exec("CREATE INDEX emp_eno ON emp (eno)")
+	exec("CREATE ATTACHMENT unique ON emp WITH (name=u, on=eno)")
+	exec("CREATE ATTACHMENT check ON emp WITH (name=c, predicate=cache_test_sal_nonneg)")
+	exec("CREATE ATTACHMENT hash ON emp WITH (name=h, on=dno)")
+
+	r := rand.New(rand.NewSource(1987))
+	for i := 0; i < 10000; i++ {
+		var stmt string
+		switch p := r.Intn(100); {
+		case p < 60:
+			stmt = fmt.Sprintf("SELECT salary, dno FROM emp WHERE eno = %d", low+r.Intn(high-low))
+		case p < 84:
+			stmt = fmt.Sprintf("UPDATE emp SET salary = %d WHERE eno = %d", r.Intn(100000), low+r.Intn(high-low))
+		case p < 92:
+			stmt = insert(high, r.Intn(100000))
+			high++
+		default:
+			stmt = fmt.Sprintf("DELETE FROM emp WHERE eno = %d", low)
+			low++
+		}
+		if res := exec(stmt); len(res.Rows) != 1 && res.Affected != 1 {
+			t.Fatalf("%s: %+v", stmt, res)
+		}
+	}
+	metric := func(name string) float64 {
+		res := exec("SELECT value FROM sys.stat_metrics WHERE name = '" + name + "'")
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %v", name, res.Rows)
+		}
+		return res.Rows[0][0].F
+	}
+	misses := metric("dmx_plan_cache_misses_total")
+	hits := metric("dmx_plan_cache_hits_total")
+	// Five shapes: the mix's four (the set-up's INSERTs are the mix's) and
+	// the metric read itself.
+	if misses > 5 || hits/(hits+misses) < 0.999 {
+		t.Fatalf("%v hits, %v misses over 5 statement shapes", hits, misses)
 	}
 }
