@@ -149,8 +149,6 @@ type Config struct {
 	// as slow: the trace is kept in the ring regardless of sampling and a
 	// structured event line is written to SlowLog. 0 disables.
 	SlowThreshold time.Duration
-	// TraceRing is the completed-trace ring capacity (default 128).
-	TraceRing int
 	// SlowLog receives one JSON line per slow span/transaction; nil
 	// discards them (the trace ring still keeps slow traces).
 	SlowLog io.Writer
@@ -193,7 +191,6 @@ func Open(cfg Config) (*DB, error) {
 		Faults:            cfg.Faults,
 		TraceSample:       cfg.TraceSample,
 		SlowThreshold:     cfg.SlowThreshold,
-		TraceRing:         cfg.TraceRing,
 		SlowLog:           cfg.SlowLog,
 	})
 	db := &DB{Env: env, log: log, disk: disk, ckptOff: cfg.CheckpointEvery < 0}

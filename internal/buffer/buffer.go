@@ -431,15 +431,15 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// FrameInfo describes one resident buffer frame for introspection
-// (sys.stat_buffer): which disk page it caches and its pin/dirty state.
+// FrameInfo is one sys.stat_buffer row, a resident buffer frame: which
+// disk page it caches and its pin/dirty state. The tags name the columns.
 type FrameInfo struct {
-	Page   pagefile.PageID
-	Pins   int
-	Dirty  bool
-	LSN    wal.LSN
-	Shard  int
-	Pinned bool
+	Page   pagefile.PageID `json:"page"`
+	Shard  int             `json:"shard"`
+	Pins   int             `json:"pins"`
+	Pinned bool            `json:"pinned"`
+	Dirty  bool            `json:"dirty"`
+	LSN    wal.LSN         `json:"lsn"`
 }
 
 // FrameInfos returns a point-in-time description of every resident frame,
@@ -452,11 +452,11 @@ func (p *Pool) FrameInfos() []FrameInfo {
 		for _, f := range sh.frames {
 			out = append(out, FrameInfo{
 				Page:   f.ID,
+				Shard:  i,
 				Pins:   f.pins,
+				Pinned: f.pins > 0,
 				Dirty:  f.dirty,
 				LSN:    f.lsn,
-				Shard:  i,
-				Pinned: f.pins > 0,
 			})
 		}
 		sh.mu.Unlock()

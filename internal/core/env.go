@@ -43,8 +43,6 @@ type Config struct {
 	// root-traced and those at least this slow are kept in the trace ring
 	// and reported to the slow-event log regardless of sampling.
 	SlowThreshold time.Duration
-	// TraceRing is the completed-trace ring capacity (default 256).
-	TraceRing int
 	// SlowLog receives one structured JSON line per slow span/transaction
 	// (nil: slow events are ring-kept but not written anywhere).
 	SlowLog io.Writer
@@ -193,7 +191,6 @@ func NewEnv(cfg Config) *Env {
 		Tracer: trace.New(trace.Config{
 			Sample:        cfg.TraceSample,
 			SlowThreshold: cfg.SlowThreshold,
-			RingSize:      cfg.TraceRing,
 			SlowLog:       cfg.SlowLog,
 		}),
 		Faults:   cfg.Faults,

@@ -45,8 +45,8 @@ func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
 }
 
 // chargeWritten books n modified rows against the transaction's ledger
-// and the relation rollup (both gated on the accounting switch, which
-// tx.Acct already checks).
+// and the relation rollup (a nil transaction, as in recovery, books
+// neither).
 func (r *Relation) chargeWritten(tx *txn.Txn, n int64) {
 	if st := tx.Acct(); st != nil {
 		st.RowsWritten.Add(n)

@@ -34,9 +34,9 @@ func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
 	rs.Calls[op].Add(1)
 }
 
-// RelStatRow is one sys.stat_relations row: a point-in-time copy of one
-// relation's rollup with the name resolved from the catalog ("" when the
-// relation has since been dropped).
+// RelStatRow is one sys.stat_relations row (the tags name the columns): a
+// point-in-time copy of one relation's rollup with the name resolved from
+// the catalog ("" when the relation has since been dropped).
 type RelStatRow struct {
 	RelID       uint32 `json:"rel_id"`
 	Name        string `json:"name"`

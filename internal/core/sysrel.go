@@ -32,16 +32,17 @@ type SystemRelation struct {
 }
 
 // LSMRunInfo describes one resident component of an LSM storage instance:
-// the mutable memtable (Memtable true) or one immutable sorted run.
+// the mutable memtable (Memtable true) or one immutable sorted run. The
+// tags name its sys.stat_lsm columns.
 type LSMRunInfo struct {
-	Memtable  bool
-	Pos       int // position among runs, newest first (-1 for the memtable)
-	Tier      int // size tier (-1 for the memtable)
-	Entries   int
-	Bytes     int
-	BloomBits int // filter size in bits (0 for the memtable)
-	MinSeq    uint64
-	MaxSeq    uint64
+	Memtable  bool   `json:"memtable"`
+	Pos       int    `json:"run"`  // position among runs, newest first (-1 for the memtable)
+	Tier      int    `json:"tier"` // size tier (-1 for the memtable)
+	Entries   int    `json:"entries"`
+	Bytes     int    `json:"bytes"`
+	BloomBits int    `json:"bloom_bits"` // filter size in bits (0 for the memtable)
+	MinSeq    uint64 `json:"min_seq"`
+	MaxSeq    uint64 `json:"max_seq"`
 }
 
 // LSMIntrospector is implemented by storage instances that expose their
@@ -50,16 +51,17 @@ type LSMIntrospector interface {
 	RunInfos() []LSMRunInfo
 }
 
-// ShardInfo describes one shard of a partitioned storage instance.
-// Messages is the owning server's total message counter (server-wide, not
-// per-table: one server may host several shards or relations).
+// ShardInfo describes one shard of a partitioned storage instance; the tags
+// name its sys.stat_shards columns. Messages is the owning server's total
+// message counter (server-wide, not per-table: one server may host several
+// shards or relations).
 type ShardInfo struct {
-	Shard    int
-	Server   string
-	Table    string
-	Records  int
-	InDoubt  int // prepared transactions on the shard awaiting a decision
-	Messages int64
+	Shard    int    `json:"shard"`
+	Server   string `json:"server"`
+	Table    string `json:"table_name"`
+	Records  int    `json:"records"`
+	InDoubt  int    `json:"in_doubt"` // prepared transactions on the shard awaiting a decision
+	Messages int64  `json:"messages"`
 }
 
 // ShardIntrospector is implemented by storage instances that spread a

@@ -10,6 +10,10 @@
 // exactly like stored tables. The engine observes itself through its own
 // query machinery.
 //
+// A view is declared once, by the Go type of its rows: each exported field
+// is a column named by its json tag (see layout), so the schema and every
+// row come from the struct the engine already fills.
+//
 // Each scan materializes a consistent batch of rows at open (one snapshot
 // of the underlying engine structure, taken under that structure's own
 // locks) and then iterates without further coordination, so system scans
@@ -23,10 +27,14 @@ package syssm
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
+	"dmx/internal/buffer"
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/sm/smutil"
@@ -50,15 +58,15 @@ type view struct {
 }
 
 var views = []view{
-	{"sys.stat_activity", activitySchema, activityRows},
-	{"sys.stat_history", historySchema, historyRows},
-	{"sys.stat_relations", relationsSchema, relationsRows},
-	{"sys.stat_locks", locksSchema, locksRows},
-	{"sys.stat_lsm", lsmSchema, lsmRows},
-	{"sys.stat_buffer", bufferSchema, bufferRows},
-	{"sys.stat_traces", tracesSchema, tracesRows},
-	{"sys.stat_shards", shardsSchema, shardsRows},
-	{"sys.stat_metrics", metricsSchema, metricsRows},
+	newView("sys.stat_activity", func(env *core.Env) ([]txn.TxnInfo, error) { return env.Txns.ActiveSnapshot(), nil }),
+	newView("sys.stat_history", func(env *core.Env) ([]txn.FinishedTxn, error) { return env.Txns.History(), nil }),
+	newView("sys.stat_relations", func(env *core.Env) ([]core.RelStatRow, error) { return env.RelStatRows(), nil }),
+	newView("sys.stat_locks", locksRows),
+	newView("sys.stat_lsm", lsmRows),
+	newView("sys.stat_buffer", func(env *core.Env) ([]buffer.FrameInfo, error) { return env.Pool.FrameInfos(), nil }),
+	newView("sys.stat_traces", tracesRows),
+	newView("sys.stat_shards", shardsRows),
+	newView("sys.stat_metrics", metricsRows),
 }
 
 func init() {
@@ -89,6 +97,92 @@ func init() {
 	}
 }
 
+// newView declares the system relation whose rows are the values rows
+// returns: R's fields are its columns.
+func newView[R any](name string, rows func(*core.Env) ([]R, error)) view {
+	l := layout(reflect.TypeFor[R]())
+	return view{name, types.MustSchema(l.cols...), func(env *core.Env) ([]types.Record, error) {
+		rs, err := rows(env)
+		if err != nil {
+			return nil, err
+		}
+		recs := make([]types.Record, len(rs))
+		for i := range rs {
+			recs[i] = l.record(reflect.ValueOf(&rs[i]).Elem())
+		}
+		return recs, nil
+	}}
+}
+
+// rowLayout is the column list of a row type and where each column's
+// value lives in it.
+type rowLayout struct {
+	cols  []types.Column
+	paths [][]int // reflect field index of each column
+}
+
+var timeType = reflect.TypeFor[time.Time]()
+
+// layout walks a row type. Each exported field is one column, in field
+// order, named by its json tag; an embedded struct adds its fields in
+// place, as encoding/json does. Integers and time.Time (as Unix ns) are
+// INT, plus bool, string and float64. omitempty makes the column nullable,
+// its zero value reading as NULL; every other column is NOT NULL.
+func layout(t reflect.Type) rowLayout {
+	var l rowLayout
+	for _, f := range reflect.VisibleFields(t) {
+		if f.Anonymous || !f.IsExported() {
+			continue
+		}
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			panic(fmt.Sprintf("syssm: %s.%s has no json column name", t, f.Name))
+		}
+		var c types.Column
+		c.Name, c.NotNull = name, !strings.Contains(opts, "omitempty")
+		switch k := f.Type.Kind(); {
+		case f.Type == timeType, reflect.Int <= k && k <= reflect.Uint64:
+			c.Kind = types.KindInt
+		case k == reflect.Bool:
+			c.Kind = types.KindBool
+		case k == reflect.String:
+			c.Kind = types.KindString
+		case k == reflect.Float64:
+			c.Kind = types.KindFloat
+		default:
+			panic(fmt.Sprintf("syssm: %s.%s: no column kind for %s", t, f.Name, f.Type))
+		}
+		l.cols = append(l.cols, c)
+		l.paths = append(l.paths, f.Index)
+	}
+	return l
+}
+
+// record reads one row struct into its column values.
+func (l rowLayout) record(row reflect.Value) types.Record {
+	rec := make(types.Record, len(l.cols))
+	for i, c := range l.cols {
+		f := row.FieldByIndex(l.paths[i])
+		switch {
+		case !c.NotNull && f.IsZero():
+			rec[i] = types.Null()
+		case f.Type() == timeType:
+			rec[i] = types.Int(f.Interface().(time.Time).UnixNano())
+		case c.Kind == types.KindBool:
+			rec[i] = types.Bool(f.Bool())
+		case c.Kind == types.KindString:
+			rec[i] = types.Str(f.String())
+		case c.Kind == types.KindFloat:
+			rec[i] = types.Float(f.Float())
+		case f.CanInt():
+			rec[i] = types.Int(f.Int())
+		default:
+			rec[i] = types.Int(int64(f.Uint()))
+		}
+	}
+	return rec
+}
+
 // store is the runtime instance of one system relation.
 type store struct {
 	env *core.Env
@@ -104,11 +198,14 @@ func ordKey(i int) types.Key {
 	return k
 }
 
-func keyOrd(k types.Key) (int, error) {
-	if len(k) != 8 {
-		return 0, fmt.Errorf("syssm: bad record key length %d", len(k))
-	}
-	return int(binary.BigEndian.Uint64(k)), nil
+// seek returns the ordinal of the first of n rows whose key is at least k
+// (strictly after k when after is set). Keys compare as bytes, so any key
+// is a bound, whatever its length.
+func seek(n int, k types.Key, after bool) int {
+	return sort.Search(n, func(i int) bool {
+		c := ordKey(i).Compare(k)
+		return c > 0 || c == 0 && !after
+	})
 }
 
 // Insert implements core.StorageInstance: refused, the relation is virtual.
@@ -131,15 +228,15 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 // key obtained from an earlier scan may have moved or vanished — the usual
 // contract for monitoring views.
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
-	ord, err := keyOrd(key)
-	if err != nil {
-		return nil, err
+	if len(key) != 8 {
+		return nil, fmt.Errorf("syssm: bad record key length %d", len(key))
 	}
 	rows, err := s.gen(s.env)
 	if err != nil {
 		return nil, err
 	}
-	if ord < 0 || ord >= len(rows) {
+	ord := binary.BigEndian.Uint64(key)
+	if ord >= uint64(len(rows)) {
 		return nil, fmt.Errorf("syssm: %w: %s row %d", core.ErrNotFound, s.rd.Name, ord)
 	}
 	return smutil.QualifyFetch(s.env, rows[ord], fields, filter)
@@ -153,23 +250,9 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 	if err != nil {
 		return nil, err
 	}
-	sc := &scan{store: s, rows: rows, opts: opts}
-	if opts.Start != nil {
-		ord, err := keyOrd(opts.Start)
-		if err != nil {
-			return nil, err
-		}
-		sc.next = ord
-	}
-	sc.end = len(rows)
+	sc := &scan{store: s, rows: rows, opts: opts, end: len(rows)}
 	if opts.End != nil {
-		ord, err := keyOrd(opts.End)
-		if err != nil {
-			return nil, err
-		}
-		if ord < sc.end {
-			sc.end = ord
-		}
+		sc.end = seek(len(rows), opts.End, false)
 	}
 	return sc, nil
 }
@@ -205,301 +288,95 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 	return fmt.Errorf("syssm: %s: unexpected log record for a virtual relation", s.rd.Name)
 }
 
-// scan iterates a materialized view batch. Pos/Restore use the ordinal,
-// satisfying the savepoint position contract trivially.
+// scan iterates a materialized view batch, on the key of the last row it
+// returned like every other storage method's scan.
 type scan struct {
 	store *store
 	rows  []types.Record
 	opts  core.ScanOptions
-	next  int // ordinal of the next row to consider
 	end   int // exclusive ordinal bound
+	smutil.Position
 }
 
 func (sc *scan) Next() (types.Key, types.Record, bool, error) {
-	for sc.next < sc.end {
-		ord := sc.next
-		sc.next++
-		rec, ok, err := smutil.Qualify(sc.store.env, sc.rows[ord], sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+	if sc.Closed {
+		return nil, nil, false, fmt.Errorf("syssm: scan is closed")
+	}
+	i := seek(len(sc.rows), sc.opts.Start, false)
+	if sc.Started {
+		i = seek(len(sc.rows), sc.After, true)
+	}
+	for ; i < sc.end; i++ {
+		key := ordKey(i)
+		sc.Started, sc.After = true, key
+		rec, ok, err := smutil.Qualify(sc.store.env, sc.rows[i], sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		if ok {
-			return ordKey(ord), rec, true, nil
+			return key, rec, true, nil
 		}
 	}
 	return nil, nil, false, nil
 }
 
-func (sc *scan) Pos() core.ScanPos {
-	return core.ScanPos(ordKey(sc.next))
+// ---- row types without an engine struct of their own ----
+
+// lockRow is one sys.stat_locks row.
+type lockRow struct {
+	Txn      wal.TxnID `json:"txn"`
+	Resource string    `json:"resource"`
+	Mode     string    `json:"mode"`
+	State    string    `json:"state"`              // held | waiting
+	Blockers string    `json:"blockers,omitempty"` // a waiter's blocking transactions, comma-separated
 }
 
-func (sc *scan) Restore(pos core.ScanPos) error {
-	ord, err := keyOrd(types.Key(pos))
-	if err != nil {
-		return err
-	}
-	sc.next = ord
-	return nil
-}
-
-func (sc *scan) Close() error { return nil }
-
-// ---- sys.stat_activity ----
-
-var activitySchema = types.MustSchema(
-	types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "mode", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "state", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "username", Kind: types.KindString},
-	types.Column{Name: "start_ns", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_read", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_written", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "lock_waits", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "lock_wait_ns", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "wal_records", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "wal_bytes", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "buffer_hits", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "buffer_misses", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "chain_walks", Kind: types.KindInt, NotNull: true},
-)
-
-func userVal(u string) types.Value {
-	if u == "" {
-		return types.Null()
-	}
-	return types.Str(u)
-}
-
-func statsTail(st txn.StatsSnapshot) []types.Value {
-	return []types.Value{
-		types.Int(st.RowsRead),
-		types.Int(st.RowsWritten),
-		types.Int(st.LockWaits),
-		types.Int(st.LockWaitNanos),
-		types.Int(st.WALRecords),
-		types.Int(st.WALBytes),
-		types.Int(st.BufferHits),
-		types.Int(st.BufferMisses),
-		types.Int(st.ChainWalks),
-	}
-}
-
-func activityRows(env *core.Env) ([]types.Record, error) {
-	infos := env.Txns.ActiveSnapshot()
-	rows := make([]types.Record, 0, len(infos))
-	for _, in := range infos {
-		rec := types.Record{
-			types.Int(int64(in.ID)),
-			types.Str(in.Mode),
-			types.Str(in.State),
-			userVal(in.User),
-			types.Int(in.Start.UnixNano()),
-		}
-		rows = append(rows, append(rec, statsTail(in.Stats)...))
-	}
-	return rows, nil
-}
-
-// ---- sys.stat_history ----
-
-var historySchema = types.MustSchema(
-	types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "mode", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "outcome", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "username", Kind: types.KindString},
-	types.Column{Name: "start_ns", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "end_ns", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "commit_stamp", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_read", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_written", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "lock_waits", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "lock_wait_ns", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "wal_records", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "wal_bytes", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "buffer_hits", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "buffer_misses", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "chain_walks", Kind: types.KindInt, NotNull: true},
-)
-
-func historyRows(env *core.Env) ([]types.Record, error) {
-	fins := env.Txns.History()
-	rows := make([]types.Record, 0, len(fins))
-	for _, f := range fins {
-		rec := types.Record{
-			types.Int(int64(f.ID)),
-			types.Str(f.Mode),
-			types.Str(f.Outcome),
-			userVal(f.User),
-			types.Int(f.Start.UnixNano()),
-			types.Int(f.End.UnixNano()),
-			types.Int(int64(f.CommitStamp)),
-		}
-		rows = append(rows, append(rec, statsTail(f.Stats)...))
-	}
-	return rows, nil
-}
-
-// ---- sys.stat_relations ----
-
-var relationsSchema = types.MustSchema(
-	types.Column{Name: "rel_id", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "name", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "inserts", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "updates", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "deletes", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "fetches", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "scans", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "errors", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_read", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "rows_written", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "sm_nanos", Kind: types.KindInt, NotNull: true},
-)
-
-func relationsRows(env *core.Env) ([]types.Record, error) {
-	stats := env.RelStatRows()
-	rows := make([]types.Record, 0, len(stats))
-	for _, r := range stats {
-		rows = append(rows, types.Record{
-			types.Int(int64(r.RelID)),
-			types.Str(r.Name),
-			types.Int(r.Inserts),
-			types.Int(r.Updates),
-			types.Int(r.Deletes),
-			types.Int(r.Fetches),
-			types.Int(r.Scans),
-			types.Int(r.Errors),
-			types.Int(r.RowsRead),
-			types.Int(r.RowsWritten),
-			types.Int(r.SMNanos),
-		})
-	}
-	return rows, nil
-}
-
-// ---- sys.stat_locks ----
-
-var locksSchema = types.MustSchema(
-	types.Column{Name: "txn", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "resource", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "mode", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "state", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "blockers", Kind: types.KindString},
-)
-
-func locksRows(env *core.Env) ([]types.Record, error) {
+func locksRows(env *core.Env) ([]lockRow, error) {
 	held, waiting := env.Locks.SnapshotLocks()
-	rows := make([]types.Record, 0, len(held)+len(waiting))
+	rows := make([]lockRow, 0, len(held)+len(waiting))
 	for _, h := range held {
-		rows = append(rows, types.Record{
-			types.Int(int64(h.Txn)),
-			types.Str(h.Res.String()),
-			types.Str(h.Mode.String()),
-			types.Str("held"),
-			types.Null(),
-		})
+		rows = append(rows, lockRow{Txn: h.Txn, Resource: h.Res.String(), Mode: h.Mode.String(), State: "held"})
 	}
 	for _, w := range waiting {
-		rows = append(rows, types.Record{
-			types.Int(int64(w.Txn)),
-			types.Str(w.Res.String()),
-			types.Str(w.Mode.String()),
-			types.Str("waiting"),
-			types.Str(joinTxnIDs(w.Blockers)),
-		})
+		ids := make([]string, len(w.Blockers))
+		for i, id := range w.Blockers {
+			ids[i] = strconv.FormatUint(uint64(id), 10)
+		}
+		rows = append(rows, lockRow{Txn: w.Txn, Resource: w.Res.String(), Mode: w.Mode.String(), State: "waiting",
+			Blockers: strings.Join(ids, ",")})
 	}
 	return rows, nil
 }
 
-func joinTxnIDs(ids []wal.TxnID) string {
-	var b strings.Builder
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(uint64(id), 10))
-	}
-	return b.String()
+// relRow leads the rows of per-relation views: the relation described.
+type relRow struct {
+	RelID uint32 `json:"rel_id"`
+	Name  string `json:"name"`
 }
 
-// ---- sys.stat_lsm ----
-
-var lsmSchema = types.MustSchema(
-	types.Column{Name: "rel_id", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "name", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "memtable", Kind: types.KindBool, NotNull: true},
-	types.Column{Name: "run", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "tier", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "entries", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "bytes", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "bloom_bits", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "min_seq", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "max_seq", Kind: types.KindInt, NotNull: true},
-)
-
-func lsmRows(env *core.Env) ([]types.Record, error) {
-	names := env.Cat.List()
-	sort.Strings(names)
-	var rows []types.Record
-	for _, name := range names {
-		rd, ok := env.Cat.ByName(name)
-		if !ok || core.IsSystemRelID(rd.RelID) {
-			continue
-		}
-		// Opening an instance is a side effect (connections, state); only
-		// do it for the LSM method, whose instances are local and cheap.
-		if rd.SM != core.SMAppend {
-			continue
-		}
-		inst, err := env.StorageInstance(rd)
-		if err != nil {
-			return nil, err
-		}
-		li, ok := inst.(core.LSMIntrospector)
-		if !ok {
-			continue
-		}
-		for _, ri := range li.RunInfos() {
-			rows = append(rows, types.Record{
-				types.Int(int64(rd.RelID)),
-				types.Str(rd.Name),
-				types.Bool(ri.Memtable),
-				types.Int(int64(ri.Pos)),
-				types.Int(int64(ri.Tier)),
-				types.Int(int64(ri.Entries)),
-				types.Int(int64(ri.Bytes)),
-				types.Int(int64(ri.BloomBits)),
-				types.Int(int64(ri.MinSeq)),
-				types.Int(int64(ri.MaxSeq)),
-			})
-		}
-	}
-	return rows, nil
+// lsmRow is one sys.stat_lsm row.
+type lsmRow struct {
+	relRow
+	core.LSMRunInfo
 }
 
-// ---- sys.stat_shards ----
+// shardRow is one sys.stat_shards row; in_doubt and messages are
+// per-server figures (one server may host several shards or relations).
+type shardRow struct {
+	relRow
+	core.ShardInfo
+}
 
-var shardsSchema = types.MustSchema(
-	types.Column{Name: "rel_id", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "name", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "shard", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "server", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "table_name", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "records", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "in_doubt", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "messages", Kind: types.KindInt, NotNull: true},
-)
-
-func shardsRows(env *core.Env) ([]types.Record, error) {
+// eachRelation collects rows(rel, instance) over every relation stored by
+// one of sms, in name order. Opening an instance is a side effect
+// (connections, state), so no other relation is opened.
+func eachRelation[R any](env *core.Env, rows func(relRow, core.StorageInstance) []R, sms ...core.SMID) ([]R, error) {
 	names := env.Cat.List()
 	sort.Strings(names)
-	var rows []types.Record
+	var out []R
 	for _, name := range names {
 		rd, ok := env.Cat.ByName(name)
-		if !ok || core.IsSystemRelID(rd.RelID) {
-			continue
-		}
-		if rd.SM != core.SMPart && rd.SM != core.SMRemote {
+		if !ok || !slices.Contains(sms, rd.SM) {
 			continue
 		}
 		inst, err := env.StorageInstance(rd)
@@ -512,103 +389,72 @@ func shardsRows(env *core.Env) ([]types.Record, error) {
 			}
 			return nil, err
 		}
-		si, ok := inst.(core.ShardIntrospector)
-		if !ok {
-			continue
-		}
-		// in_doubt and messages are per-server figures: one server may
-		// host several shards or relations.
-		for _, info := range si.ShardInfos() {
-			rows = append(rows, types.Record{
-				types.Int(int64(rd.RelID)),
-				types.Str(rd.Name),
-				types.Int(int64(info.Shard)),
-				types.Str(info.Server),
-				types.Str(info.Table),
-				types.Int(int64(info.Records)),
-				types.Int(int64(info.InDoubt)),
-				types.Int(info.Messages),
-			})
-		}
+		out = append(out, rows(relRow{RelID: rd.RelID, Name: rd.Name}, inst)...)
 	}
-	return rows, nil
+	return out, nil
 }
 
-// ---- sys.stat_buffer ----
-
-var bufferSchema = types.MustSchema(
-	types.Column{Name: "page", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "shard", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "pins", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "pinned", Kind: types.KindBool, NotNull: true},
-	types.Column{Name: "dirty", Kind: types.KindBool, NotNull: true},
-	types.Column{Name: "lsn", Kind: types.KindInt, NotNull: true},
-)
-
-func bufferRows(env *core.Env) ([]types.Record, error) {
-	frames := env.Pool.FrameInfos()
-	rows := make([]types.Record, 0, len(frames))
-	for _, f := range frames {
-		rows = append(rows, types.Record{
-			types.Int(int64(f.Page)),
-			types.Int(int64(f.Shard)),
-			types.Int(int64(f.Pins)),
-			types.Bool(f.Pinned),
-			types.Bool(f.Dirty),
-			types.Int(int64(f.LSN)),
-		})
-	}
-	return rows, nil
+func lsmRows(env *core.Env) ([]lsmRow, error) {
+	return eachRelation(env, func(rel relRow, inst core.StorageInstance) (rows []lsmRow) {
+		if li, ok := inst.(core.LSMIntrospector); ok {
+			for _, ri := range li.RunInfos() {
+				rows = append(rows, lsmRow{rel, ri})
+			}
+		}
+		return rows
+	}, core.SMAppend)
 }
 
-// ---- sys.stat_traces ----
+func shardsRows(env *core.Env) ([]shardRow, error) {
+	return eachRelation(env, func(rel relRow, inst core.StorageInstance) (rows []shardRow) {
+		if si, ok := inst.(core.ShardIntrospector); ok {
+			for _, info := range si.ShardInfos() {
+				rows = append(rows, shardRow{rel, info})
+			}
+		}
+		return rows
+	}, core.SMPart, core.SMRemote)
+}
 
-var tracesSchema = types.MustSchema(
-	types.Column{Name: "txn", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "state", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "slow", Kind: types.KindBool, NotNull: true},
-	types.Column{Name: "sampled", Kind: types.KindBool, NotNull: true},
-	types.Column{Name: "spans", Kind: types.KindInt, NotNull: true},
-	types.Column{Name: "root", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "dur_ns", Kind: types.KindInt, NotNull: true},
-)
+// traceRow is one sys.stat_traces row: a completed trace and its root span.
+type traceRow struct {
+	Txn     uint64 `json:"txn"`
+	State   string `json:"state"`
+	Slow    bool   `json:"slow"`
+	Sampled bool   `json:"sampled"`
+	Spans   int    `json:"spans"`
+	Root    string `json:"root"`
+	DurNS   int64  `json:"dur_ns"`
+}
 
-func tracesRows(env *core.Env) ([]types.Record, error) {
+func tracesRows(env *core.Env) ([]traceRow, error) {
 	traces := env.Tracer.Traces(0)
-	rows := make([]types.Record, 0, len(traces))
+	rows := make([]traceRow, 0, len(traces))
 	for _, t := range traces {
-		rows = append(rows, types.Record{
-			types.Int(int64(t.TxnID)),
-			types.Str(t.State),
-			types.Bool(t.Slow),
-			types.Bool(t.Sampled),
-			types.Int(int64(t.Spans)),
-			types.Str(t.Root.Name),
-			types.Int(t.Root.DurNanos),
-		})
+		rows = append(rows, traceRow{Txn: t.TxnID, State: t.State, Slow: t.Slow, Sampled: t.Sampled,
+			Spans: t.Spans, Root: t.Root.Name, DurNS: t.Root.DurNanos})
 	}
 	return rows, nil
 }
 
-// ---- sys.stat_metrics ----
-
-var metricsSchema = types.MustSchema(
-	types.Column{Name: "name", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "kind", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "labels", Kind: types.KindString, NotNull: true},
-	types.Column{Name: "value", Kind: types.KindFloat, NotNull: true},
-)
+// metricRow is one sys.stat_metrics row, a sample /metrics prints.
+type metricRow struct {
+	Name   string  `json:"name"`
+	Kind   string  `json:"kind"`
+	Labels string  `json:"labels"`
+	Value  float64 `json:"value"`
+}
 
 // metricsRows serves the list /metrics renders, one row per sample; a
 // histogram is its _sum and _count rows (the buckets stay on /metrics).
-func metricsRows(env *core.Env) ([]types.Record, error) {
-	var rows []types.Record
+func metricsRows(env *core.Env) ([]metricRow, error) {
+	var rows []metricRow
 	for _, f := range env.MetricFamilies() {
 		for _, s := range f.Samples {
 			if f.Kind == "histogram" && strings.HasSuffix(s.Name, "_bucket") {
 				continue
 			}
-			rows = append(rows, types.Record{types.Str(s.Name), types.Str(f.Kind), types.Str(s.Labels), types.Float(s.Value)})
+			rows = append(rows, metricRow{Name: s.Name, Kind: f.Kind, Labels: s.Labels, Value: s.Value})
 		}
 	}
 	return rows, nil

@@ -2,9 +2,12 @@ package syssm_test
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,12 +15,16 @@ import (
 
 	"dmx/internal/core"
 	"dmx/internal/ddl"
+	"dmx/internal/remote"
+	"dmx/internal/sm/partsm"
 	"dmx/internal/types"
 
 	_ "dmx/internal/sm/appendsm"
 	_ "dmx/internal/sm/heap"
 	_ "dmx/internal/sm/syssm"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/ golden files from this tree's output")
 
 func newEnv(t *testing.T) *core.Env {
 	t.Helper()
@@ -422,14 +429,128 @@ func TestScanPosRestore(t *testing.T) {
 	}
 }
 
-func TestDebugStatEndpoint(t *testing.T) {
+// TestViewSchemasGolden pins every system relation's RelID and columns
+// (name, kind, NOT NULL, order). testdata/views.golden was written by the
+// hand-listed schemas the row-type walker replaced; -update rewrites it.
+func TestViewSchemasGolden(t *testing.T) {
 	env := newEnv(t)
-	rel := mkTable(t, env, "t", "heap")
+	var b strings.Builder
+	for id := core.SysRelBase; ; id++ {
+		rd, ok := env.Cat.Get(id)
+		if !ok {
+			break
+		}
+		fmt.Fprintf(&b, "%s %#x\n", rd.Name, rd.RelID)
+		for _, c := range rd.Schema.Cols {
+			null := ""
+			if c.NotNull {
+				null = " NOT NULL"
+			}
+			fmt.Fprintf(&b, "\t%s %s%s\n", c.Name, c.Kind, null)
+		}
+	}
+	const path = "testdata/views.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("view schemas differ from %s:\n%s", path, b.String())
+	}
+}
+
+// TestScanPositionIsAKey: a sys scan's bounds and positions are record keys
+// compared as bytes, never decoded into ordinals, and a closed scan refuses
+// Next and Restore like every other storage method's.
+func TestScanPositionIsAKey(t *testing.T) {
+	env := newEnv(t)
+	for _, name := range []string{"a", "b", "c"} {
+		mkTable(t, env, name, "heap")
+	}
+	rel, err := env.OpenRelationByName("sys.stat_relations")
+	if err != nil {
+		t.Fatal(err)
+	}
 	tx := env.Begin()
+	defer tx.Commit()
+	keys := func(opts core.ScanOptions) []types.Key {
+		t.Helper()
+		sc, err := rel.Storage().OpenScan(tx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		var out []types.Key
+		for {
+			k, _, ok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return out
+			}
+			out = append(out, k)
+		}
+	}
+	all := keys(core.ScanOptions{})
+	if len(all) < 3 {
+		t.Fatalf("%d rows, want at least 3", len(all))
+	}
+	t.Run("start-bytes", func(t *testing.T) {
+		if got := keys(core.ScanOptions{Start: types.Key{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}); len(got) != 0 {
+			t.Fatalf("a start past every row returned %d rows", len(got))
+		}
+		between := append(all[0].Clone(), 0)
+		if got := keys(core.ScanOptions{Start: between}); len(got) == 0 || !got[0].Equal(all[1]) {
+			t.Fatalf("a start between rows 0 and 1 resumed at %v, want %v", got, all[1])
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		sc, err := rel.Storage().OpenScan(tx, core.ScanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok, err := sc.Next(); err != nil || !ok {
+			t.Fatalf("first next: ok=%v err=%v", ok, err)
+		}
+		pos := sc.Pos()
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Restore(pos); err == nil {
+			t.Error("Restore on a closed scan accepted")
+		}
+		if _, _, _, err := sc.Next(); err == nil {
+			t.Error("Next on a closed scan accepted")
+		}
+	})
+}
+
+func TestDebugStatEndpoint(t *testing.T) {
+	env := core.NewEnv(core.Config{TraceSample: 1})
+	partsm.AttachServer(env, "s0", remote.NewServer(0))
+	rel := mkTable(t, env, "t", "heap")
+	events := mkTable(t, env, "events", "append")
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, "p", rel.Desc().Schema, "part", core.AttrList{"key": "id", "servers": "s0"}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := rel.Insert(tx, types.Record{types.Int(1), types.Str("a")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// An open writer keeps sys.stat_locks non-empty while the views are read.
+	open := env.Begin()
+	defer open.Abort()
+	if _, err := events.Insert(open, types.Record{types.Int(1), types.Str("b")}); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := env.ServeDebug("127.0.0.1:0")
@@ -474,8 +595,38 @@ func TestDebugStatEndpoint(t *testing.T) {
 			t.Fatalf("%s: relation t missing from %s", path, body)
 		}
 	}
-	if code, _ := get("/stat/history"); code != http.StatusOK {
-		t.Fatal("history view not served")
+	// Every view's JSON objects carry exactly its schema's columns.
+	for id := core.SysRelBase; ; id++ {
+		rd, ok := env.Cat.Get(id)
+		if !ok {
+			break
+		}
+		path := "/stat/" + strings.TrimPrefix(rd.Name, "sys.stat_")
+		code, body := get(path)
+		var got struct {
+			Rows []map[string]any `json:"rows"`
+		}
+		if err := json.Unmarshal(body, &got); code != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v: %s", path, code, err, body)
+		}
+		if len(got.Rows) == 0 {
+			t.Errorf("%s: no rows on a populated env", path)
+		}
+		var want []string
+		for _, c := range rd.Schema.Cols {
+			want = append(want, c.Name)
+		}
+		sort.Strings(want)
+		for _, row := range got.Rows {
+			var keys []string
+			for k := range row {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if fmt.Sprint(keys) != fmt.Sprint(want) {
+				t.Fatalf("%s: row keys %v, want %v", path, keys, want)
+			}
+		}
 	}
 	if code, _ := get("/stat/bogus"); code != http.StatusNotFound {
 		t.Fatal("unknown view did not 404")

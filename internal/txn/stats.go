@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,11 +33,15 @@ type Stats struct {
 
 // StatsSnapshot is a point-in-time copy of a Stats ledger, safe to hold
 // after the transaction finishes.
+//
+// Each field is a column of sys.stat_activity and sys.stat_history, named by
+// its json tag (syssm builds both views from the row types), so a new counter
+// is a field in Stats, a field here, and a line in Snapshot.
 type StatsSnapshot struct {
 	RowsRead      int64 `json:"rows_read"`
 	RowsWritten   int64 `json:"rows_written"`
 	LockWaits     int64 `json:"lock_waits"`
-	LockWaitNanos int64 `json:"lock_wait_nanos"`
+	LockWaitNanos int64 `json:"lock_wait_ns"`
 	WALRecords    int64 `json:"wal_records"`
 	WALBytes      int64 `json:"wal_bytes"`
 	BufferHits    int64 `json:"buffer_hits"`
@@ -74,15 +80,6 @@ func (tx *Txn) Acct() *Stats {
 	return &tx.stats
 }
 
-// StatsNow snapshots the transaction's ledger. Nil-safe; a nil receiver
-// returns the zero snapshot.
-func (tx *Txn) StatsNow() StatsSnapshot {
-	if tx == nil {
-		return StatsSnapshot{}
-	}
-	return tx.stats.Snapshot()
-}
-
 // Start returns the wall-clock time the transaction began.
 func (tx *Txn) Start() time.Time { return tx.start }
 
@@ -94,25 +91,29 @@ func (tx *Txn) Mode() string {
 	return "write"
 }
 
-// TxnInfo describes one open transaction as seen by sys.stat_activity: a
+// TxnInfo is one sys.stat_activity row, an open transaction: a
 // consistent-enough view assembled from atomic counter loads while the
-// owner keeps running.
+// owner keeps running. Fields are the view's columns, in order.
 type TxnInfo struct {
-	ID    wal.TxnID     `json:"id"`
-	Mode  string        `json:"mode"`
-	State string        `json:"state"`
-	User  string        `json:"user,omitempty"`
-	Start time.Time     `json:"start"`
-	Stats StatsSnapshot `json:"stats"`
+	ID    wal.TxnID `json:"id"`
+	Mode  string    `json:"mode"`
+	State string    `json:"state"`
+	User  string    `json:"username,omitempty"`
+	Start time.Time `json:"start_ns"`
+	StatsSnapshot
 }
 
-// FinishedTxn is one entry of the recently-finished ring backing
-// sys.stat_history: the transaction's final ledger plus its outcome.
+// FinishedTxn is one sys.stat_history row, an entry of the
+// recently-finished ring: the transaction's outcome and final ledger.
 type FinishedTxn struct {
-	TxnInfo
-	End         time.Time `json:"end"`
+	ID          wal.TxnID `json:"id"`
+	Mode        string    `json:"mode"`
 	Outcome     string    `json:"outcome"` // committed | aborted | commit_failed
-	CommitStamp uint64    `json:"commit_stamp,omitempty"`
+	User        string    `json:"username,omitempty"`
+	Start       time.Time `json:"start_ns"`
+	End         time.Time `json:"end_ns"`
+	CommitStamp uint64    `json:"commit_stamp"`
+	StatsSnapshot
 }
 
 // historySize bounds the recently-finished ring. Large enough that a
@@ -168,16 +169,8 @@ func (m *Manager) ActiveSnapshot() []TxnInfo {
 	for _, tx := range txs {
 		out = append(out, tx.info())
 	}
-	sortTxnInfos(out)
+	slices.SortFunc(out, func(a, b TxnInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-func sortTxnInfos(infos []TxnInfo) {
-	for i := 1; i < len(infos); i++ { // tiny n; insertion sort avoids a sort import
-		for j := i; j > 0 && infos[j].ID < infos[j-1].ID; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }
 
 // info assembles the live view of tx. state is read atomically via the
@@ -186,12 +179,12 @@ func sortTxnInfos(infos []TxnInfo) {
 // string is derived from mode + the stats-visible facts only.
 func (tx *Txn) info() TxnInfo {
 	return TxnInfo{
-		ID:    tx.id,
-		Mode:  tx.Mode(),
-		State: "active",
-		User:  tx.user,
-		Start: tx.start,
-		Stats: tx.stats.Snapshot(),
+		ID:            tx.id,
+		Mode:          tx.Mode(),
+		State:         "active",
+		User:          tx.user,
+		Start:         tx.start,
+		StatsSnapshot: tx.stats.Snapshot(),
 	}
 }
 
@@ -206,17 +199,14 @@ func (m *Manager) History() []FinishedTxn {
 func (m *Manager) recordFinished(tx *Txn, outcome string) {
 	snap := tx.stats.Snapshot()
 	m.history.add(FinishedTxn{
-		TxnInfo: TxnInfo{
-			ID:    tx.id,
-			Mode:  tx.Mode(),
-			State: "finished",
-			User:  tx.user,
-			Start: tx.start,
-			Stats: snap,
-		},
-		End:         time.Now(),
-		Outcome:     outcome,
-		CommitStamp: tx.commitStamp,
+		ID:            tx.id,
+		Mode:          tx.Mode(),
+		Outcome:       outcome,
+		User:          tx.user,
+		Start:         tx.start,
+		End:           time.Now(),
+		CommitStamp:   tx.commitStamp,
+		StatsSnapshot: snap,
 	})
 	if m.obs == nil {
 		return
