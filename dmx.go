@@ -133,11 +133,6 @@ type Config struct {
 	// after that many log appends. 0 checkpoints only at Close; negative
 	// disables checkpointing entirely.
 	CheckpointEvery int
-	// CommitBatchWindow, when positive, holds the group-commit leader open
-	// for this long before the commit fsync so concurrent committers ride
-	// the same log force. 0 still batches whatever is waiting when the
-	// leader syncs, without added latency.
-	CommitBatchWindow time.Duration
 	// Faults arms the engine's crash-point fault injector (testing; see
 	// internal/fault). Nil leaves every site disarmed.
 	Faults *fault.Injector
@@ -184,14 +179,13 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	env := core.NewEnv(core.Config{
-		Log:               log,
-		Disk:              disk,
-		PoolFrames:        cfg.PoolFrames,
-		CommitBatchWindow: cfg.CommitBatchWindow,
-		Faults:            cfg.Faults,
-		TraceSample:       cfg.TraceSample,
-		SlowThreshold:     cfg.SlowThreshold,
-		SlowLog:           cfg.SlowLog,
+		Log:           log,
+		Disk:          disk,
+		PoolFrames:    cfg.PoolFrames,
+		Faults:        cfg.Faults,
+		TraceSample:   cfg.TraceSample,
+		SlowThreshold: cfg.SlowThreshold,
+		SlowLog:       cfg.SlowLog,
 	})
 	db := &DB{Env: env, log: log, disk: disk, ckptOff: cfg.CheckpointEvery < 0}
 	db.session = ddl.NewSession(env)

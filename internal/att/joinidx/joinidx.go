@@ -75,7 +75,14 @@ type side struct {
 type def = attutil.Def[side]
 
 var entries = attutil.EntryType[side]{
+	// NULL never equi-joins, so a record with a NULL join value is paired
+	// with nothing and has no entry.
 	KeyOf: func(d *def, rec types.Record, _ types.Key) (types.Key, bool, error) {
+		for _, f := range d.Fields {
+			if rec[f].IsNull() {
+				return nil, false, nil
+			}
+		}
 		return types.EncodeKeyFields(rec, d.Fields), true, nil
 	},
 	Add: func(d *def, val, recKey types.Key) error {

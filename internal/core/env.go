@@ -28,9 +28,6 @@ type Config struct {
 	Disk pagefile.Disk
 	// PoolFrames is the buffer pool capacity (default 256 frames).
 	PoolFrames int
-	// CommitBatchWindow, when positive, makes the group-commit leader wait
-	// this long before syncing so concurrent committers share one fsync.
-	CommitBatchWindow time.Duration
 	// Faults, when non-nil, arms the engine's crash sites (WAL append,
 	// flush and sync, buffer write-back, page-file writes) with a
 	// deterministic crash-point injector for recovery testing.
@@ -160,7 +157,6 @@ func NewEnv(cfg Config) *Env {
 	locks := lock.NewManager()
 	locks.SetObs(&engine.Lock)
 	cfg.Log.SetObs(&engine.WAL)
-	cfg.Log.SetGroupCommitWindow(cfg.CommitBatchWindow)
 	pool := buffer.NewPool(cfg.Disk, cfg.PoolFrames)
 	pool.SetObs(&engine.Buffer)
 	// Write-ahead rule under the steal policy: before the pool writes a

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"testing"
 
+	"dmx/internal/core"
+	_ "dmx/internal/sm/memsm"
 	"dmx/internal/types"
 )
 
@@ -23,17 +25,38 @@ func (erringRows) Next() (types.Record, bool, error) {
 func (erringRows) Close() error { return nil }
 
 func TestJoinCursorsNormalizeOuterError(t *testing.T) {
+	// The join index hands out key pairs; a pair whose outer record is gone
+	// fails its fetch.
+	env := core.NewEnv(core.Config{})
+	tx := env.Begin()
+	schema := types.MustSchema(types.Column{Name: "k", Kind: types.KindInt})
+	rd, err := env.CreateRelation(tx, "r", schema, "memory", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := env.OpenRelation(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = env.Begin()
+	defer tx.Commit()
+
 	j := &JoinSpec{}
 	cursors := map[string]Rows{
-		"nl":            &nlRows{q: Query{Join: j}, outer: erringRows{}},
-		"indexnl":       &indexNLRows{q: Query{Join: j}, outer: erringRows{}},
-		"indexnl-smkey": &indexNLRows{q: Query{Join: j}, outer: erringRows{}, probe: probeSpec{viaSM: true}},
-		"hash":          &hashJoinRows{q: Query{Join: j}, outer: erringRows{}},
+		"nl path zero": &nlRows{q: Query{Join: j}, outer: erringRows{}, inner: &access{rd: rd}},
+		"nl probe": &nlRows{q: Query{Join: j}, outer: erringRows{},
+			inner: &access{rd: rd, useAtt: core.AttBTree, estimate: core.CostEstimate{Point: true, Handled: []int{0}}}},
+		"hash": &hashJoinRows{q: Query{Join: j}, outer: erringRows{}},
+		"joinindex": &joinIndexRows{tx: tx, q: Query{Join: j}, outerRel: rel, innerRel: rel,
+			pairs: [][2]types.Key{{types.Key("gone"), types.Key("gone")}}},
 	}
 	for name, r := range cursors {
 		rec, ok, err := r.Next()
 		if err == nil {
-			t.Fatalf("%s: want the outer error propagated", name)
+			t.Fatalf("%s: want the failure propagated", name)
 		}
 		if ok {
 			t.Errorf("%s: Next returned ok=true alongside err=%v — violates the Rows contract", name, err)

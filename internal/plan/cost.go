@@ -161,17 +161,7 @@ func chooseDegree(workRows float64, forced int) int {
 	return d
 }
 
-// joinCosts holds the planner's estimates for the candidate join
-// strategies, in the Total() cost unit (IO*10 + CPU).
-type joinCosts struct {
-	outerRows float64 // expected outer rows after the outer filter
-	innerRows float64 // inner relation cardinality
-	naiveNL   float64
-	indexNL   float64 // +Inf without a usable probe path
-	hash      float64 // +Inf when the join columns hash-incompatibly
-}
-
-// scanOpenOverhead approximates the fixed cost of opening one inner scan
+// scanOpenOverhead approximates the fixed cost of opening one inner access
 // (lock acquisition, cursor setup) in Total() units.
 const scanOpenOverhead = 8
 
@@ -179,37 +169,14 @@ const scanOpenOverhead = 8
 // side (table allocation, worker start).
 const hashJoinOverhead = 64
 
-// estimateJoinCosts prices the three generic join strategies. probeCost is
-// the per-outer-row cost of the best keyed probe (attachment lookup or
-// storage-method keyed scan), or +Inf when none is usable. innerScan is
-// the inner storage method's estimate for a full filtered pass.
-func estimateJoinCosts(outerEst core.CostEstimate, outerCount int, innerScan core.CostEstimate,
-	innerRows float64, probeCost float64, hashable bool) joinCosts {
-	outerRows := math.Max(1, float64(outerCount)*outerEst.Selectivity)
-	c := joinCosts{outerRows: outerRows, innerRows: innerRows}
-	c.naiveNL = outerEst.Total() + outerRows*(innerScan.Total()+scanOpenOverhead)
-	c.indexNL = math.Inf(1)
-	if !math.IsInf(probeCost, 1) {
-		// Each probe also direct-fetches its matching records (~1 per probe
-		// for the common key-to-key equi-join).
-		c.indexNL = outerEst.Total() + outerRows*(probeCost+1)
-	}
-	c.hash = math.Inf(1)
-	if hashable {
-		build := innerScan.Total() + innerRows*0.5
-		probe := outerRows * 1.0
-		c.hash = outerEst.Total() + build + probe + hashJoinOverhead
-	}
-	return c
-}
-
-// hashCompatible reports whether an equi-join on outer column oc and inner
-// column ic can be executed by hashing encoded values: the column kinds
-// must match exactly, because the order-preserving encoding of Int(1) and
-// Float(1) differ even though expression equality coerces them.
-func hashCompatible(outer, inner *types.Schema, oc, ic int) bool {
-	if oc < 0 || oc >= len(outer.Cols) || ic < 0 || ic >= len(inner.Cols) {
-		return false
-	}
-	return outer.Cols[oc].Kind == inner.Cols[ic].Kind
+// joinCosts prices the two generic join strategies in Total() units. A
+// nested loop opens the inner access once per expected outer row; a hash
+// join makes one filtered pass over the inner relation's innerN records
+// (build, the storage method's estimate for it) and probes the table once
+// per outer row.
+func joinCosts(outer, inner *access, build core.CostEstimate, innerN int) (nl, hash float64) {
+	outerRows := math.Max(1, outer.rows)
+	nl = outer.estimate.Total() + outerRows*(inner.estimate.Total()+scanOpenOverhead)
+	hash = outer.estimate.Total() + build.Total() + float64(innerN)*0.5 + outerRows + hashJoinOverhead
+	return nl, hash
 }

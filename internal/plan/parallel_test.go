@@ -188,7 +188,7 @@ func TestSMKeyedJoinProbe(t *testing.T) {
 		ForceJoin: "indexnl",
 	}
 	rows, b := runQuery(t, env, q)
-	if !strings.Contains(b.Explain(), "sm-key") {
+	if !strings.Contains(b.Explain(), "scan(dept via btree)") {
 		t.Fatalf("explain = %s, want the storage method's keyed path", b.Explain())
 	}
 	if len(rows) != 30 {
@@ -200,9 +200,14 @@ func TestSMKeyedJoinProbe(t *testing.T) {
 		}
 	}
 
+	// The reference re-scans dept: the join equality is a residual filter,
+	// not the keyed path's range.
 	nq := q
 	nq.ForceJoin = "nl"
-	nlrows, _ := runQuery(t, env, nq)
+	nlrows, nb := runQuery(t, env, nq)
+	if want := "nestedloop(scan(emp via memory) × scan(dept via btree))"; nb.Explain() != want {
+		t.Fatalf("nl explain = %s, want %s", nb.Explain(), want)
+	}
 	if got, want := multiset(rows), multiset(nlrows); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sm-key probe rows diverge from nested loop:\n probe=%v\n    nl=%v", got, want)
 	}
@@ -235,8 +240,8 @@ func TestSMKeyedJoinProbeChosen(t *testing.T) {
 		Join:  &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}},
 	}
 	rows, b := runQuery(t, env, q)
-	if !strings.HasPrefix(b.Explain(), "indexNL(") || !strings.Contains(b.Explain(), "sm-key") {
-		t.Fatalf("explain = %s, want indexNL via sm-key", b.Explain())
+	if !strings.HasPrefix(b.Explain(), "indexNL(") || !strings.Contains(b.Explain(), "scan(dept via btree)") {
+		t.Fatalf("explain = %s, want indexNL via the storage method's keyed path", b.Explain())
 	}
 	if len(rows) != 30 {
 		t.Fatalf("rows = %d", len(rows))
@@ -372,6 +377,92 @@ func TestDuplicateKeyJoinWaysAgree(t *testing.T) {
 		} else if !reflect.DeepEqual(ms, base) {
 			t.Fatalf("%s diverges from nl", strat)
 		}
+	}
+}
+
+// TestNullJoinKeysNeverMatch: NULL never equi-joins, whichever strategy
+// and inner path run the join. l and r each hold k = NULL, 1, NULL, 3, so
+// a strategy that pairs NULL with NULL returns six rows instead of two.
+// The float cases give r a FLOAT k: an INT outer value equals a FLOAT key
+// without sharing its encoding, so the keyed store must re-scan.
+func TestNullJoinKeysNeverMatch(t *testing.T) {
+	schema := func(k types.Kind) *types.Schema {
+		return types.MustSchema(
+			types.Column{Name: "id", Kind: types.KindInt, NotNull: true},
+			types.Column{Name: "k", Kind: k},
+		)
+	}
+	for _, c := range []struct {
+		name, force, innerSM string
+		innerAttrs           core.AttrList
+		att                  string // an attachment on r (joinindex: on both)
+		via                  string // in the explain
+		float                bool   // r.k is FLOAT
+	}{
+		{"nl", "nl", "heap", nil, "", "nestedloop(scan(l via heap) × scan(r via heap))", false},
+		{"indexnl via btree", "indexnl", "heap", nil, "btree", "access(r via btree #0)", false},
+		{"indexnl via hash", "indexnl", "heap", nil, "hash", "access(r via hash #0)", false},
+		{"indexnl via keyed store", "indexnl", "btree", core.AttrList{"key": "k,id"}, "", "scan(r via btree)", false},
+		{"nl via keyed store", "nl", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", false},
+		{"hash", "hash", "heap", nil, "", "hash(", false},
+		{"joinindex", "", "heap", nil, "joinindex", "joinindex(", false},
+		{"float keyed store", "", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", true},
+		{"float nl via keyed store", "nl", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := core.NewEnv(core.Config{})
+			tx := env.Begin()
+			innerVal := types.Int
+			if c.float {
+				innerVal = func(v int64) types.Value { return types.Float(float64(v)) }
+			}
+			for _, rel := range []struct {
+				name, sm string
+				kind     types.Kind
+				val      func(int64) types.Value
+			}{{"l", "heap", types.KindInt, types.Int}, {"r", c.innerSM, innerVal(0).K, innerVal}} {
+				attrs := core.AttrList(nil)
+				if rel.name == "r" {
+					attrs = c.innerAttrs
+				}
+				if _, err := env.CreateRelation(tx, rel.name, schema(rel.kind), rel.sm, attrs); err != nil {
+					t.Fatal(err)
+				}
+				r, _ := env.OpenRelationByName(rel.name)
+				for i, k := range []types.Value{types.Null(), rel.val(1), types.Null(), rel.val(3)} {
+					if _, err := r.Insert(tx, types.Record{types.Int(int64(i)), k}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			spec := plan.JoinSpec{Table: "r", OuterCol: 1, InnerCol: 1, Fields: []int{1}}
+			switch c.att {
+			case "joinindex":
+				spec.JoinIndex = "lr"
+				for _, side := range [][2]string{{"l", "r"}, {"r", "l"}} {
+					if _, err := env.CreateAttachment(tx, side[0], "joinindex",
+						core.AttrList{"name": "lr", "on": "k", "peer": side[1]}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "":
+			default:
+				if _, err := env.CreateAttachment(tx, "r", c.att, core.AttrList{"on": "k"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			rows, b := runQuery(t, env, plan.Query{Table: "l", Fields: []int{1}, Join: &spec, ForceJoin: c.force})
+			if !strings.Contains(b.Explain(), c.via) {
+				t.Fatalf("explain = %s, want %s", b.Explain(), c.via)
+			}
+			want := multiset([]types.Record{{types.Int(1), innerVal(1)}, {types.Int(3), innerVal(3)}})
+			if got := multiset(rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rows = %v, want %v", got, want)
+			}
+		})
 	}
 }
 
@@ -515,5 +606,22 @@ func TestForceJoinUnusable(t *testing.T) {
 	}
 	if _, err := plan.New(env).Plan(q); !errors.Is(err, plan.ErrForcedUnusable) {
 		t.Fatalf("err = %v, want ErrForcedUnusable", err)
+	}
+}
+
+// TestJoinFilterTakesNoParams: only the outer filter has parameter
+// markers; a join strategy never binds one in the inner filter.
+func TestJoinFilterTakesNoParams(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	loadEmp(t, env, "memory", nil, 10)
+	addDept(t, env, false)
+	q := plan.Query{
+		Table: "emp",
+		Join: &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0,
+			Filter: expr.Eq(expr.Field(1), expr.Param(0))},
+		Params: []types.Value{types.Str("eng")},
+	}
+	if _, err := plan.New(env).Plan(q); err == nil {
+		t.Fatal("a parameter marker in JoinSpec.Filter planned")
 	}
 }

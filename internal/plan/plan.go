@@ -26,7 +26,6 @@ import (
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
-	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 )
@@ -65,8 +64,10 @@ type Query struct {
 	// (the storage method may still deliver fewer partitions).
 	ForceDegree int
 	// ForceJoin pins the join strategy instead of the cost-based choice:
-	// "" = automatic, "nl" = naive nested loop, "indexnl" = keyed probes,
-	// "hash" = hash join. ErrForcedUnusable when the strategy cannot run.
+	// "" = automatic, "nl" = nested loop over the inner storage method
+	// (access path zero), "indexnl" = nested loop over an inner path that
+	// handles the join equality, "hash" = hash join. ErrForcedUnusable when
+	// the strategy cannot run.
 	ForceJoin string
 }
 
@@ -148,6 +149,9 @@ type builder func(tx *txn.Txn, outer *access) (Rows, error)
 func (p *Planner) Plan(q Query) (*Bound, error) {
 	params := q.Params
 	q.Params = nil
+	if q.Join != nil && expr.NumParams(q.Join.Filter) > 0 {
+		return nil, fmt.Errorf("plan: the join's inner filter takes no parameter markers")
+	}
 	b := &Bound{planner: p, query: q, slots: expr.NumParams(q.Filter)}
 	if err := b.translate(params); err != nil {
 		return nil, err
@@ -177,9 +181,9 @@ func (b *Bound) Execute(tx *txn.Txn, params ...types.Value) (Rows, error) {
 	if b.slots > 0 {
 		var same bool
 		var err error
-		if outer, same, err = b.rebind(params); err == nil && !same {
+		if outer, same, err = b.bindOuter(params); err == nil && !same {
 			if err = b.replan(params); err == nil {
-				outer, _, err = b.rebind(params)
+				outer, _, err = b.bindOuter(params)
 			}
 		}
 		if err != nil {
@@ -200,29 +204,38 @@ func (b *Bound) replan(params []types.Value) error {
 	return nil
 }
 
-// rebind returns the chosen access with params filled in: the filter and
-// residual carry the values, and start, end and the point flag are the
-// chosen path's answer for them. same reports that the path still serves
-// them in the plan's cardinality class: the same point flag, handled
-// conjuncts and power-of-4 bucket of expected rows.
-func (b *Bound) rebind(params []types.Value) (a *access, same bool, err error) {
-	o := b.outer
-	bound := *o
-	bound.filter = expr.Bind(o.filter, params)
-	bound.pushdown = expr.Bind(o.pushdown, params)
-	req, _, err := b.planner.costRequest(o.rd, bound.filter, b.query.OrderBy)
+// bindOuter returns the plan's outer access rebound to params. same
+// reports that the path still serves them in the plan's cardinality class:
+// the same point flag and power-of-4 bucket of expected rows as well.
+func (b *Bound) bindOuter(params []types.Value) (a *access, same bool, err error) {
+	o, p := b.outer, b.planner
+	filter := expr.Bind(o.filter, params)
+	req, _, err := p.costRequest(o.rd, filter, b.query.OrderBy)
 	if err != nil {
 		return nil, false, err
 	}
-	est, err := b.planner.estimate(o.rd, o.useAtt, req)
+	path, err := p.pathOf(o.rd, o.useAtt)
 	if err != nil {
 		return nil, false, err
 	}
+	a, serves := rebind(o, filter, params, req, path)
+	return a, serves && a.estimate.Point == o.estimate.Point && rowClass(a.rows) == rowClass(o.rows), nil
+}
+
+// rebind returns the chosen access a with params filled in: filter is a's
+// filter bound to them, req the relation's cost request over its
+// conjuncts, and start, end and the point flag are path's answer to req.
+// serves reports that the path still answers as planned — usable, the same
+// instance, the same conjuncts handled, so the residual is complete. The
+// outer access rebinds once per execution, a nested-loop join's inner
+// access once per outer row.
+func rebind(a *access, filter *expr.Expr, params []types.Value, req core.CostRequest, path costModel) (*access, bool) {
+	bound := *a
+	bound.filter, bound.pushdown = filter, expr.Bind(a.pushdown, params)
+	est := path.EstimateCost(req)
 	bound.start, bound.end, bound.estimate = est.Start, est.End, est
 	bound.rows = expectedRows(req.RecordCount, est)
-	same = est.Usable && est.Point == o.estimate.Point && est.Instance == o.instance &&
-		slices.Equal(est.Handled, o.estimate.Handled) && rowClass(bound.rows) == rowClass(o.rows)
-	return &bound, same, nil
+	return &bound, est.Usable && est.Instance == a.instance && slices.Equal(est.Handled, a.estimate.Handled)
 }
 
 // rowClass is the power-of-4 bucket of an expected row count.
@@ -272,7 +285,7 @@ type access struct {
 	pushdown *expr.Expr // conjuncts the path does NOT handle (re-applied)
 	estimate core.CostEstimate
 	rows     float64 // expected qualifying records (RecordCount × Selectivity)
-	name     string  // describe's answer: the operator's name in every execution
+	name     string  // the operator's name in every execution
 }
 
 // costRequest is what the planner asks rd's access paths about filter.
@@ -291,25 +304,26 @@ func (p *Planner) costRequest(rd *core.RelDesc, filter *expr.Expr, orderBy []int
 	}, sm, nil
 }
 
-// estimate prices req on rd's access path att, its storage method when att
-// is 0.
-func (p *Planner) estimate(rd *core.RelDesc, att core.AttID, req core.CostRequest) (core.CostEstimate, error) {
+// costModel is what the planner asks of an access path: the storage
+// method (core.StorageInstance) or an attachment (core.AccessPath).
+type costModel interface {
+	EstimateCost(req core.CostRequest) core.CostEstimate
+}
+
+// pathOf returns rd's access path att, its storage method when att is 0.
+func (p *Planner) pathOf(rd *core.RelDesc, att core.AttID) (costModel, error) {
 	if att == 0 {
-		sm, err := p.env.StorageInstance(rd)
-		if err != nil {
-			return core.CostEstimate{}, err
-		}
-		return sm.EstimateCost(req), nil
+		return p.env.StorageInstance(rd)
 	}
 	inst, err := p.env.AttachmentInstance(rd, att)
 	if err != nil {
-		return core.CostEstimate{}, err
+		return nil, err
 	}
 	ap, ok := inst.(core.AccessPath)
 	if !ok {
-		return core.CostEstimate{}, fmt.Errorf("%w: attachment %d is not an access path", ErrForcedUnusable, att)
+		return nil, fmt.Errorf("%w: attachment %d is not an access path", ErrForcedUnusable, att)
 	}
-	return ap.EstimateCost(req), nil
+	return ap, nil
 }
 
 func expectedRows(recordCount int, est core.CostEstimate) float64 {
@@ -318,12 +332,13 @@ func expectedRows(recordCount int, est core.CostEstimate) float64 {
 
 // chooseAccess asks the storage method and every access-path attachment
 // for a cost estimate of filter with params filled in and picks the
-// cheapest — or, when force is set, exactly the requested path.
-func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, params []types.Value, orderBy []int, limit int, force *ForcedPath) (*access, error) {
+// cheapest — or, when force is set, exactly the requested path. It returns
+// the cost request the paths were asked.
+func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, params []types.Value, orderBy []int, limit int, force *ForcedPath) (*access, core.CostRequest, error) {
 	bound := expr.Bind(filter, params)
 	req, sm, err := p.costRequest(rd, bound, orderBy)
 	if err != nil {
-		return nil, err
+		return nil, req, err
 	}
 	conjuncts := req.Conjuncts // of filter itself when it has no parameter
 	if bound != filter {
@@ -354,28 +369,29 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, params []typ
 	}
 
 	if force != nil && force.Att != 0 {
-		est, err := p.estimate(rd, force.Att, req)
+		path, err := p.pathOf(rd, force.Att)
 		if err != nil {
-			return nil, err
+			return nil, req, err
 		}
+		est := path.EstimateCost(req)
 		if !est.Usable {
-			return nil, fmt.Errorf("%w: attachment %d", ErrForcedUnusable, force.Att)
+			return nil, req, fmt.Errorf("%w: attachment %d", ErrForcedUnusable, force.Att)
 		}
-		return pick(force.Att, est), nil
+		return pick(force.Att, est), req, nil
 	}
 
 	bestAtt, best := core.AttID(0), sm.EstimateCost(req)
 	if force != nil {
 		if !best.Usable {
-			return nil, fmt.Errorf("%w: storage method scan", ErrForcedUnusable)
+			return nil, req, fmt.Errorf("%w: storage method scan", ErrForcedUnusable)
 		}
-		return pick(0, best), nil
+		return pick(0, best), req, nil
 	}
 
 	for _, attID := range rd.AttachmentTypes() {
 		inst, err := p.env.AttachmentInstance(rd, attID)
 		if err != nil {
-			return nil, err
+			return nil, req, err
 		}
 		ap, ok := inst.(core.AccessPath)
 		if !ok {
@@ -389,7 +405,7 @@ func (p *Planner) chooseAccess(rd *core.RelDesc, filter *expr.Expr, params []typ
 			bestAtt, best = attID, est
 		}
 	}
-	return pick(bestAtt, best), nil
+	return pick(bestAtt, best), req, nil
 }
 
 // withResidual records the conjuncts of filter the chosen path does not
@@ -408,12 +424,20 @@ func withResidual(a *access, filter *expr.Expr, conjuncts []*expr.Expr) *access 
 	return a
 }
 
+// via names a's path: "emp via heap" for the storage method, "emp via
+// btree #0" for an attachment instance.
+func (a *access) via(env *core.Env) string {
+	if a.useAtt == 0 {
+		return a.rd.Name + " via " + env.Reg.StorageOps(a.rd.SM).Name
+	}
+	return a.rd.Name + " via " + env.Reg.AttachmentOps(a.useAtt).Name + " #" + strconv.Itoa(a.instance)
+}
+
 func (a *access) describe(env *core.Env) string {
 	if a.useAtt == 0 {
-		return "scan(" + a.rd.Name + " via " + env.Reg.StorageOps(a.rd.SM).Name + ")"
+		return "scan(" + a.via(env) + ")"
 	}
-	return "access(" + a.rd.Name + " via " + env.Reg.AttachmentOps(a.useAtt).Name +
-		" #" + strconv.Itoa(a.instance) + ")"
+	return "access(" + a.via(env) + ")"
 }
 
 // translate plans the query, pricing with params, and captures
@@ -430,7 +454,7 @@ func (b *Bound) translate(params []types.Value) error {
 		return fmt.Errorf("plan: a ForUpdate query reads one table")
 	}
 
-	outer, err := p.chooseAccess(rd, b.query.Filter, params, b.query.OrderBy, b.query.Limit, b.query.ForcePath)
+	outer, _, err := p.chooseAccess(rd, b.query.Filter, params, b.query.OrderBy, b.query.Limit, b.query.ForcePath)
 	if err != nil {
 		return err
 	}
@@ -458,8 +482,7 @@ func (b *Bound) translate(params []types.Value) error {
 			}
 		}
 		if degree > 1 {
-			ops := p.env.Reg.StorageOps(rd.SM)
-			b.explain = fmt.Sprintf("pscan(%s via %s, workers=%d)", rd.Name, ops.Name, degree)
+			b.explain = fmt.Sprintf("pscan(%s, workers=%d)", outer.via(p.env), degree)
 			if b.ordered {
 				b.explain += " [ordered]"
 			}
@@ -481,110 +504,71 @@ func (b *Bound) translate(params []types.Value) error {
 	b.ordered = false
 
 	// Join planning.
-	j := b.query.Join
+	q := b.query
+	j := q.Join
 	innerRD, ok := p.env.Cat.ByName(j.Table)
 	if !ok {
 		return fmt.Errorf("plan: %w: relation %q", core.ErrNotFound, j.Table)
 	}
 	b.deps = append(b.deps, dep{innerRD.RelID, innerRD.Version})
+	if j.OuterCol < 0 || j.OuterCol >= len(rd.Schema.Cols) || j.InnerCol < 0 || j.InnerCol >= len(innerRD.Schema.Cols) {
+		return fmt.Errorf("plan: join column out of range")
+	}
 
 	// Strategy 1: a join index connecting the two relations.
-	if j.JoinIndex != "" && rd.HasAttachment(core.AttJoin) && b.query.ForceJoin == "" {
+	if j.JoinIndex != "" && rd.HasAttachment(core.AttJoin) && q.ForceJoin == "" {
 		b.explain = fmt.Sprintf("joinindex(%s ⋈ %s via %q)", rd.Name, innerRD.Name, j.JoinIndex)
-		q := b.query
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openJoinIndex(tx, b, outer, innerRD, q)
 		}
 		return nil
 	}
 
-	// Generic strategies, priced against each other: index nested loops
-	// (attachment probe or the inner storage method's own keyed path),
-	// hash join, and the naive re-scan nested loop.
-	innerStats, innerHasStats := p.tableStatsFor(innerRD)
-	innerEqConjs := append(
-		expr.Conjuncts(j.Filter),
-		// A placeholder equality on the join column stands in for the
-		// outer value bound at run time.
-		expr.Eq(expr.Field(j.InnerCol), expr.Const(types.Int(0))),
-	)
-	innerEqReq := core.CostRequest{
-		Conjuncts:   innerEqConjs,
-		ConjunctSel: conjunctSels(innerStats, innerHasStats, innerEqConjs),
-	}
-	var probe *probeSpec
-	for _, attID := range innerRD.AttachmentTypes() {
-		inst, err := p.env.AttachmentInstance(innerRD, attID)
-		if err != nil {
+	// The nested loop's inner side is an access chosen like the outer's, its
+	// filter the join equality on the first free parameter slot, which each
+	// outer row binds, plus the inner filter. The inner is pinned to path
+	// zero over the inner filter alone, the join equality re-applied to each
+	// record it scans, for ForceJoin "nl" and for join columns of different
+	// kinds: Int(1) and Float(1) compare equal but hash and encode
+	// differently, so neither a hash table nor a keyed path matches them.
+	kind := innerRD.Schema.Cols[j.InnerCol].Kind
+	hashable := rd.Schema.Cols[j.OuterCol].Kind == kind
+	pinned := q.ForceJoin == "nl" || !hashable
+	eq := expr.Eq(expr.Field(j.InnerCol), expr.Param(b.slots))
+	var inner *access
+	var req core.CostRequest
+	if pinned {
+		if inner, _, err = p.chooseAccess(innerRD, j.Filter, nil, nil, 0, &ForcedPath{Att: 0}); err != nil {
 			return err
 		}
-		ap, ok := inst.(core.AccessPath)
-		if !ok {
-			continue
-		}
-		est := ap.EstimateCost(innerEqReq)
-		if !est.Usable {
-			continue
-		}
-		if probe == nil || est.Total() < probe.est.Total() {
-			probe = &probeSpec{attID: attID, instance: est.Instance, est: est}
+		inner.filter, inner.pushdown = expr.And(eq, j.Filter), expr.And(eq, inner.pushdown)
+	} else {
+		// An equality's estimate depends on its column, not its value, so a
+		// value of the column's kind prices the join slot.
+		vals := make([]types.Value, b.slots+1)
+		vals[b.slots] = types.Value{K: kind}
+		if inner, req, err = p.chooseAccess(innerRD, expr.And(eq, j.Filter), vals, nil, 0, nil); err != nil {
+			return err
 		}
 	}
-	// Also consider the inner storage method itself as a keyed path:
-	// B-tree-organised relations answer join-column probes directly when
-	// the run-time-bound join equality lands on their key prefix.
-	innerSM, err := p.env.StorageInstance(innerRD)
+	keyed := !pinned && slices.Contains(inner.estimate.Handled, 0) // conjunct 0 is the join equality
+	build, innerSM, err := p.costRequest(innerRD, j.Filter, nil)
 	if err != nil {
 		return err
 	}
-	smEst := innerSM.EstimateCost(innerEqReq)
-	phIdx := len(innerEqConjs) - 1
-	smKeyed := false
-	for _, h := range smEst.Handled {
-		if h == phIdx {
-			smKeyed = true
-		}
-	}
-	if smEst.Usable && smKeyed && (probe == nil || smEst.Total() < probe.est.Total()) {
-		probe = &probeSpec{viaSM: true, est: smEst}
-	}
-	innerN := innerSM.RecordCount()
+	innerN := build.RecordCount
 
-	innerScanConjs := expr.Conjuncts(j.Filter)
-	innerScanEst := innerSM.EstimateCost(core.CostRequest{
-		Conjuncts:   innerScanConjs,
-		RecordCount: innerN,
-		ConjunctSel: conjunctSels(innerStats, innerHasStats, innerScanConjs),
-	})
-
-	outerSM, err := p.env.StorageInstance(rd)
-	if err != nil {
-		return err
-	}
-	probeCost := math.Inf(1)
-	if probe != nil {
-		probeCost = probe.est.Total()
-	}
-	hashable := hashCompatible(rd.Schema, innerRD.Schema, j.OuterCol, j.InnerCol)
-	costs := estimateJoinCosts(outer.estimate, outerSM.RecordCount(), innerScanEst,
-		float64(innerN), probeCost, hashable)
-
-	q := b.query
 	strategy := q.ForceJoin
 	switch strategy {
 	case "":
 		strategy = "nl"
-		bestCost := costs.naiveNL
-		if costs.indexNL < bestCost {
-			strategy, bestCost = "indexnl", costs.indexNL
-		}
-		if costs.hash < bestCost {
+		if nl, hash := joinCosts(outer, inner, innerSM.EstimateCost(build), innerN); hashable && hash < nl {
 			strategy = "hash"
 		}
 	case "nl":
 	case "indexnl":
-		if probe == nil {
-			return fmt.Errorf("%w: no keyed probe path on %s", ErrForcedUnusable, innerRD.Name)
+		if !keyed {
+			return fmt.Errorf("%w: no path on %s handles the join column", ErrForcedUnusable, innerRD.Name)
 		}
 	case "hash":
 		if !hashable {
@@ -595,40 +579,29 @@ func (b *Bound) translate(params []types.Value) error {
 		return fmt.Errorf("plan: unknown ForceJoin %q", q.ForceJoin)
 	}
 
-	switch strategy {
-	case "indexnl":
-		pr := *probe
-		if pr.viaSM {
-			b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s via sm-key)", outer.name, innerRD.Name)
-		} else {
-			b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s via %s #%d)",
-				outer.name, innerRD.Name, p.env.Reg.AttachmentOps(pr.attID).Name, pr.instance)
-		}
-		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openIndexNL(tx, b, outer, innerRD, pr, q)
-		}
-	case "hash":
+	if strategy == "hash" {
 		degree := chooseDegree(float64(innerN), q.ForceDegree)
 		b.explain = fmt.Sprintf("hash(%s ⋈ %s, inner=%d)", outer.name, innerRD.Name, innerN)
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
 			return p.openHashJoin(tx, b, outer, innerRD, q, degree)
 		}
-	default:
-		b.explain = fmt.Sprintf("nestedloop(%s × scan(%s), inner=%d)", outer.name, innerRD.Name, innerN)
-		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openNL(tx, b, outer, innerRD, q)
+		return nil
+	}
+	nl := nlRows{q: q, inner: inner}
+	b.explain = fmt.Sprintf("nestedloop(%s × %s)", outer.name, inner.describe(p.env))
+	inner.name = "nestedloop(" + inner.via(p.env) + ")"
+	if keyed {
+		b.explain = fmt.Sprintf("indexNL(%s ⟕probe %s)", outer.name, inner.describe(p.env))
+		inner.name = "probe(" + inner.via(p.env) + ")"
+		if nl.path, err = p.pathOf(innerRD, inner.useAtt); err != nil {
+			return err
 		}
+		nl.req = req
+	}
+	b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
+		return p.openNL(tx, b, outer, nl)
 	}
 	return nil
-}
-
-type probeSpec struct {
-	attID    core.AttID
-	instance int
-	est      core.CostEstimate
-	// viaSM probes the inner storage method's own key order (no
-	// attachment): each outer join value opens a keyed range scan.
-	viaSM bool
 }
 
 // --- executors ---
@@ -636,18 +609,19 @@ type probeSpec struct {
 // openAccess opens a single-table cursor over the chosen access path,
 // registered with b for per-operator execution counters.
 func (p *Planner) openAccess(tx *txn.Txn, b *Bound, a *access, fields []int, forUpdate bool) (Rows, error) {
-	rows, err := p.openAccessRaw(tx, a, fields, forUpdate)
+	rel, err := p.env.OpenRelation(a.rd)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := openAccessRaw(tx, rel, a, fields, forUpdate)
 	if err != nil {
 		return nil, err
 	}
 	return b.trackKeyed(tx, a.name, rows), nil
 }
 
-func (p *Planner) openAccessRaw(tx *txn.Txn, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
-	rel, err := p.env.OpenRelation(a.rd)
-	if err != nil {
-		return nil, err
-	}
+// openAccessRaw opens the cursor of access a to rel, a's relation.
+func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
 	if forUpdate {
 		if err := rel.LockForWrite(tx, !a.estimate.Point); err != nil {
 			return nil, err
@@ -755,73 +729,104 @@ func (r *fetchRows) Close() error {
 	return nil
 }
 
-// openNL opens a naive nested-loop join: the inner relation is re-scanned
-// for every outer record (the tuple-at-a-time call volume of E2).
-func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, q Query) (Rows, error) {
+// openNL opens the nested-loop join from r, the cursor as translation left
+// it: the inner access and, when its path handles the join equality, that
+// path and the cost request it was chosen with. Each outer row then only
+// binds its join value and asks the path for that value's key range (the
+// tuple-at-a-time call volume of E2).
+func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, r nlRows) (Rows, error) {
+	rel, err := p.env.OpenRelation(r.inner.rd)
+	if err != nil {
+		return nil, err
+	}
 	outerRows, err := p.openAccess(tx, b, outer, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	innerRel, err := p.env.OpenRelation(innerRD)
-	if err != nil {
-		return nil, err
-	}
-	return b.track(tx, fmt.Sprintf("nestedloop(%s)", innerRD.Name), &nlRows{
-		p: p, tx: tx, q: q, outer: outerRows, innerRel: innerRel,
-	}), nil
+	r.tx, r.rel, r.outer, r.params = tx, rel, outerRows, make([]types.Value, b.slots+1)
+	return b.track(tx, r.inner.name, &r), nil
 }
 
+// nlRows is the nested-loop join cursor: for each outer row it opens the
+// inner access bound to the row's join value and drains it.
 type nlRows struct {
-	p        *Planner
-	tx       *txn.Txn
-	q        Query
-	outer    Rows
-	innerRel *core.Relation
+	tx     *txn.Txn
+	q      Query
+	outer  Rows
+	inner  *access // the join value unbound
+	rel    *core.Relation
+	path   costModel        // the inner path, when it handles the join equality
+	req    core.CostRequest // what path was asked at translation
+	params []types.Value    // the last slot takes the join value
 
-	curOuter  types.Record
-	innerScan core.Scan
+	curOuter types.Record
+	rows     KeyedRows // the inner cursor for curOuter
 }
 
 func (r *nlRows) Next() (types.Record, bool, error) {
-	j := r.q.Join
 	for {
-		if r.curOuter == nil {
+		if r.rows == nil {
 			rec, ok, err := r.outer.Next()
-			if err != nil {
+			if err != nil || !ok {
 				return nil, false, err
 			}
-			if !ok {
-				return nil, false, nil
+			v := rec[r.q.Join.OuterCol]
+			if v.IsNull() {
+				continue // NULL never equi-joins
+			}
+			if r.rows, err = r.open(v); err != nil {
+				return nil, false, err
 			}
 			r.curOuter = rec
-			filter := expr.And(
-				expr.Eq(expr.Field(j.InnerCol), expr.Const(rec[j.OuterCol])),
-				j.Filter,
-			)
-			scan, err := r.innerRel.OpenScan(r.tx, core.ScanOptions{Filter: filter, Fields: j.Fields})
-			if err != nil {
-				return nil, false, err
-			}
-			r.innerScan = scan
 		}
-		_, inner, ok, err := r.innerScan.Next()
+		inner, ok, err := r.rows.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			r.innerScan.Close()
-			r.curOuter, r.innerScan = nil, nil
+			err := r.rows.Close()
+			r.rows = nil
+			if err != nil {
+				return nil, false, err
+			}
 			continue
 		}
 		return joinRecords(r.curOuter, r.q.Fields, inner), true, nil
 	}
 }
 
-func (r *nlRows) Close() error {
-	if r.innerScan != nil {
-		r.innerScan.Close()
+// open binds v and opens the inner access for it. An inner whose path
+// handles the join equality asks the path for v's range, and scans the
+// storage method under the whole predicate when the path cannot serve v;
+// any other inner re-applies the bound equality to what it reads.
+func (r *nlRows) open(v types.Value) (KeyedRows, error) {
+	r.params[len(r.params)-1] = v
+	filter := expr.Bind(r.inner.filter, r.params)
+	var a *access
+	if r.path == nil {
+		bound := *r.inner
+		bound.filter, bound.pushdown = filter, expr.Bind(r.inner.pushdown, r.params)
+		a = &bound
+	} else {
+		req := r.req
+		req.Conjuncts = expr.Conjuncts(filter)
+		var serves bool
+		if a, serves = rebind(r.inner, filter, r.params, req, r.path); !serves {
+			a = &access{rd: a.rd, filter: filter, pushdown: filter}
+		}
 	}
-	return r.outer.Close()
+	return openAccessRaw(r.tx, r.rel, a, r.q.Join.Fields, false)
+}
+
+func (r *nlRows) Close() error {
+	err := r.outer.Close()
+	if r.rows != nil {
+		if cerr := r.rows.Close(); err == nil {
+			err = cerr
+		}
+		r.rows = nil
+	}
+	return err
 }
 
 // joinRecords projects the outer record and appends the (already
@@ -834,128 +839,6 @@ func joinRecords(outer types.Record, outerFields []int, inner types.Record) type
 		out = append(types.Record(nil), outer...)
 	}
 	return append(out, inner...)
-}
-
-// openIndexNL opens an index nested-loop join probing the inner access
-// path with each outer join value.
-func (p *Planner) openIndexNL(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, probe probeSpec, q Query) (Rows, error) {
-	outerRows, err := p.openAccess(tx, b, outer, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	innerRel, err := p.env.OpenRelation(innerRD)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("probe(%s via sm-key)", innerRD.Name)
-	if !probe.viaSM {
-		name = fmt.Sprintf("probe(%s via %s #%d)",
-			innerRD.Name, p.env.Reg.AttachmentOps(probe.attID).Name, probe.instance)
-	}
-	return b.track(tx, name, &indexNLRows{
-		tx: tx, q: q, outer: outerRows, innerRel: innerRel, probe: probe,
-	}), nil
-}
-
-type indexNLRows struct {
-	tx       *txn.Txn
-	q        Query
-	outer    Rows
-	innerRel *core.Relation
-	probe    probeSpec
-
-	curOuter  types.Record
-	pending   []types.Key
-	innerScan core.Scan // viaSM mode: keyed range scan for the current outer
-}
-
-func (r *indexNLRows) Next() (types.Record, bool, error) {
-	if r.probe.viaSM {
-		return r.nextViaSM()
-	}
-	j := r.q.Join
-	for {
-		if r.curOuter == nil {
-			rec, ok, err := r.outer.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-			r.curOuter = rec
-			keys, err := r.innerRel.LookupAccess(r.tx, r.probe.attID, r.probe.instance,
-				types.EncodeKeyValues(rec[j.OuterCol]))
-			if err != nil {
-				return nil, false, err
-			}
-			r.pending = keys
-		}
-		if len(r.pending) == 0 {
-			r.curOuter = nil
-			continue
-		}
-		key := r.pending[0]
-		r.pending = r.pending[1:]
-		inner, err := r.innerRel.Fetch(r.tx, key, j.Fields, j.Filter)
-		if err == core.ErrFiltered {
-			continue
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return joinRecords(r.curOuter, r.q.Fields, inner), true, nil
-	}
-}
-
-// nextViaSM probes the inner storage method's own key order: each outer
-// join value bounds a keyed range scan [enc(v), succ(enc(v))). The explicit
-// equality in the filter guards prefix matches when the inner record key
-// extends beyond the join column.
-func (r *indexNLRows) nextViaSM() (types.Record, bool, error) {
-	j := r.q.Join
-	for {
-		if r.innerScan == nil {
-			rec, ok, err := r.outer.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				return nil, false, nil
-			}
-			kv := rec[j.OuterCol]
-			if kv.IsNull() {
-				continue // NULL never equi-joins
-			}
-			r.curOuter = rec
-			start := types.EncodeKeyValues(kv)
-			filter := expr.And(expr.Eq(expr.Field(j.InnerCol), expr.Const(kv)), j.Filter)
-			scan, err := r.innerRel.OpenScan(r.tx, core.ScanOptions{
-				Start: start, End: smutil.PrefixSuccessor(start), Filter: filter, Fields: j.Fields,
-			})
-			if err != nil {
-				return nil, false, err
-			}
-			r.innerScan = scan
-		}
-		_, inner, ok, err := r.innerScan.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			r.innerScan.Close()
-			r.innerScan, r.curOuter = nil, nil
-			continue
-		}
-		return joinRecords(r.curOuter, r.q.Fields, inner), true, nil
-	}
-}
-
-func (r *indexNLRows) Close() error {
-	if r.innerScan != nil {
-		r.innerScan.Close()
-	}
-	return r.outer.Close()
 }
 
 // openJoinIndex executes the join by enumerating the join index's matched

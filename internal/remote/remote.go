@@ -12,6 +12,7 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dmx/internal/btree"
 	"dmx/internal/types"
 )
 
@@ -111,11 +113,10 @@ type Response struct {
 	TxnIDs  []uint64 // OpInDoubt: prepared transactions awaiting a decision
 }
 
-// table is one foreign relation.
+// table is one foreign relation: its committed records in key order.
 type table struct {
 	mu      sync.Mutex
-	recs    map[string][]byte
-	ordered []string // insertion-ordered keys for scans (sorted lazily)
+	recs    *btree.Tree
 	nextSeq uint64
 }
 
@@ -261,7 +262,7 @@ func (s *Server) execute(req *Request) *Response {
 	case OpCreate:
 		s.mu.Lock()
 		if _, dup := s.tables[req.Table]; !dup {
-			s.tables[req.Table] = &table{recs: make(map[string][]byte), nextSeq: 1}
+			s.tables[req.Table] = &table{recs: btree.New(), nextSeq: 1}
 		}
 		s.mu.Unlock()
 		return &Response{}
@@ -309,13 +310,12 @@ func (s *Server) execute(req *Request) *Response {
 	switch req.Op {
 	case OpPut:
 		key := t.keyFor(req.Key)
-		t.put(key, req.Rec)
+		t.recs.Set(key, req.Rec)
 		return &Response{Key: key}
 	case OpDelete:
-		if _, ok := t.recs[string(req.Key)]; !ok {
+		if _, ok := t.recs.Delete(req.Key); !ok {
 			return &Response{Err: "remote: key not found"}
 		}
-		t.del(req.Key)
 		return &Response{}
 	case OpGet:
 		if st := s.stagedFor(req.TxnID, req.Table, req.Key); st != nil {
@@ -324,7 +324,7 @@ func (s *Server) execute(req *Request) *Response {
 			}
 			return &Response{Rec: st.rec}
 		}
-		rec, ok := t.recs[string(req.Key)]
+		rec, ok := t.recs.Get(req.Key)
 		if !ok {
 			return &Response{Err: "remote: key not found"}
 		}
@@ -332,7 +332,7 @@ func (s *Server) execute(req *Request) *Response {
 	case OpScan:
 		return s.scan(req, t)
 	case OpCount:
-		return &Response{Count: len(t.recs)}
+		return &Response{Count: t.recs.Len()}
 	default:
 		return &Response{Err: fmt.Sprintf("remote: bad op %d", req.Op)}
 	}
@@ -352,20 +352,6 @@ func (t *table) keyFor(key []byte) []byte {
 		}
 	}
 	return key
-}
-
-// put installs rec at key in committed state; t.mu must be held.
-func (t *table) put(key, rec []byte) {
-	if _, exists := t.recs[string(key)]; !exists {
-		t.ordered = insertSorted(t.ordered, string(key))
-	}
-	t.recs[string(key)] = append([]byte(nil), rec...)
-}
-
-// del removes key from committed state; t.mu must be held.
-func (t *table) del(key []byte) {
-	delete(t.recs, string(key))
-	t.ordered = removeSorted(t.ordered, string(key))
 }
 
 // stage buffers one transactional write. The table must exist — staged
@@ -434,9 +420,9 @@ func (s *Server) commitTxn(txnID uint64) *Response {
 		t.mu.Lock()
 		for key, st := range tx.writes[name] {
 			if st.rec == nil {
-				t.del([]byte(key))
+				t.recs.Delete([]byte(key))
 			} else {
-				t.put([]byte(key), st.rec)
+				t.recs.Set([]byte(key), st.rec)
 			}
 		}
 		t.mu.Unlock()
@@ -481,77 +467,43 @@ func (s *Server) scan(req *Request, t *table) *Response {
 		s.txMu.Unlock()
 		sort.Strings(stagedKeys)
 	}
-	after := string(req.Key)
 	var out []Entry
-	ci, si := 0, 0
-	for len(out) < limit {
-		// Advance both streams past the exclusive-after position.
-		for ci < len(t.ordered) && (req.Key != nil && t.ordered[ci] <= after) {
-			ci++
+	si := 0
+	for req.Key != nil && si < len(stagedKeys) && stagedKeys[si] <= string(req.Key) {
+		si++
+	}
+	// emitStaged appends staged key k's pending record (a tombstone hides
+	// the committed one and appends nothing).
+	emitStaged := func(k string) {
+		if rec := staged[k].rec; rec != nil {
+			out = append(out, Entry{Key: []byte(k), Rec: rec})
 		}
-		for si < len(stagedKeys) && (req.Key != nil && stagedKeys[si] <= after) {
-			si++
+	}
+	t.recs.Ascend(req.Key, func(k, rec []byte) bool {
+		if req.Key != nil && bytes.Equal(k, req.Key) {
+			return true // the anchor itself is excluded
 		}
-		if ci >= len(t.ordered) && si >= len(stagedKeys) {
-			break
-		}
-		var k string
-		switch {
-		case ci >= len(t.ordered):
-			k = stagedKeys[si]
-		case si >= len(stagedKeys):
-			k = t.ordered[ci]
-		case stagedKeys[si] <= t.ordered[ci]:
-			k = stagedKeys[si]
-		default:
-			k = t.ordered[ci]
-		}
-		if st, pending := staged[k]; pending {
-			if st.rec != nil {
-				out = append(out, Entry{Key: []byte(k), Rec: st.rec})
+		for ; si < len(stagedKeys) && stagedKeys[si] < string(k); si++ {
+			if len(out) == limit {
+				return false
 			}
-			// Tombstone: the committed record (if any) is hidden.
+			emitStaged(stagedKeys[si])
+		}
+		if len(out) == limit {
+			return false
+		}
+		if _, pending := staged[string(k)]; pending {
+			emitStaged(string(k))
+			si++ // stagedKeys[si] is k
 		} else {
-			out = append(out, Entry{Key: []byte(k), Rec: t.recs[k]})
+			out = append(out, Entry{Key: k, Rec: rec})
 		}
-		after = k
-		if req.Key == nil {
-			req.Key = []byte{} // non-nil so the <= advance applies from now on
-		}
+		return len(out) < limit
+	})
+	for ; si < len(stagedKeys) && len(out) < limit; si++ {
+		emitStaged(stagedKeys[si])
 	}
 	return &Response{Entries: out}
-}
-
-func insertSorted(s []string, k string) []string {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s = append(s, "")
-	copy(s[lo+1:], s[lo:])
-	s[lo] = k
-	return s
-}
-
-func removeSorted(s []string, k string) []string {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == k {
-		return append(s[:lo], s[lo+1:]...)
-	}
-	return s
 }
 
 // Client is the storage method's connection to the foreign database. It is

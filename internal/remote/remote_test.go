@@ -186,24 +186,56 @@ func TestConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-func TestSortedHelpers(t *testing.T) {
-	s := []string{}
-	for _, k := range []string{"m", "a", "z", "f"} {
-		s = insertSorted(s, k)
-	}
-	want := []string{"a", "f", "m", "z"}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("insertSorted = %v", s)
+// TestScanOverlaysStagedWrites pages through committed records with a
+// transaction's staged puts and tombstones merged in key order: a batch
+// starts strictly after its anchor, a staged put appears (over a committed
+// record of the same key too), a tombstone hides the committed record, and
+// other transactions see committed state only.
+func TestScanOverlaysStagedWrites(t *testing.T) {
+	_, c := client(t, 0)
+	c.CreateTable("t")
+	key := func(s string) types.Key { return types.Key(s) }
+	for _, k := range []string{"b", "d", "f", "h"} {
+		if _, err := c.Put("t", key(k), rec(types.Str(k))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	s = removeSorted(s, "f")
-	if len(s) != 3 || s[1] != "m" {
-		t.Fatalf("removeSorted = %v", s)
+	for _, k := range []string{"a", "d", "e", "i"} {
+		if _, err := c.StagePut(7, "t", key(k), rec(types.Str(k+"'"))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Removing an absent key is a no-op.
-	if got := removeSorted(s, "q"); len(got) != 3 {
-		t.Fatalf("removeSorted absent = %v", got)
+	if err := c.StageDelete(7, "t", key("f")); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(txn uint64, limit int) string {
+		var out string
+		var after types.Key
+		for {
+			batch, err := c.ScanBatch(txn, "t", after, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) == 0 {
+				return out
+			}
+			for _, e := range batch {
+				r, _, err := types.DecodeRecord(e.Rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out += string(e.Key) + "=" + r[0].S + " "
+			}
+			after = batch[len(batch)-1].Key
+		}
+	}
+	for _, limit := range []int{1, 2, 3, 100} {
+		if got, want := scan(7, limit), "a=a' b=b d=d' e=e' h=h i=i' "; got != want {
+			t.Fatalf("limit %d: own transaction scans %q, want %q", limit, got, want)
+		}
+		if got, want := scan(8, limit), "b=b d=d f=f h=h "; got != want {
+			t.Fatalf("limit %d: another transaction scans %q, want %q", limit, got, want)
+		}
 	}
 }
 

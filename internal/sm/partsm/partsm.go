@@ -759,9 +759,10 @@ func beforeKey(k types.Key) types.Key {
 // EstimateCost implements core.StorageInstance: a whole-key point access
 // is one round trip to one shard; anything else pays a fan-out of at
 // least one round trip per shard, plus a batch round trip per batch of
-// qualifying records.
+// qualifying records. The record count is the planner's (req.RecordCount):
+// asking every shard for its own would cost a round trip each.
 func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
-	n := float64(s.RecordCount())
+	n := float64(req.RecordCount)
 	fan := float64(len(s.shards))
 	start, end, handled, point, depth := smutil.KeyRange(s.keyFields, req.Conjuncts)
 	est := core.CostEstimate{Usable: true, Start: start, End: end, Handled: handled,

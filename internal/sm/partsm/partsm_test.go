@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dmx/internal/core"
+	"dmx/internal/ddl"
 	"dmx/internal/fault"
 	"dmx/internal/remote"
 	"dmx/internal/sm/partsm"
@@ -278,6 +279,42 @@ func TestPartRoutedPointAccess(t *testing.T) {
 	snap := env.Obs.Part.RoutedScans.Load()
 	if snap == 0 {
 		t.Fatal("routed scan counter never moved")
+	}
+}
+
+// TestCachedPointSelectMessages counts what one execution of a cached
+// parameterised point SELECT sends to a 3-shard relation: the planner's
+// record count (one Count per shard) and the routed read. Pricing the
+// chosen path for the new value sends nothing: the estimate takes the
+// planner's count instead of asking every shard again.
+func TestCachedPointSelectMessages(t *testing.T) {
+	env, srvs, r := setup(t, 3)
+	tx := env.Begin()
+	for i := 1; i <= 30; i++ {
+		if _, err := r.Insert(tx, rec(int64(i), fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s := ddl.NewSession(env)
+	messages := func() (n int64) {
+		for _, srv := range srvs {
+			n += srv.Messages.Load()
+		}
+		return n
+	}
+	if _, err := s.Exec("SELECT val FROM users WHERE id = 5"); err != nil {
+		t.Fatal(err)
+	}
+	before := messages()
+	res, err := s.Exec("SELECT val FROM users WHERE id = 17")
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "v17" {
+		t.Fatalf("rows %v, %v", res, err)
+	}
+	if n := messages() - before; n != 4 {
+		t.Fatalf("a cached point SELECT sent %d messages, want 3 counts + 1 routed read", n)
 	}
 }
 

@@ -19,26 +19,21 @@ var zeroExtent [extentSize]byte
 
 // forceLocked returns once every record through lsn is on stable storage.
 // One force round is in flight at a time: a caller that finds none running
-// leads one — after the batching delay, if given — and counts it in led; a
-// caller that finds one running waits for it to end and looks again. A
+// leads one and counts it in led; a caller that finds one running waits
+// for it to end and looks again. A
 // round cuts the frames past durable out of the window, writes and syncs
 // them with l.mu released, then publishes durable: appenders never wait
 // behind the file, and a record appended during a round is covered by the
 // next. A failed round leaves durable and goodEnd where they were and the
 // frames in the window, so the next round writes the same bytes at the
 // same offset again. l.mu is held on entry and on return.
-func (l *Log) forceLocked(lsn LSN, delay time.Duration, led *obs.Counter) error {
+func (l *Log) forceLocked(lsn LSN, led *obs.Counter) error {
 	for l.durable < lsn {
 		if l.forcing {
 			l.synced.Wait()
 			continue
 		}
 		l.forcing = true
-		if delay > 0 {
-			l.mu.Unlock()
-			time.Sleep(delay)
-			l.mu.Lock()
-		}
 		target := l.next - 1
 		var n int64
 		var err error
@@ -117,7 +112,7 @@ func (l *Log) writeCut() (int64, error) {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.forceLocked(l.next-1, 0, nil)
+	return l.forceLocked(l.next-1, nil)
 }
 
 // Durable returns the highest LSN known to be on stable storage.
@@ -128,14 +123,14 @@ func (l *Log) Durable() LSN {
 }
 
 // SyncCommitted makes the commit record at lsn durable using group
-// commit: the committer that finds no round in flight leads one — after
-// the batching delay, if set — forcing the log once for every commit
-// appended so far; committers arriving during a round wait for it, and
-// the first of them to wake leads the next round for all of them.
+// commit: the committer that finds no round in flight leads one, forcing
+// the log once for every commit appended so far; committers arriving
+// during a round wait for it, and the first of them to wake leads the next
+// round for all of them.
 func (l *Log) SyncCommitted(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.forceLocked(lsn, l.batchDelay, &l.obs.GroupBatches); err != nil {
+	if err := l.forceLocked(lsn, &l.obs.GroupBatches); err != nil {
 		return err
 	}
 	l.obs.GroupCommits.Inc()
@@ -148,7 +143,7 @@ func (l *Log) SyncCommitted(lsn LSN) error {
 func (l *Log) ForceTo(lsn LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.forceLocked(lsn, 0, &l.obs.ForcedSyncs)
+	return l.forceLocked(lsn, &l.obs.ForcedSyncs)
 }
 
 // Close forces buffered records to stable storage, trims the preallocated
@@ -159,7 +154,7 @@ func (l *Log) Close() error {
 	if l.file == nil {
 		return nil
 	}
-	err := l.forceLocked(l.next-1, 0, nil)
+	err := l.forceLocked(l.next-1, nil)
 	l.idleLocked()
 	if err == nil {
 		err = l.file.Truncate(l.goodEnd)

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"dmx/internal/fault"
 	"dmx/internal/obs"
@@ -154,12 +153,11 @@ type Log struct {
 
 	// Forces. durable is the highest LSN known to be on stable storage;
 	// forcing marks the one round in flight; synced is broadcast when it
-	// ends. batchDelay is a group-commit leader's wait before its round.
-	durable    LSN
-	forcing    bool
-	synced     *sync.Cond
-	cut        [][]byte // the round's slices of the window, reused
-	batchDelay time.Duration
+	// ends.
+	durable LSN
+	forcing bool
+	synced  *sync.Cond
+	cut     [][]byte // the round's slices of the window, reused
 }
 
 // logFile is what the log needs of its backing file: positioned writes, a
@@ -220,17 +218,6 @@ func Open(path string) (*Log, error) {
 	// Everything loaded survived the crash on stable storage.
 	l.durable = l.next - 1
 	return l, nil
-}
-
-// SetGroupCommitWindow sets the batching delay a group-commit leader waits
-// before forcing the log, so commits arriving within the window share one
-// fsync. Zero (the default) still batches: committers that append while a
-// round's fsync is in flight are all covered by the next round. Call at
-// assembly, before traffic.
-func (l *Log) SetGroupCommitWindow(d time.Duration) {
-	l.mu.Lock()
-	l.batchDelay = d
-	l.mu.Unlock()
 }
 
 // Append writes a record for txn owned by owner and returns its LSN.
@@ -444,7 +431,7 @@ func (l *Log) Checkpoint(att []TxnID, stampHW uint64, snap func(emit func(owner 
 	if err != nil {
 		return err
 	}
-	if err := l.forceLocked(end, 0, nil); err != nil {
+	if err := l.forceLocked(end, nil); err != nil {
 		return err
 	}
 	// The checkpoint is complete and durable; drop the head. Crashing

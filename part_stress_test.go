@@ -50,10 +50,9 @@ func TestStressPartConcurrent2PC(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := Config{
-		LogPath:           filepath.Join(dir, "wal.log"),
-		DiskPath:          filepath.Join(dir, "data.db"),
-		CheckpointEvery:   500,
-		CommitBatchWindow: 100 * time.Microsecond,
+		LogPath:         filepath.Join(dir, "wal.log"),
+		DiskPath:        filepath.Join(dir, "data.db"),
+		CheckpointEvery: 500,
 	}
 	newServers := func() []*ForeignServer {
 		var srvs []*ForeignServer

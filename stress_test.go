@@ -73,11 +73,10 @@ func TestStressConcurrentWorkload(t *testing.T) {
 func runStress(t *testing.T, workers, ops, rounds int) {
 	dir := t.TempDir()
 	cfg := Config{
-		LogPath:           filepath.Join(dir, "wal.log"),
-		DiskPath:          filepath.Join(dir, "data.db"),
-		PoolFrames:        32, // small pool: dirty evictions exercise WAL-before-data
-		CheckpointEvery:   400,
-		CommitBatchWindow: 100 * time.Microsecond,
+		LogPath:         filepath.Join(dir, "wal.log"),
+		DiskPath:        filepath.Join(dir, "data.db"),
+		PoolFrames:      32, // small pool: dirty evictions exercise WAL-before-data
+		CheckpointEvery: 400,
 	}
 	db, err := Open(cfg)
 	if err != nil {
@@ -118,12 +117,11 @@ func runStress(t *testing.T, workers, ops, rounds int) {
 		// Simulated crash: abandon the handles without Close — the files
 		// keep whatever the engine made durable — then recover.
 		db, err = Open(Config{
-			LogPath:           cfg.LogPath,
-			DiskPath:          cfg.DiskPath,
-			PoolFrames:        cfg.PoolFrames,
-			CheckpointEvery:   cfg.CheckpointEvery,
-			CommitBatchWindow: cfg.CommitBatchWindow,
-			Recover:           true,
+			LogPath:         cfg.LogPath,
+			DiskPath:        cfg.DiskPath,
+			PoolFrames:      cfg.PoolFrames,
+			CheckpointEvery: cfg.CheckpointEvery,
+			Recover:         true,
 		})
 		if err != nil {
 			t.Fatalf("round %d: recover: %v", round, err)
