@@ -79,9 +79,16 @@ model:
 # corpora already run under plain `go test`): FuzzParse holds the SQL lexer
 # and parser to "reject, never panic" and to the slot round trip — a
 # statement's key with its parameters written back in lexes to that key.
+# FuzzDecode holds the stored-predicate decoder to "reject, never panic":
+# what it accepts re-encodes byte-identically, evaluates and compiles.
+# FuzzMatch holds a compiled filter to the tree walker on any predicate and
+# record: the same answer, an error on the same records, and an error or
+# the whole record's answer on a truncated one.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/expr
+	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/expr
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -3,8 +3,11 @@
 //
 // Storage methods and access-path attachments receive filter predicates and
 // evaluate them against records whose field values are still resident in
-// the extension's buffer pool (early filtering); integrity-constraint
-// attachments and the query execution engine use the same evaluator. The
+// the extension's buffer pool (early filtering): a scan compiles its filter
+// once into a Program, which compares fields against constants on the
+// encoded record bytes in place. Integrity-constraint attachments compile
+// theirs the same way. The tree-walking Evaluator runs whatever a Program
+// cannot compile, and is the reference a Program is tested against. The
 // evaluator can call functions that are passed to it by name, and both
 // constant and variable (parameter) data can appear as operands.
 package expr
@@ -180,7 +183,7 @@ func (ev *Evaluator) Eval(e *Expr, rec types.Record, params []types.Value) (type
 		return e.Val, nil
 	case OpField:
 		if e.Field < 0 || e.Field >= len(rec) {
-			return types.Null(), fmt.Errorf("expr: field %d out of range (record has %d)", e.Field, len(rec))
+			return types.Null(), errFieldRange(e.Field, len(rec))
 		}
 		return rec[e.Field], nil
 	case OpParam:
@@ -200,21 +203,7 @@ func (ev *Evaluator) Eval(e *Expr, rec types.Record, params []types.Value) (type
 		if a.IsNull() || b.IsNull() {
 			return types.Bool(false), nil
 		}
-		c := types.Compare(a, b)
-		switch e.Op {
-		case OpEq:
-			return types.Bool(c == 0), nil
-		case OpNe:
-			return types.Bool(c != 0), nil
-		case OpLt:
-			return types.Bool(c < 0), nil
-		case OpLe:
-			return types.Bool(c <= 0), nil
-		case OpGt:
-			return types.Bool(c > 0), nil
-		default:
-			return types.Bool(c >= 0), nil
-		}
+		return types.Bool(holds(e.Op, types.Compare(a, b))), nil
 	case OpAnd:
 		a, err := ev.Eval(e.Args[0], rec, params)
 		if err != nil {
@@ -256,8 +245,11 @@ func (ev *Evaluator) Eval(e *Expr, rec types.Record, params []types.Value) (type
 		}
 		return types.Bool(a.IsNull()), nil
 	case OpFunc:
-		fn, ok := ev.funcs[strings.ToLower(e.Name)]
-		if !ok {
+		var fn Func
+		if ev != nil {
+			fn = ev.funcs[strings.ToLower(e.Name)]
+		}
+		if fn == nil {
 			return types.Null(), fmt.Errorf("expr: unknown function %q", e.Name)
 		}
 		args := make([]types.Value, len(e.Args))
@@ -309,6 +301,24 @@ func (ev *Evaluator) EvalBool(e *Expr, rec types.Record, params []types.Value) (
 		return false, err
 	}
 	return v.AsBool(), nil
+}
+
+// holds reports whether op holds for the three-way comparison result c.
+func holds(op Op, c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
 }
 
 func arith(op Op, a, b types.Value) (types.Value, error) {
@@ -443,36 +453,6 @@ func NumParams(e *Expr) int {
 	return n
 }
 
-// FieldsUsed returns the sorted set of record field indexes referenced by e.
-// Access procedures use it to isolate the fields the filter needs before
-// invoking the evaluator.
-func FieldsUsed(e *Expr) []int {
-	seen := map[int]bool{}
-	var walk func(*Expr)
-	walk = func(x *Expr) {
-		if x == nil {
-			return
-		}
-		if x.Op == OpField {
-			seen[x.Field] = true
-		}
-		for _, a := range x.Args {
-			walk(a)
-		}
-	}
-	walk(e)
-	out := make([]int, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; sets are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // FieldCompare describes a conjunct of the form <field> <op> <constant>,
 // the shape access-path cost estimators recognise as "relevant".
 type FieldCompare struct {
@@ -596,13 +576,34 @@ func Decode(b []byte) (*Expr, int, error) {
 	}
 	nArgs := int(b[pos])
 	pos++
+	if want := arity(e.Op); want >= 0 && nArgs != want {
+		return nil, 0, fmt.Errorf("expr: %v takes %d operands, not %d", e.Op, want, nArgs)
+	}
 	for i := 0; i < nArgs; i++ {
 		a, n, err := Decode(b[pos:])
 		if err != nil {
 			return nil, 0, err
 		}
+		if a == nil {
+			return nil, 0, fmt.Errorf("expr: %v operand %d is missing", e.Op, i)
+		}
 		e.Args = append(e.Args, a)
 		pos += n
 	}
 	return e, pos, nil
+}
+
+// arity is the number of operands an op takes, -1 for any (a function
+// call, whose function checks its own).
+func arity(op Op) int {
+	switch op {
+	case OpConst, OpField, OpParam:
+		return 0
+	case OpNot, OpIsNull:
+		return 1
+	case OpFunc:
+		return -1
+	default:
+		return 2
+	}
 }

@@ -3,7 +3,6 @@ package expr
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dmx/internal/types"
@@ -219,17 +218,6 @@ func TestConjuncts(t *testing.T) {
 	}
 }
 
-func TestFieldsUsed(t *testing.T) {
-	e := And(Eq(Field(3), Const(types.Int(1))), Or(Gt(Field(1), Field(3)), IsNull(Field(0))))
-	got := FieldsUsed(e)
-	if !reflect.DeepEqual(got, []int{0, 1, 3}) {
-		t.Fatalf("FieldsUsed = %v", got)
-	}
-	if FieldsUsed(nil) != nil && len(FieldsUsed(nil)) != 0 {
-		t.Error("FieldsUsed(nil)")
-	}
-}
-
 func TestMatchFieldCompare(t *testing.T) {
 	fc, ok := MatchFieldCompare(Eq(Field(2), Const(types.Int(7))))
 	if !ok || fc.Field != 2 || fc.Op != OpEq || fc.Value.AsInt() != 7 {
@@ -316,8 +304,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil || got != nil || n != 1 {
 		t.Fatal("nil expr round trip")
 	}
-	// error cases
-	for _, b := range [][]byte{{}, {200}, {byte(OpField), 0}, {byte(OpFunc), 0}} {
+	// error cases: truncation, a bad op, wrong arity, a missing operand
+	notNil := Not(Field(0)).AppendEncode(nil)
+	for _, b := range [][]byte{{}, {200}, {byte(OpField), 0}, {byte(OpFunc), 0},
+		{byte(OpEq), 0}, {byte(OpNot), 2, 0xFF, 0xFF}, {byte(OpIsNull), 1, 0xFF},
+		append([]byte{byte(OpField), 0, 0, 0, 0, 1}, notNil...)} {
 		if _, _, err := Decode(b); err == nil {
 			t.Errorf("Decode(%v) should fail", b)
 		}

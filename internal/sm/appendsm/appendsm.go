@@ -659,7 +659,7 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 		}
 		next = i
 	}
-	return &scan{store: s, opts: opts, next: next}, nil
+	return &scan{store: s, opts: opts, q: smutil.NewQualifier(s.env, opts), next: next}, nil
 }
 
 // EstimateCost implements core.StorageInstance. The profile the planner
@@ -730,6 +730,7 @@ var _ core.StorageInstance = (*store)(nil)
 type scan struct {
 	store  *store
 	opts   core.ScanOptions
+	q      *smutil.Qualifier
 	next   uint64
 	closed bool
 }
@@ -776,11 +777,7 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if enc == nil {
 			continue // tombstone
 		}
-		rec, _, err := types.DecodeRecord(enc)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rec, ok, err = smutil.Qualify(s.env, rec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		rec, ok, err := sc.q.Encoded(enc)
 		if err != nil {
 			return nil, nil, false, err
 		}

@@ -171,6 +171,7 @@ func TestConformance(t *testing.T) {
 			t.Run("missing-key", m.testMissingKey)
 			t.Run("keys", m.testKeys)
 			t.Run("scan", m.testScan)
+			t.Run("filtered-scan", m.testFilteredScan)
 			t.Run("scan-mutation", m.testScanMutation)
 			t.Run("partial-rollback", m.testPartialRollback)
 			t.Run("closed-scan", m.testClosedScan)
@@ -366,6 +367,74 @@ func (m method) testScan(t *testing.T) {
 		if !row.key.Equal(all[3+i].key) {
 			t.Fatalf("[Start, End) scan position %d: key %v, want %v", i, row.key, all[3+i].key)
 		}
+	}
+}
+
+// testFilteredScan: a filtered scan returns exactly the rows of a full
+// scan that the tree walker accepts, however the filter compiles — a
+// conjunction of field-constant terms, one bound to parameters, one with
+// an OR residual, an IS NULL. A method with snapshot versions is also
+// checked on a read-only snapshot that a later update overtook, so the
+// scan qualifies a version the store had to reconstruct.
+func (m method) testFilteredScan(t *testing.T) {
+	env := newEnv(t, nil)
+	r := m.create(t, env)
+	tx := env.Begin()
+	for id := int64(0); id < 12; id++ {
+		v := types.Str(fmt.Sprintf("v%d", id%4))
+		if id%3 == 0 {
+			v = types.Null()
+		}
+		_, err := r.Insert(tx, types.Record{types.Int(id), v})
+		must(t, err)
+	}
+	must(t, tx.Commit())
+	params := []types.Value{types.Int(3), types.Str("v1")}
+	filters := []*expr.Expr{
+		expr.And(expr.Ge(expr.Field(0), expr.Const(types.Int(2))), expr.Lt(expr.Field(0), expr.Const(types.Int(9)))),
+		expr.And(expr.Gt(expr.Field(0), expr.Param(0)), expr.Eq(expr.Field(1), expr.Param(1))),
+		expr.And(expr.Lt(expr.Field(0), expr.Const(types.Int(10))),
+			expr.Or(expr.Eq(expr.Field(1), expr.Const(types.Str("v2"))), expr.IsNull(expr.Field(1)))),
+		expr.IsNull(expr.Field(1)),
+	}
+	check := func(what string, tx *txn.Txn) []row {
+		t.Helper()
+		all := scanIn(t, tx, r, core.ScanOptions{})
+		for _, f := range filters {
+			var want []row
+			for _, row := range all {
+				ok, err := env.Eval.EvalBool(f, row.rec, params)
+				must(t, err)
+				if ok {
+					want = append(want, row)
+				}
+			}
+			got := scanIn(t, tx, r, core.ScanOptions{Filter: f, Params: params})
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s returned %d rows, want %d", what, f, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].key.Equal(want[i].key) || !got[i].rec.Equal(want[i].rec) {
+					t.Fatalf("%s: %s row %d is %v %v, want %v %v", what, f, i, got[i].key, got[i].rec, want[i].key, want[i].rec)
+				}
+			}
+		}
+		return all
+	}
+	tx = env.Begin()
+	before := check("committed", tx)
+	must(t, tx.Commit())
+	if _, versioned := r.Storage().(core.VersionedStorage); !versioned {
+		return
+	}
+	ro := env.BeginReadOnly()
+	defer ro.Commit()
+	w := env.Begin()
+	_, err := r.Update(w, before[4].key, rec(4, "v2"))
+	must(t, err)
+	must(t, w.Commit())
+	if snap := check("snapshot", ro); !snap[4].rec.Equal(before[4].rec) {
+		t.Fatalf("snapshot scan read %v, the update after the snapshot began, not %v", snap[4].rec, before[4].rec)
 	}
 }
 

@@ -86,8 +86,9 @@ func decodeRID(k types.Key) (rid, error) {
 
 // store is the heap storage instance for one relation.
 type store struct {
-	env *core.Env
-	rd  *core.RelDesc
+	env        *core.Env
+	rd         *core.RelDesc
+	pendingKey string // the transaction stash key of this store's pendingVers
 
 	// mu latches the page table, the pages' contents and the version
 	// chains. Readers (scan, fetch, SnapshotVisible) hold it shared and so
@@ -122,7 +123,7 @@ type verMeta struct {
 }
 
 func newStore(env *core.Env, rd *core.RelDesc) *store {
-	return &store{env: env, rd: rd}
+	return &store{env: env, rd: rd, pendingKey: fmt.Sprintf("heap.pending:%d", rd.RelID)}
 }
 
 // ensurePage extends the page table so logical page p exists.
@@ -260,14 +261,13 @@ func (s *store) pushVersion(tx *txn.Txn, r rid, lsn wal.LSN, born, gone bool) {
 // high-water — so by the time any snapshot's high-water covers the
 // stamp, every entry carries it.
 func (s *store) notePending(tx *txn.Txn, e *verMeta) {
-	key := fmt.Sprintf("heap.pending:%d", s.rd.RelID)
 	stash := tx.Stash()
-	if lst, ok := stash[key].(*pendingVers); ok {
+	if lst, ok := stash[s.pendingKey].(*pendingVers); ok {
 		lst.entries = append(lst.entries, e)
 		return
 	}
 	lst := &pendingVers{entries: []*verMeta{e}}
-	stash[key] = lst
+	stash[s.pendingKey] = lst
 	// Subscribe (not Defer): registration happens once, outside s.mu
 	// contention at commit time. Entries popped by undo before commit may
 	// linger in the list; stamping an unlinked entry is harmless.
@@ -692,8 +692,8 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 
 // FetchByKey implements core.StorageInstance. A field list is decoded
 // straight from the buffer-resident record; a filter qualifies the one
-// decoded record through the kit, like every method's fetch — isolating
-// the filter's fields first pays where rows are rejected in bulk, the scan.
+// decoded record through the kit, like every method's fetch — compiling
+// the filter pays where rows are rejected in bulk, the scan.
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
 	r, err := decodeRID(key)
 	if err != nil {
@@ -758,8 +758,7 @@ func slotBody(f *buffer.Frame, so int) []byte {
 // passes is resolved against it, so the scan observes one consistent
 // state no matter which transactions commit while it is open.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &heapScan{store: s, tx: tx, opts: opts, nextRID: startRID(opts.Start), end: math.MaxUint64,
-		probe: types.NewSelector(expr.FieldsUsed(opts.Filter)), out: types.NewSelector(opts.Fields)}
+	sc := &heapScan{store: s, tx: tx, q: smutil.NewQualifier(s.env, opts), nextRID: startRID(opts.Start), end: math.MaxUint64}
 	if opts.End != nil {
 		end, err := decodeRID(opts.End)
 		if err != nil {
@@ -959,22 +958,20 @@ var _ core.StorageInstance = (*store)(nil)
 // heapScan is a key-sequential access in record-address order.
 type heapScan struct {
 	store   *store
-	tx      *txn.Txn // buffer faults during the scan charge its trace
-	opts    core.ScanOptions
-	probe   types.Selector // the filter's fields, isolated before anything is materialised
-	out     types.Selector // opts.Fields
-	scratch types.Record   // the probed record, reused for every slot examined
-	nextRID rid            // first candidate to examine
-	end     uint64         // ord of the exclusive end bound
+	tx      *txn.Txn          // buffer faults during the scan charge its trace
+	q       *smutil.Qualifier // the filter, compiled at OpenScan, and the projection
+	nextRID rid               // first candidate to examine
+	end     uint64            // ord of the exclusive end bound
 	closed  bool
 	snap    *txn.Snapshot // non-nil: resolve every slot against this snapshot
 }
 
 // Next implements core.Scan. Each page is pinned once, under the shared
-// latch, and its slots are filtered while buffer resident: a rejected slot
-// costs a probe into the scan's scratch record and nothing else — its key
-// is never encoded, and its version chain is looked up only while the
-// store has chains at all. Only the qualifying record is materialised.
+// latch, and its slots are filtered while buffer resident: the compiled
+// filter matches a slot's record bytes in place, so a rejected slot
+// allocates nothing — its key is never encoded, and its version chain is
+// looked up only while the store has chains at all. Only the qualifying
+// record is materialised.
 func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 	if sc.closed {
 		return nil, nil, false, fmt.Errorf("heap: scan is closed")
@@ -1010,8 +1007,7 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 							continue
 						}
 						var qerr error
-						outRec, found, qerr = smutil.Qualify(s.env, vrec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
-						if qerr != nil || found {
+						if outRec, found, qerr = sc.q.Record(vrec); qerr != nil || found {
 							out = cur
 							return qerr
 						}
@@ -1021,29 +1017,11 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 				if f.Data[so+6]&flagDeleted != 0 {
 					continue
 				}
-				body := slotBody(f, so)
-				if sc.opts.Filter != nil {
-					probe, err := sc.probe.Probe(body, sc.scratch)
-					if err != nil {
-						return err
-					}
-					sc.scratch = probe
-					match, err := s.env.Eval.EvalBool(sc.opts.Filter, probe, sc.opts.Params)
-					if err != nil {
-						return err
-					}
-					if !match {
-						continue
-					}
+				var qerr error
+				if outRec, found, qerr = sc.q.Encoded(slotBody(f, so)); qerr != nil || found {
+					out = cur
+					return qerr
 				}
-				var derr error
-				if sc.opts.Fields != nil {
-					outRec, derr = sc.out.Project(body)
-				} else {
-					outRec, _, derr = types.DecodeRecord(body)
-				}
-				out, found = cur, derr == nil
-				return derr
 			}
 			if int(sc.nextRID.slot) >= nslots {
 				sc.nextRID = rid{page: page + 1}

@@ -575,6 +575,27 @@ func TestRejectedRowsAllocateNothing(t *testing.T) {
 	}
 }
 
+// A heap insert through the relation allocates at most 15 times; the
+// stash key of the transaction's pending versions is formatted once per
+// store, not once per write.
+func TestInsertAllocations(t *testing.T) {
+	env := core.NewEnv(core.Config{Log: wal.New()})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	defer tx.Commit()
+	row := rec(0, "x")
+	id := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		id++
+		row[0] = types.Int(id)
+		if _, err := r.Insert(tx, row); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 15 {
+		t.Fatalf("heap insert allocates %v times, want <= 15", n)
+	}
+}
+
 // A fetch with a field list decodes straight into the output record.
 func TestProjectedFetchAllocations(t *testing.T) {
 	env, r, k := loadRows(t, 100)

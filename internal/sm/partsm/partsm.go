@@ -715,7 +715,7 @@ func fullKeyLen(b []byte) int {
 // field, so no other same-arity key falls in that range. Everything else
 // scatters to every shard and merges the per-shard cursors.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &scan{store: s, tx: txnID(tx), opts: opts}
+	sc := &scan{store: s, tx: txnID(tx), opts: opts, q: smutil.NewQualifier(s.env, opts)}
 	routed := -1
 	if len(opts.Start) > 0 && len(opts.End) > 0 &&
 		bytes.Equal(opts.End, smutil.PrefixSuccessor(opts.Start)) &&
@@ -1013,6 +1013,7 @@ type scan struct {
 	store   *store
 	tx      uint64
 	opts    core.ScanOptions
+	q       *smutil.Qualifier
 	cursors []*cursor
 	smutil.Position
 }
@@ -1068,11 +1069,7 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
 			return nil, nil, false, nil
 		}
-		rec, _, err := types.DecodeRecord(e.Rec)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rec, ok, err := smutil.Qualify(sc.store.env, rec, sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		rec, ok, err := sc.q.Encoded(e.Rec)
 		if err != nil {
 			return nil, nil, false, err
 		}

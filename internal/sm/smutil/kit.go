@@ -21,31 +21,65 @@ func DuplicateKey(rec types.Record, keyFields []int) error {
 	return fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(keyFields))
 }
 
-// Qualify is the tail every scan shares once it holds a decoded record:
-// the pushed-down filter is evaluated through the common predicate
-// evaluator, and a qualifying record is projected onto fields (nil = all).
-// ok is false when the filter rejects the record.
-func Qualify(env *core.Env, rec types.Record, filter *expr.Expr, params []types.Value, fields []int) (out types.Record, ok bool, err error) {
-	if filter != nil {
-		match, err := env.Eval.EvalBool(filter, rec, params)
-		if err != nil || !match {
-			return nil, false, err
-		}
+// Qualifier is the tail every scan shares: the pushed-down filter,
+// compiled once when the scan opens, and the projection onto the scan's
+// fields (nil = all). Like the Program in it, a Qualifier serves one scan
+// at a time.
+type Qualifier struct {
+	prog   *expr.Program
+	out    types.Selector
+	fields []int
+}
+
+// NewQualifier compiles opts' filter, bound to opts' parameters, for one
+// scan.
+func NewQualifier(env *core.Env, opts core.ScanOptions) *Qualifier {
+	return &Qualifier{prog: expr.Compile(env.Eval, opts.Filter, opts.Params),
+		out: types.NewSelector(opts.Fields), fields: opts.Fields}
+}
+
+// Encoded qualifies a stored record: the filter matches its encoded bytes
+// in place, and only a qualifying record is decoded, straight onto the
+// scan's fields. ok is false when the filter rejects the record. The
+// result shares no bytes with enc.
+func (q *Qualifier) Encoded(enc []byte) (rec types.Record, ok bool, err error) {
+	if ok, err := q.prog.Match(enc); !ok || err != nil {
+		return nil, false, err
 	}
-	if fields != nil {
-		rec = rec.Project(fields)
+	if q.fields == nil {
+		rec, _, err = types.DecodeRecord(enc)
+	} else {
+		rec, err = q.out.Project(enc)
+	}
+	return rec, err == nil, err
+}
+
+// Record qualifies a record the scan holds decoded.
+func (q *Qualifier) Record(rec types.Record) (types.Record, bool, error) {
+	if ok, err := q.prog.MatchRecord(rec); !ok || err != nil {
+		return nil, false, err
+	}
+	if q.fields != nil {
+		rec = rec.Project(q.fields)
 	}
 	return rec, true, nil
 }
 
-// QualifyFetch is Qualify for direct-by-key access, where a rejected
-// record is reported as core.ErrFiltered.
+// QualifyFetch is the tail of direct-by-key access: the filter judges one
+// decoded record, and a rejected record is reported as core.ErrFiltered.
+// One record is not worth compiling for, so the tree walker evaluates it.
 func QualifyFetch(env *core.Env, rec types.Record, fields []int, filter *expr.Expr) (types.Record, error) {
-	out, ok, err := Qualify(env, rec, filter, nil, fields)
-	if err == nil && !ok {
-		err = core.ErrFiltered
+	ok, err := env.Eval.EvalBool(filter, rec, nil)
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	if !ok {
+		return nil, core.ErrFiltered
+	}
+	if fields != nil {
+		rec = rec.Project(fields)
+	}
+	return rec, nil
 }
 
 // Effect is what a logged modification asks of a (key → record) store once

@@ -12,8 +12,10 @@ import (
 	"dmx/internal/types"
 )
 
-// EmitFunc converts a tree entry into scan output. Returning ok=false
-// skips the entry (filter rejection); err aborts the scan.
+// EmitFunc converts a tree entry into scan output. key and val are the
+// scan's own buffers, reused for the next entry, so what it returns must
+// not alias them. Returning ok=false skips the entry (filter rejection);
+// err aborts the scan.
 type EmitFunc func(key, val []byte) (types.Key, types.Record, bool, error)
 
 // TreeScan is a key-sequential access over a btree.Tree implementing the
@@ -28,6 +30,8 @@ type TreeScan struct {
 	end   types.Key // exclusive; nil = unbounded
 	emit  EmitFunc
 
+	kbuf, vbuf []byte // the candidate, copied out under the latch
+
 	Position
 }
 
@@ -37,7 +41,9 @@ func NewTreeScan(mu *sync.Mutex, tree *btree.Tree, start, end types.Key, emit Em
 	return &TreeScan{mu: mu, tree: tree, start: start, end: end, emit: emit}
 }
 
-// Next implements core.Scan.
+// Next implements core.Scan. One candidate is copied into the scan's
+// buffers per latch hold, and emit runs on the copy after the latch is
+// released, so a rejected entry costs a copy but no allocation.
 func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 	if s.Closed {
 		return nil, nil, false, fmt.Errorf("smutil: scan is closed")
@@ -48,8 +54,6 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 		if s.Started {
 			from = s.After // resume strictly after the item the scan is on
 		}
-		// Collect the next candidate under the latch.
-		var ck, cv []byte
 		found := false
 		s.tree.Ascend(from, func(k, v []byte) bool {
 			if s.Started && s.After.Equal(k) {
@@ -58,8 +62,8 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 			if s.end != nil && types.Key(k).Compare(s.end) >= 0 {
 				return false
 			}
-			ck = append([]byte(nil), k...)
-			cv = append([]byte(nil), v...)
+			s.kbuf = append(s.kbuf[:0], k...)
+			s.vbuf = append(s.vbuf[:0], v...)
 			found = true
 			return false
 		})
@@ -67,8 +71,8 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 		if !found {
 			return nil, nil, false, nil
 		}
-		s.Started, s.After = true, ck
-		outK, outR, ok, err := s.emit(ck, cv)
+		s.Started, s.After = true, append(s.After[:0], s.kbuf...)
+		outK, outR, ok, err := s.emit(s.kbuf, s.vbuf)
 		if err != nil {
 			return nil, nil, false, err
 		}

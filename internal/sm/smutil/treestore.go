@@ -151,18 +151,16 @@ func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter 
 }
 
 // OpenScan implements core.StorageInstance: record-key order, with range
-// bounds.
+// bounds. The filter matches each stored record's bytes in place; only a
+// qualifying record is decoded.
 func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
+	q := NewQualifier(s.env, opts)
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
-		rec, _, err := types.DecodeRecord(v)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rec, ok, err := Qualify(s.env, rec, opts.Filter, opts.Params, opts.Fields)
+		rec, ok, err := q.Encoded(v)
 		if !ok || err != nil {
 			return nil, nil, false, err
 		}
-		return types.Key(k).Clone(), rec, true, nil // k is the scan's own position
+		return types.Key(k).Clone(), rec, true, nil
 	}
 	return NewTreeScan(&s.mu, s.tree, opts.Start, opts.End, emit), nil
 }

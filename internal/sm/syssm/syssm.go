@@ -250,7 +250,7 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 	if err != nil {
 		return nil, err
 	}
-	sc := &scan{store: s, rows: rows, opts: opts, end: len(rows)}
+	sc := &scan{store: s, rows: rows, opts: opts, q: smutil.NewQualifier(s.env, opts), end: len(rows)}
 	if opts.End != nil {
 		sc.end = seek(len(rows), opts.End, false)
 	}
@@ -294,6 +294,7 @@ type scan struct {
 	store *store
 	rows  []types.Record
 	opts  core.ScanOptions
+	q     *smutil.Qualifier
 	end   int // exclusive ordinal bound
 	smutil.Position
 }
@@ -309,7 +310,7 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 	for ; i < sc.end; i++ {
 		key := ordKey(i)
 		sc.Started, sc.After = true, key
-		rec, ok, err := smutil.Qualify(sc.store.env, sc.rows[i], sc.opts.Filter, sc.opts.Params, sc.opts.Fields)
+		rec, ok, err := sc.q.Record(sc.rows[i])
 		if err != nil {
 			return nil, nil, false, err
 		}

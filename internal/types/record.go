@@ -2,6 +2,7 @@ package types
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -207,39 +208,45 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return rec, pos, nil
 }
 
-// skipValue returns the encoded length of the value starting at b without
-// materialising it.
-func skipValue(b []byte) (int, error) {
+var (
+	errTruncatedValue = errors.New("types: truncated value")
+	errBadKind        = errors.New("types: bad value kind")
+)
+
+// SplitValue splits the encoded value at the start of b into its kind and
+// its body, without materialising it: the 8 big-endian bytes of an INT,
+// BOOL or FLOAT, the bytes of a STRING or BYTES, none for NULL. n is the
+// value's encoded length. The body aliases b.
+func SplitValue(b []byte) (k Kind, body []byte, n int, err error) {
 	if len(b) < 1 {
-		return 0, fmt.Errorf("types: truncated value")
+		return 0, nil, 0, errTruncatedValue
 	}
-	switch Kind(b[0]) {
+	switch k = Kind(b[0]); k {
 	case KindNull:
-		return 1, nil
+		return k, nil, 1, nil
 	case KindInt, KindBool, KindFloat:
 		if len(b) < 9 {
-			return 0, fmt.Errorf("types: truncated scalar")
+			return 0, nil, 0, errTruncatedValue
 		}
-		return 9, nil
+		return k, b[1:9], 9, nil
 	case KindString, KindBytes:
 		if len(b) < 5 {
-			return 0, fmt.Errorf("types: truncated length header")
+			return 0, nil, 0, errTruncatedValue
 		}
-		n := int(binary.BigEndian.Uint32(b[1:]))
-		if len(b) < 5+n {
-			return 0, fmt.Errorf("types: truncated body")
+		n = 5 + int(binary.BigEndian.Uint32(b[1:]))
+		if n < 5 || len(b) < n {
+			return 0, nil, 0, errTruncatedValue
 		}
-		return 5 + n, nil
+		return k, b[5:n], n, nil
 	default:
-		return 0, fmt.Errorf("types: bad value kind %d", b[0])
+		return 0, nil, 0, errBadKind
 	}
 }
 
 // Selector decodes chosen fields of encoded records, skipping (without
 // materialising) the rest. It is built once per scan or fetch; storage
-// methods use it to isolate the fields a filter predicate needs, and the
-// fields the caller asked for, while the record bytes are still in the
-// buffer pool.
+// methods use it to decode the fields the caller asked for straight from
+// the buffer-resident record bytes.
 type Selector struct {
 	field []int // ascending
 	slot  []int // field[i]'s index in the caller's list; nil: i itself
@@ -268,56 +275,35 @@ func NewSelector(fields []int) Selector {
 // caller's field order (Record.Project of the decoded record, without
 // decoding it). A field past the record's arity is NULL.
 func (s *Selector) Project(b []byte) (Record, error) {
-	out := make(Record, len(s.field))
-	return out, s.decode(b, out, s.slot)
-}
-
-// Probe decodes the selected fields of b into their own positions of
-// scratch, grown to the record's arity; the other positions are NULL. The
-// result aliases scratch, which the caller owns, hands back on the next
-// call, and uses with no other selector.
-func (s *Selector) Probe(b []byte, scratch Record) (Record, error) {
 	if len(b) < 2 {
 		return nil, fmt.Errorf("types: truncated record")
 	}
-	if arity := int(binary.BigEndian.Uint16(b)); arity > cap(scratch) {
-		scratch = make(Record, arity)
-	} else {
-		scratch = scratch[:arity]
-	}
-	return scratch, s.decode(b, scratch, s.field)
-}
-
-// decode stores the i-th selected field at dst[at[i]] (dst[i] for nil at).
-func (s *Selector) decode(b []byte, dst Record, at []int) error {
-	if len(b) < 2 {
-		return fmt.Errorf("types: truncated record")
-	}
+	out := make(Record, len(s.field))
 	arity := int(binary.BigEndian.Uint16(b))
 	pos, next := 2, 0
 	for i := 0; i < arity && next < len(s.field); i++ {
 		if s.field[next] != i {
-			used, err := skipValue(b[pos:])
+			_, _, used, err := SplitValue(b[pos:])
 			if err != nil {
-				return fmt.Errorf("types: record field %d: %w", i, err)
+				return nil, fmt.Errorf("types: record field %d: %w", i, err)
 			}
 			pos += used
 			continue
 		}
 		v, used, err := DecodeValue(b[pos:])
 		if err != nil {
-			return fmt.Errorf("types: record field %d: %w", i, err)
+			return nil, fmt.Errorf("types: record field %d: %w", i, err)
 		}
 		pos += used
 		for ; next < len(s.field) && s.field[next] == i; next++ {
-			if at == nil {
-				dst[next] = v
+			if s.slot == nil {
+				out[next] = v
 			} else {
-				dst[at[next]] = v
+				out[s.slot[next]] = v
 			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // Key is an opaque record key. The defining storage method controls its

@@ -188,36 +188,22 @@ func TestSelector(t *testing.T) {
 	rec := Record{Int(7), Str("skip-me"), Float(2.5), Bytes([]byte{1, 2}), Null()}
 	enc := rec.AppendEncode(nil)
 
-	probe := func(fields ...int) (Record, error) {
+	project := func(fields ...int) (Record, error) {
 		sel := NewSelector(fields)
-		return sel.Probe(enc, nil)
+		return sel.Project(enc)
 	}
-	got, err := probe(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rec) {
-		t.Fatalf("arity = %d", len(got))
-	}
-	if !Equal(got[0], Int(7)) || !Equal(got[2], Float(2.5)) {
-		t.Fatalf("requested fields = %v", got)
-	}
-	if !got[1].IsNull() || !got[3].IsNull() {
-		t.Fatal("non-requested fields should be NULL placeholders")
-	}
-
 	// Empty field set: nothing materialised.
-	got, err = probe()
-	if err != nil || len(got) != len(rec) {
+	got, err := project()
+	if err != nil || len(got) != 0 {
 		t.Fatalf("empty fields: %v %v", got, err)
 	}
 	// Last field requested: all prior fields skipped, value correct.
-	got, err = probe(4)
-	if err != nil || !got[4].IsNull() {
+	got, err = project(4)
+	if err != nil || len(got) != 1 || !got[0].IsNull() {
 		t.Fatalf("last field: %v %v", got, err)
 	}
-	got, err = probe(3)
-	if err != nil || !Equal(got[3], Bytes([]byte{1, 2})) {
+	got, err = project(3)
+	if err != nil || !Equal(got[0], Bytes([]byte{1, 2})) {
 		t.Fatalf("bytes field: %v %v", got, err)
 	}
 	// Projection: caller's order, duplicates, a field past the arity.
@@ -233,37 +219,14 @@ func TestSelector(t *testing.T) {
 	}
 	// Errors on corrupt input.
 	sel = NewSelector([]int{2})
-	if _, err := sel.Probe(nil, nil); err == nil {
-		t.Error("nil input accepted by Probe")
+	if _, err := sel.Project(nil); err == nil {
+		t.Error("nil input accepted by Project")
 	}
 	if _, err := sel.Project(enc[:1]); err == nil {
 		t.Error("truncated header accepted by Project")
 	}
 	if _, err := sel.Project(enc[:5]); err == nil {
 		t.Error("truncated input accepted")
-	}
-}
-
-// The scratch record is reused across records of different arity without
-// leaking one record's values into the next probe.
-func TestSelectorProbeReusesScratch(t *testing.T) {
-	sel := NewSelector([]int{1, 3})
-	wide := Record{Int(1), Int(2), Int(3), Int(4)}.AppendEncode(nil)
-	narrow := Record{Int(5), Int(6)}.AppendEncode(nil)
-	scratch, err := sel.Probe(wide, nil)
-	if err != nil || !scratch.Equal(Record{Null(), Int(2), Null(), Int(4)}) {
-		t.Fatalf("wide: %v %v", scratch, err)
-	}
-	scratch, err = sel.Probe(narrow, scratch)
-	if err != nil || !scratch.Equal(Record{Null(), Int(6)}) {
-		t.Fatalf("narrow: %v %v", scratch, err)
-	}
-	scratch, err = sel.Probe(Record{Int(7), Int(8), Int(9), Null()}.AppendEncode(nil), scratch)
-	if err != nil || !scratch.Equal(Record{Null(), Int(8), Null(), Null()}) {
-		t.Fatalf("wide again: %v %v", scratch, err)
-	}
-	if n := testing.AllocsPerRun(100, func() { scratch, _ = sel.Probe(wide, scratch) }); n != 0 {
-		t.Fatalf("Probe into a large-enough scratch allocates %v times", n)
 	}
 }
 
@@ -275,6 +238,19 @@ func TestSelectorMatchesFullDecodeProperty(t *testing.T) {
 			rec[j] = randValue(r)
 		}
 		enc := rec.AppendEncode(nil)
+		// SplitValue walks the encoding field by field without decoding.
+		pos := 2
+		for j, v := range rec {
+			k, body, n, err := SplitValue(enc[pos:])
+			want := v.AppendEncode(nil)
+			if err != nil || k != v.K || n != len(want) || string(body) != string(want[len(want)-len(body):]) {
+				t.Fatalf("SplitValue field %d of %v: kind %v, body %x, n %d, %v", j, rec, k, body, n, err)
+			}
+			if _, _, _, err := SplitValue(enc[pos : pos+n-1]); err == nil {
+				t.Fatalf("SplitValue accepted field %d of %v cut short", j, rec)
+			}
+			pos += n
+		}
 		// A random list of fields, in random order.
 		var fields []int
 		for j := range rec {
@@ -284,15 +260,6 @@ func TestSelectorMatchesFullDecodeProperty(t *testing.T) {
 		}
 		r.Shuffle(len(fields), func(a, b int) { fields[a], fields[b] = fields[b], fields[a] })
 		sel := NewSelector(fields)
-		got, err := sel.Probe(enc, nil)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		for _, f := range fields {
-			if !Equal(got[f], rec[f]) {
-				t.Fatalf("field %d: %v != %v", f, got[f], rec[f])
-			}
-		}
 		out, err := sel.Project(enc)
 		if err != nil || !out.Equal(rec.Project(fields)) {
 			t.Fatalf("project %v: %v != %v (%v)", fields, out, rec.Project(fields), err)
