@@ -102,13 +102,18 @@ func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]typ
 }
 
 // OpenScan implements core.AccessPath: key-sequential access in index-key
-// order returning record keys plus the stored index key fields.
+// order returning record keys plus the stored index key fields, or a nil
+// record when opts.Fields asks for no fields (non-nil and empty).
 func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (core.Scan, error) {
 	d, err := ix.At(instance)
 	if err != nil {
 		return nil, err
 	}
+	keysOnly := opts.Fields != nil && len(opts.Fields) == 0
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
+		if keysOnly {
+			return types.Key(v).Clone(), nil, true, nil
+		}
 		keyVals, err := types.DecodeKeyValues(types.Key(k[:len(k)-len(v)]))
 		if err != nil {
 			return nil, nil, false, err

@@ -158,6 +158,30 @@ func TestIndexScanOrderAndKeys(t *testing.T) {
 	if len(salaries) != 3 || salaries[0] != 10 || salaries[1] != 20 || salaries[2] != 30 {
 		t.Fatalf("index order = %v", salaries)
 	}
+	// Asked for no fields, the scan yields the same record keys in the same
+	// order and no index key fields.
+	keysOnly, err := r.OpenAccessScan(tx, core.AttBTree, 0, core.ScanOptions{Fields: []int{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		recKey, ixFields, ok, err := keysOnly.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(salaries) {
+				t.Fatalf("keys-only scan returned %d entries, want %d", i, len(salaries))
+			}
+			break
+		}
+		if ixFields != nil {
+			t.Fatalf("keys-only scan returned fields %v", ixFields)
+		}
+		if full, err := r.Fetch(tx, recKey, nil, nil); err != nil || full[2].AsFloat() != salaries[i] {
+			t.Fatalf("keys-only entry %d: %v %v, want salary %v", i, full, err, salaries[i])
+		}
+	}
 	tx.Commit()
 }
 

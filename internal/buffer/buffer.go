@@ -16,13 +16,16 @@
 // forces the whole log.
 //
 // To keep concurrent pin traffic from serialising on one mutex, the frame
-// table and LRU list are sharded by page ID for pools of at least
+// table and LRU ring are sharded by page ID for pools of at least
 // shardThreshold frames; tiny pools (tests, tightly bounded caches) keep a
 // single shard so capacity semantics stay exact.
+//
+// A pin or unpin allocates nothing: the LRU is an intrusive ring threaded
+// through the unpinned frames themselves, and a full shard recycles its
+// victim's Frame, page buffer included, for the page that replaces it.
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
@@ -33,15 +36,17 @@ import (
 	"dmx/internal/wal"
 )
 
-// Frame is a pooled page. The Data slice aliases pool memory; it is valid
-// only while the frame is pinned.
+// Frame is a pooled page. A Frame and all of its fields, ID and Data
+// included, are valid only while the caller holds a pin on it: once the
+// last pin is released the pool may evict the frame and recycle the same
+// Frame for another page.
 type Frame struct {
-	ID    pagefile.PageID
-	Data  []byte
-	pins  int
-	dirty bool
-	lsn   wal.LSN // page LSN: newest log record covering a mutation
-	lru   *list.Element
+	ID         pagefile.PageID
+	Data       []byte
+	pins       int
+	dirty      bool
+	lsn        wal.LSN // page LSN: newest log record covering a mutation
+	prev, next *Frame  // links in the shard's LRU ring; nil while pinned
 }
 
 // Stats counts pool traffic.
@@ -59,12 +64,12 @@ const (
 	shardThreshold = 64
 )
 
-// shard is one hash partition of the frame table with its own LRU list
+// shard is one hash partition of the frame table with its own LRU ring
 // and capacity slice.
 type shard struct {
 	mu     sync.Mutex
 	frames map[pagefile.PageID]*Frame
-	lru    *list.List // unpinned frames, front = LRU victim
+	lru    Frame // sentinel of the ring of unpinned frames: lru.next is the LRU victim
 	cap    int
 }
 
@@ -109,11 +114,9 @@ func NewPool(disk pagefile.Disk, capacity int) *Pool {
 		if i < capacity%n {
 			c++
 		}
-		p.shards[i] = &shard{
-			frames: make(map[pagefile.PageID]*Frame, c),
-			lru:    list.New(),
-			cap:    c,
-		}
+		sh := &shard{frames: make(map[pagefile.PageID]*Frame, c), cap: c}
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		p.shards[i] = sh
 	}
 	return p
 }
@@ -183,19 +186,23 @@ func (p *Pool) PinWithStats(id pagefile.PageID) (*Frame, PinStats, error) {
 	defer sh.mu.Unlock()
 	if f, ok := sh.frames[id]; ok {
 		p.obs.Hits.Inc()
-		sh.pinLocked(f)
+		if f.next != nil {
+			f.unlink()
+		}
+		f.pins++
 		return f, PinStats{}, nil
 	}
 	p.obs.Misses.Inc()
 	st := PinStats{Miss: true, Evicted: len(sh.frames) >= sh.cap}
-	f, err := p.frameForLocked(sh, id)
+	f, err := p.frameLocked(sh)
 	if err != nil {
 		return nil, st, err
 	}
 	if err := p.disk.ReadPage(id, f.Data); err != nil {
-		delete(sh.frames, f.ID)
 		return nil, st, err
 	}
+	f.ID = id
+	sh.frames[id] = f
 	return f, st, nil
 }
 
@@ -206,40 +213,38 @@ func (p *Pool) PinWithStats(id pagefile.PageID) (*Frame, PinStats, error) {
 // allocating, so a page stranded by a full shard is kept and reused by a
 // later NewPage instead of leaking.
 func (p *Pool) NewPage() (*Frame, error) {
+	var (
+		sh  *shard
+		f   *Frame
+		id  pagefile.PageID
+		err error
+	)
 	if len(p.shards) == 1 {
-		sh := p.shards[0]
+		sh = p.shards[0]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		buf, err := p.bufferLocked(sh)
-		if err != nil {
+		if f, err = p.frameLocked(sh); err != nil {
 			return nil, err
 		}
-		id, err := p.disk.Allocate()
-		if err != nil {
+		if id, err = p.disk.Allocate(); err != nil {
 			return nil, err
 		}
-		clear(buf)
-		f := &Frame{ID: id, Data: buf, pins: 1, dirty: true}
-		sh.frames[id] = f
-		return f, nil
+	} else {
+		if id, err = p.reservePageID(); err != nil {
+			return nil, err
+		}
+		sh = p.shardFor(id)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if f, err = p.frameLocked(sh); err != nil {
+			p.strandMu.Lock()
+			p.stranded = append(p.stranded, id)
+			p.strandMu.Unlock()
+			return nil, err
+		}
 	}
-
-	id, err := p.reservePageID()
-	if err != nil {
-		return nil, err
-	}
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	buf, err := p.bufferLocked(sh)
-	if err != nil {
-		p.strandMu.Lock()
-		p.stranded = append(p.stranded, id)
-		p.strandMu.Unlock()
-		return nil, err
-	}
-	clear(buf)
-	f := &Frame{ID: id, Data: buf, pins: 1, dirty: true}
+	clear(f.Data)
+	f.ID, f.dirty = id, true
 	sh.frames[id] = f
 	return f, nil
 }
@@ -257,39 +262,33 @@ func (p *Pool) reservePageID() (pagefile.PageID, error) {
 	return p.disk.Allocate()
 }
 
-// frameForLocked finds or evicts a frame for id in sh and returns it
-// pinned with undefined contents. Caller holds sh.mu.
-func (p *Pool) frameForLocked(sh *shard, id pagefile.PageID) (*Frame, error) {
-	buf, err := p.bufferLocked(sh)
+// frameLocked returns a pinned frame for a page about to join sh, with
+// undefined Data contents and not yet in the frame table: a shard below
+// capacity allocates one, a full shard evicts its LRU victim and recycles
+// the victim's Frame and page buffer, so a pool at capacity replaces pages
+// without allocating. Caller holds sh.mu.
+func (p *Pool) frameLocked(sh *shard) (*Frame, error) {
+	if len(sh.frames) < sh.cap {
+		return &Frame{Data: make([]byte, pagefile.PageSize), pins: 1}, nil
+	}
+	f, err := p.evictLocked(sh)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{ID: id, Data: buf, pins: 1}
-	sh.frames[id] = f
+	*f = Frame{Data: f.Data, pins: 1}
 	return f, nil
 }
 
-// bufferLocked returns a page buffer of undefined contents for a frame
-// about to join sh: a full shard evicts its LRU victim and hands over the
-// victim's buffer, so a pool at capacity replaces pages without allocating.
+// evictLocked writes back sh's LRU victim and drops it from the ring and
+// the frame table, returning it for reuse (nothing may reference an
+// unpinned frame). Dirty victims are subject to the write-ahead rule: the
+// log is forced up to the victim's page LSN before the page reaches disk.
 // Caller holds sh.mu.
-func (p *Pool) bufferLocked(sh *shard) ([]byte, error) {
-	if len(sh.frames) < sh.cap {
-		return make([]byte, pagefile.PageSize), nil
-	}
-	return p.evictLocked(sh)
-}
-
-// evictLocked writes back and drops sh's LRU victim, returning its page
-// buffer (nothing references an unpinned frame once it leaves the table).
-// Dirty victims are subject to the write-ahead rule: the log is forced up
-// to the victim's page LSN before the page reaches disk. Caller holds sh.mu.
-func (p *Pool) evictLocked(sh *shard) ([]byte, error) {
-	el := sh.lru.Front()
-	if el == nil {
+func (p *Pool) evictLocked(sh *shard) (*Frame, error) {
+	victim := sh.lru.next
+	if victim == &sh.lru {
 		return nil, fmt.Errorf("buffer: pool exhausted: all %d frames of the shard pinned (pool capacity %d)", sh.cap, p.capacity)
 	}
-	victim := el.Value.(*Frame)
 	if victim.dirty {
 		if err := p.forceForLocked(victim); err != nil {
 			return nil, err
@@ -302,13 +301,10 @@ func (p *Pool) evictLocked(sh *shard) ([]byte, error) {
 		}
 		victim.dirty = false
 	}
-	sh.lru.Remove(el)
-	victim.lru = nil
+	victim.unlink()
 	delete(sh.frames, victim.ID)
 	p.obs.Evictions.Inc()
-	buf := victim.Data
-	victim.Data = nil
-	return buf, nil
+	return victim, nil
 }
 
 // forceForLocked honours WAL-before-data for one dirty frame.
@@ -322,18 +318,17 @@ func (p *Pool) forceForLocked(f *Frame) error {
 	return nil
 }
 
-func (sh *shard) pinLocked(f *Frame) {
-	if f.lru != nil {
-		sh.lru.Remove(f.lru)
-		f.lru = nil
-	}
-	f.pins++
+// unlink takes an unpinned frame out of its shard's LRU ring.
+func (f *Frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Unpin releases one pin; dirty records that the caller mutated the frame.
-// Fully unpinned frames become eviction candidates. Unpinning a frame with
-// no pins is reported as an error without corrupting the pin count or the
-// LRU list.
+// Fully unpinned frames join the most-recently-used end of the LRU ring
+// and become eviction candidates; the caller must not touch f afterwards.
+// Unpinning a frame with no pins is reported as an error without
+// corrupting the pin count or the LRU ring.
 func (p *Pool) Unpin(f *Frame, dirty bool) error {
 	sh := p.shardFor(f.ID)
 	sh.mu.Lock()
@@ -345,8 +340,9 @@ func (p *Pool) Unpin(f *Frame, dirty bool) error {
 		f.dirty = true
 	}
 	f.pins--
-	if f.pins == 0 && f.lru == nil {
-		f.lru = sh.lru.PushBack(f)
+	if f.pins == 0 {
+		f.prev, f.next = sh.lru.prev, &sh.lru
+		f.prev.next, sh.lru.prev = f, f
 	}
 	return nil
 }
@@ -421,9 +417,6 @@ func (p *Pool) flushShardLocked(sh *shard) error {
 
 // Stats returns cumulative pool statistics.
 func (p *Pool) Stats() Stats {
-	sh := p.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	return Stats{
 		Hits:      p.obs.Hits.Load(),
 		Misses:    p.obs.Misses.Load(),

@@ -1,8 +1,10 @@
 package buffer
 
 import (
+	"encoding/binary"
 	"errors"
-	"runtime"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"dmx/internal/pagefile"
@@ -443,9 +445,9 @@ func TestDiskAccessor(t *testing.T) {
 	p.Unpin(f, false)
 }
 
-// A pool at capacity replaces pages without allocating page buffers: the
-// victim's buffer goes to the frame that replaces it, and the page read
-// or formatted into it is the right one.
+// A pool at capacity replaces pages without allocating: the victim's
+// Frame, page buffer included, is recycled for the page that replaces it,
+// and the page read or formatted into it is the right one.
 func TestReplacementReusesVictimBuffer(t *testing.T) {
 	for _, capacity := range []int{8, 128} { // single-shard and sharded
 		pages := 10 * capacity
@@ -473,16 +475,11 @@ func TestReplacementReusesVictimBuffer(t *testing.T) {
 		}
 		sweep() // warm-up: the pool fills and starts evicting
 		before := p.Stats().Misses
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		sweep()
-		runtime.ReadMemStats(&m1)
-		misses := p.Stats().Misses - before
-		if misses != int64(pages) {
-			t.Fatalf("capacity %d: %d misses in a sweep of %d pages", capacity, misses, pages)
+		if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
+			t.Fatalf("capacity %d: a sweep of %d misses allocates %v times after warm-up, want 0", capacity, pages, allocs)
 		}
-		if perMiss := (m1.TotalAlloc - m0.TotalAlloc) / uint64(misses); perMiss >= pagefile.PageSize/8 {
-			t.Fatalf("capacity %d: %d bytes allocated per miss after warm-up, want frame bookkeeping only", capacity, perMiss)
+		if misses := p.Stats().Misses - before; misses != 4*int64(pages) {
+			t.Fatalf("capacity %d: %d misses in 4 sweeps of %d pages", capacity, misses, pages)
 		}
 		// A page formatted into a victim's buffer starts zeroed.
 		f, err := p.NewPage()
@@ -496,6 +493,108 @@ func TestReplacementReusesVictimBuffer(t *testing.T) {
 		}
 		if err := p.Unpin(f, true); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// A pin that hits, and its unpin, allocate nothing.
+func TestPinHitAllocatesNothing(t *testing.T) {
+	p, _ := newPool(t, 4, 2)
+	f, err := p.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(f, false); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		g, err := p.Pin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unpin(g, true); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("pin hit + unpin allocates %v times, want 0", allocs)
+	}
+}
+
+// Goroutines pinning random pages through a pool far smaller than the
+// relation recycle frames under one another: every pin must see its own
+// page's bytes, and pages written back dirty must read back intact.
+func TestPoolConcurrentRecycle(t *testing.T) {
+	const (
+		pages   = 512
+		workers = 4
+		rounds  = 2000
+	)
+	for _, capacity := range []int{64, 16} { // sharded and single-shard
+		p, d := newPool(t, capacity, pages)
+		buf := make([]byte, pagefile.PageSize)
+		for i := 0; i < pages; i++ {
+			binary.BigEndian.PutUint32(buf, uint32(i))
+			binary.BigEndian.PutUint32(buf[pagefile.PageSize-4:], uint32(i))
+			if err := d.WritePage(pagefile.PageID(i), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Byte 4 of page i counts the dirty writes to it; page i is only
+		// written by worker i%workers, so each worker knows its pages' counts.
+		var wg sync.WaitGroup
+		counts := make([][pages]byte, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w) + 1))
+				for r := 0; r < rounds; r++ {
+					id := rng.Intn(pages)
+					f, err := p.Pin(pagefile.PageID(id))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					head := binary.BigEndian.Uint32(f.Data)
+					tail := binary.BigEndian.Uint32(f.Data[pagefile.PageSize-4:])
+					if head != uint32(id) || tail != uint32(id) || f.ID != pagefile.PageID(id) {
+						t.Errorf("pin of page %d sees frame %d holding page %d/%d", id, f.ID, head, tail)
+					}
+					write := id%workers == w
+					if write {
+						if f.Data[4] != counts[w][id] {
+							t.Errorf("page %d: write count %d, want %d", id, f.Data[4], counts[w][id])
+						}
+						counts[w][id]++
+						f.Data[4] = counts[w][id]
+					}
+					if err := p.Unpin(f, write); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if n := p.PinnedCount(); n != 0 {
+			t.Fatalf("capacity %d: %d frames still pinned", capacity, n)
+		}
+		if s := p.Stats(); s.Hits+s.Misses != workers*rounds {
+			t.Fatalf("capacity %d: %d hits + %d misses, want %d pins", capacity, s.Hits, s.Misses, workers*rounds)
+		}
+		if err := p.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < pages; id++ {
+			if err := d.ReadPage(pagefile.PageID(id), buf); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := buf[4], counts[id%workers][id]; got != want {
+				t.Fatalf("capacity %d: page %d on disk has write count %d, want %d", capacity, id, got, want)
+			}
 		}
 	}
 }

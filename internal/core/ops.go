@@ -31,7 +31,9 @@ type ScanPos []byte
 //
 // For storage-method scans Next returns the record key and the selected
 // record fields. For access-path scans Next returns the mapped record key
-// and, when the access path stores them, the access-path key fields.
+// and, when the access path stores them, the access-path key fields. An
+// empty, non-nil ScanOptions.Fields asks an access path for the keys alone:
+// one that honours it returns a nil record.
 type Scan interface {
 	// Next returns the next qualifying item. ok is false at exhaustion.
 	Next() (key types.Key, rec types.Record, ok bool, err error)

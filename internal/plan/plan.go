@@ -648,7 +648,8 @@ func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, for
 		}
 		return &fetchRows{tx: tx, rel: rel, forUpdate: forUpdate, keys: keys, filter: a.filter, fields: fields}, nil
 	}
-	scan, err := rel.OpenAccessScan(tx, a.useAtt, a.instance, core.ScanOptions{Start: a.start, End: a.end})
+	// The fetch reads the record itself, so the path returns keys only.
+	scan, err := rel.OpenAccessScan(tx, a.useAtt, a.instance, core.ScanOptions{Start: a.start, End: a.end, Fields: []int{}})
 	if err != nil {
 		return nil, err
 	}

@@ -134,10 +134,11 @@ func (s *store) ensurePage(p uint32) error {
 			return err
 		}
 		binary.BigEndian.PutUint16(f.Data[2:], uint16(pagefile.PageSize))
+		id := f.ID // f may be recycled for another page once unpinned
 		if err := s.env.Pool.Unpin(f, true); err != nil {
 			return err
 		}
-		s.pages = append(s.pages, f.ID)
+		s.pages = append(s.pages, id)
 		s.free = append(s.free, pagefile.PageSize-pageHdrSize)
 	}
 	return nil
