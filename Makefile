@@ -83,12 +83,17 @@ model:
 # what it accepts re-encodes byte-identically, evaluates and compiles.
 # FuzzMatch holds a compiled filter to the tree walker on any predicate and
 # record: the same answer, an error on the same records, and an error or
-# the whole record's answer on a truncated one.
+# the whole record's answer on a truncated one. FuzzDecodeDefs and
+# FuzzDecodeEntry hold the attachment descriptor and log payload decoders
+# to "reject, never panic": what they accept re-encodes to bytes that
+# decode to the same value.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/expr
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/expr
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDefs$$' -fuzztime $(FUZZTIME) ./internal/att/attutil
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -119,22 +119,24 @@ func relScans(db *DB, name string) int64 {
 
 // E2: a 2 000 x 10 equi-join crosses the generic interfaces thousands of
 // times under the tuple-at-a-time strategies, and twice under a hash join.
+// A join index is one more access path on the inner side ("access paths
+// need not be limited to a single table"): each outer row probes it.
 func claimE2JoinCallVolume(t *testing.T) {
 	for _, c := range []struct {
 		strategy string
 		prep     []string
 		force    string
-		joinIdx  string
+		pin      *plan.ForcedPath // the inner path
 		calls    int64
 	}{
-		{"nested loop", nil, "nl", "", 2001}, // 1 outer scan + one inner rescan per outer row
+		{"nested loop", nil, "nl", nil, 2001}, // 1 outer scan + one inner rescan per outer row
 		// dept's records carry eno == dno, so the probe index covers eno.
-		{"index NL", []string{"CREATE INDEX deno ON dept (eno)"}, "indexnl", "", 4001}, // + a probe and a fetch per outer row
-		{"hash join", nil, "hash", "", 2},                                              // one scan per side
+		{"index NL", []string{"CREATE INDEX deno ON dept (eno)"}, "indexnl", nil, 4001}, // + a probe and a fetch per outer row
+		{"hash join", nil, "hash", nil, 2},                                              // one scan per side
 		{"join index", []string{
 			"CREATE ATTACHMENT joinindex ON emp WITH (name=ed, on=dno, peer=dept)",
-			"CREATE ATTACHMENT joinindex ON dept WITH (name=ed, on=dno, peer=emp)",
-		}, "", "ed", 4000},
+			"CREATE ATTACHMENT joinindex ON dept WITH (name=ed, on=eno, peer=emp)",
+		}, "", &plan.ForcedPath{Att: core.AttJoin}, 4001}, // as index NL: a probe and a fetch per outer row
 	} {
 		db := claimsDB(t, "CREATE TABLE emp "+empDDL+" USING heap", "CREATE TABLE dept "+empDDL+" USING memory")
 		loadEmp(t, db, "emp", 2000)
@@ -142,7 +144,7 @@ func claimE2JoinCallVolume(t *testing.T) {
 		claimsExec(t, db, c.prep...)
 		before := extensionCalls(db)
 		rows, _ := runPlan(t, db, Query{Table: "emp", Fields: []int{0}, ForceJoin: c.force,
-			Join: &JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}, JoinIndex: c.joinIdx}})
+			Join: &JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}, ForcePath: c.pin}})
 		if got := extensionCalls(db) - before; rows != 2000 || got != c.calls {
 			t.Errorf("%s: %d rows, %d extension calls; want 2000 rows, %d calls", c.strategy, rows, got, c.calls)
 		}

@@ -3,7 +3,8 @@
 // attachment descriptor fields and DDL column-list parsing; kit.go the
 // registration and the def list an instance embeds; entries.go the logged
 // entry maintenance, with the uniqueness rule, for the types that keep
-// (entry key → record key) state.
+// (entry key → record key) state, and the direct-by-key access path over
+// one Multimap per instance.
 //
 // A single attachment descriptor field describes every instance of its
 // type on the relation; instances carry a stable creation sequence number

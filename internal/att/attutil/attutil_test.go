@@ -1,7 +1,9 @@
 package attutil
 
 import (
+	"encoding/hex"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -176,4 +178,41 @@ func TestAddDefRefusesWhatTheCodecCannotCarry(t *testing.T) {
 			t.Errorf("%s: Seq %d does not fit a log record", tc.what, got.Seq)
 		}
 	}
+}
+
+// goldenDefs are internal/att/formats_test.go's golden descriptor fields,
+// one per attachment type that keeps a def list.
+var goldenDefs = []string{
+	"000000030200000001026231010001000000000000020262320200000001010000",
+	"00000003020000000102683101000100000000000002026832010000000000",
+	"00000003020000000102723101000300000000000002027232010003000000",
+	"000000030200000001026a310100010000047065657200000002026a3201000000000470656572",
+	"0000000302000000010263310000001308020100020000000001000000000000000000000000020263320000001308020100020000000001000000000000000000",
+	"00000003020000000102663101000100000a010101010001706565720000000202663201000000000a02020201000070656572",
+	"000000030200000001027431000000060367756172640000000202743200000006076775617264",
+	"00000002010000000105737461747300000000",
+	"0000000302000000010261310000000400020002000000020261320000000400000002",
+	"00000003020000000102753101000001000000000002027532010004010000",
+}
+
+// FuzzDecodeDefs holds the descriptor decoder to "reject, never panic":
+// what it accepts encodes to a field that decodes to the same list.
+func FuzzDecodeDefs(f *testing.F) {
+	for _, h := range goldenDefs {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		next, defs, err := DecodeDefs(b)
+		if err != nil {
+			return
+		}
+		next2, defs2, err := DecodeDefs(EncodeDefs(next, defs))
+		if err != nil || next2 != next || !reflect.DeepEqual(defs2, defs) {
+			t.Fatalf("DecodeDefs(%x) = %d %+v; re-encoded it decodes to %d %+v, %v", b, next, defs, next2, defs2, err)
+		}
+	})
 }

@@ -3,9 +3,11 @@ package attutil
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"dmx/internal/core"
 	"dmx/internal/lock"
+	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 )
@@ -172,9 +174,79 @@ func (m Entries[D]) ApplyLogged(payload []byte, undo bool) error {
 	return m.apply(d, op, p.EntryKey, p.RecKey)
 }
 
+// Buckets is the direct-by-key access path of the types whose instances
+// are each one Multimap: the hash index and the join index. Embedded in an
+// instance it supplies the entry maintenance and core.AccessPath, so such
+// a type says only how a record's entry key is formed (BucketType).
+type Buckets struct {
+	Entries[Multimap]
+}
+
+// BucketType returns the entry type that files each record under keyOf's
+// entry key in its instance's Multimap.
+func BucketType(keyOf func(d *Def[Multimap], rec types.Record, recKey types.Key) (types.Key, bool, error)) *EntryType[Multimap] {
+	return &EntryType[Multimap]{
+		KeyOf: keyOf,
+		Add: func(d *Def[Multimap], entryKey, recKey types.Key) error {
+			d.X.Add(entryKey, recKey)
+			return nil
+		},
+		Remove: func(d *Def[Multimap], entryKey, recKey types.Key) error {
+			d.X.Remove(entryKey, recKey)
+			return nil
+		},
+	}
+}
+
+// NewMultimap is the Decode of the bucket types: an instance starts empty.
+func NewMultimap(*core.Env, *core.RelDesc, IndexDef) (Multimap, error) {
+	return Multimap{}, nil
+}
+
+// LookupByKey implements core.AccessPath: constant-time bucket probe.
+func (b Buckets) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
+	d, err := b.At(instance)
+	if err != nil {
+		return nil, err
+	}
+	b.Mu.Lock()
+	defer b.Mu.Unlock()
+	return d.X.Get(key), nil
+}
+
+// OpenScan implements core.AccessPath: bucket tables keep no useful order.
+func (b Buckets) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (core.Scan, error) {
+	return nil, fmt.Errorf("attutil: a bucket table supports direct-by-key access only")
+}
+
+// EstimateCost implements core.AccessPath: usable only when every field of
+// an instance is bound by an equality conjunct.
+func (b Buckets) EstimateCost(req core.CostRequest) core.CostEstimate {
+	best := core.CostEstimate{Usable: false, IO: math.Inf(1), CPU: math.Inf(1)}
+	for i, d := range b.All() {
+		key, _, handled, point, _ := smutil.KeyRange(d.Fields, req.Conjuncts)
+		if !point {
+			continue
+		}
+		b.Mu.Lock()
+		n := float64(len(d.X))
+		b.Mu.Unlock()
+		est := core.CostEstimate{
+			Usable: true, Instance: i, Handled: handled,
+			CPU: 1, IO: 0.1, Selectivity: 1 / math.Max(n, 1),
+			// Direct-by-key only: the probe key travels in Start.
+			Start: key, End: key, Point: true,
+		}
+		if est.Total() < best.Total() || !best.Usable {
+			best = est
+		}
+	}
+	return best
+}
+
 // Multimap files record keys under entry keys, duplicates allowed: the
-// bucket table of a hash index and each side of a join index. The owner
-// synchronises access.
+// bucket table of a hash index or a join index. The owner synchronises
+// access.
 type Multimap map[string][]types.Key
 
 // Add files recKey under entryKey.

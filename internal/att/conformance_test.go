@@ -18,7 +18,7 @@ import (
 	_ "dmx/internal/att/btreeix"
 	"dmx/internal/att/check"
 	_ "dmx/internal/att/hashidx"
-	"dmx/internal/att/joinidx"
+	_ "dmx/internal/att/joinidx"
 	_ "dmx/internal/att/refint"
 	"dmx/internal/att/rtreeix"
 	"dmx/internal/att/stats"
@@ -125,8 +125,6 @@ type attType struct {
 	single bool
 	// logs: a change to a covered field writes attachment log records.
 	logs bool
-	// before runs ahead of creating instance inst (a peer's side).
-	before func(f *fixture, inst string)
 	// probe renders the state of dense instance i, named d.Name, through
 	// the type's readers or, for a constraint, by what it vetoes.
 	probe func(f *fixture, i int, d attutil.IndexDef) string
@@ -189,30 +187,7 @@ var types10 = []attType{
 	{
 		name: "hash", id: core.AttHash, required: "on", logs: true,
 		attrs: named(core.AttrList{"on": "grp"}), alt: named(core.AttrList{"on": "id"}),
-		probe: func(f *fixture, i int, _ attutil.IndexDef) string {
-			var out []string
-			f.inTx(func(tx *txn.Txn, r *core.Relation) {
-				for _, g := range groups {
-					keys, err := r.LookupAccess(tx, core.AttHash, i, types.EncodeKeyValues(g))
-					f.must(err)
-					out = append(out, fmt.Sprintf("%v=%s", g, keyList(keys)))
-				}
-			})
-			return strings.Join(out, " ")
-		},
-		want: func(_ *fixture, rows []stored) string {
-			var out []string
-			for _, g := range groups {
-				var keys []types.Key
-				for _, s := range rows {
-					if types.Equal(s.rec[colGrp], g) {
-						keys = append(keys, s.key)
-					}
-				}
-				out = append(out, fmt.Sprintf("%v=%s", g, keyList(keys)))
-			}
-			return strings.Join(out, " ")
-		},
+		probe: bucketProbe(core.AttHash), want: bucketWant(true),
 	},
 	{
 		name: "rtree", id: core.AttRTree, required: "on", logs: true,
@@ -238,33 +213,9 @@ var types10 = []attType{
 	},
 	{
 		name: "joinindex", id: core.AttJoin, required: "peer", logs: true,
-		attrs: named(core.AttrList{"on": "grp", "peer": "peer"}),
-		// The peer's side of the join index carries the same name.
-		before: func(f *fixture, inst string) {
-			f.createOn("peer", "joinindex", core.AttrList{"name": inst, "on": "grp", "peer": "t"})
-		},
-		probe: func(f *fixture, _ int, d attutil.IndexDef) string {
-			pairs, err := f.instance(core.AttJoin).(*joinidx.Instance).PairKeys(d.Name)
-			f.must(err)
-			var out []string
-			for _, p := range pairs {
-				out = append(out, fmt.Sprintf("%x>%x", p[0], p[1]))
-			}
-			sort.Strings(out)
-			return strings.Join(out, " ")
-		},
-		want: func(f *fixture, rows []stored) string {
-			var out []string
-			for _, s := range rows {
-				for _, p := range f.contents("peer") {
-					if types.Equal(s.rec[colGrp], p.rec[1]) {
-						out = append(out, fmt.Sprintf("%x>%x", s.key, p.key))
-					}
-				}
-			}
-			sort.Strings(out)
-			return strings.Join(out, " ")
-		},
+		attrs: named(core.AttrList{"on": "grp", "peer": "peer"}), alt: named(core.AttrList{"on": "id", "peer": "peer"}),
+		// A record whose join value is NULL has no entry.
+		probe: bucketProbe(core.AttJoin), want: bucketWant(false),
 	},
 	{
 		name: "check", id: core.AttCheck, required: "predicate",
@@ -343,6 +294,39 @@ var types10 = []attType{
 			return fmt.Sprint(taken)
 		},
 	},
+}
+
+// bucketProbe reads a bucket table by looking up every group.
+func bucketProbe(id core.AttID) func(*fixture, int, attutil.IndexDef) string {
+	return func(f *fixture, i int, _ attutil.IndexDef) string {
+		var out []string
+		f.inTx(func(tx *txn.Txn, r *core.Relation) {
+			for _, g := range groups {
+				keys, err := r.LookupAccess(tx, id, i, types.EncodeKeyValues(g))
+				f.must(err)
+				out = append(out, fmt.Sprintf("%v=%s", g, keyList(keys)))
+			}
+		})
+		return strings.Join(out, " ")
+	}
+}
+
+// bucketWant is what bucketProbe must show: each group's record keys, and
+// for NULL those of the records without a grp when nulls are filed.
+func bucketWant(nulls bool) func(*fixture, []stored) string {
+	return func(_ *fixture, rows []stored) string {
+		var out []string
+		for _, g := range groups {
+			var keys []types.Key
+			for _, s := range rows {
+				if types.Equal(s.rec[colGrp], g) && (nulls || !g.IsNull()) {
+					keys = append(keys, s.key)
+				}
+			}
+			out = append(out, fmt.Sprintf("%v=%s", g, keyList(keys)))
+		}
+		return strings.Join(out, " ")
+	}
 }
 
 func byName(name string) attType {
@@ -545,9 +529,6 @@ func (f *fixture) create(typ string, attrs core.AttrList) *core.RelDesc {
 
 // add creates instance inst of at on t.
 func (f *fixture) add(at attType, inst string) {
-	if at.before != nil {
-		at.before(f, inst)
-	}
 	f.create(at.name, at.attrs(inst))
 }
 
@@ -814,9 +795,6 @@ func (at attType) testRollback(t *testing.T) {
 func (at attType) testAbortedCreate(t *testing.T) {
 	f := newFixture(t, nil, "memory", nil)
 	f.insert(base...)
-	if at.before != nil {
-		at.before(f, "i1")
-	}
 	attrs := at.alt
 	if attrs == nil {
 		attrs = at.attrs
@@ -860,7 +838,7 @@ func (at attType) testRestart(t *testing.T) {
 	g.exact(at, "after modifications following restart")
 }
 
-// TestAccessPathConformance: for the three access paths, direct-by-key and
+// TestAccessPathConformance: for the four access paths, direct-by-key and
 // key-sequential access agree with a filtered scan of the relation, and the
 // type's own scan, once closed, refuses Next and Restore.
 func TestAccessPathConformance(t *testing.T) {
@@ -875,6 +853,7 @@ func TestAccessPathConformance(t *testing.T) {
 		{"btree", grpA, expr.Eq(expr.Field(colGrp), expr.Const(types.Str("a"))),
 			&core.ScanOptions{Start: grpA, End: types.EncodeKeyValues(types.Str("b"))}},
 		{"hash", grpA, expr.Eq(expr.Field(colGrp), expr.Const(types.Str("a"))), nil},
+		{"joinindex", grpA, expr.Eq(expr.Field(colGrp), expr.Const(types.Str("a"))), nil},
 		{"rtree", types.Key(query.Value().B), expr.Overlaps(expr.Field(colBox), expr.Const(query.Value())),
 			&core.ScanOptions{Start: types.Key(query.Value().B), End: rtreeix.ModeKey(rtree.Overlaps)}},
 	} {

@@ -66,7 +66,7 @@ const (
 	AttBTree   AttID = 1  // B-tree secondary index
 	AttHash    AttID = 2  // hash index
 	AttRTree   AttID = 3  // R-tree spatial index
-	AttJoin    AttID = 4  // join index (record-key pairs across relations)
+	AttJoin    AttID = 4  // join index (each side: join value → record keys)
 	AttCheck   AttID = 5  // single-record integrity constraint
 	AttRefInt  AttID = 6  // referential integrity constraint
 	AttTrigger AttID = 7  // trigger

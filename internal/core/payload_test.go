@@ -1,0 +1,44 @@
+package core_test
+
+import (
+	"encoding/hex"
+	"reflect"
+	"testing"
+
+	"dmx/internal/core"
+)
+
+// goldenEntries are internal/att/formats_test.go's golden log payloads, an
+// entry change through each attachment type that logs (hash and joinindex
+// write the same bytes).
+var goldenEntries = []string{
+	"0100010000000c036100000000000000000001000000080000000000000001",
+	"0100010000000403610000000000080000000000000001",
+	"01000100000020401c000000000000401c00000000000040200000000000004020000000000000000000080000000000000001",
+	"010000ffffffffffffffff",
+	"02000100000004036100000000001040080000000000000000000000000001",
+	"010001000000050374370000ffffffff",
+}
+
+// FuzzDecodeEntry holds the entry payload decoder to "reject, never
+// panic": what it accepts encodes to a payload that decodes to the same
+// entry.
+func FuzzDecodeEntry(f *testing.F) {
+	for _, h := range goldenEntries {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := core.DecodeEntry(b)
+		if err != nil {
+			return
+		}
+		again, err := core.DecodeEntry(core.EncodeEntry(p))
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("DecodeEntry(%x) = %+v; re-encoded it decodes to %+v, %v", b, p, again, err)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package ddl_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	_ "dmx/internal/att/unique"
 	"dmx/internal/core"
 	"dmx/internal/ddl"
+	"dmx/internal/plan"
 	_ "dmx/internal/sm/appendsm"
 	_ "dmx/internal/sm/btreesm"
 	_ "dmx/internal/sm/heap"
@@ -201,6 +203,37 @@ func TestJoinSyntax(t *testing.T) {
 		if dname != want {
 			t.Fatalf("join row %v", r)
 		}
+	}
+}
+
+// TestJoinIndexHint: USING JOININDEX pins the inner side's join index, so
+// an ON clause over another column than the index's is refused rather
+// than answered through the index.
+func TestJoinIndexHint(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s,
+		"CREATE TABLE emp (eno INT NOT NULL, dno INT) USING memory",
+		"CREATE TABLE dept (dno INT NOT NULL, other INT) USING memory",
+		"CREATE ATTACHMENT joinindex ON emp WITH (name=ed, on=dno, peer=dept)",
+		"CREATE ATTACHMENT joinindex ON dept WITH (name=ed, on=dno, peer=emp)",
+		"INSERT INTO emp VALUES (1, 10)",
+		"INSERT INTO dept VALUES (10, 99)",
+	)
+	want := types.Record{types.Int(1), types.Int(10), types.Int(10), types.Int(99)}
+	res := mustExec(t, s, "SELECT * FROM emp JOIN dept ON emp.dno = dept.dno USING JOININDEX ed")
+	if len(res.Rows) != 1 || res.Rows[0].String() != want.String() {
+		t.Fatalf("join on the index's column: %v", res.Rows)
+	}
+	res, err := s.Exec("SELECT * FROM emp JOIN dept ON emp.dno = dept.other USING JOININDEX ed")
+	if !errors.Is(err, plan.ErrForcedUnusable) {
+		var rows []types.Record
+		if res != nil {
+			rows = res.Rows
+		}
+		t.Fatalf("join on another column: rows %v, err %v; want ErrForcedUnusable", rows, err)
+	}
+	if res := mustExec(t, s, "SELECT * FROM emp JOIN dept ON emp.dno = dept.other"); len(res.Rows) != 0 {
+		t.Fatalf("join on another column without the hint: %v", res.Rows)
 	}
 }
 

@@ -534,7 +534,10 @@ func (s *Session) buildQuery(st Select) (plan.Query, []string, error) {
 	if !ok {
 		return plan.Query{}, nil, fmt.Errorf("ddl: %w: table %q", core.ErrNotFound, j.Table)
 	}
-	spec := &plan.JoinSpec{Table: j.Table, JoinIndex: j.JoinIndex}
+	spec := &plan.JoinSpec{Table: j.Table}
+	if j.JoinIndex != "" { // a hint: the inner's join index, whichever instance
+		spec.ForcePath = &plan.ForcedPath{Att: core.AttJoin}
+	}
 	resolve := func(ref colRef) (side string, idx int, err error) {
 		if ref.Table != "" {
 			switch {

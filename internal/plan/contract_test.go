@@ -25,8 +25,6 @@ func (erringRows) Next() (types.Record, bool, error) {
 func (erringRows) Close() error { return nil }
 
 func TestJoinCursorsNormalizeOuterError(t *testing.T) {
-	// The join index hands out key pairs; a pair whose outer record is gone
-	// fails its fetch.
 	env := core.NewEnv(core.Config{})
 	tx := env.Begin()
 	schema := types.MustSchema(types.Column{Name: "k", Kind: types.KindInt})
@@ -37,12 +35,6 @@ func TestJoinCursorsNormalizeOuterError(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	rel, err := env.OpenRelation(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx = env.Begin()
-	defer tx.Commit()
 
 	j := &JoinSpec{}
 	cursors := map[string]Rows{
@@ -50,8 +42,6 @@ func TestJoinCursorsNormalizeOuterError(t *testing.T) {
 		"nl probe": &nlRows{q: Query{Join: j}, outer: erringRows{},
 			inner: &access{rd: rd, useAtt: core.AttBTree, estimate: core.CostEstimate{Point: true, Handled: []int{0}}}},
 		"hash": &hashJoinRows{q: Query{Join: j}, outer: erringRows{}},
-		"joinindex": &joinIndexRows{tx: tx, q: Query{Join: j}, outerRel: rel, innerRel: rel,
-			pairs: [][2]types.Key{{types.Key("gone"), types.Key("gone")}}},
 	}
 	for name, r := range cursors {
 		rec, ok, err := r.Next()

@@ -354,7 +354,8 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 }
 
 // TestDuplicateKeyJoinWaysAgree: many-to-many join keys (duplicates on
-// both sides) through every join strategy.
+// both sides) through every join strategy, and through dept's side of a
+// join index as the probed inner path.
 func TestDuplicateKeyJoinWaysAgree(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	loadEmp(t, env, "memory", nil, 100) // dno = i%10: ten rows per dno
@@ -363,13 +364,30 @@ func TestDuplicateKeyJoinWaysAgree(t *testing.T) {
 		Table: "emp",
 		Join:  &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}},
 	}
+	tx := env.Begin()
+	if _, err := env.CreateAttachment(tx, "dept", "joinindex",
+		core.AttrList{"name": "ed", "on": "dno", "peer": "emp"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	var base []string
-	for _, strat := range []string{"nl", "indexnl", "hash"} {
+	for _, strat := range []string{"nl", "indexnl", "hash", "joinindex"} {
 		fq := q
-		fq.ForceJoin = strat
-		rows, _ := runQuery(t, env, fq)
+		if strat == "joinindex" {
+			spec := *q.Join
+			spec.ForcePath = &plan.ForcedPath{Att: core.AttJoin}
+			fq.Join = &spec
+		} else {
+			fq.ForceJoin = strat
+		}
+		rows, b := runQuery(t, env, fq)
 		if len(rows) != 100 {
 			t.Fatalf("%s: rows = %d", strat, len(rows))
+		}
+		if strat == "joinindex" && !strings.Contains(b.Explain(), "probe access(dept via joinindex") {
+			t.Fatalf("joinindex: explain = %s", b.Explain())
 		}
 		ms := multiset(rows)
 		if base == nil {
@@ -405,7 +423,7 @@ func TestNullJoinKeysNeverMatch(t *testing.T) {
 		{"indexnl via keyed store", "indexnl", "btree", core.AttrList{"key": "k,id"}, "", "scan(r via btree)", false},
 		{"nl via keyed store", "nl", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", false},
 		{"hash", "hash", "heap", nil, "", "hash(", false},
-		{"joinindex", "", "heap", nil, "joinindex", "joinindex(", false},
+		{"joinindex", "", "heap", nil, "joinindex", "access(r via joinindex #0)", false},
 		{"float keyed store", "", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", true},
 		{"float nl via keyed store", "nl", "btree", core.AttrList{"key": "k,id"}, "", "nestedloop(scan(l via heap) × scan(r via btree))", true},
 	} {
@@ -438,7 +456,7 @@ func TestNullJoinKeysNeverMatch(t *testing.T) {
 			spec := plan.JoinSpec{Table: "r", OuterCol: 1, InnerCol: 1, Fields: []int{1}}
 			switch c.att {
 			case "joinindex":
-				spec.JoinIndex = "lr"
+				spec.ForcePath = &plan.ForcedPath{Att: core.AttJoin}
 				for _, side := range [][2]string{{"l", "r"}, {"r", "l"}} {
 					if _, err := env.CreateAttachment(tx, side[0], "joinindex",
 						core.AttrList{"name": "lr", "on": "k", "peer": side[1]}); err != nil {

@@ -85,12 +85,15 @@ var ErrForcedUnusable = fmt.Errorf("plan: forced access path not usable for this
 // JoinSpec describes an equi-join with an inner table. The result records
 // are the outer projection followed by the inner projection.
 type JoinSpec struct {
-	Table     string
-	OuterCol  int        // join column in the outer table
-	InnerCol  int        // join column in the inner table
-	Filter    *expr.Expr // over the inner table's columns
-	Fields    []int      // projection over the inner table's columns
-	JoinIndex string     // name of a join index to prefer, if it exists
+	Table    string
+	OuterCol int        // join column in the outer table
+	InnerCol int        // join column in the inner table
+	Filter   *expr.Expr // over the inner table's columns
+	Fields   []int      // projection over the inner table's columns
+	// ForcePath pins the inner access path as Query.ForcePath pins the
+	// outer's (a join index: Att core.AttJoin), which makes the join a
+	// nested loop probing that path with each outer row's join value.
+	ForcePath *ForcedPath
 }
 
 // Rows is a tuple-at-a-time result cursor.
@@ -515,25 +518,20 @@ func (b *Bound) translate(params []types.Value) error {
 		return fmt.Errorf("plan: join column out of range")
 	}
 
-	// Strategy 1: a join index connecting the two relations.
-	if j.JoinIndex != "" && rd.HasAttachment(core.AttJoin) && q.ForceJoin == "" {
-		b.explain = fmt.Sprintf("joinindex(%s ⋈ %s via %q)", rd.Name, innerRD.Name, j.JoinIndex)
-		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openJoinIndex(tx, b, outer, innerRD, q)
-		}
-		return nil
-	}
-
 	// The nested loop's inner side is an access chosen like the outer's, its
 	// filter the join equality on the first free parameter slot, which each
-	// outer row binds, plus the inner filter. The inner is pinned to path
-	// zero over the inner filter alone, the join equality re-applied to each
-	// record it scans, for ForceJoin "nl" and for join columns of different
-	// kinds: Int(1) and Float(1) compare equal but hash and encode
-	// differently, so neither a hash table nor a keyed path matches them.
+	// outer row binds, plus the inner filter; j.ForcePath pins its path. The
+	// inner is pinned to path zero over the inner filter alone, the join
+	// equality re-applied to each record it scans, for ForceJoin "nl" and
+	// for join columns of different kinds: Int(1) and Float(1) compare equal
+	// but hash and encode differently, so neither a hash table nor a keyed
+	// path matches them.
 	kind := innerRD.Schema.Cols[j.InnerCol].Kind
 	hashable := rd.Schema.Cols[j.OuterCol].Kind == kind
 	pinned := q.ForceJoin == "nl" || !hashable
+	if j.ForcePath != nil && (pinned || q.ForceJoin == "hash") {
+		return fmt.Errorf("%w: a pinned inner path is probed by a nested loop over join columns of one kind", ErrForcedUnusable)
+	}
 	eq := expr.Eq(expr.Field(j.InnerCol), expr.Param(b.slots))
 	var inner *access
 	var req core.CostRequest
@@ -547,7 +545,7 @@ func (b *Bound) translate(params []types.Value) error {
 		// value of the column's kind prices the join slot.
 		vals := make([]types.Value, b.slots+1)
 		vals[b.slots] = types.Value{K: kind}
-		if inner, req, err = p.chooseAccess(innerRD, expr.And(eq, j.Filter), vals, nil, 0, nil); err != nil {
+		if inner, req, err = p.chooseAccess(innerRD, expr.And(eq, j.Filter), vals, nil, 0, j.ForcePath); err != nil {
 			return err
 		}
 	}
@@ -562,7 +560,7 @@ func (b *Bound) translate(params []types.Value) error {
 	switch strategy {
 	case "":
 		strategy = "nl"
-		if nl, hash := joinCosts(outer, inner, innerSM.EstimateCost(build), innerN); hashable && hash < nl {
+		if nl, hash := joinCosts(outer, inner, innerSM.EstimateCost(build), innerN); j.ForcePath == nil && hashable && hash < nl {
 			strategy = "hash"
 		}
 	case "nl":
@@ -841,74 +839,6 @@ func joinRecords(outer types.Record, outerFields []int, inner types.Record) type
 	}
 	return append(out, inner...)
 }
-
-// openJoinIndex executes the join by enumerating the join index's matched
-// record-key pairs and fetching both sides directly; outer carries the
-// outer filter. The attachment is addressed structurally (any attachment
-// exposing PairKeys qualifies), so the planner stays decoupled from the
-// concrete join-index package.
-func (p *Planner) openJoinIndex(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, q Query) (Rows, error) {
-	outerRD := outer.rd
-	inst, err := p.env.AttachmentInstance(outerRD, core.AttJoin)
-	if err != nil {
-		return nil, err
-	}
-	lister, ok := inst.(interface {
-		PairKeys(name string) ([][2]types.Key, error)
-	})
-	if !ok {
-		return nil, fmt.Errorf("plan: join index attachment does not enumerate pairs")
-	}
-	pairs, err := lister.PairKeys(q.Join.JoinIndex)
-	if err != nil {
-		return nil, err
-	}
-	outerRel, err := p.env.OpenRelation(outerRD)
-	if err != nil {
-		return nil, err
-	}
-	innerRel, err := p.env.OpenRelation(innerRD)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("joinindex(%s ⋈ %s)", outerRD.Name, innerRD.Name)
-	return b.track(tx, name, &joinIndexRows{tx: tx, q: q, filter: outer.filter,
-		outerRel: outerRel, innerRel: innerRel, pairs: pairs}), nil
-}
-
-type joinIndexRows struct {
-	tx       *txn.Txn
-	q        Query
-	filter   *expr.Expr // over the outer relation
-	outerRel *core.Relation
-	innerRel *core.Relation
-	pairs    [][2]types.Key
-}
-
-func (r *joinIndexRows) Next() (types.Record, bool, error) {
-	for len(r.pairs) > 0 {
-		pair := r.pairs[0]
-		r.pairs = r.pairs[1:]
-		outer, err := r.outerRel.Fetch(r.tx, pair[0], nil, r.filter)
-		if err == core.ErrFiltered {
-			continue
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		inner, err := r.innerRel.Fetch(r.tx, pair[1], r.q.Join.Fields, r.q.Join.Filter)
-		if err == core.ErrFiltered {
-			continue
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		return joinRecords(outer, r.q.Fields, inner), true, nil
-	}
-	return nil, false, nil
-}
-
-func (r *joinIndexRows) Close() error { return nil }
 
 // Collect drains rows into a slice (test and example convenience).
 func Collect(rows Rows, err error) ([]types.Record, error) {

@@ -296,31 +296,90 @@ func TestIndexNestedLoopJoinChosen(t *testing.T) {
 	}
 }
 
-func TestJoinIndexPlan(t *testing.T) {
-	env := core.NewEnv(core.Config{})
-	loadEmp(t, env, "memory", nil, 30)
-	addDept(t, env, false)
+// joinIndexOn creates the join index ed between emp and dept: emp's side
+// on dno, dept's on the given column.
+func joinIndexOn(t *testing.T, env *core.Env, deptCol string) {
+	t.Helper()
 	tx := env.Begin()
 	if _, err := env.CreateAttachment(tx, "emp", "joinindex",
 		core.AttrList{"name": "ed", "on": "dno", "peer": "dept"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := env.CreateAttachment(tx, "dept", "joinindex",
-		core.AttrList{"name": "ed", "on": "dno", "peer": "emp"}); err != nil {
+		core.AttrList{"name": "ed", "on": deptCol, "peer": "emp"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinIndexPlan: a join through the join index is the nested loop
+// over the access the planner chose for the outer side, each outer row
+// probing dept's side of the index, so the rows come in that access's order.
+func TestJoinIndexPlan(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	loadEmp(t, env, "memory", nil, 300)
+	addDept(t, env, false)
+	joinIndexOn(t, env, "dno")
+	tx := env.Begin()
+	if _, err := env.CreateAttachment(tx, "emp", "btree", core.AttrList{"name": "byeno", "on": "eno"}); err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
 
 	q := plan.Query{
-		Table: "emp",
-		Join:  &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1}, JoinIndex: "ed"},
+		Table:  "emp",
+		Filter: expr.Lt(expr.Field(0), expr.Const(types.Int(30))),
+		Join: &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1},
+			ForcePath: &plan.ForcedPath{Att: core.AttJoin}},
 	}
 	rows, b := runQuery(t, env, q)
-	if !strings.HasPrefix(b.Explain(), "joinindex(") {
-		t.Fatalf("explain = %s", b.Explain())
+	if want := "indexNL(access(emp via btree #0) ⟕probe access(dept via joinindex #0))"; b.Explain() != want {
+		t.Fatalf("explain = %s, want %s", b.Explain(), want)
 	}
 	if len(rows) != 30 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	names := []string{"eng", "ops", "hr", "fin", "mkt", "it", "qa", "rd", "pr", "biz"}
+	for i, r := range rows {
+		if r[0].AsInt() != int64(i) || r[3].S != names[r[1].AsInt()] {
+			t.Fatalf("row %d = %v, want eno %d joined with its dept", i, r, i)
+		}
+	}
+}
+
+// TestJoinIndexOnOtherColumn: a join index on another column than the
+// join's cannot serve it. Pinned, the plan is refused; unpinned, the join
+// runs without it. Neither returns a row.
+func TestJoinIndexOnOtherColumn(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	loadEmp(t, env, "memory", nil, 30)
+	tx := env.Begin()
+	schema := types.MustSchema(
+		types.Column{Name: "dno", Kind: types.KindInt, NotNull: true},
+		types.Column{Name: "other", Kind: types.KindInt},
+	)
+	if _, err := env.CreateRelation(tx, "dept", schema, "memory", nil); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := env.OpenRelationByName("dept")
+	if _, err := d.Insert(tx, types.Record{types.Int(3), types.Int(99)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	joinIndexOn(t, env, "dno")
+
+	// emp.dno = dept.other, through the index on dept.dno.
+	spec := plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 1, ForcePath: &plan.ForcedPath{Att: core.AttJoin}}
+	if _, err := plan.New(env).Plan(plan.Query{Table: "emp", Join: &spec}); !errors.Is(err, plan.ErrForcedUnusable) {
+		t.Fatalf("pinned: err = %v, want ErrForcedUnusable", err)
+	}
+	spec.ForcePath = nil
+	if rows, b := runQuery(t, env, plan.Query{Table: "emp", Join: &spec}); len(rows) != 0 {
+		t.Fatalf("unpinned: rows = %v from %s, want none", rows, b.Explain())
 	}
 }
 
@@ -355,13 +414,8 @@ func TestJoinStrategiesAgree(t *testing.T) {
 		tx.Commit()
 	}, base)
 	jiSpec := base
-	jiSpec.JoinIndex = "ed"
-	ji := run(func(env *core.Env) {
-		tx := env.Begin()
-		env.CreateAttachment(tx, "emp", "joinindex", core.AttrList{"name": "ed", "on": "dno", "peer": "dept"})
-		env.CreateAttachment(tx, "dept", "joinindex", core.AttrList{"name": "ed", "on": "dno", "peer": "emp"})
-		tx.Commit()
-	}, jiSpec)
+	jiSpec.ForcePath = &plan.ForcedPath{Att: core.AttJoin}
+	ji := run(func(env *core.Env) { joinIndexOn(t, env, "dno") }, jiSpec)
 
 	if len(nl) != len(inl) || len(nl) != len(ji) {
 		t.Fatalf("row counts differ: nl=%d inl=%d ji=%d", len(nl), len(inl), len(ji))
