@@ -128,12 +128,13 @@ part:
 
 # par is the parallel-execution race soak: the exchange operator's
 # early-close shutdown paths, the partitioned-scan differentials across
-# storage methods, and the hash join, repeated under the race detector;
-# plus the buffer pool's concurrent recycling test, because a frame
-# recycled for another page while a caller still used it is the pool's
-# concurrency hazard and parallel scans are what pin pages concurrently.
+# storage methods, the hash join, and workers recording into a detailed
+# trace, repeated under the race detector; plus the buffer pool's
+# concurrent recycling test, because a frame recycled for another page
+# while a caller still used it is the pool's concurrency hazard and
+# parallel scans are what pin pages concurrently.
 par:
-	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestParallelHashJoin|TestDuplicateKeyJoin' ./internal/plan/
+	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestParallelHashJoin|TestParallelWorkersShareTrace|TestDuplicateKeyJoin' ./internal/plan/
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
 
 # bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):

@@ -41,7 +41,7 @@ func TestJoinCursorsNormalizeOuterError(t *testing.T) {
 		"nl path zero": &nlRows{q: Query{Join: j}, outer: erringRows{}, inner: &access{rd: rd}},
 		"nl probe": &nlRows{q: Query{Join: j}, outer: erringRows{},
 			inner: &access{rd: rd, useAtt: core.AttBTree, estimate: core.CostEstimate{Point: true, Handled: []int{0}}}},
-		"hash": &hashJoinRows{q: Query{Join: j}, outer: erringRows{}},
+		"hash": &nlRows{q: Query{Join: j}, outer: erringRows{}, inner: &access{rd: rd}, table: map[string][]types.Record{}},
 	}
 	for name, r := range cursors {
 		rec, ok, err := r.Next()

@@ -166,17 +166,16 @@ func chooseDegree(workRows float64, forced int) int {
 const scanOpenOverhead = 8
 
 // hashJoinOverhead is the fixed cost of standing up the hash-join build
-// side (table allocation, worker start).
+// side (table allocation).
 const hashJoinOverhead = 64
 
 // joinCosts prices the two generic join strategies in Total() units. A
 // nested loop opens the inner access once per expected outer row; a hash
-// join makes one filtered pass over the inner relation's innerN records
-// (build, the storage method's estimate for it) and probes the table once
-// per outer row.
-func joinCosts(outer, inner *access, build core.CostEstimate, innerN int) (nl, hash float64) {
+// join reads the build access once, inserts each of its expected rows into
+// the table, and probes the table once per outer row.
+func joinCosts(outer, inner, build *access) (nl, hash float64) {
 	outerRows := math.Max(1, outer.rows)
 	nl = outer.estimate.Total() + outerRows*(inner.estimate.Total()+scanOpenOverhead)
-	hash = outer.estimate.Total() + build.Total() + float64(innerN)*0.5 + outerRows + hashJoinOverhead
+	hash = outer.estimate.Total() + build.estimate.Total() + build.rows*0.5 + outerRows + hashJoinOverhead
 	return nl, hash
 }

@@ -1,19 +1,21 @@
 package plan
 
 // Intra-query parallel execution: partitioned parallel scans behind an
-// exchange operator, and the partitioned hash join. The shape follows the
-// partitioned-parallel operator model — the storage method splits its
-// record-key space (core.RangePartitioner), each partition is driven by a
-// worker goroutine with its own cursor, and an exchange merges the worker
-// streams back into the single-threaded plan above.
+// exchange operator, which reads a single-table plan and a hash join's
+// build alike. The shape follows the partitioned-parallel operator model —
+// the storage method splits its record-key space (core.RangePartitioner),
+// each partition is driven by a worker goroutine with its own cursor, and
+// an exchange merges the worker streams back into the single-threaded plan
+// above.
 //
 // Concurrency rules: scans are OPENED in the planning goroutine (lock
-// acquisition, authorization, and trace attribution are goroutine-confined
-// there), then each scan is driven by exactly one worker. Workers never
-// touch the transaction, the trace, or shared planner state — they count
-// into their own OperatorStats slot and the lock-free obs counters, and
-// the exchange's Close (cancel, then WaitGroup) is the barrier that makes
-// those counters readable.
+// acquisition and authorization are goroutine-confined there), then each
+// scan is driven by exactly one worker. A worker's storage-method calls
+// may record events in the transaction's trace, which serialises them;
+// otherwise workers touch neither the transaction nor shared planner
+// state — they count into their own OperatorStats slot and the lock-free
+// obs counters, and the exchange's Close (cancel, then WaitGroup) is the
+// barrier that makes those counters readable.
 
 import (
 	"fmt"
@@ -67,7 +69,7 @@ func partitionRanges(bounds []types.Key, start, end types.Key) [][2]types.Key {
 // exchange. ordered preserves record-key order by draining the (key-ordered)
 // partitions sequentially. Falls back to a single worker when the store
 // cannot split the range.
-func (p *Planner) openParallelScan(tx *txn.Txn, b *Bound, a *access, fields []int, degree int) (Rows, error) {
+func (p *Planner) openParallelScan(tx *txn.Txn, b *Bound, a *access, fields []int, degree int, ordered bool) (Rows, error) {
 	rel, err := p.env.OpenRelation(a.rd)
 	if err != nil {
 		return nil, err
@@ -84,7 +86,7 @@ func (p *Planner) openParallelScan(tx *txn.Txn, b *Bound, a *access, fields []in
 	ex := &exchangeRows{
 		planner: p,
 		cancel:  make(chan struct{}),
-		ordered: len(b.query.OrderBy) > 0 && a.estimate.Ordered,
+		ordered: ordered,
 	}
 	// The exchange subscribes its shutdown BEFORE the partition scans
 	// subscribe theirs: transaction-end teardown then stops the workers
@@ -238,157 +240,3 @@ func (ex *exchangeRows) Close() error {
 	}
 	return first
 }
-
-// openHashJoin executes the equi-join by building a hash table over the
-// inner relation (with partitioned parallel build workers when the inner
-// storage method can split) and probing it with each outer row.
-func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, innerRD *core.RelDesc, q Query, degree int) (Rows, error) {
-	innerRel, err := p.env.OpenRelation(innerRD)
-	if err != nil {
-		return nil, err
-	}
-	j := q.Join
-
-	// Build side: partition the inner relation and fill one table per
-	// worker; the probe consults all of them (the partition count is small).
-	var bounds []types.Key
-	if part, ok := innerRel.Storage().(core.RangePartitioner); ok && degree > 1 {
-		bounds = part.PartitionBounds(degree)
-	}
-	ranges := partitionRanges(bounds, nil, nil)
-	if len(ranges) == 0 {
-		ranges = [][2]types.Key{{nil, nil}}
-	}
-	scans := make([]core.Scan, 0, len(ranges))
-	for _, rg := range ranges {
-		scan, err := innerRel.OpenScan(tx, core.ScanOptions{Start: rg[0], End: rg[1], Filter: j.Filter})
-		if err != nil {
-			for _, sc := range scans {
-				sc.Close()
-			}
-			return nil, err
-		}
-		scans = append(scans, scan)
-	}
-
-	buildStart := time.Now()
-	tables := make([]map[string][]types.Record, len(scans))
-	errs := make([]error, len(scans))
-	var wg sync.WaitGroup
-	obsEng := p.env.Obs
-	stats := make([]*OperatorStats, len(scans))
-	for i := range scans {
-		stats[i] = &OperatorStats{Name: fmt.Sprintf("hashbuild.worker[%d]", i)}
-		b.stats = append(b.stats, stats[i])
-	}
-	for i, sc := range scans {
-		wg.Add(1)
-		obsEng.Plan.Workers.Inc()
-		go func(i int, sc core.Scan, st *OperatorStats) {
-			defer wg.Done()
-			defer obsEng.Plan.Workers.Dec()
-			table := make(map[string][]types.Record)
-			for {
-				t0 := time.Now()
-				_, rec, ok, err := sc.Next()
-				st.Calls++
-				st.TimeNanos += time.Since(t0).Nanoseconds()
-				if err != nil {
-					errs[i] = err
-					break
-				}
-				if !ok {
-					break
-				}
-				kv := rec[j.InnerCol]
-				if kv.IsNull() {
-					continue // NULL never equi-joins
-				}
-				st.Rows++
-				obsEng.Plan.WorkerRows.Inc()
-				proj := rec
-				if j.Fields != nil {
-					proj = rec.Project(j.Fields)
-				}
-				hk := string(kv.AppendOrderedEncode(nil))
-				table[hk] = append(table[hk], proj)
-			}
-			tables[i] = table
-		}(i, sc, stats[i])
-	}
-	wg.Wait()
-	var firstErr error
-	for _, sc := range scans {
-		if err := sc.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, err := range errs {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	built := 0
-	for _, t := range tables {
-		for _, v := range t {
-			built += len(v)
-		}
-	}
-	obsEng.Plan.HashJoins.Inc()
-	tx.Trace().Event("plan.hashjoin", "plan",
-		fmt.Sprintf("build workers=%d rows=%d", len(scans), built), buildStart, time.Since(buildStart), nil)
-
-	outerRows, err := p.openAccess(tx, b, outer, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("hash(%s, build=%d, workers=%d)", innerRD.Name, built, len(scans))
-	return b.track(tx, name, &hashJoinRows{
-		q: q, outer: outerRows, tables: tables,
-	}), nil
-}
-
-// hashJoinRows probes the built tables with each outer row.
-type hashJoinRows struct {
-	q      Query
-	outer  Rows
-	tables []map[string][]types.Record
-
-	curOuter types.Record
-	pending  []types.Record
-}
-
-func (r *hashJoinRows) Next() (types.Record, bool, error) {
-	j := r.q.Join
-	for {
-		if len(r.pending) > 0 {
-			inner := r.pending[0]
-			r.pending = r.pending[1:]
-			return joinRecords(r.curOuter, r.q.Fields, inner), true, nil
-		}
-		rec, ok, err := r.outer.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		kv := rec[j.OuterCol]
-		if kv.IsNull() {
-			continue
-		}
-		hk := string(kv.AppendOrderedEncode(nil))
-		r.curOuter = rec
-		r.pending = r.pending[:0]
-		for _, t := range r.tables {
-			if matches := t[hk]; len(matches) > 0 {
-				r.pending = append(r.pending, matches...)
-			}
-		}
-	}
-}
-
-func (r *hashJoinRows) Close() error { return r.outer.Close() }

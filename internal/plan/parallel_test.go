@@ -12,6 +12,7 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/plan"
+	"dmx/internal/trace"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 )
@@ -312,8 +313,9 @@ func TestParallelScanOrdered(t *testing.T) {
 	}
 }
 
-// TestParallelHashJoinMatchesSerial: the partitioned hash join returns the
-// nested loop's exact multiset.
+// TestParallelHashJoinMatchesSerial: the hash join whose build is read by
+// partitioned workers returns the nested loop's exact multiset, and the
+// build runs through the exchange's workers, not workers of its own.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	loadEmp(t, env, "memory", nil, 1200)
@@ -342,14 +344,71 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	hq := q
 	hq.ForceJoin, hq.ForceDegree = "hash", 4
 	hrows, hb := runQuery(t, env, hq)
-	if !strings.HasPrefix(hb.Explain(), "hash(") {
-		t.Fatalf("explain = %s", hb.Explain())
+	if want := "hash(scan(emp via memory) ⋈ pscan(dept via memory, workers=4))"; hb.Explain() != want {
+		t.Fatalf("explain = %s, want %s", hb.Explain(), want)
+	}
+	ea := hb.ExplainAnalyze()
+	if !strings.Contains(ea, "pscan.worker[1]") || strings.Contains(ea, "hashbuild") {
+		t.Fatalf("explain analyze = %s, want the build's pscan.worker slots", ea)
 	}
 	nq := q
 	nq.ForceJoin = "nl"
 	nrows, _ := runQuery(t, env, nq)
 	if got, want := multiset(hrows), multiset(nrows); !reflect.DeepEqual(got, want) {
 		t.Fatalf("hash join diverges from nested loop: %d vs %d rows", len(hrows), len(nrows))
+	}
+}
+
+// TestParallelWorkersShareTrace: partition workers record buffer misses
+// into the transaction's detailed trace while the planning goroutine
+// enters and leaves its operator spans, so the race detector sees whether
+// the trace serialises them. A 16-frame pool makes every heap page a
+// miss; the hash join's build reads its inner through the same workers.
+func TestParallelWorkersShareTrace(t *testing.T) {
+	env := core.NewEnv(core.Config{PoolFrames: 16, TraceSample: 1})
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, "emp", empSchema(), "heap", nil); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := env.OpenRelationByName("emp")
+	for i := 0; i < 20000; i++ {
+		if _, err := r.Insert(tx, types.Record{
+			types.Int(int64(i)), types.Int(int64(i % 10)), types.Float(float64(i)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    plan.Query
+		rows int
+	}{
+		{plan.Query{Table: "emp", ForceDegree: 4}, 20000},
+		{plan.Query{Table: "emp", Filter: expr.Lt(expr.Field(0), expr.Const(types.Int(50))),
+			Join:      &plan.JoinSpec{Table: "emp", OuterCol: 0, InnerCol: 0, Fields: []int{1}},
+			ForceJoin: "hash", ForceDegree: 4}, 50},
+	} {
+		if rows, b := runQuery(t, env, c.q); len(rows) != c.rows {
+			t.Fatalf("%s: rows = %d, want %d", b.Explain(), len(rows), c.rows)
+		}
+	}
+	misses := 0
+	var count func(trace.SpanData)
+	count = func(d trace.SpanData) {
+		if d.Name == "buffer.miss" {
+			misses++
+		}
+		for _, c := range d.Children {
+			count(c)
+		}
+	}
+	for _, td := range env.Tracer.Traces(0) {
+		count(td.Root)
+	}
+	if misses == 0 {
+		t.Fatal("no buffer.miss event traced: the workers never reached the trace")
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"time"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
@@ -466,41 +467,17 @@ func (b *Bound) translate(params []types.Value) error {
 
 	if b.query.Join == nil {
 		q := &b.query
+		// Partitions are drained in key order when the plan's order
+		// matters, so Ordered is preserved.
 		b.ordered = outer.estimate.Ordered
-		// Partitioned parallel scan: only access path zero (the storage
-		// method itself) partitions; the degree follows the estimated scan
-		// work (CPU ≈ records touched). Partitions are drained in key order
-		// when the plan's order matters, so Ordered is preserved.
-		degree := 1
-		if outer.useAtt == 0 && !q.ForUpdate {
-			degree = chooseDegree(outer.estimate.CPU, q.ForceDegree)
-			if degree > 1 {
-				sm, err := p.env.StorageInstance(rd)
-				if err != nil {
-					return err
-				}
-				if _, ok := sm.(core.RangePartitioner); !ok {
-					degree = 1
-				}
-			}
-		}
-		if degree > 1 {
-			b.explain = fmt.Sprintf("pscan(%s, workers=%d)", outer.via(p.env), degree)
-			if b.ordered {
-				b.explain += " [ordered]"
-			}
-			deg := degree
-			b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-				return p.openParallelScan(tx, b, outer, q.Fields, deg)
-			}
-			return nil
-		}
-		b.explain = outer.name
+		ordered := b.ordered && len(q.OrderBy) > 0
+		degree := b.scanDegree(outer)
+		b.explain = p.readName(outer, degree)
 		if b.ordered {
 			b.explain += " [ordered]"
 		}
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openAccess(tx, b, outer, q.Fields, q.ForUpdate)
+			return p.openRead(tx, b, outer, q.Fields, degree, ordered)
 		}
 		return nil
 	}
@@ -550,17 +527,18 @@ func (b *Bound) translate(params []types.Value) error {
 		}
 	}
 	keyed := !pinned && slices.Contains(inner.estimate.Handled, 0) // conjunct 0 is the join equality
-	build, innerSM, err := p.costRequest(innerRD, j.Filter, nil)
+	// A hash join's build is the inner filter's own planned access.
+	build, _, err := p.chooseAccess(innerRD, j.Filter, nil, nil, 0, nil)
 	if err != nil {
 		return err
 	}
-	innerN := build.RecordCount
+	build.name = build.describe(p.env)
 
 	strategy := q.ForceJoin
 	switch strategy {
 	case "":
 		strategy = "nl"
-		if nl, hash := joinCosts(outer, inner, innerSM.EstimateCost(build), innerN); j.ForcePath == nil && hashable && hash < nl {
+		if nl, hash := joinCosts(outer, inner, build); j.ForcePath == nil && hashable && hash < nl {
 			strategy = "hash"
 		}
 	case "nl":
@@ -577,15 +555,16 @@ func (b *Bound) translate(params []types.Value) error {
 		return fmt.Errorf("plan: unknown ForceJoin %q", q.ForceJoin)
 	}
 
+	nl := nlRows{q: q, inner: inner}
 	if strategy == "hash" {
-		degree := chooseDegree(float64(innerN), q.ForceDegree)
-		b.explain = fmt.Sprintf("hash(%s ⋈ %s, inner=%d)", outer.name, innerRD.Name, innerN)
+		degree := b.scanDegree(build)
+		b.explain = fmt.Sprintf("hash(%s ⋈ %s)", outer.name, p.readName(build, degree))
+		inner.name = "hash(" + build.via(p.env) + ")"
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openHashJoin(tx, b, outer, innerRD, q, degree)
+			return p.openHashJoin(tx, b, outer, nl, build, degree)
 		}
 		return nil
 	}
-	nl := nlRows{q: q, inner: inner}
 	b.explain = fmt.Sprintf("nestedloop(%s × %s)", outer.name, inner.describe(p.env))
 	inner.name = "nestedloop(" + inner.via(p.env) + ")"
 	if keyed {
@@ -602,7 +581,43 @@ func (b *Bound) translate(params []types.Value) error {
 	return nil
 }
 
+// scanDegree is the partitioned-scan degree for access a: the estimated
+// scan work (CPU ≈ records touched) or ForceDegree picks it. Only access
+// path zero over a storage method that splits its key range partitions,
+// and a ForUpdate plan reads serially.
+func (b *Bound) scanDegree(a *access) int {
+	if a.useAtt != 0 || b.query.ForUpdate {
+		return 1
+	}
+	degree := chooseDegree(a.estimate.CPU, b.query.ForceDegree)
+	if degree > 1 {
+		sm, _ := b.planner.env.StorageInstance(a.rd) // it priced a, so it opens
+		if _, ok := sm.(core.RangePartitioner); !ok {
+			return 1
+		}
+	}
+	return degree
+}
+
+// readName names a read of a at degree in an explain.
+func (p *Planner) readName(a *access, degree int) string {
+	if degree > 1 {
+		return fmt.Sprintf("pscan(%s, workers=%d)", a.via(p.env), degree)
+	}
+	return a.name
+}
+
 // --- executors ---
+
+// openRead opens a read of access a at degree: through the exchange over
+// partitioned scans, drained in key order when ordered, above 1, through
+// a's own cursor otherwise.
+func (p *Planner) openRead(tx *txn.Txn, b *Bound, a *access, fields []int, degree int, ordered bool) (Rows, error) {
+	if degree > 1 {
+		return p.openParallelScan(tx, b, a, fields, degree, ordered)
+	}
+	return p.openAccess(tx, b, a, fields, b.query.ForUpdate)
+}
 
 // openAccess opens a single-table cursor over the chosen access path,
 // registered with b for per-operator execution counters.
@@ -728,6 +743,43 @@ func (r *fetchRows) Close() error {
 	return nil
 }
 
+// openHashJoin reads the build access at degree into one table keyed by
+// join value, then opens the nested loop whose inner side, for each outer
+// value, is that value's slice of the table. A NULL key never matches, so
+// it is not built.
+func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, build *access, degree int) (Rows, error) {
+	start := time.Now()
+	rows, err := p.openRead(tx, b, build, nil, degree, false)
+	if err != nil {
+		return nil, err
+	}
+	j := r.q.Join
+	r.table = make(map[string][]types.Record)
+	n := 0
+	rec, ok, err := rows.Next()
+	for ; ok && err == nil; rec, ok, err = rows.Next() {
+		kv := rec[j.InnerCol]
+		if kv.IsNull() {
+			continue
+		}
+		if j.Fields != nil {
+			rec = rec.Project(j.Fields)
+		}
+		r.key = kv.AppendOrderedEncode(r.key[:0])
+		r.table[string(r.key)] = append(r.table[string(r.key)], rec)
+		n++
+	}
+	if cerr := rows.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.env.Obs.Plan.HashJoins.Inc()
+	tx.Trace().Event("plan.hashjoin", "plan", fmt.Sprintf("build rows=%d", n), start, time.Since(start), nil)
+	return p.openNL(tx, b, outer, r)
+}
+
 // openNL opens the nested-loop join from r, the cursor as translation left
 // it: the inner access and, when its path handles the join equality, that
 // path and the cost request it was chosen with. Each outer row then only
@@ -747,7 +799,8 @@ func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, r nlRows) (Rows, 
 }
 
 // nlRows is the nested-loop join cursor: for each outer row it opens the
-// inner access bound to the row's join value and drains it.
+// inner access bound to the row's join value and drains it. A hash join's
+// inner is its built table instead.
 type nlRows struct {
 	tx     *txn.Txn
 	q      Query
@@ -758,8 +811,12 @@ type nlRows struct {
 	req    core.CostRequest // what path was asked at translation
 	params []types.Value    // the last slot takes the join value
 
+	table map[string][]types.Record // a hash join's build, by encoded join value
+	key   []byte                    // the encoded join value, reused
+	match matchRows                 // the table's cursor for curOuter
+
 	curOuter types.Record
-	rows     KeyedRows // the inner cursor for curOuter
+	rows     Rows // the inner cursor for curOuter
 }
 
 func (r *nlRows) Next() (types.Record, bool, error) {
@@ -794,11 +851,17 @@ func (r *nlRows) Next() (types.Record, bool, error) {
 	}
 }
 
-// open binds v and opens the inner access for it. An inner whose path
-// handles the join equality asks the path for v's range, and scans the
-// storage method under the whole predicate when the path cannot serve v;
-// any other inner re-applies the bound equality to what it reads.
-func (r *nlRows) open(v types.Value) (KeyedRows, error) {
+// open binds v and opens the inner access for it. A hash join's inner is
+// v's slice of the table. An inner whose path handles the join equality
+// asks the path for v's range, and scans the storage method under the
+// whole predicate when the path cannot serve v; any other inner re-applies
+// the bound equality to what it reads.
+func (r *nlRows) open(v types.Value) (Rows, error) {
+	if r.table != nil {
+		r.key = v.AppendOrderedEncode(r.key[:0])
+		r.match = r.table[string(r.key)]
+		return &r.match, nil
+	}
 	r.params[len(r.params)-1] = v
 	filter := expr.Bind(r.inner.filter, r.params)
 	var a *access
@@ -827,6 +890,21 @@ func (r *nlRows) Close() error {
 	}
 	return err
 }
+
+// matchRows is a hash join's inner cursor: the built records of one join
+// value.
+type matchRows []types.Record
+
+func (m *matchRows) Next() (types.Record, bool, error) {
+	if len(*m) == 0 {
+		return nil, false, nil
+	}
+	rec := (*m)[0]
+	*m = (*m)[1:]
+	return rec, true, nil
+}
+
+func (m *matchRows) Close() error { return nil }
 
 // joinRecords projects the outer record and appends the (already
 // projected) inner record.

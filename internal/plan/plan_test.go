@@ -259,6 +259,50 @@ func TestHashJoinChosen(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildIsPlannedAccess: a hash join's build is the access
+// the planner chooses for the inner filter, so a selective filter on an
+// indexed column builds through the index instead of scanning the inner
+// relation, and the join still returns the nested loop's rows.
+func TestHashJoinBuildIsPlannedAccess(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	loadEmp(t, env, "memory", nil, 100)
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, "dept", deptSchema(), "heap", nil); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := env.OpenRelationByName("dept")
+	for i := 0; i < 1000; i++ {
+		if _, err := d.Insert(tx, types.Record{types.Int(int64(i % 10)), types.Str(fmt.Sprintf("n%d", i%100))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := env.CreateAttachment(tx, "dept", "btree", core.AttrList{"name": "byname", "on": "name"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	q := plan.Query{
+		Table: "emp",
+		Join: &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{1},
+			Filter: expr.Eq(expr.Field(1), expr.Const(types.Str("n7")))},
+		ForceJoin: "hash",
+	}
+	rows, b := runQuery(t, env, q)
+	if want := "hash(scan(emp via memory) ⋈ access(dept via btree #0))"; b.Explain() != want {
+		t.Fatalf("explain = %s, want %s", b.Explain(), want)
+	}
+	nq := q
+	nq.ForceJoin = "nl"
+	nlrows, _ := runQuery(t, env, nq)
+	if len(rows) != 100 {
+		t.Fatalf("rows = %d, want 100", len(rows))
+	}
+	if got, want := multiset(rows), multiset(nlrows); !reflect.DeepEqual(got, want) {
+		t.Fatalf("hash join rows diverge from nested loop:\n hash=%v\n   nl=%v", got, want)
+	}
+}
+
 func TestIndexNestedLoopJoinChosen(t *testing.T) {
 	env := core.NewEnv(core.Config{})
 	loadEmp(t, env, "memory", nil, 30)

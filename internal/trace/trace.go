@@ -11,8 +11,10 @@
 // The design constraints mirror obs: recording must be safe on hot paths
 // and effectively free when disabled.
 //
-//   - A transaction's trace is goroutine-confined, exactly like the
-//     transaction itself, so span push/pop needs no locks.
+//   - A transaction's trace belongs to the transaction's goroutine, but
+//     a parallel plan's workers record events into it too, so a detailed
+//     trace takes its mutex to change the tree. An undetailed one never
+//     locks.
 //   - Spans are recycled through a sync.Pool; a traced transaction
 //     allocates only when its finished tree is materialised for the ring.
 //   - Tracing is sampled (1-in-N transactions carry a detailed tree) and
@@ -108,12 +110,7 @@ func (s *Span) End(err error) {
 	if err != nil {
 		s.err = err.Error()
 	}
-	if s.tr != nil {
-		if s.tr.cur == s {
-			s.tr.cur = s.parent
-		}
-		s.tr.spanDone(s)
-	}
+	s.tr.end(s)
 }
 
 // EndAggregate closes a span whose duration was accumulated externally
@@ -127,19 +124,29 @@ func (s *Span) EndAggregate(d time.Duration, err error) {
 	if err != nil {
 		s.err = err.Error()
 	}
-	if s.tr != nil {
-		if s.tr.cur == s {
-			s.tr.cur = s.parent
-		}
-		s.tr.spanDone(s)
-	}
+	s.tr.end(s)
 }
 
-// TxnTrace is one transaction's trace under construction. Like the
-// transaction it belongs to, it is confined to one goroutine; none of its
-// methods lock. A nil *TxnTrace is inert (the common case: tracing off or
-// the transaction not sampled).
+// end makes s's parent current again if s is, then reports s if slow.
+func (t *TxnTrace) end(s *Span) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.cur == s {
+		t.cur = s.parent
+	}
+	t.spanDone(s)
+}
+
+// TxnTrace is one transaction's trace under construction. The
+// transaction's goroutine opens and enters spans; a parallel plan's workers
+// add events beside it, so every change to the tree of a detailed trace
+// holds mu. A nil *TxnTrace is inert (the common case: tracing off or the
+// transaction not sampled).
 type TxnTrace struct {
+	mu       sync.Mutex
 	tracer   *Tracer
 	txnID    uint64
 	root     *Span
@@ -158,7 +165,36 @@ func (t *TxnTrace) Detailed() bool { return t != nil && t.detailed }
 // Returns nil (inert) when tracing is off, the transaction was not
 // sampled, or the trace hit its span cap.
 func (t *TxnTrace) StartSpan(name, ext, op string) *Span {
-	if t == nil || !t.detailed || t.finished {
+	return t.open(name, ext, op, true)
+}
+
+// OpenChild opens a child of the current span WITHOUT making it current.
+// Plan operators use it: their cursors interleave, so they re-enter their
+// span around each Next call (Enter/Exit) instead of holding the stack.
+func (t *TxnTrace) OpenChild(name, ext, op string) *Span {
+	return t.open(name, ext, op, false)
+}
+
+func (t *TxnTrace) open(name, ext, op string, current bool) *Span {
+	if !t.Detailed() {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.add(name, ext, op)
+	if s != nil {
+		s.start = time.Now()
+		if current {
+			t.cur = s
+		}
+	}
+	return s
+}
+
+// add appends a new span to the current one; t.mu is held. It returns nil
+// once the trace is finished or full.
+func (t *TxnTrace) add(name, ext, op string) *Span {
+	if t.finished {
 		return nil
 	}
 	if t.nspans >= MaxSpans {
@@ -168,22 +204,9 @@ func (t *TxnTrace) StartSpan(name, ext, op string) *Span {
 	t.nspans++
 	s := getSpan()
 	s.name, s.ext, s.op = name, ext, op
-	s.start = time.Now()
 	s.tr = t
 	s.parent = t.cur
 	t.cur.children = append(t.cur.children, s)
-	t.cur = s
-	return s
-}
-
-// OpenChild opens a child of the current span WITHOUT making it current.
-// Plan operators use it: their cursors interleave, so they re-enter their
-// span around each Next call (Enter/Exit) instead of holding the stack.
-func (t *TxnTrace) OpenChild(name, ext, op string) *Span {
-	s := t.StartSpan(name, ext, op)
-	if s != nil {
-		t.cur = s.parent
-	}
 	return s
 }
 
@@ -191,7 +214,12 @@ func (t *TxnTrace) OpenChild(name, ext, op string) *Span {
 // which the caller must restore with Exit. Used by re-entrant regions
 // (plan operator cursors) so spans created during the region nest under s.
 func (t *TxnTrace) Enter(s *Span) *Span {
-	if t == nil || s == nil || t.finished {
+	if t == nil || s == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.finished {
 		return nil
 	}
 	prev := t.cur
@@ -201,33 +229,33 @@ func (t *TxnTrace) Enter(s *Span) *Span {
 
 // Exit restores the current span saved by Enter.
 func (t *TxnTrace) Exit(prev *Span) {
-	if t == nil || prev == nil || t.finished {
+	if t == nil || prev == nil {
 		return
 	}
-	t.cur = prev
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.finished {
+		t.cur = prev
+	}
 }
 
 // Event attaches an already-measured child span to the current span: the
 // caller timed the region itself (lock waits, buffer faults, log appends)
 // and reports start and duration retrospectively.
 func (t *TxnTrace) Event(name, ext, op string, start time.Time, d time.Duration, err error) {
-	if t == nil || !t.detailed || t.finished {
+	if !t.Detailed() {
 		return
 	}
-	if t.nspans >= MaxSpans {
-		t.trunc = true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.add(name, ext, op)
+	if s == nil {
 		return
 	}
-	t.nspans++
-	s := getSpan()
-	s.name, s.ext, s.op = name, ext, op
 	s.start, s.dur = start, d
 	if err != nil {
 		s.err = err.Error()
 	}
-	s.tr = t
-	s.parent = t.cur
-	t.cur.children = append(t.cur.children, s)
 	t.spanDone(s)
 }
 
@@ -247,7 +275,12 @@ func (t *TxnTrace) spanDone(s *Span) {
 // reported to the slow-event log, and the spans are recycled. Finish is
 // idempotent and nil-safe; the TxnTrace must not be used afterwards.
 func (t *TxnTrace) Finish(state string) {
-	if t == nil || t.finished {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.finished {
 		return
 	}
 	t.finished = true
