@@ -86,7 +86,9 @@ model:
 # the whole record's answer on a truncated one. FuzzDecodeDefs and
 # FuzzDecodeEntry hold the attachment descriptor and log payload decoders
 # to "reject, never panic": what they accept re-encodes to bytes that
-# decode to the same value.
+# decode to the same value. FuzzDecodeMod holds the storage-method log
+# payload decoder, which every method's replay reads, to "reject, never
+# panic" with what it accepts re-encoding to identical bytes.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
@@ -94,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/expr
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDefs$$' -fuzztime $(FUZZTIME) ./internal/att/attutil
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMod$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -147,8 +147,8 @@ func (env *Env) Checkpoint() error {
 			continue
 		}
 		if inst, err := env.StorageInstance(rd); err == nil {
-			if f, ok := inst.(VersionFreezer); ok {
-				f.FreezeVersions()
+			if vs, ok := inst.(VersionedStorage); ok {
+				vs.FreezeVersions()
 			}
 		}
 	}

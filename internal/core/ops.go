@@ -194,15 +194,6 @@ type StorageOps struct {
 	// be scanned at restart (remote: the foreign server is attached
 	// later).
 	ReplayAttachments bool
-	// MVCC marks storage methods that stamp record versions, letting
-	// read-only snapshot transactions read them with zero lock-manager
-	// acquisitions. The method's instances must implement
-	// VersionedStorage, answer FetchByKey/OpenScan with
-	// snapshot-consistent versions when tx.ReadOnly(), and implement
-	// VersionFreezer so truncating checkpoints can retire chains whose
-	// WAL records are going away. Relations of non-MVCC methods fall back
-	// to ordinary share-locked reads for read-only transactions.
-	MVCC bool
 	// AfterRecovery runs at the end of Env.Recover, after redo/undo and
 	// attachment rebuild. Storage methods whose durable state lives
 	// outside the local log use it to reconcile that state with the
@@ -224,24 +215,23 @@ type TxnLoggedApplier interface {
 	ApplyLoggedTxn(txnID wal.TxnID, payload []byte, undo bool) error
 }
 
-// VersionedStorage is implemented by MVCC storage instances. It answers
-// point visibility questions for keys obtained outside the storage method
-// itself — access-path lookups return record keys without consulting
-// version stamps, so the read path filters them through the base
-// relation's snapshot visibility before use.
+// VersionedStorage is implemented by storage instances that stamp record
+// versions (MVCC), and implementing it is the whole declaration: read-only
+// snapshot transactions then read the relation with zero lock-manager
+// acquisitions, so FetchByKey/OpenScan must answer with snapshot-consistent
+// versions when tx.ReadOnly(). Relations of other methods keep ordinary
+// share-locked reads for read-only transactions.
 type VersionedStorage interface {
 	// SnapshotVisible reports whether the record at key exists in tx's
-	// snapshot (tx must be read-only). It never takes locks.
+	// snapshot (tx must be read-only). It never takes locks. Access-path
+	// lookups return record keys without consulting version stamps, so
+	// the read path filters them through it before use.
 	SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error)
-}
-
-// VersionFreezer is implemented by MVCC storage instances whose version
-// chains reference WAL records by LSN. A truncating checkpoint — which
-// only runs with writers quiesced and no snapshot open — calls
-// FreezeVersions afterwards to drop the chains: current page state, which
-// the checkpoint just captured, becomes the version every future snapshot
-// starts from, and no chain entry outlives the log records it points at.
-type VersionFreezer interface {
+	// FreezeVersions drops every version chain. A truncating checkpoint —
+	// which only runs with writers quiesced and no snapshot open — calls
+	// it afterwards: current state, which the checkpoint just captured,
+	// becomes the version every future snapshot starts from, and no chain
+	// entry outlives the log records it points at.
 	FreezeVersions()
 }
 

@@ -55,7 +55,8 @@ func EncodeMod(p ModPayload) []byte {
 	return out
 }
 
-// DecodeMod reverses EncodeMod.
+// DecodeMod reverses EncodeMod. It accepts only what EncodeMod writes:
+// trailing bytes are an error.
 func DecodeMod(b []byte) (ModPayload, error) {
 	var p ModPayload
 	if len(b) < 1 {
@@ -73,8 +74,11 @@ func DecodeMod(b []byte) (ModPayload, error) {
 	if p.Old, pos, err = readRecord(b, pos); err != nil {
 		return p, err
 	}
-	if p.New, _, err = readRecord(b, pos); err != nil {
+	if p.New, pos, err = readRecord(b, pos); err != nil {
 		return p, err
+	}
+	if pos != len(b) {
+		return p, fmt.Errorf("core: %d trailing bytes after modification payload", len(b)-pos)
 	}
 	return p, nil
 }
@@ -155,7 +159,8 @@ func readBytes(b []byte, pos int) ([]byte, int, error) {
 	if len(b) < pos+int(n) {
 		return nil, 0, fmt.Errorf("core: truncated payload body")
 	}
-	out := append([]byte(nil), b[pos:pos+int(n)]...)
+	out := make([]byte, n) // empty, not nil: nil is the 0xFFFFFFFF length
+	copy(out, b[pos:])
 	return out, pos + int(n), nil
 }
 
@@ -170,6 +175,9 @@ func appendRecord(dst []byte, r types.Record) []byte {
 func readRecord(b []byte, pos int) (types.Record, int, error) {
 	if len(b) < pos+1 {
 		return nil, 0, fmt.Errorf("core: truncated record flag")
+	}
+	if b[pos] > 1 {
+		return nil, 0, fmt.Errorf("core: bad record flag %d", b[pos])
 	}
 	if b[pos] == 0 {
 		return nil, pos + 1, nil

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
 	"dmx/internal/core"
+	"dmx/internal/types"
 )
 
 // goldenEntries are internal/att/formats_test.go's golden log payloads, an
@@ -39,6 +42,32 @@ func FuzzDecodeEntry(f *testing.F) {
 		again, err := core.DecodeEntry(core.EncodeEntry(p))
 		if err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("DecodeEntry(%x) = %+v; re-encoded it decodes to %+v, %v", b, p, again, err)
+		}
+	})
+}
+
+// FuzzDecodeMod holds the storage-method modification payload decoder, the
+// one every method's replay reads through, to "reject, never panic": what
+// it accepts re-encodes to identical bytes. Bytes, not values, are
+// compared, because a NaN field never equals itself.
+func FuzzDecodeMod(f *testing.F) {
+	k1, k2 := types.Key{0, 0, 0, 0, 0, 0, 0, 1}, types.Key{0, 0, 0, 1, 0, 0, 0, 0}
+	old := types.Record{types.Int(1), types.Str("old"), types.Null()}
+	moved := types.Record{types.Int(1), types.Str("a longer new value"), types.Float(math.NaN())}
+	for _, p := range []core.ModPayload{
+		{Op: core.ModInsert, Key: k1, New: old},
+		{Op: core.ModUpdate, Key: k1, NewKey: k2, Old: old, New: moved},
+		{Op: core.ModDelete, Key: k2, Old: moved},
+	} {
+		f.Add(core.EncodeMod(p))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := core.DecodeMod(b)
+		if err != nil {
+			return
+		}
+		if again := core.EncodeMod(p); !bytes.Equal(again, b) {
+			t.Fatalf("DecodeMod(%x) = %+v re-encodes to %x", b, p, again)
 		}
 	})
 }

@@ -37,11 +37,8 @@ func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{env: env, rd: rd, sm: sm, stat: env.relStats.get(rd.RelID)}
-	if ops := env.Reg.StorageOps(rd.SM); ops != nil {
-		r.mvcc = ops.MVCC
-	}
-	return r, nil
+	_, mvcc := sm.(VersionedStorage)
+	return &Relation{env: env, rd: rd, sm: sm, stat: env.relStats.get(rd.RelID), mvcc: mvcc}, nil
 }
 
 // chargeWritten books n modified rows against the transaction's ledger

@@ -651,15 +651,15 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 // OpenScan implements core.StorageInstance: press (key) order, merged
 // across the memtable and every run.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	next := uint64(0)
+	sc := &scan{store: s, opts: opts, q: smutil.NewQualifier(s.env, opts)}
 	if opts.Start != nil {
-		i, err := keySeq(opts.Start)
+		start, err := keySeq(opts.Start)
 		if err != nil {
 			return nil, err
 		}
-		next = i
+		sc.start = start
 	}
-	return &scan{store: s, opts: opts, q: smutil.NewQualifier(s.env, opts), next: next}, nil
+	return sc, nil
 }
 
 // EstimateCost implements core.StorageInstance. The profile the planner
@@ -724,15 +724,16 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 var _ core.StorageInstance = (*store)(nil)
 
 // scan is a press-order key-sequential access merged across the memtable
-// and the runs. It is cursor-based: the position is the next candidate
-// sequence, so concurrent flushes and compactions (which preserve logical
-// contents) never invalidate it.
+// and the runs. The embedded position is the last sequence examined, and
+// every Next resumes at the smallest sequence after it, so concurrent
+// flushes and compactions (which preserve logical contents) never
+// invalidate it.
 type scan struct {
-	store  *store
-	opts   core.ScanOptions
-	q      *smutil.Qualifier
-	next   uint64
-	closed bool
+	store *store
+	opts  core.ScanOptions
+	q     *smutil.Qualifier
+	start uint64 // first candidate before the scan has examined anything
+	smutil.Position
 }
 
 // ceilingLocked returns the smallest sequence >= from together with its
@@ -758,13 +759,21 @@ func (s *store) ceilingLocked(from uint64) (seq uint64, enc []byte, ok bool) {
 
 // Next implements core.Scan.
 func (sc *scan) Next() (types.Key, types.Record, bool, error) {
-	if sc.closed {
+	if sc.Closed {
 		return nil, nil, false, fmt.Errorf("appendsm: scan is closed")
+	}
+	from := sc.start
+	if sc.Started {
+		after, err := keySeq(sc.After)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		from = after + 1
 	}
 	s := sc.store
 	for {
 		s.mu.Lock()
-		seq, enc, ok := s.ceilingLocked(sc.next)
+		seq, enc, ok := s.ceilingLocked(from)
 		s.mu.Unlock()
 		if !ok {
 			return nil, nil, false, nil
@@ -773,7 +782,7 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
 			return nil, nil, false, nil
 		}
-		sc.next = seq + 1
+		sc.Started, sc.After, from = true, key, seq+1
 		if enc == nil {
 			continue // tombstone
 		}
@@ -785,28 +794,4 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 			return key, rec, true, nil
 		}
 	}
-}
-
-// Pos implements core.Scan.
-func (sc *scan) Pos() core.ScanPos {
-	return core.ScanPos(seqKey(sc.next))
-}
-
-// Restore implements core.Scan. Like Next, it refuses a closed scan.
-func (sc *scan) Restore(pos core.ScanPos) error {
-	if sc.closed {
-		return fmt.Errorf("appendsm: scan is closed")
-	}
-	i, err := keySeq(types.Key(pos))
-	if err != nil {
-		return err
-	}
-	sc.next = i
-	return nil
-}
-
-// Close implements core.Scan.
-func (sc *scan) Close() error {
-	sc.closed = true
-	return nil
 }

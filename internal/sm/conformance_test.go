@@ -183,14 +183,17 @@ func TestConformance(t *testing.T) {
 
 func (m method) testDDL(t *testing.T) {
 	env := newEnv(t, nil)
-	attrs := core.AttrList{"colour": "red"}
-	for k, v := range m.attrs {
-		attrs[k] = v
-	}
 	tx := env.Begin()
 	defer tx.Abort()
-	if _, err := env.CreateRelation(tx, "t", schema(), m.name, attrs); err == nil {
-		t.Fatal("unknown DDL attribute accepted")
+	// fillpercent sounds like a heap setting, but no method reads it.
+	for _, unknown := range []string{"colour", "fillpercent"} {
+		attrs := core.AttrList{unknown: "50"}
+		for k, v := range m.attrs {
+			attrs[k] = v
+		}
+		if _, err := env.CreateRelation(tx, "t", schema(), m.name, attrs); err == nil {
+			t.Fatalf("unknown DDL attribute %s accepted", unknown)
+		}
 	}
 }
 
@@ -367,6 +370,19 @@ func (m method) testScan(t *testing.T) {
 		if !row.key.Equal(all[3+i].key) {
 			t.Fatalf("[Start, End) scan position %d: key %v, want %v", i, row.key, all[3+i].key)
 		}
+	}
+	// A position taken before the first Next restores to Start.
+	sc, err := r.OpenScan(tx, core.ScanOptions{Start: all[3].key})
+	must(t, err)
+	defer sc.Close()
+	pos := sc.Pos()
+	for i := 0; i < 2; i++ {
+		_, _, _, err := sc.Next()
+		must(t, err)
+	}
+	must(t, sc.Restore(pos))
+	if k, _, ok, err := sc.Next(); err != nil || !ok || !k.Equal(all[3].key) {
+		t.Fatalf("scan restored to its opening position returned %v %v %v, want Start %v", k, ok, err, all[3].key)
 	}
 }
 

@@ -6,8 +6,8 @@
 // mapped to physical disk pages through an in-memory page table, so the
 // record addresses named in log records replay deterministically at
 // restart regardless of how relations interleaved their allocations.
-// Deleted slots are tombstoned in place (bytes retained), which makes
-// log-driven undo of a delete a flag flip rather than a data rewrite.
+// Deleted slots are tombstoned in place (bytes and capacity retained), so
+// log-driven undo of a delete puts the record back in its own slot.
 package heap
 
 import (
@@ -35,9 +35,8 @@ func init() {
 		ID:               core.SMHeap,
 		Name:             Name,
 		SnapshotContents: true,
-		MVCC:             true,
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
-			return attrs.CheckAllowed(Name, "fillpercent")
+			return attrs.CheckAllowed(Name)
 		},
 		Create: func(env *core.Env, tx *txn.Txn, rd *core.RelDesc, attrs core.AttrList) ([]byte, error) {
 			return nil, nil
@@ -394,17 +393,14 @@ func (s *store) SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error) {
 	}
 	visible := false
 	err = s.withPage(tx, r.page, false, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) < nslots {
-			so := slotOffset(int(r.slot))
-			visible = f.Data[so+6]&flagDeleted == 0
-		}
+		_, deleted, err := slotAt(f, r)
+		visible = err == nil && !deleted
 		return nil
 	})
 	return visible, err
 }
 
-// FreezeVersions implements core.VersionFreezer: a truncating checkpoint
+// FreezeVersions implements core.VersionedStorage: a truncating checkpoint
 // (writers quiesced, no snapshot open) drops every chain. Page state,
 // which the checkpoint just captured, becomes the frozen version all
 // future snapshots start from, and no chain entry outlives the WAL
@@ -466,79 +462,77 @@ func (s *store) VersionChainLen(key types.Key) int {
 	return n
 }
 
-// placeAtLocked stores enc at the given rid on the pinned frame, extending
-// the slot directory as needed. Caller holds s.mu.
-func (s *store) placeAtLocked(f *buffer.Frame, r rid, enc []byte) (rid, error) {
-	nslots := int(binary.BigEndian.Uint16(f.Data))
-	freeHigh := int(binary.BigEndian.Uint16(f.Data[2:]))
-	slot := int(r.slot)
-	// Extend directory through slot (intermediate slots become tombstones).
-	newSlots := nslots
-	if slot >= nslots {
-		newSlots = slot + 1
+// slotAt returns the directory offset of r's slot on the pinned frame f
+// and whether the slot is a tombstone; a slot past the directory's end is
+// ErrNotFound.
+func slotAt(f *buffer.Frame, r rid) (so int, deleted bool, err error) {
+	if int(r.slot) >= int(binary.BigEndian.Uint16(f.Data)) {
+		return 0, false, fmt.Errorf("heap: %w: slot %d of page %d", core.ErrNotFound, r.slot, r.page)
 	}
-	dirEnd := slotOffset(newSlots)
-	newFreeHigh := freeHigh - len(enc)
-	if newFreeHigh < dirEnd {
-		return rid{}, fmt.Errorf("heap: page %d overflow placing %d bytes", r.page, len(enc))
+	so = slotOffset(int(r.slot))
+	return so, f.Data[so+6]&flagDeleted != 0, nil
+}
+
+// liveSlotAt is slotAt for a record that must exist: a tombstone is
+// ErrNotFound too.
+func liveSlotAt(f *buffer.Frame, r rid) (int, error) {
+	so, deleted, err := slotAt(f, r)
+	if err == nil && deleted {
+		err = fmt.Errorf("heap: %w: record %v deleted", core.ErrNotFound, r)
+	}
+	return so, err
+}
+
+// putOn stores enc as the live record at r on the pinned frame f. A slot
+// past the directory's end extends it (the slots in between become
+// tombstones); a slot whose capacity holds enc is rewritten in place;
+// otherwise the bytes move to fresh space on the same page and the slot is
+// repointed, so the record address stays the same. Only replay meets that
+// last case: a checkpoint snapshot re-places each record at its current
+// size, so a slot that shrank in place loses the headroom an earlier
+// overwrite replayed over it needs. Caller holds s.mu.
+func (s *store) putOn(f *buffer.Frame, r rid, enc []byte) error {
+	d := f.Data
+	nslots := int(binary.BigEndian.Uint16(d))
+	so := slotOffset(int(r.slot))
+	if int(r.slot) < nslots && len(enc) <= int(binary.BigEndian.Uint16(d[so+2:])) {
+		copy(d[binary.BigEndian.Uint16(d[so:]):], enc)
+		binary.BigEndian.PutUint16(d[so+4:], uint16(len(enc)))
+		return s.markOn(f, r, false)
+	}
+	newSlots := max(nslots, int(r.slot)+1)
+	freeHigh := int(binary.BigEndian.Uint16(d[2:])) - len(enc)
+	if freeHigh < slotOffset(newSlots) {
+		return fmt.Errorf("heap: page %d overflow placing %d bytes", r.page, len(enc))
 	}
 	for i := nslots; i < newSlots; i++ {
-		off := slotOffset(i)
-		for j := 0; j < slotDirEntry; j++ {
-			f.Data[off+j] = 0
-		}
-		f.Data[off+6] = flagDeleted
+		clear(d[slotOffset(i):slotOffset(i+1)])
+		d[slotOffset(i)+6] = flagDeleted
 	}
-	copy(f.Data[newFreeHigh:], enc)
-	so := slotOffset(slot)
-	binary.BigEndian.PutUint16(f.Data[so:], uint16(newFreeHigh))
-	binary.BigEndian.PutUint16(f.Data[so+2:], uint16(len(enc)))
-	binary.BigEndian.PutUint16(f.Data[so+4:], uint16(len(enc)))
-	f.Data[so+6] = 0
-	binary.BigEndian.PutUint16(f.Data, uint16(newSlots))
-	binary.BigEndian.PutUint16(f.Data[2:], uint16(newFreeHigh))
-	consumed := len(enc) + (newSlots-nslots)*slotDirEntry
-	s.free[r.page] -= consumed
-	s.nrecords++
-	return r, nil
+	copy(d[freeHigh:], enc)
+	binary.BigEndian.PutUint16(d[so:], uint16(freeHigh))
+	binary.BigEndian.PutUint16(d[so+2:], uint16(len(enc)))
+	binary.BigEndian.PutUint16(d[so+4:], uint16(len(enc)))
+	binary.BigEndian.PutUint16(d, uint16(newSlots))
+	binary.BigEndian.PutUint16(d[2:], uint16(freeHigh))
+	s.free[r.page] -= len(enc) + (newSlots-nslots)*slotDirEntry
+	return s.markOn(f, r, false)
 }
 
-// setDeleted flips the tombstone flag of a slot.
-func (s *store) setDeleted(r rid, deleted bool) error {
-	return s.withPage(nil, r.page, true, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) >= nslots {
-			return fmt.Errorf("heap: %w: slot %d of page %d", core.ErrNotFound, r.slot, r.page)
-		}
-		so := slotOffset(int(r.slot))
-		was := f.Data[so+6]&flagDeleted != 0
-		if was == deleted {
-			return nil
-		}
-		if deleted {
-			f.Data[so+6] |= flagDeleted
-			s.nrecords--
-		} else {
-			f.Data[so+6] &^= flagDeleted
-			s.nrecords++
-		}
-		return nil
-	})
-}
-
-// overwriteAt rewrites the record bytes of an existing slot in place.
-func (s *store) overwriteAt(r rid, enc []byte) error {
-	return s.withPage(nil, r.page, true, func(f *buffer.Frame) error {
-		so := slotOffset(int(r.slot))
-		capBytes := int(binary.BigEndian.Uint16(f.Data[so+2:]))
-		if len(enc) > capBytes {
-			return fmt.Errorf("heap: overwrite of %d bytes exceeds slot capacity %d", len(enc), capBytes)
-		}
-		off := int(binary.BigEndian.Uint16(f.Data[so:]))
-		copy(f.Data[off:], enc)
-		binary.BigEndian.PutUint16(f.Data[so+4:], uint16(len(enc)))
-		return nil
-	})
+// markOn sets (deleted) or clears the tombstone of r's slot on the pinned
+// frame f, keeping the record count exact. Caller holds s.mu.
+func (s *store) markOn(f *buffer.Frame, r rid, deleted bool) error {
+	so, was, err := slotAt(f, r)
+	if err != nil || was == deleted {
+		return err
+	}
+	f.Data[so+6] ^= flagDeleted
+	if deleted {
+		s.nrecords--
+	} else {
+		s.nrecords++
+	}
+	return nil
 }
 
 // Insert implements core.StorageInstance. The record is placed and its
@@ -554,10 +548,9 @@ func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	}
 	var key types.Key
 	err = s.withPage(tx, uint32(page), true, func(f *buffer.Frame) error {
-		nslots := uint32(binary.BigEndian.Uint16(f.Data))
-		r, perr := s.placeAtLocked(f, rid{page: uint32(page), slot: nslots}, enc)
-		if perr != nil {
-			return perr
+		r := rid{page: uint32(page), slot: uint32(binary.BigEndian.Uint16(f.Data))}
+		if err := s.putOn(f, r, enc); err != nil {
+			return err
 		}
 		key = encodeRID(r)
 		lsn, lerr := s.logStamped(tx, f, core.ModPayload{Op: core.ModInsert, Key: key, New: rec})
@@ -585,21 +578,17 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 	defer s.mu.Unlock()
 	fits := false
 	err = s.withPage(tx, r.page, true, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) >= nslots {
-			return fmt.Errorf("heap: %w: slot %d of page %d", core.ErrNotFound, r.slot, r.page)
-		}
-		so := slotOffset(int(r.slot))
-		if f.Data[so+6]&flagDeleted != 0 {
-			return fmt.Errorf("heap: %w: record %v deleted", core.ErrNotFound, r)
+		so, err := liveSlotAt(f, r)
+		if err != nil {
+			return err
 		}
 		if len(enc) > int(binary.BigEndian.Uint16(f.Data[so+2:])) {
 			return nil // no room: fall through to tombstone-and-move
 		}
 		fits = true
-		off := int(binary.BigEndian.Uint16(f.Data[so:]))
-		copy(f.Data[off:], enc)
-		binary.BigEndian.PutUint16(f.Data[so+4:], uint16(len(enc)))
+		if err := s.putOn(f, r, enc); err != nil {
+			return err
+		}
 		lsn, lerr := s.logStamped(tx, f, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: key, Old: oldRec, New: newRec})
 		if lerr != nil {
 			return lerr
@@ -641,21 +630,15 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 	s.pushVersion(tx, r, lsn, false, true)
 	s.pushVersion(tx, newR, lsn, true, false)
 	err = s.withPage(tx, r.page, true, func(f *buffer.Frame) error {
-		so := slotOffset(int(r.slot))
-		f.Data[so+6] |= flagDeleted
-		s.nrecords--
 		s.env.Pool.StampLSN(f, lsn)
-		return nil
+		return s.markOn(f, r, true)
 	})
 	if err != nil {
 		return nil, err
 	}
 	err = s.withPage(tx, newR.page, true, func(f *buffer.Frame) error {
-		if _, perr := s.placeAtLocked(f, newR, enc); perr != nil {
-			return perr
-		}
 		s.env.Pool.StampLSN(f, lsn)
-		return nil
+		return s.putOn(f, newR, enc)
 	})
 	if err != nil {
 		return nil, err
@@ -673,14 +656,8 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.withPage(tx, r.page, true, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) >= nslots {
-			return fmt.Errorf("heap: %w: slot %d of page %d", core.ErrNotFound, r.slot, r.page)
-		}
-		so := slotOffset(int(r.slot))
-		if f.Data[so+6]&flagDeleted == 0 {
-			f.Data[so+6] |= flagDeleted
-			s.nrecords--
+		if err := s.markOn(f, r, true); err != nil {
+			return err
 		}
 		lsn, lerr := s.logStamped(tx, f, core.ModPayload{Op: core.ModDelete, Key: key, Old: oldRec})
 		if lerr != nil {
@@ -725,15 +702,10 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	}
 	var rec types.Record
 	err = s.withPage(tx, r.page, false, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) >= nslots {
-			return fmt.Errorf("heap: %w: slot %d of page %d", core.ErrNotFound, r.slot, r.page)
+		so, derr := liveSlotAt(f, r)
+		if derr != nil {
+			return derr
 		}
-		so := slotOffset(int(r.slot))
-		if f.Data[so+6]&flagDeleted != 0 {
-			return fmt.Errorf("heap: %w: record %v deleted", core.ErrNotFound, r)
-		}
-		var derr error
 		if filter != nil || fields == nil { // a filter reads the whole record
 			rec, _, derr = types.DecodeRecord(slotBody(f, so))
 		} else {
@@ -759,7 +731,14 @@ func slotBody(f *buffer.Frame, so int) []byte {
 // passes is resolved against it, so the scan observes one consistent
 // state no matter which transactions commit while it is open.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &heapScan{store: s, tx: tx, q: smutil.NewQualifier(s.env, opts), nextRID: startRID(opts.Start), end: math.MaxUint64}
+	sc := &heapScan{store: s, tx: tx, q: smutil.NewQualifier(s.env, opts), end: math.MaxUint64}
+	if opts.Start != nil {
+		start, err := decodeRID(opts.Start)
+		if err != nil {
+			return nil, err
+		}
+		sc.start = start
+	}
 	if opts.End != nil {
 		end, err := decodeRID(opts.End)
 		if err != nil {
@@ -773,17 +752,6 @@ func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) 
 		s.env.Obs.MVCC.SnapshotReads.Inc()
 	}
 	return sc, nil
-}
-
-func startRID(k types.Key) rid {
-	if k == nil {
-		return rid{}
-	}
-	r, err := decodeRID(k)
-	if err != nil {
-		return rid{}
-	}
-	return r
 }
 
 // EstimateCost implements core.StorageInstance: a heap scan reads every
@@ -832,139 +800,64 @@ func (s *store) PageCount() int {
 	return len(s.pages)
 }
 
-// ApplyLogged implements core.StorageInstance.
+// ApplyLogged implements core.StorageInstance through the kit's logged
+// effect: the removed key is tombstoned, then the record is put at its key
+// with putOn, which redoes an insert or overwrite wherever replay finds the
+// slot (past the directory's end, or too small) and leaves the record
+// address unchanged. Both steps are idempotent, so a restart that crashes
+// mid-recovery replays cleanly. Undo pops the version-chain entry the
+// undone write pushed at each key; redo may address pages a restarted
+// relation has not reached yet.
 func (s *store) ApplyLogged(payload []byte, undo bool) error {
-	p, err := core.DecodeMod(payload)
+	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
 	}
-	oldR, err := decodeRID(p.Key)
-	newR := oldR
-	if err == nil && p.Op == core.ModUpdate {
-		newR, err = decodeRID(p.NewKey)
+	var del, put rid
+	if e.Del != nil {
+		if del, err = decodeRID(e.Del); err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+	if e.Put != nil {
+		if put, err = decodeRID(e.Put); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !undo { // redo may address pages a restarted relation has not reached yet
-		if err := s.ensurePage(max(oldR.page, newR.page)); err != nil {
+	replay := func(r rid, fn func(f *buffer.Frame) error) error {
+		if undo {
+			s.unchain(r)
+		} else if err := s.ensurePage(r.page); err != nil {
+			return err
+		}
+		return s.withPage(nil, r.page, true, fn)
+	}
+	if e.Del != nil {
+		if err := replay(del, func(f *buffer.Frame) error { return s.markOn(f, del, true) }); err != nil {
 			return err
 		}
 	}
-	switch p.Op {
-	case core.ModInsert:
-		if undo {
-			s.unchain(oldR)
-			return s.setDeleted(oldR, true)
-		}
-		return s.redoPlace(oldR, p.New)
-	case core.ModDelete:
-		if undo {
-			s.unchain(oldR)
-		}
-		return s.setDeleted(oldR, !undo)
-	case core.ModUpdate:
-		if oldR == newR {
-			rec := p.New
-			if undo {
-				s.unchain(oldR)
-				rec = p.Old
-			}
-			return s.redoOverwrite(oldR, rec.AppendEncode(nil))
-		}
-		if undo {
-			s.unchain(newR)
-			s.unchain(oldR)
-			if err := s.setDeleted(newR, true); err != nil {
-				return err
-			}
-			return s.setDeleted(oldR, false)
-		}
-		if err := s.setDeleted(oldR, true); err != nil {
-			return err
-		}
-		return s.redoPlace(newR, p.New)
-	default:
-		return fmt.Errorf("heap: bad logged op %v", p.Op)
-	}
-}
-
-// redoPlace re-places a record at its logged address, tolerating replays
-// over state that already contains it (idempotent for repeated recovery).
-func (s *store) redoPlace(r rid, rec types.Record) error {
-	exists := false
-	err := s.withPage(nil, r.page, false, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		if int(r.slot) < nslots {
-			so := slotOffset(int(r.slot))
-			if binary.BigEndian.Uint16(f.Data[so+2:]) > 0 {
-				exists = true
-			}
-		}
+	if e.Put == nil {
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-	if exists {
-		return s.setDeleted(r, false)
-	}
-	enc := rec.AppendEncode(nil)
-	return s.withPage(nil, r.page, true, func(f *buffer.Frame) error {
-		_, err := s.placeAtLocked(f, r, enc)
-		return err
-	})
-}
-
-// redoOverwrite rewrites a slot's record bytes during log replay. Replay
-// can meet a slot smaller than it was at run time: a checkpoint snapshot
-// re-places each record at its current size, so a slot that once held a
-// larger record (in-place shrinking update) loses the headroom a replayed
-// earlier overwrite needs. The record is then moved to fresh space on the
-// same page with the slot repointed — the record address stays stable.
-func (s *store) redoOverwrite(r rid, enc []byte) error {
-	return s.withPage(nil, r.page, true, func(f *buffer.Frame) error {
-		nslots := int(binary.BigEndian.Uint16(f.Data))
-		so := slotOffset(int(r.slot))
-		if int(r.slot) >= nslots {
-			_, err := s.placeAtLocked(f, r, enc)
-			return err
-		}
-		capBytes := int(binary.BigEndian.Uint16(f.Data[so+2:]))
-		if len(enc) <= capBytes {
-			off := int(binary.BigEndian.Uint16(f.Data[so:]))
-			copy(f.Data[off:], enc)
-			binary.BigEndian.PutUint16(f.Data[so+4:], uint16(len(enc)))
-			return nil
-		}
-		freeHigh := int(binary.BigEndian.Uint16(f.Data[2:]))
-		newFreeHigh := freeHigh - len(enc)
-		if newFreeHigh < slotOffset(nslots) {
-			return fmt.Errorf("heap: page %d overflow re-placing %d bytes", r.page, len(enc))
-		}
-		copy(f.Data[newFreeHigh:], enc)
-		binary.BigEndian.PutUint16(f.Data[so:], uint16(newFreeHigh))
-		binary.BigEndian.PutUint16(f.Data[so+2:], uint16(len(enc)))
-		binary.BigEndian.PutUint16(f.Data[so+4:], uint16(len(enc)))
-		binary.BigEndian.PutUint16(f.Data[2:], uint16(newFreeHigh))
-		s.free[r.page] -= len(enc)
-		return nil
-	})
+	enc := e.Rec.AppendEncode(nil)
+	return replay(put, func(f *buffer.Frame) error { return s.putOn(f, put, enc) })
 }
 
 var _ core.StorageInstance = (*store)(nil)
 
-// heapScan is a key-sequential access in record-address order.
+// heapScan is a key-sequential access in record-address order. The
+// embedded position is the record address last returned.
 type heapScan struct {
-	store   *store
-	tx      *txn.Txn          // buffer faults during the scan charge its trace
-	q       *smutil.Qualifier // the filter, compiled at OpenScan, and the projection
-	nextRID rid               // first candidate to examine
-	end     uint64            // ord of the exclusive end bound
-	closed  bool
-	snap    *txn.Snapshot // non-nil: resolve every slot against this snapshot
+	store *store
+	tx    *txn.Txn          // buffer faults during the scan charge its trace
+	q     *smutil.Qualifier // the filter, compiled at OpenScan, and the projection
+	start rid               // first candidate before the scan has returned anything
+	end   uint64            // ord of the exclusive end bound
+	snap  *txn.Snapshot     // non-nil: resolve every slot against this snapshot
+	smutil.Position
 }
 
 // Next implements core.Scan. Each page is pinned once, under the shared
@@ -974,25 +867,33 @@ type heapScan struct {
 // looked up only while the store has chains at all. Only the qualifying
 // record is materialised.
 func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
-	if sc.closed {
+	if sc.Closed {
 		return nil, nil, false, fmt.Errorf("heap: scan is closed")
+	}
+	next := sc.start
+	if sc.Started {
+		after, err := decodeRID(sc.After)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		next = rid{page: after.page, slot: after.slot + 1}
 	}
 	s := sc.store
 	for {
 		s.mu.RLock()
-		if int(sc.nextRID.page) >= len(s.pages) || sc.nextRID.ord() >= sc.end {
+		if int(next.page) >= len(s.pages) || next.ord() >= sc.end {
 			s.mu.RUnlock()
 			return nil, nil, false, nil
 		}
-		page := sc.nextRID.page
+		page := next.page
 		var out rid
 		var outRec types.Record
 		found := false
 		err := s.withPage(sc.tx, page, false, func(f *buffer.Frame) error {
 			nslots := int(binary.BigEndian.Uint16(f.Data))
-			for int(sc.nextRID.slot) < nslots && sc.nextRID.ord() < sc.end {
-				cur := sc.nextRID
-				sc.nextRID.slot++
+			for int(next.slot) < nslots && next.ord() < sc.end {
+				cur := next
+				next.slot++
 				so := slotOffset(int(cur.slot))
 				if sc.snap != nil && len(s.vers) > 0 {
 					// Snapshot scan: slots whose visible version is not
@@ -1024,8 +925,8 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 					return qerr
 				}
 			}
-			if int(sc.nextRID.slot) >= nslots {
-				sc.nextRID = rid{page: page + 1}
+			if int(next.slot) >= nslots {
+				next = rid{page: page + 1}
 			}
 			return nil
 		})
@@ -1034,31 +935,8 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 			return nil, nil, false, err
 		}
 		if found {
+			sc.Started, sc.After = true, binary.BigEndian.AppendUint64(sc.After[:0], out.ord())
 			return encodeRID(out), outRec, true, nil
 		}
 	}
-}
-
-// Pos implements core.Scan.
-func (sc *heapScan) Pos() core.ScanPos {
-	return core.ScanPos(encodeRID(sc.nextRID))
-}
-
-// Restore implements core.Scan. Like Next, it refuses a closed scan.
-func (sc *heapScan) Restore(pos core.ScanPos) error {
-	if sc.closed {
-		return fmt.Errorf("heap: scan is closed")
-	}
-	r, err := decodeRID(types.Key(pos))
-	if err != nil {
-		return err
-	}
-	sc.nextRID = r
-	return nil
-}
-
-// Close implements core.Scan.
-func (sc *heapScan) Close() error {
-	sc.closed = true
-	return nil
 }

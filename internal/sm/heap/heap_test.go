@@ -1,8 +1,10 @@
 package heap_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -608,5 +610,118 @@ func TestProjectedFetchAllocations(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Fatalf("FetchByKey with a field list allocates %v times, want <= 1", n)
+	}
+}
+
+// A malformed scan bound is an error at OpenScan, Start as well as End —
+// never a scan silently widened to the whole relation.
+func TestMalformedScanBoundRejected(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	defer tx.Commit()
+	if _, err := r.Insert(tx, rec(1, "v")); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []core.ScanOptions{{Start: types.Key{1, 2, 3}}, {End: types.Key{1, 2, 3}}} {
+		if sc, err := r.Storage().OpenScan(tx, opts); err == nil {
+			sc.Close()
+			t.Errorf("OpenScan(%+v) accepted a 3-byte record key", opts)
+		}
+	}
+}
+
+// heapKey is the record key of slot on page.
+func heapKey(page, slot uint32) types.Key {
+	return binary.BigEndian.AppendUint64(nil, uint64(page)<<32|uint64(slot))
+}
+
+// TestApplyLoggedEffects replays each kind of logged change onto a fresh
+// heap: redo twice, then undo. The second redo must change nothing — a
+// restart that crashes mid-recovery replays the same records again — and
+// undo must restore the state before the change, including an overwrite
+// that only fits by moving its bytes within the page.
+func TestApplyLoggedEffects(t *testing.T) {
+	k1, k2 := heapKey(0, 0), heapKey(1, 0)
+	tiny, long := rec(1, "tiny"), rec(1, strings.Repeat("long", 20))
+	ins := func(k types.Key, r types.Record) core.ModPayload {
+		return core.ModPayload{Op: core.ModInsert, Key: k, New: r}
+	}
+	for _, tc := range []struct {
+		name          string
+		prior         []core.ModPayload // redone first: the state the change meets
+		change        core.ModPayload
+		before, after map[string]string // payload by record key; absent = no record
+	}{
+		{name: "insert", change: ins(k1, tiny),
+			before: map[string]string{}, after: map[string]string{string(k1): "tiny"}},
+		{name: "delete", prior: []core.ModPayload{ins(k1, tiny)},
+			change: core.ModPayload{Op: core.ModDelete, Key: k1, Old: tiny},
+			before: map[string]string{string(k1): "tiny"}, after: map[string]string{}},
+		{name: "in-place update", prior: []core.ModPayload{ins(k1, long)},
+			change: core.ModPayload{Op: core.ModUpdate, Key: k1, NewKey: k1, Old: long, New: tiny},
+			before: map[string]string{string(k1): long[1].S}, after: map[string]string{string(k1): "tiny"}},
+		{name: "moved update", prior: []core.ModPayload{ins(k1, tiny)},
+			change: core.ModPayload{Op: core.ModUpdate, Key: k1, NewKey: k2, Old: tiny, New: long},
+			before: map[string]string{string(k1): "tiny"}, after: map[string]string{string(k2): long[1].S}},
+		{name: "overwrite moving within the page", prior: []core.ModPayload{ins(k1, tiny)},
+			change: core.ModPayload{Op: core.ModUpdate, Key: k1, NewKey: k1, Old: tiny, New: long},
+			before: map[string]string{string(k1): "tiny"}, after: map[string]string{string(k1): long[1].S}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := core.NewEnv(core.Config{})
+			sm := mkHeap(t, env, "t").Storage()
+			apply := func(p core.ModPayload, undo bool) {
+				t.Helper()
+				if err := sm.ApplyLogged(core.EncodeMod(p), undo); err != nil {
+					t.Fatalf("ApplyLogged(%v, undo=%v): %v", p.Op, undo, err)
+				}
+			}
+			check := func(step string, want map[string]string) {
+				t.Helper()
+				tx := env.Begin()
+				defer tx.Commit()
+				sc, err := sm.OpenScan(tx, core.ScanOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sc.Close()
+				got := map[string]string{}
+				for {
+					k, r, ok, err := sc.Next()
+					if err != nil {
+						t.Fatalf("%s: scan: %v", step, err)
+					}
+					if !ok {
+						break
+					}
+					got[string(k)] = r[1].S
+					if f, err := sm.FetchByKey(tx, k, nil, nil); err != nil || !f.Equal(r) {
+						t.Fatalf("%s: fetch %v = %v %v, scan read %v", step, k, f, err, r)
+					}
+				}
+				if !maps.Equal(got, want) || sm.RecordCount() != len(want) {
+					t.Fatalf("%s: scan read %q with RecordCount %d, want %q", step, got, sm.RecordCount(), want)
+				}
+				for _, k := range []types.Key{k1, k2} {
+					if _, ok := want[string(k)]; ok {
+						continue
+					}
+					if _, err := sm.FetchByKey(tx, k, nil, nil); !errors.Is(err, core.ErrNotFound) {
+						t.Fatalf("%s: fetch of absent %v: %v", step, k, err)
+					}
+				}
+			}
+			for _, p := range tc.prior {
+				apply(p, false)
+			}
+			check("before", tc.before)
+			apply(tc.change, false)
+			check("redo", tc.after)
+			apply(tc.change, false)
+			check("second redo", tc.after)
+			apply(tc.change, true)
+			check("undo", tc.before)
+		})
 	}
 }
