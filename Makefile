@@ -89,6 +89,8 @@ model:
 # decode to the same value. FuzzDecodeMod holds the storage-method log
 # payload decoder, which every method's replay reads, to "reject, never
 # panic" with what it accepts re-encoding to identical bytes.
+# FuzzDecodeRequest and FuzzDecodeResponse hold the remote wire protocol's
+# payload decoders to the same bar.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
@@ -97,6 +99,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDefs$$' -fuzztime $(FUZZTIME) ./internal/att/attutil
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMod$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/remote
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -9,12 +9,20 @@
 // net.Pipe), with injectable per-message latency and message counters so
 // experiments can expose the round-trip amplification of tuple-at-a-time
 // access to remote data.
+//
+// Every message is one frame: a 4-byte big-endian payload length, then
+// the payload. Integers in a payload are minimal uvarints; a byte field is
+// a uvarint length and its bytes, and a zero-length field decodes as nil.
+// A Request payload is the Op byte, TxnID, Limit, Table, Key and Rec. A
+// Response payload is Err, Key, Rec, Count, then the number of Entries
+// followed by each entry's Key and Rec, then the number of TxnIDs
+// followed by each id. A frame that does not decode exactly, trailing
+// bytes included, ends the connection.
 package remote
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sort"
@@ -211,19 +219,34 @@ func (s *Server) takeFault(op Op) FaultMode {
 	return f.mode
 }
 
-// Serve handles requests on conn until it closes. Run it in a goroutine.
+// Serve handles requests on conn until it closes or sends a frame that
+// does not decode, and closes conn when it returns, so the client's next
+// call fails instead of blocking. Run it in a goroutine.
 func (s *Server) Serve(conn net.Conn) {
 	s.Serving.Add(1)
 	defer s.Serving.Add(-1)
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	defer conn.Close()
+	// The read and write buffers are reused from request to request. That
+	// is safe only because nothing the server keeps aliases a request:
+	// btree.Set copies key and record, stage copies the record and keys its
+	// map by string, and a new table name is decoded into a new string.
+	var hdr [4]byte
+	var rbuf, wbuf []byte
+	var req Request
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		payload, err := readFrame(conn, &hdr, rbuf)
+		if err != nil {
 			return
 		}
-		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+		rbuf = payload
+		if decodeRequest(payload, &req) != nil {
+			return
+		}
+		wbuf, err = closeFrame(appendResponse(openFrame(wbuf), s.handle(&req)))
+		if err != nil { // the response is over the cap: send that error instead, which fits
+			wbuf, _ = closeFrame(appendResponse(openFrame(wbuf), &Response{Err: err.Error()}))
+		}
+		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}
 	}
@@ -467,7 +490,7 @@ func (s *Server) scan(req *Request, t *table) *Response {
 		s.txMu.Unlock()
 		sort.Strings(stagedKeys)
 	}
-	var out []Entry
+	out := make([]Entry, 0, min(limit, t.recs.Len()+len(stagedKeys)))
 	si := 0
 	for req.Key != nil && si < len(stagedKeys) && stagedKeys[si] <= string(req.Key) {
 		si++
@@ -511,14 +534,14 @@ func (s *Server) scan(req *Request, t *table) *Response {
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	wbuf   []byte // the request frame, reused from call to call
+	hdr    [4]byte
 	served chan struct{} // closed when the Dial-started server goroutine exits
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &Client{conn: conn}
 }
 
 // Dial starts a server goroutine and returns a connected client — the
@@ -544,21 +567,57 @@ func (c *Client) Close() error {
 	return err
 }
 
-// Call performs one round trip.
+// Call performs one round trip. The response's byte fields alias a
+// payload read for this call alone, so they stay valid after later calls.
 func (c *Client) Call(req *Request) (*Response, error) {
+	resp := new(Response)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("remote: send: %w", err)
+	c.wbuf = appendRequest(openFrame(c.wbuf), req)
+	if err := c.roundTrip(resp); err != nil {
+		return nil, err
 	}
+	return resp, nil
+}
+
+// put is Call for a request whose Rec is rec's encoding, appended straight
+// into the frame; it returns the response's Key.
+func (c *Client) put(req *Request, rec types.Record) (types.Key, error) {
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("remote: recv: %w", err)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.wbuf = appendRecord(appendRequestHead(openFrame(c.wbuf), req), rec)
+	if err := c.roundTrip(&resp); err != nil {
+		return nil, err
+	}
+	return types.Key(resp.Key), nil
+}
+
+// roundTrip sends the request frame in c.wbuf and decodes the reply into
+// resp; c.mu is held. A failed send or receive leaves the stream at an
+// unknown offset, so it drops the connection: later calls fail at once
+// rather than read a stray frame.
+func (c *Client) roundTrip(resp *Response) error {
+	frame, err := closeFrame(c.wbuf)
+	if err != nil {
+		return err
+	}
+	if _, err := c.conn.Write(frame); err != nil {
+		c.conn.Close()
+		return fmt.Errorf("remote: send: %w", err)
+	}
+	payload, err := readFrame(c.conn, &c.hdr, nil)
+	if err == nil {
+		err = decodeResponse(payload, resp)
+	}
+	if err != nil {
+		c.conn.Close()
+		return fmt.Errorf("remote: recv: %w", err)
 	}
 	if resp.Err != "" {
-		return nil, fmt.Errorf("%s", resp.Err)
+		return fmt.Errorf("%s", resp.Err)
 	}
-	return &resp, nil
+	return nil
 }
 
 // CreateTable creates a foreign table.
@@ -578,11 +637,7 @@ func (c *Client) DropTable(name string) error {
 // record's key. Storage methods use it only to re-apply logged
 // modifications at restart recovery; live writes are staged.
 func (c *Client) Put(tableName string, key types.Key, rec types.Record) (types.Key, error) {
-	resp, err := c.Call(&Request{Op: OpPut, Table: tableName, Key: key, Rec: rec.AppendEncode(nil)})
-	if err != nil {
-		return nil, err
-	}
-	return types.Key(resp.Key), nil
+	return c.put(&Request{Op: OpPut, Table: tableName, Key: key}, rec)
 }
 
 // Delete removes the record at key from committed state at once (the
@@ -626,11 +681,7 @@ func (c *Client) Count(tableName string) (int, error) {
 // and returns the record's key; the record becomes visible to other
 // transactions only after CommitTxn.
 func (c *Client) StagePut(txnID uint64, tableName string, key types.Key, rec types.Record) (types.Key, error) {
-	resp, err := c.Call(&Request{Op: OpStagePut, TxnID: txnID, Table: tableName, Key: key, Rec: rec.AppendEncode(nil)})
-	if err != nil {
-		return nil, err
-	}
-	return types.Key(resp.Key), nil
+	return c.put(&Request{Op: OpStagePut, TxnID: txnID, Table: tableName, Key: key}, rec)
 }
 
 // StageDelete buffers a delete (tombstone) under txnID.

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,8 +386,10 @@ type shard struct {
 
 // session tracks one local transaction's footprint across the shards, so
 // prepare and the decision are delivered only where writes were staged.
+// touched is indexed by shard and walked in index order, which keeps the
+// delivery order deterministic.
 type session struct {
-	touched map[int]bool
+	touched []bool
 }
 
 // store is the storage instance for one relation of either method.
@@ -463,7 +466,7 @@ func (s *store) ensure(tx *txn.Txn) (*session, error) {
 		s.mu.Unlock()
 		return sess, nil
 	}
-	sess = &session{touched: make(map[int]bool)}
+	sess = &session{touched: make([]bool, len(s.shards))}
 	s.sessions[tx.ID()] = sess
 	s.mu.Unlock()
 	if err := tx.Subscribe(txn.EventBeforePrepare, func(tx *txn.Txn, _ string) error {
@@ -504,13 +507,16 @@ func (s *store) ensure(tx *txn.Txn) (*session, error) {
 // prepare acknowledgement and the local decision append — a crash there
 // leaves every touched shard prepared and in doubt.
 func (s *store) prepare(tx *txn.Txn, sess *session) error {
-	for _, i := range sortedShards(sess) {
+	for i, touched := range sess.touched {
+		if !touched {
+			continue
+		}
 		s.env.Obs.Part.Prepares.Add(1)
 		if err := s.shards[i].client.Prepare(uint64(tx.ID())); err != nil {
 			return fmt.Errorf("partsm: shard %d prepare: %w", i, err)
 		}
 	}
-	if s.env.Faults != nil && len(sess.touched) > 0 {
+	if s.env.Faults != nil && slices.Contains(sess.touched, true) {
 		if err := s.env.Faults.Hit(fault.SitePartDecide); err != nil {
 			return err
 		}
@@ -525,7 +531,10 @@ func (s *store) prepare(tx *txn.Txn, sess *session) error {
 // swallowed.
 func (s *store) decide(tx *txn.Txn, sess *session, commit bool) {
 	var lost bool
-	for _, i := range sortedShards(sess) {
+	for i, touched := range sess.touched {
+		if !touched {
+			continue
+		}
 		var err error
 		if commit {
 			s.env.Obs.Part.Commits.Add(1)
@@ -544,15 +553,6 @@ func (s *store) decide(tx *txn.Txn, sess *session, commit bool) {
 		s.pending[uint64(tx.ID())] = commit
 		s.mu.Unlock()
 	}
-}
-
-func sortedShards(sess *session) []int {
-	out := make([]int, 0, len(sess.touched))
-	for i := range sess.touched {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // stagePut buffers a put on the key's owning shard under transaction id,
