@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"dmx/internal/txn"
 	"dmx/internal/types"
@@ -46,8 +47,11 @@ type ModPayload struct {
 }
 
 // EncodeMod serialises a modification payload.
-func EncodeMod(p ModPayload) []byte {
-	out := []byte{byte(p.Op)}
+func EncodeMod(p ModPayload) []byte { return AppendMod(nil, p) }
+
+// AppendMod appends the serialised modification payload to dst.
+func AppendMod(dst []byte, p ModPayload) []byte {
+	out := append(dst, byte(p.Op))
 	out = appendBytes(out, p.Key)
 	out = appendBytes(out, p.NewKey)
 	out = appendRecord(out, p.Old)
@@ -94,8 +98,11 @@ type EntryPayload struct {
 }
 
 // EncodeEntry serialises an access-path entry payload.
-func EncodeEntry(p EntryPayload) []byte {
-	out := []byte{byte(p.Op)}
+func EncodeEntry(p EntryPayload) []byte { return AppendEntry(nil, p) }
+
+// AppendEntry appends the serialised access-path entry payload to dst.
+func AppendEntry(dst []byte, p EntryPayload) []byte {
+	out := append(dst, byte(p.Op))
 	out = binary.BigEndian.AppendUint16(out, uint16(p.Instance))
 	out = appendBytes(out, p.EntryKey)
 	out = appendBytes(out, p.RecKey)
@@ -130,14 +137,26 @@ func LogSM(tx *txn.Txn, rd *RelDesc, p ModPayload) error {
 // LogSMLSN is LogSM returning the record's LSN, for storage methods that
 // stamp buffer frames with page LSNs (write-ahead rule).
 func LogSMLSN(tx *txn.Txn, rd *RelDesc, p ModPayload) (wal.LSN, error) {
-	return tx.AppendLog(wal.Owner{Class: wal.OwnerStorage, ExtID: uint8(rd.SM), RelID: rd.RelID}, EncodeMod(p))
+	buf := payloadBufs.Get().(*[]byte)
+	*buf = AppendMod((*buf)[:0], p)
+	lsn, err := tx.AppendLog(wal.Owner{Class: wal.OwnerStorage, ExtID: uint8(rd.SM), RelID: rd.RelID}, *buf)
+	payloadBufs.Put(buf)
+	return lsn, err
 }
 
 // LogAttachment writes an attachment-owned entry record for rd.
 func LogAttachment(tx *txn.Txn, rd *RelDesc, id AttID, p EntryPayload) error {
-	_, err := tx.AppendLog(wal.Owner{Class: wal.OwnerAttachment, ExtID: uint8(id), RelID: rd.RelID}, EncodeEntry(p))
+	buf := payloadBufs.Get().(*[]byte)
+	*buf = AppendEntry((*buf)[:0], p)
+	_, err := tx.AppendLog(wal.Owner{Class: wal.OwnerAttachment, ExtID: uint8(id), RelID: rd.RelID}, *buf)
+	payloadBufs.Put(buf)
 	return err
 }
+
+// payloadBufs holds encode buffers for log payloads, sized for a typical
+// record. A buffer goes back as soon as AppendLog returns: the log copies
+// the payload it appends.
+var payloadBufs = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
 
 func appendBytes(dst, b []byte) []byte {
 	if b == nil {

@@ -39,9 +39,13 @@ func FuzzDecodeEntry(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := core.DecodeEntry(core.EncodeEntry(p))
+		enc := core.EncodeEntry(p)
+		again, err := core.DecodeEntry(enc)
 		if err != nil || !reflect.DeepEqual(again, p) {
 			t.Fatalf("DecodeEntry(%x) = %+v; re-encoded it decodes to %+v, %v", b, p, again, err)
+		}
+		if appended := core.AppendEntry([]byte{0xAB}, p); appended[0] != 0xAB || !bytes.Equal(appended[1:], enc) {
+			t.Fatalf("AppendEntry after one byte wrote %x, want ab%x", appended, enc)
 		}
 	})
 }
@@ -69,5 +73,37 @@ func FuzzDecodeMod(f *testing.F) {
 		if again := core.EncodeMod(p); !bytes.Equal(again, b) {
 			t.Fatalf("DecodeMod(%x) = %+v re-encodes to %x", b, p, again)
 		}
+		if again := core.AppendMod([]byte{0xAB}, p); again[0] != 0xAB || !bytes.Equal(again[1:], b) {
+			t.Fatalf("AppendMod after one byte wrote %x, want ab%x", again, b)
+		}
+	})
+}
+
+var payloadSink []byte
+
+// BenchmarkAppendMod encodes an update payload, the largest a write logs,
+// into a fresh slice (EncodeMod) and into a reused buffer (AppendMod, as
+// LogSM does).
+func BenchmarkAppendMod(b *testing.B) {
+	p := core.ModPayload{
+		Op:     core.ModUpdate,
+		Key:    types.Key{0, 0, 0, 0, 0, 0, 0, 1},
+		NewKey: types.Key{0, 0, 0, 0, 0, 0, 0, 2},
+		Old:    types.Record{types.Int(1), types.Str("old value"), types.Float(2.5)},
+		New:    types.Record{types.Int(1), types.Str("a longer new value"), types.Float(3.5)},
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			payloadSink = core.EncodeMod(p)
+		}
+	})
+	b.Run("reused", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = core.AppendMod(buf[:0], p)
+		}
+		payloadSink = buf
 	})
 }

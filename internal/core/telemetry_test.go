@@ -146,19 +146,21 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 }
 
 // TestDispatchAllocations guards the row path: the begin/end pair every
-// vector call goes through must not allocate. The bounds are the values
-// measured on the commit before the pair existed, per call, on a memory
-// relation without attachments and with one btree index, less the payload
-// copy each log append used to make (one append per insert, two with the
-// index's entry record).
+// vector call goes through must not allocate. The bounds are per call, on
+// a memory relation without attachments and with one btree index: an
+// insert's lock traffic allocates nothing and its log payloads encode into
+// pooled buffers, so an insert costs 9 and 14 (15 and 23 when each lock
+// grant and each payload allocated). The insert bounds allow one more,
+// because under the race detector sync.Pool drops a random quarter of the
+// buffers put back.
 func TestDispatchAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name                string
 		indexed             bool
 		insert, fetch, next float64
 	}{
-		{"bare", false, 15, 2, 4},
-		{"btree", true, 23, 2, 4},
+		{"bare", false, 10, 2, 4},
+		{"btree", true, 15, 2, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := core.NewEnv(core.Config{})

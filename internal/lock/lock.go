@@ -9,12 +9,18 @@
 // system-wide deadlock detection over the waits-for graph; every lock is
 // held to transaction end and released by ReleaseAll.
 //
-// Internally the resource table is sharded by resource hash so uncontended
-// grants on different resources never serialise on one mutex. Graph-wide
-// state — the per-transaction held sets, the wait table, and deadlock
-// detection — is owned by a global mutex taken only on the slow paths
-// (blocking, release). Lock order is strictly global-then-shard; shard
-// mutexes never nest.
+// Internally the resource table is sharded by resource hash; a shard holds
+// the granted modes and the FIFO queue of its resources. A transaction's
+// held set, the resources ReleaseAll visits, lives in a second table
+// sharded by transaction id. The fast paths take one resource-shard mutex:
+// an uncontended grant (then the held-set shard's mutex, to note a newly
+// held resource) and the release of a lock with no queue. Neither takes
+// the global mutex gmu, and in steady state neither allocates: each shard
+// recycles lock states and held lists up to a fixed cap. gmu owns the wait
+// table and deadlock detection; it is taken when a request must wait, when
+// a release has a queue to wake, and when a waiting request is cancelled.
+// Lock order is gmu, then a resource shard, then a held-set shard;
+// resource-shard mutexes never nest and held-set shard mutexes are leaves.
 package lock
 
 import (
@@ -22,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dmx/internal/obs"
@@ -147,29 +154,99 @@ type request struct {
 	done chan error // receives nil on grant, error on deadlock victim/cancel
 }
 
+// holder is one granted lock on a resource.
+type holder struct {
+	txn  wal.TxnID
+	mode Mode
+}
+
 type lockState struct {
-	holders map[wal.TxnID]Mode
+	holders []holder // almost always one entry
 	queue   []*request
 }
 
-// numShards splits the resource table; resources hash to a shard and
-// uncontended acquires touch only that shard's mutex.
+// find returns the index of txn's entry in ls.holders, or -1.
+func (ls *lockState) find(txn wal.TxnID) int {
+	for i, h := range ls.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// grant sets txn's mode on ls and reports whether txn is a new holder.
+func (ls *lockState) grant(txn wal.TxnID, mode Mode) (fresh bool) {
+	if i := ls.find(txn); i >= 0 {
+		ls.holders[i].mode = mode
+		return false
+	}
+	ls.holders = append(ls.holders, holder{txn: txn, mode: mode})
+	return true
+}
+
+// drop removes txn from the holders.
+func (ls *lockState) drop(txn wal.TxnID) {
+	if i := ls.find(txn); i >= 0 {
+		last := len(ls.holders) - 1
+		ls.holders[i] = ls.holders[last]
+		ls.holders = ls.holders[:last]
+	}
+}
+
+// numShards splits the resource table, and the held-set table, into
+// independently locked shards.
 const numShards = 16
+
+// maxRecycled bounds what a shard keeps for reuse: at most this many
+// retired lock states or emptied held lists, and no held list whose
+// capacity grew past it. A bulk transaction's many states and its long
+// held list go to the garbage collector when it ends.
+const maxRecycled = 64
 
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
+	free  []*lockState // retired states, at most maxRecycled
 }
 
-// state returns the lock state for res, creating it when create is set.
-// Caller holds sh.mu.
-func (sh *lockShard) state(res Resource, create bool) *lockState {
+// state returns the lock state for res, creating it if absent. Caller
+// holds sh.mu.
+func (sh *lockShard) state(res Resource) *lockState {
 	ls := sh.locks[res]
-	if ls == nil && create {
-		ls = &lockState{holders: make(map[wal.TxnID]Mode)}
+	if ls == nil {
+		if n := len(sh.free); n > 0 {
+			ls = sh.free[n-1]
+			sh.free[n-1] = nil
+			sh.free = sh.free[:n-1]
+		} else {
+			ls = &lockState{}
+		}
 		sh.locks[res] = ls
 	}
 	return ls
+}
+
+// retireIfIdle removes ls from the table once nobody holds or awaits it,
+// keeping it for reuse while the free list has room. Caller holds sh.mu.
+func (sh *lockShard) retireIfIdle(res Resource, ls *lockState) {
+	if len(ls.holders) != 0 || len(ls.queue) != 0 {
+		return
+	}
+	delete(sh.locks, res)
+	if len(sh.free) < maxRecycled && cap(ls.holders) <= maxRecycled {
+		ls.queue = nil
+		sh.free = append(sh.free, ls)
+	}
+}
+
+// heldShard records, for the transactions whose ids hash to it, the
+// resources each holds, in grant order. The modes live in the resource
+// shards. Its mutex is a leaf: nothing is locked under it.
+type heldShard struct {
+	mu   sync.Mutex
+	sets map[wal.TxnID][]Resource
+	free [][]Resource // emptied lists, at most maxRecycled
 }
 
 // Manager is the lock manager. It is safe for concurrent use.
@@ -180,13 +257,16 @@ func (sh *lockShard) state(res Resource, create bool) *lockState {
 // request — the granter in wake, the canceller in ReleaseAll, or the victim
 // path in Acquire — never by the awakened waiter, so the waits-for graph
 // seen by deadlock detection holds no already-granted phantom edges.
+// A queue changes only under gmu, so a release that finds its resource's
+// queue empty under the shard mutex has no one to wake.
 type Manager struct {
 	shards [numShards]*lockShard
+	held   [numShards]*heldShard // by transaction id
 
-	gmu   sync.Mutex                      // graph mutex: held, waits, DFS
-	held  map[wal.TxnID]map[Resource]Mode // per-txn held set for ReleaseAll
-	waits map[wal.TxnID]*request          // txn -> its single pending request
-	obs   *obs.LockStats
+	gmu     sync.Mutex             // graph mutex: waits, DFS
+	waits   map[wal.TxnID]*request // txn -> its single pending request
+	waiters atomic.Int64           // len(waits), read by ReleaseAll without gmu
+	obs     *obs.LockStats
 
 	// waitSink, when set, is called on the waiter's goroutine after every
 	// blocked Acquire resolves, with the waiting transaction and the time
@@ -198,12 +278,12 @@ type Manager struct {
 // NewManager returns an empty lock manager.
 func NewManager() *Manager {
 	m := &Manager{
-		held:  make(map[wal.TxnID]map[Resource]Mode),
 		waits: make(map[wal.TxnID]*request),
 		obs:   &obs.LockStats{},
 	}
 	for i := range m.shards {
 		m.shards[i] = &lockShard{locks: make(map[Resource]*lockState)}
+		m.held[i] = &heldShard{sets: make(map[wal.TxnID][]Resource)}
 	}
 	return m
 }
@@ -220,6 +300,11 @@ func (m *Manager) shardFor(res Resource) *lockShard {
 		h *= 16777619
 	}
 	return m.shards[h%numShards]
+}
+
+// heldFor returns the held-set shard of txn.
+func (m *Manager) heldFor(txn wal.TxnID) *heldShard {
+	return m.held[uint64(txn)%numShards]
 }
 
 // SetObs points the manager's instrumentation at a shared metric registry.
@@ -243,61 +328,55 @@ func (m *Manager) SetWaitSink(sink func(wal.TxnID, time.Duration)) {
 func (m *Manager) Acquire(txn wal.TxnID, res Resource, mode Mode) error {
 	m.obs.Requests.Inc()
 	sh := m.shardFor(res)
-	// Fast path: grant under the shard mutex alone, then record the held
-	// entry under gmu (sequentially — the mutexes never nest this way
-	// round). The window where the grant is visible in the shard but not
-	// yet in held is benign: deadlock DFS reads holders, and ReleaseAll
-	// for this transaction cannot run concurrently with its own Acquire
-	// (transactions are goroutine-confined).
+	// Fast path: grant under the shard mutex alone, then add a newly held
+	// resource to the held set. The window where the grant is visible in
+	// the shard but not yet in the held set is benign: deadlock DFS reads
+	// holders, and ReleaseAll for this transaction cannot run concurrently
+	// with its own Acquire (transactions are goroutine-confined).
 	sh.mu.Lock()
-	granted, settled := m.tryGrantLocked(sh, txn, res, mode)
+	fresh, settled := m.tryGrantLocked(sh, txn, res, mode)
 	sh.mu.Unlock()
-	if settled {
-		if granted {
-			m.recordHeld(txn, res)
+	if !settled {
+		// Slow path: must (probably) wait. Re-check under gmu + shard —
+		// the holders may have drained between the unlock and here.
+		m.gmu.Lock()
+		sh.mu.Lock()
+		if fresh, settled = m.tryGrantLocked(sh, txn, res, mode); !settled {
+			return m.wait(txn, sh, res, mode)
 		}
-		return nil
-	}
-
-	// Slow path: must (probably) wait. Re-check under gmu + shard — the
-	// holders may have drained between the unlock and here.
-	m.gmu.Lock()
-	sh.mu.Lock()
-	ls := sh.state(res, true)
-	want := mode
-	holds := false
-	if cur, ok := ls.holders[txn]; ok {
-		holds = true
-		want = supremum(cur, mode)
-		if want == cur {
-			sh.mu.Unlock()
-			m.gmu.Unlock()
-			return nil
-		}
-	}
-	if m.grantable(ls, txn, want) && (holds || len(ls.queue) == 0) {
-		ls.holders[txn] = want
 		sh.mu.Unlock()
-		m.recordHeldLocked(txn, res, want)
 		m.gmu.Unlock()
-		return nil
 	}
-	// Enqueue. Upgrades jump the queue ahead of fresh requests so an
-	// S-holder upgrading to X cannot deadlock behind a newcomer; but if a
-	// grantable-now upgrade exists we handled it above.
-	req := &request{txn: txn, res: res, mode: want, done: make(chan error, 1)}
-	if holds {
+	if fresh {
+		m.recordHeld(txn, res)
+	}
+	return nil
+}
+
+// wait enqueues txn's request for mode on res and blocks until it is
+// settled, or returns ErrDeadlock at once if the wait would close a cycle.
+// Caller holds gmu and sh.mu, found the request not grantable, and has
+// both released when wait returns.
+func (m *Manager) wait(txn wal.TxnID, sh *lockShard, res Resource, mode Mode) error {
+	ls := sh.locks[res]
+	i := ls.find(txn)
+	req := &request{txn: txn, res: res, mode: mode, done: make(chan error, 1)}
+	// Upgrades jump the queue ahead of fresh requests so an S-holder
+	// upgrading to X cannot deadlock behind a newcomer; a grantable-now
+	// upgrade never gets here.
+	if i >= 0 {
+		req.mode = supremum(ls.holders[i].mode, mode)
 		ls.queue = append([]*request{req}, ls.queue...)
 	} else {
 		ls.queue = append(ls.queue, req)
 	}
 	m.waits[txn] = req
+	m.waiters.Add(1)
 	sh.mu.Unlock()
 	if m.wouldDeadlockLocked(txn) {
 		sh.mu.Lock()
-		m.removeRequest(ls, req)
+		m.dequeueLocked(sh, ls, req)
 		sh.mu.Unlock()
-		delete(m.waits, txn)
 		m.gmu.Unlock()
 		m.obs.Deadlocks.Inc()
 		return ErrDeadlock
@@ -320,29 +399,23 @@ func (m *Manager) Acquire(txn wal.TxnID, res Resource, mode Mode) error {
 }
 
 // tryGrantLocked attempts an immediate grant under sh.mu. It returns
-// (granted, settled): settled without granted means the lock was already
-// held strongly enough. Fresh requests yield to an existing queue (FIFO
-// fairness); upgrades may bypass it.
-func (m *Manager) tryGrantLocked(sh *lockShard, txn wal.TxnID, res Resource, mode Mode) (granted, settled bool) {
-	ls := sh.state(res, false)
-	if ls == nil {
-		sh.state(res, true).holders[txn] = mode
-		return true, true
-	}
+// (fresh, settled): settled means txn now holds at least mode, and fresh
+// that res was not held by txn before. Fresh requests yield to an existing
+// queue (FIFO fairness); upgrades may bypass it.
+func (m *Manager) tryGrantLocked(sh *lockShard, txn wal.TxnID, res Resource, mode Mode) (fresh, settled bool) {
+	ls := sh.state(res)
 	want := mode
-	holds := false
-	if cur, ok := ls.holders[txn]; ok {
-		holds = true
-		want = supremum(cur, mode)
-		if want == cur {
+	i := ls.find(txn)
+	if i >= 0 {
+		want = supremum(ls.holders[i].mode, mode)
+		if want == ls.holders[i].mode {
 			return false, true // already strong enough
 		}
 	}
-	if m.grantable(ls, txn, want) && (holds || len(ls.queue) == 0) {
-		ls.holders[txn] = want
-		return true, true
+	if !m.grantable(ls, txn, want) || (i < 0 && len(ls.queue) > 0) {
+		return false, false
 	}
-	return false, false
+	return ls.grant(txn, want), true
 }
 
 // TryAcquire is Acquire without blocking: it returns false if the lock is
@@ -351,9 +424,9 @@ func (m *Manager) TryAcquire(txn wal.TxnID, res Resource, mode Mode) bool {
 	m.obs.Requests.Inc()
 	sh := m.shardFor(res)
 	sh.mu.Lock()
-	granted, settled := m.tryGrantLocked(sh, txn, res, mode)
+	fresh, settled := m.tryGrantLocked(sh, txn, res, mode)
 	sh.mu.Unlock()
-	if granted {
+	if fresh {
 		m.recordHeld(txn, res)
 	}
 	return settled
@@ -361,86 +434,98 @@ func (m *Manager) TryAcquire(txn wal.TxnID, res Resource, mode Mode) bool {
 
 // grantable reports whether txn may hold want on ls given the OTHER holders.
 func (m *Manager) grantable(ls *lockState, txn wal.TxnID, want Mode) bool {
-	for holder, held := range ls.holders {
-		if holder == txn {
-			continue
-		}
-		if !compatible(want, held) {
+	for _, h := range ls.holders {
+		if h.txn != txn && !compatible(want, h.mode) {
 			return false
 		}
 	}
 	return true
 }
 
-// recordHeld mirrors a shard grant into the per-txn held set.
+// recordHeld appends res to txn's held set, reusing an emptied list.
 func (m *Manager) recordHeld(txn wal.TxnID, res Resource) {
-	sh := m.shardFor(res)
-	m.gmu.Lock()
-	// Re-read the granted mode: a same-txn upgrade cannot race (goroutine
-	// confinement), so the holder entry is still ours.
-	sh.mu.Lock()
-	mode := ModeNone
-	if ls := sh.state(res, false); ls != nil {
-		mode = ls.holders[txn]
+	hs := m.heldFor(txn)
+	hs.mu.Lock()
+	list, ok := hs.sets[txn]
+	if n := len(hs.free); !ok && n > 0 {
+		list = hs.free[n-1]
+		hs.free[n-1] = nil
+		hs.free = hs.free[:n-1]
 	}
-	sh.mu.Unlock()
-	if mode != ModeNone {
-		m.recordHeldLocked(txn, res, mode)
-	}
-	m.gmu.Unlock()
+	hs.sets[txn] = append(list, res)
+	hs.mu.Unlock()
 }
 
-// recordHeldLocked updates the held set under gmu.
-func (m *Manager) recordHeldLocked(txn wal.TxnID, res Resource, mode Mode) {
-	hm := m.held[txn]
-	if hm == nil {
-		hm = make(map[Resource]Mode)
-		m.held[txn] = hm
-	}
-	hm[res] = mode
-}
-
-func (m *Manager) removeRequest(ls *lockState, req *request) {
+// dequeueLocked removes a pending request from the queue on ls, drops its
+// waits entry, and wakes the requests that were queued behind it. Caller
+// holds gmu and sh.mu.
+func (m *Manager) dequeueLocked(sh *lockShard, ls *lockState, req *request) {
 	for i, r := range ls.queue {
 		if r == req {
 			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			return
+			break
 		}
 	}
+	m.dropWaitLocked(req.txn)
+	m.wakeLocked(ls, req.res)
+	sh.retireIfIdle(req.res, ls)
+}
+
+// dropWaitLocked removes txn's waits entry. Caller holds gmu.
+func (m *Manager) dropWaitLocked(txn wal.TxnID) {
+	delete(m.waits, txn)
+	m.waiters.Add(-1)
 }
 
 // ReleaseAll drops every lock txn holds and cancels any pending request.
 // Called by the transaction manager at commit or abort (all locks are
-// released at transaction termination).
+// released at transaction termination). A lock with no queue is dropped
+// under its shard mutex alone; gmu is taken only to wake a queue or to
+// cancel a wait.
 func (m *Manager) ReleaseAll(txn wal.TxnID) {
-	m.gmu.Lock()
-	defer m.gmu.Unlock()
-	if req, ok := m.waits[txn]; ok {
-		sh := m.shardFor(req.res)
-		sh.mu.Lock()
-		if ls := sh.state(req.res, false); ls != nil {
-			m.removeRequest(ls, req)
+	if m.waiters.Load() > 0 {
+		m.gmu.Lock()
+		if req, ok := m.waits[txn]; ok {
+			sh := m.shardFor(req.res)
+			sh.mu.Lock()
+			m.dequeueLocked(sh, sh.locks[req.res], req)
+			sh.mu.Unlock()
+			req.done <- fmt.Errorf("lock: transaction %d terminated while waiting", txn)
 		}
-		sh.mu.Unlock()
-		delete(m.waits, txn)
-		req.done <- fmt.Errorf("lock: transaction %d terminated while waiting", txn)
+		m.gmu.Unlock()
 	}
-	for res := range m.held[txn] {
+	hs := m.heldFor(txn)
+	hs.mu.Lock()
+	list := hs.sets[txn]
+	delete(hs.sets, txn)
+	hs.mu.Unlock()
+	for _, res := range list {
 		sh := m.shardFor(res)
 		sh.mu.Lock()
-		ls := sh.state(res, false)
-		if ls == nil {
+		ls := sh.locks[res] // held by txn, so not retired
+		if len(ls.queue) == 0 {
+			ls.drop(txn)
+			sh.retireIfIdle(res, ls)
 			sh.mu.Unlock()
 			continue
 		}
-		delete(ls.holders, txn)
-		m.wakeLocked(ls, res)
-		if len(ls.holders) == 0 && len(ls.queue) == 0 {
-			delete(sh.locks, res)
-		}
 		sh.mu.Unlock()
+		m.gmu.Lock()
+		sh.mu.Lock()
+		ls.drop(txn)
+		m.wakeLocked(ls, res)
+		sh.retireIfIdle(res, ls)
+		sh.mu.Unlock()
+		m.gmu.Unlock()
 	}
-	delete(m.held, txn)
+	if cap(list) > 0 && cap(list) <= maxRecycled {
+		clear(list)
+		hs.mu.Lock()
+		if len(hs.free) < maxRecycled {
+			hs.free = append(hs.free, list[:0])
+		}
+		hs.mu.Unlock()
+	}
 }
 
 // wakeLocked grants the longest compatible prefix of the queue. Caller
@@ -454,18 +539,30 @@ func (m *Manager) wakeLocked(ls *lockState, res Resource) {
 			return
 		}
 		ls.queue = ls.queue[1:]
-		ls.holders[req.txn] = req.mode
-		m.recordHeldLocked(req.txn, res, req.mode)
-		delete(m.waits, req.txn)
+		if ls.grant(req.txn, req.mode) {
+			m.recordHeld(req.txn, res)
+		}
+		m.dropWaitLocked(req.txn)
 		req.done <- nil
 	}
 }
 
-// wouldDeadlockLocked runs DFS over the waits-for graph starting from txn,
-// following waiter → incompatible holder edges. Caller holds gmu (which
-// pins the wait table); each hop reads its resource's holders under that
-// shard's mutex. Wait edges are only added under gmu, so the transaction
-// that completes a cycle always sees the whole cycle here.
+// holderBlockers appends to dst the holders of ls whose modes conflict
+// with req.
+func holderBlockers(dst []wal.TxnID, ls *lockState, req *request) []wal.TxnID {
+	for _, h := range ls.holders {
+		if h.txn != req.txn && !compatible(req.mode, h.mode) {
+			dst = append(dst, h.txn)
+		}
+	}
+	return dst
+}
+
+// wouldDeadlockLocked runs DFS over the waits-for graph starting from txn.
+// A waiter waits for every holder of a conflicting mode and for every
+// request queued ahead of it, since a wake grants only a grantable prefix
+// of the queue. Caller holds gmu (which pins the wait table and every
+// queue); each hop reads its resource's state under that shard's mutex.
 func (m *Manager) wouldDeadlockLocked(start wal.TxnID) bool {
 	visited := map[wal.TxnID]bool{}
 	var dfs func(t wal.TxnID) bool
@@ -476,23 +573,22 @@ func (m *Manager) wouldDeadlockLocked(start wal.TxnID) bool {
 		}
 		sh := m.shardFor(req.res)
 		sh.mu.Lock()
-		var blockers []wal.TxnID
-		if ls := sh.state(req.res, false); ls != nil {
-			for holder, held := range ls.holders {
-				if holder == t || compatible(req.mode, held) {
-					continue
-				}
-				blockers = append(blockers, holder)
+		ls := sh.locks[req.res]
+		blockers := holderBlockers(nil, ls, req)
+		for _, ahead := range ls.queue {
+			if ahead == req {
+				break
 			}
+			blockers = append(blockers, ahead.txn)
 		}
 		sh.mu.Unlock()
-		for _, holder := range blockers {
-			if holder == start {
+		for _, b := range blockers {
+			if b == start {
 				return true
 			}
-			if !visited[holder] {
-				visited[holder] = true
-				if dfs(holder) {
+			if !visited[b] {
+				visited[b] = true
+				if dfs(b) {
 					return true
 				}
 			}
@@ -520,28 +616,26 @@ type WaitingLock struct {
 
 // SnapshotLocks returns the granted and waiting lock requests, with
 // waits-for edges resolved for each waiter. It takes gmu and then each
-// waiter's shard mutex — the same global-then-shard order every slow path
+// shard mutex in turn — the same global-then-shard order every slow path
 // uses — so it can run concurrently with Acquire/ReleaseAll without
 // deadlock risk. Results are sorted (txn, then resource) for stable
 // relation output.
 func (m *Manager) SnapshotLocks() (held []HeldLock, waiting []WaitingLock) {
 	m.gmu.Lock()
-	for txn, hm := range m.held {
-		for res, mode := range hm {
-			held = append(held, HeldLock{Txn: txn, Res: res, Mode: mode})
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for res, ls := range sh.locks {
+			for _, h := range ls.holders {
+				held = append(held, HeldLock{Txn: h.txn, Res: res, Mode: h.mode})
+			}
 		}
+		sh.mu.Unlock()
 	}
 	for txn, req := range m.waits {
 		w := WaitingLock{Txn: txn, Res: req.res, Mode: req.mode}
 		sh := m.shardFor(req.res)
 		sh.mu.Lock()
-		if ls := sh.state(req.res, false); ls != nil {
-			for holder, heldMode := range ls.holders {
-				if holder != txn && !compatible(req.mode, heldMode) {
-					w.Blockers = append(w.Blockers, holder)
-				}
-			}
-		}
+		w.Blockers = holderBlockers(nil, sh.locks[req.res], req)
 		sh.mu.Unlock()
 		sort.Slice(w.Blockers, func(i, j int) bool { return w.Blockers[i] < w.Blockers[j] })
 		waiting = append(waiting, w)
@@ -564,14 +658,21 @@ func (m *Manager) SnapshotLocks() (held []HeldLock, waiting []WaitingLock) {
 
 // HeldMode returns the mode txn holds on res (ModeNone if not held).
 func (m *Manager) HeldMode(txn wal.TxnID, res Resource) Mode {
-	m.gmu.Lock()
-	defer m.gmu.Unlock()
-	return m.held[txn][res]
+	sh := m.shardFor(res)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if ls := sh.locks[res]; ls != nil {
+		if i := ls.find(txn); i >= 0 {
+			return ls.holders[i].mode
+		}
+	}
+	return ModeNone
 }
 
 // HeldCount returns how many locks txn currently holds.
 func (m *Manager) HeldCount(txn wal.TxnID) int {
-	m.gmu.Lock()
-	defer m.gmu.Unlock()
-	return len(m.held[txn])
+	hs := m.heldFor(txn)
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	return len(hs.sets[txn])
 }

@@ -548,3 +548,179 @@ func TestShardStorm(t *testing.T) {
 		m.shards[i].mu.Unlock()
 	}
 }
+
+// Regression: a waiter is blocked by every request queued ahead of it, not
+// only by incompatible holders, so a cycle can run through queue order.
+// Here T3's S is compatible with T1's S but queues behind T2's X, which
+// waits for T1; when T1 then waits for T3 the cycle T1→T3→T2→T1 must
+// choose a victim instead of blocking all three.
+func TestDeadlockThroughQueueOrder(t *testing.T) {
+	m := NewManager()
+	r, q := RelResource(80), RelResource(81)
+	if err := m.Acquire(1, r, ModeS); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(3, q, ModeX); err != nil {
+		t.Fatal(err)
+	}
+	got2, got3 := make(chan error, 1), make(chan error, 1)
+	go func() { got2 <- m.Acquire(2, r, ModeX) }()
+	waitForWaiter(t, m, 2)
+	go func() { got3 <- m.Acquire(3, r, ModeS) }()
+	waitForWaiter(t, m, 3)
+	got1 := make(chan error, 1)
+	go func() { got1 <- m.Acquire(1, q, ModeX) }()
+	select {
+	case err := <-got1:
+		if err != ErrDeadlock {
+			t.Fatalf("T1 closing the cycle: want ErrDeadlock, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cycle through queue order chose no victim")
+	}
+	m.ReleaseAll(1)
+	if err := <-got2; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+	if err := <-got3; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(3)
+}
+
+// Regression: removing a queued request must wake the requests behind it.
+// T3's S is compatible with the held S and queued only behind T2's X; when
+// T2 terminates while waiting, T3 is granted.
+func TestCancelledWaiterWakesFollowers(t *testing.T) {
+	m := NewManager()
+	res := RelResource(82)
+	if err := m.Acquire(1, res, ModeS); err != nil {
+		t.Fatal(err)
+	}
+	got2, got3 := make(chan error, 1), make(chan error, 1)
+	go func() { got2 <- m.Acquire(2, res, ModeX) }()
+	waitForWaiter(t, m, 2)
+	go func() { got3 <- m.Acquire(3, res, ModeS) }()
+	waitForWaiter(t, m, 3)
+	m.ReleaseAll(2)
+	if err := <-got2; err == nil {
+		t.Fatal("cancelled waiter should get an error")
+	}
+	select {
+	case err := <-got3:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("follower stranded behind a cancelled request")
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+}
+
+// lockTxn runs the lock traffic of a small write transaction: IX on the
+// relation, X on each key, the first key again, then release.
+func lockTxn(m *Manager, txn wal.TxnID, rel Resource, keys []Resource) error {
+	if err := m.Acquire(txn, rel, ModeIX); err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := m.Acquire(txn, k, ModeX); err != nil {
+			return err
+		}
+	}
+	if err := m.Acquire(txn, keys[0], ModeX); err != nil {
+		return err
+	}
+	m.ReleaseAll(txn)
+	return nil
+}
+
+func keyResources(rel uint32, prefix byte, n int) []Resource {
+	keys := make([]Resource, n)
+	for i := range keys {
+		keys[i] = KeyResource(rel, []byte{prefix, byte(i)})
+	}
+	return keys
+}
+
+// TestLockAllocations pins the uncontended write transaction's lock
+// traffic at zero allocations once the shards' recycled states are warm.
+func TestLockAllocations(t *testing.T) {
+	m := NewManager()
+	rel, keys := RelResource(1), keyResources(1, 0, 4)
+	txn := wal.TxnID(0)
+	got := testing.AllocsPerRun(200, func() {
+		txn++
+		if err := lockTxn(m, txn, rel, keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("lock transaction: %v allocations, want 0", got)
+	}
+}
+
+// TestReleasedStatesAreBounded: a bulk transaction's lock states and held
+// list are not all kept for reuse after it ends.
+func TestReleasedStatesAreBounded(t *testing.T) {
+	m := NewManager()
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if err := m.Acquire(1, KeyResource(1, []byte{byte(i >> 16), byte(i >> 8), byte(i)}), ModeX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.HeldCount(1); got != n {
+		t.Fatalf("HeldCount = %d, want %d", got, n)
+	}
+	m.ReleaseAll(1)
+	if got := m.HeldCount(1); got != 0 {
+		t.Fatalf("HeldCount after release = %d", got)
+	}
+	for i := range m.shards {
+		sh, hs := m.shards[i], m.held[i]
+		if len(sh.locks) != 0 || len(sh.free) > maxRecycled {
+			t.Errorf("shard %d: %d live states, %d recycled (cap %d)", i, len(sh.locks), len(sh.free), maxRecycled)
+		}
+		if len(hs.free) > maxRecycled {
+			t.Errorf("held shard %d: %d recycled lists (cap %d)", i, len(hs.free), maxRecycled)
+		}
+		for _, list := range hs.free {
+			if cap(list) > maxRecycled {
+				t.Errorf("held shard %d recycles a list of capacity %d", i, cap(list))
+			}
+		}
+	}
+}
+
+func BenchmarkAcquireRelease(b *testing.B) {
+	rel := RelResource(1)
+	b.Run("serial", func(b *testing.B) {
+		m, keys := NewManager(), keyResources(1, 0, 4)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := lockTxn(m, wal.TxnID(i+1), rel, keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		m := NewManager()
+		var workers atomic.Uint64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			w := workers.Add(1)
+			keys := keyResources(1, byte(w), 4) // disjoint per worker
+			txn := wal.TxnID(w << 32)
+			for pb.Next() {
+				txn++
+				if err := lockTxn(m, txn, rel, keys); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
