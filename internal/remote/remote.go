@@ -11,18 +11,21 @@
 // access to remote data.
 //
 // Every message is one frame: a 4-byte big-endian payload length, then
-// the payload. Integers in a payload are minimal uvarints; a byte field is
-// a uvarint length and its bytes, and a zero-length field decodes as nil.
-// A Request payload is the Op byte, TxnID, Limit, Table, Key and Rec. A
-// Response payload is Err, Key, Rec, Count, then the number of Entries
-// followed by each entry's Key and Rec, then the number of TxnIDs
-// followed by each id. A frame that does not decode exactly, trailing
-// bytes included, ends the connection.
+// the payload. Each end reads its connection through one buffer, so a
+// frame up to a full scan batch costs one read call. Integers in a payload
+// are minimal uvarints; a byte field is a uvarint length and its bytes,
+// and a zero-length field decodes as nil. A Request payload is the Op
+// byte, TxnID, Limit, Table, Key, End and Rec. A Response payload is Err,
+// Key, Rec, Count, then the number of Entries followed by each entry's Key
+// and Rec, then the number of TxnIDs followed by each id. A frame that
+// does not decode exactly, trailing bytes included, ends the connection.
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -58,6 +61,7 @@ const (
 	OpCommitTxn   // phase two: apply the staged writes and forget the txn
 	OpAbortTxn    // discard the staged writes and forget the txn
 	OpInDoubt     // list prepared transaction ids awaiting a decision
+	OpStageInsert // OpStagePut refused when the key is visible to the txn
 )
 
 func (op Op) String() string {
@@ -88,6 +92,8 @@ func (op Op) String() string {
 		return "aborttxn"
 	case OpInDoubt:
 		return "indoubt"
+	case OpStageInsert:
+		return "stageinsert"
 	default:
 		return fmt.Sprintf("op%d", uint8(op))
 	}
@@ -100,6 +106,7 @@ type Request struct {
 	Op    Op
 	Table string
 	Key   []byte
+	End   []byte // OpScan: exclusive upper bound (nil = none)
 	Rec   []byte // encoded types.Record
 	Limit int
 	TxnID uint64
@@ -176,6 +183,8 @@ type Server struct {
 	Latency time.Duration
 	// Messages counts requests served.
 	Messages atomic.Int64
+	// Shipped counts the entries scan responses carried.
+	Shipped atomic.Int64
 	// Faulted counts requests that an injected fault made fail.
 	Faulted atomic.Int64
 	// Serving counts the Serve loops running now: the server's open
@@ -227,14 +236,15 @@ func (s *Server) Serve(conn net.Conn) {
 	defer s.Serving.Add(-1)
 	defer conn.Close()
 	// The read and write buffers are reused from request to request. That
-	// is safe only because nothing the server keeps aliases a request:
+	// is safe only because readFrame copies each payload out of r, and
+	// nothing the server keeps aliases a request:
 	// btree.Set copies key and record, stage copies the record and keys its
 	// map by string, and a new table name is decoded into a new string.
-	var hdr [4]byte
+	r := bufio.NewReaderSize(conn, readBufSize)
 	var rbuf, wbuf []byte
 	var req Request
 	for {
-		payload, err := readFrame(conn, &hdr, rbuf)
+		payload, err := readFrame(r, rbuf)
 		if err != nil {
 			return
 		}
@@ -265,6 +275,10 @@ func (s *Server) table(name string) (*table, error) {
 // ErrFaulted is the error text injected faults report back to the client.
 const ErrFaulted = "remote: injected fault"
 
+// ErrDuplicateKey is the error StageInsert returns for a key the
+// transaction already sees.
+var ErrDuplicateKey = errors.New("remote: duplicate key")
+
 func (s *Server) handle(req *Request) *Response {
 	s.Messages.Add(1)
 	if s.Latency > 0 {
@@ -294,7 +308,7 @@ func (s *Server) execute(req *Request) *Response {
 		delete(s.tables, req.Table)
 		s.mu.Unlock()
 		return &Response{}
-	case OpStagePut, OpStageDelete:
+	case OpStagePut, OpStageDelete, OpStageInsert:
 		return s.stage(req)
 	case OpPrepare:
 		s.txMu.Lock()
@@ -380,7 +394,9 @@ func (t *table) keyFor(key []byte) []byte {
 // stage buffers one transactional write. The table must exist — staged
 // writes target tables the storage method created beforehand. A staged
 // put with a nil key is assigned its key now, so the client can log it;
-// the sequence number is spent even if the transaction aborts.
+// the sequence number is spent even if the transaction aborts. A staged
+// insert is refused when its key holds a record the transaction sees: a
+// committed one it has not tombstoned, or one it staged itself.
 func (s *Server) stage(req *Request) *Response {
 	if req.TxnID == 0 {
 		return &Response{Err: "remote: staged write without a transaction id"}
@@ -389,19 +405,33 @@ func (s *Server) stage(req *Request) *Response {
 	if err != nil {
 		return &Response{Err: err.Error()}
 	}
-	if req.Key == nil {
-		if req.Op == OpStageDelete {
-			return &Response{Err: "remote: staged delete without a key"}
-		}
-		// Only assignment needs the table latch; a staged write with a key
-		// must not queue behind a scan of the table.
+	var committed bool
+	switch {
+	case req.Key == nil && req.Op != OpStagePut:
+		return &Response{Err: fmt.Sprintf("remote: %v without a key", req.Op)}
+	case req.Key == nil || req.Op == OpStageInsert:
+		// Only assignment and the insert's probe need the table latch; any
+		// other staged write must not queue behind a scan of the table.
 		t.mu.Lock()
-		req.Key = t.keyFor(nil)
+		if req.Key == nil {
+			req.Key = t.keyFor(nil)
+		} else {
+			_, committed = t.recs.Get(req.Key)
+		}
 		t.mu.Unlock()
 	}
 	s.txMu.Lock()
 	defer s.txMu.Unlock()
 	tx := s.txns[req.TxnID]
+	if req.Op == OpStageInsert {
+		var own *stagedWrite
+		if tx != nil {
+			own = tx.writes[req.Table][string(req.Key)]
+		}
+		if own == nil && committed || own != nil && own.rec != nil {
+			return &Response{Err: ErrDuplicateKey.Error()}
+		}
+	}
 	if tx == nil {
 		tx = &serverTxn{writes: make(map[string]map[string]*stagedWrite)}
 		s.txns[req.TxnID] = tx
@@ -411,10 +441,10 @@ func (s *Server) stage(req *Request) *Response {
 		tw = make(map[string]*stagedWrite)
 		tx.writes[req.Table] = tw
 	}
-	if req.Op == OpStagePut {
-		tw[string(req.Key)] = &stagedWrite{rec: append([]byte(nil), req.Rec...)}
-	} else {
+	if req.Op == OpStageDelete {
 		tw[string(req.Key)] = &stagedWrite{} // tombstone
+	} else {
+		tw[string(req.Key)] = &stagedWrite{rec: append([]byte(nil), req.Rec...)}
 	}
 	return &Response{Key: req.Key}
 }
@@ -467,9 +497,11 @@ func (s *Server) stagedFor(txnID uint64, tableName string, key []byte) *stagedWr
 	return nil
 }
 
-// scan returns up to Limit entries with keys strictly after req.Key, in
-// key order, overlaying the requesting transaction's staged writes onto
-// committed state (staged puts appear, tombstones hide); t.mu is held.
+// scan returns up to Limit entries with keys strictly after req.Key and,
+// when req.End is set, before it, in key order, overlaying the requesting
+// transaction's staged writes onto committed state (staged puts appear,
+// tombstones hide); t.mu is held. A batch comes back short only when
+// nothing is left before End.
 func (s *Server) scan(req *Request, t *table) *Response {
 	limit := req.Limit
 	if limit <= 0 {
@@ -489,6 +521,9 @@ func (s *Server) scan(req *Request, t *table) *Response {
 		}
 		s.txMu.Unlock()
 		sort.Strings(stagedKeys)
+		if req.End != nil {
+			stagedKeys = stagedKeys[:sort.SearchStrings(stagedKeys, string(req.End))]
+		}
 	}
 	out := make([]Entry, 0, min(limit, t.recs.Len()+len(stagedKeys)))
 	si := 0
@@ -505,6 +540,9 @@ func (s *Server) scan(req *Request, t *table) *Response {
 	t.recs.Ascend(req.Key, func(k, rec []byte) bool {
 		if req.Key != nil && bytes.Equal(k, req.Key) {
 			return true // the anchor itself is excluded
+		}
+		if req.End != nil && bytes.Compare(k, req.End) >= 0 {
+			return false
 		}
 		for ; si < len(stagedKeys) && stagedKeys[si] < string(k); si++ {
 			if len(out) == limit {
@@ -526,6 +564,7 @@ func (s *Server) scan(req *Request, t *table) *Response {
 	for ; si < len(stagedKeys) && len(out) < limit; si++ {
 		emitStaged(stagedKeys[si])
 	}
+	s.Shipped.Add(int64(len(out)))
 	return &Response{Entries: out}
 }
 
@@ -534,14 +573,14 @@ func (s *Server) scan(req *Request, t *table) *Response {
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	wbuf   []byte // the request frame, reused from call to call
-	hdr    [4]byte
+	r      *bufio.Reader
+	wbuf   []byte        // the request frame, reused from call to call
 	served chan struct{} // closed when the Dial-started server goroutine exits
 }
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn}
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, readBufSize)}
 }
 
 // Dial starts a server goroutine and returns a connected client — the
@@ -606,7 +645,7 @@ func (c *Client) roundTrip(resp *Response) error {
 		c.conn.Close()
 		return fmt.Errorf("remote: send: %w", err)
 	}
-	payload, err := readFrame(c.conn, &c.hdr, nil)
+	payload, err := readFrame(c.r, nil)
 	if err == nil {
 		err = decodeResponse(payload, resp)
 	}
@@ -659,9 +698,10 @@ func (c *Client) Get(txnID uint64, tableName string, key types.Key) (types.Recor
 }
 
 // ScanBatch returns up to limit records with keys strictly after
-// afterKey, overlaying txnID's staged writes onto committed state.
-func (c *Client) ScanBatch(txnID uint64, tableName string, afterKey types.Key, limit int) ([]Entry, error) {
-	resp, err := c.Call(&Request{Op: OpScan, TxnID: txnID, Table: tableName, Key: afterKey, Limit: limit})
+// afterKey and (end non-nil) before end, overlaying txnID's staged writes
+// onto committed state. Fewer than limit records means none is left.
+func (c *Client) ScanBatch(txnID uint64, tableName string, afterKey, end types.Key, limit int) ([]Entry, error) {
+	resp, err := c.Call(&Request{Op: OpScan, TxnID: txnID, Table: tableName, Key: afterKey, End: end, Limit: limit})
 	if err != nil {
 		return nil, err
 	}
@@ -682,6 +722,18 @@ func (c *Client) Count(tableName string) (int, error) {
 // transactions only after CommitTxn.
 func (c *Client) StagePut(txnID uint64, tableName string, key types.Key, rec types.Record) (types.Key, error) {
 	return c.put(&Request{Op: OpStagePut, TxnID: txnID, Table: tableName, Key: key}, rec)
+}
+
+// StageInsert is StagePut for a key the transaction must not see yet: it
+// fails with ErrDuplicateKey, staging nothing, when the key holds a
+// committed record the transaction has not staged a delete of, or a record
+// the transaction staged itself.
+func (c *Client) StageInsert(txnID uint64, tableName string, key types.Key, rec types.Record) error {
+	_, err := c.put(&Request{Op: OpStageInsert, TxnID: txnID, Table: tableName, Key: key}, rec)
+	if err != nil && err.Error() == ErrDuplicateKey.Error() {
+		return ErrDuplicateKey
+	}
+	return err
 }
 
 // StageDelete buffers a delete (tombstone) under txnID.

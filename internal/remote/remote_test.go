@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -112,7 +113,7 @@ func TestScanBatchOrderAndPaging(t *testing.T) {
 	var all []Entry
 	var after types.Key
 	for {
-		batch, err := c.ScanBatch(0, "t", after, 10)
+		batch, err := c.ScanBatch(0, "t", after, nil, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestScanOverlaysStagedWrites(t *testing.T) {
 		var out string
 		var after types.Key
 		for {
-			batch, err := c.ScanBatch(txn, "t", after, limit)
+			batch, err := c.ScanBatch(txn, "t", after, nil, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,5 +269,56 @@ func TestStagedPutAssignsKey(t *testing.T) {
 	}
 	if got, err := c.Get(0, "t", k1); err != nil || got[0].AsInt() != 1 {
 		t.Fatalf("committed record: %v %v", got, err)
+	}
+}
+
+// TestStageInsertDuplicates refuses a staged insert exactly where a Get
+// under the same transaction finds a record: over a committed key and over
+// the transaction's own staged put, but not after its own staged delete
+// or over another transaction's uncommitted put. A refused insert stages
+// nothing.
+func TestStageInsertDuplicates(t *testing.T) {
+	_, c := client(t, 0)
+	c.CreateTable("t")
+	key := func(s string) types.Key { return types.Key(s) }
+	for _, k := range []string{"committed", "deleted"} {
+		if _, err := c.Put("t", key(k), rec(types.Str(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.StagePut(7, "t", key("own"), rec(types.Str("own"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StageDelete(7, "t", key("deleted")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StagePut(8, "t", key("other"), rec(types.Str("other"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key string
+		dup bool
+	}{
+		{"committed", true},
+		{"own", true},
+		{"deleted", false},
+		{"other", false},
+		{"fresh", false},
+		{"fresh", true}, // staged by the insert just before
+	} {
+		_, getErr := c.Get(7, "t", key(tc.key))
+		if seen := getErr == nil; seen != tc.dup {
+			t.Fatalf("%s: Get sees a record: %v, want %v", tc.key, seen, tc.dup)
+		}
+		err := c.StageInsert(7, "t", key(tc.key), rec(types.Str("new")))
+		if tc.dup && !errors.Is(err, ErrDuplicateKey) || !tc.dup && err != nil {
+			t.Fatalf("%s: StageInsert = %v, want duplicate %v", tc.key, err, tc.dup)
+		}
+	}
+	if got, err := c.Get(7, "t", key("committed")); err != nil || got[0].S != "committed" {
+		t.Fatalf("a refused insert staged its record: %v %v", got, err)
+	}
+	if err := c.StageInsert(7, "t", nil, rec(types.Str("x"))); err == nil {
+		t.Fatal("staged insert without a key accepted")
 	}
 }

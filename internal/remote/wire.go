@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,11 @@ import (
 // before any of the frame is read, so a corrupt prefix cannot make the
 // reader allocate gigabytes.
 const maxFrame = 64 << 20
+
+// readBufSize sizes each end's connection reader: large enough that a
+// frame up to a 100-entry scan batch arrives in one read call, length
+// prefix and payload together.
+const readBufSize = 16 << 10
 
 var (
 	errMalformed = errors.New("remote: malformed frame")
@@ -32,17 +38,22 @@ func closeFrame(frame []byte) ([]byte, error) {
 	return frame, nil
 }
 
-// readFrame reads one frame from r and returns its payload, read into buf
-// when buf is large enough and into a new slice otherwise. hdr is the
-// caller's scratch for the length prefix.
-func readFrame(r io.Reader, hdr *[4]byte, buf []byte) ([]byte, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame from r and returns its payload, copied into
+// buf when buf is large enough and into a new slice otherwise, so it never
+// aliases r's buffer.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, errTooLong
 	}
+	r.Discard(4)
 	if uint32(cap(buf)) < n {
 		buf = make([]byte, n)
 	}
@@ -78,7 +89,8 @@ func appendRequestHead(dst []byte, req *Request) []byte {
 	dst = binary.AppendUvarint(dst, req.TxnID)
 	dst = binary.AppendUvarint(dst, uint64(req.Limit))
 	dst = appendBytes(dst, req.Table)
-	return appendBytes(dst, req.Key)
+	dst = appendBytes(dst, req.Key)
+	return appendBytes(dst, req.End)
 }
 
 func appendRequest(dst []byte, req *Request) []byte {
@@ -159,8 +171,8 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// decodeRequest decodes a request payload into req. Key and Rec alias the
-// payload. req.Table keeps its string when the name is unchanged, so a
+// decodeRequest decodes a request payload into req. Key, End and Rec alias
+// the payload. req.Table keeps its string when the name is unchanged, so a
 // connection that keeps addressing one table allocates no name per request.
 func decodeRequest(b []byte, req *Request) error {
 	if len(b) == 0 {
@@ -174,6 +186,7 @@ func decodeRequest(b []byte, req *Request) error {
 		req.Table = string(name)
 	}
 	req.Key = d.bytes()
+	req.End = d.bytes()
 	req.Rec = d.bytes()
 	return d.done()
 }

@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +32,8 @@ func sampleRequests() []Request {
 		{Op: OpCommitTxn, TxnID: 7},
 		{Op: OpAbortTxn, TxnID: 7},
 		{Op: OpInDoubt},
+		{Op: OpStageInsert, TxnID: 7, Table: "t", Key: k, Rec: r},
+		{Op: OpScan, TxnID: 7, Table: "t", Key: k, End: []byte("key-9"), Limit: 100},
 	}
 }
 
@@ -129,8 +133,7 @@ func TestMalformedResponseDropsTheConnection(t *testing.T) {
 	conn, serverEnd := net.Pipe()
 	defer conn.Close()
 	go func() {
-		var hdr [4]byte
-		if _, err := readFrame(serverEnd, &hdr, nil); err != nil {
+		if _, err := readFrame(bufio.NewReader(serverEnd), nil); err != nil {
 			return
 		}
 		reply, _ := closeFrame(append(appendResponse(openFrame(nil), &Response{}), 0))
@@ -144,6 +147,77 @@ func TestMalformedResponseDropsTheConnection(t *testing.T) {
 		t.Fatal("a call after a malformed response succeeded")
 	}
 }
+
+// readCounter is a net.Conn that counts the Read calls it serves.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+// TestFrameIsOneRead checks that each end reads a frame, length prefix and
+// payload together, in one call on its connection: a round trip is one
+// Read on each side, a 100-entry scan batch included.
+func TestFrameIsOneRead(t *testing.T) {
+	clientEnd, serverEnd := net.Pipe()
+	cc, sc := &readCounter{Conn: clientEnd}, &readCounter{Conn: serverEnd}
+	go NewServer(0).Serve(sc)
+	c := NewClient(cc)
+	defer c.Close()
+	calls := []func() error{
+		func() error { return c.CreateTable("t") },
+		func() error { _, err := c.Put("t", types.Key("k"), rec(types.Int(1))); return err },
+		func() error { _, err := c.Get(0, "t", types.Key("k")); return err },
+	}
+	for i := 0; i < 100; i++ {
+		calls = append(calls, func() error { _, err := c.StagePut(7, "t", nil, rec(types.Int(int64(i)))); return err })
+	}
+	calls = append(calls, func() error {
+		batch, err := c.ScanBatch(7, "t", nil, nil, 100)
+		if err == nil && len(batch) != 100 {
+			t.Fatalf("batch of %d entries, want 100", len(batch))
+		}
+		return err
+	})
+	for i, call := range calls {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		if cr, sr := cc.reads.Load(), sc.reads.Load(); cr != int64(i+1) || sr != int64(i+1) {
+			t.Fatalf("after %d round trips: %d reads by the client, %d by the server", i+1, cr, sr)
+		}
+	}
+}
+
+// BenchmarkRoundTrip is one uncontended Get over Dial: encode, one frame
+// each way over net.Pipe, decode, and the server's lookup.
+func BenchmarkRoundTrip(b *testing.B) {
+	c := Dial(NewServer(0))
+	defer c.Close()
+	key := types.Key("k")
+	if err := c.CreateTable("t"); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Put("t", key, rec(types.Int(1), types.Str("payload"))); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := c.Get(0, "t", key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRec = got
+	}
+}
+
+var benchRec types.Record
 
 // TestCallAllocations pins allocations per round trip, the server
 // goroutine's included: a response aliases one payload read for it, and
@@ -169,7 +243,7 @@ func TestCallAllocations(t *testing.T) {
 	}
 	scan := func(limit int) func() error {
 		return func() error {
-			batch, err := c.ScanBatch(0, "t", nil, limit)
+			batch, err := c.ScanBatch(0, "t", nil, nil, limit)
 			if err == nil && len(batch) != limit {
 				t.Fatalf("batch of %d entries, want %d", len(batch), limit)
 			}

@@ -685,10 +685,14 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	// from the WAL instead.
 	if tx.ReadOnly() {
 		s.env.Obs.MVCC.SnapshotReads.Inc()
-		start := time.Now()
+		tr := tx.Trace()
+		var start time.Time
+		if tr.Detailed() { // the clock is read only for the trace event
+			start = time.Now()
+		}
 		usePage, vrec, present, verr := s.versionFor(tx, r, tx.Snapshot())
 		if !usePage || verr != nil {
-			if tr := tx.Trace(); tr.Detailed() {
+			if tr.Detailed() {
 				tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
 			}
 			if verr != nil {

@@ -573,48 +573,52 @@ func (s *store) stageDelete(id uint64, sess *session, key types.Key) error {
 	return s.shards[i].client.StageDelete(id, s.shards[i].table, key)
 }
 
-// taken reports whether key holds a record visible to transaction id
-// (committed, or staged by the transaction itself).
-func (s *store) taken(id uint64, key types.Key) bool {
-	sh := &s.shards[s.shardOf(key)]
-	_, err := sh.client.Get(id, sh.table, key)
-	return err == nil
+// stageInsert stages rec at a new key on the key's owning shard, which
+// refuses it when the transaction already sees a record there. A refused
+// insert staged nothing, so it leaves the shard untouched.
+func (s *store) stageInsert(id uint64, sess *session, key types.Key, rec types.Record) error {
+	i := s.shardOf(key)
+	err := s.shards[i].client.StageInsert(id, s.shards[i].table, key, rec)
+	if errors.Is(err, remote.ErrDuplicateKey) {
+		return smutil.DuplicateKey(rec, s.keyFields)
+	}
+	sess.touched[i] = true
+	return err
 }
 
 // Insert implements core.StorageInstance: the record is staged on its
-// owning shard. With key fields the key is composed locally and checked
-// for a collision; without, the single shard's server assigns it.
+// owning shard. With key fields the key is composed locally and the shard
+// checks it for a collision as it stages; without, the single shard's
+// server assigns it.
 func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	sess, err := s.ensure(tx)
 	if err != nil {
 		return nil, err
 	}
+	// Staging comes before logging: a server-assigned key is not known
+	// until the write is staged, and a duplicate is found as it stages. The
+	// log append fails only when the log has crashed, and then the
+	// transaction can no longer commit: its abort discards the unlogged
+	// staged write with the rest.
 	id := uint64(tx.ID())
+	var key types.Key
 	if s.keyFields == nil {
-		// The key is not known until the write is staged, so staging comes
-		// before logging here. The log append fails only when the log has
-		// crashed, and then the transaction can no longer commit: its abort
-		// discards the unlogged staged write with the rest.
 		sess.touched[0] = true
-		key, err := s.shards[0].client.StagePut(id, s.shards[0].table, nil, rec)
-		if err != nil {
-			return nil, err
-		}
-		return key, core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec})
+		key, err = s.shards[0].client.StagePut(id, s.shards[0].table, nil, rec)
+	} else {
+		key = types.EncodeKeyFields(rec, s.keyFields)
+		err = s.stageInsert(id, sess, key, rec)
 	}
-	key := types.EncodeKeyFields(rec, s.keyFields)
-	if s.taken(id, key) {
-		return nil, smutil.DuplicateKey(rec, s.keyFields)
-	}
-	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return key, s.stagePut(id, sess, key, rec)
+	return key, core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec})
 }
 
 // Update implements core.StorageInstance: updating key fields moves the
-// record to its new key's owning shard — a genuinely multi-shard write.
-// Server-assigned keys are stable.
+// record to its new key's owning shard — a genuinely multi-shard write,
+// whose new key is staged, and checked for a collision, before it is
+// logged. Server-assigned keys are stable.
 func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) (types.Key, error) {
 	sess, err := s.ensure(tx)
 	if err != nil {
@@ -626,16 +630,16 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 		newKey = types.EncodeKeyFields(newRec, s.keyFields)
 	}
 	moved := !newKey.Equal(key)
-	if moved && s.taken(id, newKey) {
-		return nil, smutil.DuplicateKey(newRec, s.keyFields)
+	if moved {
+		if err := s.stageInsert(id, sess, newKey, newRec); err != nil {
+			return nil, err
+		}
 	}
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModUpdate, Key: key, NewKey: newKey, Old: oldRec, New: newRec}); err != nil {
 		return nil, err
 	}
 	if moved {
-		if err := s.stageDelete(id, sess, key); err != nil {
-			return nil, err
-		}
+		return newKey, s.stageDelete(id, sess, key)
 	}
 	return newKey, s.stagePut(id, sess, newKey, newRec)
 }
@@ -793,7 +797,7 @@ func (s *store) PartitionBounds(n int) []types.Key {
 	}
 	var keys []string
 	for i := range s.shards {
-		entries, err := s.shards[i].client.ScanBatch(0, s.shards[i].table, nil, s.batch)
+		entries, err := s.shards[i].client.ScanBatch(0, s.shards[i].table, nil, nil, s.batch)
 		if err != nil {
 			return nil
 		}
@@ -1030,7 +1034,8 @@ type cursor struct {
 // globally smallest head. Every refill is anchored strictly after the
 // last key its cursor returned, so records inserted, changed or deleted
 // between refills — the anchor itself included — are neither skipped nor
-// repeated.
+// repeated. A refill carries the scan's end, and a short batch means the
+// shard has nothing left before it: that cursor is done.
 func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 	if sc.Closed {
 		return nil, nil, false, fmt.Errorf("partsm: scan is closed")
@@ -1040,15 +1045,11 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		for ci, c := range sc.cursors {
 			if len(c.batch) == 0 && !c.done {
 				sh := &sc.store.shards[c.shard]
-				entries, err := sh.client.ScanBatch(sc.tx, sh.table, c.after, sc.store.batch)
+				entries, err := sh.client.ScanBatch(sc.tx, sh.table, c.after, sc.opts.End, sc.store.batch)
 				if err != nil {
 					return nil, nil, false, err
 				}
-				if len(entries) == 0 {
-					c.done = true
-					continue
-				}
-				c.batch = entries
+				c.batch, c.done = entries, len(entries) < sc.store.batch
 			}
 			if len(c.batch) == 0 {
 				continue
@@ -1066,9 +1067,6 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		key := types.Key(e.Key)
 		c.after = key
 		sc.Started, sc.After = true, key
-		if sc.opts.End != nil && key.Compare(sc.opts.End) >= 0 {
-			return nil, nil, false, nil
-		}
 		rec, ok, err := sc.q.Encoded(e.Rec)
 		if err != nil {
 			return nil, nil, false, err

@@ -318,6 +318,62 @@ func TestCachedPointSelectMessages(t *testing.T) {
 	}
 }
 
+// TestBoundedScanShipsItsRange counts, at the servers, the entries a
+// scatter scan over [a, b) receives: exactly the records in the range,
+// committed and staged alike, and none at or past b from any shard.
+func TestBoundedScanShipsItsRange(t *testing.T) {
+	env, srvs, r := setup(t, 3)
+	tx := env.Begin()
+	for i := 0; i < 60; i += 2 {
+		if _, err := r.Insert(tx, rec(int64(i), "committed")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	key := func(id int64) types.Key { return types.EncodeKeyFields(rec(id, ""), []int{0}) }
+	tx = env.Begin()
+	defer tx.Abort()
+	for _, id := range []int64{11, 41} {
+		if _, err := r.Insert(tx, rec(id, "staged")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Delete(tx, key(20)); err != nil {
+		t.Fatal(err)
+	}
+	shipped := func() (n int64) {
+		for _, srv := range srvs {
+			n += srv.Shipped.Load()
+		}
+		return n
+	}
+	before := shipped()
+	sc, err := r.OpenScan(tx, core.ScanOptions{Start: key(10), End: key(30)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var got []int64
+	for {
+		_, g, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, g[0].I)
+	}
+	if want := "[10 11 12 14 16 18 22 24 26 28]"; fmt.Sprint(got) != want {
+		t.Fatalf("scanned %v, want %s", got, want)
+	}
+	if n := shipped() - before; n != int64(len(got)) {
+		t.Fatalf("the shards shipped %d entries for a %d-record range", n, len(got))
+	}
+}
+
 func keySuccessor(k types.Key) types.Key {
 	out := append(types.Key(nil), k...)
 	for i := len(out) - 1; i >= 0; i-- {
@@ -572,13 +628,14 @@ func TestRemoteIsTheOneShardCase(t *testing.T) {
 	if n, _ := other.Count("far_orders"); n != 250 {
 		t.Fatalf("foreign table holds %d records after commit", n)
 	}
-	// 250 records at 8 per batch: 32 batches and one empty terminator.
+	// 250 records at 8 per batch: 31 full batches, and a short 32nd that
+	// ends the scan without an empty terminator.
 	before = srv.Messages.Load()
 	if got := scanAll(t, env, r); len(got) != 250 {
 		t.Fatalf("scanned %d", len(got))
 	}
-	if n := srv.Messages.Load() - before; n != 33 {
-		t.Fatalf("scan took %d round trips, want 33", n)
+	if n := srv.Messages.Load() - before; n != 32 {
+		t.Fatalf("scan took %d round trips, want 32", n)
 	}
 }
 
@@ -642,7 +699,7 @@ func TestScanBatchBoundaryMutation(t *testing.T) {
 			c := remote.Dial(srvs[0])
 			defer c.Close()
 			table := f.tables[0]
-			entries, err := c.ScanBatch(0, table, nil, 1000)
+			entries, err := c.ScanBatch(0, table, nil, nil, 1000)
 			if err != nil || len(entries) < 24 {
 				t.Fatalf("shard 0 holds %d records (%v); the test needs three batches", len(entries), err)
 			}
