@@ -928,4 +928,40 @@ func TestAccessPathConformance(t *testing.T) {
 			}
 		})
 	}
+	// Between two Next calls of a btree scan, the transaction inserts an
+	// entry between the position and the next entry and deletes the entry
+	// after that: the rest of the scan is what a fresh scan holds past the
+	// position.
+	t.Run("btree/scan-ahead-mutation", func(t *testing.T) {
+		f := newFixture(t, nil, "memory", nil)
+		f.insert(base...)
+		f.add(byName("btree"), "i1")
+		f.inTx(func(tx *txn.Txn, r *core.Relation) {
+			from := core.ScanOptions{Start: grpA}
+			sc, err := r.OpenAccessScan(tx, core.AttBTree, 0, from)
+			f.must(err)
+			for i := 0; i < 2; i++ { // on (a, id 2); (b, id 3) is next
+				_, _, ok, err := sc.Next()
+				f.must(err)
+				if !ok {
+					t.Fatal("the scan ended early")
+				}
+			}
+			_, err = r.Insert(tx, row{id: 6, grp: "ab"}.record())
+			f.must(err)
+			fresh, err := r.OpenAccessScan(tx, core.AttBTree, 0, from)
+			f.must(err)
+			ahead := f.drain(fresh)[2:]
+			if len(ahead) < 2 || ahead[0].rec[0].S != "ab" {
+				t.Fatalf("entries past the position: %v, want (ab, id 6) first", ahead)
+			}
+			f.must(r.Delete(tx, ahead[1].key))
+			fresh, err = r.OpenAccessScan(tx, core.AttBTree, 0, from)
+			f.must(err)
+			want := f.drain(fresh)[2:]
+			if got := f.drain(sc); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("scan after changes ahead of its position returned %v, want %v", got, want)
+			}
+		})
+	})
 }

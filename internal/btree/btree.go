@@ -48,6 +48,7 @@ func (n *node) find(key []byte) (int, bool) {
 type Tree struct {
 	root *node
 	size int
+	mods uint64
 }
 
 // New returns an empty tree.
@@ -55,6 +56,11 @@ func New() *Tree { return &Tree{} }
 
 // Len returns the number of entries.
 func (t *Tree) Len() int { return t.size }
+
+// Mods returns the modification count: every Set and every Delete that
+// removes an entry advances it, so a reader that copied entries out can
+// tell whether they still hold by comparing two counts.
+func (t *Tree) Mods() uint64 { return t.mods }
 
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) ([]byte, bool) {
@@ -77,6 +83,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 func (t *Tree) Set(key, val []byte) ([]byte, bool) {
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), val...)
+	t.mods++
 	if t.root == nil {
 		t.root = &node{items: []item{{k, v}}}
 		t.size = 1
@@ -155,6 +162,7 @@ func (t *Tree) Delete(key []byte) ([]byte, bool) {
 	}
 	if ok {
 		t.size--
+		t.mods++
 	}
 	return val, ok
 }

@@ -86,9 +86,9 @@ type CostEstimate struct {
 	Start, End types.Key
 	// Point reports that the request binds the path's whole key by
 	// equality, so Start is a complete access-path key: the planner serves
-	// the access with a direct-by-key probe (Relation.LookupAccess, relation
-	// intention lock plus record locks) instead of a key-sequential access
-	// (relation S). Paths that cannot scan at all — hash indexes — always
+	// the access with a direct-by-key probe (Relation.OpenAccessFetch with
+	// point set: relation intention lock plus record locks) instead of a
+	// key-sequential access (relation S). Paths that cannot scan at all — hash indexes — always
 	// set it.
 	Point bool
 }
@@ -224,8 +224,10 @@ type TxnLoggedApplier interface {
 type VersionedStorage interface {
 	// SnapshotVisible reports whether the record at key exists in tx's
 	// snapshot (tx must be read-only). It never takes locks. Access-path
-	// lookups return record keys without consulting version stamps, so
-	// the read path filters them through it before use.
+	// scans and lookups return record keys without consulting version
+	// stamps, so Relation.OpenAccessScan and LookupAccess filter them
+	// through it; Relation.OpenAccessFetch needs no filter, since its
+	// snapshot fetch already answers "not found" for an invisible key.
 	SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error)
 	// FreezeVersions drops every version chain. A truncating checkpoint —
 	// which only runs with writers quiesced and no snapshot open — calls

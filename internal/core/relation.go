@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -407,7 +408,7 @@ func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
 // OpenAccessScan starts a key-sequential access through access path
 // (attachment type id, instance). It returns record keys (and stored
 // access-path key fields) in access-path key order; records are then
-// fetched directly via the storage method.
+// fetched directly via the storage method (OpenAccessFetch does both).
 // Access paths are unversioned, so for a read-only snapshot transaction
 // the record keys they yield are filtered through the base storage's
 // snapshot visibility: entries from post-snapshot or uncommitted inserts
@@ -415,34 +416,27 @@ func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
 // resurrected from the index; a snapshot read that must see every
 // qualifying historical record uses OpenScan.)
 func (r *Relation) OpenAccessScan(tx *txn.Txn, id AttID, instance int, opts ScanOptions) (Scan, error) {
-	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
-		return nil, err
-	}
-	if !r.lockFree(tx) {
-		if err := tx.Lock(lock.RelResource(r.rd.RelID), lock.ModeS); err != nil {
-			return nil, err
-		}
-	}
-	inst, err := r.env.AttachmentInstance(r.rd, id)
-	if err != nil {
-		return nil, err
-	}
-	ap, ok := inst.(AccessPath)
-	if !ok {
-		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
-	}
-	d := r.begin(tx, id, obs.OpScan)
-	s, err := ap.OpenScan(tx, instance, opts)
-	d.end(err)
+	s, err := r.openAccessScan(tx, id, instance, opts)
 	if err != nil {
 		return nil, err
 	}
 	if r.lockFree(tx) {
-		if vs, ok := r.sm.(VersionedStorage); ok {
-			s = &snapFilterScan{Scan: s, vs: vs, tx: tx}
-		}
+		s = &snapFilterScan{Scan: s, vs: r.sm.(VersionedStorage), tx: tx}
 	}
 	return manageScan(tx, r.counted(tx, s))
+}
+
+// openAccessScan is OpenAccessScan before the snapshot filter and the
+// transaction's scan management.
+func (r *Relation) openAccessScan(tx *txn.Txn, id AttID, instance int, opts ScanOptions) (Scan, error) {
+	ap, err := r.accessPath(tx, id, lock.ModeS)
+	if err != nil {
+		return nil, err
+	}
+	d := r.begin(tx, id, obs.OpScan)
+	s, err := ap.OpenScan(tx, instance, opts)
+	d.end(err)
+	return s, err
 }
 
 // LookupAccess is the direct-by-key access through an access path: it
@@ -451,11 +445,44 @@ func (r *Relation) OpenAccessScan(tx *txn.Txn, id AttID, instance int, opts Scan
 // returned keys are filtered for snapshot visibility (see OpenAccessScan
 // for the limits of unversioned access paths).
 func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.Key) ([]types.Key, error) {
+	keys, err := r.lookupAccess(tx, id, instance, key)
+	if err != nil || !r.lockFree(tx) {
+		return keys, err
+	}
+	vs := r.sm.(VersionedStorage)
+	kept := keys[:0]
+	for _, k := range keys {
+		vis, err := vs.SnapshotVisible(tx, k)
+		if err != nil {
+			return nil, err
+		}
+		if vis {
+			kept = append(kept, k)
+		}
+	}
+	return kept, nil
+}
+
+// lookupAccess is LookupAccess before the snapshot filter.
+func (r *Relation) lookupAccess(tx *txn.Txn, id AttID, instance int, key types.Key) ([]types.Key, error) {
+	ap, err := r.accessPath(tx, id, lock.ModeIS)
+	if err != nil {
+		return nil, err
+	}
+	d := r.begin(tx, id, obs.OpLookup)
+	keys, err := ap.LookupByKey(tx, instance, key)
+	d.end(err)
+	return keys, err
+}
+
+// accessPath checks the read privilege, takes relMode on the relation
+// unless the access is lock-free, and resolves access path id.
+func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessPath, error) {
 	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
-		if err := tx.Lock(lock.RelResource(r.rd.RelID), lock.ModeIS); err != nil {
+		if err := tx.Lock(lock.RelResource(r.rd.RelID), relMode); err != nil {
 			return nil, err
 		}
 	}
@@ -467,26 +494,108 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 	if !ok {
 		return nil, fmt.Errorf("core: attachment type %d is not an access path", id)
 	}
-	d := r.begin(tx, id, obs.OpLookup)
-	keys, err := ap.LookupByKey(tx, instance, key)
-	d.end(err)
-	if err == nil && r.lockFree(tx) {
-		if vs, ok := r.sm.(VersionedStorage); ok {
-			kept := keys[:0]
-			for _, k := range keys {
-				vis, verr := vs.SnapshotVisible(tx, k)
-				if verr != nil {
-					return nil, verr
-				}
-				if vis {
-					kept = append(kept, k)
-				}
-			}
-			keys = kept
-		}
-	}
-	return keys, err
+	return ap, nil
 }
+
+// OpenAccessFetch is index-then-fetch through access path (id, instance):
+// record keys come from the path's key-sequential access over
+// [opts.Start, opts.End) or, when point is set, from its direct-by-key
+// lookup of opts.Start, and each record is fetched directly via the
+// storage method with opts.Fields and opts.Filter (Fetch, or
+// FetchForUpdate when forUpdate). Records the filter rejects are passed
+// over. The returned scan yields the record keys and fetched records.
+//
+// A snapshot read checks each key's visibility once, in its fetch: the
+// storage method answers with the snapshot's version, so "not found"
+// means "not in this snapshot" and the key is passed over. A locking
+// read passes over a looked-up key whose record has gone — the lookup
+// holds only an intention lock on the relation — but a key-sequential
+// access reads under the relation lock, so a missing record is an error.
+func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, forUpdate bool) (*AccessFetch, error) {
+	f := &AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: opts.Filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
+		skipMissing: point || r.lockFree(tx)}
+	if forUpdate {
+		if tx.ReadOnly() {
+			return nil, txn.ErrReadOnly
+		}
+		f.relMode, f.keyMode = lock.ModeIX, lock.ModeX
+	}
+	if point {
+		keys, err := r.lookupAccess(tx, id, instance, opts.Start)
+		if err != nil {
+			return nil, err
+		}
+		f.list.keys = keys
+		f.Scan = &f.list
+		return f, nil
+	}
+	s, err := r.openAccessScan(tx, id, instance, ScanOptions{Start: opts.Start, End: opts.End, Fields: []int{}})
+	if err != nil {
+		return nil, err
+	}
+	if f.Scan, err = manageScan(tx, r.counted(tx, s)); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// AccessFetch is OpenAccessFetch's cursor, a Scan whose Pos, Restore and
+// Close are those of its key source.
+type AccessFetch struct {
+	Scan             // the record keys: the access-path scan, or &list
+	list             keyList
+	r                *Relation
+	tx               *txn.Txn
+	fields           []int
+	filter           *expr.Expr
+	relMode, keyMode lock.Mode
+	skipMissing      bool // ErrNotFound passes the key over
+}
+
+// Next implements Scan: the next fetched record and its key.
+func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
+	for {
+		key, _, ok, err := f.Scan.Next()
+		if err != nil || !ok {
+			return nil, nil, false, err
+		}
+		rec, err := f.r.fetch(f.tx, key, f.fields, f.filter, f.relMode, f.keyMode)
+		if errors.Is(err, ErrFiltered) || f.skipMissing && errors.Is(err, ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		return key, rec, true, nil
+	}
+}
+
+// keyList is the record keys of one direct-by-key lookup as a key source.
+type keyList struct {
+	keys []types.Key
+	next int
+}
+
+func (l *keyList) Next() (types.Key, types.Record, bool, error) {
+	if l.next >= len(l.keys) {
+		return nil, nil, false, nil
+	}
+	l.next++
+	return l.keys[l.next-1], nil, true, nil
+}
+
+func (l *keyList) Pos() ScanPos { return binary.AppendUvarint(nil, uint64(l.next)) }
+
+func (l *keyList) Restore(pos ScanPos) error {
+	n, size := binary.Uvarint(pos)
+	if size <= 0 || n > uint64(len(l.keys)) {
+		return fmt.Errorf("core: bad key-list position %v", []byte(pos))
+	}
+	l.next = int(n)
+	return nil
+}
+
+func (l *keyList) Close() error { return nil }
 
 // countedScan charges each row a scan produces to the transaction's
 // resource accounting and the relation's rollup.

@@ -18,7 +18,6 @@
 package plan
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -653,20 +652,18 @@ func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, for
 	// access a hash index offers) is a direct-by-key probe. The probe holds
 	// only an intention lock on the relation, so each record is judged
 	// against the whole predicate once its own lock is held: a record that
-	// changed or vanished since the probe is skipped.
+	// changed or vanished since the probe is skipped. A key-sequential
+	// access hands the fetch its pushed-down residual.
+	filter := a.pushdown
 	if a.estimate.Point {
-		keys, err := rel.LookupAccess(tx, a.useAtt, a.instance, a.start)
-		if err != nil {
-			return nil, err
-		}
-		return &fetchRows{tx: tx, rel: rel, forUpdate: forUpdate, keys: keys, filter: a.filter, fields: fields}, nil
+		filter = a.filter
 	}
-	// The fetch reads the record itself, so the path returns keys only.
-	scan, err := rel.OpenAccessScan(tx, a.useAtt, a.instance, core.ScanOptions{Start: a.start, End: a.end, Fields: []int{}})
+	f, err := rel.OpenAccessFetch(tx, a.useAtt, a.instance, a.estimate.Point,
+		core.ScanOptions{Start: a.start, End: a.end, Filter: filter, Fields: fields}, forUpdate)
 	if err != nil {
 		return nil, err
 	}
-	return &fetchRows{tx: tx, rel: rel, forUpdate: forUpdate, scan: scan, filter: a.pushdown, fields: fields}, nil
+	return fetchRows{f}, nil
 }
 
 // scanRows adapts a storage-method scan.
@@ -681,66 +678,15 @@ func (r scanRows) Next() (types.Record, bool, error) {
 
 func (r scanRows) Close() error { return r.scan.Close() }
 
-// fetchRows takes record keys from an access path — a key-sequential
-// access (scan) or the key list of a direct-by-key probe (keys) — and
-// fetches each record directly via the storage method, tuple at a time.
-// forUpdate fetches under the record's X lock (Relation.FetchForUpdate).
-type fetchRows struct {
-	tx        *txn.Txn
-	rel       *core.Relation
-	forUpdate bool
-	scan      core.Scan
-	keys      []types.Key
-	filter    *expr.Expr
-	fields    []int
-}
+// fetchRows adapts an index-then-fetch cursor. It is one pointer, so it
+// converts to KeyedRows without an allocation.
+type fetchRows struct{ *core.AccessFetch }
 
-func (r *fetchRows) nextKey() (types.Key, bool, error) {
-	if r.scan != nil {
-		key, _, ok, err := r.scan.Next()
-		return key, ok, err
-	}
-	if len(r.keys) == 0 {
-		return nil, false, nil
-	}
-	key := r.keys[0]
-	r.keys = r.keys[1:]
-	return key, true, nil
-}
+func (r fetchRows) NextKeyed() (types.Key, types.Record, bool, error) { return r.AccessFetch.Next() }
 
-func (r *fetchRows) NextKeyed() (types.Key, types.Record, bool, error) {
-	for {
-		key, ok, err := r.nextKey()
-		if err != nil || !ok {
-			return nil, nil, false, err
-		}
-		fetch := r.rel.Fetch
-		if r.forUpdate {
-			fetch = r.rel.FetchForUpdate
-		}
-		rec, err := fetch(r.tx, key, r.fields, r.filter)
-		// A probe's keys were read without a lock that keeps their records
-		// in place: one deleted since is passed over, not an error.
-		if err == core.ErrFiltered || (r.scan == nil && errors.Is(err, core.ErrNotFound)) {
-			continue
-		}
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return key, rec, true, nil
-	}
-}
-
-func (r *fetchRows) Next() (types.Record, bool, error) {
-	_, rec, ok, err := r.NextKeyed()
+func (r fetchRows) Next() (types.Record, bool, error) {
+	_, rec, ok, err := r.AccessFetch.Next()
 	return rec, ok, err
-}
-
-func (r *fetchRows) Close() error {
-	if r.scan != nil {
-		return r.scan.Close()
-	}
-	return nil
 }
 
 // openHashJoin reads the build access at degree into one table keyed by

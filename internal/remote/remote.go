@@ -279,6 +279,10 @@ const ErrFaulted = "remote: injected fault"
 // transaction already sees.
 var ErrDuplicateKey = errors.New("remote: duplicate key")
 
+// ErrKeyNotFound is the error Get returns for a key that holds no record
+// the transaction sees.
+var ErrKeyNotFound = errors.New("remote: key not found")
+
 func (s *Server) handle(req *Request) *Response {
 	s.Messages.Add(1)
 	if s.Latency > 0 {
@@ -351,19 +355,19 @@ func (s *Server) execute(req *Request) *Response {
 		return &Response{Key: key}
 	case OpDelete:
 		if _, ok := t.recs.Delete(req.Key); !ok {
-			return &Response{Err: "remote: key not found"}
+			return &Response{Err: ErrKeyNotFound.Error()}
 		}
 		return &Response{}
 	case OpGet:
 		if st := s.stagedFor(req.TxnID, req.Table, req.Key); st != nil {
 			if st.rec == nil {
-				return &Response{Err: "remote: key not found"}
+				return &Response{Err: ErrKeyNotFound.Error()}
 			}
 			return &Response{Rec: st.rec}
 		}
 		rec, ok := t.recs.Get(req.Key)
 		if !ok {
-			return &Response{Err: "remote: key not found"}
+			return &Response{Err: ErrKeyNotFound.Error()}
 		}
 		return &Response{Rec: rec}
 	case OpScan:
@@ -687,9 +691,13 @@ func (c *Client) Delete(tableName string, key types.Key) error {
 }
 
 // Get fetches the record at key, overlaying txnID's staged writes
-// (read-your-writes). txnID 0 sees committed state only.
+// (read-your-writes). txnID 0 sees committed state only. A key with no
+// record fails with ErrKeyNotFound; any other error is the call's.
 func (c *Client) Get(txnID uint64, tableName string, key types.Key) (types.Record, error) {
 	resp, err := c.Call(&Request{Op: OpGet, TxnID: txnID, Table: tableName, Key: key})
+	if err != nil && err.Error() == ErrKeyNotFound.Error() {
+		return nil, ErrKeyNotFound
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -173,6 +173,7 @@ func TestConformance(t *testing.T) {
 			t.Run("scan", m.testScan)
 			t.Run("filtered-scan", m.testFilteredScan)
 			t.Run("scan-mutation", m.testScanMutation)
+			t.Run("scan-ahead-mutation", m.testScanAheadMutation)
 			t.Run("partial-rollback", m.testPartialRollback)
 			t.Run("closed-scan", m.testClosedScan)
 			t.Run("abort", m.testAbort)
@@ -486,6 +487,42 @@ func (m method) testScanMutation(t *testing.T) {
 	}
 	if rest := drain(t, sc); len(rest) != 3 {
 		t.Fatalf("scan returned %d more records, want 3", len(rest))
+	}
+}
+
+// testScanAheadMutation changes the relation ahead of an open scan's
+// position, between two Next calls: a record is inserted (between the
+// position and the next record, where the method's keys allow choosing)
+// and the record after the next one is deleted. The rest of the scan is
+// what a scan opened afterwards returns past the position.
+func (m method) testScanAheadMutation(t *testing.T) {
+	env := newEnv(t, nil)
+	r := m.create(t, env)
+	load(t, env, r, 0, 2, 4, 6, 8)
+	tx := env.Begin()
+	defer tx.Commit()
+	sc, err := r.OpenScan(tx, core.ScanOptions{})
+	must(t, err)
+	k0, _, ok, err := sc.Next()
+	if err != nil || !ok {
+		t.Fatalf("first: %v %v %v", k0, ok, err)
+	}
+	_, err = r.Insert(tx, rec(1, "new"))
+	must(t, err)
+	after := func() []row {
+		var out []row
+		for _, row := range scanIn(t, tx, r, core.ScanOptions{}) {
+			if row.key.Compare(k0) > 0 {
+				out = append(out, row)
+			}
+		}
+		return out
+	}
+	must(t, r.Delete(tx, after()[1].key))
+	want := after()
+	got := drain(t, sc)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan after changes ahead of its position returned %v, want %v", got, want)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
@@ -400,6 +401,12 @@ type store struct {
 	batch     int
 	shards    []shard
 
+	// staged counts the writes staged through this store. A scan compares
+	// counts to drop read-ahead that its own transaction's writes may have
+	// made stale (under the scan's relation lock no other transaction
+	// stages here; if one could, the cost would be a refetch).
+	staged atomic.Uint64
+
 	mu       sync.Mutex
 	sessions map[wal.TxnID]*session
 	// pending remembers decided transactions whose decision delivery
@@ -562,6 +569,7 @@ func (s *store) decide(tx *txn.Txn, sess *session, commit bool) {
 func (s *store) stagePut(id uint64, sess *session, key types.Key, rec types.Record) error {
 	i := s.shardOf(key)
 	sess.touched[i] = true
+	s.staged.Add(1)
 	_, err := s.shards[i].client.StagePut(id, s.shards[i].table, key, rec)
 	return err
 }
@@ -570,6 +578,7 @@ func (s *store) stagePut(id uint64, sess *session, key types.Key, rec types.Reco
 func (s *store) stageDelete(id uint64, sess *session, key types.Key) error {
 	i := s.shardOf(key)
 	sess.touched[i] = true
+	s.staged.Add(1)
 	return s.shards[i].client.StageDelete(id, s.shards[i].table, key)
 }
 
@@ -578,6 +587,7 @@ func (s *store) stageDelete(id uint64, sess *session, key types.Key) error {
 // insert staged nothing, so it leaves the shard untouched.
 func (s *store) stageInsert(id uint64, sess *session, key types.Key, rec types.Record) error {
 	i := s.shardOf(key)
+	s.staged.Add(1)
 	err := s.shards[i].client.StageInsert(id, s.shards[i].table, key, rec)
 	if errors.Is(err, remote.ErrDuplicateKey) {
 		return smutil.DuplicateKey(rec, s.keyFields)
@@ -604,6 +614,7 @@ func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 	var key types.Key
 	if s.keyFields == nil {
 		sess.touched[0] = true
+		s.staged.Add(1)
 		key, err = s.shards[0].client.StagePut(id, s.shards[0].table, nil, rec)
 	} else {
 		key = types.EncodeKeyFields(rec, s.keyFields)
@@ -659,13 +670,17 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 
 // FetchByKey implements core.StorageInstance: one round trip to the
 // single shard owning the key, overlaying the transaction's own staged
-// writes; the filter runs locally on the fetched record.
+// writes; the filter runs locally on the fetched record. Only the shard's
+// "no such key" is ErrNotFound: a failed call stays an error.
 func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
 	sh := &s.shards[s.shardOf(key)]
 	s.env.Obs.Part.RoutedReads.Add(1)
 	rec, err := sh.client.Get(txnID(tx), sh.table, key)
-	if err != nil {
+	if errors.Is(err, remote.ErrKeyNotFound) {
 		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return smutil.QualifyFetch(s.env, rec, fields, filter)
 }
@@ -719,7 +734,7 @@ func fullKeyLen(b []byte) int {
 // field, so no other same-arity key falls in that range. Everything else
 // scatters to every shard and merges the per-shard cursors.
 func (s *store) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
-	sc := &scan{store: s, tx: txnID(tx), opts: opts, q: smutil.NewQualifier(s.env, opts)}
+	sc := &scan{store: s, tx: txnID(tx), opts: opts, q: smutil.NewQualifier(s.env, opts), staged: s.staged.Load()}
 	routed := -1
 	if len(opts.Start) > 0 && len(opts.End) > 0 &&
 		bytes.Equal(opts.End, smutil.PrefixSuccessor(opts.Start)) &&
@@ -1019,6 +1034,7 @@ type scan struct {
 	opts    core.ScanOptions
 	q       *smutil.Qualifier
 	cursors []*cursor
+	staged  uint64 // store.staged when the cursors last read ahead
 	smutil.Position
 }
 
@@ -1035,10 +1051,16 @@ type cursor struct {
 // last key its cursor returned, so records inserted, changed or deleted
 // between refills — the anchor itself included — are neither skipped nor
 // repeated. A refill carries the scan's end, and a short batch means the
-// shard has nothing left before it: that cursor is done.
+// shard has nothing left before it: that cursor is done. A write the
+// transaction staged since the cursors read ahead may lie past the
+// position, so the scan then refetches strictly after it.
 func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 	if sc.Closed {
 		return nil, nil, false, fmt.Errorf("partsm: scan is closed")
+	}
+	if n := sc.store.staged.Load(); n != sc.staged {
+		sc.staged = n
+		sc.rewind()
 	}
 	for {
 		best := -1
@@ -1085,10 +1107,16 @@ func (sc *scan) Restore(pos core.ScanPos) error {
 	if err := sc.Position.Restore(pos); err != nil {
 		return err
 	}
+	sc.rewind()
+	return nil
+}
+
+// rewind drops every cursor's read-ahead: each refetches strictly after
+// the global position.
+func (sc *scan) rewind() {
 	for _, c := range sc.cursors {
 		c.batch = nil
 		c.done = false
 		c.after = sc.After
 	}
-	return nil
 }

@@ -282,6 +282,35 @@ func TestPartRoutedPointAccess(t *testing.T) {
 	}
 }
 
+// TestFetchFailureIsNotAMissingKey: a fetch whose call to the shard fails
+// reports that failure, so an index-then-fetch read cannot mistake it for
+// a record deleted since the lookup and skip the row; only the shard's own
+// "no such key" reads as core.ErrNotFound.
+func TestFetchFailureIsNotAMissingKey(t *testing.T) {
+	env, srvs, r := setup(t, 1)
+	tx := env.Begin()
+	key, err := r.Insert(tx, rec(1, "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = env.Begin()
+	defer tx.Commit()
+	srvs[0].InjectFault(remote.OpGet, remote.FaultReject, 1)
+	if _, err := r.Fetch(tx, key, nil, nil); err == nil || errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("rejected Get: %v, want an error that is not ErrNotFound", err)
+	}
+	if got, err := r.Fetch(tx, key, nil, nil); err != nil || got[1].S != "x" {
+		t.Fatalf("fetch after the fault: %v %v", got, err)
+	}
+	missing := types.EncodeKeyFields(rec(2, ""), []int{0})
+	if _, err := r.Fetch(tx, missing, nil, nil); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("missing key: %v, want ErrNotFound", err)
+	}
+}
+
 // TestCachedPointSelectMessages counts what one execution of a cached
 // parameterised point SELECT sends to a 3-shard relation: the planner's
 // record count (one Count per shard) and the routed read. Pricing the

@@ -1,10 +1,12 @@
 package smutil
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"dmx/internal/btree"
+	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/types"
 )
@@ -331,5 +333,94 @@ func TestTreeScanFilteredEmit(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("filtered scan = %d", n)
+	}
+}
+
+// TestTreeScanRunsMatchOneDescentPerNext interleaves random Set, Delete,
+// Pos and Restore calls with Next and checks every Next against a
+// reference that descends the tree afresh for each item: serving a run of
+// copied entries must never show a change to the tree late, or an entry
+// twice.
+func TestTreeScanRunsMatchOneDescentPerNext(t *testing.T) {
+	const keySpace = 300
+	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i)} }
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var mu sync.Mutex
+		tree := btree.New()
+		for i := 0; i < keySpace; i += 1 + rng.Intn(3) {
+			tree.Set(key(i), []byte{byte(rng.Intn(256))})
+		}
+		var start, end types.Key
+		if rng.Intn(2) == 0 {
+			start = key(rng.Intn(keySpace / 2))
+		}
+		if rng.Intn(2) == 0 {
+			end = key(keySpace/2 + rng.Intn(keySpace/2))
+		}
+		// Odd keys whose value is odd are filtered out.
+		emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
+			if k[1]%2 == 1 && v[0]%2 == 1 {
+				return nil, nil, false, nil
+			}
+			return types.Key(k).Clone(), types.Record{types.Bytes(append([]byte(nil), v...))}, true, nil
+		}
+		scan := NewTreeScan(&mu, tree, start, end, emit)
+		// The reference position, advanced the way the scan's own is.
+		refStarted, refAfter := false, types.Key(nil)
+		refNext := func() (types.Key, []byte, bool) {
+			for {
+				from := start
+				if refStarted {
+					from = refAfter
+				}
+				var k types.Key
+				var v []byte
+				tree.Ascend(from, func(ek, ev []byte) bool {
+					if refStarted && refAfter.Equal(ek) {
+						return true
+					}
+					if end == nil || types.Key(ek).Compare(end) < 0 {
+						k, v = types.Key(ek).Clone(), append([]byte(nil), ev...)
+					}
+					return false
+				})
+				if k == nil {
+					return nil, nil, false
+				}
+				refStarted, refAfter = true, k
+				if _, _, ok, _ := emit(k, v); ok {
+					return k, v, true
+				}
+			}
+		}
+		var saved []core.ScanPos
+		var savedRef []types.Key
+		for step := 0; step < 2000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 2:
+				tree.Set(key(rng.Intn(keySpace)), []byte{byte(rng.Intn(256))})
+			case op < 4:
+				tree.Delete(key(rng.Intn(keySpace)))
+			case op == 4:
+				saved, savedRef = append(saved, scan.Pos()), append(savedRef, refAfter)
+			case op == 5 && len(saved) > 0:
+				i := rng.Intn(len(saved))
+				if err := scan.Restore(saved[i]); err != nil {
+					t.Fatal(err)
+				}
+				refStarted, refAfter = savedRef[i] != nil, savedRef[i]
+			default:
+				k, r, ok, err := scan.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wk, wv, wok := refNext()
+				if ok != wok || !k.Equal(wk) || ok && string(r[0].B) != string(wv) {
+					t.Fatalf("seed %d step %d: Next = %v %v %v, one descent per Next gives %v %v %v",
+						seed, step, k, r, ok, wk, wv, wok)
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@
 package smutil
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -18,11 +19,24 @@ import (
 // err aborts the scan.
 type EmitFunc func(key, val []byte) (types.Key, types.Record, bool, error)
 
+// runLen is how many entries one latch hold copies out of the tree, and
+// runBytes the run buffer's first capacity: 64 short index entries fit.
+const (
+	runLen   = 64
+	runBytes = 2048
+)
+
 // TreeScan is a key-sequential access over a btree.Tree implementing the
 // architecture's scan-position semantics: the scan is "on" the last item
 // returned; deleting that item leaves the scan just after it; Next always
 // returns the next item after the current position. Positions are
 // save/restorable for partial-rollback support.
+//
+// One descent copies a run of up to runLen entries after the position into
+// the scan's own buffer, tagged with the tree's modification count. Next
+// serves the run while the count is unchanged, since the tree then still
+// holds exactly those entries after the position; any Set or removing
+// Delete since makes it re-seek strictly after the position instead.
 type TreeScan struct {
 	mu    *sync.Mutex // latch shared with the owning instance
 	tree  *btree.Tree
@@ -30,7 +44,13 @@ type TreeScan struct {
 	end   types.Key // exclusive; nil = unbounded
 	emit  EmitFunc
 
-	kbuf, vbuf []byte // the candidate, copied out under the latch
+	// The run: each entry's key, then its value, each behind its uvarint
+	// length. The buffer is reused by the next fill.
+	run  []byte
+	n    int    // entries in the run
+	next int    // entries served
+	rd   int    // offset of the next entry in run
+	mods uint64 // tree.Mods() when the run was copied
 
 	Position
 }
@@ -41,38 +61,58 @@ func NewTreeScan(mu *sync.Mutex, tree *btree.Tree, start, end types.Key, emit Em
 	return &TreeScan{mu: mu, tree: tree, start: start, end: end, emit: emit}
 }
 
-// Next implements core.Scan. One candidate is copied into the scan's
-// buffers per latch hold, and emit runs on the copy after the latch is
-// released, so a rejected entry costs a copy but no allocation.
+// fill copies the run after the position. Caller holds the latch.
+func (s *TreeScan) fill() {
+	from := s.start
+	if s.Started {
+		from = s.After // resume strictly after the item the scan is on
+	}
+	if s.run == nil {
+		s.run = make([]byte, 0, runBytes)
+	}
+	s.run, s.n, s.next, s.rd = s.run[:0], 0, 0, 0
+	s.mods = s.tree.Mods()
+	s.tree.Ascend(from, func(k, v []byte) bool {
+		if s.Started && s.After.Equal(k) {
+			return true
+		}
+		if s.end != nil && types.Key(k).Compare(s.end) >= 0 {
+			return false
+		}
+		s.run = append(binary.AppendUvarint(s.run, uint64(len(k))), k...)
+		s.run = append(binary.AppendUvarint(s.run, uint64(len(v))), v...)
+		s.n++
+		return s.n < runLen
+	})
+}
+
+// field returns the run's next length-prefixed byte string.
+func (s *TreeScan) field() []byte {
+	l, size := binary.Uvarint(s.run[s.rd:])
+	s.rd += size + int(l)
+	return s.run[s.rd-int(l) : s.rd]
+}
+
+// Next implements core.Scan. emit runs on the scan's copy of the entry
+// after the latch is released, so a rejected entry costs a copy but no
+// allocation.
 func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 	if s.Closed {
 		return nil, nil, false, fmt.Errorf("smutil: scan is closed")
 	}
 	for {
 		s.mu.Lock()
-		from := s.start
-		if s.Started {
-			from = s.After // resume strictly after the item the scan is on
+		if s.next == s.n || s.mods != s.tree.Mods() {
+			s.fill()
 		}
-		found := false
-		s.tree.Ascend(from, func(k, v []byte) bool {
-			if s.Started && s.After.Equal(k) {
-				return true
-			}
-			if s.end != nil && types.Key(k).Compare(s.end) >= 0 {
-				return false
-			}
-			s.kbuf = append(s.kbuf[:0], k...)
-			s.vbuf = append(s.vbuf[:0], v...)
-			found = true
-			return false
-		})
 		s.mu.Unlock()
-		if !found {
+		if s.next == s.n {
 			return nil, nil, false, nil
 		}
-		s.Started, s.After = true, append(s.After[:0], s.kbuf...)
-		outK, outR, ok, err := s.emit(s.kbuf, s.vbuf)
+		k, v := s.field(), s.field()
+		s.next++
+		s.Started, s.After = true, append(s.After[:0], k...)
+		outK, outR, ok, err := s.emit(k, v)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -81,6 +121,13 @@ func (s *TreeScan) Next() (types.Key, types.Record, bool, error) {
 		}
 		// Entry filtered out: advance past it.
 	}
+}
+
+// Restore implements core.Scan: the run belongs to the old position, so
+// it is dropped.
+func (s *TreeScan) Restore(pos core.ScanPos) error {
+	s.n, s.next = 0, 0
+	return s.Position.Restore(pos)
 }
 
 var _ core.Scan = (*TreeScan)(nil)
