@@ -90,7 +90,8 @@ model:
 # payload decoder, which every method's replay reads, to "reject, never
 # panic" with what it accepts re-encoding to identical bytes.
 # FuzzDecodeRequest and FuzzDecodeResponse hold the remote wire protocol's
-# payload decoders to the same bar.
+# payload decoders to the same bar, and FuzzDecodeRelDesc the relation
+# descriptor decoder that catalog log records and checkpoints read.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDefs$$' -fuzztime $(FUZZTIME) ./internal/att/attutil
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMod$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRelDesc$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/remote
 

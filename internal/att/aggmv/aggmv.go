@@ -227,7 +227,4 @@ func (a *Instance) Lookup(name string, group types.Value) (sum float64, count in
 	return 0, 0, nil
 }
 
-var (
-	_ core.AttachmentInstance = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
-)
+var _ core.AttachmentInstance = (*Instance)(nil)

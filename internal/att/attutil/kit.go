@@ -54,11 +54,11 @@ func (l *Defs[D]) Log(tx *txn.Txn, p core.EntryPayload) error {
 	return core.LogAttachment(tx, l.opened, l.id, p)
 }
 
-// Reconfigure implements core.Reconfigurer. A definition is decoded once
-// and then kept by Seq, state and all: a dropped Seq is never assigned
-// again. Only a create that was rolled back gives its Seq up, and the next
-// create may put another definition there; its state starts empty, as
-// undo left the old one.
+// Reconfigure implements core.AttachmentInstance. A definition is decoded
+// once and then kept by Seq, state and all: a dropped Seq is never
+// assigned again. Only a create that was rolled back gives its Seq up, and
+// the next create may put another definition there; its state starts
+// empty, as undo left the old one.
 func (l *Defs[D]) Reconfigure(rd *core.RelDesc) error {
 	var stored []IndexDef
 	if field := rd.AttDesc[l.id]; field != nil {
@@ -130,7 +130,6 @@ func (l *Defs[D]) BySeq(seq uint32) (*Def[D], error) {
 // procedures and the embedded def list.
 type Instance[D any] interface {
 	core.AttachmentInstance
-	core.Reconfigurer
 	All() []*Def[D]
 }
 

@@ -189,5 +189,4 @@ func (ix *Instance) EntryCount(instance int) int {
 var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
 )

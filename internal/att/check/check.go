@@ -120,7 +120,4 @@ func (c *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) err
 // associated storage.
 func (c *Instance) ApplyLogged(payload []byte, undo bool) error { return nil }
 
-var (
-	_ core.AttachmentInstance = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
-)
+var _ core.AttachmentInstance = (*Instance)(nil)

@@ -595,6 +595,7 @@ func TestAttachmentConformance(t *testing.T) {
 			t.Run("veto", at.testVeto)
 			t.Run("rollback", at.testRollback)
 			t.Run("aborted-create", at.testAbortedCreate)
+			t.Run("aborted-drop", at.testAbortedDrop)
 			t.Run("restart", at.testRestart)
 		})
 	}
@@ -810,6 +811,31 @@ func (at attType) testAbortedCreate(t *testing.T) {
 	f.exact(at, "after create following an aborted one")
 	f.remove(4)
 	f.exact(at, "after delete")
+}
+
+// testAbortedDrop: a rolled-back DROP ATTACHMENT, with a write after it in
+// the same transaction, brings the dropped instance back. The undo moves the
+// descriptor to a lower version, and the cached instance must follow it
+// down rather than keep the newer, dropped view.
+func (at attType) testAbortedDrop(t *testing.T) {
+	f := newFixture(t, nil, "memory", nil)
+	f.insert(base...)
+	f.add(at, "i1")
+	which := core.AttrList{"name": "i1"}
+	if at.single {
+		which = nil
+	} else {
+		f.add(at, "i2")
+	}
+	tx := f.env.Begin()
+	_, err := f.env.DropAttachment(tx, "t", at.name, which)
+	f.must(err)
+	_, err = f.rel().Insert(tx, row{id: 6, grp: "b", val: 60, boxed: true}.record())
+	f.must(err)
+	f.must(tx.Abort())
+	f.exact(at, "after aborted drop")
+	f.insert(row{id: 7, grp: "c", val: 70, boxed: true})
+	f.exact(at, "after an insert following the aborted drop")
 }
 
 // testRestart: restart recovery brings the instance back to the state the

@@ -44,5 +44,4 @@ type Instance struct {
 var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
 )

@@ -67,5 +67,4 @@ type Instance struct {
 var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
 )

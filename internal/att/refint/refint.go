@@ -365,7 +365,4 @@ func (in *Instance) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) er
 // modify and unwind with the transaction.
 func (in *Instance) ApplyLogged(payload []byte, undo bool) error { return nil }
 
-var (
-	_ core.AttachmentInstance = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
-)
+var _ core.AttachmentInstance = (*Instance)(nil)

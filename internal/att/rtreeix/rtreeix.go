@@ -219,7 +219,6 @@ func MatchSpatialConjunct(c *expr.Expr, boxField int) (expr.Box, rtree.Mode, boo
 var (
 	_ core.AttachmentInstance = (*Instance)(nil)
 	_ core.AccessPath         = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
 )
 
 // spatialScan iterates a snapshot of search results.

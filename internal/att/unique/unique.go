@@ -77,7 +77,4 @@ type Instance struct {
 	attutil.Entries[set]
 }
 
-var (
-	_ core.AttachmentInstance = (*Instance)(nil)
-	_ core.Reconfigurer       = (*Instance)(nil)
-)
+var _ core.AttachmentInstance = (*Instance)(nil)

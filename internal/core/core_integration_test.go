@@ -84,6 +84,8 @@ func (t *traceInst) ApplyLogged(payload []byte, undo bool) error {
 	return nil
 }
 
+func (t *traceInst) Reconfigure(*core.RelDesc) error { return nil }
+
 type vetoInst struct{}
 
 // vetoOpens counts Open calls, for TestAttachmentOpenIsSingleFlight.
@@ -107,6 +109,7 @@ func (vetoInst) OnUpdate(tx *txn.Txn, ok, nk types.Key, o, n types.Record) error
 
 func (vetoInst) OnDelete(tx *txn.Txn, key types.Key, old types.Record) error { return nil }
 func (vetoInst) ApplyLogged([]byte, bool) error                              { return nil }
+func (vetoInst) Reconfigure(*core.RelDesc) error                             { return nil }
 
 type instKey struct {
 	env *core.Env

@@ -20,6 +20,9 @@ func (env *Env) CreateRelation(tx *txn.Txn, name string, schema *types.Schema, s
 	if strings.HasPrefix(strings.ToLower(name), "sys.") {
 		return nil, fmt.Errorf("core: the sys. namespace is reserved for system relations")
 	}
+	if len(name) > 0xFFFF {
+		return nil, fmt.Errorf("core: relation name is %d bytes, at most %d allowed", len(name), 0xFFFF)
+	}
 	ops := env.Reg.StorageMethodByName(smName)
 	if ops == nil {
 		return nil, fmt.Errorf("core: unknown storage method %q (registered: %v)",

@@ -70,14 +70,14 @@ func (rd *RelDesc) AppendEncode(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, rd.Version)
 	// Non-present attachment fields cost two bytes each in the
 	// record-oriented format (a present flag would be one; we spend a
-	// uint16 length with sentinel 0xFFFF for NULL).
+	// uint16 length with sentinel 0xFFFF for NULL and escape 0xFFFE).
 	for i := 1; i < MaxAttachmentTypes; i++ {
 		d := rd.AttDesc[i]
 		if d == nil {
 			dst = binary.BigEndian.AppendUint16(dst, 0xFFFF)
 			continue
 		}
-		if len(d) >= 0xFFFF {
+		if len(d) >= 0xFFFE {
 			// Oversized attachment descriptors spill via a 4-byte length.
 			dst = binary.BigEndian.AppendUint16(dst, 0xFFFE)
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(d)))
@@ -140,6 +140,9 @@ func DecodeRelDesc(b []byte) (*RelDesc, int, error) {
 			}
 			l = int(binary.BigEndian.Uint32(b[pos:]))
 			pos += 4
+			if l < 0xFFFE {
+				return nil, 0, fmt.Errorf("core: attachment field %d of %d bytes in the long form", i, l)
+			}
 		}
 		if len(b) < pos+l {
 			return nil, 0, fmt.Errorf("core: truncated attachment descriptor %d", i)

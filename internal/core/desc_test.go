@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dmx/internal/core"
 	"dmx/internal/types"
+	"dmx/internal/wal"
 )
 
 func randDesc(r *rand.Rand) *core.RelDesc {
@@ -100,6 +103,87 @@ func TestRelDescDecodeErrors(t *testing.T) {
 		if _, _, err := core.DecodeRelDesc(enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// nonCanonicalDescs are descriptor encodings AppendEncode never writes,
+// each a one-field edit of a valid encoding of relation "t" over
+// testSchema: a NOT NULL flag other than 0 or 1, a column kind no value
+// has, and a 2-byte attachment field in the 4-byte-length form.
+func nonCanonicalDescs() [][]byte {
+	rd := &core.RelDesc{RelID: 1, Name: "t", Schema: testSchema(), SM: core.SMHeap}
+	enc := rd.AppendEncode(nil)
+	const firstCol = 4 + 2 + 1 + 2 // RelID, name length, "t", column count
+	notNull := append([]byte(nil), enc...)
+	notNull[firstCol+1] = 0x30
+	kind := append([]byte(nil), enc...)
+	kind[firstCol] = 200
+	fields := len(enc) - 2*(core.MaxAttachmentTypes-1) // all NULL: 0xFFFF each
+	long := append([]byte(nil), enc[:fields]...)
+	long = append(long, 0xFF, 0xFE, 0, 0, 0, 2, 'a', 'b')
+	long = append(long, enc[fields+2:]...)
+	return [][]byte{notNull, kind, long}
+}
+
+func TestRelDescDecodeRejectsNonCanonical(t *testing.T) {
+	for i, b := range nonCanonicalDescs() {
+		if rd, _, err := core.DecodeRelDesc(b); err == nil {
+			t.Errorf("case %d: %x accepted as %+v", i, b, rd)
+		}
+	}
+	// A field of exactly 0xFFFE bytes cannot use the short form, whose
+	// length would read as the escape.
+	rd := &core.RelDesc{RelID: 1, Name: "t", Schema: testSchema(), SM: core.SMHeap}
+	rd.AttDesc[2] = make([]byte, 0xFFFE)
+	enc := rd.AppendEncode(nil)
+	if got, n, err := core.DecodeRelDesc(enc); err != nil || n != len(enc) || len(got.AttDesc[2]) != 0xFFFE {
+		t.Fatalf("0xFFFE-byte attachment field: %v (consumed %d of %d)", err, n, len(enc))
+	}
+}
+
+// FuzzDecodeRelDesc holds the relation descriptor decoder, which the
+// catalog's log records and checkpoints read through, to "reject, never
+// panic": what it accepts re-encodes to the bytes it consumed.
+func FuzzDecodeRelDesc(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 3; i++ {
+		f.Add(randDesc(r).AppendEncode(nil))
+	}
+	for _, b := range nonCanonicalDescs() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rd, n, err := core.DecodeRelDesc(b)
+		if err != nil {
+			return
+		}
+		if again := rd.AppendEncode(nil); !bytes.Equal(again, b[:n]) {
+			t.Fatalf("DecodeRelDesc(%x) = %+v re-encodes to %x", b[:n], rd, again)
+		}
+	})
+}
+
+// TestRelationNameFitsItsDescriptor refuses a name the descriptor's
+// uint16 length cannot carry, before anything is logged, and recovers the
+// longest one that fits.
+func TestRelationNameFitsItsDescriptor(t *testing.T) {
+	log := wal.New()
+	env := core.NewEnv(core.Config{Log: log})
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, strings.Repeat("n", 70000), testSchema(), "memory", nil); err == nil {
+		t.Fatal("70 000-byte relation name accepted")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("n", 0xFFFF)
+	mkRel(t, env, name, "memory")
+	env2 := core.NewEnv(core.Config{Log: log})
+	if err := env2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := env2.Cat.ByName(name); !ok {
+		t.Fatal("0xFFFF-byte relation name not recovered")
 	}
 }
 

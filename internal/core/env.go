@@ -331,14 +331,11 @@ func (s *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (Attachment
 		if e.version == rd.Version || (e.version > rd.Version && !exact) {
 			return e.inst, nil
 		}
-		if rc, canReconf := e.inst.(Reconfigurer); canReconf {
-			if err := rc.Reconfigure(rd); err != nil {
-				return nil, err
-			}
-			s.cur.Store(&attEntry{version: rd.Version, inst: e.inst})
-			return e.inst, nil
+		if err := e.inst.Reconfigure(rd); err != nil {
+			return nil, err
 		}
-		// Instance cannot reconfigure: reopen.
+		s.cur.Store(&attEntry{version: rd.Version, inst: e.inst})
+		return e.inst, nil
 	}
 	ops := env.Reg.AttachmentOps(id)
 	if ops == nil {
@@ -350,13 +347,6 @@ func (s *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (Attachment
 	}
 	s.cur.Store(&attEntry{version: rd.Version, inst: inst})
 	return inst, nil
-}
-
-// Reconfigurer is implemented by attachment instances that can absorb a
-// descriptor change (instances added or dropped) without losing the state
-// of surviving instances.
-type Reconfigurer interface {
-	Reconfigure(rd *RelDesc) error
 }
 
 // DropInstances evicts all cached instances for a dropped relation,
@@ -396,11 +386,7 @@ func (env *Env) InvalidateRelation(relID uint32) error {
 		if e == nil || e.version == rd.Version {
 			continue
 		}
-		if _, canReconf := e.inst.(Reconfigurer); canReconf {
-			stale, ids = append(stale, s), append(ids, k.att)
-		} else {
-			delete(env.attInst, k)
-		}
+		stale, ids = append(stale, s), append(ids, k.att)
 	}
 	env.mu.Unlock()
 	for i, s := range stale {
@@ -440,15 +426,7 @@ func (env *Env) applyLogged(txnID wal.TxnID, owner wal.Owner, payload []byte, un
 		if err != nil {
 			return err
 		}
-		// Storage methods that track which transaction a logged
-		// modification belongs to (partitioned relations route a live
-		// rollback's compensation through the transaction's staged
-		// shard writes) get the owning transaction id; the rest see
-		// only the payload.
-		if ta, ok := inst.(TxnLoggedApplier); ok {
-			return ta.ApplyLoggedTxn(txnID, payload, undo)
-		}
-		return inst.ApplyLogged(payload, undo)
+		return inst.ApplyLogged(txnID, payload, undo)
 	case wal.OwnerAttachment:
 		rd, ok := env.Cat.Get(owner.RelID)
 		if !ok {

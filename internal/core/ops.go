@@ -157,11 +157,14 @@ type StorageInstance interface {
 	EstimateCost(req CostRequest) CostEstimate
 	// RecordCount returns the current number of stored records.
 	RecordCount() int
-	// ApplyLogged applies a logged modification payload without
-	// re-logging: the recovery driver calls it with undo=true to reverse
-	// the modification (veto rollback, abort, partial rollback) and with
-	// undo=false to repeat it (restart redo).
-	ApplyLogged(payload []byte, undo bool) error
+	// ApplyLogged applies a logged modification payload of transaction
+	// txnID without re-logging: the recovery driver calls it with
+	// undo=true to reverse the modification (veto rollback, abort, partial
+	// rollback) and with undo=false to repeat it (restart redo). Most
+	// methods ignore txnID; a partitioned relation routes a live
+	// transaction's rollback through that transaction's staged shard
+	// writes.
+	ApplyLogged(txnID wal.TxnID, payload []byte, undo bool) error
 }
 
 // StorageOps is one storage method's table of generic operations — the
@@ -201,18 +204,6 @@ type StorageOps struct {
 	// shards left prepared-but-undecided by a coordinator crash.
 	// Optional.
 	AfterRecovery func(env *Env) error
-}
-
-// TxnLoggedApplier is implemented by storage instances that need the
-// owning transaction id alongside a logged modification. When a live
-// transaction rolls back, a partitioned relation must route the
-// compensation through that transaction's staged shard writes rather
-// than the committed shard state; at restart recovery there is no live
-// transaction and the id selects the direct-apply path. Instances that
-// implement this receive ApplyLoggedTxn instead of ApplyLogged from the
-// recovery driver.
-type TxnLoggedApplier interface {
-	ApplyLoggedTxn(txnID wal.TxnID, payload []byte, undo bool) error
 }
 
 // VersionedStorage is implemented by storage instances that stamp record
@@ -255,6 +246,10 @@ type AttachmentInstance interface {
 	// own logged state changes. Attachment types with no associated
 	// storage may return nil unconditionally.
 	ApplyLogged(payload []byte, undo bool) error
+	// Reconfigure absorbs a descriptor change (instances added or
+	// dropped, or a rolled-back change undone) without losing the state
+	// of surviving instances.
+	Reconfigure(rd *RelDesc) error
 }
 
 // AccessPath is implemented by attachment instances that provide access to
@@ -304,10 +299,4 @@ type AttachmentOps struct {
 	// state if the DDL transaction aborts. newOnly is false at restart
 	// rebuild, where every instance starts empty.
 	Build func(env *Env, tx *txn.Txn, rd *RelDesc, newOnly bool) error
-}
-
-// SystemUndoer handles undo/redo for OwnerSystem log records (catalog
-// modifications). Implemented by the Catalog.
-type SystemUndoer interface {
-	ApplySystemLogged(txnID wal.TxnID, payload []byte, undo bool) error
 }

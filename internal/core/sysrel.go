@@ -31,45 +31,6 @@ type SystemRelation struct {
 	Schema *types.Schema
 }
 
-// LSMRunInfo describes one resident component of an LSM storage instance:
-// the mutable memtable (Memtable true) or one immutable sorted run. The
-// tags name its sys.stat_lsm columns.
-type LSMRunInfo struct {
-	Memtable  bool   `json:"memtable"`
-	Pos       int    `json:"run"`  // position among runs, newest first (-1 for the memtable)
-	Tier      int    `json:"tier"` // size tier (-1 for the memtable)
-	Entries   int    `json:"entries"`
-	Bytes     int    `json:"bytes"`
-	BloomBits int    `json:"bloom_bits"` // filter size in bits (0 for the memtable)
-	MinSeq    uint64 `json:"min_seq"`
-	MaxSeq    uint64 `json:"max_seq"`
-}
-
-// LSMIntrospector is implemented by storage instances that expose their
-// run structure; sys.stat_lsm materializes it.
-type LSMIntrospector interface {
-	RunInfos() []LSMRunInfo
-}
-
-// ShardInfo describes one shard of a partitioned storage instance; the tags
-// name its sys.stat_shards columns. Messages is the owning server's total
-// message counter (server-wide, not per-table: one server may host several
-// shards or relations).
-type ShardInfo struct {
-	Shard    int    `json:"shard"`
-	Server   string `json:"server"`
-	Table    string `json:"table_name"`
-	Records  int    `json:"records"`
-	InDoubt  int    `json:"in_doubt"` // prepared transactions on the shard awaiting a decision
-	Messages int64  `json:"messages"`
-}
-
-// ShardIntrospector is implemented by storage instances that spread a
-// relation across shards; sys.stat_shards materializes it.
-type ShardIntrospector interface {
-	ShardInfos() []ShardInfo
-}
-
 var systemRelations []SystemRelation
 
 // RegisterSystemRelation adds a virtual relation to the set installed by

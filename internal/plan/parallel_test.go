@@ -41,6 +41,7 @@ func (c *countInst) OnUpdate(tx *txn.Txn, oldKey, newKey types.Key, oldRec, newR
 }
 func (c *countInst) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) error { return nil }
 func (c *countInst) ApplyLogged(payload []byte, undo bool) error                    { return nil }
+func (c *countInst) Reconfigure(rd *core.RelDesc) error                             { return nil }
 
 func (c *countInst) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
 	c.mu.Lock()

@@ -43,6 +43,7 @@ import (
 	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
+	"dmx/internal/wal"
 )
 
 // Name is the DDL name of the storage method.
@@ -598,13 +599,31 @@ func (s *store) RunCount() int {
 	return len(s.runs)
 }
 
-// RunInfos implements core.LSMIntrospector: one entry for the memtable
+// RunInfo describes one resident component of an LSM relation: the
+// mutable memtable (Memtable true) or one immutable sorted run. It is a
+// sys.stat_lsm row; the tags name the columns.
+type RunInfo struct {
+	RelID     uint32 `json:"rel_id"`
+	Name      string `json:"name"`
+	Memtable  bool   `json:"memtable"`
+	Pos       int    `json:"run"`  // position among runs, newest first (-1 for the memtable)
+	Tier      int    `json:"tier"` // size tier (-1 for the memtable)
+	Entries   int    `json:"entries"`
+	Bytes     int    `json:"bytes"`
+	BloomBits int    `json:"bloom_bits"` // filter size in bits (0 for the memtable)
+	MinSeq    uint64 `json:"min_seq"`
+	MaxSeq    uint64 `json:"max_seq"`
+}
+
+// SysRows lists the relation's sys.stat_lsm rows: one for the memtable
 // followed by one per resident run, newest first.
-func (s *store) RunInfos() []core.LSMRunInfo {
+func (s *store) SysRows() []RunInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	infos := make([]core.LSMRunInfo, 0, len(s.runs)+1)
-	infos = append(infos, core.LSMRunInfo{
+	infos := make([]RunInfo, 0, len(s.runs)+1)
+	infos = append(infos, RunInfo{
+		RelID:    s.rd.RelID,
+		Name:     s.rd.Name,
 		Memtable: true,
 		Pos:      -1,
 		Tier:     -1,
@@ -612,7 +631,9 @@ func (s *store) RunInfos() []core.LSMRunInfo {
 		Bytes:    s.memBytes,
 	})
 	for i, r := range s.runs {
-		info := core.LSMRunInfo{
+		info := RunInfo{
+			RelID:     s.rd.RelID,
+			Name:      s.rd.Name,
 			Pos:       i,
 			Tier:      s.tierOf(r.bytes),
 			Entries:   len(r.keys),
@@ -697,7 +718,7 @@ func (s *store) RecordCount() int {
 // runs hold: undo of an insert tombstones it, undo of an update or delete
 // restores the old record, redo replays the new state. Recovery never
 // flushes — run shapes rebuild from fresh ingest, not from the log.
-func (s *store) ApplyLogged(payload []byte, undo bool) error {
+func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
@@ -721,7 +742,10 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 	return nil
 }
 
-var _ core.StorageInstance = (*store)(nil)
+var (
+	_ core.StorageInstance             = (*store)(nil)
+	_ interface{ SysRows() []RunInfo } = (*store)(nil)
+)
 
 // scan is a press-order key-sequential access merged across the memtable
 // and the runs. The embedded position is the last sequence examined, and

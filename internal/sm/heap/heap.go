@@ -812,7 +812,7 @@ func (s *store) PageCount() int {
 // mid-recovery replays cleanly. Undo pops the version-chain entry the
 // undone write pushed at each key; redo may address pages a restarted
 // relation has not reached yet.
-func (s *store) ApplyLogged(payload []byte, undo bool) error {
+func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err

@@ -845,13 +845,7 @@ func (s *store) RecordCount() int {
 	return total
 }
 
-// ApplyLogged implements core.StorageInstance (restart recovery with no
-// live transaction context).
-func (s *store) ApplyLogged(payload []byte, undo bool) error {
-	return s.ApplyLoggedTxn(0, payload, undo)
-}
-
-// ApplyLoggedTxn implements core.TxnLoggedApplier. A live transaction's
+// ApplyLogged implements core.StorageInstance. A live transaction's
 // rollback stages compensating writes under its own id (last-op-wins
 // staging makes the compensation net out the original), so the shard's
 // committed state never sees the retracted effects at all. With no live
@@ -860,7 +854,7 @@ func (s *store) ApplyLogged(payload []byte, undo bool) error {
 // retracts loser transactions — both idempotent, because 2PC resolution
 // may already have committed or discarded the same effects shard-side
 // (deletes tolerate absent keys, puts overwrite).
-func (s *store) ApplyLoggedTxn(id wal.TxnID, payload []byte, undo bool) error {
+func (s *store) ApplyLogged(id wal.TxnID, payload []byte, undo bool) error {
 	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
@@ -893,13 +887,28 @@ func (s *store) ApplyLoggedTxn(id wal.TxnID, payload []byte, undo bool) error {
 	return err
 }
 
-// ShardInfos implements core.ShardIntrospector for sys.stat_shards.
-// InDoubt and Messages are per-server figures (a server may host several
-// shards or relations).
-func (s *store) ShardInfos() []core.ShardInfo {
-	out := make([]core.ShardInfo, 0, len(s.shards))
+// ShardInfo describes one shard of a partitioned relation. It is a
+// sys.stat_shards row; the tags name the columns. Messages is the owning
+// server's total message counter (server-wide, not per-table: one server
+// may host several shards or relations).
+type ShardInfo struct {
+	RelID    uint32 `json:"rel_id"`
+	Name     string `json:"name"`
+	Shard    int    `json:"shard"`
+	Server   string `json:"server"`
+	Table    string `json:"table_name"`
+	Records  int    `json:"records"`
+	InDoubt  int    `json:"in_doubt"` // prepared transactions on the shard awaiting a decision
+	Messages int64  `json:"messages"`
+}
+
+// SysRows lists the relation's sys.stat_shards rows, one per shard.
+func (s *store) SysRows() []ShardInfo {
+	out := make([]ShardInfo, 0, len(s.shards))
 	for i := range s.shards {
-		info := core.ShardInfo{
+		info := ShardInfo{
+			RelID:    s.rd.RelID,
+			Name:     s.rd.Name,
 			Shard:    i,
 			Server:   s.shards[i].server,
 			Table:    s.shards[i].table,
@@ -917,11 +926,10 @@ func (s *store) ShardInfos() []core.ShardInfo {
 }
 
 var (
-	_ core.StorageInstance   = (*store)(nil)
-	_ core.TxnLoggedApplier  = (*store)(nil)
-	_ core.RangePartitioner  = (*store)(nil)
-	_ core.ShardIntrospector = (*store)(nil)
-	_ io.Closer              = (*store)(nil)
+	_ core.StorageInstance               = (*store)(nil)
+	_ core.RangePartitioner              = (*store)(nil)
+	_ io.Closer                          = (*store)(nil)
+	_ interface{ SysRows() []ShardInfo } = (*store)(nil)
 )
 
 // Resolve drives every in-doubt shard transaction of every partitioned or

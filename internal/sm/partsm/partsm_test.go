@@ -982,7 +982,7 @@ func TestStoredDescriptorFormats(t *testing.T) {
 			t.Fatalf("SMID %d: %v", tc.sm, err)
 		}
 		var got []string
-		for _, info := range inst.(core.ShardIntrospector).ShardInfos() {
+		for _, info := range inst.(interface{ SysRows() []partsm.ShardInfo }).SysRows() {
 			got = append(got, info.Server+"/"+info.Table)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.tables) {

@@ -11,6 +11,7 @@ import (
 	"dmx/internal/expr"
 	"dmx/internal/txn"
 	"dmx/internal/types"
+	"dmx/internal/wal"
 )
 
 // EstimateSelectivity is the shared textbook selectivity guess extensions
@@ -228,7 +229,7 @@ func (s *TreeStore) RecordCount() int {
 
 // ApplyLogged implements core.StorageInstance: logical undo/redo of the
 // shared modification payload.
-func (s *TreeStore) ApplyLogged(payload []byte, undo bool) error {
+func (s *TreeStore) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	e, err := LoggedEffect(payload, undo)
 	if err != nil {
 		return err

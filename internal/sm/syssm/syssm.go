@@ -37,6 +37,8 @@ import (
 	"dmx/internal/buffer"
 	"dmx/internal/core"
 	"dmx/internal/expr"
+	"dmx/internal/sm/appendsm"
+	"dmx/internal/sm/partsm"
 	"dmx/internal/sm/smutil"
 	"dmx/internal/txn"
 	"dmx/internal/types"
@@ -62,10 +64,10 @@ var views = []view{
 	newView("sys.stat_history", func(env *core.Env) ([]txn.FinishedTxn, error) { return env.Txns.History(), nil }),
 	newView("sys.stat_relations", func(env *core.Env) ([]core.RelStatRow, error) { return env.RelStatRows(), nil }),
 	newView("sys.stat_locks", locksRows),
-	newView("sys.stat_lsm", lsmRows),
+	newView("sys.stat_lsm", relationRows[appendsm.RunInfo](core.SMAppend)),
 	newView("sys.stat_buffer", func(env *core.Env) ([]buffer.FrameInfo, error) { return env.Pool.FrameInfos(), nil }),
 	newView("sys.stat_traces", tracesRows),
-	newView("sys.stat_shards", shardsRows),
+	newView("sys.stat_shards", relationRows[partsm.ShardInfo](core.SMPart, core.SMRemote)),
 	newView("sys.stat_metrics", metricsRows),
 }
 
@@ -284,7 +286,7 @@ func (s *store) RecordCount() int {
 
 // ApplyLogged implements core.StorageInstance. System relations never log,
 // so no record can ever dispatch here.
-func (s *store) ApplyLogged(payload []byte, undo bool) error {
+func (s *store) ApplyLogged(wal.TxnID, []byte, bool) error {
 	return fmt.Errorf("syssm: %s: unexpected log record for a virtual relation", s.rd.Name)
 }
 
@@ -349,72 +351,36 @@ func locksRows(env *core.Env) ([]lockRow, error) {
 	return rows, nil
 }
 
-// relRow leads the rows of per-relation views: the relation described.
-type relRow struct {
-	RelID uint32 `json:"rel_id"`
-	Name  string `json:"name"`
-}
-
-// lsmRow is one sys.stat_lsm row.
-type lsmRow struct {
-	relRow
-	core.LSMRunInfo
-}
-
-// shardRow is one sys.stat_shards row; in_doubt and messages are
-// per-server figures (one server may host several shards or relations).
-type shardRow struct {
-	relRow
-	core.ShardInfo
-}
-
-// eachRelation collects rows(rel, instance) over every relation stored by
-// one of sms, in name order. Opening an instance is a side effect
+// relationRows serves a per-relation view: the SysRows of every relation
+// stored by one of sms, in name order. The storage method declares the row
+// type R in its own package. Opening an instance is a side effect
 // (connections, state), so no other relation is opened.
-func eachRelation[R any](env *core.Env, rows func(relRow, core.StorageInstance) []R, sms ...core.SMID) ([]R, error) {
-	names := env.Cat.List()
-	sort.Strings(names)
-	var out []R
-	for _, name := range names {
-		rd, ok := env.Cat.ByName(name)
-		if !ok || !slices.Contains(sms, rd.SM) {
-			continue
-		}
-		inst, err := env.StorageInstance(rd)
-		if err != nil {
-			if rd.SM == core.SMRemote {
-				// A database reopened with Recover attaches its foreign
-				// servers afterwards; until then the relation has no
-				// shard to report, and the other relations still do.
+func relationRows[R any](sms ...core.SMID) func(*core.Env) ([]R, error) {
+	return func(env *core.Env) ([]R, error) {
+		names := env.Cat.List()
+		sort.Strings(names)
+		var out []R
+		for _, name := range names {
+			rd, ok := env.Cat.ByName(name)
+			if !ok || !slices.Contains(sms, rd.SM) {
 				continue
 			}
-			return nil, err
+			inst, err := env.StorageInstance(rd)
+			if err != nil {
+				if rd.SM == core.SMRemote {
+					// A database reopened with Recover attaches its foreign
+					// servers afterwards; until then the relation has no
+					// shard to report, and the other relations still do.
+					continue
+				}
+				return nil, err
+			}
+			if src, ok := inst.(interface{ SysRows() []R }); ok {
+				out = append(out, src.SysRows()...)
+			}
 		}
-		out = append(out, rows(relRow{RelID: rd.RelID, Name: rd.Name}, inst)...)
+		return out, nil
 	}
-	return out, nil
-}
-
-func lsmRows(env *core.Env) ([]lsmRow, error) {
-	return eachRelation(env, func(rel relRow, inst core.StorageInstance) (rows []lsmRow) {
-		if li, ok := inst.(core.LSMIntrospector); ok {
-			for _, ri := range li.RunInfos() {
-				rows = append(rows, lsmRow{rel, ri})
-			}
-		}
-		return rows
-	}, core.SMAppend)
-}
-
-func shardsRows(env *core.Env) ([]shardRow, error) {
-	return eachRelation(env, func(rel relRow, inst core.StorageInstance) (rows []shardRow) {
-		if si, ok := inst.(core.ShardIntrospector); ok {
-			for _, info := range si.ShardInfos() {
-				rows = append(rows, shardRow{rel, info})
-			}
-		}
-		return rows
-	}, core.SMPart, core.SMRemote)
 }
 
 // traceRow is one sys.stat_traces row: a completed trace and its root span.

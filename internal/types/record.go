@@ -24,13 +24,23 @@ type Schema struct {
 }
 
 // NewSchema builds a schema from the given columns. Column names must be
-// unique (case-insensitive).
+// unique (case-insensitive), and the schema must fit its encoding: at most
+// 0xFFFF columns, each named in at most 0xFFFF bytes, of a value kind.
 func NewSchema(cols ...Column) (*Schema, error) {
+	if len(cols) > 0xFFFF {
+		return nil, fmt.Errorf("types: %d columns, at most %d allowed", len(cols), 0xFFFF)
+	}
 	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols))}
 	for i, c := range cols {
 		key := strings.ToLower(c.Name)
 		if key == "" {
 			return nil, fmt.Errorf("types: column %d has empty name", i)
+		}
+		if len(c.Name) > 0xFFFF {
+			return nil, fmt.Errorf("types: column %d name is %d bytes, at most %d allowed", i, len(c.Name), 0xFFFF)
+		}
+		if c.Kind == KindNull || c.Kind > KindBool {
+			return nil, fmt.Errorf("types: column %q has no value kind (%v)", c.Name, c.Kind)
 		}
 		if _, dup := s.byName[key]; dup {
 			return nil, fmt.Errorf("types: duplicate column name %q", c.Name)
@@ -111,6 +121,9 @@ func DecodeSchema(b []byte) (*Schema, int, error) {
 			return nil, 0, fmt.Errorf("types: truncated schema column %d", i)
 		}
 		kind := Kind(b[pos])
+		if b[pos+1] > 1 {
+			return nil, 0, fmt.Errorf("types: schema column %d NOT NULL flag %d", i, b[pos+1])
+		}
 		notNull := b[pos+1] == 1
 		nameLen := int(binary.BigEndian.Uint16(b[pos+2:]))
 		pos += 4

@@ -2,6 +2,8 @@ package types
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +29,37 @@ func TestNewSchemaRejectsDuplicates(t *testing.T) {
 	_, err = NewSchema(Column{Name: "", Kind: KindInt})
 	if err == nil {
 		t.Fatal("empty column name accepted")
+	}
+}
+
+// TestNewSchemaRejectsWhatCannotEncode holds a schema to its encoding's
+// uint16 counts and to the kinds a value can have.
+func TestNewSchemaRejectsWhatCannotEncode(t *testing.T) {
+	long := strings.Repeat("c", 0xFFFF)
+	if _, err := NewSchema(Column{Name: long + "c", Kind: KindInt}); err == nil {
+		t.Fatal("column name of 0x10000 bytes accepted")
+	}
+	s, err := NewSchema(Column{Name: long, Kind: KindInt})
+	if err != nil {
+		t.Fatalf("column name of 0xFFFF bytes: %v", err)
+	}
+	if got, _, err := DecodeSchema(s.AppendEncode(nil)); err != nil || got.Cols[0].Name != long {
+		t.Fatalf("0xFFFF-byte column name does not round-trip: %v", err)
+	}
+	cols := make([]Column, 0x10000)
+	for i := range cols {
+		cols[i] = Column{Name: "c" + strconv.Itoa(i), Kind: KindInt}
+	}
+	if _, err := NewSchema(cols...); err == nil {
+		t.Fatal("0x10000 columns accepted")
+	}
+	if _, err := NewSchema(cols[:0xFFFF]...); err != nil {
+		t.Fatalf("0xFFFF columns: %v", err)
+	}
+	for _, k := range []Kind{KindNull, KindBool + 1, 200} {
+		if _, err := NewSchema(Column{Name: "a", Kind: k}); err == nil {
+			t.Fatalf("column kind %v accepted", k)
+		}
 	}
 }
 
@@ -82,6 +115,13 @@ func TestSchemaEncodeDecode(t *testing.T) {
 	}
 	if _, _, err := DecodeSchema([]byte{0}); err == nil {
 		t.Error("truncated schema accepted")
+	}
+	// The NOT NULL flag is 0 or 1; any other byte is not what AppendEncode
+	// writes.
+	bad := append([]byte(nil), enc...)
+	bad[3] = 0x30
+	if _, _, err := DecodeSchema(bad); err == nil {
+		t.Error("NOT NULL flag 0x30 accepted")
 	}
 }
 
