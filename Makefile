@@ -92,6 +92,10 @@ model:
 # FuzzDecodeRequest and FuzzDecodeResponse hold the remote wire protocol's
 # payload decoders to the same bar, and FuzzDecodeRelDesc the relation
 # descriptor decoder that catalog log records and checkpoints read.
+# FuzzOpenLog opens and recovers a log file of arbitrary bytes: never a
+# panic or a hang, the file cut to a prefix of the input, and that prefix
+# reopening to the same records. Each of its runs forces a file, so it
+# shrinks a new input for 5s, not the default 60s that would idle it.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ddl
@@ -103,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRelDesc$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenLog$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/wal
 
 # crash runs the full deterministic crash-point fault-injection matrix
 # (every site, later-hit and torn-write variants, plus the LSM ingest

@@ -334,7 +334,7 @@ func claimE11DescriptorBytes(t *testing.T) {
 func claimA2RemoteBatching(t *testing.T) {
 	db := claimsDB(t)
 	fed := NewForeignServer(0)
-	db.AttachForeignServer("fed", fed)
+	db.AttachShardServer("fed", fed)
 	for i, c := range []struct {
 		batch    int
 		messages int64

@@ -101,20 +101,19 @@ func TestCrashPart2PC(t *testing.T) {
 	root := t.TempDir()
 	states := make(map[string]*partCrashState)
 
-	open := func(st *partCrashState, inj *fault.Injector, ckptEvery int) (*DB, error) {
-		db, err := Open(Config{
+	open := func(st *partCrashState, inj *fault.Injector, ckptEvery int, recover bool) (*DB, error) {
+		srvs := make(map[string]*ForeignServer, len(st.srvs))
+		for i, srv := range st.srvs {
+			srvs[fmt.Sprintf("s%d", i)] = srv
+		}
+		return Open(Config{
 			LogPath:         filepath.Join(st.dir, "wal.log"),
 			DiskPath:        filepath.Join(st.dir, "data.db"),
 			CheckpointEvery: ckptEvery,
 			Faults:          inj,
+			Recover:         recover,
+			Servers:         srvs,
 		})
-		if err != nil {
-			return nil, err
-		}
-		for i, srv := range st.srvs {
-			db.AttachShardServer(fmt.Sprintf("s%d", i), srv)
-		}
-		return db, nil
 	}
 
 	h := &fault.Harness{
@@ -141,7 +140,7 @@ func TestCrashPart2PC(t *testing.T) {
 			if ackLoss {
 				ckptEvery = -1
 			}
-			db, err := open(st, inj, ckptEvery)
+			db, err := open(st, inj, ckptEvery, false)
 			if err != nil {
 				return err
 			}
@@ -196,18 +195,12 @@ func TestCrashPart2PC(t *testing.T) {
 		},
 		Verify: func(tb fault.TB, s fault.Scenario) {
 			st := states[s.Name]
-			// Recovery needs the shard servers reachable before replay, so
-			// the reopen recovers explicitly after reattaching them.
-			db, err := open(st, nil, -1)
+			db, err := open(st, nil, -1, true)
 			if err != nil {
 				tb.Errorf("%s: reopen: %v", s.Name, err)
 				return
 			}
 			defer db.Close()
-			if err := db.Env.Recover(); err != nil {
-				tb.Errorf("%s: recover: %v", s.Name, err)
-				return
-			}
 
 			res, err := db.Exec("SELECT id, v FROM pt")
 			if err != nil {

@@ -129,6 +129,11 @@ type Config struct {
 	DiskPath string
 	// Recover replays the log at open (use with LogPath after a restart).
 	Recover bool
+	// Servers names the foreign and shard servers that relations created
+	// USING remote WITH (server=<name>) or USING part WITH
+	// (servers=<name>,...) reach. They are attached before recovery, which
+	// needs every server a relation names.
+	Servers map[string]*ForeignServer
 	// CheckpointEvery takes a fuzzy checkpoint (and truncates the log head)
 	// after that many log appends. 0 checkpoints only at Close; negative
 	// disables checkpointing entirely.
@@ -189,8 +194,14 @@ func Open(cfg Config) (*DB, error) {
 	})
 	db := &DB{Env: env, log: log, disk: disk, ckptOff: cfg.CheckpointEvery < 0}
 	db.session = ddl.NewSession(env)
+	for name, srv := range cfg.Servers {
+		partsm.AttachServer(env, name, srv)
+	}
 	if cfg.Recover {
 		if err := env.Recover(); err != nil {
+			// A checkpoint now would snapshot the half-recovered state
+			// and truncate the log that still holds the rest.
+			db.ckptOff = true
 			db.Close()
 			return nil, fmt.Errorf("dmx: recovery: %w", err)
 		}
@@ -314,14 +325,8 @@ func (db *DB) RegisterCheckPredicate(token string, e *Expr) {
 	check.RegisterPredicate(token, e)
 }
 
-// AttachForeignServer makes a foreign database reachable from relations
-// created with USING remote WITH (server=<name>).
-func (db *DB) AttachForeignServer(name string, srv *ForeignServer) {
-	partsm.AttachServer(db.Env, name, srv)
-}
-
-// AttachShardServer makes a shard backend reachable from partitioned
-// relations created with USING part WITH (servers=<name>,...).
+// AttachShardServer attaches a foreign or shard server to the open
+// database, as Config.Servers does before recovery.
 func (db *DB) AttachShardServer(name string, srv *ForeignServer) {
 	partsm.AttachServer(db.Env, name, srv)
 }

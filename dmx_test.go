@@ -2,7 +2,9 @@ package dmx
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dmx/internal/expr"
@@ -140,7 +142,7 @@ func TestForeignServerThroughFacade(t *testing.T) {
 	db, _ := Open(Config{})
 	defer db.Close()
 	srv := NewForeignServer(0)
-	db.AttachForeignServer("fed", srv)
+	db.AttachShardServer("fed", srv)
 	if _, err := db.Exec(
 		"CREATE TABLE far (id INT NOT NULL, v STRING) USING remote WITH (server=fed)",
 		"INSERT INTO far VALUES (1, 'remote row')",
@@ -167,48 +169,101 @@ func TestForeignServerThroughFacade(t *testing.T) {
 	}
 }
 
-// TestForeignTableAcrossReopen reopens a database holding a remote relation
-// with Recover set: recovery runs inside Open, before the foreign server
-// can be attached, and must leave the relation for the attach that follows.
+// TestForeignTableAcrossReopen reopens a database holding an indexed remote
+// relation, after a clean Close and after a crash, with its foreign server
+// named in Config.Servers. Recovery reaches the server and rebuilds the
+// index from the foreign table, although a checkpoint truncated the index
+// records of the first two rows: every id answers one row through it.
 func TestForeignTableAcrossReopen(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "clean-close", true: "crash"}[crash], func(t *testing.T) {
+			dir := t.TempDir()
+			srv := NewForeignServer(0) // the foreign database outlives the local one
+			cfg := Config{
+				LogPath:  filepath.Join(dir, "wal.log"),
+				DiskPath: filepath.Join(dir, "data.db"),
+				Servers:  map[string]*ForeignServer{"fed": srv},
+			}
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(
+				"CREATE TABLE far (id INT NOT NULL, v STRING) USING remote WITH (server=fed)",
+				"CREATE INDEX byid ON far (id)",
+				"INSERT INTO far VALUES (1, 'a'), (2, 'b')",
+			); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec("INSERT INTO far VALUES (3, 'c')"); err != nil {
+				t.Fatal(err)
+			}
+			if !crash {
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} // else the handle is abandoned: a process death
+
+			cfg.Recover = true
+			db2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			for id, want := range []string{"a", "b", "c"} {
+				res, err := db2.Exec(fmt.Sprintf("SELECT v FROM far WHERE id = %d", id+1))
+				if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != want {
+					t.Fatalf("id %d after reopen = %+v, %v; want one row %q", id+1, res, err, want)
+				}
+				if !strings.Contains(res.Explain, "via btree") {
+					t.Fatalf("id %d was not read through the index: %s", id+1, res.Explain)
+				}
+			}
+		})
+	}
+}
+
+// TestFailedRecoveryKeepsTheLog opens a crashed database without the
+// server its remote relation names. Open fails, and must not checkpoint
+// on its way out: a checkpoint would keep only the half-recovered state of
+// the local relation and truncate the log that holds the rest.
+func TestFailedRecoveryKeepsTheLog(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{LogPath: filepath.Join(dir, "wal.log"), DiskPath: filepath.Join(dir, "data.db")}
-	srv := NewForeignServer(0) // the foreign database outlives the local one
+	srv := NewForeignServer(0)
+	cfg := Config{
+		LogPath:  filepath.Join(dir, "wal.log"),
+		DiskPath: filepath.Join(dir, "data.db"),
+		Servers:  map[string]*ForeignServer{"fed": srv},
+	}
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.AttachForeignServer("fed", srv)
 	if _, err := db.Exec(
-		"CREATE TABLE far (id INT NOT NULL, v STRING) USING remote WITH (server=fed)",
-		"INSERT INTO far VALUES (1, 'remote row')",
+		"CREATE TABLE loc (id INT NOT NULL) USING heap",
+		"CREATE TABLE far (id INT NOT NULL) USING remote WITH (server=fed)",
+		"INSERT INTO loc VALUES (1)",
+		"INSERT INTO far VALUES (1)",
+		"INSERT INTO loc VALUES (2)",
 	); err != nil {
 		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	} // the handle is abandoned: a process death
 
-	cfg.Recover = true
+	cfg.Recover, cfg.Servers = true, nil
+	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), `no foreign server "fed"`) {
+		t.Fatalf("Open without the server: %v", err)
+	}
+	cfg.Servers = map[string]*ForeignServer{"fed": srv}
 	db2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if _, err := db2.Exec("SELECT v FROM far"); err == nil {
-		t.Fatal("remote relation answered with no server attached")
-	}
-	// The unattached relation is left out of the view, not failing it.
-	if stat, err := db2.Exec("SELECT name FROM sys.stat_shards"); err != nil || len(stat.Rows) != 0 {
-		t.Fatalf("stat_shards with no server attached = %+v, %v", stat, err)
-	}
-	db2.AttachForeignServer("fed", srv)
-	if _, err := db2.Exec("INSERT INTO far VALUES (2, 'after reopen')"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := db2.Exec("SELECT v FROM far")
-	if err != nil || len(res.Rows) != 2 {
-		t.Fatalf("reopened remote res = %+v, %v", res, err)
+	if res, err := db2.Exec("SELECT id FROM loc"); err != nil || len(res.Rows) != 2 {
+		t.Fatalf("loc after the failed open = %+v, %v; want both rows", res, err)
 	}
 }
 

@@ -16,16 +16,14 @@ import (
 )
 
 func main() {
-	db, err := dmx.Open(dmx.Config{})
+	// The "foreign DBMS": in-process, spoken to over a byte protocol with
+	// 50µs of injected one-way latency per message.
+	fed := dmx.NewForeignServer(50 * time.Microsecond)
+	db, err := dmx.Open(dmx.Config{Servers: map[string]*dmx.ForeignServer{"warehouse": fed}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer db.Close()
-
-	// The "foreign DBMS": in-process, spoken to over a byte protocol with
-	// 50µs of injected one-way latency per message.
-	fed := dmx.NewForeignServer(50 * time.Microsecond)
-	db.AttachForeignServer("warehouse", fed)
 
 	mustExec(db,
 		"CREATE TABLE products (pno INT NOT NULL, name STRING) USING memory",

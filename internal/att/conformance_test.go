@@ -26,9 +26,11 @@ import (
 	_ "dmx/internal/att/unique"
 	"dmx/internal/core"
 	"dmx/internal/expr"
+	"dmx/internal/remote"
 	"dmx/internal/rtree"
 	_ "dmx/internal/sm/btreesm"
 	_ "dmx/internal/sm/memsm"
+	"dmx/internal/sm/partsm"
 	"dmx/internal/txn"
 	"dmx/internal/types"
 	"dmx/internal/wal"
@@ -371,16 +373,21 @@ func init() {
 }
 
 // fixture is one environment holding t, empty, and its peer relation
-// (id, grp): two rows of group a, one each of b and c.
+// (id, grp): two rows of group a, one each of b and c. A remote t lives on
+// the foreign server srv, attached as "fed"; it outlives a restart.
 type fixture struct {
 	t   *testing.T
 	env *core.Env
 	log *wal.Log
+	srv *remote.Server
 }
 
-func newEnv(t *testing.T, log *wal.Log) *fixture {
-	f := &fixture{t: t, env: core.NewEnv(core.Config{Log: log}), log: log}
+func newEnv(t *testing.T, log *wal.Log, srv *remote.Server) *fixture {
+	f := &fixture{t: t, env: core.NewEnv(core.Config{Log: log}), log: log, srv: srv}
 	t.Cleanup(func() { f.env.Close() })
+	if srv != nil {
+		partsm.AttachServer(f.env, "fed", srv)
+	}
 	trigger.Register(f.env, "guard", func(_ *core.Env, _ *txn.Txn, _ trigger.Event, _ *core.RelDesc, _ types.Key, _, newRec types.Record) error {
 		if newRec != nil && newRec[colVal].I == guardedVal {
 			return errors.New("guarded value")
@@ -392,7 +399,11 @@ func newEnv(t *testing.T, log *wal.Log) *fixture {
 
 // newFixture creates t with storage method sm.
 func newFixture(t *testing.T, log *wal.Log, sm string, smAttrs core.AttrList) *fixture {
-	f := newEnv(t, log)
+	var srv *remote.Server
+	if sm == partsm.RemoteName {
+		srv = remote.NewServer(0)
+	}
+	f := newEnv(t, log, srv)
 	tx := f.env.Begin()
 	_, err := f.env.CreateRelation(tx, "t", schema(), sm, smAttrs)
 	f.must(err)
@@ -414,7 +425,7 @@ func newFixture(t *testing.T, log *wal.Log, sm string, smAttrs core.AttrList) *f
 
 // restart recovers a second environment from the first one's log.
 func (f *fixture) restart() *fixture {
-	g := newEnv(f.t, f.log)
+	g := newEnv(f.t, f.log, f.srv)
 	g.must(g.env.Recover())
 	return g
 }
@@ -839,29 +850,40 @@ func (at attType) testAbortedDrop(t *testing.T) {
 }
 
 // testRestart: restart recovery brings the instance back to the state the
-// recovered relation calls for, and maintenance carries on from there.
+// recovered relation calls for, and maintenance carries on from there. A
+// checkpoint midway truncates the log records of the history before it,
+// over a relation whose contents the checkpoint holds (memory) and over
+// one whose contents stay on their foreign server (remote).
 func (at attType) testRestart(t *testing.T) {
-	f := newFixture(t, wal.New(), "memory", nil)
-	f.add(at, "i1")
-	f.insert(base...)
-	f.inTx(func(tx *txn.Txn, r *core.Relation) {
-		f.must(f.update(tx, r, 3, row{id: 3, grp: "a", val: 31, boxed: true}))
-		f.must(r.Delete(tx, f.keyOf(tx, r, 4)))
-	})
-	tx := f.env.Begin()
-	_, err := f.rel().Insert(tx, row{id: 6, grp: "b", val: 60}.record())
-	f.must(err)
-	f.must(tx.Abort())
-	want := at.want(f, f.contents("t"))
+	for _, sm := range []struct {
+		name  string
+		attrs core.AttrList
+	}{{"memory", nil}, {partsm.RemoteName, core.AttrList{"server": "fed"}}} {
+		t.Run(sm.name, func(t *testing.T) {
+			f := newFixture(t, wal.New(), sm.name, sm.attrs)
+			f.add(at, "i1")
+			f.insert(base...)
+			f.must(f.env.Checkpoint())
+			f.inTx(func(tx *txn.Txn, r *core.Relation) {
+				f.must(f.update(tx, r, 3, row{id: 3, grp: "a", val: 31, boxed: true}))
+				f.must(r.Delete(tx, f.keyOf(tx, r, 4)))
+			})
+			tx := f.env.Begin()
+			_, err := f.rel().Insert(tx, row{id: 6, grp: "b", val: 60}.record())
+			f.must(err)
+			f.must(tx.Abort())
+			want := at.want(f, f.contents("t"))
 
-	g := f.restart()
-	if got := at.want(g, g.contents("t")); got != want {
-		t.Fatalf("the relation itself changed across restart:\n got %s\nwant %s", got, want)
+			g := f.restart()
+			if got := at.want(g, g.contents("t")); got != want {
+				t.Fatalf("the relation itself changed across restart:\n got %s\nwant %s", got, want)
+			}
+			g.exact(at, "after restart")
+			g.insert(row{id: 7, grp: "c", val: 70, boxed: true})
+			g.remove(1)
+			g.exact(at, "after modifications following restart")
+		})
 	}
-	g.exact(at, "after restart")
-	g.insert(row{id: 7, grp: "c", val: 70, boxed: true})
-	g.remove(1)
-	g.exact(at, "after modifications following restart")
 }
 
 // TestAccessPathConformance: for the four access paths, direct-by-key and

@@ -440,13 +440,8 @@ func (env *Env) applyLogged(txnID wal.TxnID, owner wal.Owner, payload []byte, un
 			// a rebuild would double-apply. Their state is reconstructed
 			// from the recovered relation contents afterwards. Types
 			// without Build keep their state only in the log and replay
-			// as usual, as do all attachments of storage methods that
-			// opt into replay (their contents live elsewhere and cannot
-			// be rescanned at restart).
-			sops := env.Reg.StorageOps(rd.SM)
-			aops := env.Reg.AttachmentOps(AttID(owner.ExtID))
-			if (sops == nil || !sops.ReplayAttachments) &&
-				aops != nil && aops.Build != nil {
+			// as usual.
+			if aops := env.Reg.AttachmentOps(AttID(owner.ExtID)); aops != nil && aops.Build != nil {
 				return nil
 			}
 		}
@@ -524,10 +519,6 @@ func (env *Env) rebuildAttachments() error {
 		rd, ok := env.Cat.ByName(name)
 		if !ok || IsSystemRelID(rd.RelID) {
 			continue
-		}
-		sops := env.Reg.StorageOps(rd.SM)
-		if sops == nil || sops.ReplayAttachments {
-			continue // replayed from the log instead
 		}
 		for _, attID := range rd.AttachmentTypes() {
 			aops := env.Reg.AttachmentOps(attID)

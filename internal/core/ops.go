@@ -191,12 +191,6 @@ type StorageOps struct {
 	// Leave false for unlogged methods (temp) and methods whose data
 	// lives elsewhere (remote).
 	SnapshotContents bool
-	// ReplayAttachments makes restart recovery replay attachment-owned
-	// log records for this method's relations instead of rebuilding the
-	// attachments by scanning (the default). Set it when relations cannot
-	// be scanned at restart (remote: the foreign server is attached
-	// later).
-	ReplayAttachments bool
 	// AfterRecovery runs at the end of Env.Recover, after redo/undo and
 	// attachment rebuild. Storage methods whose durable state lives
 	// outside the local log use it to reconcile that state with the
@@ -210,16 +204,11 @@ type StorageOps struct {
 // versions (MVCC), and implementing it is the whole declaration: read-only
 // snapshot transactions then read the relation with zero lock-manager
 // acquisitions, so FetchByKey/OpenScan must answer with snapshot-consistent
-// versions when tx.ReadOnly(). Relations of other methods keep ordinary
-// share-locked reads for read-only transactions.
+// versions when tx.ReadOnly(). FetchByKey is ErrNotFound for a key not in
+// the snapshot, which is how unversioned access-path results are filtered.
+// Relations of other methods keep ordinary share-locked reads for
+// read-only transactions.
 type VersionedStorage interface {
-	// SnapshotVisible reports whether the record at key exists in tx's
-	// snapshot (tx must be read-only). It never takes locks. Access-path
-	// scans and lookups return record keys without consulting version
-	// stamps, so Relation.OpenAccessScan and LookupAccess filter them
-	// through it; Relation.OpenAccessFetch needs no filter, since its
-	// snapshot fetch already answers "not found" for an invisible key.
-	SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error)
 	// FreezeVersions drops every version chain. A truncating checkpoint —
 	// which only runs with writers quiesced and no snapshot open — calls
 	// it afterwards: current state, which the checkpoint just captured,

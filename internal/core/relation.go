@@ -421,7 +421,7 @@ func (r *Relation) OpenAccessScan(tx *txn.Txn, id AttID, instance int, opts Scan
 		return nil, err
 	}
 	if r.lockFree(tx) {
-		s = &snapFilterScan{Scan: s, vs: r.sm.(VersionedStorage), tx: tx}
+		s = &snapFilterScan{Scan: s, sm: r.sm, tx: tx}
 	}
 	return manageScan(tx, r.counted(tx, s))
 }
@@ -449,10 +449,9 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 	if err != nil || !r.lockFree(tx) {
 		return keys, err
 	}
-	vs := r.sm.(VersionedStorage)
 	kept := keys[:0]
 	for _, k := range keys {
-		vis, err := vs.SnapshotVisible(tx, k)
+		vis, err := inSnapshot(r.sm, tx, k)
 		if err != nil {
 			return nil, err
 		}
@@ -626,7 +625,7 @@ func (r *Relation) counted(tx *txn.Txn, s Scan) Scan {
 // read-only transaction's snapshot.
 type snapFilterScan struct {
 	Scan
-	vs VersionedStorage
+	sm StorageInstance
 	tx *txn.Txn
 }
 
@@ -636,7 +635,7 @@ func (s *snapFilterScan) Next() (types.Key, types.Record, bool, error) {
 		if err != nil || !ok {
 			return key, rec, ok, err
 		}
-		vis, err := s.vs.SnapshotVisible(s.tx, key)
+		vis, err := inSnapshot(s.sm, s.tx, key)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -644,6 +643,17 @@ func (s *snapFilterScan) Next() (types.Key, types.Record, bool, error) {
 			return key, rec, true, nil
 		}
 	}
+}
+
+// inSnapshot reports whether the record at key is in read-only tx's
+// snapshot. The storage method's snapshot fetch is the one judge: a key
+// the snapshot does not hold is ErrNotFound.
+func inSnapshot(sm StorageInstance, tx *txn.Txn, key types.Key) (bool, error) {
+	_, err := sm.FetchByKey(tx, key, []int{}, nil)
+	if errors.Is(err, ErrNotFound) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 // managedScan wires a scan into the transaction event services.

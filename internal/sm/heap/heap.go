@@ -90,8 +90,8 @@ type store struct {
 	pendingKey string // the transaction stash key of this store's pendingVers
 
 	// mu latches the page table, the pages' contents and the version
-	// chains. Readers (scan, fetch, SnapshotVisible) hold it shared and so
-	// must never extend the page table; everything else holds it exclusive.
+	// chains. Readers (scan, fetch) hold it shared and so must never
+	// extend the page table; everything else holds it exclusive.
 	mu       sync.RWMutex
 	pages    []pagefile.PageID // logical page number -> physical page
 	free     []int             // free bytes per logical page
@@ -368,36 +368,6 @@ func (s *store) versionPayload(lsn wal.LSN, old bool) (types.Record, error) {
 		return p.Old, nil
 	}
 	return p.New, nil
-}
-
-// SnapshotVisible implements core.VersionedStorage: whether the record
-// at key exists in tx's snapshot. Access-path results are filtered
-// through it on the lock-free read path.
-func (s *store) SnapshotVisible(tx *txn.Txn, key types.Key) (bool, error) {
-	r, err := decodeRID(key)
-	if err != nil {
-		return false, err
-	}
-	snap := tx.Snapshot()
-	if snap == nil {
-		return false, fmt.Errorf("heap: SnapshotVisible requires a snapshot transaction")
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(r.page) >= len(s.pages) {
-		return false, nil
-	}
-	usePage, _, present, err := s.versionFor(tx, r, snap)
-	if err != nil || !usePage {
-		return present && err == nil, err
-	}
-	visible := false
-	err = s.withPage(tx, r.page, false, func(f *buffer.Frame) error {
-		_, deleted, err := slotAt(f, r)
-		visible = err == nil && !deleted
-		return nil
-	})
-	return visible, err
 }
 
 // FreezeVersions implements core.VersionedStorage: a truncating checkpoint

@@ -485,7 +485,7 @@ func TestStampsSurviveCheckpointRecovery(t *testing.T) {
 
 // Only insert placement and redo extend the page table: a lookup by a
 // well-formed record key past the relation's last page is ErrNotFound
-// (or "not visible") at the storage-method level too, and allocates no
+// at the storage-method level, in a snapshot too, and allocates no
 // page. Readers hold the store latch shared on the strength of this.
 func TestLookupNeverGrowsRelation(t *testing.T) {
 	env := core.NewEnv(core.Config{Log: wal.New()})
@@ -517,8 +517,8 @@ func TestLookupNeverGrowsRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro := env.BeginReadOnly()
-	if vis, err := sm.(core.VersionedStorage).SnapshotVisible(ro, far); vis || err != nil {
-		t.Errorf("SnapshotVisible: %v %v", vis, err)
+	if _, err := sm.FetchByKey(ro, far, []int{}, nil); !errors.Is(err, core.ErrNotFound) {
+		t.Errorf("snapshot FetchByKey: %v", err)
 	}
 	ro.Commit()
 	if n, pc := sm.RecordCount(), pages(); n != 1 || pc != 1 {

@@ -74,17 +74,13 @@ func AttachServer(env *core.Env, name string, srv *remote.Server) {
 type serverRegistry struct {
 	mu     sync.Mutex
 	byName map[string]*remote.Server
-	// unresolved holds, per server that was not attached when Resolve ran,
-	// the committed-transaction set Resolve was working from: the first
-	// relation opened on the server settles its in-doubt transactions.
-	unresolved map[string]map[wal.TxnID]bool
 }
 
 func servers(env *core.Env) *serverRegistry {
 	if v, ok := env.ExtState(serverStateKey); ok {
 		return v.(*serverRegistry)
 	}
-	reg := &serverRegistry{byName: make(map[string]*remote.Server), unresolved: make(map[string]map[wal.TxnID]bool)}
+	reg := &serverRegistry{byName: make(map[string]*remote.Server)}
 	env.SetExtState(serverStateKey, reg)
 	return reg
 }
@@ -105,23 +101,15 @@ func init() {
 	// Shard contents live on the remote servers, but every modification is
 	// logged locally and checkpoints embed the full contents, so a crash
 	// that loses the servers can rebuild every shard from the local log
-	// alone. That also means attachments can be rebuilt by scanning at
-	// restart (servers are attached before Recover), so attachment log
-	// records are not replayed.
+	// alone.
 	part.SnapshotContents = true
 	part.Drop = dropShardTables
 	part.AfterRecovery = Resolve // covers remote relations too
 	core.RegisterStorageMethod(part)
 
-	rem := storageOps(core.SMRemote, RemoteName, describeRemote, "server", "table", "batch")
 	// The foreign table is the foreign database's own durable data: it is
-	// not embedded in checkpoints, not dropped with the local relation, and
-	// not assumed reachable at restart (a database reopened with Recover
-	// attaches its foreign servers afterwards), so restart recovery replays
-	// the attachment-owned log records instead of rescanning, and Resolve
-	// leaves an unattached server to the first relation opened on it.
-	rem.ReplayAttachments = true
-	core.RegisterStorageMethod(rem)
+	// not embedded in checkpoints and not dropped with the local relation.
+	core.RegisterStorageMethod(storageOps(core.SMRemote, RemoteName, describeRemote, "server", "table", "batch"))
 }
 
 // storageOps builds the operation table both methods share. describe turns
@@ -207,21 +195,6 @@ func open(env *core.Env, rd *core.RelDesc, desc []byte) (*store, error) {
 		if err := sh.client.CreateTable(spec.table); err != nil {
 			s.Close()
 			return nil, err
-		}
-		// No live transaction can be prepared on a server nothing was
-		// connected to, so settling what Resolve left is safe here.
-		reg := servers(env)
-		reg.mu.Lock()
-		committed, unresolved := reg.unresolved[spec.server]
-		reg.mu.Unlock()
-		if unresolved {
-			if err := s.resolveShard(len(s.shards)-1, committed, nil); err != nil {
-				s.Close()
-				return nil, err
-			}
-			reg.mu.Lock()
-			delete(reg.unresolved, spec.server)
-			reg.mu.Unlock()
 		}
 	}
 	return s, nil
@@ -953,25 +926,6 @@ func Resolve(env *core.Env) error {
 				}
 				return true
 			})
-		}
-		if rd.SM == core.SMRemote {
-			// A database reopened with Recover gets its foreign servers
-			// attached afterwards: leave the decisions, with the history
-			// they are read from, to the first open on the server.
-			lay, err := decodeLayout(rd, rd.SMDesc)
-			if err != nil {
-				return err
-			}
-			reg := servers(env)
-			reg.mu.Lock()
-			_, attached := reg.byName[lay.shards[0].server]
-			if !attached {
-				reg.unresolved[lay.shards[0].server] = committed
-			}
-			reg.mu.Unlock()
-			if !attached {
-				continue
-			}
 		}
 		inst, err := env.StorageInstance(rd)
 		if err != nil {

@@ -3,6 +3,7 @@ package partsm_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dmx/internal/core"
@@ -916,11 +917,11 @@ func TestShardConnectionsAreReleased(t *testing.T) {
 	}
 }
 
-// TestResolveWaitsForTheForeignServer recovers with the remote relation's
-// server not yet attached, as dmx.Open with Recover does: recovery leaves
-// the server's in-doubt transactions alone, and the first open after the
-// attach settles them from the commit history recovery read.
-func TestResolveWaitsForTheForeignServer(t *testing.T) {
+// TestRecoveryNeedsTheForeignServer recovers a remote relation whose
+// server holds two prepared transactions: recovery without the server
+// attached fails, and recovery with it resolves both from the log, the
+// decided one committed and the undecided one aborted.
+func TestRecoveryNeedsTheForeignServer(t *testing.T) {
 	log := wal.New()
 	env, srvs, _ := flavours[0].open(t, log)
 	if err := env.Checkpoint(); err != nil {
@@ -943,21 +944,26 @@ func TestResolveWaitsForTheForeignServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	unattached := core.NewEnv(core.Config{Log: log})
+	defer unattached.Close()
+	if err := unattached.Recover(); err == nil || !strings.Contains(err.Error(), `no foreign server "s0"`) {
+		t.Fatalf("recovery without the foreign server: %v", err)
+	}
+	if ids, _ := c.InDoubt(); len(ids) != 2 {
+		t.Fatalf("in doubt after the failed recovery: %v, want both", ids)
+	}
 	env2 := core.NewEnv(core.Config{Log: log})
 	defer env2.Close()
+	attach(env2, srvs)
 	if err := env2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if ids, _ := c.InDoubt(); len(ids) != 2 {
-		t.Fatalf("in doubt before the attach: %v, want both", ids)
-	}
-	attach(env2, srvs)
 	r, err := env2.OpenRelationByName("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ids, _ := c.InDoubt(); len(ids) != 0 || r.Storage().RecordCount() != 1 {
-		t.Fatalf("after the first open: in doubt %v, %d records, want none and the committed one", ids, r.Storage().RecordCount())
+		t.Fatalf("after recovery: in doubt %v, %d records, want none and the committed one", ids, r.Storage().RecordCount())
 	}
 }
 

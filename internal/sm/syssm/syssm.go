@@ -367,12 +367,6 @@ func relationRows[R any](sms ...core.SMID) func(*core.Env) ([]R, error) {
 			}
 			inst, err := env.StorageInstance(rd)
 			if err != nil {
-				if rd.SM == core.SMRemote {
-					// A database reopened with Recover attaches its foreign
-					// servers afterwards; until then the relation has no
-					// shard to report, and the other relations still do.
-					continue
-				}
 				return nil, err
 			}
 			if src, ok := inst.(interface{ SysRows() []R }); ok {

@@ -93,7 +93,9 @@ func (l *Log) chunksLocked(dst [][]byte, from LSN) [][]byte {
 // last valid frame: a torn, corrupt or zero-filled tail ends the parse.
 // The first record's LSN sets the truncation base; a gap in the LSN
 // sequence — stale frames of an earlier life of the file — is a corrupt
-// tail too.
+// tail too, and so is a back pointer (PrevLSN, UndoNext) that does not
+// point backwards: the log never writes one, and an undo chain walk would
+// follow it forever.
 func (l *Log) load(data []byte) int64 {
 	pos := 0
 	for pos+frameHeader <= len(data) {
@@ -109,7 +111,7 @@ func (l *Log) load(data []byte) int64 {
 		if pos == 0 && rec.LSN > 0 {
 			l.base, l.next = rec.LSN-1, rec.LSN
 		}
-		if rec.LSN != l.next {
+		if rec.LSN != l.next || rec.PrevLSN >= rec.LSN || rec.UndoNext >= rec.LSN {
 			break
 		}
 		copy(l.reserve(end-pos), data[pos:end])

@@ -63,17 +63,19 @@ func TestStressPartConcurrent2PC(t *testing.T) {
 		}
 		return srvs
 	}
-	attach := func(db *DB, srvs []*ForeignServer) {
+	byName := func(srvs []*ForeignServer) map[string]*ForeignServer {
+		m := make(map[string]*ForeignServer, len(srvs))
 		for i, srv := range srvs {
-			db.AttachShardServer(fmt.Sprintf("p%d", i), srv)
+			m[fmt.Sprintf("p%d", i)] = srv
 		}
+		return m
 	}
+	srvs := newServers()
+	cfg.Servers = byName(srvs)
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvs := newServers()
-	attach(db, srvs)
 	if _, err := db.Exec("CREATE TABLE st (id INT NOT NULL, v STRING) USING part" +
 		" WITH (key=id, shards=4, servers='p0,p1,p2,p3', batch=9)"); err != nil {
 		t.Fatal(err)
@@ -98,16 +100,13 @@ func TestStressPartConcurrent2PC(t *testing.T) {
 	// Simulated coordinator crash onto brand-new shard backends: the
 	// handles are abandoned without Close, and recovery must rebuild every
 	// shard's contents from the local log before the verify rereads them.
+	srvs2 := newServers()
+	cfg.Recover, cfg.Servers = true, byName(srvs2)
 	db2, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
-	srvs2 := newServers()
-	attach(db2, srvs2)
-	if err := db2.Env.Recover(); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
 	partStressVerify(t, db2, shadow, srvs2, "post-recovery")
 }
 
