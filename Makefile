@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-diff crash race model fuzz ingest par part fmt vet staticcheck examples trace-demo
+.PHONY: build test check bench bench-diff crash race model fuzz ingest part fmt vet staticcheck examples trace-demo
 
 build:
 	$(GO) build ./...
@@ -33,7 +33,6 @@ test:
 check: build fmt vet staticcheck
 	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./...
-	$(MAKE) par
 	$(MAKE) examples
 	cd bench && $(GO) test ./...
 
@@ -61,9 +60,15 @@ trace-demo:
 
 # race is the deep concurrency soak: the multi-worker stress harness
 # (stress_test.go) at its larger shape — more workers, more operations,
-# more crash-restart rounds — under the race detector.
+# more crash-restart rounds — under the race detector. Then, repeated under
+# the race detector, the buffer pool's concurrent recycling test (a frame
+# recycled for another page while a caller still used it is the pool's
+# concurrency hazard, and concurrent transactions pin pages concurrently)
+# and the many-to-many join through every join strategy.
 race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
+	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
+	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree' ./internal/plan/
 
 # model is the differential-testing soak: many more generated workloads
 # than the check gate runs, engine vs reference model, including
@@ -139,17 +144,6 @@ part:
 	DMX_PART_SEEDS=$(DMX_PART_SEEDS) DMX_PART_CRASH_SEEDS=$(DMX_PART_CRASH_SEEDS) \
 		DMX_CRASH_DEEP=1 DMX_STRESS_DEEP=1 \
 		$(GO) test -race -count=1 -run 'TestModelPart|TestCrashPart|TestStressPart' -v .
-
-# par is the parallel-execution race soak: the exchange operator's
-# early-close shutdown paths, the partitioned-scan differentials across
-# storage methods, the hash join, and workers recording into a detailed
-# trace, repeated under the race detector; plus the buffer pool's
-# concurrent recycling test, because a frame recycled for another page
-# while a caller still used it is the pool's concurrency hazard and
-# parallel scans are what pin pages concurrently.
-par:
-	$(GO) test -race -count=3 -run 'TestExchangeEarlyClose|TestParallelScan|TestParallelHashJoin|TestParallelWorkersShareTrace|TestDuplicateKeyJoin' ./internal/plan/
-	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
 
 # bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # all five workloads, untraced, one line per metric.

@@ -123,15 +123,6 @@ type TableStatsProvider interface {
 	TableStats() TableStats
 }
 
-// RangePartitioner is implemented by storage instances whose record-key
-// space can be split for partitioned parallel scans. PartitionBounds
-// returns up to n-1 ascending interior split keys: partition i scans
-// [bounds[i-1], bounds[i]) with the outer ends unbounded. Fewer (or zero)
-// bounds mean the store is too small to split that finely.
-type RangePartitioner interface {
-	PartitionBounds(n int) []types.Key
-}
-
 // StorageInstance is the runtime handle for one relation's storage. The
 // generic direct operations on stored relations are its methods; the
 // owning StorageOps table opens instances from the relation descriptor.

@@ -14,7 +14,6 @@ import (
 	"dmx/internal/core"
 	"dmx/internal/fault"
 	"dmx/internal/pagefile"
-	"dmx/internal/plan"
 	"dmx/internal/remote"
 	"dmx/internal/sm/partsm"
 	"dmx/internal/txn"
@@ -605,9 +604,6 @@ func (r *runner) verify(m *Model) string {
 		if detail := r.verifyScan(tx, rel, name, rows); detail != "" {
 			return detail
 		}
-		if detail := r.verifyParallel(tx, name, rows); detail != "" {
-			return detail
-		}
 		if detail := r.verifyFetch(tx, rel, name, rows); detail != "" {
 			return detail
 		}
@@ -664,42 +660,6 @@ func (r *runner) verifyScan(tx *txn.Txn, rel *core.Relation, name string, rows [
 	for i := range got {
 		if got[i] != want[i] {
 			return fmt.Sprintf("%s: scan multiset differs: engine %s vs model %s", name, got[i], want[i])
-		}
-	}
-	return ""
-}
-
-// verifyParallel cross-checks the planner's partitioned parallel scan:
-// a forced two-worker plan over the storage method must return exactly
-// the model's multiset (storage methods that cannot partition degrade to
-// one worker and still must agree).
-func (r *runner) verifyParallel(tx *txn.Txn, name string, rows []*Row) string {
-	b, err := plan.New(r.env).Plan(plan.Query{
-		Table: name, ForcePath: &plan.ForcedPath{Att: 0}, ForceDegree: 2,
-	})
-	if err != nil {
-		return name + ": parallel plan: " + err.Error()
-	}
-	recs, err := plan.Collect(b.Execute(tx))
-	if err != nil {
-		return name + ": parallel scan: " + err.Error()
-	}
-	got := make([]string, 0, len(recs))
-	for _, rec := range recs {
-		got = append(got, recString(rec))
-	}
-	want := make([]string, 0, len(rows))
-	for _, row := range rows {
-		want = append(want, recString(row.Rec))
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		return fmt.Sprintf("%s: parallel scan returned %d records, model has %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Sprintf("%s: parallel scan multiset differs: engine %s vs model %s", name, got[i], want[i])
 		}
 	}
 	return ""

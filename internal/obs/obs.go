@@ -314,16 +314,12 @@ type LSMStats struct {
 }
 
 // PlanStats instruments the query planner: how often the cost model picked
-// a partitioned parallel scan or a hash join, worker-goroutine utilization
-// (current and high-water), and how SQL statements reuse bound plans.
+// a hash join, and how SQL statements reuse bound plans.
 type PlanStats struct {
-	ParallelScans Counter // partitioned parallel scans opened
-	HashJoins     Counter // hash joins chosen over nested loops
-	Workers       Gauge   // scan/build workers currently running (with high-water)
-	WorkerRows    Counter // rows produced inside parallel workers
-	CacheHits     Counter // statements run from a session's cached bound plan
-	CacheMisses   Counter // statements parsed or bound because no valid plan was cached
-	Replans       Counter // bound plans translated again on execution
+	HashJoins   Counter // hash joins chosen over nested loops
+	CacheHits   Counter // statements run from a session's cached bound plan
+	CacheMisses Counter // statements parsed or bound because no valid plan was cached
+	Replans     Counter // bound plans translated again on execution
 }
 
 // TxnStats are the transaction-lifecycle rollups fed by the transaction
@@ -476,17 +472,12 @@ type LSMSnapshot struct {
 	RunsMax             int64   `json:"runs_max" metric:"lsm_runs_max" help:"high-water mark of resident LSM sorted runs" from:"Runs.Max"`
 }
 
-// PlanSnapshot is the query planner's view: parallel execution and plan
-// reuse.
+// PlanSnapshot is the query planner's view: join strategy and plan reuse.
 type PlanSnapshot struct {
-	ParallelScans int64 `json:"parallel_scans" metric:"plan_parallel_scans_total" help:"partitioned parallel scans opened by the planner"`
-	HashJoins     int64 `json:"hash_joins" metric:"plan_hash_joins_total" help:"hash joins chosen over nested loops"`
-	Workers       int64 `json:"workers" metric:"plan_workers" help:"parallel scan/build workers currently running"`
-	WorkersMax    int64 `json:"workers_max" metric:"plan_workers_max" help:"high-water mark of concurrent parallel workers" from:"Workers.Max"`
-	WorkerRows    int64 `json:"worker_rows" metric:"plan_worker_rows_total" help:"rows produced inside parallel workers"`
-	CacheHits     int64 `json:"cache_hits" metric:"plan_cache_hits_total" help:"statements run from a session's cached bound plan"`
-	CacheMisses   int64 `json:"cache_misses" metric:"plan_cache_misses_total" help:"statements parsed or bound because no valid plan was cached"`
-	Replans       int64 `json:"replans" metric:"plan_replans_total" help:"bound plans translated again on execution"`
+	HashJoins   int64 `json:"hash_joins" metric:"plan_hash_joins_total" help:"hash joins chosen over nested loops"`
+	CacheHits   int64 `json:"cache_hits" metric:"plan_cache_hits_total" help:"statements run from a session's cached bound plan"`
+	CacheMisses int64 `json:"cache_misses" metric:"plan_cache_misses_total" help:"statements parsed or bound because no valid plan was cached"`
+	Replans     int64 `json:"replans" metric:"plan_replans_total" help:"bound plans translated again on execution"`
 }
 
 // TxnSnapshot is the transaction-lifecycle view.

@@ -37,8 +37,8 @@ func (b *Bound) track(tx *txn.Txn, name string, r Rows) Rows {
 	return &c
 }
 
-// trackKeyed is track for the serial single-table operators, whose
-// cursor also hands back record keys.
+// trackKeyed is track for the single-table operators, whose cursor also
+// hands back record keys.
 func (b *Bound) trackKeyed(tx *txn.Txn, name string, r KeyedRows) KeyedRows {
 	return &countedKeyedRows{countedRows: b.counted(tx, name, r), keyed: r}
 }

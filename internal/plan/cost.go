@@ -1,24 +1,18 @@
 package plan
 
-// The planner-side cost library: statistics-derived selectivities, degree
-// selection for partitioned parallel scans, and the join strategy cost
-// model. Storage methods and attachments receive the per-conjunct
-// selectivities through core.CostRequest.ConjunctSel, so the figures the
-// planner compares come from the extensions themselves, fed with honest
-// numbers instead of textbook guesses.
+// The planner-side cost library: statistics-derived selectivities and the
+// join strategy cost model. Storage methods and attachments receive the
+// per-conjunct selectivities through core.CostRequest.ConjunctSel, so the
+// figures the planner compares come from the extensions themselves, fed
+// with honest numbers instead of textbook guesses.
 
 import (
 	"math"
-	"runtime"
 
 	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/types"
 )
-
-// minRowsPerWorker is the scan work below which an extra parallel worker
-// is not worth its startup and channel overhead.
-const minRowsPerWorker = 2048
 
 // tableStatsFor returns the statistics snapshot for rd when a stats
 // attachment is present (discovered structurally via TableStatsProvider).
@@ -143,23 +137,6 @@ func histFractionBelow(hist []types.Value, v types.Value) float64 {
 
 // numericValue reports an INT or FLOAT value (interpolation-capable).
 func numericValue(v types.Value) bool { return v.K == types.KindInt || v.K == types.KindFloat }
-
-// chooseDegree picks the parallel-scan worker count for an access expected
-// to touch workRows records: one worker per minRowsPerWorker, capped by
-// GOMAXPROCS. forced > 0 pins the degree (1 = serial).
-func chooseDegree(workRows float64, forced int) int {
-	if forced > 0 {
-		return forced
-	}
-	d := int(workRows / minRowsPerWorker)
-	if max := runtime.GOMAXPROCS(0); d > max {
-		d = max
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
 
 // scanOpenOverhead approximates the fixed cost of opening one inner access
 // (lock acquisition, cursor setup) in Total() units.

@@ -99,37 +99,58 @@ func TestKeyedCursorAndLockModes(t *testing.T) {
 	}
 }
 
-// TestExecuteKeyedNeedsASerialSingleTablePlan: joins and partitioned scans
-// drop record keys, so they have no keyed cursor, and a ForUpdate query
-// cannot be a join.
+// TestExecuteKeyedNeedsASerialSingleTablePlan: a join drops record keys,
+// so it has no keyed cursor, and a ForUpdate query cannot be a join. Every
+// single-table plan reads through one keyed cursor, a large unhinted scan
+// included.
 func TestExecuteKeyedNeedsASerialSingleTablePlan(t *testing.T) {
 	env := core.NewEnv(core.Config{})
-	loadEmp(t, env, "heap", nil, 100)
+	const n = 10000
+	loadEmp(t, env, "heap", nil, n)
 	addDept(t, env, false)
 	join := &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0}
 	if _, err := plan.New(env).Plan(plan.Query{Table: "emp", Join: join, ForUpdate: true}); err == nil {
 		t.Fatal("a ForUpdate join was planned")
 	}
-	for _, q := range []plan.Query{
-		{Table: "emp", Join: join},
-		{Table: "emp", ForceDegree: 2},
-	} {
-		b, err := plan.New(env).Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tx := env.Begin()
-		if _, err := b.ExecuteKeyed(tx); err == nil {
-			t.Fatalf("%s handed out a keyed cursor", b.Explain())
-		}
-		tx.Commit()
+	b, err := plan.New(env).Plan(plan.Query{Table: "emp", Join: join})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// ForUpdate keeps the same scan serial.
-	b, err := plan.New(env).Plan(plan.Query{Table: "emp", ForceDegree: 2, ForUpdate: true})
+	tx := env.Begin()
+	if _, err := b.ExecuteKeyed(tx); err == nil {
+		t.Fatalf("%s handed out a keyed cursor", b.Explain())
+	}
+	tx.Commit()
+
+	b, err = plan.New(env).Plan(plan.Query{Table: "emp"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(b.Explain(), "scan(") {
 		t.Fatalf("explain = %q", b.Explain())
+	}
+	tx = env.Begin()
+	defer tx.Commit()
+	rows, err := b.ExecuteKeyed(tx)
+	if err != nil {
+		t.Fatalf("%s: %v", b.Explain(), err)
+	}
+	defer rows.Close()
+	got := 0
+	for {
+		key, _, ok, err := rows.NextKeyed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if key == nil {
+			t.Fatal("a scan row came back without its record key")
+		}
+		got++
+	}
+	if got != n {
+		t.Fatalf("keyed scan returned %d rows, want %d", got, n)
 	}
 }

@@ -50,19 +50,15 @@ type Query struct {
 	Limit int
 	Join  *JoinSpec
 	// ForUpdate says the caller will modify the rows the plan returns (SQL
-	// UPDATE and DELETE). The plan is single-table and serial, so its
-	// cursor is keyed (Bound.ExecuteKeyed), and it takes its write locks
-	// before it reads: relation IX plus record X on each probed record
-	// when the access is a point probe, relation SIX for scans and ranges.
+	// UPDATE and DELETE). The plan is single-table, so its cursor is keyed
+	// (Bound.ExecuteKeyed), and it takes its write locks before it reads:
+	// relation IX plus record X on each probed record when the access is a
+	// point probe, relation SIX for scans and ranges.
 	ForUpdate bool
 	// ForcePath, when set, pins the access path for Table instead of
 	// cost-based selection — the differential tests use it to prove every
 	// viable path returns the same rows.
 	ForcePath *ForcedPath
-	// ForceDegree pins the parallel-scan worker count instead of the
-	// cardinality-based choice: 0 = automatic, 1 = serial, N = N workers
-	// (the storage method may still deliver fewer partitions).
-	ForceDegree int
 	// ForceJoin pins the join strategy instead of the cost-based choice:
 	// "" = automatic, "nl" = nested loop over the inner storage method
 	// (access path zero), "indexnl" = nested loop over an inner path that
@@ -102,9 +98,9 @@ type Rows interface {
 	Close() error
 }
 
-// KeyedRows is the cursor of a serial single-table plan: every such
-// operator reaches its records by record key, and NextKeyed hands that key
-// back with the record.
+// KeyedRows is the cursor of a single-table plan: every such operator
+// reaches its records by record key, and NextKeyed hands that key back
+// with the record.
 type KeyedRows interface {
 	Rows
 	NextKeyed() (types.Key, types.Record, bool, error)
@@ -251,7 +247,7 @@ func rowClass(rows float64) int {
 }
 
 // ExecuteKeyed is Execute for plans whose cursor carries record keys:
-// serial single-table plans, which a ForUpdate query always is.
+// single-table plans, which a ForUpdate query always is.
 func (b *Bound) ExecuteKeyed(tx *txn.Txn, params ...types.Value) (KeyedRows, error) {
 	rows, err := b.Execute(tx, params...)
 	if err != nil {
@@ -466,17 +462,13 @@ func (b *Bound) translate(params []types.Value) error {
 
 	if b.query.Join == nil {
 		q := &b.query
-		// Partitions are drained in key order when the plan's order
-		// matters, so Ordered is preserved.
 		b.ordered = outer.estimate.Ordered
-		ordered := b.ordered && len(q.OrderBy) > 0
-		degree := b.scanDegree(outer)
-		b.explain = p.readName(outer, degree)
+		b.explain = outer.name
 		if b.ordered {
 			b.explain += " [ordered]"
 		}
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openRead(tx, b, outer, q.Fields, degree, ordered)
+			return p.openAccess(tx, b, outer, q.Fields, q.ForUpdate)
 		}
 		return nil
 	}
@@ -556,11 +548,10 @@ func (b *Bound) translate(params []types.Value) error {
 
 	nl := nlRows{q: q, inner: inner}
 	if strategy == "hash" {
-		degree := b.scanDegree(build)
-		b.explain = fmt.Sprintf("hash(%s ⋈ %s)", outer.name, p.readName(build, degree))
+		b.explain = fmt.Sprintf("hash(%s ⋈ %s)", outer.name, build.name)
 		inner.name = "hash(" + build.via(p.env) + ")"
 		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openHashJoin(tx, b, outer, nl, build, degree)
+			return p.openHashJoin(tx, b, outer, nl, build)
 		}
 		return nil
 	}
@@ -580,43 +571,7 @@ func (b *Bound) translate(params []types.Value) error {
 	return nil
 }
 
-// scanDegree is the partitioned-scan degree for access a: the estimated
-// scan work (CPU ≈ records touched) or ForceDegree picks it. Only access
-// path zero over a storage method that splits its key range partitions,
-// and a ForUpdate plan reads serially.
-func (b *Bound) scanDegree(a *access) int {
-	if a.useAtt != 0 || b.query.ForUpdate {
-		return 1
-	}
-	degree := chooseDegree(a.estimate.CPU, b.query.ForceDegree)
-	if degree > 1 {
-		sm, _ := b.planner.env.StorageInstance(a.rd) // it priced a, so it opens
-		if _, ok := sm.(core.RangePartitioner); !ok {
-			return 1
-		}
-	}
-	return degree
-}
-
-// readName names a read of a at degree in an explain.
-func (p *Planner) readName(a *access, degree int) string {
-	if degree > 1 {
-		return fmt.Sprintf("pscan(%s, workers=%d)", a.via(p.env), degree)
-	}
-	return a.name
-}
-
 // --- executors ---
-
-// openRead opens a read of access a at degree: through the exchange over
-// partitioned scans, drained in key order when ordered, above 1, through
-// a's own cursor otherwise.
-func (p *Planner) openRead(tx *txn.Txn, b *Bound, a *access, fields []int, degree int, ordered bool) (Rows, error) {
-	if degree > 1 {
-		return p.openParallelScan(tx, b, a, fields, degree, ordered)
-	}
-	return p.openAccess(tx, b, a, fields, b.query.ForUpdate)
-}
 
 // openAccess opens a single-table cursor over the chosen access path,
 // registered with b for per-operator execution counters.
@@ -689,13 +644,13 @@ func (r fetchRows) Next() (types.Record, bool, error) {
 	return rec, ok, err
 }
 
-// openHashJoin reads the build access at degree into one table keyed by
-// join value, then opens the nested loop whose inner side, for each outer
-// value, is that value's slice of the table. A NULL key never matches, so
-// it is not built.
-func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, build *access, degree int) (Rows, error) {
+// openHashJoin reads the build access into one table keyed by join value,
+// then opens the nested loop whose inner side, for each outer value, is
+// that value's slice of the table. A NULL key never matches, so it is not
+// built.
+func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, build *access) (Rows, error) {
 	start := time.Now()
-	rows, err := p.openRead(tx, b, build, nil, degree, false)
+	rows, err := p.openAccess(tx, b, build, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ package sm_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"testing"
 
@@ -75,14 +76,17 @@ func rec(id int64, v string) types.Record { return types.Record{types.Int(id), t
 
 // newEnv returns an environment over log with three fresh foreign servers
 // attached (the restart tests attach empty ones: the local log alone must
-// rebuild remote contents).
-func newEnv(t *testing.T, log *wal.Log) *core.Env {
+// rebuild remote contents), and those servers.
+func newEnv(t *testing.T, log *wal.Log) (*core.Env, []*remote.Server) {
 	env := core.NewEnv(core.Config{Log: log})
+	var srvs []*remote.Server
 	for _, name := range []string{"s0", "s1", "s2"} {
-		partsm.AttachServer(env, name, remote.NewServer(0))
+		srv := remote.NewServer(0)
+		partsm.AttachServer(env, name, srv)
+		srvs = append(srvs, srv)
 	}
 	t.Cleanup(func() { env.Close() })
-	return env
+	return env, srvs
 }
 
 func (m method) create(t *testing.T, env *core.Env) *core.Relation {
@@ -178,12 +182,13 @@ func TestConformance(t *testing.T) {
 			t.Run("closed-scan", m.testClosedScan)
 			t.Run("abort", m.testAbort)
 			t.Run("restart", m.testRestart)
+			t.Run("close-reopen", m.testCloseReopen)
 		})
 	}
 }
 
 func (m method) testDDL(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	tx := env.Begin()
 	defer tx.Abort()
 	// fillpercent sounds like a heap setting, but no method reads it.
@@ -201,7 +206,7 @@ func (m method) testDDL(t *testing.T) {
 // testFetch: insert, direct-by-key fetch with filter and projection,
 // update, delete, and what the record count says throughout.
 func (m method) testFetch(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	tx := env.Begin()
 	keys := map[int64]types.Key{}
@@ -251,7 +256,7 @@ func (m method) testFetch(t *testing.T) {
 // snapshot, and looking for it leaves the relation's size alone — a read
 // never grows a relation.
 func (m method) testMissingKey(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 1)
 	missing := types.EncodeKeyValues(types.Int(999))
@@ -300,7 +305,7 @@ func (m method) testKeys(t *testing.T) {
 	if !m.keyed {
 		t.Skip("record keys are assigned, not composed from fields")
 	}
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 1, 2)
 	tx := env.Begin()
@@ -341,7 +346,7 @@ func scanIn(t *testing.T, tx *txn.Txn, r *core.Relation, opts core.ScanOptions) 
 // testScan: key order, filter and projection pushed into the scan, and
 // [Start, End) bounds.
 func (m method) testScan(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 5, 1, 9, 3, 7, 0, 8, 2, 6, 4)
 	all := contents(t, env, r)
@@ -394,7 +399,7 @@ func (m method) testScan(t *testing.T) {
 // checked on a read-only snapshot that a later update overtook, so the
 // scan qualifies a version the store had to reconstruct.
 func (m method) testFilteredScan(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	tx := env.Begin()
 	for id := int64(0); id < 12; id++ {
@@ -459,7 +464,7 @@ func (m method) testFilteredScan(t *testing.T) {
 // item leaves the scan just after it, and a restored position replays
 // from there against current contents.
 func (m method) testScanMutation(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 0, 1, 2, 3, 4)
 	all := contents(t, env, r)
@@ -496,7 +501,7 @@ func (m method) testScanMutation(t *testing.T) {
 // and the record after the next one is deleted. The rest of the scan is
 // what a scan opened afterwards returns past the position.
 func (m method) testScanAheadMutation(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 0, 2, 4, 6, 8)
 	tx := env.Begin()
@@ -529,7 +534,7 @@ func (m method) testScanAheadMutation(t *testing.T) {
 // testPartialRollback: scan positions are captured at a savepoint and
 // restored by rollback to it, over contents the rollback itself restored.
 func (m method) testPartialRollback(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 0, 1, 2, 3, 4, 5)
 	all := contents(t, env, r)
@@ -569,7 +574,7 @@ func (m method) testPartialRollback(t *testing.T) {
 // testClosedScan goes under the relation's scan management to the storage
 // method's own scan: a closed scan refuses Next and Restore.
 func (m method) testClosedScan(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 0, 1)
 	tx := env.Begin()
@@ -592,7 +597,7 @@ func (m method) testClosedScan(t *testing.T) {
 // testAbort: an aborted transaction's inserts, updates (key-moving ones
 // included) and deletes leave no trace — or, for an unlogged method, stay.
 func (m method) testAbort(t *testing.T) {
-	env := newEnv(t, nil)
+	env, _ := newEnv(t, nil)
 	r := m.create(t, env)
 	load(t, env, r, 1, 2, 3)
 	all := contents(t, env, r)
@@ -628,7 +633,7 @@ func (m method) testAbort(t *testing.T) {
 // keys, drops losers, and never reissues a replayed key.
 func (m method) testRestart(t *testing.T) {
 	log := wal.New()
-	env := newEnv(t, log)
+	env, _ := newEnv(t, log)
 	r := m.create(t, env)
 	load(t, env, r, 0, 1, 2, 3, 4)
 	before := contents(t, env, r)
@@ -645,7 +650,7 @@ func (m method) testRestart(t *testing.T) {
 	must(t, err)
 	// crash: the loser never ends
 
-	env2 := newEnv(t, log)
+	env2, _ := newEnv(t, log)
 	must(t, env2.Recover())
 	r2, err := env2.OpenRelationByName("t")
 	must(t, err)
@@ -672,5 +677,40 @@ func (m method) testRestart(t *testing.T) {
 	}
 	if got := contents(t, env2, r2); len(got) != 5 {
 		t.Fatalf("post-recovery contents: %d records, want 5", len(got))
+	}
+}
+
+// testCloseReopen: closing the environment releases what an instance
+// holds and a later use reopens it. An instance that is an io.Closer (a
+// shard connection per server) is closed and replaced by a fresh one, and
+// no server is left serving it; any other instance keeps authoritative
+// in-memory state, so it stays. Either way the rows read back unchanged
+// under the same record keys.
+func (m method) testCloseReopen(t *testing.T) {
+	env, srvs := newEnv(t, nil)
+	r := m.create(t, env)
+	load(t, env, r, 0, 1, 2, 3, 4)
+	before := contents(t, env, r)
+	_, closer := r.Storage().(io.Closer)
+	must(t, env.Close())
+	for i, srv := range srvs {
+		if n := srv.Serving.Load(); n != 0 {
+			t.Fatalf("server s%d still serves %d connections after Close", i, n)
+		}
+	}
+	r2, err := env.OpenRelationByName("t")
+	must(t, err)
+	if fresh := r2.Storage() != r.Storage(); fresh != closer {
+		t.Fatalf("reopened instance fresh = %v, want %v (io.Closer = %v)", fresh, closer, closer)
+	}
+	after := contents(t, env, r2)
+	if len(after) != len(before) {
+		t.Fatalf("reopened: %d records, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if !after[i].key.Equal(before[i].key) || !after[i].rec.Equal(before[i].rec) {
+			t.Fatalf("record %d reopened as %v %v, want %v %v",
+				i, after[i].key, after[i].rec, before[i].key, before[i].rec)
+		}
 	}
 }

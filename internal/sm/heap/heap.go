@@ -743,23 +743,6 @@ func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 	}
 }
 
-// PartitionBounds implements core.RangePartitioner: split the record-key
-// (page, slot) space at page boundaries, ~equal page counts per worker.
-func (s *store) PartitionBounds(n int) []types.Key {
-	s.mu.RLock()
-	npages := len(s.pages)
-	s.mu.RUnlock()
-	if n <= 1 || npages < 2*n {
-		return nil
-	}
-	per := (npages + n - 1) / n
-	bounds := make([]types.Key, 0, n-1)
-	for p := per; p < npages && len(bounds) < n-1; p += per {
-		bounds = append(bounds, encodeRID(rid{page: uint32(p)}))
-	}
-	return bounds
-}
-
 // RecordCount implements core.StorageInstance.
 func (s *store) RecordCount() int {
 	s.mu.RLock()

@@ -26,7 +26,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -777,34 +776,6 @@ func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 	return est
 }
 
-// PartitionBounds implements core.RangePartitioner for parallel scans:
-// split points sampled from the first batch of keys on every shard.
-func (s *store) PartitionBounds(n int) []types.Key {
-	if n <= 1 {
-		return nil
-	}
-	var keys []string
-	for i := range s.shards {
-		entries, err := s.shards[i].client.ScanBatch(0, s.shards[i].table, nil, nil, s.batch)
-		if err != nil {
-			return nil
-		}
-		for _, e := range entries {
-			keys = append(keys, string(e.Key))
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) < n {
-		return nil
-	}
-	var bounds []types.Key
-	for i := 1; i < n; i++ {
-		k := keys[i*len(keys)/n]
-		bounds = append(bounds, types.Key(k))
-	}
-	return bounds
-}
-
 // RecordCount implements core.StorageInstance: one round trip per shard.
 func (s *store) RecordCount() int {
 	total := 0
@@ -900,7 +871,6 @@ func (s *store) SysRows() []ShardInfo {
 
 var (
 	_ core.StorageInstance               = (*store)(nil)
-	_ core.RangePartitioner              = (*store)(nil)
 	_ io.Closer                          = (*store)(nil)
 	_ interface{ SysRows() []ShardInfo } = (*store)(nil)
 )

@@ -217,16 +217,20 @@ func TestKeyRangeStrictBoundContracts(t *testing.T) {
 }
 
 func TestEstimateSelectivity(t *testing.T) {
-	if got := EstimateSelectivity(nil); got != 1.0 {
+	// With no ConjunctSel, RequestSelectivity is the textbook guess.
+	sel := func(conjuncts ...*expr.Expr) float64 {
+		return RequestSelectivity(core.CostRequest{Conjuncts: conjuncts})
+	}
+	if got := sel(); got != 1.0 {
 		t.Fatalf("no conjuncts = %v", got)
 	}
-	sEq := EstimateSelectivity([]*expr.Expr{eq(0, 1)})
-	sRange := EstimateSelectivity([]*expr.Expr{lt(0, 1)})
-	sOther := EstimateSelectivity([]*expr.Expr{expr.IsNull(expr.Field(0))})
+	sEq := sel(eq(0, 1))
+	sRange := sel(lt(0, 1))
+	sOther := sel(expr.IsNull(expr.Field(0)))
 	if !(sEq < sRange && sRange < sOther && sOther < 1.0) {
 		t.Fatalf("selectivity ordering: eq=%v range=%v other=%v", sEq, sRange, sOther)
 	}
-	both := EstimateSelectivity([]*expr.Expr{eq(0, 1), lt(1, 2)})
+	both := sel(eq(0, 1), lt(1, 2))
 	if both >= sEq {
 		t.Fatal("conjuncts should compound")
 	}

@@ -14,19 +14,6 @@ import (
 	"dmx/internal/wal"
 )
 
-// EstimateSelectivity is the shared textbook selectivity guess extensions
-// use when they have no statistics: 10% per equality conjunct, 30% per
-// range conjunct, 50% otherwise. Estimators that receive a
-// core.CostRequest should call RequestSelectivity instead, which honors
-// the planner's statistics-derived per-conjunct figures.
-func EstimateSelectivity(conjuncts []*expr.Expr) float64 {
-	sel := 1.0
-	for _, c := range conjuncts {
-		sel *= textbookSelectivity(c)
-	}
-	return sel
-}
-
 // TreeStore is a storage instance holding records in an in-memory B-tree.
 // The record key is the storage method's choice: with no key fields it is
 // an 8-byte insertion sequence number; with key fields it is their
@@ -192,34 +179,6 @@ func (s *TreeStore) EstimateCost(req core.CostRequest) core.CostEstimate {
 	return est
 }
 
-// PartitionBounds implements core.RangePartitioner: interior split keys
-// dividing the record-key space into ~equal record counts.
-func (s *TreeStore) PartitionBounds(n int) []types.Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return TreePartitionBounds(s.tree, n)
-}
-
-// TreePartitionBounds walks tree (caller holds its latch) and returns up
-// to n-1 ascending interior split keys at ~equal record-count spacing.
-func TreePartitionBounds(tree *btree.Tree, n int) []types.Key {
-	total := tree.Len()
-	if n <= 1 || total < 2*n {
-		return nil
-	}
-	per := (total + n - 1) / n
-	bounds := make([]types.Key, 0, n-1)
-	i := 0
-	tree.Ascend(nil, func(k, v []byte) bool {
-		if i > 0 && i%per == 0 && len(bounds) < n-1 {
-			bounds = append(bounds, types.Key(k).Clone())
-		}
-		i++
-		return len(bounds) < n-1
-	})
-	return bounds
-}
-
 // RecordCount implements core.StorageInstance.
 func (s *TreeStore) RecordCount() int {
 	s.mu.Lock()
@@ -251,7 +210,4 @@ func (s *TreeStore) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	return nil
 }
 
-var (
-	_ core.StorageInstance  = (*TreeStore)(nil)
-	_ core.RangePartitioner = (*TreeStore)(nil)
-)
+var _ core.StorageInstance = (*TreeStore)(nil)

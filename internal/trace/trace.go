@@ -11,10 +11,9 @@
 // The design constraints mirror obs: recording must be safe on hot paths
 // and effectively free when disabled.
 //
-//   - A transaction's trace belongs to the transaction's goroutine, but
-//     a parallel plan's workers record events into it too, so a detailed
-//     trace takes its mutex to change the tree. An undetailed one never
-//     locks.
+//   - A transaction's trace belongs to the transaction's goroutine. A
+//     detailed trace takes its mutex to change the tree; an undetailed one
+//     never locks.
 //   - Spans are recycled through a sync.Pool; a traced transaction
 //     allocates only when its finished tree is materialised for the ring.
 //   - Tracing is sampled (1-in-N transactions carry a detailed tree) and
@@ -141,10 +140,9 @@ func (t *TxnTrace) end(s *Span) {
 }
 
 // TxnTrace is one transaction's trace under construction. The
-// transaction's goroutine opens and enters spans; a parallel plan's workers
-// add events beside it, so every change to the tree of a detailed trace
-// holds mu. A nil *TxnTrace is inert (the common case: tracing off or the
-// transaction not sampled).
+// transaction's goroutine opens and enters spans and adds events; every
+// change to the tree of a detailed trace holds mu. A nil *TxnTrace is inert
+// (the common case: tracing off or the transaction not sampled).
 type TxnTrace struct {
 	mu       sync.Mutex
 	tracer   *Tracer
@@ -369,8 +367,6 @@ type Config struct {
 	// a sampled transaction) at least this slow is reported to the
 	// slow-event log and kept in the ring. 0 disables slow detection.
 	SlowThreshold time.Duration
-	// RingSize is the completed-trace ring capacity (default 256).
-	RingSize int
 	// SlowLog receives one JSON line per slow event (nil: slow events are
 	// counted and ring-kept but not written anywhere).
 	SlowLog io.Writer
@@ -408,13 +404,13 @@ type Tracer struct {
 	slowLog io.Writer
 }
 
+// ringSize is the completed-trace ring capacity: the most recent ringSize
+// kept traces are served, older ones are dropped.
+const ringSize = 256
+
 // New returns a tracer over cfg.
 func New(cfg Config) *Tracer {
-	size := cfg.RingSize
-	if size <= 0 {
-		size = 256
-	}
-	tr := &Tracer{ring: make([]TraceData, size), slowLog: cfg.SlowLog}
+	tr := &Tracer{ring: make([]TraceData, ringSize), slowLog: cfg.SlowLog}
 	tr.SetSampleRate(cfg.Sample)
 	tr.SetSlowThreshold(cfg.SlowThreshold)
 	return tr

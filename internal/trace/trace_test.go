@@ -178,19 +178,19 @@ func TestSlowSpanEvent(t *testing.T) {
 }
 
 func TestRingWrapAndMinFilter(t *testing.T) {
-	tr := New(Config{Sample: 1, RingSize: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(Config{Sample: 1})
+	for i := 0; i < ringSize+6; i++ {
 		tx := tr.StartTxn(uint64(i))
 		tx.Finish("committed")
 	}
 	got := tr.Traces(0)
-	if len(got) != 4 {
-		t.Fatalf("ring size: got %d, want 4", len(got))
+	if len(got) != ringSize {
+		t.Fatalf("ring size: got %d, want %d", len(got), ringSize)
 	}
-	// Oldest-first: txns 6..9 survive.
+	// Oldest-first: the six oldest are dropped, txns 6.. survive.
 	for i, d := range got {
 		if d.TxnID != uint64(6+i) {
-			t.Fatalf("ring order: %+v", got)
+			t.Fatalf("ring order at %d: txn %d, want %d", i, d.TxnID, 6+i)
 		}
 	}
 	if got := tr.Traces(time.Hour); len(got) != 0 {
@@ -328,14 +328,15 @@ func TestConcurrentTxns(t *testing.T) {
 	// Each trace is goroutine-confined but the tracer (sampling counter,
 	// ring, slow log) is shared; run under -race.
 	var slow bytes.Buffer
-	tr := New(Config{Sample: 0.5, SlowThreshold: time.Nanosecond, SlowLog: &slow, RingSize: 64})
+	tr := New(Config{Sample: 0.5, SlowThreshold: time.Nanosecond, SlowLog: &slow})
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	const workers = 8
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				tx := tr.StartTxn(uint64(w*1000 + i))
+			for id := w; id < ringSize+6; id += workers {
+				tx := tr.StartTxn(uint64(id))
 				s := tx.StartSpan("stmt", "", "insert")
 				tx.Event("wal.append", "", "append", time.Now(), time.Microsecond, nil)
 				s.End(nil)
@@ -344,8 +345,17 @@ func TestConcurrentTxns(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Traces(0); len(got) != 64 {
-		t.Fatalf("ring after concurrent load: %d, want 64 (full)", len(got))
+	got := tr.Traces(0)
+	if len(got) != ringSize {
+		t.Fatalf("ring after concurrent load: %d, want %d (full)", len(got), ringSize)
+	}
+	// Six traces were dropped, so every kept one is distinct.
+	seen := make(map[uint64]bool, len(got))
+	for _, d := range got {
+		if seen[d.TxnID] {
+			t.Fatalf("txn %d kept twice", d.TxnID)
+		}
+		seen[d.TxnID] = true
 	}
 	for _, line := range strings.Split(strings.TrimSpace(slow.String()), "\n") {
 		var ev map[string]any
