@@ -64,11 +64,13 @@ trace-demo:
 # the race detector, the buffer pool's concurrent recycling test (a frame
 # recycled for another page while a caller still used it is the pool's
 # concurrency hazard, and concurrent transactions pin pages concurrently)
-# and the many-to-many join through every join strategy.
+# the many-to-many join through every join strategy, and a snapshot
+# index-then-fetch read in runs while a writer changes the keys it holds.
 race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
 	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree' ./internal/plan/
+	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter' ./internal/sm/heap/
 
 # model is the differential-testing soak: many more generated workloads
 # than the check gate runs, engine vs reference model, including

@@ -206,6 +206,17 @@ type VersionedStorage interface {
 	// becomes the version every future snapshot starts from, and no chain
 	// entry outlives the log records it points at.
 	FreezeVersions()
+	// FetchRun is FetchByKey for a run of keys in read-only tx's
+	// snapshot, answered in one call: out[i] (len(out) == len(keys)) gets
+	// keys[i]'s record, or the ErrNotFound or ErrFiltered FetchByKey
+	// would report for it. Any other error fails the whole run.
+	FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Expr, out []Fetched) error
+}
+
+// Fetched is one key's answer in a FetchRun.
+type Fetched struct {
+	Rec types.Record
+	Err error // nil, or an ErrNotFound or ErrFiltered
 }
 
 // AttachmentInstance is the runtime handle for all instances of one

@@ -246,8 +246,8 @@ type dispatch struct {
 	r     *Relation
 	via   AttID // the attachment type called, or viaSM
 	op    obs.Op
-	span  *trace.Span // nil unless the transaction is traced in detail
-	start time.Time
+	span  *trace.Span   // nil unless the transaction is traced in detail
+	start time.Duration // obs.Clock at the call
 }
 
 // viaSM is begin's "no attachment type": the call goes through the
@@ -266,7 +266,7 @@ func (r *Relation) begin(tx *txn.Txn, via AttID, op obs.Op) dispatch {
 		}
 		d.span = tr.StartSpan(layer+op.String(), name, op.String())
 	}
-	d.start = time.Now()
+	d.start = obs.Clock()
 	return d
 }
 
@@ -275,7 +275,7 @@ func (r *Relation) begin(tx *txn.Txn, via AttID, op obs.Op) dispatch {
 // still sees ErrNotFound or ErrFiltered, but neither is a failure of the
 // storage method. An attachment failing a modification is a veto.
 func (d dispatch) end(err error) {
-	took := time.Since(d.start)
+	took := obs.Clock() - d.start
 	if d.op == obs.OpFetch && (errors.Is(err, ErrNotFound) || errors.Is(err, ErrFiltered)) {
 		err = nil
 	}
@@ -506,19 +506,22 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 //
 // A snapshot read checks each key's visibility once, in its fetch: the
 // storage method answers with the snapshot's version, so "not found"
-// means "not in this snapshot" and the key is passed over. A locking
-// read passes over a looked-up key whose record has gone — the lookup
-// holds only an intention lock on the relation — but a key-sequential
-// access reads under the relation lock, so a missing record is an error.
+// means "not in this snapshot" and the key is passed over. It fetches
+// in runs (see fetchRun). A locking read fetches, and locks, one key at
+// a time; it passes over a looked-up key whose record has gone — the
+// lookup holds only an intention lock on the relation — but a
+// key-sequential access reads under the relation lock, so a missing
+// record is an error.
 func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, forUpdate bool) (*AccessFetch, error) {
 	f := &AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: opts.Filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
-		skipMissing: point || r.lockFree(tx)}
+		skipMissing: point}
 	if forUpdate {
 		if tx.ReadOnly() {
 			return nil, txn.ErrReadOnly
 		}
 		f.relMode, f.keyMode = lock.ModeIX, lock.ModeX
 	}
+	runLen := fetchRunLen
 	if point {
 		keys, err := r.lookupAccess(tx, id, instance, opts.Start)
 		if err != nil {
@@ -526,14 +529,18 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 		}
 		f.list.keys = keys
 		f.Scan = &f.list
-		return f, nil
+		runLen = min(runLen, len(keys))
+	} else {
+		s, err := r.openAccessScan(tx, id, instance, ScanOptions{Start: opts.Start, End: opts.End, Fields: []int{}})
+		if err != nil {
+			return nil, err
+		}
+		if f.Scan, err = manageScan(tx, r.counted(tx, s)); err != nil {
+			return nil, err
+		}
 	}
-	s, err := r.openAccessScan(tx, id, instance, ScanOptions{Start: opts.Start, End: opts.End, Fields: []int{}})
-	if err != nil {
-		return nil, err
-	}
-	if f.Scan, err = manageScan(tx, r.counted(tx, s)); err != nil {
-		return nil, err
+	if r.lockFree(tx) {
+		f.run = fetchRun{vs: r.sm.(VersionedStorage), keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
 	}
 	return f, nil
 }
@@ -548,11 +555,15 @@ type AccessFetch struct {
 	fields           []int
 	filter           *expr.Expr
 	relMode, keyMode lock.Mode
-	skipMissing      bool // ErrNotFound passes the key over
+	skipMissing      bool     // ErrNotFound passes the key over
+	run              fetchRun // a snapshot read's, which fetches in runs
 }
 
 // Next implements Scan: the next fetched record and its key.
 func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
+	if f.run.vs != nil {
+		return f.nextInRun()
+	}
 	for {
 		key, _, ok, err := f.Scan.Next()
 		if err != nil || !ok {
@@ -567,6 +578,87 @@ func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
 		}
 		return key, rec, true, nil
 	}
+}
+
+// fetchRunLen is how many keys a snapshot read takes from its key source
+// per storage-method call: the run smutil.TreeScan copies per descent.
+const fetchRunLen = 64
+
+// fetchRun is a snapshot AccessFetch's read-ahead: the keys taken from
+// the key source for one VersionedStorage.FetchRun, and its answers.
+// Reading ahead is sound only for a snapshot read: it takes no locks, so
+// none is held early; it stages no writes, so no key it buffered can be
+// its own change; and it cannot set a savepoint (Txn.Savepoint is
+// ErrReadOnly), so the key source's position, which runs ahead of the
+// rows returned, is never saved or restored.
+type fetchRun struct {
+	vs   VersionedStorage // nil: not a snapshot read
+	keys []types.Key      // the run; its capacity is the run length
+	out  []Fetched        // the answers, out[i] for keys[i]
+	next int              // answers served
+	done bool             // the key source is exhausted
+}
+
+// nextInRun serves the buffered run, fetching the next one when it is
+// spent. Not-found and filtered keys are passed over.
+func (f *AccessFetch) nextInRun() (types.Key, types.Record, bool, error) {
+	run := &f.run
+	for {
+		for run.next < len(run.keys) {
+			i := run.next
+			run.next++
+			if run.out[i].Err == nil {
+				return run.keys[i], run.out[i].Rec, true, nil
+			}
+		}
+		if run.done {
+			return nil, nil, false, nil
+		}
+		if err := f.fill(); err != nil {
+			return nil, nil, false, err
+		}
+	}
+}
+
+// fill takes the next run of keys from the key source and fetches it in
+// one dispatch: one privilege check, one timed storage-method call, one
+// charge for the rows it returns.
+func (f *AccessFetch) fill() error {
+	run := &f.run
+	run.keys, run.next = run.keys[:0], 0
+	for len(run.keys) < cap(run.keys) {
+		key, _, ok, err := f.Scan.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			run.done = true
+			break
+		}
+		run.keys = append(run.keys, key)
+	}
+	if len(run.keys) == 0 {
+		run.done = true // also a lookup that found no key: a run of capacity 0
+		return nil
+	}
+	if err := f.r.env.Authz.Check(f.tx, f.r.rd, PrivRead); err != nil {
+		return err
+	}
+	run.out = run.out[:len(run.keys)]
+	d := f.r.begin(f.tx, viaSM, obs.OpFetch)
+	err := run.vs.FetchRun(f.tx, run.keys, f.fields, f.filter, run.out)
+	d.end(err)
+	if err != nil {
+		return err
+	}
+	n := int64(0)
+	for _, o := range run.out {
+		if o.Err == nil {
+			n++
+		}
+	}
+	f.r.chargeRead(f.tx, n)
+	return nil
 }
 
 // keyList is the record keys of one direct-by-key lookup as a key source.

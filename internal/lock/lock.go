@@ -208,7 +208,14 @@ type lockShard struct {
 	mu    sync.Mutex
 	locks map[Resource]*lockState
 	free  []*lockState // retired states, at most maxRecycled
+	peak  int          // most entries locks has held since it was made
 }
+
+// shrinkAbove is the peak past which a shard's table is replaced once it
+// empties: a Go map never gives back the buckets it grew, and every later
+// probe of an oversized table, as after one bulk-loading transaction,
+// pays for them.
+const shrinkAbove = 4 * maxRecycled
 
 // state returns the lock state for res, creating it if absent. Caller
 // holds sh.mu.
@@ -223,17 +230,22 @@ func (sh *lockShard) state(res Resource) *lockState {
 			ls = &lockState{}
 		}
 		sh.locks[res] = ls
+		sh.peak = max(sh.peak, len(sh.locks))
 	}
 	return ls
 }
 
 // retireIfIdle removes ls from the table once nobody holds or awaits it,
-// keeping it for reuse while the free list has room. Caller holds sh.mu.
+// keeping it for reuse while the free list has room, and replaces a table
+// that empties after outgrowing shrinkAbove. Caller holds sh.mu.
 func (sh *lockShard) retireIfIdle(res Resource, ls *lockState) {
 	if len(ls.holders) != 0 || len(ls.queue) != 0 {
 		return
 	}
 	delete(sh.locks, res)
+	if len(sh.locks) == 0 && sh.peak > shrinkAbove {
+		sh.locks, sh.peak = make(map[Resource]*lockState), 0
+	}
 	if len(sh.free) < maxRecycled && cap(ls.holders) <= maxRecycled {
 		ls.queue = nil
 		sh.free = append(sh.free, ls)

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -667,11 +668,7 @@ func TestLockAllocations(t *testing.T) {
 func TestReleasedStatesAreBounded(t *testing.T) {
 	m := NewManager()
 	const n = 100000
-	for i := 0; i < n; i++ {
-		if err := m.Acquire(1, KeyResource(1, []byte{byte(i >> 16), byte(i >> 8), byte(i)}), ModeX); err != nil {
-			t.Fatal(err)
-		}
-	}
+	bulkLock(t, m, 1, n)
 	if got := m.HeldCount(1); got != n {
 		t.Fatalf("HeldCount = %d, want %d", got, n)
 	}
@@ -695,6 +692,52 @@ func TestReleasedStatesAreBounded(t *testing.T) {
 	}
 }
 
+// bulkLock has txn take n record locks, as a bulk load does.
+func bulkLock(tb testing.TB, m *Manager, txn wal.TxnID, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		if err := m.Acquire(txn, KeyResource(1, []byte{byte(i >> 16), byte(i >> 8), byte(i)}), ModeX); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestBulkLockTableIsReplaced: a shard's table that a bulk transaction
+// grew is replaced by a fresh one when it empties, and a table that
+// never outgrew shrinkAbove is kept.
+func TestBulkLockTableIsReplaced(t *testing.T) {
+	m := NewManager()
+	tables := func() (ptrs [numShards]uintptr) {
+		for i, sh := range m.shards {
+			ptrs[i] = reflect.ValueOf(sh.locks).Pointer()
+		}
+		return ptrs
+	}
+	if err := lockTxn(m, 1, RelResource(1), keyResources(1, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	small := tables()
+	bulkLock(t, m, 2, 100000)
+	grown := tables()
+	if grown != small {
+		t.Fatal("a table was replaced while it held locks")
+	}
+	m.ReleaseAll(2)
+	for i, ptr := range tables() {
+		sh := m.shards[i]
+		if ptr == grown[i] || len(sh.locks) != 0 || sh.peak != 0 {
+			t.Errorf("shard %d: table kept after a bulk release (%d entries, peak %d)", i, len(sh.locks), sh.peak)
+		}
+	}
+	fresh := tables()
+	if err := lockTxn(m, 3, RelResource(1), keyResources(1, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if tables() != fresh {
+		t.Error("a small transaction replaced a table")
+	}
+}
+
 func BenchmarkAcquireRelease(b *testing.B) {
 	rel := RelResource(1)
 	b.Run("serial", func(b *testing.B) {
@@ -702,6 +745,20 @@ func BenchmarkAcquireRelease(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := lockTxn(m, wal.TxnID(i+1), rel, keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// An 11-lock transaction after one bulk transaction took 100 000
+	// record locks and released them.
+	b.Run("after-bulk", func(b *testing.B) {
+		m, keys := NewManager(), keyResources(1, 0, 10)
+		bulkLock(b, m, 1, 100000)
+		m.ReleaseAll(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := lockTxn(m, wal.TxnID(i+2), rel, keys); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -110,6 +110,16 @@ func (g *Gauge) Max() int64 {
 	return m
 }
 
+// epoch anchors Clock. time.Since of an instant that carries a monotonic
+// reading reads the monotonic clock alone, where time.Now also reads the
+// wall clock.
+var epoch = time.Now()
+
+// Clock is the instant a call timer starts from, as the monotonic time
+// since process start: Clock() - start is the call's duration at one
+// clock read per end.
+func Clock() time.Duration { return time.Since(epoch) }
+
 // NumBuckets is the number of latency histogram buckets. Bucket i counts
 // observations below BucketUpper(i); the last bucket is the overflow.
 const NumBuckets = 22

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"dmx/internal/obs"
 	"dmx/internal/trace"
 	"dmx/internal/txn"
 	"dmx/internal/types"
@@ -94,16 +95,16 @@ func (c *countedRows) Next() (types.Record, bool, error) {
 	return rec, ok, err
 }
 
-func (c *countedRows) enter() (*trace.Span, time.Time) {
-	return c.tr.Enter(c.span), time.Now()
+func (c *countedRows) enter() (*trace.Span, time.Duration) {
+	return c.tr.Enter(c.span), obs.Clock()
 }
 
-func (c *countedRows) exit(prev *trace.Span, start time.Time, ok bool) {
+func (c *countedRows) exit(prev *trace.Span, start time.Duration, ok bool) {
 	c.st.Calls++
 	if ok {
 		c.st.Rows++
 	}
-	c.st.TimeNanos += time.Since(start).Nanoseconds()
+	c.st.TimeNanos += (obs.Clock() - start).Nanoseconds()
 	c.tr.Exit(prev)
 }
 

@@ -755,7 +755,7 @@ var (
 type scan struct {
 	store *store
 	opts  core.ScanOptions
-	q     *smutil.Qualifier
+	q     smutil.Qualifier
 	start uint64 // first candidate before the scan has examined anything
 	smutil.Position
 }

@@ -12,6 +12,7 @@ package heap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -154,8 +155,22 @@ func (s *store) ensurePage(p uint32) error {
 // relation does not have is ErrNotFound: only insert placement and redo
 // (ensurePage) extend the page table, never a lookup.
 func (s *store) withPage(tx *txn.Txn, p uint32, write bool, fn func(f *buffer.Frame) error) error {
+	f, err := s.pin(tx, p)
+	if err != nil {
+		return err
+	}
+	ferr := fn(f)
+	uerr := s.env.Pool.Unpin(f, write)
+	if ferr != nil {
+		return ferr
+	}
+	return uerr
+}
+
+// pin pins logical page p for tx (see withPage); the caller unpins it.
+func (s *store) pin(tx *txn.Txn, p uint32) (*buffer.Frame, error) {
 	if int(p) >= len(s.pages) {
-		return fmt.Errorf("heap: %w: page %d", core.ErrNotFound, p)
+		return nil, fmt.Errorf("heap: %w: page %d", core.ErrNotFound, p)
 	}
 	tr := tx.Trace()
 	var start time.Time
@@ -171,15 +186,7 @@ func (s *store) withPage(tx *txn.Txn, p uint32, write bool, fn func(f *buffer.Fr
 		}
 		tr.Event("buffer.miss", s.rd.Name, op, start, time.Since(start), err)
 	}
-	if err != nil {
-		return err
-	}
-	ferr := fn(f)
-	uerr := s.env.Pool.Unpin(f, write)
-	if ferr != nil {
-		return ferr
-	}
-	return uerr
+	return f, err
 }
 
 // chargePin books one page pin against the transaction's ledger.
@@ -694,6 +701,93 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	return smutil.QualifyFetch(s.env, rec, fields, filter)
 }
 
+// FetchRun implements core.VersionedStorage: FetchByKey's snapshot path
+// for every key of the run under one hold of the shared latch, with one
+// pin per stretch of consecutive keys on the same page and one qualifier
+// (the filter compiled, the projection built) for the whole run. Each
+// key is still judged against the snapshot on its own.
+func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Expr, out []core.Fetched) (err error) {
+	if !tx.ReadOnly() {
+		return fmt.Errorf("heap: a fetch run needs a snapshot transaction")
+	}
+	q := smutil.NewQualifier(s.env, core.ScanOptions{Filter: filter, Fields: fields})
+	snap, tr := tx.Snapshot(), tx.Trace()
+	var f *buffer.Frame // pinned while consecutive keys stay on its page
+	var page uint32
+	unpin := func() {
+		if uerr := s.env.Pool.Unpin(f, false); err == nil {
+			err = uerr
+		}
+		f = nil
+	}
+	s.mu.RLock()
+	defer func() {
+		if f != nil {
+			unpin()
+		}
+		s.mu.RUnlock()
+	}()
+	for i, key := range keys {
+		var r rid
+		if r, err = decodeRID(key); err != nil {
+			return err
+		}
+		s.env.Obs.MVCC.SnapshotReads.Inc()
+		var start time.Time
+		if tr.Detailed() { // the clock is read only for the trace event
+			start = time.Now()
+		}
+		usePage, vrec, present, verr := s.versionFor(tx, r, snap)
+		if !usePage || verr != nil {
+			if tr.Detailed() {
+				tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
+			}
+			switch {
+			case verr != nil:
+				return verr
+			case !present:
+				out[i] = core.Fetched{Err: core.ErrNotFound}
+			default:
+				if out[i], err = fetched(q.Record(vrec)); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if f != nil && page != r.page {
+			if unpin(); err != nil {
+				return err
+			}
+		}
+		if f == nil {
+			if f, err = s.pin(tx, r.page); errors.Is(err, core.ErrNotFound) {
+				out[i], err = core.Fetched{Err: core.ErrNotFound}, nil // a page the relation does not have
+				continue
+			} else if err != nil {
+				return err
+			}
+			page = r.page
+		}
+		so, derr := liveSlotAt(f, r)
+		if derr != nil {
+			out[i] = core.Fetched{Err: core.ErrNotFound}
+			continue
+		}
+		if out[i], err = fetched(q.Encoded(slotBody(f, so))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetched is one key's FetchRun answer from its qualifier's verdict.
+func fetched(rec types.Record, ok bool, err error) (core.Fetched, error) {
+	if !ok && err == nil {
+		return core.Fetched{Err: core.ErrFiltered}, nil
+	}
+	return core.Fetched{Rec: rec}, err
+}
+
 // slotBody is the record bytes of the live slot whose directory entry is at so.
 func slotBody(f *buffer.Frame, so int) []byte {
 	off := int(binary.BigEndian.Uint16(f.Data[so:]))
@@ -809,11 +903,11 @@ var _ core.StorageInstance = (*store)(nil)
 // embedded position is the record address last returned.
 type heapScan struct {
 	store *store
-	tx    *txn.Txn          // buffer faults during the scan charge its trace
-	q     *smutil.Qualifier // the filter, compiled at OpenScan, and the projection
-	start rid               // first candidate before the scan has returned anything
-	end   uint64            // ord of the exclusive end bound
-	snap  *txn.Snapshot     // non-nil: resolve every slot against this snapshot
+	tx    *txn.Txn         // buffer faults during the scan charge its trace
+	q     smutil.Qualifier // the filter, compiled at OpenScan, and the projection
+	start rid              // first candidate before the scan has returned anything
+	end   uint64           // ord of the exclusive end bound
+	snap  *txn.Snapshot    // non-nil: resolve every slot against this snapshot
 	smutil.Position
 }
 

@@ -964,7 +964,7 @@ type scan struct {
 	store   *store
 	tx      uint64
 	opts    core.ScanOptions
-	q       *smutil.Qualifier
+	q       smutil.Qualifier
 	cursors []*cursor
 	staged  uint64 // store.staged when the cursors last read ahead
 	smutil.Position

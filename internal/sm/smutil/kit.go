@@ -33,8 +33,8 @@ type Qualifier struct {
 
 // NewQualifier compiles opts' filter, bound to opts' parameters, for one
 // scan.
-func NewQualifier(env *core.Env, opts core.ScanOptions) *Qualifier {
-	return &Qualifier{prog: expr.Compile(env.Eval, opts.Filter, opts.Params),
+func NewQualifier(env *core.Env, opts core.ScanOptions) Qualifier {
+	return Qualifier{prog: expr.Compile(env.Eval, opts.Filter, opts.Params),
 		out: types.NewSelector(opts.Fields), fields: opts.Fields}
 }
 

@@ -296,7 +296,7 @@ type scan struct {
 	store *store
 	rows  []types.Record
 	opts  core.ScanOptions
-	q     *smutil.Qualifier
+	q     smutil.Qualifier
 	end   int // exclusive ordinal bound
 	smutil.Position
 }
