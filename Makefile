@@ -29,10 +29,13 @@ test:
 # (dmx.ForeignServer, MetricsSnapshot, storage-method names) fails this
 # gate instead of the benchmark pipeline. examples runs the six example
 # programs; tracedemo among them is the one end-to-end self-read of the
-# debug server (/metrics, /traces, /healthz).
+# debug server (/metrics, /traces, /healthz). Every package
+# microbenchmark runs once, so a Benchmark that no longer builds or
+# fails its own checks fails the gate; the pass takes seconds.
 check: build fmt vet staticcheck
 	$(GO) test -shuffle=on -cover -cpu 1,2,4 ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 	$(MAKE) examples
 	cd bench && $(GO) test ./...
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/pagefile"
 	"dmx/internal/types"
@@ -355,5 +356,70 @@ func TestCloseFlushesDirtyFramesToDisk(t *testing.T) {
 	}
 	if !nonZero {
 		t.Fatal("all pages are zero after Close: dirty frames were dropped")
+	}
+}
+
+// A relation handle opened before CREATE INDEX writes through the new
+// index: the probe that the plan sends to the btree finds the record.
+// After a rolled-back CREATE INDEX the handle writes as before the DDL,
+// and a handle on a dropped relation fails instead of writing.
+func TestHandleFollowsAttachmentDDL(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec("CREATE TABLE t (a INT NOT NULL, b INT) USING heap"); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.Relation("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(a, b int64) error {
+		tx := db.Begin()
+		if _, err := rel.Insert(tx, Record{Int(a), Int(b)}); err != nil {
+			tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
+	selectB := func(b int64, via string) int {
+		t.Helper()
+		res, err := db.Exec(fmt.Sprintf("SELECT a FROM t WHERE b = %d", b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Explain, via) {
+			t.Fatalf("SELECT ran %s, want a plan through %s", res.Explain, via)
+		}
+		return len(res.Rows)
+	}
+
+	if _, err := db.Exec("BEGIN", "CREATE INDEX t_b ON t (b)", "ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(0, 42); err != nil {
+		t.Fatal(err)
+	}
+	if n := selectB(42, "heap"); n != 1 {
+		t.Fatalf("after a rolled-back CREATE INDEX: %d rows, want 1", n)
+	}
+
+	if _, err := db.Exec("CREATE INDEX t_b ON t (b)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(1, 42); err != nil {
+		t.Fatal(err)
+	}
+	if n := selectB(42, "btree"); n != 2 {
+		t.Fatalf("a record inserted through a handle opened before CREATE INDEX: %d rows through the index, want 2", n)
+	}
+
+	if _, err := db.Exec("DROP TABLE t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(2, 42); !errors.Is(err, core.ErrNotFound) {
+		t.Fatalf("insert through a handle on a dropped relation: %v, want ErrNotFound", err)
 	}
 }

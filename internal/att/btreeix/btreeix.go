@@ -110,15 +110,16 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 		return nil, err
 	}
 	keysOnly := opts.Fields != nil && len(opts.Fields) == 0
+	var keys types.Slab[byte] // the record keys the scan returns
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
 		if keysOnly {
-			return types.Key(v).Clone(), nil, true, nil
+			return keys.Copy(v), nil, true, nil
 		}
 		keyVals, err := types.DecodeKeyValues(types.Key(k[:len(k)-len(v)]))
 		if err != nil {
 			return nil, nil, false, err
 		}
-		return types.Key(v).Clone(), types.Record(keyVals), true, nil
+		return keys.Copy(v), types.Record(keyVals), true, nil
 	}
 	return smutil.NewTreeScan(&ix.Mu, d.X, opts.Start, opts.End, emit), nil
 }

@@ -19,6 +19,8 @@ import (
 // Descriptors handed out by Get/ByName are immutable snapshots: DDL clones,
 // mutates, and swaps, so bound query plans embedding an old descriptor are
 // never mutated underneath — they detect staleness via the Version field.
+// Each swap is also stored in the relation's runtime slot, where open
+// Relation handles read it.
 type Catalog struct {
 	env    *Env
 	mu     sync.RWMutex
@@ -152,6 +154,7 @@ func (c *Catalog) install(rd *RelDesc) {
 	defer c.mu.Unlock()
 	c.rels[rd.RelID] = rd
 	c.byName[strings.ToLower(rd.Name)] = rd.RelID
+	c.env.slot(rd.RelID).rd.Store(rd)
 	// System relations live in a reserved high ID range; installing one
 	// must not drag the user-relation ID sequence up behind it.
 	if rd.RelID >= c.nextID && !IsSystemRelID(rd.RelID) {
@@ -174,6 +177,7 @@ func (c *Catalog) InstallSystem(rd *RelDesc) error {
 	}
 	c.rels[rd.RelID] = rd
 	c.byName[strings.ToLower(rd.Name)] = rd.RelID
+	c.env.slot(rd.RelID).rd.Store(rd)
 	return nil
 }
 
@@ -183,6 +187,7 @@ func (c *Catalog) remove(relID uint32) {
 	if rd, ok := c.rels[relID]; ok {
 		delete(c.byName, strings.ToLower(rd.Name))
 		delete(c.rels, relID)
+		c.env.slot(relID).rd.Store(nil)
 	}
 }
 

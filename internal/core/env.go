@@ -123,9 +123,14 @@ type attKey struct {
 // extension: Open may populate state from the relation's contents or hold
 // connections, so a concurrent second Open whose result is discarded is
 // not harmless. Readers load the published state without taking mu.
+// An smSlot also holds its relation's current descriptor, which the
+// catalog stores on every change (nil once the relation is dropped), so
+// a Relation handle reads the descriptor of the moment with one atomic
+// load.
 type smSlot struct {
 	mu   sync.Mutex
 	inst atomic.Pointer[StorageInstance]
+	rd   atomic.Pointer[RelDesc]
 }
 
 type attSlot struct {
@@ -265,17 +270,27 @@ func (s *smSlot) close() error {
 // Storage instances live until the relation is dropped: their in-memory
 // state is authoritative between restarts (durability comes from the log).
 func (env *Env) StorageInstance(rd *RelDesc) (StorageInstance, error) {
+	return env.slot(rd.RelID).open(env, rd)
+}
+
+// slot returns relID's slot, creating it on first use.
+func (env *Env) slot(relID uint32) *smSlot {
 	env.mu.RLock()
-	s := env.smInst[rd.RelID]
+	s := env.smInst[relID]
 	env.mu.RUnlock()
 	if s == nil {
 		env.mu.Lock()
-		if s = env.smInst[rd.RelID]; s == nil {
+		if s = env.smInst[relID]; s == nil {
 			s = &smSlot{}
-			env.smInst[rd.RelID] = s
+			env.smInst[relID] = s
 		}
 		env.mu.Unlock()
 	}
+	return s
+}
+
+// open returns the slot's storage instance, opening it for rd on first use.
+func (s *smSlot) open(env *Env, rd *RelDesc) (StorageInstance, error) {
 	if p := s.inst.Load(); p != nil {
 		return *p, nil
 	}

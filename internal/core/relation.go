@@ -23,23 +23,44 @@ import (
 // relation, in attachment-identifier order. Any attachment can veto the
 // modification, in which case the common recovery log drives the storage
 // method and attachments to undo the partial effects.
+//
+// A handle outlives attachment DDL: every operation reads the relation's
+// current descriptor (one atomic load of its runtime slot), so records
+// written through a handle opened before CREATE INDEX reach the new
+// index. Once the relation is dropped, every operation fails.
 type Relation struct {
 	env  *Env
-	rd   *RelDesc
+	rd   *RelDesc // as opened: the identity, name, schema and storage method, which no DDL changes
+	slot *smSlot  // the current descriptor, nil once dropped
 	sm   StorageInstance
 	stat *RelStat // per-relation rollup (sys.stat_relations); cached to skip the table lookup per op
 	mvcc bool     // storage method stamps versions: snapshot reads skip the lock manager
 }
 
-// OpenRelation returns a runtime handle for rd. The descriptor may come
-// from the catalog or from a bound query plan.
+// OpenRelation returns a runtime handle for the catalog relation rd
+// describes. The descriptor may come from the catalog or from a bound
+// query plan; the handle operates through the catalog's current one.
 func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
-	sm, err := env.StorageInstance(rd)
+	slot := env.slot(rd.RelID)
+	if slot.rd.Load() == nil {
+		return nil, fmt.Errorf("%w: relation %q is not in the catalog", ErrNotFound, rd.Name)
+	}
+	sm, err := slot.open(env, rd)
 	if err != nil {
 		return nil, err
 	}
 	_, mvcc := sm.(VersionedStorage)
-	return &Relation{env: env, rd: rd, sm: sm, stat: env.relStats.get(rd.RelID), mvcc: mvcc}, nil
+	return &Relation{env: env, rd: rd, slot: slot, sm: sm, stat: env.relStats.get(rd.RelID), mvcc: mvcc}, nil
+}
+
+// desc returns the relation's current descriptor, or an error once the
+// relation is dropped. A writer reads it under its relation lock, which
+// attachment DDL (holding the relation exclusively) cannot change.
+func (r *Relation) desc() (*RelDesc, error) {
+	if rd := r.slot.rd.Load(); rd != nil {
+		return rd, nil
+	}
+	return nil, fmt.Errorf("%w: relation %q was dropped", ErrNotFound, r.rd.Name)
 }
 
 // chargeWritten books n modified rows against the transaction's ledger
@@ -76,8 +97,14 @@ func (env *Env) OpenRelationByName(name string) (*Relation, error) {
 	return env.OpenRelation(rd)
 }
 
-// Desc returns the relation descriptor this handle operates through.
-func (r *Relation) Desc() *RelDesc { return r.rd }
+// Desc returns the relation descriptor this handle operates through: the
+// current one, or the last one the handle saw once the relation is dropped.
+func (r *Relation) Desc() *RelDesc {
+	if rd := r.slot.rd.Load(); rd != nil {
+		return rd
+	}
+	return r.rd
+}
 
 // Storage returns the underlying storage instance.
 func (r *Relation) Storage() StorageInstance { return r.sm }
@@ -104,6 +131,10 @@ func (r *Relation) Insert(tx *txn.Txn, rec types.Record) (key types.Key, err err
 	if err := tx.Lock(lock.RelResource(r.rd.RelID), lock.ModeIX); err != nil {
 		return nil, err
 	}
+	rd, err := r.desc()
+	if err != nil {
+		return nil, err
+	}
 	mark := r.env.Log.LastLSN(tx.ID())
 	d := r.begin(tx, viaSM, obs.OpInsert)
 	key, err = r.sm.Insert(tx, rec)
@@ -114,7 +145,7 @@ func (r *Relation) Insert(tx *txn.Txn, rec types.Record) (key types.Key, err err
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
 		return nil, err
 	}
-	if err := r.notify(tx, obs.OpInsert, func(inst AttachmentInstance) error {
+	if err := r.notify(tx, rd, obs.OpInsert, func(inst AttachmentInstance) error {
 		return inst.OnInsert(tx, key, rec)
 	}, mark); err != nil {
 		return nil, err
@@ -146,6 +177,10 @@ func (r *Relation) Update(tx *txn.Txn, key types.Key, newRec types.Record) (newK
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
 		return nil, err
 	}
+	rd, err := r.desc()
+	if err != nil {
+		return nil, err
+	}
 	oldRec, err := r.sm.FetchByKey(tx, key, nil, nil)
 	if err != nil {
 		return nil, err
@@ -162,7 +197,7 @@ func (r *Relation) Update(tx *txn.Txn, key types.Key, newRec types.Record) (newK
 			return nil, err
 		}
 	}
-	if err := r.notify(tx, obs.OpUpdate, func(inst AttachmentInstance) error {
+	if err := r.notify(tx, rd, obs.OpUpdate, func(inst AttachmentInstance) error {
 		return inst.OnUpdate(tx, key, newKey, oldRec, newRec)
 	}, mark); err != nil {
 		return nil, err
@@ -190,6 +225,10 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
 		return err
 	}
+	rd, err := r.desc()
+	if err != nil {
+		return err
+	}
 	oldRec, err := r.sm.FetchByKey(tx, key, nil, nil)
 	if err != nil {
 		return err
@@ -201,7 +240,7 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 	if err != nil {
 		return r.vetoed(tx, mark, r.smName(), err)
 	}
-	if err := r.notify(tx, obs.OpDelete, func(inst AttachmentInstance) error {
+	if err := r.notify(tx, rd, obs.OpDelete, func(inst AttachmentInstance) error {
 		return inst.OnDelete(tx, key, oldRec)
 	}, mark); err != nil {
 		return err
@@ -211,19 +250,20 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 }
 
 // notify runs the attached procedures for every attachment type with
-// instances on the relation, in identifier order, vetoing on error. In a
-// traced transaction each attached-procedure call is its own span; the
-// attachment that vetoes carries the veto tag and reason.
-func (r *Relation) notify(tx *txn.Txn, op obs.Op, call func(AttachmentInstance) error, mark MarkLSN) error {
+// instances on the relation, as rd describes it, in identifier order,
+// vetoing on error. In a traced transaction each attached-procedure call
+// is its own span; the attachment that vetoes carries the veto tag and
+// reason.
+func (r *Relation) notify(tx *txn.Txn, rd *RelDesc, op obs.Op, call func(AttachmentInstance) error, mark MarkLSN) error {
 	for i := 1; i < MaxAttachmentTypes; i++ {
-		if r.rd.AttDesc[i] == nil {
+		if rd.AttDesc[i] == nil {
 			continue
 		}
 		id := AttID(i)
-		if skip := r.env.NotifySkip; skip != nil && skip(r.rd.Name, id) {
+		if skip := r.env.NotifySkip; skip != nil && skip(rd.Name, id) {
 			continue
 		}
-		inst, err := r.env.AttachmentInstance(r.rd, id)
+		inst, err := r.env.AttachmentInstance(rd, id)
 		if err != nil {
 			return err
 		}
@@ -343,7 +383,7 @@ func (r *Relation) FetchForUpdate(tx *txn.Txn, key types.Key, fields []int, filt
 }
 
 func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr, relMode, keyMode lock.Mode) (types.Record, error) {
-	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
+	if err := r.readable(tx); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
@@ -361,6 +401,14 @@ func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 		r.chargeRead(tx, 1)
 	}
 	return rec, err
+}
+
+// readable checks that the relation still exists and that tx may read it.
+func (r *Relation) readable(tx *txn.Txn) error {
+	if _, err := r.desc(); err != nil {
+		return err
+	}
+	return r.env.Authz.Check(tx, r.rd, PrivRead)
 }
 
 // LockForWrite declares, before the first read, that the transaction will
@@ -388,7 +436,7 @@ func (r *Relation) LockForWrite(tx *txn.Txn, scan bool) error {
 // closed at transaction termination, its position is saved when a rollback
 // point is established and restored after partial rollback.
 func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
-	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
+	if err := r.readable(tx); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
@@ -485,7 +533,11 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 			return nil, err
 		}
 	}
-	inst, err := r.env.AttachmentInstance(r.rd, id)
+	rd, err := r.desc()
+	if err != nil {
+		return nil, err
+	}
+	inst, err := r.env.AttachmentInstance(rd, id)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +573,7 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 		}
 		f.relMode, f.keyMode = lock.ModeIX, lock.ModeX
 	}
-	runLen := fetchRunLen
+	runLen := types.RunLen
 	if point {
 		keys, err := r.lookupAccess(tx, id, instance, opts.Start)
 		if err != nil {
@@ -580,10 +632,6 @@ func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
 	}
 }
 
-// fetchRunLen is how many keys a snapshot read takes from its key source
-// per storage-method call: the run smutil.TreeScan copies per descent.
-const fetchRunLen = 64
-
 // fetchRun is a snapshot AccessFetch's read-ahead: the keys taken from
 // the key source for one VersionedStorage.FetchRun, and its answers.
 // Reading ahead is sound only for a snapshot read: it takes no locks, so
@@ -641,7 +689,7 @@ func (f *AccessFetch) fill() error {
 		run.done = true // also a lookup that found no key: a run of capacity 0
 		return nil
 	}
-	if err := f.r.env.Authz.Check(f.tx, f.r.rd, PrivRead); err != nil {
+	if err := f.r.readable(f.tx); err != nil {
 		return err
 	}
 	run.out = run.out[:len(run.keys)]

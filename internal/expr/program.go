@@ -17,9 +17,13 @@ import (
 // becomes a term that Match tests on the field's encoded bytes in place:
 // INT and BOOL compare as raw int64s, STRING and BYTES bodies byte-wise,
 // and any other pair of kinds through types.Compare on the one decoded
-// field. Each run of the other conjuncts stays one residual step, which
-// the tree-walking Evaluator runs over the fields it reads, decoded from
-// the same bytes.
+// field. Match skips the fields before one it reads by their length
+// alone, and compares an INT or BOOL field against a constant of its kind
+// straight off its bytes; a field of any other kind, or bytes that are
+// malformed, go through types.SplitValue, whose error Match reports.
+// Each run of the other conjuncts stays one residual step, which the
+// tree-walking Evaluator runs over the fields it reads, decoded from the
+// same bytes.
 //
 // Steps run in the order the conjuncts were written and stop at the first
 // false or failing one, as Evaluator.EvalBool does, so a Program accepts,
@@ -46,6 +50,7 @@ type step struct {
 	op    Op          // term: a comparison, or OpIsNull
 	val   types.Value // term: the constant compared against
 	body  []byte      // term: val's STRING or BYTES body
+	fast  bool        // term: a comparison with an INT or BOOL constant
 }
 
 // Compile compiles filter, with its parameter markers bound to params, for
@@ -133,6 +138,8 @@ func term(e *Expr, params []types.Value) (step, bool) {
 			return step{}, false
 		}
 		switch st.val.K {
+		case types.KindInt, types.KindBool:
+			st.fast = true
 		case types.KindString:
 			st.body = []byte(st.val.S)
 		case types.KindBytes:
@@ -197,6 +204,14 @@ func (p *Program) Match(enc []byte) (bool, error) {
 		if off < 0 {
 			return false, errFieldRange(st.field, arity)
 		}
+		if st.fast && len(enc)-off >= 9 && types.Kind(enc[off]) == st.val.K {
+			// An INT or BOOL field against a constant of its kind: the
+			// comparison testEncoded would make, without splitting.
+			if !holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(enc[off+1:])), st.val.I)) {
+				return false, nil
+			}
+			continue
+		}
 		k, body, _, err := types.SplitValue(enc[off:])
 		if err != nil {
 			return false, fmt.Errorf("expr: record field %d: %w", st.field, err)
@@ -233,6 +248,10 @@ func (p *Program) locate(enc []byte) (int, error) {
 			break
 		}
 		for ; at < f; at++ {
+			if n := skipLen(enc[pos:]); n > 0 {
+				pos += n
+				continue
+			}
 			_, _, n, err := types.SplitValue(enc[pos:])
 			if err != nil {
 				return 0, fmt.Errorf("expr: record field %d: %w", at, err)
@@ -242,6 +261,31 @@ func (p *Program) locate(enc []byte) (int, error) {
 		p.off[i] = pos
 	}
 	return arity, nil
+}
+
+// skipLen is the encoded length of the well-formed value at the start of
+// b, the n SplitValue would return, or 0 when the value is truncated or of
+// no kind: the caller then asks SplitValue for the error.
+func skipLen(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	n := 0
+	switch types.Kind(b[0]) {
+	case types.KindNull:
+		return 1
+	case types.KindInt, types.KindBool, types.KindFloat:
+		n = 9
+	case types.KindString, types.KindBytes:
+		if len(b) < 5 {
+			return 0
+		}
+		n = 5 + int(binary.BigEndian.Uint32(b[1:]))
+	}
+	if n > len(b) || n < 5 {
+		return 0
+	}
+	return n
 }
 
 // decode stores the fields residual steps read at their own positions of

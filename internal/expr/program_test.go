@@ -128,11 +128,54 @@ func checkProgram(t *testing.T, p *Program, e *Expr, rec types.Record, cut int) 
 	}
 }
 
+// fastPathCases reach each exit of Match's fast path: a field of every
+// kind skipped before the tested one, INT and BOOL terms taken straight
+// off the bytes, an INT field against a FLOAT constant and a BOOL field
+// against an INT one (kinds differ: SplitValue and a decode), and a
+// record whose arity stops short of the tested field. Cut at every
+// length, each also ends inside a string whose length runs past it.
+var fastPathCases = []struct {
+	e   *Expr
+	rec types.Record
+}{
+	{Eq(Field(1), Const(types.Int(1))), types.Record{types.Null(), types.Int(1)}},
+	{Eq(Field(1), Const(types.Int(1))), types.Record{types.Str("abc"), types.Int(1)}},
+	{Lt(Field(2), Param(0)), types.Record{types.Float(1.5), types.Bytes([]byte{7}), types.Int(0)}},
+	{Ge(Field(1), Const(types.Int(2))), types.Record{types.Bool(true), types.Int(1)}},
+	{Eq(Field(0), Const(types.Float(1))), types.Record{types.Int(1)}},
+	{Ne(Field(0), Const(types.Bool(true))), types.Record{types.Bool(false)}},
+	{Eq(Field(0), Const(types.Int(1))), types.Record{types.Bool(true)}},
+	{And(Eq(Field(2), Const(types.Int(1))), Eq(Field(0), Const(types.Str("abc")))),
+		types.Record{types.Str("abc"), types.Null(), types.Int(1)}},
+	{Eq(Field(3), Const(types.Int(1))), types.Record{types.Int(1), types.Str("abc")}},
+}
+
+// TestMatchFastPathExits: on every fast-path case, whole and cut at every
+// length, Match agrees with the walker; a string whose stated length runs
+// past the record fails a term on a later field.
+func TestMatchFastPathExits(t *testing.T) {
+	for _, c := range fastPathCases {
+		p := Compile(progEv, c.e, progParams)
+		for cut := range len(c.rec.AppendEncode(nil)) {
+			checkProgram(t, p, c.e, c.rec, cut)
+		}
+	}
+	enc := types.Record{types.Str("abc"), types.Int(1)}.AppendEncode(nil)
+	enc[6] = 0xff // the string's length, past the record
+	p := Compile(progEv, Eq(Field(1), Const(types.Int(1))), nil)
+	if ok, err := p.Match(enc); err == nil {
+		t.Fatalf("Match on a string longer than its record = %v, want an error", ok)
+	}
+}
+
 // TestCompiledEqualsInterpreted: over random predicates and records, a
 // Program agrees with EvalBool on the answer and on whether there is an
 // error, on encoded and decoded records alike, while one Program is reused
-// across records of different arity.
+// across records of different arity. The fast-path cases run first.
 func TestCompiledEqualsInterpreted(t *testing.T) {
+	for i, c := range fastPathCases {
+		checkProgram(t, Compile(progEv, c.e, progParams), c.e, c.rec, i)
+	}
 	r := rand.New(rand.NewSource(26))
 	terms, residuals := 0, 0
 	for i := 0; i < 3000; i++ {
@@ -210,6 +253,27 @@ func TestMatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// BenchmarkMatch times one compiled filter over a scan-filter-shaped row
+// (four INTs and a 150-byte string): a term on field 2, which skips two
+// fields first, accepting and rejecting.
+func BenchmarkMatch(b *testing.B) {
+	p := Compile(progEv, Eq(Field(2), Const(types.Int(7))), nil)
+	pad := types.Str(string(bytes.Repeat([]byte{'p'}, 150)))
+	for _, c := range []struct {
+		name string
+		band int64
+	}{{"accept", 7}, {"reject", 8}} {
+		enc := types.Record{types.Int(1), types.Int(2), types.Int(c.band), types.Int(4), pad}.AppendEncode(nil)
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				if _, err := p.Match(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzMatch holds a Program to the tree walker on any predicate and record
 // that decode, and to "no panic" on any that do not. cut truncates the
 // record's encoding for the truncation check.
@@ -217,6 +281,9 @@ func FuzzMatch(f *testing.F) {
 	r := rand.New(rand.NewSource(261))
 	for i := 0; i < 64; i++ {
 		f.Add(randPred(r, 3).AppendEncode(nil), randProgRecord(r).AppendEncode(nil), uint16(r.Intn(64)))
+	}
+	for i, c := range fastPathCases {
+		f.Add(c.e.AppendEncode(nil), c.rec.AppendEncode(nil), uint16(3*i))
 	}
 	f.Fuzz(func(t *testing.T, pred, enc []byte, cut uint16) {
 		e, _, err := Decode(pred)

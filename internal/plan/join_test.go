@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -478,5 +479,146 @@ func TestJoinFilterTakesNoParams(t *testing.T) {
 	}
 	if _, err := plan.New(env).Plan(q); err == nil {
 		t.Fatal("a parameter marker in JoinSpec.Filter planned")
+	}
+}
+
+// TestJoinFieldListsAgree: every join strategy returns the same rows, the
+// outer's Query.Fields then the inner's Join.Fields, whatever the lists
+// are — nil (the whole record), partial, with a field twice, out of
+// order, or holding the join column — now that each side reads only the
+// fields the join uses. A duplicated dno in dept gives some outer rows two
+// matches; eno 3 has a NULL dno and matches nothing.
+func TestJoinFieldListsAgree(t *testing.T) {
+	env := core.NewEnv(core.Config{})
+	tx := env.Begin()
+	if _, err := env.CreateRelation(tx, "emp", empSchema(), "heap", nil); err != nil {
+		t.Fatal(err)
+	}
+	emp, _ := env.OpenRelationByName("emp")
+	var emps []types.Record
+	for i := int64(0); i < 40; i++ {
+		dno := types.Int(i % 10)
+		if i == 3 {
+			dno = types.Null()
+		}
+		emps = append(emps, types.Record{types.Int(i), dno, types.Float(float64(i) / 2)})
+		if _, err := emp.Insert(tx, emps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	addDept(t, env, false)
+	dept, _ := env.OpenRelationByName("dept")
+	tx = env.Begin()
+	if _, err := dept.Insert(tx, types.Record{types.Int(4), types.Str("dup")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.CreateAttachment(tx, "dept", "btree", core.AttrList{"on": "dno"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(tx *txn.Txn, q plan.Query) ([]types.Record, error) {
+		defer tx.Commit()
+		b, err := plan.New(env).Plan(q)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Collect(b.Execute(tx))
+	}
+	depts, err := run(env.Begin(), plan.Query{Table: "dept"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	project := func(rec types.Record, fields []int) types.Record {
+		if fields == nil {
+			return rec
+		}
+		return rec.Project(fields)
+	}
+	lists := [][]int{nil, {2}, {0, 0, 2}, {2, 0}, {1, 0}, {1}}
+	filter := expr.Lt(expr.Field(0), expr.Const(types.Int(30)))
+	for _, of := range lists {
+		for _, jf := range [][]int{nil, {1}, {1, 1}, {0}, {1, 0}} {
+			var want []types.Record
+			for _, e := range emps[:30] {
+				for _, d := range depts {
+					if !e[1].IsNull() && types.Equal(e[1], d[0]) {
+						want = append(want, append(slices.Clone(project(e, of)), project(d, jf)...))
+					}
+				}
+			}
+			for _, strat := range []string{"nl", "indexnl", "hash"} {
+				q := plan.Query{Table: "emp", Filter: filter, Fields: of, ForceJoin: strat,
+					Join: &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: jf}}
+				for _, ro := range []bool{false, true} {
+					tx := env.Begin()
+					if ro {
+						tx = env.BeginReadOnly()
+					}
+					rows, err := run(tx, q)
+					if err != nil {
+						t.Fatalf("%s, fields %v ⋈ %v: %v", strat, of, jf, err)
+					}
+					if !reflect.DeepEqual(multiset(rows), multiset(want)) {
+						t.Fatalf("%s (read-only %v), fields %v ⋈ %v:\n got %v\nwant %v", strat, ro, of, jf, rows, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHashJoinBuild times a hash join whose build dominates: a
+// 1 000-row dept (INT key, 20-byte name) built on a fresh snapshot for
+// each of 10 outer rows, the shape of scan-filter's Q3 with its outer
+// side shrunk.
+//
+//	go test -run '^$' -bench HashJoinBuild -benchmem ./internal/plan
+func BenchmarkHashJoinBuild(b *testing.B) {
+	env := core.NewEnv(core.Config{})
+	defer env.Close()
+	tx := env.Begin()
+	for _, c := range []struct {
+		name   string
+		schema *types.Schema
+	}{{"emp", empSchema()}, {"dept", deptSchema()}} {
+		if _, err := env.CreateRelation(tx, c.name, c.schema, "heap", nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	emp, _ := env.OpenRelationByName("emp")
+	dept, _ := env.OpenRelationByName("dept")
+	for i := int64(0); i < 1000; i++ {
+		if _, err := dept.Insert(tx, types.Record{types.Int(i), types.Str(strings.Repeat("d", 20))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := int64(0); i < 10; i++ {
+		if _, err := emp.Insert(tx, types.Record{types.Int(i), types.Int(i * 97), types.Float(1)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	bound, err := plan.New(env).Plan(plan.Query{Table: "emp", Fields: []int{0, 2}, ForceJoin: "hash",
+		Join: &plan.JoinSpec{Table: "dept", OuterCol: 1, InnerCol: 0, Fields: []int{0}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := env.BeginReadOnly()
+		rows, err := plan.Collect(bound.Execute(tx))
+		if err != nil || len(rows) != 10 {
+			b.Fatalf("%d rows, %v", len(rows), err)
+		}
+		tx.Commit()
 	}
 }

@@ -646,29 +646,30 @@ func (r fetchRows) Next() (types.Record, bool, error) {
 
 // openHashJoin reads the build access into one table keyed by join value,
 // then opens the nested loop whose inner side, for each outer value, is
-// that value's slice of the table. A NULL key never matches, so it is not
+// that value's records in the table. The build decodes only the fields the
+// join returns and the join column. A NULL key never matches, so it is not
 // built.
 func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, build *access) (Rows, error) {
-	start := time.Now()
-	rows, err := p.openAccess(tx, b, build, nil, false)
+	tr := tx.Trace()
+	var start time.Time
+	if tr.Detailed() { // the clock is read, and the event formatted, only for the trace
+		start = time.Now()
+	}
+	j := r.q.Join
+	fields, col := withJoinCol(j.Fields, j.InnerCol)
+	rows, err := p.openAccess(tx, b, build, fields, false)
 	if err != nil {
 		return nil, err
 	}
-	j := r.q.Join
-	r.table = make(map[string][]types.Record)
-	n := 0
+	t := newHashTable(build.rows)
 	rec, ok, err := rows.Next()
 	for ; ok && err == nil; rec, ok, err = rows.Next() {
-		kv := rec[j.InnerCol]
-		if kv.IsNull() {
-			continue
+		if kv := rec[col]; !kv.IsNull() {
+			if fields != nil {
+				rec = rec[:col:col]
+			}
+			t.add(kv, rec)
 		}
-		if j.Fields != nil {
-			rec = rec.Project(j.Fields)
-		}
-		r.key = kv.AppendOrderedEncode(r.key[:0])
-		r.table[string(r.key)] = append(r.table[string(r.key)], rec)
-		n++
 	}
 	if cerr := rows.Close(); err == nil {
 		err = cerr
@@ -676,9 +677,79 @@ func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, b
 	if err != nil {
 		return nil, err
 	}
+	t.index()
+	r.table = t
 	p.env.Obs.Plan.HashJoins.Inc()
-	tx.Trace().Event("plan.hashjoin", "plan", fmt.Sprintf("build rows=%d", n), start, time.Since(start), nil)
+	if tr.Detailed() {
+		tr.Event("plan.hashjoin", "plan", fmt.Sprintf("build rows=%d", len(t.recs)), start, time.Since(start), nil)
+	}
 	return p.openNL(tx, b, outer, r)
+}
+
+// withJoinCol is the field list a join side reads: the fields it returns,
+// then its join column, which col indexes in what it reads. nil fields
+// read the whole record, the join column in its own place.
+func withJoinCol(fields []int, joinCol int) (read []int, col int) {
+	if fields == nil {
+		return nil, joinCol
+	}
+	return append(slices.Clip(fields), joinCol), len(fields)
+}
+
+// hashTable is a hash join's build: the built records in build order, and
+// for each encoded join value the chain of its records through next.
+// add collects them, their encoded values in one buffer; index then keys
+// the map by substrings of one string made from it, so the build costs a
+// few allocations, not one per record or per value.
+type hashTable struct {
+	recs  []types.Record
+	next  []int32          // next[i]: the record after i with i's value, or -1
+	chain map[string]chain // encoded join value → its first and last record
+	enc   []byte           // add: the encoded join values, back to back
+	ends  []int            // add: where each record's value ends in enc
+}
+
+type chain struct{ first, last int32 }
+
+// newHashTable sizes a table for the build's estimated row count.
+func newHashTable(estimate float64) *hashTable {
+	n := 1
+	if estimate > 0 {
+		n += int(min(estimate, 1<<16))
+	}
+	return &hashTable{recs: make([]types.Record, 0, n), ends: make([]int, 0, n)}
+}
+
+func (t *hashTable) add(kv types.Value, rec types.Record) {
+	t.enc = kv.AppendOrderedEncode(t.enc)
+	t.recs, t.ends = append(t.recs, rec), append(t.ends, len(t.enc))
+}
+
+func (t *hashTable) index() {
+	keys := string(t.enc)
+	t.chain = make(map[string]chain, len(t.recs))
+	t.next = make([]int32, len(t.recs))
+	from := 0
+	for i, end := range t.ends {
+		k, at := keys[from:end], int32(i)
+		from = end
+		t.next[i] = -1
+		if c, ok := t.chain[k]; ok {
+			t.next[c.last] = at
+			t.chain[k] = chain{c.first, at}
+		} else {
+			t.chain[k] = chain{at, at}
+		}
+	}
+	t.enc, t.ends = nil, nil
+}
+
+// match is the cursor over the records whose encoded join value is key.
+func (t *hashTable) match(key []byte) matchRows {
+	if c, ok := t.chain[string(key)]; ok {
+		return matchRows{t: t, at: c.first}
+	}
+	return matchRows{at: -1}
 }
 
 // openNL opens the nested-loop join from r, the cursor as translation left
@@ -691,11 +762,12 @@ func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, r nlRows) (Rows, 
 	if err != nil {
 		return nil, err
 	}
-	outerRows, err := p.openAccess(tx, b, outer, nil, false)
+	fields, col := withJoinCol(r.q.Fields, r.q.Join.OuterCol)
+	outerRows, err := p.openAccess(tx, b, outer, fields, false)
 	if err != nil {
 		return nil, err
 	}
-	r.tx, r.rel, r.outer, r.params = tx, rel, outerRows, make([]types.Value, b.slots+1)
+	r.tx, r.rel, r.outer, r.params, r.outerCol = tx, rel, outerRows, make([]types.Value, b.slots+1), col
 	return b.track(tx, r.inner.name, &r), nil
 }
 
@@ -712,9 +784,12 @@ type nlRows struct {
 	req    core.CostRequest // what path was asked at translation
 	params []types.Value    // the last slot takes the join value
 
-	table map[string][]types.Record // a hash join's build, by encoded join value
-	key   []byte                    // the encoded join value, reused
-	match matchRows                 // the table's cursor for curOuter
+	table *hashTable // a hash join's build
+	key   []byte     // the encoded join value, reused
+	match matchRows  // the table's cursor for curOuter
+
+	outerCol int                     // the join column's index in an outer row (withJoinCol)
+	out      types.Slab[types.Value] // the joined rows
 
 	curOuter types.Record
 	rows     Rows // the inner cursor for curOuter
@@ -727,12 +802,15 @@ func (r *nlRows) Next() (types.Record, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			v := rec[r.q.Join.OuterCol]
+			v := rec[r.outerCol]
 			if v.IsNull() {
 				continue // NULL never equi-joins
 			}
 			if r.rows, err = r.open(v); err != nil {
 				return nil, false, err
+			}
+			if r.q.Fields != nil {
+				rec = rec[:len(r.q.Fields)] // the join column stays behind
 			}
 			r.curOuter = rec
 		}
@@ -748,7 +826,9 @@ func (r *nlRows) Next() (types.Record, bool, error) {
 			}
 			continue
 		}
-		return joinRecords(r.curOuter, r.q.Fields, inner), true, nil
+		out := r.out.Take(len(r.curOuter) + len(inner))
+		copy(out[copy(out, r.curOuter):], inner)
+		return out, true, nil
 	}
 }
 
@@ -760,7 +840,7 @@ func (r *nlRows) Next() (types.Record, bool, error) {
 func (r *nlRows) open(v types.Value) (Rows, error) {
 	if r.table != nil {
 		r.key = v.AppendOrderedEncode(r.key[:0])
-		r.match = r.table[string(r.key)]
+		r.match = r.table.match(r.key)
 		return &r.match, nil
 	}
 	r.params[len(r.params)-1] = v
@@ -793,31 +873,22 @@ func (r *nlRows) Close() error {
 }
 
 // matchRows is a hash join's inner cursor: the built records of one join
-// value.
-type matchRows []types.Record
+// value, in build order.
+type matchRows struct {
+	t  *hashTable
+	at int32 // the next record, or -1
+}
 
 func (m *matchRows) Next() (types.Record, bool, error) {
-	if len(*m) == 0 {
+	if m.at < 0 {
 		return nil, false, nil
 	}
-	rec := (*m)[0]
-	*m = (*m)[1:]
+	rec := m.t.recs[m.at]
+	m.at = m.t.next[m.at]
 	return rec, true, nil
 }
 
 func (m *matchRows) Close() error { return nil }
-
-// joinRecords projects the outer record and appends the (already
-// projected) inner record.
-func joinRecords(outer types.Record, outerFields []int, inner types.Record) types.Record {
-	var out types.Record
-	if outerFields != nil {
-		out = outer.Project(outerFields)
-	} else {
-		out = append(types.Record(nil), outer...)
-	}
-	return append(out, inner...)
-}
 
 // Collect drains rows into a slice (test and example convenience).
 func Collect(rows Rows, err error) ([]types.Record, error) {

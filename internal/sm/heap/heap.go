@@ -704,13 +704,15 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 // FetchRun implements core.VersionedStorage: FetchByKey's snapshot path
 // for every key of the run under one hold of the shared latch, with one
 // pin per stretch of consecutive keys on the same page and one qualifier
-// (the filter compiled, the projection built) for the whole run. Each
-// key is still judged against the snapshot on its own.
+// (the filter compiled, the projection built) for the whole run, whose
+// records share one backing array sized to the run. Each key is still
+// judged against the snapshot on its own.
 func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Expr, out []core.Fetched) (err error) {
 	if !tx.ReadOnly() {
 		return fmt.Errorf("heap: a fetch run needs a snapshot transaction")
 	}
 	q := smutil.NewQualifier(s.env, core.ScanOptions{Filter: filter, Fields: fields})
+	q.SizeRun(len(keys))
 	snap, tr := tx.Snapshot(), tx.Trace()
 	var f *buffer.Frame // pinned while consecutive keys stay on its page
 	var page uint32
@@ -908,6 +910,7 @@ type heapScan struct {
 	start rid              // first candidate before the scan has returned anything
 	end   uint64           // ord of the exclusive end bound
 	snap  *txn.Snapshot    // non-nil: resolve every slot against this snapshot
+	keys  types.Slab[byte] // the record keys Next returns
 	smutil.Position
 }
 
@@ -986,8 +989,10 @@ func (sc *heapScan) Next() (types.Key, types.Record, bool, error) {
 			return nil, nil, false, err
 		}
 		if found {
-			sc.Started, sc.After = true, binary.BigEndian.AppendUint64(sc.After[:0], out.ord())
-			return encodeRID(out), outRec, true, nil
+			key := sc.keys.Take(8)
+			binary.BigEndian.PutUint64(key, out.ord())
+			sc.Started, sc.After = true, append(sc.After[:0], key...)
+			return key, outRec, true, nil
 		}
 	}
 }

@@ -23,12 +23,14 @@ func DuplicateKey(rec types.Record, keyFields []int) error {
 
 // Qualifier is the tail every scan shares: the pushed-down filter,
 // compiled once when the scan opens, and the projection onto the scan's
-// fields (nil = all). Like the Program in it, a Qualifier serves one scan
-// at a time.
+// fields (nil = all). The records it returns come from one Slab, so a
+// run of rows costs one allocation, not one per row. Like the Program in
+// it, a Qualifier serves one scan at a time.
 type Qualifier struct {
 	prog   *expr.Program
 	out    types.Selector
 	fields []int
+	rows   types.Slab[types.Value]
 }
 
 // NewQualifier compiles opts' filter, bound to opts' parameters, for one
@@ -38,20 +40,33 @@ func NewQualifier(env *core.Env, opts core.ScanOptions) Qualifier {
 		out: types.NewSelector(opts.Fields), fields: opts.Fields}
 }
 
+// SizeRun sizes the slab for a caller that knows how many records it is
+// about to qualify.
+func (q *Qualifier) SizeRun(rows int) { q.rows.Size(rows) }
+
 // Encoded qualifies a stored record: the filter matches its encoded bytes
 // in place, and only a qualifying record is decoded, straight onto the
 // scan's fields. ok is false when the filter rejects the record. The
-// result shares no bytes with enc.
+// result shares no bytes with enc, but may share its backing array with
+// the other records of the scan (see types.Slab).
 func (q *Qualifier) Encoded(enc []byte) (rec types.Record, ok bool, err error) {
 	if ok, err := q.prog.Match(enc); !ok || err != nil {
 		return nil, false, err
 	}
-	if q.fields == nil {
-		rec, _, err = types.DecodeRecord(enc)
+	if q.fields != nil {
+		rec = q.rows.Take(q.out.Width())
+		err = q.out.ProjectInto(rec, enc)
 	} else {
-		rec, err = q.out.Project(enc)
+		var n int
+		if n, err = types.RecordArity(enc); err == nil {
+			rec = q.rows.Take(n)
+			_, err = types.DecodeRecordInto(rec, enc)
+		}
 	}
-	return rec, err == nil, err
+	if err != nil {
+		return nil, false, err
+	}
+	return rec, true, nil
 }
 
 // Record qualifies a record the scan holds decoded.
@@ -60,7 +75,11 @@ func (q *Qualifier) Record(rec types.Record) (types.Record, bool, error) {
 		return nil, false, err
 	}
 	if q.fields != nil {
-		rec = rec.Project(q.fields)
+		out := q.rows.Take(len(q.fields))
+		for i, f := range q.fields {
+			out[i] = rec[f]
+		}
+		rec = out
 	}
 	return rec, true, nil
 }

@@ -15,16 +15,14 @@ import (
 
 // EmitFunc converts a tree entry into scan output. key and val are the
 // scan's own buffers, reused for the next entry, so what it returns must
-// not alias them. Returning ok=false skips the entry (filter rejection);
-// err aborts the scan.
+// not alias them; the outputs of one scan may share a backing array (a
+// Slab), each cap-limited. Returning ok=false skips the entry (filter
+// rejection); err aborts the scan.
 type EmitFunc func(key, val []byte) (types.Key, types.Record, bool, error)
 
-// runLen is how many entries one latch hold copies out of the tree, and
-// runBytes the run buffer's first capacity: 64 short index entries fit.
-const (
-	runLen   = 64
-	runBytes = 2048
-)
+// runBytes is the run buffer's first capacity: a run (types.RunLen) of
+// short index entries fits.
+const runBytes = 2048
 
 // TreeScan is a key-sequential access over a btree.Tree implementing the
 // architecture's scan-position semantics: the scan is "on" the last item
@@ -32,11 +30,12 @@ const (
 // returns the next item after the current position. Positions are
 // save/restorable for partial-rollback support.
 //
-// One descent copies a run of up to runLen entries after the position into
-// the scan's own buffer, tagged with the tree's modification count. Next
-// serves the run while the count is unchanged, since the tree then still
-// holds exactly those entries after the position; any Set or removing
-// Delete since makes it re-seek strictly after the position instead.
+// One descent copies a run of up to types.RunLen entries after the
+// position into the scan's own buffer, tagged with the tree's
+// modification count. Next serves the run while the count is unchanged,
+// since the tree then still holds exactly those entries after the
+// position; any Set or removing Delete since makes it re-seek strictly
+// after the position instead.
 type TreeScan struct {
 	mu    *sync.Mutex // latch shared with the owning instance
 	tree  *btree.Tree
@@ -82,7 +81,7 @@ func (s *TreeScan) fill() {
 		s.run = append(binary.AppendUvarint(s.run, uint64(len(k))), k...)
 		s.run = append(binary.AppendUvarint(s.run, uint64(len(v))), v...)
 		s.n++
-		return s.n < runLen
+		return s.n < types.RunLen
 	})
 }
 

@@ -140,15 +140,16 @@ func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter 
 
 // OpenScan implements core.StorageInstance: record-key order, with range
 // bounds. The filter matches each stored record's bytes in place; only a
-// qualifying record is decoded.
+// qualifying record is decoded. Records and keys come from slabs.
 func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, error) {
 	q := NewQualifier(s.env, opts)
+	var keys types.Slab[byte]
 	emit := func(k, v []byte) (types.Key, types.Record, bool, error) {
 		rec, ok, err := q.Encoded(v)
 		if !ok || err != nil {
 			return nil, nil, false, err
 		}
-		return types.Key(k).Clone(), rec, true, nil
+		return keys.Copy(k), rec, true, nil
 	}
 	return NewTreeScan(&s.mu, s.tree, opts.Start, opts.End, emit), nil
 }

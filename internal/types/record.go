@@ -194,7 +194,16 @@ func (r Record) String() string {
 }
 
 // AppendEncode appends a self-delimiting encoding of the record to dst.
+// A dst with no spare capacity (nil, say) is grown once, to fit the
+// record; a reused buffer is appended to as it is.
 func (r Record) AppendEncode(dst []byte) []byte {
+	if cap(dst) == len(dst) {
+		n := 2
+		for i := range r {
+			n += r[i].encodedLen()
+		}
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r)))
 	for _, v := range r {
 		dst = v.AppendEncode(dst)
@@ -204,21 +213,39 @@ func (r Record) AppendEncode(dst []byte) []byte {
 
 // DecodeRecord decodes one record from b, returning it and bytes consumed.
 func DecodeRecord(b []byte) (Record, int, error) {
-	if len(b) < 2 {
-		return nil, 0, fmt.Errorf("types: truncated record")
+	n, err := RecordArity(b)
+	if err != nil {
+		return nil, 0, err
 	}
-	n := int(binary.BigEndian.Uint16(b))
+	rec := make(Record, n)
+	used, err := DecodeRecordInto(rec, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec, used, nil
+}
+
+// RecordArity is the number of fields of the record encoded in b.
+func RecordArity(b []byte) (int, error) {
+	if len(b) < 2 {
+		return 0, fmt.Errorf("types: truncated record")
+	}
+	return int(binary.BigEndian.Uint16(b)), nil
+}
+
+// DecodeRecordInto decodes the record encoded in b into rec, whose length
+// is the record's arity (RecordArity), and returns the bytes consumed.
+func DecodeRecordInto(rec Record, b []byte) (int, error) {
 	pos := 2
-	rec := make(Record, 0, n)
-	for i := 0; i < n; i++ {
+	for i := range rec {
 		v, used, err := DecodeValue(b[pos:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("types: record field %d: %w", i, err)
+			return 0, fmt.Errorf("types: record field %d: %w", i, err)
 		}
-		rec = append(rec, v)
+		rec[i] = v
 		pos += used
 	}
-	return rec, pos, nil
+	return pos, nil
 }
 
 var (
@@ -284,28 +311,41 @@ func NewSelector(fields []int) Selector {
 	return s
 }
 
+// Width is the number of fields the selector decodes: the length of the
+// list it was built from.
+func (s *Selector) Width() int { return len(s.field) }
+
 // Project decodes the selected fields of b into a new record in the
 // caller's field order (Record.Project of the decoded record, without
 // decoding it). A field past the record's arity is NULL.
 func (s *Selector) Project(b []byte) (Record, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("types: truncated record")
-	}
 	out := make(Record, len(s.field))
+	if err := s.ProjectInto(out, b); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ProjectInto is Project into out, of length Width.
+func (s *Selector) ProjectInto(out Record, b []byte) error {
+	if len(b) < 2 {
+		return fmt.Errorf("types: truncated record")
+	}
+	clear(out)
 	arity := int(binary.BigEndian.Uint16(b))
 	pos, next := 2, 0
 	for i := 0; i < arity && next < len(s.field); i++ {
 		if s.field[next] != i {
 			_, _, used, err := SplitValue(b[pos:])
 			if err != nil {
-				return nil, fmt.Errorf("types: record field %d: %w", i, err)
+				return fmt.Errorf("types: record field %d: %w", i, err)
 			}
 			pos += used
 			continue
 		}
 		v, used, err := DecodeValue(b[pos:])
 		if err != nil {
-			return nil, fmt.Errorf("types: record field %d: %w", i, err)
+			return fmt.Errorf("types: record field %d: %w", i, err)
 		}
 		pos += used
 		for ; next < len(s.field) && s.field[next] == i; next++ {
@@ -316,7 +356,7 @@ func (s *Selector) Project(b []byte) (Record, error) {
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Key is an opaque record key. The defining storage method controls its

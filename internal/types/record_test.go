@@ -169,6 +169,11 @@ func TestRecordEncodeDecodeRoundTrip(t *testing.T) {
 			rec[j] = randValue(r)
 		}
 		enc := rec.AppendEncode(nil)
+		if i%50 == 0 { // one growth per encoding, however many fields
+			if n := testing.AllocsPerRun(10, func() { rec.AppendEncode(nil) }); n != 1 {
+				t.Fatalf("encoding %v allocates %v times, want 1", rec, n)
+			}
+		}
 		got, n, err := DecodeRecord(enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("decode: %v (n=%d/%d)", err, n, len(enc))

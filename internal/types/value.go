@@ -261,6 +261,19 @@ func (v Value) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
+// encodedLen is the length of v's AppendEncode encoding.
+func (v *Value) encodedLen() int {
+	switch v.K {
+	case KindInt, KindBool, KindFloat:
+		return 9
+	case KindString:
+		return 5 + len(v.S)
+	case KindBytes:
+		return 5 + len(v.B)
+	}
+	return 1
+}
+
 // DecodeValue decodes one value from b, returning the value and the number
 // of bytes consumed.
 func DecodeValue(b []byte) (Value, int, error) {
