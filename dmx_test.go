@@ -362,7 +362,8 @@ func TestCloseFlushesDirtyFramesToDisk(t *testing.T) {
 // A relation handle opened before CREATE INDEX writes through the new
 // index: the probe that the plan sends to the btree finds the record.
 // After a rolled-back CREATE INDEX the handle writes as before the DDL,
-// and a handle on a dropped relation fails instead of writing.
+// a DROP that is not yet committed leaves its snapshot reads alone, and
+// a handle on a dropped relation fails instead of writing.
 func TestHandleFollowsAttachmentDDL(t *testing.T) {
 	db, err := Open(Config{})
 	if err != nil {
@@ -416,10 +417,52 @@ func TestHandleFollowsAttachmentDDL(t *testing.T) {
 		t.Fatalf("a record inserted through a handle opened before CREATE INDEX: %d rows through the index, want 2", n)
 	}
 
+	// A snapshot read through the handle runs on while a DROP is still
+	// uncommitted, and the handle writes again once the DROP rolls back.
+	s := db.NewSession()
+	if _, err := s.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("DROP TABLE t"); err != nil {
+		t.Fatal(err)
+	}
+	ro := db.BeginReadOnly()
+	scan, err := rel.OpenScan(ro, core.ScanOptions{})
+	if err != nil {
+		t.Fatalf("snapshot scan during an uncommitted DROP: %v", err)
+	}
+	n := 0
+	for {
+		_, _, ok, err := scan.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	scan.Close()
+	if err := ro.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("snapshot scan during an uncommitted DROP: %d rows, want 2", n)
+	}
+	if _, err := s.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	if err := insert(2, 42); err != nil {
+		t.Fatalf("insert after a rolled-back DROP: %v", err)
+	}
+	if n := selectB(42, "btree"); n != 3 {
+		t.Fatalf("after a rolled-back DROP: %d rows, want 3", n)
+	}
+
 	if _, err := db.Exec("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := insert(2, 42); !errors.Is(err, core.ErrNotFound) {
+	if err := insert(3, 42); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("insert through a handle on a dropped relation: %v, want ErrNotFound", err)
 	}
 }

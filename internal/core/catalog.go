@@ -154,7 +154,7 @@ func (c *Catalog) install(rd *RelDesc) {
 	defer c.mu.Unlock()
 	c.rels[rd.RelID] = rd
 	c.byName[strings.ToLower(rd.Name)] = rd.RelID
-	c.env.slot(rd.RelID).rd.Store(rd)
+	c.publish(rd)
 	// System relations live in a reserved high ID range; installing one
 	// must not drag the user-relation ID sequence up behind it.
 	if rd.RelID >= c.nextID && !IsSystemRelID(rd.RelID) {
@@ -177,7 +177,7 @@ func (c *Catalog) InstallSystem(rd *RelDesc) error {
 	}
 	c.rels[rd.RelID] = rd
 	c.byName[strings.ToLower(rd.Name)] = rd.RelID
-	c.env.slot(rd.RelID).rd.Store(rd)
+	c.publish(rd)
 	return nil
 }
 
@@ -187,8 +187,15 @@ func (c *Catalog) remove(relID uint32) {
 	if rd, ok := c.rels[relID]; ok {
 		delete(c.byName, strings.ToLower(rd.Name))
 		delete(c.rels, relID)
-		c.env.slot(relID).rd.Store(nil)
+		c.env.slot(relID).dropped.Store(true)
 	}
+}
+
+// publish stores rd in its relation's runtime slot for open handles.
+func (c *Catalog) publish(rd *RelDesc) {
+	s := c.env.slot(rd.RelID)
+	s.rd.Store(rd)
+	s.dropped.Store(false)
 }
 
 // ApplySystemLogged implements undo/redo for catalog log records: undo of

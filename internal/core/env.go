@@ -124,13 +124,14 @@ type attKey struct {
 // connections, so a concurrent second Open whose result is discarded is
 // not harmless. Readers load the published state without taking mu.
 // An smSlot also holds its relation's current descriptor, which the
-// catalog stores on every change (nil once the relation is dropped), so
-// a Relation handle reads the descriptor of the moment with one atomic
-// load.
+// catalog stores on every change, so a Relation handle reads the
+// descriptor of the moment with one atomic load. Dropping the relation
+// keeps the last descriptor and sets dropped, which its undo clears.
 type smSlot struct {
-	mu   sync.Mutex
-	inst atomic.Pointer[StorageInstance]
-	rd   atomic.Pointer[RelDesc]
+	mu      sync.Mutex
+	inst    atomic.Pointer[StorageInstance]
+	rd      atomic.Pointer[RelDesc]
+	dropped atomic.Bool
 }
 
 type attSlot struct {

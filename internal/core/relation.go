@@ -27,11 +27,13 @@ import (
 // A handle outlives attachment DDL: every operation reads the relation's
 // current descriptor (one atomic load of its runtime slot), so records
 // written through a handle opened before CREATE INDEX reach the new
-// index. Once the relation is dropped, every operation fails.
+// index. Once the relation is dropped, a write through the handle fails;
+// reads go on as before, so a snapshot reader is not failed by a DROP
+// that has not committed and may still roll back.
 type Relation struct {
 	env  *Env
 	rd   *RelDesc // as opened: the identity, name, schema and storage method, which no DDL changes
-	slot *smSlot  // the current descriptor, nil once dropped
+	slot *smSlot  // the current descriptor, and whether the relation is dropped
 	sm   StorageInstance
 	stat *RelStat // per-relation rollup (sys.stat_relations); cached to skip the table lookup per op
 	mvcc bool     // storage method stamps versions: snapshot reads skip the lock manager
@@ -42,7 +44,7 @@ type Relation struct {
 // query plan; the handle operates through the catalog's current one.
 func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
 	slot := env.slot(rd.RelID)
-	if slot.rd.Load() == nil {
+	if slot.rd.Load() == nil || slot.dropped.Load() {
 		return nil, fmt.Errorf("%w: relation %q is not in the catalog", ErrNotFound, rd.Name)
 	}
 	sm, err := slot.open(env, rd)
@@ -53,14 +55,14 @@ func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
 	return &Relation{env: env, rd: rd, slot: slot, sm: sm, stat: env.relStats.get(rd.RelID), mvcc: mvcc}, nil
 }
 
-// desc returns the relation's current descriptor, or an error once the
-// relation is dropped. A writer reads it under its relation lock, which
-// attachment DDL (holding the relation exclusively) cannot change.
-func (r *Relation) desc() (*RelDesc, error) {
-	if rd := r.slot.rd.Load(); rd != nil {
-		return rd, nil
+// writeDesc returns the descriptor a write notifies through, or an error
+// once the relation is dropped. A writer reads it under its relation
+// lock, which DDL (holding the relation exclusively) cannot change.
+func (r *Relation) writeDesc() (*RelDesc, error) {
+	if r.slot.dropped.Load() {
+		return nil, fmt.Errorf("%w: relation %q was dropped", ErrNotFound, r.rd.Name)
 	}
-	return nil, fmt.Errorf("%w: relation %q was dropped", ErrNotFound, r.rd.Name)
+	return r.slot.rd.Load(), nil
 }
 
 // chargeWritten books n modified rows against the transaction's ledger
@@ -98,13 +100,8 @@ func (env *Env) OpenRelationByName(name string) (*Relation, error) {
 }
 
 // Desc returns the relation descriptor this handle operates through: the
-// current one, or the last one the handle saw once the relation is dropped.
-func (r *Relation) Desc() *RelDesc {
-	if rd := r.slot.rd.Load(); rd != nil {
-		return rd
-	}
-	return r.rd
-}
+// current one, or the last one once the relation is dropped.
+func (r *Relation) Desc() *RelDesc { return r.slot.rd.Load() }
 
 // Storage returns the underlying storage instance.
 func (r *Relation) Storage() StorageInstance { return r.sm }
@@ -131,7 +128,7 @@ func (r *Relation) Insert(tx *txn.Txn, rec types.Record) (key types.Key, err err
 	if err := tx.Lock(lock.RelResource(r.rd.RelID), lock.ModeIX); err != nil {
 		return nil, err
 	}
-	rd, err := r.desc()
+	rd, err := r.writeDesc()
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +174,7 @@ func (r *Relation) Update(tx *txn.Txn, key types.Key, newRec types.Record) (newK
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
 		return nil, err
 	}
-	rd, err := r.desc()
+	rd, err := r.writeDesc()
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +222,7 @@ func (r *Relation) Delete(tx *txn.Txn, key types.Key) (err error) {
 	if err := tx.Lock(lock.KeyResource(r.rd.RelID, key), lock.ModeX); err != nil {
 		return err
 	}
-	rd, err := r.desc()
+	rd, err := r.writeDesc()
 	if err != nil {
 		return err
 	}
@@ -383,7 +380,7 @@ func (r *Relation) FetchForUpdate(tx *txn.Txn, key types.Key, fields []int, filt
 }
 
 func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr, relMode, keyMode lock.Mode) (types.Record, error) {
-	if err := r.readable(tx); err != nil {
+	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
@@ -401,14 +398,6 @@ func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 		r.chargeRead(tx, 1)
 	}
 	return rec, err
-}
-
-// readable checks that the relation still exists and that tx may read it.
-func (r *Relation) readable(tx *txn.Txn) error {
-	if _, err := r.desc(); err != nil {
-		return err
-	}
-	return r.env.Authz.Check(tx, r.rd, PrivRead)
 }
 
 // LockForWrite declares, before the first read, that the transaction will
@@ -436,7 +425,7 @@ func (r *Relation) LockForWrite(tx *txn.Txn, scan bool) error {
 // closed at transaction termination, its position is saved when a rollback
 // point is established and restored after partial rollback.
 func (r *Relation) OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error) {
-	if err := r.readable(tx); err != nil {
+	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
 		return nil, err
 	}
 	if !r.lockFree(tx) {
@@ -533,11 +522,7 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 			return nil, err
 		}
 	}
-	rd, err := r.desc()
-	if err != nil {
-		return nil, err
-	}
-	inst, err := r.env.AttachmentInstance(rd, id)
+	inst, err := r.env.AttachmentInstance(r.Desc(), id)
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +674,7 @@ func (f *AccessFetch) fill() error {
 		run.done = true // also a lookup that found no key: a run of capacity 0
 		return nil
 	}
-	if err := f.r.readable(f.tx); err != nil {
+	if err := f.r.env.Authz.Check(f.tx, f.r.rd, PrivRead); err != nil {
 		return err
 	}
 	run.out = run.out[:len(run.keys)]

@@ -18,9 +18,10 @@ import (
 // INT and BOOL compare as raw int64s, STRING and BYTES bodies byte-wise,
 // and any other pair of kinds through types.Compare on the one decoded
 // field. Match skips the fields before one it reads by their length
-// alone, and compares an INT or BOOL field against a constant of its kind
-// straight off its bytes; a field of any other kind, or bytes that are
-// malformed, go through types.SplitValue, whose error Match reports.
+// alone (types.ValueLen, inlined) and tests a term on the one value it
+// reads, an INT or BOOL against a constant of its kind inline; bytes
+// that are malformed go through types.SplitValue, whose error Match
+// reports.
 // Each run of the other conjuncts stays one residual step, which the
 // tree-walking Evaluator runs over the fields it reads, decoded from the
 // same bytes.
@@ -50,7 +51,6 @@ type step struct {
 	op    Op          // term: a comparison, or OpIsNull
 	val   types.Value // term: the constant compared against
 	body  []byte      // term: val's STRING or BYTES body
-	fast  bool        // term: a comparison with an INT or BOOL constant
 }
 
 // Compile compiles filter, with its parameter markers bound to params, for
@@ -138,8 +138,6 @@ func term(e *Expr, params []types.Value) (step, bool) {
 			return step{}, false
 		}
 		switch st.val.K {
-		case types.KindInt, types.KindBool:
-			st.fast = true
 		case types.KindString:
 			st.body = []byte(st.val.S)
 		case types.KindBytes:
@@ -204,19 +202,18 @@ func (p *Program) Match(enc []byte) (bool, error) {
 		if off < 0 {
 			return false, errFieldRange(st.field, arity)
 		}
-		if st.fast && len(enc)-off >= 9 && types.Kind(enc[off]) == st.val.K {
-			// An INT or BOOL field against a constant of its kind: the
-			// comparison testEncoded would make, without splitting.
-			if !holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(enc[off+1:])), st.val.I)) {
+		raw := enc[off:]
+		n := types.ValueLen(raw)
+		if n == 0 {
+			return false, errField(st.field, raw)
+		}
+		if k := types.Kind(raw[0]); k == st.val.K && (k == types.KindInt || k == types.KindBool) {
+			if !holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(raw[1:])), st.val.I)) {
 				return false, nil
 			}
 			continue
 		}
-		k, body, _, err := types.SplitValue(enc[off:])
-		if err != nil {
-			return false, fmt.Errorf("expr: record field %d: %w", st.field, err)
-		}
-		if ok, err := st.testEncoded(k, body, enc[off:]); !ok || err != nil {
+		if ok, err := st.testEncoded(raw[:n]); !ok || err != nil {
 			return false, err
 		}
 	}
@@ -248,44 +245,15 @@ func (p *Program) locate(enc []byte) (int, error) {
 			break
 		}
 		for ; at < f; at++ {
-			if n := skipLen(enc[pos:]); n > 0 {
-				pos += n
-				continue
-			}
-			_, _, n, err := types.SplitValue(enc[pos:])
-			if err != nil {
-				return 0, fmt.Errorf("expr: record field %d: %w", at, err)
+			n := types.ValueLen(enc[pos:])
+			if n == 0 {
+				return 0, errField(at, enc[pos:])
 			}
 			pos += n
 		}
 		p.off[i] = pos
 	}
 	return arity, nil
-}
-
-// skipLen is the encoded length of the well-formed value at the start of
-// b, the n SplitValue would return, or 0 when the value is truncated or of
-// no kind: the caller then asks SplitValue for the error.
-func skipLen(b []byte) int {
-	if len(b) == 0 {
-		return 0
-	}
-	n := 0
-	switch types.Kind(b[0]) {
-	case types.KindNull:
-		return 1
-	case types.KindInt, types.KindBool, types.KindFloat:
-		n = 9
-	case types.KindString, types.KindBytes:
-		if len(b) < 5 {
-			return 0
-		}
-		n = 5 + int(binary.BigEndian.Uint32(b[1:]))
-	}
-	if n > len(b) || n < 5 {
-		return 0
-	}
-	return n
 }
 
 // decode stores the fields residual steps read at their own positions of
@@ -316,9 +284,12 @@ func (st *step) test(v types.Value) bool {
 	return !v.IsNull() && !st.val.IsNull() && holds(st.op, types.Compare(v, st.val))
 }
 
-// testEncoded is test on the field encoded at raw, which SplitValue
-// split into kind k and body.
-func (st *step) testEncoded(k types.Kind, body, raw []byte) (bool, error) {
+// testEncoded is test on raw, one well-formed encoded value that is not
+// an INT or BOOL tested against a constant of its kind (Match compares
+// those inline): STRING and BYTES bodies compare byte-wise, any other
+// pair of kinds through the decoded value.
+func (st *step) testEncoded(raw []byte) (bool, error) {
+	k := types.Kind(raw[0])
 	switch {
 	case st.op == OpIsNull:
 		return k == types.KindNull, nil
@@ -327,13 +298,18 @@ func (st *step) testEncoded(k types.Kind, body, raw []byte) (bool, error) {
 	case k != st.val.K: // INT against FLOAT, or kinds ordered by their tags
 		v, _, err := types.DecodeValue(raw)
 		return err == nil && st.test(v), err
-	case k == types.KindInt || k == types.KindBool:
-		return holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(body)), st.val.I)), nil
 	case k == types.KindFloat:
-		return st.test(types.Float(math.Float64frombits(binary.BigEndian.Uint64(body)))), nil
+		return st.test(types.Float(math.Float64frombits(binary.BigEndian.Uint64(raw[1:])))), nil
 	default: // STRING, BYTES
-		return holds(st.op, bytes.Compare(body, st.body)), nil
+		return holds(st.op, bytes.Compare(raw[5:], st.body)), nil
 	}
+}
+
+// errField is the error for field, whose encoded value at the start of b
+// is malformed.
+func errField(field int, b []byte) error {
+	_, _, _, err := types.SplitValue(b)
+	return fmt.Errorf("expr: record field %d: %w", field, err)
 }
 
 func errFieldRange(field, arity int) error {

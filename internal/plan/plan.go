@@ -711,11 +711,13 @@ type hashTable struct {
 
 type chain struct{ first, last int32 }
 
-// newHashTable sizes a table for the build's estimated row count.
+// newHashTable sizes a table for the build's estimated row count, up to
+// 4 096 rows (128 KB): a build past that reads enough rows for a few
+// doublings not to matter, and an estimate too high costs no more.
 func newHashTable(estimate float64) *hashTable {
 	n := 1
 	if estimate > 0 {
-		n += int(min(estimate, 1<<16))
+		n += int(min(estimate, 1<<12))
 	}
 	return &hashTable{recs: make([]types.Record, 0, n), ends: make([]int, 0, n)}
 }

@@ -253,34 +253,61 @@ var (
 	errBadKind        = errors.New("types: bad value kind")
 )
 
+// ValueLen is the encoded length of the well-formed value at the start of
+// b, or 0 when the value is truncated or of no kind; SplitValue then says
+// which. It is the one place the lengths of the encoding are read, and
+// small enough to inline into a loop that skips fields.
+func ValueLen(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	n := 1
+	switch Kind(b[0]) {
+	case KindNull:
+	case KindInt, KindBool, KindFloat:
+		n = 9
+	case KindString, KindBytes:
+		if len(b) < 5 {
+			return 0
+		}
+		n = 5 + int(binary.BigEndian.Uint32(b[1:]))
+	default:
+		return 0
+	}
+	if n < 1 || n > len(b) {
+		return 0
+	}
+	return n
+}
+
 // SplitValue splits the encoded value at the start of b into its kind and
 // its body, without materialising it: the 8 big-endian bytes of an INT,
 // BOOL or FLOAT, the bytes of a STRING or BYTES, none for NULL. n is the
 // value's encoded length. The body aliases b.
 func SplitValue(b []byte) (k Kind, body []byte, n int, err error) {
-	if len(b) < 1 {
+	if n = ValueLen(b); n == 0 {
+		if len(b) > 0 && !Kind(b[0]).encodable() {
+			return 0, nil, 0, errBadKind
+		}
 		return 0, nil, 0, errTruncatedValue
 	}
 	switch k = Kind(b[0]); k {
 	case KindNull:
 		return k, nil, 1, nil
-	case KindInt, KindBool, KindFloat:
-		if len(b) < 9 {
-			return 0, nil, 0, errTruncatedValue
-		}
-		return k, b[1:9], 9, nil
 	case KindString, KindBytes:
-		if len(b) < 5 {
-			return 0, nil, 0, errTruncatedValue
-		}
-		n = 5 + int(binary.BigEndian.Uint32(b[1:]))
-		if n < 5 || len(b) < n {
-			return 0, nil, 0, errTruncatedValue
-		}
 		return k, b[5:n], n, nil
 	default:
-		return 0, nil, 0, errBadKind
+		return k, b[1:n], n, nil
 	}
+}
+
+// encodable reports whether k is a kind SplitValue splits.
+func (k Kind) encodable() bool {
+	switch k {
+	case KindNull, KindInt, KindBool, KindFloat, KindString, KindBytes:
+		return true
+	}
+	return false
 }
 
 // Selector decodes chosen fields of encoded records, skipping (without
