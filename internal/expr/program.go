@@ -289,7 +289,7 @@ func (st *step) test(v types.Value) bool {
 // those inline): STRING and BYTES bodies compare byte-wise, any other
 // pair of kinds through the decoded value.
 func (st *step) testEncoded(raw []byte) (bool, error) {
-	k := types.Kind(raw[0])
+	k, body, _, _ := types.SplitValue(raw) // no error: ValueLen measured raw
 	switch {
 	case st.op == OpIsNull:
 		return k == types.KindNull, nil
@@ -299,9 +299,9 @@ func (st *step) testEncoded(raw []byte) (bool, error) {
 		v, _, err := types.DecodeValue(raw)
 		return err == nil && st.test(v), err
 	case k == types.KindFloat:
-		return st.test(types.Float(math.Float64frombits(binary.BigEndian.Uint64(raw[1:])))), nil
+		return st.test(types.Float(math.Float64frombits(binary.BigEndian.Uint64(body)))), nil
 	default: // STRING, BYTES
-		return holds(st.op, bytes.Compare(raw[5:], st.body)), nil
+		return holds(st.op, bytes.Compare(body, st.body)), nil
 	}
 }
 
