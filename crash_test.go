@@ -33,7 +33,10 @@ const crashMaxRows = 400
 // database is deliberately not closed — the process died), then reopens
 // from the surviving files, recovers, and asserts the durability
 // contract: acknowledged work fully visible, unacknowledged work atomic.
-func runCrashMatrix(t *testing.T, scenarios []fault.Scenario, checkpointEvery int) {
+// With checkpointAfter > 0 the workload takes a checkpoint right after
+// that row is acknowledged. It returns the directory holding one
+// subdirectory of database files per scenario.
+func runCrashMatrix(t *testing.T, scenarios []fault.Scenario, checkpointEvery, checkpointAfter int) string {
 	t.Helper()
 	root := t.TempDir()
 	states := make(map[string]*crashState, len(scenarios))
@@ -43,38 +46,7 @@ func runCrashMatrix(t *testing.T, scenarios []fault.Scenario, checkpointEvery in
 		Workload: func(s fault.Scenario, inj *fault.Injector) error {
 			st := &crashState{dir: filepath.Join(root, s.Name)}
 			states[s.Name] = st
-			if err := os.MkdirAll(st.dir, 0o755); err != nil {
-				return err
-			}
-			db, err := Open(Config{
-				LogPath:         filepath.Join(st.dir, "wal.log"),
-				DiskPath:        filepath.Join(st.dir, "data.db"),
-				PoolFrames:      4, // force dirty-page evictions
-				CheckpointEvery: checkpointEvery,
-				Faults:          inj,
-			})
-			if err != nil {
-				return err
-			}
-			// No db.Close(): the injected crash is a process death, so the
-			// files keep whatever the engine managed to make durable.
-			if _, err := db.Exec("CREATE TABLE t (id INT NOT NULL, pad STRING) USING heap"); err != nil {
-				return err
-			}
-			st.ddlAcked = 1
-			if _, err := db.Exec("CREATE INDEX byid ON t (id)"); err != nil {
-				return err
-			}
-			st.ddlAcked = 2
-			for i := 1; i <= crashMaxRows; i++ {
-				st.inFlight = i
-				if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, crashPad)); err != nil {
-					return err
-				}
-				st.inFlight = 0
-				st.acked = append(st.acked, i)
-			}
-			return fmt.Errorf("workload finished without crashing")
+			return crashWorkload(st, inj, checkpointEvery, checkpointAfter, nil)
 		},
 		Verify: func(tb fault.TB, s fault.Scenario) {
 			st := states[s.Name]
@@ -139,19 +111,68 @@ func runCrashMatrix(t *testing.T, scenarios []fault.Scenario, checkpointEvery in
 		},
 	}
 	h.Run(t)
+	return root
+}
+
+// crashWorkload runs a fresh file-backed database in st.dir: CREATE TABLE,
+// CREATE INDEX, then up to crashMaxRows inserts, recording in st what was
+// acknowledged, until a guarded operation fails. With checkpointAfter > 0
+// it takes a checkpoint right after that row is acknowledged, then calls
+// checkpointed, if set. It never closes the database: the injected crash
+// is a process death, so the files keep whatever the engine managed to
+// make durable.
+func crashWorkload(st *crashState, inj *fault.Injector, checkpointEvery, checkpointAfter int, checkpointed func()) error {
+	if err := os.MkdirAll(st.dir, 0o755); err != nil {
+		return err
+	}
+	db, err := Open(Config{
+		LogPath:         filepath.Join(st.dir, "wal.log"),
+		DiskPath:        filepath.Join(st.dir, "data.db"),
+		PoolFrames:      4, // force dirty-page evictions
+		CheckpointEvery: checkpointEvery,
+		Faults:          inj,
+	})
+	if err != nil {
+		return err
+	}
+	if _, err := db.Exec("CREATE TABLE t (id INT NOT NULL, pad STRING) USING heap"); err != nil {
+		return err
+	}
+	st.ddlAcked = 1
+	if _, err := db.Exec("CREATE INDEX byid ON t (id)"); err != nil {
+		return err
+	}
+	st.ddlAcked = 2
+	for i := 1; i <= crashMaxRows; i++ {
+		st.inFlight = i
+		if _, err := db.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, crashPad)); err != nil {
+			return err
+		}
+		st.inFlight = 0
+		st.acked = append(st.acked, i)
+		if i == checkpointAfter {
+			if err := db.Checkpoint(); err != nil {
+				return err
+			}
+			if checkpointed != nil {
+				checkpointed()
+			}
+		}
+	}
+	return fmt.Errorf("workload finished without crashing")
 }
 
 // TestCrashMatrix sweeps every registered crash site (deep variants with
 // DMX_CRASH_DEEP=1, as run by `make crash`).
 func TestCrashMatrix(t *testing.T) {
-	runCrashMatrix(t, fault.Matrix(os.Getenv("DMX_CRASH_DEEP") != ""), -1)
+	runCrashMatrix(t, fault.Matrix(os.Getenv("DMX_CRASH_DEEP") != ""), -1, 0)
 }
 
 // TestCrashMatrixWithCheckpoints repeats the sweep with aggressive
 // checkpointing, so crashes land before, inside, and after checkpoint
 // writes and recovery starts from a truncated log.
 func TestCrashMatrixWithCheckpoints(t *testing.T) {
-	runCrashMatrix(t, fault.Matrix(os.Getenv("DMX_CRASH_DEEP") != ""), 8)
+	runCrashMatrix(t, fault.Matrix(os.Getenv("DMX_CRASH_DEEP") != ""), 8, 0)
 }
 
 // TestCheckpointBoundsRedo asserts the point of checkpointing: restart
@@ -276,5 +297,46 @@ func TestCrashBetweenCommitForceAndStampPublication(t *testing.T) {
 	}
 	if !seen[1] || !seen[2] || len(seen) != 2 {
 		t.Fatalf("snapshot read after recovery saw %v, want rows 1 and 2", seen)
+	}
+}
+
+// TestCrashInCheckpointRewrite crashes inside and after the checkpoint's
+// head rewrite, which writes the log from the checkpoint record into
+// wal.log.ckpt, syncs it and renames it over wal.log: after a torn write
+// of the new file, after its sync (before the rename), and after the
+// rename, tearing the third commit forced into the new file. A probe run
+// of the same workload, disarmed, finds the hit of each site: the rewrite
+// is the checkpoint's last write and last sync. Every cell must recover
+// every acknowledged row, with index lookups agreeing, and leave
+// wal.log.ckpt behind exactly when the crash came before the rename.
+func TestCrashInCheckpointRewrite(t *testing.T) {
+	const after = 40
+	probe := fault.New()
+	var flush, synced int
+	err := crashWorkload(&crashState{dir: filepath.Join(t.TempDir(), "probe")}, probe, -1, after, func() {
+		flush, synced = probe.Hits(fault.SiteWALFlush), probe.Hits(fault.SiteWALSynced)
+		probe.Arm(fault.SiteWALAppend, 1) // nothing after the checkpoint is needed
+	})
+	if flush == 0 || !probe.Crashed() {
+		t.Fatalf("probe never checkpointed: %v", err)
+	}
+	cells := []struct {
+		s       fault.Scenario
+		renamed bool
+	}{
+		{fault.Scenario{Name: "rewrite-torn", Site: fault.SiteWALFlush, Nth: flush, Torn: true, Keep: 1000}, false},
+		{fault.Scenario{Name: "rewrite-synced", Site: fault.SiteWALSynced, Nth: synced}, false},
+		{fault.Scenario{Name: "after-rename", Site: fault.SiteWALFlush, Nth: flush + 3, Torn: true, Keep: 11}, true},
+	}
+	var scenarios []fault.Scenario
+	for _, c := range cells {
+		scenarios = append(scenarios, c.s)
+	}
+	root := runCrashMatrix(t, scenarios, -1, after)
+	for _, c := range cells {
+		_, err := os.Stat(filepath.Join(root, c.s.Name, "wal.log.ckpt"))
+		if left := err == nil; left == c.renamed {
+			t.Errorf("%s: wal.log.ckpt left behind %v, want %v", c.s.Name, left, !c.renamed)
+		}
 	}
 }

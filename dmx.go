@@ -134,7 +134,7 @@ type Config struct {
 	// (servers=<name>,...) reach. They are attached before recovery, which
 	// needs every server a relation names.
 	Servers map[string]*ForeignServer
-	// CheckpointEvery takes a fuzzy checkpoint (and truncates the log head)
+	// CheckpointEvery takes a checkpoint (and truncates the log head)
 	// after that many log appends. 0 checkpoints only at Close; negative
 	// disables checkpointing entirely.
 	CheckpointEvery int
@@ -220,7 +220,7 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// Checkpoint takes a fuzzy checkpoint now: the active-transaction table
+// Checkpoint takes a checkpoint now: the active-transaction table
 // and a replayable snapshot of every relation are appended to the log and
 // the log head before them is truncated, bounding restart-redo work. It
 // returns core.ErrCheckpointBusy (without harm) when concurrent writers

@@ -87,6 +87,9 @@ func (env *Env) Checkpoint() error {
 		return ErrCheckpointBusy
 	}
 
+	// Every snapshot record is encoded into buf, one buffer reused for the
+	// whole snapshot: the log copies each payload it appends.
+	var buf []byte
 	snap := func(emit func(owner wal.Owner, payload []byte) error) error {
 		for _, name := range env.Cat.List() {
 			rd, ok := env.Cat.ByName(name)
@@ -96,7 +99,8 @@ func (env *Env) Checkpoint() error {
 			// The descriptor record replays through the same path as a
 			// logged CREATE, installing schema, SM descriptor and
 			// attachment descriptors in one step.
-			if err := emit(wal.Owner{Class: wal.OwnerSystem, RelID: rd.RelID}, append([]byte{catCreate}, rd.AppendEncode(nil)...)); err != nil {
+			buf = rd.AppendEncode(append(buf[:0], catCreate))
+			if err := emit(wal.Owner{Class: wal.OwnerSystem, RelID: rd.RelID}, buf); err != nil {
 				return err
 			}
 			ops := env.Reg.StorageOps(rd.SM)
@@ -121,7 +125,8 @@ func (env *Env) Checkpoint() error {
 				if !ok {
 					break
 				}
-				if err := emit(owner, EncodeMod(ModPayload{Op: ModInsert, Key: key, New: rec})); err != nil {
+				buf = AppendMod(buf[:0], ModPayload{Op: ModInsert, Key: key, New: rec})
+				if err := emit(owner, buf); err != nil {
 					scan.Close()
 					return err
 				}

@@ -230,7 +230,7 @@ func TestModPayloadRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			p.New = rec(int64(i), "new")
 		}
-		got, err := core.DecodeMod(core.EncodeMod(p))
+		got, err := core.DecodeMod(core.AppendMod(nil, p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,9 +46,6 @@ type ModPayload struct {
 	New    types.Record // nil for deletes
 }
 
-// EncodeMod serialises a modification payload.
-func EncodeMod(p ModPayload) []byte { return AppendMod(nil, p) }
-
 // AppendMod appends the serialised modification payload to dst.
 func AppendMod(dst []byte, p ModPayload) []byte {
 	out := append(dst, byte(p.Op))
@@ -59,7 +56,7 @@ func AppendMod(dst []byte, p ModPayload) []byte {
 	return out
 }
 
-// DecodeMod reverses EncodeMod. It accepts only what EncodeMod writes:
+// DecodeMod reverses AppendMod. It accepts only what AppendMod writes:
 // trailing bytes are an error.
 func DecodeMod(b []byte) (ModPayload, error) {
 	var p ModPayload

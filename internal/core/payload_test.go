@@ -63,14 +63,14 @@ func FuzzDecodeMod(f *testing.F) {
 		{Op: core.ModUpdate, Key: k1, NewKey: k2, Old: old, New: moved},
 		{Op: core.ModDelete, Key: k2, Old: moved},
 	} {
-		f.Add(core.EncodeMod(p))
+		f.Add(core.AppendMod(nil, p))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		p, err := core.DecodeMod(b)
 		if err != nil {
 			return
 		}
-		if again := core.EncodeMod(p); !bytes.Equal(again, b) {
+		if again := core.AppendMod(nil, p); !bytes.Equal(again, b) {
 			t.Fatalf("DecodeMod(%x) = %+v re-encodes to %x", b, p, again)
 		}
 		if again := core.AppendMod([]byte{0xAB}, p); again[0] != 0xAB || !bytes.Equal(again[1:], b) {
@@ -82,7 +82,7 @@ func FuzzDecodeMod(f *testing.F) {
 var payloadSink []byte
 
 // BenchmarkAppendMod encodes an update payload, the largest a write logs,
-// into a fresh slice (EncodeMod) and into a reused buffer (AppendMod, as
+// into a fresh slice and into a reused buffer (AppendMod, as
 // LogSM does).
 func BenchmarkAppendMod(b *testing.B) {
 	p := core.ModPayload{
@@ -95,7 +95,7 @@ func BenchmarkAppendMod(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			payloadSink = core.EncodeMod(p)
+			payloadSink = core.AppendMod(nil, p)
 		}
 	})
 	b.Run("reused", func(b *testing.B) {

@@ -13,7 +13,11 @@ import (
 
 // OperatorStats counts one operator's work during the most recent
 // execution of a bound plan: cursor calls, records produced, and wall
-// time spent inside the operator (including its children).
+// time spent inside the operator (including its children). Outside a
+// detailed trace the time is sampled: the first call and every 64th are
+// timed, and TimeNanos is their time scaled by Calls over the timed
+// calls. A detailed-traced operator times every call, so TimeNanos is
+// its span's duration.
 type OperatorStats struct {
 	Name      string `json:"name"`
 	Calls     int64  `json:"calls"`
@@ -78,6 +82,11 @@ func (b *Bound) ExplainAnalyze() string {
 	return sb.String()
 }
 
+// timeSampleEvery is the stride of the calls an untraced operator times:
+// the clock costs two reads per call, which a per-row operator would
+// otherwise pay on every row.
+const timeSampleEvery = 64
+
 // countedRows wraps a cursor, charging each Next to an OperatorStats and
 // (when traced) attributing the call to the operator's span.
 type countedRows struct {
@@ -86,6 +95,8 @@ type countedRows struct {
 	tr     *trace.TxnTrace
 	span   *trace.Span
 	closed bool
+	timed  int64 // calls whose time was measured
+	nanos  int64 // their total time
 }
 
 func (c *countedRows) Next() (types.Record, bool, error) {
@@ -95,7 +106,11 @@ func (c *countedRows) Next() (types.Record, bool, error) {
 	return rec, ok, err
 }
 
-func (c *countedRows) enter() (*trace.Span, time.Duration) {
+// enter starts a call; start is negative for a call that is not timed.
+func (c *countedRows) enter() (prev *trace.Span, start time.Duration) {
+	if c.tr == nil && c.st.Calls%timeSampleEvery != 0 {
+		return nil, -1
+	}
 	return c.tr.Enter(c.span), obs.Clock()
 }
 
@@ -104,7 +119,15 @@ func (c *countedRows) exit(prev *trace.Span, start time.Duration, ok bool) {
 	if ok {
 		c.st.Rows++
 	}
-	c.st.TimeNanos += (obs.Clock() - start).Nanoseconds()
+	if start >= 0 {
+		c.timed++
+		c.nanos += (obs.Clock() - start).Nanoseconds()
+	}
+	if c.timed == c.st.Calls {
+		c.st.TimeNanos = c.nanos
+	} else {
+		c.st.TimeNanos = c.nanos / c.timed * c.st.Calls
+	}
 	c.tr.Exit(prev)
 }
 

@@ -99,6 +99,7 @@ type store struct {
 	nrecords int
 	vers     map[rid]*verMeta // MVCC version chains, newest first (nil until a write stamps one)
 	sweptHW  uint64           // snapshot horizon at the last retireVersions sweep
+	enc      []byte           // a write's encoded record, reused; putOn copies it into the page
 }
 
 // verMeta is one entry of a record address's version chain: the state
@@ -233,9 +234,12 @@ func (s *store) logStamped(tx *txn.Txn, f *buffer.Frame, p core.ModPayload) (wal
 }
 
 // pendingVers accumulates the version-chain entries one transaction
-// created in one heap store, to be stamped in bulk at commit.
+// created in one heap store, to be stamped in bulk at commit. The first
+// eight live in the list itself, so a short transaction's list is one
+// allocation.
 type pendingVers struct {
 	entries []*verMeta
+	inline  [8]*verMeta
 }
 
 // pushVersion prepends a chain entry at r and registers it for commit
@@ -273,7 +277,8 @@ func (s *store) notePending(tx *txn.Txn, e *verMeta) {
 		lst.entries = append(lst.entries, e)
 		return
 	}
-	lst := &pendingVers{entries: []*verMeta{e}}
+	lst := &pendingVers{}
+	lst.entries = append(lst.inline[:0], e)
 	stash[s.pendingKey] = lst
 	// Subscribe (not Defer): registration happens once, outside s.mu
 	// contention at commit time. Entries popped by undo before commit may
@@ -516,9 +521,10 @@ func (s *store) markOn(f *buffer.Frame, r rid, deleted bool) error {
 // log record appended within one pin session so the frame carries the
 // record's LSN before it can be stolen.
 func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
-	enc := rec.AppendEncode(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.enc = rec.AppendEncode(s.enc[:0])
+	enc := s.enc
 	page, err := s.pageFor(len(enc))
 	if err != nil {
 		return nil, err
@@ -550,9 +556,10 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 	if err != nil {
 		return nil, err
 	}
-	enc := newRec.AppendEncode(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.enc = newRec.AppendEncode(s.enc[:0])
+	enc := s.enc
 	fits := false
 	err = s.withPage(tx, r.page, true, func(f *buffer.Frame) error {
 		so, err := liveSlotAt(f, r)
@@ -895,8 +902,8 @@ func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	if e.Put == nil {
 		return nil
 	}
-	enc := e.Rec.AppendEncode(nil)
-	return replay(put, func(f *buffer.Frame) error { return s.putOn(f, put, enc) })
+	s.enc = e.Rec.AppendEncode(s.enc[:0])
+	return replay(put, func(f *buffer.Frame) error { return s.putOn(f, put, s.enc) })
 }
 
 var _ core.StorageInstance = (*store)(nil)

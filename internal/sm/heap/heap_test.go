@@ -673,7 +673,7 @@ func TestApplyLoggedEffects(t *testing.T) {
 			sm := mkHeap(t, env, "t").Storage()
 			apply := func(p core.ModPayload, undo bool) {
 				t.Helper()
-				if err := sm.ApplyLogged(0, core.EncodeMod(p), undo); err != nil {
+				if err := sm.ApplyLogged(0, core.AppendMod(nil, p), undo); err != nil {
 					t.Fatalf("ApplyLogged(%v, undo=%v): %v", p.Op, undo, err)
 				}
 			}

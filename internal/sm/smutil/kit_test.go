@@ -59,7 +59,7 @@ func TestLoggedEffect(t *testing.T) {
 		{"redo move", core.ModPayload{Op: core.ModUpdate, Key: k1, NewKey: k2, Old: old, New: new}, false, k1, k2, new},
 		{"undo move", core.ModPayload{Op: core.ModUpdate, Key: k1, NewKey: k2, Old: old, New: new}, true, k2, k1, old},
 	} {
-		e, err := LoggedEffect(core.EncodeMod(tc.p), tc.undo)
+		e, err := LoggedEffect(core.AppendMod(nil, tc.p), tc.undo)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -70,7 +70,7 @@ func TestLoggedEffect(t *testing.T) {
 			t.Errorf("%s: record %v, want %v", tc.name, e.Rec, tc.rec)
 		}
 	}
-	if _, err := LoggedEffect(core.EncodeMod(core.ModPayload{Op: 9, Key: k1}), false); err == nil {
+	if _, err := LoggedEffect(core.AppendMod(nil, core.ModPayload{Op: 9, Key: k1}), false); err == nil {
 		t.Error("unknown logged op accepted")
 	}
 }

@@ -40,7 +40,7 @@ func (l *Log) forceLocked(lsn LSN, led *obs.Counter) error {
 		if l.file != nil {
 			l.cut = l.chunksLocked(l.cut[:0], l.durable+1)
 			l.mu.Unlock()
-			n, err = l.writeCut()
+			n, err = l.writeCut(l.file, l.goodEnd, true)
 			l.mu.Lock()
 		}
 		if err == nil {
@@ -71,27 +71,28 @@ func (l *Log) idleLocked() {
 	}
 }
 
-// writeCut writes l.cut at goodEnd and syncs the file, returning the bytes
-// written. It runs in the one round in flight, without l.mu. An injected
+// writeCut writes l.cut to f at off and syncs f, returning the bytes
+// written. It runs in the one round in flight, without l.mu. On the log's
+// own file (extend) it first zero-fills through the extent boundary past
+// the cut; a head rewrite's fresh file is written exactly. An injected
 // torn write leaves the tear on disk (the simulated machine is off).
-func (l *Log) writeCut() (int64, error) {
+func (l *Log) writeCut(f logFile, off int64, extend bool) (int64, error) {
 	var total int64
 	for _, c := range l.cut {
 		total += int64(len(c))
 	}
 	allow, ferr := l.faults.BeforeWrite(fault.SiteWALFlush, int(total))
 	start := time.Now()
-	for end := l.goodEnd + total; ferr == nil && l.allocated < end; {
+	for end := off + total; extend && ferr == nil && l.allocated < end; {
 		grow := extentSize - l.allocated%extentSize
-		if _, err := l.file.WriteAt(zeroExtent[:grow], l.allocated); err != nil {
+		if _, err := f.WriteAt(zeroExtent[:grow], l.allocated); err != nil {
 			return 0, fmt.Errorf("wal: extend: %w", err)
 		}
 		l.allocated += grow
 	}
-	off := l.goodEnd
 	for _, c := range l.cut {
 		c = c[:min(len(c), allow)]
-		if _, err := l.file.WriteAt(c, off); err != nil && ferr == nil {
+		if _, err := f.WriteAt(c, off); err != nil && ferr == nil {
 			return 0, fmt.Errorf("wal: write frames: %w", err)
 		}
 		off += int64(len(c))
@@ -100,8 +101,11 @@ func (l *Log) writeCut() (int64, error) {
 	if ferr != nil {
 		return 0, ferr
 	}
+	if err := l.syncDir(); err != nil {
+		return 0, err
+	}
 	l.obs.Syncs.Inc()
-	if err := l.file.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.obs.ForceSeconds.Observe(time.Since(start))
@@ -161,6 +165,9 @@ func (l *Log) Close() error {
 	}
 	if err == nil {
 		err = l.file.Sync()
+	}
+	if err == nil {
+		err = l.syncDir()
 	}
 	if cerr := l.file.Close(); err == nil {
 		err = cerr

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"dmx/internal/fault"
@@ -146,10 +147,11 @@ type Log struct {
 	// The backing file. Frames through durable occupy [0, goodEnd); the
 	// file is zero-filled from there to allocated. The fields change only
 	// in a force round or with none in flight.
-	path      string // checkpoint truncation rewrites the file here
-	file      logFile
-	goodEnd   int64
-	allocated int64
+	path        string // checkpoint truncation rewrites the file here
+	file        logFile
+	goodEnd     int64
+	allocated   int64
+	dirUnsynced bool // the rename of a rewrite is not yet durable (syncDir)
 
 	// Forces. durable is the highest LSN known to be on stable storage;
 	// forcing marks the one round in flight; synced is broadcast when it
@@ -394,8 +396,9 @@ func (l *Log) ActiveTxns() []TxnID {
 // Checkpoint writes a checkpoint: a RecCheckpoint record carrying the
 // active-transaction table, the snapshot records the snap callback emits
 // (logged under CheckpointTxn), and the closing END record; the whole
-// chain is then forced to stable storage and the log head before the
-// checkpoint record is truncated, in memory and in the backing file.
+// chain is then made durable and the log head before the checkpoint
+// record is truncated, in memory and in the backing file
+// (closeCheckpointLocked).
 //
 // The caller must quiesce writers first (the engine holds every
 // relation's S lock across the callback), so the snapshot is the only
@@ -431,58 +434,109 @@ func (l *Log) Checkpoint(att []TxnID, stampHW uint64, snap func(emit func(owner 
 	if err != nil {
 		return err
 	}
-	if err := l.forceLocked(end, nil); err != nil {
+	if err := l.closeCheckpointLocked(ckptLSN, end); err != nil {
 		return err
 	}
-	// The checkpoint is complete and durable; drop the head. Crashing
-	// anywhere before this point leaves an incomplete checkpoint that
-	// recovery ignores in favour of the previous one. The file is swapped
-	// with no round in flight.
-	l.idleLocked()
-	l.truncateHeadLocked(ckptLSN)
 	l.sinceCkpt = 0
 	l.obs.Checkpoints.Inc()
 	return nil
 }
 
-// truncateHeadLocked drops every record with LSN < keep from the window —
-// whole segments; the one holding keep stays entire, its head out of
-// reach — and rewrites the backing file to start at keep, which forces
-// every record appended so far. A failure rewriting the file is benign —
-// the full log stays on disk and recovery still starts at the checkpoint.
-func (l *Log) truncateHeadLocked(keep LSN) {
-	if keep <= l.base+1 || keep >= l.next {
-		return
-	}
-	l.segs = append([]segment(nil), l.segs[l.segIndex(keep):]...)
-	l.base = keep - 1
-	if l.file == nil {
-		return
-	}
-	tmp, err := os.OpenFile(l.path+".ckpt", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return
-	}
-	var size int64
-	for _, frames := range l.chunksLocked(nil, keep) {
-		if err == nil {
-			_, err = tmp.Write(frames)
-			size += int64(len(frames))
+// closeCheckpointLocked makes the checkpoint whose record is keep and
+// whose END is end durable, then drops every record before keep from the
+// window: whole segments, the one holding keep stays entire, its head out
+// of reach. A file-backed log with a head to drop is rewritten to start
+// at keep, so the snapshot reaches the disk once: one force round, run
+// like forceLocked's with l.mu released so appenders go on, writes the
+// window from keep into path.ckpt, syncs it, renames it over the log and
+// syncs the directory (writeRewrite). Once renamed, the new file is the
+// log's, durable through the last record the round cut; a record appended
+// meanwhile reaches it with the next round. An in-memory log, one with
+// nothing to drop, or one whose rewrite failed before its rename forces
+// END into the current file instead; after a failed rewrite the full log
+// stays on disk, and recovery still starts at the checkpoint. Crashing
+// before END is durable leaves an incomplete checkpoint that recovery
+// ignores in favour of the previous one. l.mu is held on entry and on
+// return.
+func (l *Log) closeCheckpointLocked(keep, end LSN) error {
+	drop := keep > l.base+1
+	renamed := false
+	if drop && l.file != nil {
+		l.idleLocked()
+		l.forcing = true
+		target := l.next - 1
+		l.cut = l.chunksLocked(l.cut[:0], keep)
+		l.mu.Unlock()
+		f, n, err := l.writeRewrite()
+		l.mu.Lock()
+		l.forcing = false
+		l.synced.Broadcast()
+		if renamed = err == nil; renamed {
+			l.file.Close() // renamed over: nothing reads or writes it again
+			l.file, l.goodEnd, l.allocated, l.durable = f, n, n, target
 		}
 	}
+	if !renamed {
+		if err := l.forceLocked(end, nil); err != nil {
+			return err
+		}
+	}
+	if drop {
+		l.segs = append([]segment(nil), l.segs[l.segIndex(keep):]...)
+		l.base = keep - 1
+	}
+	return nil
+}
+
+// writeRewrite is closeCheckpointLocked's round without l.mu: it writes
+// l.cut into path.ckpt through the same crash sites as a force round,
+// renames it over the log and syncs the directory, returning the new file
+// and its size. A failure before the rename removes path.ckpt, unless the
+// injected crash killed the process, which removes nothing.
+func (l *Log) writeRewrite() (logFile, int64, error) {
+	tmp := l.path + ".ckpt"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := l.writeCut(f, 0, false)
 	if err == nil {
-		err = tmp.Sync()
+		err = l.faults.Hit(fault.SiteWALSynced)
 	}
 	if err == nil {
-		err = os.Rename(l.path+".ckpt", l.path)
+		err = os.Rename(tmp, l.path)
 	}
 	if err != nil {
-		tmp.Close()
-		os.Remove(l.path + ".ckpt")
-		return
+		f.Close()
+		if !l.faults.Crashed() {
+			os.Remove(tmp)
+		}
+		return nil, 0, err
 	}
-	l.file.Close()
-	l.file, l.goodEnd, l.allocated, l.durable = tmp, size, size, l.next-1
+	// Later commits are forced into the new file, so its name must be
+	// durable before any of them is acknowledged; a failed directory sync
+	// is retried by the next round, which fails until it succeeds.
+	l.dirUnsynced = true
+	_ = l.syncDir()
+	return f, n, nil
+}
+
+// syncDir makes a rename over the log durable by syncing its directory,
+// if one is pending. It runs in the one round in flight.
+func (l *Log) syncDir() error {
+	if !l.dirUnsynced {
+		return nil
+	}
+	d, err := os.Open(filepath.Dir(l.path))
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync directory: %w", err)
+	}
+	l.dirUnsynced = false
+	return nil
 }
 
 // CheckpointLSN returns the LSN of the last complete checkpoint in the
