@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dmx/internal/txn"
 	"dmx/internal/wal"
@@ -19,53 +21,140 @@ import (
 // Descriptors handed out by Get/ByName are immutable snapshots: DDL clones,
 // mutates, and swaps, so bound query plans embedding an old descriptor are
 // never mutated underneath — they detect staleness via the Version field.
-// Each swap is also stored in the relation's runtime slot, where open
-// Relation handles read it.
+//
+// Each relation ID has one runtime slot (relSlot): the current descriptor,
+// the storage and attachment instances and the dispatch rollup. mu guards
+// the two maps and nextID; a slot's own fields are atomics or guarded by
+// the slot's open locks.
 type Catalog struct {
 	env    *Env
 	mu     sync.RWMutex
-	rels   map[uint32]*RelDesc
-	byName map[string]uint32
+	slots  map[uint32]*relSlot // by relation ID, dropped relations included
+	byName map[string]*relSlot // catalogued relations by lower-cased name
 	nextID uint32
+}
+
+// relSlot is one relation's runtime state: the runtime copy of its
+// descriptor, with field N of att serving attachment type N as AttDesc[N]
+// describes it. A slot outlives its relation's drop: the drop keeps the
+// last descriptor and sets dropped (which its undo clears), and the rollup
+// stays behind sys.stat_relations (RelIDs are never reused in a process).
+// Open Relation handles keep their slot, so they read the descriptor of
+// the moment and reach the instances with no catalog lookup.
+type relSlot struct {
+	rd      atomic.Pointer[RelDesc]
+	dropped atomic.Bool
+	smMu    sync.Mutex // single-flight storage Open (and Close)
+	sm      atomic.Pointer[StorageInstance]
+	att     [MaxAttachmentTypes]attSlot
+	stat    RelStat
+}
+
+// attSlot caches one attachment type's instance on a relation. mu makes
+// opening and reconfiguring single-flight: Open may populate state from
+// the relation's contents or hold connections, so a concurrent second
+// Open whose result is discarded is not harmless. Readers load the
+// published entry without taking mu.
+type attSlot struct {
+	mu  sync.Mutex
+	cur atomic.Pointer[attEntry]
+}
+
+// attEntry is immutable once published; a reconfigure publishes a new one.
+type attEntry struct {
+	version uint64
+	inst    AttachmentInstance
 }
 
 // NewCatalog returns an empty catalog bound to env.
 func NewCatalog(env *Env) *Catalog {
 	return &Catalog{
 		env:    env,
-		rels:   make(map[uint32]*RelDesc),
-		byName: make(map[string]uint32),
+		slots:  make(map[uint32]*relSlot),
+		byName: make(map[string]*relSlot),
 		nextID: 1,
 	}
 }
 
 // Get returns the current descriptor for relID.
 func (c *Catalog) Get(relID uint32) (*RelDesc, bool) {
+	if s := c.live(relID); s != nil {
+		return s.rd.Load(), true
+	}
+	return nil, false
+}
+
+// live returns relID's slot while the relation is catalogued, else nil.
+func (c *Catalog) live(relID uint32) *relSlot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	rd, ok := c.rels[relID]
-	return rd, ok
+	if s := c.slots[relID]; s.catalogued() {
+		return s
+	}
+	return nil
 }
+
+// catalogued reports whether s holds a relation the catalog lists.
+func (s *relSlot) catalogued() bool { return s != nil && s.rd.Load() != nil && !s.dropped.Load() }
 
 // ByName returns the current descriptor for the named relation
 // (case-insensitive).
 func (c *Catalog) ByName(name string) (*RelDesc, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	id, ok := c.byName[strings.ToLower(name)]
-	if !ok {
-		return nil, false
+	if s := c.byName[strings.ToLower(name)]; s != nil {
+		return s.rd.Load(), true
 	}
-	return c.rels[id], true
+	return nil, false
 }
 
-// List returns all relation names in no particular order.
-func (c *Catalog) List() []string {
+// Relations returns the current descriptor of every catalogued relation,
+// system relations included, in name order.
+func (c *Catalog) Relations() []*RelDesc {
+	c.mu.RLock()
+	out := make([]*RelDesc, 0, len(c.byName))
+	for _, s := range c.byName {
+		out = append(out, s.rd.Load())
+	}
+	c.mu.RUnlock()
+	slices.SortFunc(out, func(a, b *RelDesc) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// slot returns relID's slot, creating it on first use: a storage instance
+// may be opened from a descriptor the catalog does not hold.
+func (c *Catalog) slot(relID uint32) *relSlot {
+	if s := c.lookup(relID); s != nil {
+		return s
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.slotLocked(relID)
+}
+
+func (c *Catalog) slotLocked(relID uint32) *relSlot {
+	s := c.slots[relID]
+	if s == nil {
+		s = &relSlot{}
+		c.slots[relID] = s
+	}
+	return s
+}
+
+// lookup returns relID's slot, or nil if it has none.
+func (c *Catalog) lookup(relID uint32) *relSlot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.rels))
-	for _, rd := range c.rels {
-		out = append(out, rd.Name)
+	return c.slots[relID]
+}
+
+// allSlots returns every slot, dropped relations' included.
+func (c *Catalog) allSlots() []*relSlot {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]*relSlot, 0, len(c.slots))
+	for _, s := range c.slots {
+		out = append(out, s)
 	}
 	return out
 }
@@ -103,16 +192,12 @@ func (c *Catalog) CreateRelation(tx *txn.Txn, rd *RelDesc) error {
 	return nil
 }
 
-// DropRelation removes the named relation under txn control. The
-// descriptor removal is undoable (the full descriptor is logged); the
-// actual release of the relation's storage is deferred until the
-// transaction commits, via the deferred action queue, so the drop can be
-// undone without logging the entire relation state.
-func (c *Catalog) DropRelation(tx *txn.Txn, name string) error {
-	rd, ok := c.ByName(name)
-	if !ok {
-		return fmt.Errorf("core: %w: relation %q", ErrNotFound, name)
-	}
+// DropRelation removes rd's relation under txn control. The descriptor
+// removal is undoable (the full descriptor is logged); the actual release
+// of the relation's storage is deferred until the transaction commits, via
+// the deferred action queue, so the drop can be undone without logging the
+// entire relation state.
+func (c *Catalog) DropRelation(tx *txn.Txn, rd *RelDesc) error {
 	payload := append([]byte{catDrop}, rd.AppendEncode(nil)...)
 	if _, err := tx.AppendLog(wal.Owner{Class: wal.OwnerSystem, RelID: rd.RelID}, payload); err != nil {
 		return err
@@ -149,12 +234,16 @@ func (c *Catalog) UpdateDesc(tx *txn.Txn, oldRD, newRD *RelDesc) error {
 	return c.env.InvalidateRelation(newRD.RelID)
 }
 
+// install makes rd its relation's current descriptor. It also places the
+// system relations, which are process state: installed at every Env
+// construction without logging, never checkpointed or recovered.
 func (c *Catalog) install(rd *RelDesc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.rels[rd.RelID] = rd
-	c.byName[strings.ToLower(rd.Name)] = rd.RelID
-	c.publish(rd)
+	s := c.slotLocked(rd.RelID)
+	s.rd.Store(rd)
+	s.dropped.Store(false)
+	c.byName[strings.ToLower(rd.Name)] = s
 	// System relations live in a reserved high ID range; installing one
 	// must not drag the user-relation ID sequence up behind it.
 	if rd.RelID >= c.nextID && !IsSystemRelID(rd.RelID) {
@@ -162,40 +251,13 @@ func (c *Catalog) install(rd *RelDesc) {
 	}
 }
 
-// InstallSystem places a system-relation descriptor in the catalog
-// without transaction control or logging: system relations are process
-// state, re-registered at every Env construction, never checkpointed or
-// recovered. Called by NewEnv only.
-func (c *Catalog) InstallSystem(rd *RelDesc) error {
-	if !IsSystemRelID(rd.RelID) {
-		return fmt.Errorf("core: system relation %q must use a reserved RelID, got %d", rd.Name, rd.RelID)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.byName[strings.ToLower(rd.Name)]; dup {
-		return fmt.Errorf("core: system relation %q already installed", rd.Name)
-	}
-	c.rels[rd.RelID] = rd
-	c.byName[strings.ToLower(rd.Name)] = rd.RelID
-	c.publish(rd)
-	return nil
-}
-
 func (c *Catalog) remove(relID uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rd, ok := c.rels[relID]; ok {
-		delete(c.byName, strings.ToLower(rd.Name))
-		delete(c.rels, relID)
-		c.env.slot(relID).dropped.Store(true)
+	if s := c.slots[relID]; s.catalogued() {
+		delete(c.byName, strings.ToLower(s.rd.Load().Name))
+		s.dropped.Store(true)
 	}
-}
-
-// publish stores rd in its relation's runtime slot for open handles.
-func (c *Catalog) publish(rd *RelDesc) {
-	s := c.env.slot(rd.RelID)
-	s.rd.Store(rd)
-	s.dropped.Store(false)
 }
 
 // ApplySystemLogged implements undo/redo for catalog log records: undo of

@@ -20,8 +20,8 @@ func TestCatalogLookups(t *testing.T) {
 	if _, ok := env.Cat.Get(999); ok {
 		t.Fatal("missing Get")
 	}
-	if names := env.Cat.List(); len(names) != 1 || names[0] != "Emp" {
-		t.Fatalf("List = %v", names)
+	if rds := env.Cat.Relations(); len(rds) != 1 || rds[0] != rd {
+		t.Fatalf("Relations = %v", rds)
 	}
 	// Duplicate names rejected.
 	tx := env.Begin()

@@ -57,9 +57,8 @@ func (env *Env) Checkpoint() error {
 			return ErrCheckpointBusy
 		}
 		added := false
-		for _, name := range env.Cat.List() {
-			rd, ok := env.Cat.ByName(name)
-			if !ok || locked[rd.RelID] {
+		for _, rd := range env.Cat.Relations() {
+			if locked[rd.RelID] {
 				continue
 			}
 			// System relations are virtual process state: nothing to
@@ -91,9 +90,8 @@ func (env *Env) Checkpoint() error {
 	// whole snapshot: the log copies each payload it appends.
 	var buf []byte
 	snap := func(emit func(owner wal.Owner, payload []byte) error) error {
-		for _, name := range env.Cat.List() {
-			rd, ok := env.Cat.ByName(name)
-			if !ok || !locked[rd.RelID] {
+		for _, rd := range env.Cat.Relations() {
+			if !locked[rd.RelID] {
 				continue // appeared after the lock sweep: replays in full
 			}
 			// The descriptor record replays through the same path as a
@@ -146,9 +144,8 @@ func (env *Env) Checkpoint() error {
 	// the checkpoint just captured — becomes the version every future
 	// snapshot starts from. Post-checkpoint writes rebuild chains whose
 	// LSNs all sit above the new log head.
-	for _, name := range env.Cat.List() {
-		rd, ok := env.Cat.ByName(name)
-		if !ok || !locked[rd.RelID] {
+	for _, rd := range env.Cat.Relations() {
+		if !locked[rd.RelID] {
 			continue
 		}
 		if inst, err := env.StorageInstance(rd); err == nil {

@@ -68,21 +68,10 @@ func (env *Env) CreateAttachment(tx *txn.Txn, relName, attName string, attrs Att
 		return nil, fmt.Errorf("core: unknown attachment type %q (registered: %v)",
 			attName, env.Reg.AttachmentNames())
 	}
-	rd, ok := env.Cat.ByName(relName)
-	if !ok {
-		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, relName)
-	}
-	if IsSystemRelID(rd.RelID) {
-		return nil, fmt.Errorf("core: relation %q is a system relation; attachments are not supported", relName)
-	}
-	if err := env.Authz.Check(tx, rd, PrivAdmin); err != nil {
+	rd, err := env.lockForDDL(tx, relName)
+	if err != nil {
 		return nil, err
 	}
-	if err := tx.Lock(lock.RelResource(rd.RelID), lock.ModeX); err != nil {
-		return nil, err
-	}
-	// Re-read under the lock: a concurrent DDL may have moved the version.
-	rd, _ = env.Cat.ByName(relName)
 	if ops.ValidateAttrs != nil {
 		if err := ops.ValidateAttrs(env, rd, attrs); err != nil {
 			return nil, err
@@ -148,17 +137,10 @@ func (env *Env) DropAttachment(tx *txn.Txn, relName, attName string, attrs AttrL
 	if ops == nil {
 		return nil, fmt.Errorf("core: unknown attachment type %q", attName)
 	}
-	rd, ok := env.Cat.ByName(relName)
-	if !ok {
-		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, relName)
-	}
-	if err := env.Authz.Check(tx, rd, PrivAdmin); err != nil {
+	rd, err := env.lockForDDL(tx, relName)
+	if err != nil {
 		return nil, err
 	}
-	if err := tx.Lock(lock.RelResource(rd.RelID), lock.ModeX); err != nil {
-		return nil, err
-	}
-	rd, _ = env.Cat.ByName(relName)
 	if !rd.HasAttachment(ops.ID) {
 		return nil, fmt.Errorf("%w: relation %q has no %s attachment", ErrNotFound, relName, attName)
 	}
@@ -182,18 +164,33 @@ func (env *Env) DropAttachment(tx *txn.Txn, relName, attName string, attrs AttrL
 // DropRelation removes the relation; the descriptor removal is undoable
 // and the storage release is deferred to commit.
 func (env *Env) DropRelation(tx *txn.Txn, relName string) error {
+	rd, err := env.lockForDDL(tx, relName)
+	if err != nil {
+		return err
+	}
+	return env.Cat.DropRelation(tx, rd)
+}
+
+// lockForDDL resolves relName, checks the caller administers it, and locks
+// it exclusively. It returns the descriptor read under the lock: a
+// concurrent DDL may have moved its version, or dropped it, meanwhile.
+// System relations are process state, beyond DDL.
+func (env *Env) lockForDDL(tx *txn.Txn, relName string) (*RelDesc, error) {
 	rd, ok := env.Cat.ByName(relName)
 	if !ok {
-		return fmt.Errorf("%w: relation %q", ErrNotFound, relName)
+		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, relName)
 	}
 	if IsSystemRelID(rd.RelID) {
-		return fmt.Errorf("core: relation %q is a system relation and cannot be dropped", relName)
+		return nil, fmt.Errorf("core: relation %q is a system relation: no DDL applies to it", relName)
 	}
 	if err := env.Authz.Check(tx, rd, PrivAdmin); err != nil {
-		return err
+		return nil, err
 	}
 	if err := tx.Lock(lock.RelResource(rd.RelID), lock.ModeX); err != nil {
-		return err
+		return nil, err
 	}
-	return env.Cat.DropRelation(tx, relName)
+	if rd, ok = env.Cat.Get(rd.RelID); !ok {
+		return nil, fmt.Errorf("%w: relation %q was dropped", ErrNotFound, relName)
+	}
+	return rd, nil
 }

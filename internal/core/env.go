@@ -76,14 +76,8 @@ type Env struct {
 	// caught as a semantic divergence; production code leaves it nil.
 	NotifySkip func(relName string, id AttID) bool
 
-	mu       sync.RWMutex
-	smInst   map[uint32]*smSlot
-	attInst  map[attKey]*attSlot
+	mu       sync.RWMutex // guards extState
 	extState map[string]any
-
-	// relStats holds the per-relation dispatch rollups behind
-	// sys.stat_relations, keyed by relation ID.
-	relStats relStatsTable
 
 	// vetoes counts vetoed relation modifications (TotalsSnapshot.Vetoes):
 	// the one total the dispatch vectors do not already hold.
@@ -111,38 +105,6 @@ func (env *Env) SetExtState(key string, v any) {
 	env.mu.Lock()
 	defer env.mu.Unlock()
 	env.extState[key] = v
-}
-
-type attKey struct {
-	rel uint32
-	att AttID
-}
-
-// smSlot and attSlot cache one extension instance each. mu makes opening
-// (and, for attachments, reconfiguring) single-flight per relation and
-// extension: Open may populate state from the relation's contents or hold
-// connections, so a concurrent second Open whose result is discarded is
-// not harmless. Readers load the published state without taking mu.
-// An smSlot also holds its relation's current descriptor, which the
-// catalog stores on every change, so a Relation handle reads the
-// descriptor of the moment with one atomic load. Dropping the relation
-// keeps the last descriptor and sets dropped, which its undo clears.
-type smSlot struct {
-	mu      sync.Mutex
-	inst    atomic.Pointer[StorageInstance]
-	rd      atomic.Pointer[RelDesc]
-	dropped atomic.Bool
-}
-
-type attSlot struct {
-	mu  sync.Mutex
-	cur atomic.Pointer[attEntry]
-}
-
-// attEntry is immutable once published; a reconfigure publishes a new one.
-type attEntry struct {
-	version uint64
-	inst    AttachmentInstance
 }
 
 // NewEnv builds an environment from cfg.
@@ -196,8 +158,6 @@ func NewEnv(cfg Config) *Env {
 			SlowLog:       cfg.SlowLog,
 		}),
 		Faults:   cfg.Faults,
-		smInst:   make(map[uint32]*smSlot),
-		attInst:  make(map[attKey]*attSlot),
 		extState: make(map[string]any),
 	}
 	env.Cat = NewCatalog(env)
@@ -237,29 +197,27 @@ func (env *Env) BeginReadOnly() *txn.Txn {
 // owned by the embedding database handle and closed there.
 func (env *Env) Close() error {
 	err := env.StopDebug()
-	env.mu.RLock()
-	slots := make([]*smSlot, 0, len(env.smInst))
-	for _, s := range env.smInst {
-		slots = append(slots, s)
-	}
-	env.mu.RUnlock()
-	for _, s := range slots {
-		if cerr := s.close(); cerr != nil && err == nil {
+	for _, s := range env.Cat.allSlots() {
+		if cerr := s.closeStorage(false); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
 	return err
 }
 
-// close releases the slot's instance if it holds resources. io.Closer is
+// closeStorage releases the slot's storage instance if it holds
+// resources, or whenever evict is set (the relation is gone). io.Closer is
 // the capability: partitioned relations hold one connection per shard.
 // Instances without it keep authoritative in-memory state and stay.
-func (s *smSlot) close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.inst.Load(); p != nil {
-		if c, ok := (*p).(io.Closer); ok {
-			s.inst.Store(nil)
+func (s *relSlot) closeStorage(evict bool) error {
+	s.smMu.Lock()
+	defer s.smMu.Unlock()
+	if p := s.sm.Load(); p != nil {
+		c, ok := (*p).(io.Closer)
+		if ok || evict {
+			s.sm.Store(nil)
+		}
+		if ok {
 			return c.Close()
 		}
 	}
@@ -271,33 +229,18 @@ func (s *smSlot) close() error {
 // Storage instances live until the relation is dropped: their in-memory
 // state is authoritative between restarts (durability comes from the log).
 func (env *Env) StorageInstance(rd *RelDesc) (StorageInstance, error) {
-	return env.slot(rd.RelID).open(env, rd)
+	return env.Cat.slot(rd.RelID).storage(env, rd)
 }
 
-// slot returns relID's slot, creating it on first use.
-func (env *Env) slot(relID uint32) *smSlot {
-	env.mu.RLock()
-	s := env.smInst[relID]
-	env.mu.RUnlock()
-	if s == nil {
-		env.mu.Lock()
-		if s = env.smInst[relID]; s == nil {
-			s = &smSlot{}
-			env.smInst[relID] = s
-		}
-		env.mu.Unlock()
-	}
-	return s
-}
-
-// open returns the slot's storage instance, opening it for rd on first use.
-func (s *smSlot) open(env *Env, rd *RelDesc) (StorageInstance, error) {
-	if p := s.inst.Load(); p != nil {
+// storage returns the slot's storage instance, opening it for rd on first
+// use.
+func (s *relSlot) storage(env *Env, rd *RelDesc) (StorageInstance, error) {
+	if p := s.sm.Load(); p != nil {
 		return *p, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.inst.Load(); p != nil {
+	s.smMu.Lock()
+	defer s.smMu.Unlock()
+	if p := s.sm.Load(); p != nil {
 		return *p, nil
 	}
 	ops := env.Reg.StorageOps(rd.SM)
@@ -308,7 +251,7 @@ func (s *smSlot) open(env *Env, rd *RelDesc) (StorageInstance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open storage for %q: %w", rd.Name, err)
 	}
-	s.inst.Store(&inst)
+	s.sm.Store(&inst)
 	return inst, nil
 }
 
@@ -316,41 +259,38 @@ func (s *smSlot) open(env *Env, rd *RelDesc) (StorageInstance, error) {
 // of attachment type id's instances on rd, reconfiguring it when the
 // relation descriptor version has moved.
 func (env *Env) AttachmentInstance(rd *RelDesc, id AttID) (AttachmentInstance, error) {
-	k := attKey{rel: rd.RelID, att: id}
-	env.mu.RLock()
-	s := env.attInst[k]
-	env.mu.RUnlock()
-	if s == nil {
-		env.mu.Lock()
-		if s = env.attInst[k]; s == nil {
-			s = &attSlot{}
-			env.attInst[k] = s
-		}
-		env.mu.Unlock()
+	if id == 0 || int(id) >= MaxAttachmentTypes {
+		return nil, fmt.Errorf("core: attachment type %d out of range", id)
 	}
-	// Same version, or the caller holds a stale descriptor from an old
-	// bound plan: the cached instance reflects current state.
-	if e := s.cur.Load(); e != nil && e.version >= rd.Version {
-		return e.inst, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bring(env, rd, id, false)
+	return env.Cat.slot(rd.RelID).attachment(env, rd, id)
 }
 
-// bring opens or reconfigures the slot's instance to rd's version; s.mu is
+// attachment returns the slot's instance of attachment type id.
+func (s *relSlot) attachment(env *Env, rd *RelDesc, id AttID) (AttachmentInstance, error) {
+	a := &s.att[id]
+	// Same version, or the caller holds a stale descriptor from an old
+	// bound plan: the cached instance reflects current state.
+	if e := a.cur.Load(); e != nil && e.version >= rd.Version {
+		return e.inst, nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.bring(env, rd, id, false)
+}
+
+// bring opens or reconfigures the slot's instance to rd's version; a.mu is
 // held. A cached version above rd's means the caller's descriptor is the
 // stale one, unless exact is set: log-driven undo moves the catalog
 // descriptor back to a lower version and the instance must follow.
-func (s *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (AttachmentInstance, error) {
-	if e := s.cur.Load(); e != nil {
+func (a *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (AttachmentInstance, error) {
+	if e := a.cur.Load(); e != nil {
 		if e.version == rd.Version || (e.version > rd.Version && !exact) {
 			return e.inst, nil
 		}
 		if err := e.inst.Reconfigure(rd); err != nil {
 			return nil, err
 		}
-		s.cur.Store(&attEntry{version: rd.Version, inst: e.inst})
+		a.cur.Store(&attEntry{version: rd.Version, inst: e.inst})
 		return e.inst, nil
 	}
 	ops := env.Reg.AttachmentOps(id)
@@ -361,54 +301,45 @@ func (s *attSlot) bring(env *Env, rd *RelDesc, id AttID, exact bool) (Attachment
 	if err != nil {
 		return nil, fmt.Errorf("core: open attachment %q on %q: %w", ops.Name, rd.Name, err)
 	}
-	s.cur.Store(&attEntry{version: rd.Version, inst: inst})
+	a.cur.Store(&attEntry{version: rd.Version, inst: inst})
 	return inst, nil
 }
 
-// DropInstances evicts all cached instances for a dropped relation,
-// closing a storage instance that holds resources.
+// DropInstances evicts a dropped relation's cached instances, closing a
+// storage instance that holds resources. The slot, with its descriptor
+// and rollup, stays.
 func (env *Env) DropInstances(relID uint32) {
-	env.mu.Lock()
-	s := env.smInst[relID]
-	delete(env.smInst, relID)
-	for k := range env.attInst {
-		if k.rel == relID {
-			delete(env.attInst, k)
-		}
+	s := env.Cat.lookup(relID)
+	if s == nil {
+		return
 	}
-	env.mu.Unlock()
-	if s != nil {
-		s.close() // the relation is gone; a failed close has no one to report to
+	for i := range s.att {
+		a := &s.att[i]
+		a.mu.Lock()
+		a.cur.Store(nil)
+		a.mu.Unlock()
 	}
+	s.closeStorage(true) // the relation is gone; a failed close has no one to report to
 }
 
 // InvalidateRelation forces cached attachment instances for relID to
 // reconfigure against the current catalog descriptor. The catalog calls it
 // after descriptor changes, including those made by log-driven undo.
 func (env *Env) InvalidateRelation(relID uint32) error {
-	rd, ok := env.Cat.Get(relID)
-	if !ok {
+	s := env.Cat.live(relID)
+	if s == nil {
 		env.DropInstances(relID)
 		return nil
 	}
-	env.mu.Lock()
-	var stale []*attSlot
-	var ids []AttID
-	for k, s := range env.attInst {
-		if k.rel != relID {
+	rd := s.rd.Load()
+	for i := range s.att {
+		a := &s.att[i]
+		if e := a.cur.Load(); e == nil || e.version == rd.Version {
 			continue
 		}
-		e := s.cur.Load()
-		if e == nil || e.version == rd.Version {
-			continue
-		}
-		stale, ids = append(stale, s), append(ids, k.att)
-	}
-	env.mu.Unlock()
-	for i, s := range stale {
-		s.mu.Lock()
-		_, err := s.bring(env, rd, ids[i], true)
-		s.mu.Unlock()
+		a.mu.Lock()
+		_, err := a.bring(env, rd, AttID(i), true)
+		a.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -526,14 +457,13 @@ func (env *Env) Recover() error {
 // relation's recovered contents, inside one committed transaction (the
 // rebuilt entries are logged, so they survive the next checkpoint).
 func (env *Env) rebuildAttachments() error {
-	names := env.Cat.List()
-	if len(names) == 0 {
+	rds := env.Cat.Relations()
+	if len(rds) == 0 {
 		return nil
 	}
 	tx := env.Begin()
-	for _, name := range names {
-		rd, ok := env.Cat.ByName(name)
-		if !ok || IsSystemRelID(rd.RelID) {
+	for _, rd := range rds {
+		if IsSystemRelID(rd.RelID) {
 			continue
 		}
 		for _, attID := range rd.AttachmentTypes() {

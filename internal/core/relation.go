@@ -33,26 +33,25 @@ import (
 type Relation struct {
 	env  *Env
 	rd   *RelDesc // as opened: the identity, name, schema and storage method, which no DDL changes
-	slot *smSlot  // the current descriptor, and whether the relation is dropped
+	slot *relSlot // the current descriptor, whether the relation is dropped, its instances and rollup
 	sm   StorageInstance
-	stat *RelStat // per-relation rollup (sys.stat_relations); cached to skip the table lookup per op
-	mvcc bool     // storage method stamps versions: snapshot reads skip the lock manager
+	mvcc bool // storage method stamps versions: snapshot reads skip the lock manager
 }
 
 // OpenRelation returns a runtime handle for the catalog relation rd
 // describes. The descriptor may come from the catalog or from a bound
 // query plan; the handle operates through the catalog's current one.
 func (env *Env) OpenRelation(rd *RelDesc) (*Relation, error) {
-	slot := env.slot(rd.RelID)
-	if slot.rd.Load() == nil || slot.dropped.Load() {
+	slot := env.Cat.live(rd.RelID)
+	if slot == nil {
 		return nil, fmt.Errorf("%w: relation %q is not in the catalog", ErrNotFound, rd.Name)
 	}
-	sm, err := slot.open(env, rd)
+	sm, err := slot.storage(env, rd)
 	if err != nil {
 		return nil, err
 	}
 	_, mvcc := sm.(VersionedStorage)
-	return &Relation{env: env, rd: rd, slot: slot, sm: sm, stat: env.relStats.get(rd.RelID), mvcc: mvcc}, nil
+	return &Relation{env: env, rd: rd, slot: slot, sm: sm, mvcc: mvcc}, nil
 }
 
 // writeDesc returns the descriptor a write notifies through, or an error
@@ -71,7 +70,7 @@ func (r *Relation) writeDesc() (*RelDesc, error) {
 func (r *Relation) chargeWritten(tx *txn.Txn, n int64) {
 	if st := tx.Acct(); st != nil {
 		st.RowsWritten.Add(n)
-		r.stat.RowsWritten.Add(n)
+		r.slot.stat.RowsWritten.Add(n)
 	}
 }
 
@@ -79,7 +78,7 @@ func (r *Relation) chargeWritten(tx *txn.Txn, n int64) {
 func (r *Relation) chargeRead(tx *txn.Txn, n int64) {
 	if st := tx.Acct(); st != nil {
 		st.RowsRead.Add(n)
-		r.stat.RowsRead.Add(n)
+		r.slot.stat.RowsRead.Add(n)
 	}
 }
 
@@ -260,7 +259,7 @@ func (r *Relation) notify(tx *txn.Txn, rd *RelDesc, op obs.Op, call func(Attachm
 		if skip := r.env.NotifySkip; skip != nil && skip(rd.Name, id) {
 			continue
 		}
-		inst, err := r.env.AttachmentInstance(rd, id)
+		inst, err := r.slot.attachment(r.env, rd, id)
 		if err != nil {
 			return err
 		}
@@ -318,7 +317,7 @@ func (d dispatch) end(err error) {
 	}
 	if d.via == viaSM {
 		d.r.env.Obs.SM.Observe(int(d.r.rd.SM), d.op, took, err != nil)
-		d.r.stat.observe(d.op, took, err != nil)
+		d.r.slot.stat.observe(d.op, took, err != nil)
 	} else {
 		d.r.env.Obs.Att.Observe(int(d.via), d.op, took, err != nil)
 		if err != nil && d.op <= obs.OpDelete {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -24,9 +24,6 @@ type RelStat struct {
 
 // observe books one storage-method call.
 func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
-	if rs == nil {
-		return
-	}
 	rs.SMNanos.Add(int64(d))
 	if failed {
 		rs.Errors.Add(1)
@@ -35,8 +32,8 @@ func (rs *RelStat) observe(op obs.Op, d time.Duration, failed bool) {
 }
 
 // RelStatRow is one sys.stat_relations row (the tags name the columns): a
-// point-in-time copy of one relation's rollup with the name resolved from
-// the catalog ("" when the relation has since been dropped).
+// point-in-time copy of one relation's rollup with its catalogued name
+// ("" once the relation is dropped).
 type RelStatRow struct {
 	RelID       uint32 `json:"rel_id"`
 	Name        string `json:"name"`
@@ -51,48 +48,19 @@ type RelStatRow struct {
 	SMNanos     int64  `json:"sm_nanos"`
 }
 
-// relStatsTable maps relation IDs to their rollups. Entries persist past
-// relation drop (the rollup is historical, and RelIDs are never reused
-// within a process).
-type relStatsTable struct {
-	mu sync.RWMutex
-	m  map[uint32]*RelStat
-}
-
-// get returns the rollup for relID, creating it on first use.
-func (t *relStatsTable) get(relID uint32) *RelStat {
-	t.mu.RLock()
-	rs := t.m[relID]
-	t.mu.RUnlock()
-	if rs != nil {
-		return rs
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rs = t.m[relID]; rs != nil {
-		return rs
-	}
-	if t.m == nil {
-		t.m = make(map[uint32]*RelStat)
-	}
-	rs = &RelStat{}
-	t.m[relID] = rs
-	return rs
-}
-
-// RelStatRows snapshots every relation rollup, sorted by relation ID,
-// with names resolved from the catalog.
+// RelStatRows snapshots the rollup of every relation catalogued in this
+// process, dropped ones included, sorted by relation ID.
 func (env *Env) RelStatRows() []RelStatRow {
-	env.relStats.mu.RLock()
-	stats := make(map[uint32]*RelStat, len(env.relStats.m))
-	for id, rs := range env.relStats.m {
-		stats[id] = rs
-	}
-	env.relStats.mu.RUnlock()
-	rows := make([]RelStatRow, 0, len(stats))
-	for id, rs := range stats {
+	slots := env.Cat.allSlots()
+	rows := make([]RelStatRow, 0, len(slots))
+	for _, s := range slots {
+		rd := s.rd.Load()
+		if rd == nil {
+			continue // a storage instance opened outside the catalog
+		}
+		rs := &s.stat
 		row := RelStatRow{
-			RelID:       id,
+			RelID:       rd.RelID,
 			Inserts:     rs.Calls[obs.OpInsert].Load(),
 			Updates:     rs.Calls[obs.OpUpdate].Load(),
 			Deletes:     rs.Calls[obs.OpDelete].Load(),
@@ -103,11 +71,11 @@ func (env *Env) RelStatRows() []RelStatRow {
 			RowsWritten: rs.RowsWritten.Load(),
 			SMNanos:     rs.SMNanos.Load(),
 		}
-		if rd, ok := env.Cat.Get(id); ok {
+		if !s.dropped.Load() {
 			row.Name = rd.Name
 		}
 		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].RelID < rows[j].RelID })
+	slices.SortFunc(rows, func(a, b RelStatRow) int { return cmp.Compare(a.RelID, b.RelID) })
 	return rows
 }

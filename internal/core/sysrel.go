@@ -50,19 +50,10 @@ func RegisterSystemRelation(sr SystemRelation) {
 }
 
 // installSystemRelations places every registered system relation in the
-// catalog. Called from NewEnv after the catalog exists.
+// catalog (RegisterSystemRelation has rejected duplicate names). Called
+// from NewEnv after the catalog exists.
 func (env *Env) installSystemRelations() {
 	for i, sr := range systemRelations {
-		rd := &RelDesc{
-			RelID:  SysRelBase + uint32(i),
-			Name:   sr.Name,
-			Schema: sr.Schema,
-			SM:     sr.SM,
-		}
-		if err := env.Cat.InstallSystem(rd); err != nil {
-			// Registration is validated at RegisterSystemRelation time;
-			// failure here means a programming error in the registry.
-			panic(err)
-		}
+		env.Cat.install(&RelDesc{RelID: SysRelBase + uint32(i), Name: sr.Name, Schema: sr.Schema, SM: sr.SM})
 	}
 }

@@ -141,11 +141,9 @@ func (s *Session) Exec(src string, args ...types.Value) (*Result, error) {
 		s.env.Authz.Revoke(st.User, rd.RelID)
 		return &Result{Message: fmt.Sprintf("REVOKE ON %s FROM %s", st.Table, st.User)}, nil
 	case ShowCatalog:
-		names := s.env.Cat.List()
-		sort.Strings(names)
 		res := &Result{Columns: []string{"table"}}
-		for _, n := range names {
-			res.Rows = append(res.Rows, types.Record{types.Str(n)})
+		for _, rd := range s.env.Cat.Relations() {
+			res.Rows = append(res.Rows, types.Record{types.Str(rd.Name)})
 		}
 		return res, nil
 	}

@@ -115,12 +115,11 @@ type store struct {
 // pops its entries during undo, so stamp-0 entries never outlive their
 // transaction.
 type verMeta struct {
-	writer wal.TxnID
-	lsn    wal.LSN
-	stamp  uint64
-	born   bool // this entry created the record at this rid (insert, moved-in update)
-	gone   bool // this entry removed the record at this rid (delete, moved-out update)
-	prev   *verMeta
+	lsn   wal.LSN
+	stamp uint64
+	born  bool // this entry created the record at this rid (insert, moved-in update)
+	gone  bool // this entry removed the record at this rid (delete, moved-out update)
+	prev  *verMeta
 }
 
 func newStore(env *core.Env, rd *core.RelDesc) *store {
@@ -251,7 +250,7 @@ func (s *store) pushVersion(tx *txn.Txn, r rid, lsn wal.LSN, born, gone bool) {
 	if s.vers == nil {
 		s.vers = make(map[rid]*verMeta)
 	}
-	e := &verMeta{writer: tx.ID(), lsn: lsn, born: born, gone: gone, prev: s.vers[r]}
+	e := &verMeta{lsn: lsn, born: born, gone: gone, prev: s.vers[r]}
 	s.vers[r] = e
 	horizon := s.env.Txns.OldestSnapshotHW()
 	for p := e; p != nil; p = p.prev {

@@ -883,9 +883,8 @@ var (
 // callable directly to redeliver lost decisions without a restart.
 func Resolve(env *core.Env) error {
 	var committed map[wal.TxnID]bool
-	for _, name := range env.Cat.List() {
-		rd, ok := env.Cat.ByName(name)
-		if !ok || core.IsSystemRelID(rd.RelID) || (rd.SM != core.SMPart && rd.SM != core.SMRemote) {
+	for _, rd := range env.Cat.Relations() {
+		if core.IsSystemRelID(rd.RelID) || (rd.SM != core.SMPart && rd.SM != core.SMRemote) {
 			continue
 		}
 		if committed == nil {

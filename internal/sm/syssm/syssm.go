@@ -357,12 +357,9 @@ func locksRows(env *core.Env) ([]lockRow, error) {
 // (connections, state), so no other relation is opened.
 func relationRows[R any](sms ...core.SMID) func(*core.Env) ([]R, error) {
 	return func(env *core.Env) ([]R, error) {
-		names := env.Cat.List()
-		sort.Strings(names)
 		var out []R
-		for _, name := range names {
-			rd, ok := env.Cat.ByName(name)
-			if !ok || !slices.Contains(sms, rd.SM) {
+		for _, rd := range env.Cat.Relations() {
+			if !slices.Contains(sms, rd.SM) {
 				continue
 			}
 			inst, err := env.StorageInstance(rd)

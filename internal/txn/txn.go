@@ -121,16 +121,12 @@ var ErrReadOnly = errors.New("txn: read-only transaction")
 const FrozenStamp uint64 = 1
 
 // Snapshot is the consistent view handed to a read-only transaction: the
-// committed-stamp high-water at begin time plus the set of writer
-// transactions then in flight. Visibility is decided by HW alone — every
-// stamp at or below it belongs to a transaction that was durably
-// committed and fully version-stamped before the snapshot was taken,
-// while in-flight writers either carry no stamp yet or will receive one
-// above HW. InFlight is advisory (introspection, tests): it may include
-// writers that finished between the two reads inside BeginReadOnly.
+// committed-stamp high-water at begin time. Every stamp at or below it
+// belongs to a transaction that was durably committed and fully
+// version-stamped before the snapshot was taken, while in-flight writers
+// either carry no stamp yet or will receive one above HW.
 type Snapshot struct {
-	HW       uint64
-	InFlight map[wal.TxnID]struct{}
+	HW uint64
 }
 
 // Visible reports whether a version carrying the given commit stamp is
@@ -197,14 +193,7 @@ func NewManager(log *wal.Log, locks *lock.Manager) *Manager {
 func (m *Manager) Begin() *Txn {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tx := &Txn{
-		id:         m.nextID,
-		mgr:        m,
-		state:      StateActive,
-		savepoints: make(map[string]wal.LSN),
-		stash:      make(map[string]any),
-		start:      time.Now(),
-	}
+	tx := &Txn{id: m.nextID, mgr: m, state: StateActive, start: time.Now()}
 	m.nextID++
 	m.active[tx.id] = tx
 	return tx
@@ -217,27 +206,13 @@ func (m *Manager) Begin() *Txn {
 // local events.
 func (m *Manager) BeginReadOnly() *Txn {
 	m.mu.Lock()
-	tx := &Txn{
-		id:         m.nextID,
-		mgr:        m,
-		state:      StateActive,
-		savepoints: make(map[string]wal.LSN),
-		stash:      make(map[string]any),
-		start:      time.Now(),
-		readOnly:   true,
-	}
+	tx := &Txn{id: m.nextID, mgr: m, state: StateActive, start: time.Now(), readOnly: true}
 	m.nextID++
 	m.active[tx.id] = tx
-	inflight := make(map[wal.TxnID]struct{}, len(m.active))
-	for id, other := range m.active {
-		if !other.readOnly {
-			inflight[id] = struct{}{}
-		}
-	}
 	m.mu.Unlock()
 
 	m.stampMu.Lock()
-	tx.snap = &Snapshot{HW: m.stampHW, InFlight: inflight}
+	tx.snap.HW = m.stampHW
 	m.snaps[tx.id] = tx.snap.HW
 	m.stampMu.Unlock()
 	return tx
@@ -353,7 +328,7 @@ type Txn struct {
 	tr          *trace.TxnTrace
 
 	readOnly    bool
-	snap        *Snapshot
+	snap        Snapshot // a read-only transaction's; unused by writers
 	commitStamp uint64
 
 	start time.Time
@@ -368,10 +343,10 @@ func (tx *Txn) ReadOnly() bool { return tx != nil && tx.readOnly }
 // Snapshot returns the read-only transaction's snapshot; nil for writers
 // and on a nil receiver.
 func (tx *Txn) Snapshot() *Snapshot {
-	if tx == nil {
+	if !tx.ReadOnly() {
 		return nil
 	}
-	return tx.snap
+	return &tx.snap
 }
 
 // CommitStamp returns the commit stamp assigned to this transaction: 0
@@ -458,7 +433,12 @@ func (tx *Txn) Subscribe(event Event, action Action) error {
 // Stash returns this transaction's extension-private state map. Extensions
 // key it by their own names (e.g. to accumulate deferred constraint checks
 // or open scans across calls).
-func (tx *Txn) Stash() map[string]any { return tx.stash }
+func (tx *Txn) Stash() map[string]any {
+	if tx.stash == nil {
+		tx.stash = make(map[string]any)
+	}
+	return tx.stash
+}
 
 // AppendLog writes an update record on behalf of an extension and returns
 // its LSN.
@@ -495,6 +475,9 @@ func (tx *Txn) Savepoint(name string) (wal.LSN, error) {
 	lsn, err := tx.mgr.Log.Append(tx.id, wal.RecSavepoint, wal.Owner{}, []byte(name))
 	if err != nil {
 		return 0, err
+	}
+	if tx.savepoints == nil {
+		tx.savepoints = make(map[string]wal.LSN)
 	}
 	tx.savepoints[name] = lsn
 	if err := tx.fire(EventSavepoint, name); err != nil {
