@@ -67,14 +67,15 @@ trace-demo:
 # the race detector, the buffer pool's concurrent recycling test (a frame
 # recycled for another page while a caller still used it is the pool's
 # concurrency hazard, and concurrent transactions pin pages concurrently)
-# the many-to-many join through every join strategy, a snapshot
-# index-then-fetch read in runs while a writer changes the keys it holds,
-# and relation handles, attachment instances and the relation list read
-# while another transaction creates and drops an index.
+# the many-to-many join through every join strategy, two open cursors of
+# one bound plan, each on its own binding, a snapshot index-then-fetch read
+# in runs while a writer changes the keys it holds, and relation handles,
+# attachment instances and the relation list read while another
+# transaction creates and drops an index.
 race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
-	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree' ./internal/plan/
+	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree|TestOpenCursorsOfOnePlan' ./internal/plan/
 	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter' ./internal/sm/heap/
 	$(GO) test -race -count=3 -run 'TestRelationSlotConcurrentDDL' ./internal/core/
 

@@ -224,7 +224,7 @@ func (b Buckets) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (cor
 func (b Buckets) EstimateCost(req core.CostRequest) core.CostEstimate {
 	best := core.CostEstimate{Usable: false, IO: math.Inf(1), CPU: math.Inf(1)}
 	for i, d := range b.All() {
-		key, _, handled, point, _ := smutil.KeyRange(d.Fields, req.Conjuncts)
+		key, _, handled, point, _ := smutil.KeyRange(d.Fields, req.Conjuncts, req.Scratch)
 		if !point {
 			continue
 		}

@@ -130,7 +130,7 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 func (ix *Instance) EstimateCost(req core.CostRequest) core.CostEstimate {
 	best := core.CostEstimate{Usable: false, IO: math.Inf(1), CPU: math.Inf(1)}
 	for i, d := range ix.All() {
-		start, end, handled, point, depth := smutil.KeyRange(d.Fields, req.Conjuncts)
+		start, end, handled, point, depth := smutil.KeyRange(d.Fields, req.Conjuncts, req.Scratch)
 		ordered := len(req.OrderBy) > 0 && smutil.OrderSatisfiedBy(d.Fields, req.OrderBy)
 		if depth == 0 && !ordered {
 			continue

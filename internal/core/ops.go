@@ -64,7 +64,23 @@ type CostRequest struct {
 	// distinct counts). Extensions should prefer these over textbook
 	// guesses; entries < 0 mean "no estimate for this conjunct".
 	ConjunctSel []float64
+	// Scratch, when non-nil, is planner-owned space for the answer's
+	// Start, End and Handled: a path may append them to it instead of
+	// allocating them (smutil.KeyRange does). The planner empties it
+	// before it asks again, so a path keeps nothing it appended and reads
+	// nothing that was there before; a path that ignores it allocates.
+	Scratch *KeyScratch
 }
+
+// KeyScratch is CostRequest.Scratch: the bytes of an answer's key bounds
+// and the indexes of its handled conjuncts, appended.
+type KeyScratch struct {
+	Keys    []byte
+	Handled []int
+}
+
+// Reset empties the scratch, keeping its capacity.
+func (s *KeyScratch) Reset() { s.Keys, s.Handled = s.Keys[:0], s.Handled[:0] }
 
 // CostEstimate is an extension's answer: whether the path is usable for
 // the request, the predicted I/O and CPU effort, estimated selectivity,
@@ -209,8 +225,10 @@ type VersionedStorage interface {
 	// FetchRun is FetchByKey for a run of keys in read-only tx's
 	// snapshot, answered in one call: out[i] (len(out) == len(keys)) gets
 	// keys[i]'s record, or the ErrNotFound or ErrFiltered FetchByKey
-	// would report for it. Any other error fails the whole run.
-	FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Expr, out []Fetched) error
+	// would report for it. Any other error fails the whole run. The
+	// filter comes compiled (nil: none), once for every run of the read
+	// that asks; like any Program it serves one caller at a time.
+	FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Program, out []Fetched) error
 }
 
 // Fetched is one key's answer in a FetchRun.

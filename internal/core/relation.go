@@ -576,7 +576,8 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 		}
 	}
 	if r.lockFree(tx) {
-		f.run = fetchRun{vs: r.sm.(VersionedStorage), keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
+		f.run = fetchRun{vs: r.sm.(VersionedStorage), prog: expr.Compile(r.env.Eval, opts.Filter, nil),
+			keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
 	}
 	return f, nil
 }
@@ -625,6 +626,7 @@ func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
 // rows returned, is never saved or restored.
 type fetchRun struct {
 	vs   VersionedStorage // nil: not a snapshot read
+	prog *expr.Program    // the filter, compiled once for every run
 	keys []types.Key      // the run; its capacity is the run length
 	out  []Fetched        // the answers, out[i] for keys[i]
 	next int              // answers served
@@ -678,7 +680,7 @@ func (f *AccessFetch) fill() error {
 	}
 	run.out = run.out[:len(run.keys)]
 	d := f.r.begin(f.tx, viaSM, obs.OpFetch)
-	err := run.vs.FetchRun(f.tx, run.keys, f.fields, f.filter, run.out)
+	err := run.vs.FetchRun(f.tx, run.keys, f.fields, run.prog, run.out)
 	d.end(err)
 	if err != nil {
 		return err

@@ -34,6 +34,8 @@ type Session struct {
 	plans   map[string][]*stmtPlan // by shape (lexer.key); one entry per pinned-value variant
 	nplans  int
 	user    string
+	keys    []types.Key    // matched: the statement's record keys,
+	recs    []types.Record // and records, reused by the next statement
 }
 
 // planCacheCap bounds the entries in Session.plans; a full cache is simply
@@ -634,21 +636,24 @@ func (s *Session) dmlQuery(table string, where *rawExpr, fields []int) (plan.Que
 // (and the selected fields of its record) is collected before the first
 // modification, so a statement that moves rows along the access path it is
 // reading — SET on the index key, or on the record key itself — meets each
-// row exactly once.
-func matched(b *plan.Bound, tx *txn.Txn, params []types.Value) ([]types.Key, []types.Record, error) {
+// row exactly once. The slices are the session's: they hold until the
+// session's next UPDATE or DELETE.
+func (s *Session) matched(b *plan.Bound, tx *txn.Txn, params []types.Value) ([]types.Key, []types.Record, error) {
 	rows, err := b.ExecuteKeyed(tx, params...)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer rows.Close()
-	var keys []types.Key
-	var recs []types.Record
+	clear(s.keys)
+	clear(s.recs)
+	keys, recs := s.keys[:0], s.recs[:0]
 	for {
 		key, rec, ok, err := rows.NextKeyed()
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
+			s.keys, s.recs = keys, recs
 			return keys, recs, nil
 		}
 		keys = append(keys, key)
@@ -679,7 +684,7 @@ func (s *Session) updateQuery(st Update) (plan.Query, []setClause, error) {
 }
 
 func (s *Session) execUpdate(tx *txn.Txn, st Update, sp *stmtPlan, params []types.Value) (*Result, error) {
-	keys, recs, err := matched(sp.bound, tx, params)
+	keys, recs, err := s.matched(sp.bound, tx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -705,7 +710,7 @@ func (s *Session) execUpdate(tx *txn.Txn, st Update, sp *stmtPlan, params []type
 }
 
 func (s *Session) execDelete(tx *txn.Txn, st Delete, sp *stmtPlan, params []types.Value) (*Result, error) {
-	keys, _, err := matched(sp.bound, tx, params)
+	keys, _, err := s.matched(sp.bound, tx, params)
 	if err != nil {
 		return nil, err
 	}

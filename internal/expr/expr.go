@@ -65,7 +65,8 @@ func (o Op) String() string {
 }
 
 // Expr is a node of a filter-predicate or scalar expression tree. Exprs are
-// immutable after construction and safe to share between transactions.
+// immutable after construction and safe to share between transactions,
+// except the copies BindMarkers makes for one owner.
 type Expr struct {
 	Op    Op
 	Val   types.Value // OpConst
@@ -400,10 +401,14 @@ func Conjuncts(e *Expr) []*Expr {
 	if e == nil {
 		return nil
 	}
+	return appendConjuncts(nil, e)
+}
+
+func appendConjuncts(out []*Expr, e *Expr) []*Expr {
 	if e.Op == OpAnd {
-		return append(Conjuncts(e.Args[0]), Conjuncts(e.Args[1])...)
+		return appendConjuncts(appendConjuncts(out, e.Args[0]), e.Args[1])
 	}
-	return []*Expr{e}
+	return append(out, e)
 }
 
 // Bind returns e with every parameter marker that params covers replaced by
@@ -435,6 +440,46 @@ func Bind(e *Expr, params []types.Value) *Expr {
 	c := *e
 	c.Args = args
 	return &c
+}
+
+// Marker is one parameter marker of an expression BindMarkers copied: the
+// constant node that took its place and the parameter it stands for.
+type Marker struct {
+	Node  *Expr // OpConst
+	Param int
+}
+
+// BindMarkers returns e with every parameter marker replaced by a constant
+// node of its own, appending those nodes to marks. Only the nodes on a path
+// from the root to a marker are copied, and e itself comes back when it
+// has none. The copy is its caller's: unlike every other Expr, its
+// constant nodes are written, each Node.Val set to the value of its
+// parameter before each use, so one copy serves any number of bindings,
+// one at a time, without allocating.
+func BindMarkers(e *Expr, marks []Marker) (*Expr, []Marker) {
+	if e == nil {
+		return nil, marks
+	}
+	if e.Op == OpParam {
+		c := Const(types.Value{})
+		return c, append(marks, Marker{Node: c, Param: e.Field})
+	}
+	var args []*Expr
+	for i, a := range e.Args {
+		var b *Expr
+		if b, marks = BindMarkers(a, marks); b != a {
+			if args == nil {
+				args = append([]*Expr(nil), e.Args...)
+			}
+			args[i] = b
+		}
+	}
+	if args == nil {
+		return e, marks
+	}
+	c := *e
+	c.Args = args
+	return &c, marks
 }
 
 // NumParams returns how many parameter values e needs bound: its highest

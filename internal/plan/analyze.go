@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,10 +26,10 @@ type OperatorStats struct {
 	TimeNanos int64  `json:"time_nanos"`
 }
 
-// track registers a fresh stats slot for an operator opened by the
-// current execution and returns the counting cursor. Bound plans are
-// goroutine-confined (like the transactions that run them), so plain
-// counters suffice.
+// track counts r as the execution's next operator: c, the operator's
+// counting cursor, is set up over r and charges a fresh stats slot of the
+// binding. Bound plans are goroutine-confined (like the transactions that
+// run them), so plain counters suffice.
 //
 // In a detailed-traced transaction the operator additionally carries a
 // span. Operator cursors interleave (a join's outer and inner sides
@@ -37,37 +38,30 @@ type OperatorStats struct {
 // the call (storage-method fetches, buffer misses, lock waits) nest under
 // the operator that caused them, and the span's duration is the
 // operator's cumulative in-cursor time, matching its ExecStats.
-func (b *Bound) track(tx *txn.Txn, name string, r Rows) Rows {
-	c := b.counted(tx, name, r)
-	return &c
-}
-
-// trackKeyed is track for the single-table operators, whose cursor also
-// hands back record keys.
-func (b *Bound) trackKeyed(tx *txn.Txn, name string, r KeyedRows) KeyedRows {
-	return &countedKeyedRows{countedRows: b.counted(tx, name, r), keyed: r}
-}
-
-func (b *Bound) counted(tx *txn.Txn, name string, r Rows) countedRows {
-	st := &OperatorStats{Name: name}
-	b.stats = append(b.stats, st)
-	c := countedRows{inner: r, st: st}
+func (x *binding) track(tx *txn.Txn, name string, r Rows, c *countedRows) {
+	st := &x.stats[x.nstats]
+	x.nstats++
+	*st = OperatorStats{Name: name}
+	*c = countedRows{inner: r, st: st}
 	if tr := tx.Trace(); tr.Detailed() {
 		c.tr = tr
 		c.span = tr.OpenChild("plan.op", name, "next")
 	}
-	return c
+}
+
+// ran is the most recent execution's operator counters.
+func (b *Bound) ran() []OperatorStats {
+	if b.last == nil {
+		return nil
+	}
+	return b.last.stats[:b.last.nstats]
 }
 
 // Stats returns the per-operator counters recorded by the most recent
 // Execute, in the order the operators were opened (join children before
 // their parent). The slice is a copy.
 func (b *Bound) Stats() []OperatorStats {
-	out := make([]OperatorStats, len(b.stats))
-	for i, st := range b.stats {
-		out[i] = *st
-	}
-	return out
+	return slices.Clone(b.ran())
 }
 
 // ExplainAnalyze renders the plan description followed by the
@@ -75,7 +69,7 @@ func (b *Bound) Stats() []OperatorStats {
 func (b *Bound) ExplainAnalyze() string {
 	var sb strings.Builder
 	sb.WriteString(b.explain)
-	for _, st := range b.stats {
+	for _, st := range b.ran() {
 		fmt.Fprintf(&sb, "\n  %s: calls=%d rows=%d time=%s",
 			st.Name, st.Calls, st.Rows, time.Duration(st.TimeNanos))
 	}

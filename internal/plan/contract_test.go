@@ -38,10 +38,10 @@ func TestJoinCursorsNormalizeOuterError(t *testing.T) {
 
 	j := &JoinSpec{}
 	cursors := map[string]Rows{
-		"nl path zero": &nlRows{q: Query{Join: j}, outer: erringRows{}, inner: &access{rd: rd}},
-		"nl probe": &nlRows{q: Query{Join: j}, outer: erringRows{},
-			inner: &access{rd: rd, useAtt: core.AttBTree, estimate: core.CostEstimate{Point: true, Handled: []int{0}}}},
-		"hash": &nlRows{q: Query{Join: j}, outer: erringRows{}, inner: &access{rd: rd}, table: &hashTable{}},
+		"nl path zero": &nlRows{q: &Query{Join: j}, outer: erringRows{}, inner: &binder{a: access{rd: rd}}},
+		"nl probe": &nlRows{q: &Query{Join: j}, outer: erringRows{},
+			inner: &binder{a: access{rd: rd, useAtt: core.AttBTree, estimate: core.CostEstimate{Point: true, Handled: []int{0}}}}},
+		"hash": &nlRows{q: &Query{Join: j}, outer: erringRows{}, table: &hashTable{}},
 	}
 	for name, r := range cursors {
 		rec, ok, err := r.Next()

@@ -32,29 +32,25 @@ func (p *Planner) tableStatsFor(rd *core.RelDesc) (core.TableStats, bool) {
 }
 
 // conjunctSels derives a per-conjunct selectivity vector from ts, parallel
-// to conjuncts. Entries are -1 ("no estimate") for conjuncts the
-// statistics cannot judge; extensions then fall back to their textbook
-// guesses for those entries only.
-func conjunctSels(ts core.TableStats, ok bool, conjuncts []*expr.Expr) []float64 {
+// to conjuncts, in sels' array when it has room. Entries are -1 ("no
+// estimate") for conjuncts the statistics cannot judge; extensions then
+// fall back to their textbook guesses for those entries only.
+func conjunctSels(sels []float64, ts core.TableStats, ok bool, conjuncts []*expr.Expr) []float64 {
 	if !ok || len(conjuncts) == 0 {
 		return nil
 	}
-	sels := make([]float64, len(conjuncts))
+	sels = sels[:0]
 	any := false
-	for i, c := range conjuncts {
-		sels[i] = -1
-		fc, isCmp := expr.MatchFieldCompare(c)
-		if !isCmp {
-			continue
+	for _, c := range conjuncts {
+		sel := -1.0
+		if fc, isCmp := expr.MatchFieldCompare(c); isCmp {
+			if cs, have := ts.Cols[fc.Field]; have {
+				if s := columnSelectivity(cs, fc.Op, fc.Value); s >= 0 {
+					sel, any = s, true
+				}
+			}
 		}
-		cs, have := ts.Cols[fc.Field]
-		if !have {
-			continue
-		}
-		if s := columnSelectivity(cs, fc.Op, fc.Value); s >= 0 {
-			sels[i] = s
-			any = true
-		}
+		sels = append(sels, sel)
 	}
 	if !any {
 		return nil

@@ -125,12 +125,14 @@ type Bound struct {
 	planner *Planner
 	query   Query
 	root    builder
-	outer   *access // the chosen access to Table, handed to root
+	outer   *access // the chosen access to Table
 	slots   int     // parameter values an execution binds (expr.NumParams of Filter)
 	deps    []dep
 	explain string
 	ordered bool
-	stats   []*OperatorStats // per-operator counters, reset each Execute
+	gen     int        // translations made: a binding serves the one it was built for
+	free    []*binding // closed bindings of this translation, for the next Execute
+	last    *binding   // the most recent Execute's, whose counters Stats reports
 	// Replans counts automatic re-translations (for the experiments).
 	Replans int
 }
@@ -140,9 +142,9 @@ type Bound struct {
 // after Execute: a re-translation may change the answer.
 func (b *Bound) Ordered() bool { return b.ordered }
 
-// builder constructs the operator tree for one execution over the access
-// to Table with that execution's parameter values filled in.
-type builder func(tx *txn.Txn, outer *access) (Rows, error)
+// builder constructs the operator tree for one execution in x, whose
+// outer access has that execution's parameter values filled in.
+type builder func(tx *txn.Txn, x *binding) (Rows, error)
 
 // Plan translates q into a bound plan.
 func (p *Planner) Plan(q Query) (*Bound, error) {
@@ -167,6 +169,12 @@ func (b *Bound) Explain() string { return b.explain }
 // markers asks only its chosen access path for the key range under these
 // values; it is translated again when that path cannot serve them or they
 // fall in another cardinality class than the plan was chosen for.
+//
+// The execution's state — its parameter values, key range, relation
+// handles and operator counters — is a binding the returned cursor owns:
+// Close hands it back for the next Execute, and an Execute made while an
+// earlier cursor is open builds another, so open cursors share nothing.
+// A cursor must not be used after its Close.
 func (b *Bound) Execute(tx *txn.Txn, params ...types.Value) (Rows, error) {
 	if len(params) < b.slots {
 		return nil, fmt.Errorf("plan: %d parameter values for %d markers", len(params), b.slots)
@@ -176,65 +184,73 @@ func (b *Bound) Execute(tx *txn.Txn, params ...types.Value) (Rows, error) {
 			return nil, err
 		}
 	}
-	outer := b.outer
-	if b.slots > 0 {
-		var same bool
-		var err error
-		if outer, same, err = b.bindOuter(params); err == nil && !same {
-			if err = b.replan(params); err == nil {
-				outer, _, err = b.bindOuter(params)
-			}
-		}
-		if err != nil {
-			return nil, err
+	x, err := b.bind(params)
+	if err != nil {
+		return nil, err
+	}
+	x.nstats, b.last = 0, x
+	if x.top, err = b.root(tx, x); err != nil {
+		b.recycle(x)
+		return nil, err
+	}
+	x.open = true
+	return x, nil
+}
+
+// bind takes a binding for one execution and binds params into it,
+// translating the plan again when its outer path cannot serve them in the
+// plan's cardinality class.
+func (b *Bound) bind(params []types.Value) (*binding, error) {
+	x := b.binding()
+	if b.slots == 0 {
+		return x, nil
+	}
+	same, err := x.bindOuter(params)
+	if err == nil && !same {
+		if err = b.replan(params); err == nil {
+			x = b.binding()
+			_, err = x.bindOuter(params)
 		}
 	}
-	b.stats = nil
-	return b.root(tx, outer)
+	if err != nil {
+		b.recycle(x)
+		return nil, err
+	}
+	return x, nil
 }
 
 // replan translates the plan again, pricing with params, and counts it.
+// Bindings of the old translation are not reused.
 func (b *Bound) replan(params []types.Value) error {
 	if err := b.translate(params); err != nil {
 		return fmt.Errorf("plan: re-translation failed: %w", err)
 	}
+	b.gen++
+	b.free = nil
 	b.Replans++
 	b.planner.env.Obs.Plan.Replans.Inc()
 	return nil
 }
 
-// bindOuter returns the plan's outer access rebound to params. same
-// reports that the path still serves them in the plan's cardinality class:
-// the same point flag and power-of-4 bucket of expected rows as well.
-func (b *Bound) bindOuter(params []types.Value) (a *access, same bool, err error) {
-	o, p := b.outer, b.planner
-	filter := expr.Bind(o.filter, params)
-	req, _, err := p.costRequest(o.rd, filter, b.query.OrderBy)
-	if err != nil {
-		return nil, false, err
+// binding returns a closed binding of the current translation, or a new
+// one.
+func (b *Bound) binding() *binding {
+	if n := len(b.free); n > 0 {
+		x := b.free[n-1]
+		b.free = b.free[:n-1]
+		return x
 	}
-	path, err := p.pathOf(o.rd, o.useAtt)
-	if err != nil {
-		return nil, false, err
-	}
-	a, serves := rebind(o, filter, params, req, path)
-	return a, serves && a.estimate.Point == o.estimate.Point && rowClass(a.rows) == rowClass(o.rows), nil
+	x := &binding{b: b, gen: b.gen}
+	x.outer.init(b.outer, core.CostRequest{OrderBy: b.query.OrderBy}, nil)
+	return x
 }
 
-// rebind returns the chosen access a with params filled in: filter is a's
-// filter bound to them, req the relation's cost request over its
-// conjuncts, and start, end and the point flag are path's answer to req.
-// serves reports that the path still answers as planned — usable, the same
-// instance, the same conjuncts handled, so the residual is complete. The
-// outer access rebinds once per execution, a nested-loop join's inner
-// access once per outer row.
-func rebind(a *access, filter *expr.Expr, params []types.Value, req core.CostRequest, path costModel) (*access, bool) {
-	bound := *a
-	bound.filter, bound.pushdown = filter, expr.Bind(a.pushdown, params)
-	est := path.EstimateCost(req)
-	bound.start, bound.end, bound.estimate = est.Start, est.End, est
-	bound.rows = expectedRows(req.RecordCount, est)
-	return &bound, est.Usable && est.Instance == a.instance && slices.Equal(est.Handled, a.estimate.Handled)
+// recycle takes back a binding no cursor owns. The plan keeps as many as
+// it ever had cursors open at once.
+func (b *Bound) recycle(x *binding) {
+	if x.gen == b.gen {
+		b.free = append(b.free, x)
+	}
 }
 
 // rowClass is the power-of-4 bucket of an expected row count.
@@ -249,16 +265,14 @@ func rowClass(rows float64) int {
 // ExecuteKeyed is Execute for plans whose cursor carries record keys:
 // single-table plans, which a ForUpdate query always is.
 func (b *Bound) ExecuteKeyed(tx *txn.Txn, params ...types.Value) (KeyedRows, error) {
+	if b.query.Join != nil {
+		return nil, fmt.Errorf("plan: %s does not deliver record keys", b.explain)
+	}
 	rows, err := b.Execute(tx, params...)
 	if err != nil {
 		return nil, err
 	}
-	keyed, ok := rows.(KeyedRows)
-	if !ok {
-		rows.Close()
-		return nil, fmt.Errorf("plan: %s does not deliver record keys", b.explain)
-	}
-	return keyed, nil
+	return rows.(*binding), nil
 }
 
 // Valid reports whether every relation the plan depends on is still at the
@@ -289,18 +303,23 @@ type access struct {
 
 // costRequest is what the planner asks rd's access paths about filter.
 func (p *Planner) costRequest(rd *core.RelDesc, filter *expr.Expr, orderBy []int) (core.CostRequest, core.StorageInstance, error) {
+	req := core.CostRequest{Conjuncts: expr.Conjuncts(filter), OrderBy: orderBy}
+	sm, err := p.refresh(&req, rd, nil)
+	return req, sm, err
+}
+
+// refresh fills in what req's answer depends on besides its conjuncts:
+// rd's record count and, with a stats attachment, each conjunct's
+// selectivity, written into sels when it has room.
+func (p *Planner) refresh(req *core.CostRequest, rd *core.RelDesc, sels []float64) (core.StorageInstance, error) {
 	sm, err := p.env.StorageInstance(rd)
 	if err != nil {
-		return core.CostRequest{}, nil, err
+		return nil, err
 	}
-	conjuncts := expr.Conjuncts(filter)
 	ts, hasStats := p.tableStatsFor(rd)
-	return core.CostRequest{
-		Conjuncts:   conjuncts,
-		OrderBy:     orderBy,
-		ConjunctSel: conjunctSels(ts, hasStats, conjuncts),
-		RecordCount: sm.RecordCount(),
-	}, sm, nil
+	req.ConjunctSel = conjunctSels(sels, ts, hasStats, req.Conjuncts)
+	req.RecordCount = sm.RecordCount()
+	return sm, nil
 }
 
 // costModel is what the planner asks of an access path: the storage
@@ -467,8 +486,8 @@ func (b *Bound) translate(params []types.Value) error {
 		if b.ordered {
 			b.explain += " [ordered]"
 		}
-		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openAccess(tx, b, outer, q.Fields, q.ForUpdate)
+		b.root = func(tx *txn.Txn, x *binding) (Rows, error) {
+			return x.openAccess(tx, &x.outer, q.Fields, q.ForUpdate)
 		}
 		return nil
 	}
@@ -507,7 +526,16 @@ func (b *Bound) translate(params []types.Value) error {
 		if inner, _, err = p.chooseAccess(innerRD, j.Filter, nil, nil, 0, &ForcedPath{Att: 0}); err != nil {
 			return err
 		}
-		inner.filter, inner.pushdown = expr.And(eq, j.Filter), expr.And(eq, inner.pushdown)
+		// The equality is conjunct 0 of the inner's filter, and path zero
+		// handles none of it: the conjuncts of j.Filter it handles move up
+		// one.
+		handled := make([]int, len(inner.estimate.Handled))
+		for i, h := range inner.estimate.Handled {
+			handled[i] = h + 1
+		}
+		inner.estimate.Handled = handled
+		filter := expr.And(eq, j.Filter)
+		withResidual(inner, filter, expr.Conjuncts(filter))
 	} else {
 		// An equality's estimate depends on its column, not its value, so a
 		// value of the column's kind prices the join slot.
@@ -546,12 +574,12 @@ func (b *Bound) translate(params []types.Value) error {
 		return fmt.Errorf("plan: unknown ForceJoin %q", q.ForceJoin)
 	}
 
-	nl := nlRows{q: q, inner: inner}
+	nl := innerSide{inner: inner}
 	if strategy == "hash" {
 		b.explain = fmt.Sprintf("hash(%s ⋈ %s)", outer.name, build.name)
 		inner.name = "hash(" + build.via(p.env) + ")"
-		b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-			return p.openHashJoin(tx, b, outer, nl, build)
+		b.root = func(tx *txn.Txn, x *binding) (Rows, error) {
+			return x.openHashJoin(tx, nl, build)
 		}
 		return nil
 	}
@@ -565,30 +593,166 @@ func (b *Bound) translate(params []types.Value) error {
 		}
 		nl.req = req
 	}
-	b.root = func(tx *txn.Txn, outer *access) (Rows, error) {
-		return p.openNL(tx, b, outer, nl)
+	b.root = func(tx *txn.Txn, x *binding) (Rows, error) {
+		return x.openNL(tx, nl, nil)
 	}
 	return nil
 }
 
-// --- executors ---
-
-// openAccess opens a single-table cursor over the chosen access path,
-// registered with b for per-operator execution counters.
-func (p *Planner) openAccess(tx *txn.Txn, b *Bound, a *access, fields []int, forUpdate bool) (Rows, error) {
-	rel, err := p.env.OpenRelation(a.rd)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := openAccessRaw(tx, rel, a, fields, forUpdate)
-	if err != nil {
-		return nil, err
-	}
-	return b.trackKeyed(tx, a.name, rows), nil
+// innerSide is what translation chose for a join's inner side: the access
+// a nested loop opens per outer row (whose name is the join operator's)
+// and, when its path handles the join equality, that path and the cost
+// request it was chosen with.
+type innerSide struct {
+	inner *access
+	path  costModel
+	req   core.CostRequest
 }
 
-// openAccessRaw opens the cursor of access a to rel, a's relation.
-func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
+// --- executors ---
+
+// binding is one execution of a bound plan: the outer access bound to the
+// execution's parameter values, a join's inner and build accesses, the
+// nested-loop cursor, and every operator's counters. Execute fills it,
+// the cursor it returns (the binding itself) owns it while open, and that
+// cursor's Close hands it back to the plan for a later Execute.
+type binding struct {
+	b      *Bound
+	gen    int    // the translation it was built for (Bound.gen)
+	outer  binder // Table's access
+	inner  binder // a nested loop's inner access, bound per outer row
+	build  binder // a hash join's build access
+	nl     nlRows
+	join   countedRows      // the join operator: nl, counted
+	stats  [3]OperatorStats // the operators' counters, in opening order
+	nstats int              // stats in use
+	top    Rows             // the root operator
+	open   bool             // a cursor owns the binding
+}
+
+func (x *binding) Next() (types.Record, bool, error) { return x.top.Next() }
+
+// NextKeyed serves a single-table plan's cursor (Bound.ExecuteKeyed).
+func (x *binding) NextKeyed() (types.Key, types.Record, bool, error) {
+	return x.outer.op.NextKeyed()
+}
+
+// Close closes the operators and hands the binding back to its plan.
+func (x *binding) Close() error {
+	if !x.open {
+		return nil
+	}
+	x.open = false
+	err := x.top.Close()
+	x.b.recycle(x)
+	return err
+}
+
+// bindOuter binds params into the outer access. same reports that its path
+// still serves them in the plan's cardinality class: the same point flag
+// and power-of-4 bucket of expected rows as well.
+func (x *binding) bindOuter(params []types.Value) (same bool, err error) {
+	o, p := &x.outer, x.b.planner
+	o.bind(params)
+	if _, err = p.refresh(&o.req, o.src.rd, o.sels); err != nil {
+		return false, err
+	}
+	if o.req.ConjunctSel != nil {
+		o.sels = o.req.ConjunctSel
+	}
+	if o.path, err = p.pathOf(o.src.rd, o.src.useAtt); err != nil {
+		return false, err
+	}
+	serves := o.ask()
+	return serves && o.a.estimate.Point == o.src.estimate.Point && rowClass(o.a.rows) == rowClass(o.src.rows), nil
+}
+
+// openAccess opens bd's access as an operator of this execution, counted
+// under the access's name.
+func (x *binding) openAccess(tx *txn.Txn, bd *binder, fields []int, forUpdate bool) (Rows, error) {
+	if err := bd.relation(x.b.planner.env); err != nil {
+		return nil, err
+	}
+	rows, err := bd.open(tx, &bd.a, fields, forUpdate)
+	if err != nil {
+		return nil, err
+	}
+	bd.op = countedKeyedRows{keyed: rows}
+	x.track(tx, bd.src.name, rows, &bd.op.countedRows)
+	return &bd.op, nil
+}
+
+// binder is one access of one execution: the translated access rebound to
+// the execution's parameter values, the relation handle it reads through,
+// and its operator's counting cursor. Its filter is a private copy whose
+// parameter markers are constant nodes (expr.BindMarkers); the conjunct
+// list, the residual and the cost request are built over those nodes once,
+// and each bind writes the values into them and asks the path again, its
+// answer's keys going into the binder's scratch. The outer access binds
+// once per execution, a nested loop's inner access once per outer row.
+type binder struct {
+	src     *access          // as translated
+	a       access           // src under the bound values
+	whole   access           // path zero under the whole filter: an inner's fallback
+	marks   []expr.Marker    // the constants a's filter has for the markers
+	path    costModel        // asked on each bind; nil: src's key range stands
+	req     core.CostRequest // over a's conjuncts, answered into scratch
+	scratch core.KeyScratch
+	sels    []float64 // req.ConjunctSel's array
+	rel     *core.Relation
+	scan    scanRows         // the adapter of a storage-method cursor
+	op      countedKeyedRows // the access as an operator (openAccess)
+}
+
+// init builds the binder of src, whose path, when set, is asked req
+// about the bound conjuncts on each bind. An access without markers binds
+// nothing: its binder reads src as translated.
+func (bd *binder) init(src *access, req core.CostRequest, path costModel) {
+	*bd = binder{src: src, a: *src, path: path}
+	filter, marks := expr.BindMarkers(src.filter, nil)
+	if len(marks) == 0 {
+		return
+	}
+	bd.marks = marks
+	bd.req = req
+	bd.req.Conjuncts, bd.req.Scratch = expr.Conjuncts(filter), &bd.scratch
+	withResidual(&bd.a, filter, bd.req.Conjuncts)
+	bd.whole = access{rd: src.rd, filter: filter, pushdown: filter}
+}
+
+// bind writes params into the filter's constants.
+func (bd *binder) bind(params []types.Value) {
+	for _, m := range bd.marks {
+		m.Node.Val = params[m.Param]
+	}
+}
+
+// ask asks the path for the key range under the bound values. It reports
+// whether the path still serves them as planned — usable, the same
+// instance, the same conjuncts handled, so the residual is complete.
+func (bd *binder) ask() bool {
+	bd.scratch.Reset()
+	est := bd.path.EstimateCost(bd.req)
+	bd.a.start, bd.a.end, bd.a.estimate = est.Start, est.End, est
+	bd.a.rows = expectedRows(bd.req.RecordCount, est)
+	return est.Usable && est.Instance == bd.src.instance && slices.Equal(est.Handled, bd.src.estimate.Handled)
+}
+
+// relation opens the binder's relation handle, once: a handle follows the
+// catalog's current descriptor, and a translation gets new binders.
+func (bd *binder) relation(env *core.Env) error {
+	if bd.rel != nil {
+		return nil
+	}
+	rel, err := env.OpenRelation(bd.src.rd)
+	bd.rel = rel
+	return err
+}
+
+// open opens the cursor of access a — the binder's own, or its fallback —
+// through the binder's relation handle.
+func (bd *binder) open(tx *txn.Txn, a *access, fields []int, forUpdate bool) (KeyedRows, error) {
+	rel := bd.rel
 	if forUpdate {
 		if err := rel.LockForWrite(tx, !a.estimate.Point); err != nil {
 			return nil, err
@@ -601,7 +765,8 @@ func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, for
 		if err != nil {
 			return nil, err
 		}
-		return scanRows{scan: scan}, nil
+		bd.scan = scanRows{scan: scan}
+		return &bd.scan, nil
 	}
 	// An equality on the path's whole key (CostEstimate.Point; the only
 	// access a hash index offers) is a direct-by-key probe. The probe holds
@@ -624,14 +789,14 @@ func openAccessRaw(tx *txn.Txn, rel *core.Relation, a *access, fields []int, for
 // scanRows adapts a storage-method scan.
 type scanRows struct{ scan core.Scan }
 
-func (r scanRows) NextKeyed() (types.Key, types.Record, bool, error) { return r.scan.Next() }
+func (r *scanRows) NextKeyed() (types.Key, types.Record, bool, error) { return r.scan.Next() }
 
-func (r scanRows) Next() (types.Record, bool, error) {
+func (r *scanRows) Next() (types.Record, bool, error) {
 	_, rec, ok, err := r.scan.Next()
 	return rec, ok, err
 }
 
-func (r scanRows) Close() error { return r.scan.Close() }
+func (r *scanRows) Close() error { return r.scan.Close() }
 
 // fetchRows adapts an index-then-fetch cursor. It is one pointer, so it
 // converts to KeyedRows without an allocation.
@@ -649,15 +814,18 @@ func (r fetchRows) Next() (types.Record, bool, error) {
 // that value's records in the table. The build decodes only the fields the
 // join returns and the join column. A NULL key never matches, so it is not
 // built.
-func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, build *access) (Rows, error) {
+func (x *binding) openHashJoin(tx *txn.Txn, in innerSide, build *access) (Rows, error) {
 	tr := tx.Trace()
 	var start time.Time
 	if tr.Detailed() { // the clock is read, and the event formatted, only for the trace
 		start = time.Now()
 	}
-	j := r.q.Join
+	j := x.b.query.Join
 	fields, col := withJoinCol(j.Fields, j.InnerCol)
-	rows, err := p.openAccess(tx, b, build, fields, false)
+	if x.build.src == nil {
+		x.build.init(build, core.CostRequest{}, nil)
+	}
+	rows, err := x.openAccess(tx, &x.build, fields, false)
 	if err != nil {
 		return nil, err
 	}
@@ -678,12 +846,11 @@ func (p *Planner) openHashJoin(tx *txn.Txn, b *Bound, outer *access, r nlRows, b
 		return nil, err
 	}
 	t.index()
-	r.table = t
-	p.env.Obs.Plan.HashJoins.Inc()
+	x.b.planner.env.Obs.Plan.HashJoins.Inc()
 	if tr.Detailed() {
 		tr.Event("plan.hashjoin", "plan", fmt.Sprintf("build rows=%d", len(t.recs)), start, time.Since(start), nil)
 	}
-	return p.openNL(tx, b, outer, r)
+	return x.openNL(tx, in, t)
 }
 
 // withJoinCol is the field list a join side reads: the fields it returns,
@@ -754,23 +921,32 @@ func (t *hashTable) match(key []byte) matchRows {
 	return matchRows{at: -1}
 }
 
-// openNL opens the nested-loop join from r, the cursor as translation left
-// it: the inner access and, when its path handles the join equality, that
-// path and the cost request it was chosen with. Each outer row then only
-// binds its join value and asks the path for that value's key range (the
-// tuple-at-a-time call volume of E2).
-func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, r nlRows) (Rows, error) {
-	rel, err := p.env.OpenRelation(r.inner.rd)
+// openNL opens the nested-loop join over the outer access and in's inner
+// access or, for a hash join, the built table. Each outer row then only
+// binds its join value and asks the inner path for that value's key range
+// (the tuple-at-a-time call volume of E2).
+func (x *binding) openNL(tx *txn.Txn, in innerSide, table *hashTable) (Rows, error) {
+	q := &x.b.query
+	r := &x.nl
+	*r = nlRows{q: q, table: table, key: r.key, params: r.params}
+	if table == nil {
+		if x.inner.src == nil {
+			x.inner.init(in.inner, in.req, in.path)
+			r.params = make([]types.Value, x.b.slots+1)
+		}
+		if err := x.inner.relation(x.b.planner.env); err != nil {
+			return nil, err
+		}
+		r.inner = &x.inner
+	}
+	fields, col := withJoinCol(q.Fields, q.Join.OuterCol)
+	outer, err := x.openAccess(tx, &x.outer, fields, false)
 	if err != nil {
 		return nil, err
 	}
-	fields, col := withJoinCol(r.q.Fields, r.q.Join.OuterCol)
-	outerRows, err := p.openAccess(tx, b, outer, fields, false)
-	if err != nil {
-		return nil, err
-	}
-	r.tx, r.rel, r.outer, r.params, r.outerCol = tx, rel, outerRows, make([]types.Value, b.slots+1), col
-	return b.track(tx, r.inner.name, &r), nil
+	r.tx, r.outer, r.outerCol = tx, outer, col
+	x.track(tx, in.inner.name, r, &x.join)
+	return &x.join, nil
 }
 
 // nlRows is the nested-loop join cursor: for each outer row it opens the
@@ -778,13 +954,10 @@ func (p *Planner) openNL(tx *txn.Txn, b *Bound, outer *access, r nlRows) (Rows, 
 // inner is its built table instead.
 type nlRows struct {
 	tx     *txn.Txn
-	q      Query
+	q      *Query
 	outer  Rows
-	inner  *access // the join value unbound
-	rel    *core.Relation
-	path   costModel        // the inner path, when it handles the join equality
-	req    core.CostRequest // what path was asked at translation
-	params []types.Value    // the last slot takes the join value
+	inner  *binder       // the inner access
+	params []types.Value // the last slot takes the join value
 
 	table *hashTable // a hash join's build
 	key   []byte     // the encoded join value, reused
@@ -845,22 +1018,14 @@ func (r *nlRows) open(v types.Value) (Rows, error) {
 		r.match = r.table.match(r.key)
 		return &r.match, nil
 	}
+	bd := r.inner
 	r.params[len(r.params)-1] = v
-	filter := expr.Bind(r.inner.filter, r.params)
-	var a *access
-	if r.path == nil {
-		bound := *r.inner
-		bound.filter, bound.pushdown = filter, expr.Bind(r.inner.pushdown, r.params)
-		a = &bound
-	} else {
-		req := r.req
-		req.Conjuncts = expr.Conjuncts(filter)
-		var serves bool
-		if a, serves = rebind(r.inner, filter, r.params, req, r.path); !serves {
-			a = &access{rd: a.rd, filter: filter, pushdown: filter}
-		}
+	bd.bind(r.params)
+	a := &bd.a
+	if bd.path != nil && !bd.ask() {
+		a = &bd.whole
 	}
-	return openAccessRaw(r.tx, r.rel, a, r.q.Join.Fields, false)
+	return bd.open(r.tx, a, r.q.Join.Fields, false)
 }
 
 func (r *nlRows) Close() error {

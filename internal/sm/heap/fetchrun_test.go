@@ -132,7 +132,7 @@ func TestFetchRunEqualsFetchByKey(t *testing.T) {
 					out := make([]core.Fetched, n)
 					for lo := 0; lo < len(order); lo += n {
 						run := order[lo:min(lo+n, len(order))]
-						if err := vs.FetchRun(reader.tx, run, sh.fields, sh.filter, out[:len(run)]); err != nil {
+						if err := vs.FetchRun(reader.tx, run, sh.fields, expr.Compile(env.Eval, sh.filter, nil), out[:len(run)]); err != nil {
 							t.Fatalf("%s, %s, %s, runs of %d: %v", reader.name, oname, sh.name, n, err)
 						}
 						for i, o := range out[:len(run)] {

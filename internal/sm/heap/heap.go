@@ -710,14 +710,14 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 // FetchRun implements core.VersionedStorage: FetchByKey's snapshot path
 // for every key of the run under one hold of the shared latch, with one
 // pin per stretch of consecutive keys on the same page and one qualifier
-// (the filter compiled, the projection built) for the whole run, whose
-// records share one backing array sized to the run. Each key is still
-// judged against the snapshot on its own.
-func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Expr, out []core.Fetched) (err error) {
+// (the caller's compiled filter, the projection built) for the whole run,
+// whose records share one backing array sized to the run. Each key is
+// still judged against the snapshot on its own.
+func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Program, out []core.Fetched) (err error) {
 	if !tx.ReadOnly() {
 		return fmt.Errorf("heap: a fetch run needs a snapshot transaction")
 	}
-	q := smutil.NewQualifier(s.env, core.ScanOptions{Filter: filter, Fields: fields})
+	q := smutil.CompiledQualifier(filter, fields)
 	q.SizeRun(len(keys))
 	snap, tr := tx.Snapshot(), tx.Trace()
 	var f *buffer.Frame // pinned while consecutive keys stay on its page

@@ -755,7 +755,7 @@ func beforeKey(k types.Key) types.Key {
 func (s *store) EstimateCost(req core.CostRequest) core.CostEstimate {
 	n := float64(req.RecordCount)
 	fan := float64(len(s.shards))
-	start, end, handled, point, depth := smutil.KeyRange(s.keyFields, req.Conjuncts)
+	start, end, handled, point, depth := smutil.KeyRange(s.keyFields, req.Conjuncts, req.Scratch)
 	est := core.CostEstimate{Usable: true, Start: start, End: end, Handled: handled,
 		Ordered: s.keyFields != nil && smutil.OrderSatisfiedBy(s.keyFields, req.OrderBy)}
 	switch {

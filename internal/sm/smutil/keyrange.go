@@ -1,6 +1,7 @@
 package smutil
 
 import (
+	"dmx/internal/core"
 	"dmx/internal/expr"
 	"dmx/internal/types"
 )
@@ -26,21 +27,40 @@ func OrderSatisfiedBy(keyFields, orderBy []int) bool {
 // PrefixSuccessor returns the smallest byte string greater than every
 // string having p as a prefix (nil when p is all 0xFF, meaning unbounded).
 func PrefixSuccessor(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xFF {
-			out[i]++
-			return out[:i+1]
+	_, succ := appendSuccessor(nil, p)
+	return succ
+}
+
+// appendSuccessor appends PrefixSuccessor(p) to dst, returning the grown
+// dst and the successor as a slice of it (nil, with dst unchanged, when p
+// is all 0xFF). p may be part of dst.
+func appendSuccessor(dst, p []byte) ([]byte, types.Key) {
+	n := len(dst)
+	dst = append(dst, p...)
+	for i := len(dst) - 1; i >= n; i-- {
+		if dst[i] != 0xFF {
+			dst[i]++
+			return dst[:i+1], dst[n : i+1 : i+1]
 		}
 	}
-	return nil
+	return dst[:n], nil
+}
+
+// key is b as a key bound that later appends to b's array cannot reach:
+// nil when b is empty, as an unbounded side is.
+func key(b []byte) types.Key {
+	if len(b) == 0 {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }
 
 // rangeBounds derives the [start, end) scan bounds for one range-bounded
 // key field. prefix is the equality prefix over earlier key fields;
 // lowerEnc/upperEnc are the order-preserving encodings of the bound
 // values appended to that prefix (nil when that side is unbounded);
-// lowerStrict marks a > bound, upperInclusive a <= bound.
+// lowerStrict marks a > bound, upperInclusive a <= bound. Bounds that are
+// not one of those slices are appended to buf, which comes back grown.
 //
 // empty reports that the strict lower bound admits no key: its encoding
 // is all 0xFF, so no byte string sorts above it and the range holds
@@ -52,29 +72,27 @@ func PrefixSuccessor(p []byte) []byte {
 // always start with a kind-tag byte below 0xFF, so both edges are
 // unreachable through types.Value today; this keeps the contract honest
 // for any future raw-byte key source.
-func rangeBounds(prefix, lowerEnc, upperEnc []byte, lowerStrict, upperInclusive bool) (start, end types.Key, empty, upperHandled bool) {
-	start = append(types.Key(nil), prefix...)
-	end = PrefixSuccessor(prefix)
+func rangeBounds(buf, prefix, lowerEnc, upperEnc []byte, lowerStrict, upperInclusive bool) (out []byte, start, end types.Key, empty, upperHandled bool) {
+	start = key(prefix)
+	buf, end = appendSuccessor(buf, prefix)
 	if lowerEnc != nil {
-		b := lowerEnc
+		start = key(lowerEnc)
 		if lowerStrict {
-			if b = PrefixSuccessor(b); b == nil {
-				return nil, nil, true, false
+			if buf, start = appendSuccessor(buf, lowerEnc); start == nil {
+				return buf, nil, nil, true, false
 			}
 		}
-		start = b
 	}
-	upperHandled = true
 	if upperEnc != nil {
-		b := upperEnc
+		bound := key(upperEnc)
 		if upperInclusive {
-			if b = PrefixSuccessor(b); b == nil {
-				return start, end, false, false
+			if buf, bound = appendSuccessor(buf, upperEnc); bound == nil {
+				return buf, start, end, false, false
 			}
 		}
-		end = b
+		end = bound
 	}
-	return start, end, false, upperHandled
+	return buf, start, end, false, true
 }
 
 // KeyRange analyses the planner's eligible predicates against an ordered
@@ -83,14 +101,29 @@ func rangeBounds(prefix, lowerEnc, upperEnc []byte, lowerStrict, upperInclusive 
 // bounds, the indexes of the conjuncts the key range handles (so the
 // executor need not re-apply them), whether every key field is bound by
 // equality (a point access), and how many leading key fields participate.
-func KeyRange(keyFields []int, conjuncts []*expr.Expr) (start, end types.Key, handled []int, point bool, depth int) {
-	var prefix []byte
+//
+// With a scratch (core.CostRequest.Scratch) the bounds and the handled
+// indexes are appended to it, so a path asked again over a reused scratch
+// allocates nothing; without one they share one new array.
+func KeyRange(keyFields []int, conjuncts []*expr.Expr, scratch *core.KeyScratch) (start, end types.Key, handled []int, point bool, depth int) {
+	var buf []byte
+	var hs []int
+	if scratch != nil {
+		buf, hs = scratch.Keys, scratch.Handled
+	}
+	p0, h0 := len(buf), len(hs)
+	done := func() []int { // keeps what was appended, returns the handled indexes
+		if scratch != nil {
+			scratch.Keys, scratch.Handled = buf, hs
+		}
+		return hs[h0:len(hs):len(hs)]
+	}
 	eqCount := 0
 	for _, kf := range keyFields {
 		// Equality on this key field extends the shared prefix.
 		eqIdx := -1
 		var eqVal types.Value
-		var lower, upper *expr.FieldCompare
+		var lower, upper expr.FieldCompare // valid when lowerIdx, upperIdx >= 0
 		lowerIdx, upperIdx := -1, -1
 		for ci, c := range conjuncts {
 			fc, ok := expr.MatchFieldCompare(c)
@@ -101,36 +134,40 @@ func KeyRange(keyFields []int, conjuncts []*expr.Expr) (start, end types.Key, ha
 			case expr.OpEq:
 				eqIdx, eqVal = ci, fc.Value
 			case expr.OpGt, expr.OpGe:
-				f := fc
-				lower, lowerIdx = &f, ci
+				lower, lowerIdx = fc, ci
 			case expr.OpLt, expr.OpLe:
-				f := fc
-				upper, upperIdx = &f, ci
+				upper, upperIdx = fc, ci
 			}
 		}
 		if eqIdx >= 0 {
-			prefix = eqVal.AppendOrderedEncode(prefix)
-			handled = append(handled, eqIdx)
+			buf = eqVal.AppendOrderedEncode(buf)
+			hs = append(hs, eqIdx)
 			eqCount++
 			depth++
 			continue
 		}
 		// Range bounds on the first non-equality key field terminate the
 		// prefix walk.
-		if lower == nil && upper == nil {
+		if lowerIdx < 0 && upperIdx < 0 {
 			break
 		}
 		depth++
+		prefix := buf[p0:len(buf):len(buf)]
 		var lowerEnc, upperEnc []byte
-		if lower != nil {
-			lowerEnc = lower.Value.AppendOrderedEncode(append([]byte(nil), prefix...))
+		if lowerIdx >= 0 {
+			n := len(buf)
+			buf = lower.Value.AppendOrderedEncode(append(buf, prefix...))
+			lowerEnc = buf[n:len(buf):len(buf)]
 		}
-		if upper != nil {
-			upperEnc = upper.Value.AppendOrderedEncode(append([]byte(nil), prefix...))
+		if upperIdx >= 0 {
+			n := len(buf)
+			buf = upper.Value.AppendOrderedEncode(append(buf, prefix...))
+			upperEnc = buf[n:len(buf):len(buf)]
 		}
-		start, end, empty, upperOK := rangeBounds(prefix, lowerEnc, upperEnc,
-			lower != nil && lower.Op == expr.OpGt,
-			upper != nil && upper.Op == expr.OpLe)
+		var empty, upperOK bool
+		buf, start, end, empty, upperOK = rangeBounds(buf, prefix, lowerEnc, upperEnc,
+			lowerIdx >= 0 && lower.Op == expr.OpGt,
+			upperIdx >= 0 && upper.Op == expr.OpLe)
 		if empty {
 			// The strict lower bound admits no key at all. Report an
 			// explicitly empty range (start == end, non-nil); a nil start
@@ -138,25 +175,24 @@ func KeyRange(keyFields []int, conjuncts []*expr.Expr) (start, end types.Key, ha
 			// conjunct was claimed handled. The empty result trivially
 			// satisfies the upper conjunct too, but only the lower one is
 			// claimed.
-			return types.Key{}, types.Key{}, append(handled, lowerIdx), false, depth
+			hs = append(hs, lowerIdx)
+			return types.Key{}, types.Key{}, done(), false, depth
 		}
-		if lower != nil {
-			handled = append(handled, lowerIdx)
+		if lowerIdx >= 0 {
+			hs = append(hs, lowerIdx)
 		}
-		if upper != nil {
-			if upperOK {
-				handled = append(handled, upperIdx)
-			}
-			// Otherwise end stays at the prefix bound and the executor
-			// re-applies the conjunct.
+		// An upper bound the end cannot enforce leaves end at the prefix
+		// bound, and the executor re-applies its conjunct.
+		if upperIdx >= 0 && upperOK {
+			hs = append(hs, upperIdx)
 		}
-		return start, end, handled, false, depth
+		return start, end, done(), false, depth
 	}
 	if depth == 0 {
 		return nil, nil, nil, false, 0
 	}
 	// Pure equality prefix.
-	start = append(types.Key(nil), prefix...)
-	end = PrefixSuccessor(prefix)
-	return start, end, handled, eqCount == len(keyFields), depth
+	start = key(buf[p0:])
+	buf, end = appendSuccessor(buf, start)
+	return start, end, done(), eqCount == len(keyFields), depth
 }

@@ -36,8 +36,13 @@ type Qualifier struct {
 // NewQualifier compiles opts' filter, bound to opts' parameters, for one
 // scan.
 func NewQualifier(env *core.Env, opts core.ScanOptions) Qualifier {
-	return Qualifier{prog: expr.Compile(env.Eval, opts.Filter, opts.Params),
-		out: types.NewSelector(opts.Fields), fields: opts.Fields}
+	return CompiledQualifier(expr.Compile(env.Eval, opts.Filter, opts.Params), opts.Fields)
+}
+
+// CompiledQualifier is a Qualifier over a filter its caller compiled
+// (nil: none) and projecting onto fields.
+func CompiledQualifier(prog *expr.Program, fields []int) Qualifier {
+	return Qualifier{prog: prog, out: types.NewSelector(fields), fields: fields}
 }
 
 // SizeRun sizes the slab for a caller that knows how many records it is

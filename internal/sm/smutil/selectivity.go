@@ -1,6 +1,8 @@
 package smutil
 
 import (
+	"slices"
+
 	"dmx/internal/core"
 	"dmx/internal/expr"
 )
@@ -52,13 +54,9 @@ func HandledSelectivity(req core.CostRequest, handled []int) float64 {
 // ResidualSelectivity returns the combined selectivity of the conjuncts
 // NOT in handled — the fraction the executor's residual filter keeps.
 func ResidualSelectivity(req core.CostRequest, handled []int) float64 {
-	isHandled := make(map[int]bool, len(handled))
-	for _, i := range handled {
-		isHandled[i] = true
-	}
 	sel := 1.0
 	for i := range req.Conjuncts {
-		if !isHandled[i] {
+		if !slices.Contains(handled, i) {
 			sel *= ConjunctSelectivity(req, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package smutil
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func keyIn(start, end types.Key, vals ...types.Value) bool {
 }
 
 func TestKeyRangePointAccess(t *testing.T) {
-	start, end, handled, point, depth := KeyRange([]int{0, 1}, []*expr.Expr{eq(0, 5), eq(1, 7)})
+	start, end, handled, point, depth := KeyRange([]int{0, 1}, []*expr.Expr{eq(0, 5), eq(1, 7)}, nil)
 	if !point || depth != 2 || len(handled) != 2 {
 		t.Fatalf("point=%v depth=%d handled=%v", point, depth, handled)
 	}
@@ -68,7 +69,7 @@ func TestKeyRangePointAccess(t *testing.T) {
 
 func TestKeyRangeEqualityPrefixPlusRange(t *testing.T) {
 	start, end, handled, point, depth := KeyRange([]int{0, 1},
-		[]*expr.Expr{eq(0, 5), ge(1, 10), lt(1, 20)})
+		[]*expr.Expr{eq(0, 5), ge(1, 10), lt(1, 20)}, nil)
 	if point || depth != 2 || len(handled) != 3 {
 		t.Fatalf("point=%v depth=%d handled=%v", point, depth, handled)
 	}
@@ -86,7 +87,7 @@ func TestKeyRangeEqualityPrefixPlusRange(t *testing.T) {
 func TestKeyRangeInclusiveBounds(t *testing.T) {
 	// x > 3 excludes 3; x <= 7 includes 7.
 	gt := expr.Gt(expr.Field(0), expr.Const(types.Int(3)))
-	start, end, _, _, depth := KeyRange([]int{0}, []*expr.Expr{gt, le(0, 7)})
+	start, end, _, _, depth := KeyRange([]int{0}, []*expr.Expr{gt, le(0, 7)}, nil)
 	if depth != 1 {
 		t.Fatalf("depth = %d", depth)
 	}
@@ -103,26 +104,26 @@ func TestKeyRangeInclusiveBounds(t *testing.T) {
 
 func TestKeyRangeNoUsablePredicate(t *testing.T) {
 	// A predicate on field 1 cannot bound a key starting at field 0.
-	_, _, handled, point, depth := KeyRange([]int{0, 1}, []*expr.Expr{eq(1, 7)})
+	_, _, handled, point, depth := KeyRange([]int{0, 1}, []*expr.Expr{eq(1, 7)}, nil)
 	if depth != 0 || point || handled != nil {
 		t.Fatalf("depth=%d point=%v handled=%v", depth, point, handled)
 	}
 	// Nor can a non-comparison conjunct.
-	_, _, _, _, depth = KeyRange([]int{0}, []*expr.Expr{expr.IsNull(expr.Field(0))})
+	_, _, _, _, depth = KeyRange([]int{0}, []*expr.Expr{expr.IsNull(expr.Field(0))}, nil)
 	if depth != 0 {
 		t.Fatalf("depth = %d", depth)
 	}
 }
 
 func TestKeyRangeOpenEnds(t *testing.T) {
-	start, end, _, _, _ := KeyRange([]int{0}, []*expr.Expr{ge(0, 100)})
+	start, end, _, _, _ := KeyRange([]int{0}, []*expr.Expr{ge(0, 100)}, nil)
 	if end != nil {
 		t.Fatal("lower-bound-only range should be open above")
 	}
 	if keyIn(start, end, types.Int(99)) || !keyIn(start, end, types.Int(100)) {
 		t.Fatal("lower bound wrong")
 	}
-	start, end, _, _, _ = KeyRange([]int{0}, []*expr.Expr{lt(0, 100)})
+	start, end, _, _, _ = KeyRange([]int{0}, []*expr.Expr{lt(0, 100)}, nil)
 	if !keyIn(start, end, types.Int(-5)) || keyIn(start, end, types.Int(100)) {
 		t.Fatal("upper bound wrong")
 	}
@@ -140,7 +141,7 @@ func TestRangeBoundsAllFFEdges(t *testing.T) {
 	// — read downstream as "scan from the beginning" — while the conjunct
 	// was reported handled, silently turning an empty range into a full
 	// scan with the filter dropped.
-	_, _, empty, _ := rangeBounds(nil, allFF, nil, true, false)
+	_, _, _, empty, _ := rangeBounds(nil, nil, allFF, nil, true, false)
 	if !empty {
 		t.Fatal("strict lower bound at all-0xFF not reported empty")
 	}
@@ -150,7 +151,7 @@ func TestRangeBoundsAllFFEdges(t *testing.T) {
 	// unhandled so the executor re-applies it. (The bound encoding
 	// embeds the prefix, so this edge requires the prefix itself to be
 	// empty or all 0xFF.)
-	start, end, empty, upperHandled := rangeBounds(nil, nil, allFF, false, true)
+	_, start, end, empty, upperHandled := rangeBounds(nil, nil, nil, allFF, false, true)
 	if empty || upperHandled {
 		t.Fatalf("inclusive all-0xFF upper: empty=%v handled=%v", empty, upperHandled)
 	}
@@ -159,7 +160,7 @@ func TestRangeBoundsAllFFEdges(t *testing.T) {
 	}
 
 	// Both edges at once: the empty verdict wins.
-	if _, _, empty, _ := rangeBounds(nil, allFF, allFF, true, true); !empty {
+	if _, _, _, empty, _ := rangeBounds(nil, nil, allFF, allFF, true, true); !empty {
 		t.Fatal("empty strict lower not reported when upper also edges")
 	}
 }
@@ -170,7 +171,7 @@ func TestRangeBoundsOrdinaryBounds(t *testing.T) {
 	upper := append(append([]byte(nil), prefix...), 9)
 
 	// Strict lower: start is the successor of the bound encoding.
-	start, end, empty, handled := rangeBounds(prefix, lower, upper, true, false)
+	_, start, end, empty, handled := rangeBounds(nil, prefix, lower, upper, true, false)
 	if empty || !handled {
 		t.Fatalf("empty=%v handled=%v", empty, handled)
 	}
@@ -179,13 +180,13 @@ func TestRangeBoundsOrdinaryBounds(t *testing.T) {
 	}
 
 	// Inclusive upper: end is the successor of the bound encoding.
-	start, end, _, handled = rangeBounds(prefix, lower, upper, false, true)
+	_, start, end, _, handled = rangeBounds(nil, prefix, lower, upper, false, true)
 	if !handled || string(start) != string(lower) || string(end) != string(PrefixSuccessor(upper)) {
 		t.Fatalf("handled=%v start=%v end=%v", handled, start, end)
 	}
 
 	// No bounds: the equality prefix alone governs.
-	start, end, _, _ = rangeBounds(prefix, nil, nil, false, false)
+	_, start, end, _, _ = rangeBounds(nil, prefix, nil, nil, false, false)
 	if string(start) != string(prefix) || string(end) != string(PrefixSuccessor(prefix)) {
 		t.Fatalf("prefix-only bounds: start=%v end=%v", start, end)
 	}
@@ -198,7 +199,7 @@ func TestRangeBoundsOrdinaryBounds(t *testing.T) {
 func TestKeyRangeStrictBoundContracts(t *testing.T) {
 	const maxI = int64(^uint64(0) >> 1)
 	gt := expr.Gt(expr.Field(0), expr.Const(types.Int(maxI)))
-	start, end, handled, _, depth := KeyRange([]int{0}, []*expr.Expr{gt})
+	start, end, handled, _, depth := KeyRange([]int{0}, []*expr.Expr{gt}, nil)
 	if depth != 1 || len(handled) != 1 {
 		t.Fatalf("depth=%d handled=%v", depth, handled)
 	}
@@ -207,7 +208,7 @@ func TestKeyRangeStrictBoundContracts(t *testing.T) {
 	}
 
 	leMax := le(0, maxI)
-	start, end, handled, _, _ = KeyRange([]int{0}, []*expr.Expr{leMax})
+	start, end, handled, _, _ = KeyRange([]int{0}, []*expr.Expr{leMax}, nil)
 	if len(handled) != 1 {
 		t.Fatalf("handled=%v", handled)
 	}
@@ -425,6 +426,58 @@ func TestTreeScanRunsMatchOneDescentPerNext(t *testing.T) {
 						seed, step, k, r, ok, wk, wv, wok)
 				}
 			}
+		}
+	}
+}
+
+// TestKeyRangeScratch: KeyRange into a scratch answers exactly what it
+// answers without one; answers appended to one scratch stay intact; and a
+// scratch emptied between requests makes a repeated request allocate
+// nothing.
+func TestKeyRangeScratch(t *testing.T) {
+	gt := expr.Gt(expr.Field(1), expr.Const(types.Int(3)))
+	cases := [][]*expr.Expr{
+		{eq(0, 5), eq(1, 7)},
+		{eq(0, 5), ge(1, 10), lt(1, 20)},
+		{eq(0, 5), gt, le(1, 9)},
+		{lt(0, 100)},
+		{ge(0, 100)},
+		{eq(1, 7)},
+		{expr.Gt(expr.Field(0), expr.Const(types.Int(int64(^uint64(0)>>1))))},
+	}
+	type answer struct {
+		start, end types.Key
+		handled    []int
+		point      bool
+		depth      int
+	}
+	ask := func(conj []*expr.Expr, sc *core.KeyScratch) answer {
+		s, e, h, p, d := KeyRange([]int{0, 1}, conj, sc)
+		return answer{s, e, h, p, d}
+	}
+	same := func(a, b answer) bool {
+		return string(a.start) == string(b.start) && (a.start == nil) == (b.start == nil) &&
+			string(a.end) == string(b.end) && (a.end == nil) == (b.end == nil) &&
+			fmt.Sprint(a.handled) == fmt.Sprint(b.handled) && a.point == b.point && a.depth == b.depth
+	}
+	var sc core.KeyScratch
+	var kept []answer
+	for _, conj := range cases {
+		want := ask(conj, nil)
+		got := ask(conj, &sc)
+		if !same(got, want) {
+			t.Fatalf("%v: into a scratch %+v, without %+v", conj, got, want)
+		}
+		kept = append(kept, got)
+	}
+	for i, conj := range cases {
+		if want := ask(conj, nil); !same(kept[i], want) {
+			t.Fatalf("%v: answer overwritten by later ones: %+v, want %+v", conj, kept[i], want)
+		}
+	}
+	for _, conj := range cases {
+		if allocs := testing.AllocsPerRun(20, func() { sc.Reset(); ask(conj, &sc) }); allocs != 0 {
+			t.Errorf("%v: %v allocations over a reused scratch", conj, allocs)
 		}
 	}
 }

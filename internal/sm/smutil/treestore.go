@@ -162,7 +162,7 @@ func (s *TreeStore) EstimateCost(req core.CostRequest) core.CostEstimate {
 	n := float64(s.tree.Len())
 	height := float64(s.tree.Height())
 	s.mu.Unlock()
-	start, end, handled, point, depth := KeyRange(s.keyFields, req.Conjuncts)
+	start, end, handled, point, depth := KeyRange(s.keyFields, req.Conjuncts, req.Scratch)
 	est := core.CostEstimate{Usable: true, IO: 0, Start: start, End: end, Handled: handled,
 		Ordered: s.keyFields != nil && OrderSatisfiedBy(s.keyFields, req.OrderBy)}
 	switch {
