@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-diff crash race model fuzz ingest part fmt vet staticcheck examples trace-demo
+.PHONY: build test check bench bench-diff crash race model fuzz ingest part fmt vet staticcheck examples trace-demo size
 
 build:
 	$(GO) build ./...
@@ -68,14 +68,15 @@ trace-demo:
 # recycled for another page while a caller still used it is the pool's
 # concurrency hazard, and concurrent transactions pin pages concurrently)
 # the many-to-many join through every join strategy, two open cursors of
-# one bound plan, each on its own binding, a snapshot index-then-fetch read
+# one bound plan, each on its own binding, one cached plan rebound across
+# executions against fresh plans, a snapshot index-then-fetch read
 # in runs while a writer changes the keys it holds, and relation handles,
 # attachment instances and the relation list read while another
 # transaction creates and drops an index.
 race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
-	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree|TestOpenCursorsOfOnePlan' ./internal/plan/
+	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree|TestOpenCursorsOfOnePlan|TestRebindEqualsFreshPlan' ./internal/plan/
 	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter' ./internal/sm/heap/
 	$(GO) test -race -count=3 -run 'TestRelationSlotConcurrentDDL' ./internal/core/
 
@@ -170,6 +171,14 @@ bench-diff:
 	bash bench/run.sh -compare \
 		$$(ls bench/baseline/a-*.json | paste -sd, -) \
 		$$(ls .bench_build/out/result-*.json | paste -sd, -)
+
+# size prints the line counts ROADMAP's "Sizes" block tracks: non-test Go
+# lines outside bench/, test lines outside bench/, and Go lines in bench/.
+GOFILES = find . -name '*.go' -not -path './.*' -not -path './bench/*'
+size:
+	@printf '%6d non-test Go lines outside bench/\n' $$($(GOFILES) ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%6d test lines\n' $$($(GOFILES) -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%6d lines in bench/\n' $$(find bench -name '*.go' -exec cat {} + | wc -l)
 
 # fmt fails when any file is not gofmt-formatted (and names it).
 fmt:

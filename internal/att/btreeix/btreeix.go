@@ -12,6 +12,7 @@
 package btreeix
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -47,8 +48,8 @@ var entries = attutil.EntryType[*btree.Tree]{
 	},
 	Taken: func(d *def, indexKey types.Key) bool {
 		taken := false
-		d.X.AscendRange(indexKey, smutil.PrefixSuccessor(indexKey), func(k, v []byte) bool {
-			taken = true
+		d.X.Ascend(indexKey, func(k, v []byte) bool {
+			taken = bytes.HasPrefix(k, indexKey)
 			return false
 		})
 		return taken
@@ -85,7 +86,8 @@ type Instance struct {
 }
 
 // LookupByKey implements core.AccessPath: record keys whose index key has
-// the given (possibly partial) key as prefix.
+// the given (possibly partial) key as prefix, read from key up to the
+// first entry without it.
 func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
 	d, err := ix.At(instance)
 	if err != nil {
@@ -94,7 +96,10 @@ func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]typ
 	ix.Mu.Lock()
 	defer ix.Mu.Unlock()
 	var out []types.Key
-	d.X.AscendRange(key, smutil.PrefixSuccessor(key), func(k, v []byte) bool {
+	d.X.Ascend(key, func(k, v []byte) bool {
+		if !bytes.HasPrefix(k, key) {
+			return false
+		}
 		out = append(out, types.Key(v).Clone())
 		return true
 	})

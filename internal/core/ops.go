@@ -8,14 +8,15 @@ import (
 )
 
 // ScanOptions configure a key-sequential access. Start/End bound the scan
-// in key order (nil = unbounded; End is exclusive). Filter is evaluated by
-// the extension against buffer-resident records via the common predicate
-// evaluator; non-qualifying entries are skipped without being returned.
-// Fields selects the record fields to return (nil = all).
+// in key order (nil = unbounded; End is exclusive). Filter, its parameter
+// markers already bound, is compiled once when the scan opens and matched
+// by the extension against buffer-resident records (expr.Program);
+// non-qualifying entries are skipped without being returned. Fields
+// selects the record fields to return (nil = all). A direct-by-key fetch
+// takes its filter compiled instead (StorageInstance.FetchByKey).
 type ScanOptions struct {
 	Start, End types.Key
 	Filter     *expr.Expr
-	Params     []types.Value
 	Fields     []int
 }
 
@@ -154,10 +155,12 @@ type StorageInstance interface {
 	// caller has fetched it to notify attachments).
 	Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error
 	// FetchByKey is the direct-by-key access: it returns the selected
-	// fields of the record at key, first applying filter against the
-	// buffer-resident record (ErrFiltered when rejected, ErrNotFound when
-	// absent). fields nil returns all fields.
-	FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error)
+	// fields of the record at key, first matching filter, which arrives
+	// compiled (nil: none), against the buffer-resident record
+	// (ErrFiltered when rejected, ErrNotFound when absent). fields nil
+	// returns all fields. Like any Program, filter serves one caller at a
+	// time.
+	FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error)
 	// OpenScan starts a key-sequential access in record-key order.
 	OpenScan(tx *txn.Txn, opts ScanOptions) (Scan, error)
 	// EstimateCost assists the query planner.
@@ -226,8 +229,8 @@ type VersionedStorage interface {
 	// snapshot, answered in one call: out[i] (len(out) == len(keys)) gets
 	// keys[i]'s record, or the ErrNotFound or ErrFiltered FetchByKey
 	// would report for it. Any other error fails the whole run. The
-	// filter comes compiled (nil: none), once for every run of the read
-	// that asks; like any Program it serves one caller at a time.
+	// filter arrives compiled (nil: none), as FetchByKey's does, once for
+	// every run of the read that asks.
 	FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Program, out []Fetched) error
 }
 

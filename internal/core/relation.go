@@ -358,12 +358,12 @@ func (r *Relation) smName() string {
 }
 
 // Fetch is the direct-by-key access to the stored record: selected fields
-// are returned after the filter is applied against the buffer-resident
-// record by the storage method.
+// are returned after the compiled filter is applied against the
+// buffer-resident record by the storage method.
 // Read-only snapshot transactions on MVCC storage skip both locks: the
 // storage method answers with the version visible in the transaction's
 // snapshot, so no writer coordination is needed.
-func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	return r.fetch(tx, key, fields, filter, lock.ModeIS, lock.ModeS)
 }
 
@@ -371,14 +371,14 @@ func (r *Relation) Fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.
 // qualifies: relation IX and record X are taken before the record is read,
 // so the filter is judged against the value the modification will see and
 // no record lock is upgraded afterwards.
-func (r *Relation) FetchForUpdate(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+func (r *Relation) FetchForUpdate(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	if tx.ReadOnly() {
 		return nil, txn.ErrReadOnly
 	}
 	return r.fetch(tx, key, fields, filter, lock.ModeIX, lock.ModeX)
 }
 
-func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr, relMode, keyMode lock.Mode) (types.Record, error) {
+func (r *Relation) fetch(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program, relMode, keyMode lock.Mode) (types.Record, error) {
 	if err := r.env.Authz.Check(tx, r.rd, PrivRead); err != nil {
 		return nil, err
 	}
@@ -536,9 +536,11 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 // record keys come from the path's key-sequential access over
 // [opts.Start, opts.End) or, when point is set, from its direct-by-key
 // lookup of opts.Start, and each record is fetched directly via the
-// storage method with opts.Fields and opts.Filter (Fetch, or
-// FetchForUpdate when forUpdate). Records the filter rejects are passed
-// over. The returned scan yields the record keys and fetched records.
+// storage method with opts.Fields and filter, which the caller compiled
+// (Fetch, or FetchForUpdate when forUpdate; opts.Filter is not read).
+// Records the filter rejects are passed over. The returned scan yields
+// the record keys and fetched records. Like any Program, filter serves
+// this one cursor while it is open.
 //
 // A snapshot read checks each key's visibility once, in its fetch: the
 // storage method answers with the snapshot's version, so "not found"
@@ -548,8 +550,8 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 // lookup holds only an intention lock on the relation — but a
 // key-sequential access reads under the relation lock, so a missing
 // record is an error.
-func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, forUpdate bool) (*AccessFetch, error) {
-	f := &AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: opts.Filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
+func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, filter *expr.Program, forUpdate bool) (*AccessFetch, error) {
+	f := &AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
 		skipMissing: point}
 	if forUpdate {
 		if tx.ReadOnly() {
@@ -576,8 +578,7 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 		}
 	}
 	if r.lockFree(tx) {
-		f.run = fetchRun{vs: r.sm.(VersionedStorage), prog: expr.Compile(r.env.Eval, opts.Filter, nil),
-			keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
+		f.run = fetchRun{vs: r.sm.(VersionedStorage), keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
 	}
 	return f, nil
 }
@@ -590,7 +591,7 @@ type AccessFetch struct {
 	r                *Relation
 	tx               *txn.Txn
 	fields           []int
-	filter           *expr.Expr
+	filter           *expr.Program
 	relMode, keyMode lock.Mode
 	skipMissing      bool     // ErrNotFound passes the key over
 	run              fetchRun // a snapshot read's, which fetches in runs
@@ -626,7 +627,6 @@ func (f *AccessFetch) Next() (types.Key, types.Record, bool, error) {
 // rows returned, is never saved or restored.
 type fetchRun struct {
 	vs   VersionedStorage // nil: not a snapshot read
-	prog *expr.Program    // the filter, compiled once for every run
 	keys []types.Key      // the run; its capacity is the run length
 	out  []Fetched        // the answers, out[i] for keys[i]
 	next int              // answers served
@@ -680,7 +680,7 @@ func (f *AccessFetch) fill() error {
 	}
 	run.out = run.out[:len(run.keys)]
 	d := f.r.begin(f.tx, viaSM, obs.OpFetch)
-	err := run.vs.FetchRun(f.tx, run.keys, f.fields, run.prog, run.out)
+	err := run.vs.FetchRun(f.tx, run.keys, f.fields, f.filter, run.out)
 	d.end(err)
 	if err != nil {
 		return err

@@ -118,11 +118,14 @@ func TestParamReplanOnCardinalityClass(t *testing.T) {
 }
 
 // TestStatementAllocations pins what a statement of a cached shape costs
-// in allocations on the oltp-sql table: 12 for the point SELECT, 22 for
-// UPDATE, 30 for INSERT and 33 for DELETE. The bounds are three higher:
+// in allocations on the oltp-sql table: 10 for the point SELECT, 21 for
+// UPDATE, 30 for INSERT and 30 for DELETE. The bounds are three higher:
 // under the race detector sync.Pool drops a random quarter of the pooled
-// log payloads put back, and INSERT reads 33, DELETE 35. While each
-// execution of a cached plan bound its
+// log payloads put back, and INSERT reads 33, DELETE 32. While an index
+// point lookup built its key's prefix successor and a fetch decoded the
+// whole record to filter and project it with the tree walker, they cost
+// 12, 22, 30 and 33 (INSERT read 33 and DELETE 35 under the race
+// detector). While each execution of a cached plan bound its
 // parameters into a fresh copy of the filter and rebuilt its key range,
 // operator counters and relation handle, and UPDATE and DELETE collected
 // their rows into fresh slices, they cost 26, 38, 30 and 49 (INSERT read
@@ -140,10 +143,10 @@ func TestStatementAllocations(t *testing.T) {
 		name, format string
 		bound        float64
 	}{
-		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 15},
-		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 25},
+		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 13},
+		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 24},
 		{"INSERT", "INSERT INTO emp VALUES (%[2]d, %[1]d, %[1]d, 'name-%[2]d')", 33},
-		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 36},
+		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 33},
 	} {
 		texts := make([]string, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range texts {

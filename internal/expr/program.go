@@ -11,20 +11,26 @@ import (
 	"dmx/internal/types"
 )
 
-// Program is a filter predicate compiled once for a scan or a constraint.
-// Its conjunction is flattened, and each conjunct of the form field op
-// constant, field op parameter (bound when compiling) or field IS NULL
-// becomes a term that Match tests on the field's encoded bytes in place:
-// INT and BOOL compare as raw int64s, STRING and BYTES bodies byte-wise,
-// and any other pair of kinds through types.Compare on the one decoded
-// field. Match skips the fields before one it reads by their length
-// alone (types.ValueLen, inlined) and tests a term on the one value it
-// reads, an INT or BOOL against a constant of its kind inline; bytes
-// that are malformed go through types.SplitValue, whose error Match
-// reports.
+// Program is a filter predicate compiled once for a scan, a fetch or a
+// constraint. Its conjunction is flattened, and each conjunct of the form
+// field op constant or field IS NULL becomes a term that Match tests on
+// the field's encoded bytes in place: INT and BOOL compare as raw int64s,
+// STRING and BYTES bodies byte-wise, and any other pair of kinds through
+// types.Compare on the one decoded field. Match skips the fields before
+// one it reads by their length alone (types.ValueLen, inlined) and tests a
+// term on the one value it reads, an INT or BOOL against a constant of its
+// kind inline; bytes that are malformed go through types.SplitValue, whose
+// error Match reports.
 // Each run of the other conjuncts stays one residual step, which the
 // tree-walking Evaluator runs over the fields it reads, decoded from the
 // same bytes.
+//
+// A term reads its constant from the filter's own constant node when it
+// matches, and the compiler decides nothing on a constant's value: a
+// filter whose constant nodes are rewritten between uses (a bound plan's,
+// expr.BindMarkers) is compiled once and stays correct. Parameter markers
+// are bound into constants before compiling; one left unbound is a
+// residual the walker fails on.
 //
 // Steps run in the order the conjuncts were written and stop at the first
 // false or failing one, as Evaluator.EvalBool does, so a Program accepts,
@@ -35,7 +41,6 @@ import (
 type Program struct {
 	ev     *Evaluator
 	src    *Expr // the filter as written, for MatchRecord
-	params []types.Value
 	steps  []step
 	fields []int        // ascending: every field a step reads
 	rslots []int        // indexes into fields of those residual steps read
@@ -45,23 +50,24 @@ type Program struct {
 
 // step is one term or one run of residual conjuncts.
 type step struct {
-	resid *Expr       // non-nil: a residual conjunction for the walker
-	field int         // term: the field tested
-	slot  int         // term: field's index in Program.fields
-	op    Op          // term: a comparison, or OpIsNull
-	val   types.Value // term: the constant compared against
-	body  []byte      // term: val's STRING or BYTES body
+	resid *Expr        // non-nil: a residual conjunction for the walker
+	field int          // term: the field tested
+	slot  int          // term: field's index in Program.fields
+	op    Op           // term: a comparison, or OpIsNull
+	val   *types.Value // term: the constant node's value, read when matching
 }
 
-// Compile compiles filter, with its parameter markers bound to params, for
-// evaluation through ev. It costs a few allocations; Match costs none per
-// record beyond what residual steps decode. A nil filter compiles to a nil
-// Program.
-func Compile(ev *Evaluator, filter *Expr, params []types.Value) *Program {
+// null is an IS NULL term's constant, which no match reads.
+var null types.Value
+
+// Compile compiles filter for evaluation through ev. It costs a few
+// allocations; Match costs none per record beyond what residual steps
+// decode. A nil filter compiles to a nil Program.
+func Compile(ev *Evaluator, filter *Expr) *Program {
 	if filter == nil {
 		return nil
 	}
-	p := &Program{ev: ev, src: filter, params: params}
+	p := &Program{ev: ev, src: filter}
 	var run *Expr
 	p.add(filter, &run)
 	p.flush(&run)
@@ -94,7 +100,7 @@ func (p *Program) add(e *Expr, run **Expr) {
 		p.add(e.Args[1], run)
 		return
 	}
-	st, ok := term(e, p.params)
+	st, ok := term(e)
 	if !ok {
 		*run = And(*run, e)
 		return
@@ -111,11 +117,11 @@ func (p *Program) flush(run **Expr) {
 }
 
 // term compiles a conjunct Match can test in place.
-func term(e *Expr, params []types.Value) (step, bool) {
+func term(e *Expr) (step, bool) {
 	switch e.Op {
 	case OpIsNull:
 		if len(e.Args) == 1 && e.Args[0].Op == OpField && e.Args[0].Field >= 0 {
-			return step{field: e.Args[0].Field, op: OpIsNull}, true
+			return step{field: e.Args[0].Field, op: OpIsNull, val: &null}, true
 		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		if len(e.Args) != 2 {
@@ -125,25 +131,9 @@ func term(e *Expr, params []types.Value) (step, bool) {
 		if f.Op != OpField {
 			op, f, c = flip(op), c, f
 		}
-		if f.Op != OpField || f.Field < 0 {
-			break
+		if f.Op == OpField && f.Field >= 0 && c.Op == OpConst {
+			return step{field: f.Field, op: op, val: &c.Val}, true
 		}
-		st := step{field: f.Field, op: op}
-		switch {
-		case c.Op == OpConst:
-			st.val = c.Val
-		case c.Op == OpParam && c.Field >= 0 && c.Field < len(params):
-			st.val = params[c.Field]
-		default:
-			return step{}, false
-		}
-		switch st.val.K {
-		case types.KindString:
-			st.body = []byte(st.val.S)
-		case types.KindBytes:
-			st.body = st.val.B
-		}
-		return st, true
 	}
 	return step{}, false
 }
@@ -193,7 +183,7 @@ func (p *Program) Match(enc []byte) (bool, error) {
 				}
 				decoded = true
 			}
-			if ok, err := p.ev.EvalBool(st.resid, p.rec, p.params); !ok || err != nil {
+			if ok, err := p.ev.EvalBool(st.resid, p.rec, nil); !ok || err != nil {
 				return false, err
 			}
 			continue
@@ -207,8 +197,8 @@ func (p *Program) Match(enc []byte) (bool, error) {
 		if n == 0 {
 			return false, errField(st.field, raw)
 		}
-		if k := types.Kind(raw[0]); k == st.val.K && (k == types.KindInt || k == types.KindBool) {
-			if !holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(raw[1:])), st.val.I)) {
+		if k, v := types.Kind(raw[0]), st.val; k == v.K && (k == types.KindInt || k == types.KindBool) {
+			if !holds(st.op, cmp.Compare(int64(binary.BigEndian.Uint64(raw[1:])), v.I)) {
 				return false, nil
 			}
 			continue
@@ -226,7 +216,7 @@ func (p *Program) MatchRecord(rec types.Record) (bool, error) {
 	if p == nil {
 		return true, nil
 	}
-	return p.ev.EvalBool(p.src, rec, p.params)
+	return p.ev.EvalBool(p.src, rec, nil)
 }
 
 // locate records where each field the program reads starts in enc, and
@@ -281,7 +271,7 @@ func (st *step) test(v types.Value) bool {
 	if st.op == OpIsNull {
 		return v.IsNull()
 	}
-	return !v.IsNull() && !st.val.IsNull() && holds(st.op, types.Compare(v, st.val))
+	return !v.IsNull() && !st.val.IsNull() && holds(st.op, types.Compare(v, *st.val))
 }
 
 // testEncoded is test on raw, one well-formed encoded value that is not
@@ -290,19 +280,33 @@ func (st *step) test(v types.Value) bool {
 // pair of kinds through the decoded value.
 func (st *step) testEncoded(raw []byte) (bool, error) {
 	k, body, _, _ := types.SplitValue(raw) // no error: ValueLen measured raw
-	switch {
+	switch v := st.val; {
 	case st.op == OpIsNull:
 		return k == types.KindNull, nil
-	case k == types.KindNull || st.val.K == types.KindNull:
+	case k == types.KindNull || v.K == types.KindNull:
 		return false, nil
-	case k != st.val.K: // INT against FLOAT, or kinds ordered by their tags
-		v, _, err := types.DecodeValue(raw)
-		return err == nil && st.test(v), err
+	case k != v.K: // INT against FLOAT, or kinds ordered by their tags
+		d, _, err := types.DecodeValue(raw)
+		return err == nil && st.test(d), err
 	case k == types.KindFloat:
 		return st.test(types.Float(math.Float64frombits(binary.BigEndian.Uint64(body)))), nil
-	default: // STRING, BYTES
-		return holds(st.op, bytes.Compare(body, st.body)), nil
+	case k == types.KindString:
+		return holds(st.op, compareString(body, v.S)), nil
+	default: // BYTES
+		return holds(st.op, bytes.Compare(body, v.B)), nil
 	}
+}
+
+// compareString orders a STRING body against s. A conversion that only
+// feeds a comparison shares body's bytes, so this copies nothing.
+func compareString(body []byte, s string) int {
+	switch {
+	case string(body) < s:
+		return -1
+	case string(body) > s:
+		return 1
+	}
+	return 0
 }
 
 // errField is the error for field, whose encoded value at the start of b

@@ -155,14 +155,14 @@ var fastPathCases = []struct {
 // past the record fails a term on a later field.
 func TestMatchFastPathExits(t *testing.T) {
 	for _, c := range fastPathCases {
-		p := Compile(progEv, c.e, progParams)
+		p := Compile(progEv, Bind(c.e, progParams))
 		for cut := range len(c.rec.AppendEncode(nil)) {
 			checkProgram(t, p, c.e, c.rec, cut)
 		}
 	}
 	enc := types.Record{types.Str("abc"), types.Int(1)}.AppendEncode(nil)
 	enc[6] = 0xff // the string's length, past the record
-	p := Compile(progEv, Eq(Field(1), Const(types.Int(1))), nil)
+	p := Compile(progEv, Eq(Field(1), Const(types.Int(1))))
 	if ok, err := p.Match(enc); err == nil {
 		t.Fatalf("Match on a string longer than its record = %v, want an error", ok)
 	}
@@ -174,13 +174,13 @@ func TestMatchFastPathExits(t *testing.T) {
 // across records of different arity. The fast-path cases run first.
 func TestCompiledEqualsInterpreted(t *testing.T) {
 	for i, c := range fastPathCases {
-		checkProgram(t, Compile(progEv, c.e, progParams), c.e, c.rec, i)
+		checkProgram(t, Compile(progEv, Bind(c.e, progParams)), c.e, c.rec, i)
 	}
 	r := rand.New(rand.NewSource(26))
 	terms, residuals := 0, 0
 	for i := 0; i < 3000; i++ {
 		e := randPred(r, 3)
-		p := Compile(progEv, e, progParams)
+		p := Compile(progEv, Bind(e, progParams))
 		for _, st := range p.steps {
 			if st.resid == nil {
 				terms++
@@ -205,7 +205,7 @@ func TestProgramSteps(t *testing.T) {
 		Or(Eq(Field(4), Const(types.Int(1))), IsNull(Field(4))), Not(IsNull(Field(5))),
 		Ne(Field(1), Const(types.Bytes([]byte{1}))),
 		Eq(Field(0), Param(2)), Eq(Field(0), Field(1)))
-	p := Compile(progEv, e, progParams)
+	p := Compile(progEv, Bind(e, progParams))
 	var got []string
 	for _, st := range p.steps {
 		if st.resid != nil {
@@ -226,7 +226,7 @@ func TestProgramSteps(t *testing.T) {
 			t.Fatalf("step %d is %q, want %q", i, got[i], want[i])
 		}
 	}
-	if Compile(progEv, nil, nil) != nil {
+	if Compile(progEv, nil) != nil {
 		t.Fatal("a nil filter compiled to a Program")
 	}
 	var none *Program
@@ -238,8 +238,8 @@ func TestProgramSteps(t *testing.T) {
 // A compiled filter tests a record in place: no allocation per record,
 // whether it accepts or rejects.
 func TestMatchAllocatesNothing(t *testing.T) {
-	p := Compile(progEv, And(Eq(Field(2), Param(0)), Ge(Field(1), Const(types.Str("ab"))),
-		Gt(Field(0), Const(types.Float(0.5)))), progParams)
+	p := Compile(progEv, Bind(And(Eq(Field(2), Param(0)), Ge(Field(1), Const(types.Str("ab"))),
+		Gt(Field(0), Const(types.Float(0.5)))), progParams))
 	hit := types.Record{types.Int(1), types.Str("abc"), types.Int(1)}.AppendEncode(nil)
 	miss := types.Record{types.Int(0), types.Str("abc"), types.Int(1)}.AppendEncode(nil)
 	for _, enc := range [][]byte{hit, miss} {
@@ -257,7 +257,7 @@ func TestMatchAllocatesNothing(t *testing.T) {
 // (four INTs and a 150-byte string): a term on field 2, which skips two
 // fields first, accepting and rejecting.
 func BenchmarkMatch(b *testing.B) {
-	p := Compile(progEv, Eq(Field(2), Const(types.Int(7))), nil)
+	p := Compile(progEv, Eq(Field(2), Const(types.Int(7))))
 	pad := types.Str(string(bytes.Repeat([]byte{'p'}, 150)))
 	for _, c := range []struct {
 		name string
@@ -290,7 +290,7 @@ func FuzzMatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p := Compile(progEv, e, progParams)
+		p := Compile(progEv, Bind(e, progParams))
 		rec, _, err := types.DecodeRecord(enc)
 		if err != nil {
 			_, _ = p.Match(enc)
@@ -331,7 +331,7 @@ func FuzzDecode(f *testing.F) {
 			_, _ = progEv.Eval(e, rec, progParams)
 		}
 		_, _ = progEv.EvalBool(e, rec, progParams)
-		p := Compile(progEv, e, progParams)
+		p := Compile(progEv, Bind(e, progParams))
 		_, _ = p.Match(enc)
 		_, _ = p.MatchRecord(rec)
 	})

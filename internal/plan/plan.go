@@ -690,6 +690,8 @@ func (x *binding) openAccess(tx *txn.Txn, bd *binder, fields []int, forUpdate bo
 // and each bind writes the values into them and asks the path again, its
 // answer's keys going into the binder's scratch. The outer access binds
 // once per execution, a nested loop's inner access once per outer row.
+// The filter it hands a fetch is compiled on first use and kept: a
+// Program reads the constant nodes each bind rewrites.
 type binder struct {
 	src     *access          // as translated
 	a       access           // src under the bound values
@@ -700,6 +702,8 @@ type binder struct {
 	scratch core.KeyScratch
 	sels    []float64 // req.ConjunctSel's array
 	rel     *core.Relation
+	prog    *expr.Program // the fetch filter, compiled from progOf
+	progOf  *expr.Expr
 	scan    scanRows         // the adapter of a storage-method cursor
 	op      countedKeyedRows // the access as an operator (openAccess)
 }
@@ -778,8 +782,11 @@ func (bd *binder) open(tx *txn.Txn, a *access, fields []int, forUpdate bool) (Ke
 	if a.estimate.Point {
 		filter = a.filter
 	}
+	if filter != bd.progOf {
+		bd.prog, bd.progOf = expr.Compile(rel.Env().Eval, filter), filter
+	}
 	f, err := rel.OpenAccessFetch(tx, a.useAtt, a.instance, a.estimate.Point,
-		core.ScanOptions{Start: a.start, End: a.end, Filter: filter, Fields: fields}, forUpdate)
+		core.ScanOptions{Start: a.start, End: a.end, Fields: fields}, bd.prog, forUpdate)
 	if err != nil {
 		return nil, err
 	}

@@ -650,8 +650,9 @@ func (s *store) SysRows() []RunInfo {
 }
 
 // FetchByKey implements core.StorageInstance: memtable first, then runs
-// newest to oldest with bloom-filter skips.
-func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+// newest to oldest with bloom-filter skips. The filter matches the stored
+// bytes, and only the selected fields are decoded.
+func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	seq, err := keySeq(key)
 	if err != nil {
 		return nil, err
@@ -662,11 +663,8 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if !found || enc == nil {
 		return nil, fmt.Errorf("appendsm: %w: press %d", core.ErrNotFound, seq)
 	}
-	rec, _, err := types.DecodeRecord(enc)
-	if err != nil {
-		return nil, err
-	}
-	return smutil.QualifyFetch(s.env, rec, fields, filter)
+	q := smutil.CompiledQualifier(filter, fields)
+	return q.Fetch(enc)
 }
 
 // OpenScan implements core.StorageInstance: press (key) order, merged

@@ -176,6 +176,7 @@ func TestConformance(t *testing.T) {
 			t.Run("keys", m.testKeys)
 			t.Run("scan", m.testScan)
 			t.Run("filtered-scan", m.testFilteredScan)
+			t.Run("fetch-equals-scan", m.testFetchEqualsScan)
 			t.Run("scan-mutation", m.testScanMutation)
 			t.Run("scan-ahead-mutation", m.testScanAheadMutation)
 			t.Run("partial-rollback", m.testPartialRollback)
@@ -224,11 +225,11 @@ func (m method) testFetch(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0].AsInt() != 4 || got[1].S != "a" {
 		t.Fatalf("fetch: %v %v", got, err)
 	}
-	got, err = r.Fetch(tx, keys[4], []int{1}, expr.Eq(expr.Field(0), expr.Const(types.Int(4))))
+	got, err = r.Fetch(tx, keys[4], []int{1}, expr.Compile(env.Eval, expr.Eq(expr.Field(0), expr.Const(types.Int(4)))))
 	if err != nil || len(got) != 1 || got[0].S != "a" {
 		t.Fatalf("filtered, projected fetch: %v %v", got, err)
 	}
-	if _, err := r.Fetch(tx, keys[4], nil, expr.Eq(expr.Field(0), expr.Const(types.Int(5)))); !errors.Is(err, core.ErrFiltered) {
+	if _, err := r.Fetch(tx, keys[4], nil, expr.Compile(env.Eval, expr.Eq(expr.Field(0), expr.Const(types.Int(5))))); !errors.Is(err, core.ErrFiltered) {
 		t.Fatalf("fetch of a record the filter rejects: %v", err)
 	}
 	nk, err := r.Update(tx, keys[4], rec(4, "b"))
@@ -356,8 +357,7 @@ func (m method) testScan(t *testing.T) {
 	tx := env.Begin()
 	defer tx.Commit()
 	rows := scanIn(t, tx, r, core.ScanOptions{
-		Filter: expr.Lt(expr.Field(0), expr.Param(0)),
-		Params: []types.Value{types.Int(3)},
+		Filter: expr.Bind(expr.Lt(expr.Field(0), expr.Param(0)), []types.Value{types.Int(3)}),
 		Fields: []int{0},
 	})
 	if len(rows) != 3 {
@@ -414,7 +414,7 @@ func (m method) testFilteredScan(t *testing.T) {
 	params := []types.Value{types.Int(3), types.Str("v1")}
 	filters := []*expr.Expr{
 		expr.And(expr.Ge(expr.Field(0), expr.Const(types.Int(2))), expr.Lt(expr.Field(0), expr.Const(types.Int(9)))),
-		expr.And(expr.Gt(expr.Field(0), expr.Param(0)), expr.Eq(expr.Field(1), expr.Param(1))),
+		expr.Bind(expr.And(expr.Gt(expr.Field(0), expr.Param(0)), expr.Eq(expr.Field(1), expr.Param(1))), params),
 		expr.And(expr.Lt(expr.Field(0), expr.Const(types.Int(10))),
 			expr.Or(expr.Eq(expr.Field(1), expr.Const(types.Str("v2"))), expr.IsNull(expr.Field(1)))),
 		expr.IsNull(expr.Field(1)),
@@ -425,13 +425,13 @@ func (m method) testFilteredScan(t *testing.T) {
 		for _, f := range filters {
 			var want []row
 			for _, row := range all {
-				ok, err := env.Eval.EvalBool(f, row.rec, params)
+				ok, err := env.Eval.EvalBool(f, row.rec, nil)
 				must(t, err)
 				if ok {
 					want = append(want, row)
 				}
 			}
-			got := scanIn(t, tx, r, core.ScanOptions{Filter: f, Params: params})
+			got := scanIn(t, tx, r, core.ScanOptions{Filter: f})
 			if len(got) != len(want) {
 				t.Fatalf("%s: %s returned %d rows, want %d", what, f, len(got), len(want))
 			}
@@ -458,6 +458,90 @@ func (m method) testFilteredScan(t *testing.T) {
 	if snap := check("snapshot", ro); !snap[4].rec.Equal(before[4].rec) {
 		t.Fatalf("snapshot scan read %v, the update after the snapshot began, not %v", snap[4].rec, before[4].rec)
 	}
+}
+
+// testFetchEqualsScan: a direct-by-key fetch returns the row a filtered,
+// projected scan returns for its key, for field lists nil, partial,
+// reordered, duplicated and empty, and filters that accept every row,
+// some, none (the fetch is ErrFiltered) and that fail (the scan and the
+// fetch both report the walker's error) — in a locking transaction and,
+// for a method with snapshot versions, on a snapshot a later update and
+// delete overtook, so the fetch qualifies versions the store rebuilt.
+func (m method) testFetchEqualsScan(t *testing.T) {
+	env, _ := newEnv(t, nil)
+	r := m.create(t, env)
+	load(t, env, r, 1, 2, 3, 4)
+	fieldLists := [][]int{nil, {1}, {1, 0}, {0, 1, 0}, {}}
+	filters := []struct {
+		f    *expr.Expr
+		rows int // rows the scan returns; -1: it fails
+	}{
+		{expr.And(expr.Ge(expr.Field(0), expr.Const(types.Int(0))), expr.Not(expr.IsNull(expr.Field(1)))), 4},
+		{expr.Or(expr.Eq(expr.Field(1), expr.Const(types.Str("v2"))), expr.Gt(expr.Field(0), expr.Const(types.Int(3)))), 2},
+		{expr.Eq(expr.Field(1), expr.Const(types.Str("none"))), 0},
+		{expr.Eq(expr.Call("nosuch", expr.Field(0)), expr.Const(types.Int(1))), -1},
+	}
+	scan := func(tx *txn.Txn, opts core.ScanOptions) (map[string]types.Record, error) {
+		sc, err := r.OpenScan(tx, opts)
+		if err != nil {
+			return nil, err
+		}
+		defer sc.Close()
+		rows := map[string]types.Record{}
+		for {
+			k, rec, ok, err := sc.Next()
+			if err != nil || !ok {
+				return rows, err
+			}
+			rows[string(k)] = rec
+		}
+	}
+	check := func(what string, tx *txn.Txn, keys []types.Key) {
+		t.Helper()
+		for _, c := range filters {
+			prog := expr.Compile(env.Eval, c.f)
+			for _, fields := range fieldLists {
+				want, werr := scan(tx, core.ScanOptions{Filter: c.f, Fields: fields})
+				if (werr != nil) != (c.rows < 0) || werr == nil && len(want) != c.rows {
+					t.Fatalf("%s: scan %s fields %#v returned %d rows, %v; want %d", what, c.f, fields, len(want), werr, c.rows)
+				}
+				for _, k := range keys {
+					got, err := r.Fetch(tx, k, fields, prog)
+					rec, in := want[string(k)]
+					switch {
+					case werr != nil:
+						if err == nil || errors.Is(err, core.ErrFiltered) || errors.Is(err, core.ErrNotFound) {
+							t.Fatalf("%s: %s fields %#v failed the scan (%v); fetch of %v answered %v, %v", what, c.f, fields, werr, k, got, err)
+						}
+					case in:
+						if err != nil || len(got) != len(rec) || !got.Equal(rec) {
+							t.Fatalf("%s: %s fields %#v: fetch of %v answered %v, %v; the scan %v", what, c.f, fields, k, got, err, rec)
+						}
+					case !errors.Is(err, core.ErrFiltered):
+						t.Fatalf("%s: %s fields %#v: fetch of %v answered %v, %v; the scan passed it over", what, c.f, fields, k, got, err)
+					}
+				}
+			}
+		}
+	}
+	var keys []types.Key
+	for _, row := range contents(t, env, r) {
+		keys = append(keys, row.key)
+	}
+	tx := env.Begin()
+	check("locking", tx, keys)
+	must(t, tx.Commit())
+	if _, versioned := r.Storage().(core.VersionedStorage); !versioned {
+		return
+	}
+	ro := env.BeginReadOnly()
+	defer ro.Commit()
+	w := env.Begin()
+	_, err := r.Update(w, keys[1], rec(2, "w2"))
+	must(t, err)
+	must(t, r.Delete(w, keys[3]))
+	must(t, w.Commit())
+	check("snapshot", ro, keys)
 }
 
 // testScanMutation: the scan is "on" the last item returned; deleting that

@@ -126,13 +126,13 @@ func TestFetchRunEqualsFetchByKey(t *testing.T) {
 			for _, sh := range shapes {
 				want := make([]string, len(order))
 				for i, k := range order {
-					want[i] = outcome(r.Storage().FetchByKey(reader.tx, k, sh.fields, sh.filter))
+					want[i] = outcome(r.Storage().FetchByKey(reader.tx, k, sh.fields, expr.Compile(env.Eval, sh.filter)))
 				}
 				for _, n := range []int{1, 7, 64, 65, len(order)} {
 					out := make([]core.Fetched, n)
 					for lo := 0; lo < len(order); lo += n {
 						run := order[lo:min(lo+n, len(order))]
-						if err := vs.FetchRun(reader.tx, run, sh.fields, expr.Compile(env.Eval, sh.filter, nil), out[:len(run)]); err != nil {
+						if err := vs.FetchRun(reader.tx, run, sh.fields, expr.Compile(env.Eval, sh.filter), out[:len(run)]); err != nil {
 							t.Fatalf("%s, %s, %s, runs of %d: %v", reader.name, oname, sh.name, n, err)
 						}
 						for i, o := range out[:len(run)] {
@@ -288,7 +288,7 @@ func TestSnapshotAccessFetchRunsEqualPerKey(t *testing.T) {
 	}
 	// A point lookup's run is as long as the keys it found, none included.
 	for id, want := range map[int64]string{7: "[(7)]", 9999: "[]"} {
-		f, err := r.OpenAccessFetch(snap, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(id), Fields: []int{0}}, false)
+		f, err := r.OpenAccessFetch(snap, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(id), Fields: []int{0}}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,8 @@ func TestSnapshotAccessFetchRunsEqualPerKey(t *testing.T) {
 // each of the range's keys alone.
 func runsEqualPerKey(t *testing.T, r *core.Relation, tx *txn.Txn, opts core.ScanOptions) {
 	t.Helper()
-	f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, opts, false)
+	prog := expr.Compile(r.Env().Eval, opts.Filter)
+	f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, opts, prog, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func runsEqualPerKey(t *testing.T, r *core.Relation, tx *txn.Txn, opts core.Scan
 		if !ok {
 			break
 		}
-		rec, err := r.Fetch(tx, k, opts.Fields, opts.Filter)
+		rec, err := r.Fetch(tx, k, opts.Fields, prog)
 		if errors.Is(err, core.ErrFiltered) {
 			continue
 		}
@@ -376,7 +377,7 @@ func TestSnapshotAccessFetchConcurrentWriter(t *testing.T) {
 				want = append(want, types.Record{row[0], row[2]}.String())
 			}
 		}
-		f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(50), Fields: []int{0, 2}}, false)
+		f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(50), Fields: []int{0, 2}}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +477,7 @@ func TestLockingAccessFetchLocksRowsReturned(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, 5, 64, 65} {
 			tx := env.Begin()
-			f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, core.ScanOptions{Start: ixKey(10), End: ixKey(210)}, forUpdate)
+			f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, core.ScanOptions{Start: ixKey(10), End: ixKey(210)}, nil, forUpdate)
 			if err != nil {
 				t.Fatal(err)
 			}

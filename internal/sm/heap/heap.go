@@ -651,74 +651,36 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 	})
 }
 
-// FetchByKey implements core.StorageInstance. A field list is decoded
-// straight from the buffer-resident record; a filter qualifies the one
-// decoded record through the kit, like every method's fetch — compiling
-// the filter pays where rows are rejected in bulk, the scan.
-func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
-	r, err := decodeRID(key)
-	if err != nil {
+// FetchByKey implements core.StorageInstance: a run of one key. A locking
+// transaction reads page state; a snapshot transaction reads the version
+// its snapshot holds, reconstructed from the WAL when the record was
+// overwritten or deleted since.
+func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
+	q := smutil.CompiledQualifier(filter, fields)
+	keys, out := [1]types.Key{key}, [1]core.Fetched{}
+	if err := s.fetchRun(tx, keys[:], &q, out[:]); err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// Snapshot transactions read the version visible at their high-water.
-	// When that is current page state the ordinary path below serves it;
-	// a record overwritten or deleted since the snapshot is reconstructed
-	// from the WAL instead.
-	if tx.ReadOnly() {
-		s.env.Obs.MVCC.SnapshotReads.Inc()
-		tr := tx.Trace()
-		var start time.Time
-		if tr.Detailed() { // the clock is read only for the trace event
-			start = time.Now()
-		}
-		usePage, vrec, present, verr := s.versionFor(tx, r, tx.Snapshot())
-		if !usePage || verr != nil {
-			if tr.Detailed() {
-				tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
-			}
-			if verr != nil {
-				return nil, verr
-			}
-			if !present {
-				return nil, fmt.Errorf("heap: %w: record %v not in snapshot", core.ErrNotFound, r)
-			}
-			return smutil.QualifyFetch(s.env, vrec, fields, filter)
-		}
-	}
-	var rec types.Record
-	err = s.withPage(tx, r.page, false, func(f *buffer.Frame) error {
-		so, derr := liveSlotAt(f, r)
-		if derr != nil {
-			return derr
-		}
-		if filter != nil || fields == nil { // a filter reads the whole record
-			rec, _, derr = types.DecodeRecord(slotBody(f, so))
-		} else {
-			sel := types.NewSelector(fields)
-			rec, derr = sel.Project(slotBody(f, so))
-		}
-		return derr
-	})
-	if err != nil || filter == nil {
-		return rec, err
-	}
-	return smutil.QualifyFetch(s.env, rec, fields, filter)
+	return out[0].Rec, out[0].Err
 }
 
-// FetchRun implements core.VersionedStorage: FetchByKey's snapshot path
-// for every key of the run under one hold of the shared latch, with one
-// pin per stretch of consecutive keys on the same page and one qualifier
-// (the caller's compiled filter, the projection built) for the whole run,
-// whose records share one backing array sized to the run. Each key is
-// still judged against the snapshot on its own.
-func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Program, out []core.Fetched) (err error) {
+// FetchRun implements core.VersionedStorage: FetchByKey's snapshot read
+// for every key of the run, with one qualifier (the caller's compiled
+// filter, the projection built) whose records share one backing array
+// sized to the run.
+func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *expr.Program, out []core.Fetched) error {
 	if !tx.ReadOnly() {
 		return fmt.Errorf("heap: a fetch run needs a snapshot transaction")
 	}
 	q := smutil.CompiledQualifier(filter, fields)
 	q.SizeRun(len(keys))
+	return s.fetchRun(tx, keys, &q, out)
+}
+
+// fetchRun answers keys into out under one hold of the shared latch, with
+// one pin per stretch of consecutive keys on the same page. A snapshot
+// transaction judges each key against its snapshot on its own.
+func (s *store) fetchRun(tx *txn.Txn, keys []types.Key, q *smutil.Qualifier, out []core.Fetched) (err error) {
 	snap, tr := tx.Snapshot(), tx.Trace()
 	var f *buffer.Frame // pinned while consecutive keys stay on its page
 	var page uint32
@@ -740,27 +702,29 @@ func (s *store) FetchRun(tx *txn.Txn, keys []types.Key, fields []int, filter *ex
 		if r, err = decodeRID(key); err != nil {
 			return err
 		}
-		s.env.Obs.MVCC.SnapshotReads.Inc()
-		var start time.Time
-		if tr.Detailed() { // the clock is read only for the trace event
-			start = time.Now()
-		}
-		usePage, vrec, present, verr := s.versionFor(tx, r, snap)
-		if !usePage || verr != nil {
-			if tr.Detailed() {
-				tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
+		if snap != nil {
+			s.env.Obs.MVCC.SnapshotReads.Inc()
+			var start time.Time
+			if tr.Detailed() { // the clock is read only for the trace event
+				start = time.Now()
 			}
-			switch {
-			case verr != nil:
-				return verr
-			case !present:
-				out[i] = core.Fetched{Err: core.ErrNotFound}
-			default:
-				if out[i], err = fetched(q.Record(vrec)); err != nil {
-					return err
+			usePage, vrec, present, verr := s.versionFor(tx, r, snap)
+			if !usePage || verr != nil {
+				if tr.Detailed() {
+					tr.Event("mvcc.reconstruct", s.rd.Name, "fetch", start, time.Since(start), verr)
 				}
+				switch {
+				case verr != nil:
+					return verr
+				case !present:
+					out[i] = core.Fetched{Err: core.ErrNotFound}
+				default:
+					if out[i], err = fetched(q.Record(vrec)); err != nil {
+						return err
+					}
+				}
+				continue
 			}
-			continue
 		}
 		if f != nil && page != r.page {
 			if unpin(); err != nil {

@@ -644,7 +644,7 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 // single shard owning the key, overlaying the transaction's own staged
 // writes; the filter runs locally on the fetched record. Only the shard's
 // "no such key" is ErrNotFound: a failed call stays an error.
-func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	sh := &s.shards[s.shardOf(key)]
 	s.env.Obs.Part.RoutedReads.Add(1)
 	rec, err := sh.client.Get(txnID(tx), sh.table, key)
@@ -654,7 +654,8 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if err != nil {
 		return nil, err
 	}
-	return smutil.QualifyFetch(s.env, rec, fields, filter)
+	q := smutil.CompiledQualifier(filter, fields)
+	return q.FetchRecord(rec)
 }
 
 // fullKeyLen walks the order-preserving key encoding and returns the

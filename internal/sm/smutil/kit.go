@@ -21,11 +21,12 @@ func DuplicateKey(rec types.Record, keyFields []int) error {
 	return fmt.Errorf("%w: %v", ErrDuplicateKey, rec.Project(keyFields))
 }
 
-// Qualifier is the tail every scan shares: the pushed-down filter,
-// compiled once when the scan opens, and the projection onto the scan's
-// fields (nil = all). The records it returns come from one Slab, so a
-// run of rows costs one allocation, not one per row. Like the Program in
-// it, a Qualifier serves one scan at a time.
+// Qualifier is the tail every read shares, a scan's and a direct-by-key
+// fetch's: the pushed-down filter, compiled (a scan's once when it opens,
+// a fetch's by its caller), and the projection onto the read's fields
+// (nil = all). The records it returns come from one Slab, so a run of
+// rows costs one allocation, not one per row. Like the Program in it, a
+// Qualifier serves one read at a time.
 type Qualifier struct {
 	prog   *expr.Program
 	out    types.Selector
@@ -33,10 +34,9 @@ type Qualifier struct {
 	rows   types.Slab[types.Value]
 }
 
-// NewQualifier compiles opts' filter, bound to opts' parameters, for one
-// scan.
+// NewQualifier compiles opts' filter for one scan.
 func NewQualifier(env *core.Env, opts core.ScanOptions) Qualifier {
-	return CompiledQualifier(expr.Compile(env.Eval, opts.Filter, opts.Params), opts.Fields)
+	return CompiledQualifier(expr.Compile(env.Eval, opts.Filter), opts.Fields)
 }
 
 // CompiledQualifier is a Qualifier over a filter its caller compiled
@@ -89,21 +89,22 @@ func (q *Qualifier) Record(rec types.Record) (types.Record, bool, error) {
 	return rec, true, nil
 }
 
-// QualifyFetch is the tail of direct-by-key access: the filter judges one
-// decoded record, and a rejected record is reported as core.ErrFiltered.
-// One record is not worth compiling for, so the tree walker evaluates it.
-func QualifyFetch(env *core.Env, rec types.Record, fields []int, filter *expr.Expr) (types.Record, error) {
-	ok, err := env.Eval.EvalBool(filter, rec, nil)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+// Fetch is Encoded for the one record a direct-by-key access reads: a
+// record the filter rejects is core.ErrFiltered.
+func (q *Qualifier) Fetch(enc []byte) (types.Record, error) {
+	return fetched(q.Encoded(enc))
+}
+
+// FetchRecord is Fetch for a record the method holds decoded.
+func (q *Qualifier) FetchRecord(rec types.Record) (types.Record, error) {
+	return fetched(q.Record(rec))
+}
+
+func fetched(rec types.Record, ok bool, err error) (types.Record, error) {
+	if !ok && err == nil {
 		return nil, core.ErrFiltered
 	}
-	if fields != nil {
-		rec = rec.Project(fields)
-	}
-	return rec, nil
+	return rec, err
 }
 
 // Effect is what a logged modification asks of a (key → record) store once

@@ -123,19 +123,17 @@ func (s *TreeStore) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) erro
 	return nil
 }
 
-// FetchByKey implements core.StorageInstance.
-func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+// FetchByKey implements core.StorageInstance: the filter matches the
+// stored bytes, and only the selected fields are decoded.
+func (s *TreeStore) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	s.mu.Lock()
 	enc, ok := s.tree.Get(key)
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", core.ErrNotFound, key)
 	}
-	rec, _, err := types.DecodeRecord(enc)
-	if err != nil {
-		return nil, err
-	}
-	return QualifyFetch(s.env, rec, fields, filter)
+	q := CompiledQualifier(filter, fields)
+	return q.Fetch(enc)
 }
 
 // OpenScan implements core.StorageInstance: record-key order, with range

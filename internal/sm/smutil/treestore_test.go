@@ -61,7 +61,7 @@ func TestTreeStoreRejectedRowsAllocateNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		opts := core.ScanOptions{Filter: reject, Params: []types.Value{types.Str("y")}, Fields: []int{1}}
+		opts := core.ScanOptions{Filter: expr.Bind(reject, []types.Value{types.Str("y")}), Fields: []int{1}}
 		return testing.AllocsPerRun(5, func() {
 			sc, err := s.OpenScan(tx, opts)
 			if err != nil {

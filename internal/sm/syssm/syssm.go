@@ -229,7 +229,7 @@ func (s *store) Delete(tx *txn.Txn, key types.Key, oldRec types.Record) error {
 // re-materializes the view: ordinals are positional, so a row fetched by a
 // key obtained from an earlier scan may have moved or vanished — the usual
 // contract for monitoring views.
-func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Expr) (types.Record, error) {
+func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *expr.Program) (types.Record, error) {
 	if len(key) != 8 {
 		return nil, fmt.Errorf("syssm: bad record key length %d", len(key))
 	}
@@ -241,7 +241,8 @@ func (s *store) FetchByKey(tx *txn.Txn, key types.Key, fields []int, filter *exp
 	if ord >= uint64(len(rows)) {
 		return nil, fmt.Errorf("syssm: %w: %s row %d", core.ErrNotFound, s.rd.Name, ord)
 	}
-	return smutil.QualifyFetch(s.env, rows[ord], fields, filter)
+	q := smutil.CompiledQualifier(filter, fields)
+	return q.FetchRecord(rows[ord])
 }
 
 // OpenScan implements core.StorageInstance: the view is materialized once
