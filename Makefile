@@ -70,14 +70,16 @@ trace-demo:
 # the many-to-many join through every join strategy, two open cursors of
 # one bound plan, each on its own binding, one cached plan rebound across
 # executions against fresh plans, a snapshot index-then-fetch read
-# in runs while a writer changes the keys it holds, and relation handles,
+# in runs while a writer changes the keys it holds, the heap's pending
+# version lists ended by commit, abort, savepoint rollback and a failed
+# commit, two writers beside a snapshot reader, and relation handles,
 # attachment instances and the relation list read while another
 # transaction creates and drops an index.
 race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
 	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree|TestOpenCursorsOfOnePlan|TestRebindEqualsFreshPlan' ./internal/plan/
-	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter' ./internal/sm/heap/
+	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter|TestPendingVersionsEndWithTheirTransaction|TestPendingVersionsConcurrentWriters' ./internal/sm/heap/
 	$(GO) test -race -count=3 -run 'TestRelationSlotConcurrentDDL' ./internal/core/
 
 # model is the differential-testing soak: many more generated workloads

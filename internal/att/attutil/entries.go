@@ -126,8 +126,9 @@ func (m Entries[D]) claim(tx *txn.Txn, d *Def[D], op core.ModOp, rec types.Recor
 	}
 	value := types.EncodeKeyFields(rec, d.Fields)
 	if lockValue {
-		name := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(value)), d.Seq)
-		if err := tx.Lock(lock.ExtResource(m.RelID(), uint8(m.id), append(name, value...)), lock.ModeX); err != nil {
+		var seq [4]byte
+		binary.BigEndian.PutUint32(seq[:], d.Seq)
+		if err := tx.Lock(lock.ExtResource(m.RelID(), uint8(m.id), seq[:], value), lock.ModeX); err != nil {
 			return err
 		}
 	}

@@ -36,7 +36,8 @@ type def = attutil.Def[*btree.Tree]
 // entries, each holding the record key.
 var entries = attutil.EntryType[*btree.Tree]{
 	KeyOf: func(d *def, rec types.Record, recKey types.Key) (types.Key, bool, error) {
-		return append(types.EncodeKeyFields(rec, d.Fields), recKey...), true, nil
+		key := make(types.Key, 0, types.KeyFieldsLen(rec, d.Fields)+len(recKey))
+		return append(types.AppendKeyFields(key, rec, d.Fields), recKey...), true, nil
 	},
 	Add: func(d *def, entryKey, recKey types.Key) error {
 		d.X.Set(entryKey, recKey)

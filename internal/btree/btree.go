@@ -78,11 +78,20 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// Set stores val under key (both copied), returning the previous value and
-// whether one was replaced.
+// Set stores val under key, returning the previous value and whether one
+// was replaced. Both are copied into one allocation; the key's capacity
+// ends at its length, so appending to a key handed out cannot reach the
+// value. A replaced entry takes the new copy of its key too, so the old
+// allocation is released with the old value.
 func (t *Tree) Set(key, val []byte) ([]byte, bool) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), val...)
+	buf := make([]byte, len(key)+len(val))
+	n := copy(buf, key)
+	copy(buf[n:], val)
+	k := buf[:n:n]
+	var v []byte
+	if len(val) > 0 {
+		v = buf[n:]
+	}
 	t.mods++
 	if t.root == nil {
 		t.root = &node{items: []item{{k, v}}}
@@ -125,7 +134,7 @@ func (n *node) insert(key, val []byte) ([]byte, bool) {
 	i, ok := n.find(key)
 	if ok {
 		prev := n.items[i].val
-		n.items[i].val = val
+		n.items[i] = item{key, val}
 		return prev, true
 	}
 	if n.leaf() {
@@ -140,7 +149,7 @@ func (n *node) insert(key, val []byte) ([]byte, bool) {
 			i++
 		} else if c == 0 {
 			prev := n.items[i].val
-			n.items[i].val = val
+			n.items[i] = item{key, val}
 			return prev, true
 		}
 	}

@@ -69,6 +69,38 @@ func TestSetCopiesInputs(t *testing.T) {
 	}
 }
 
+// Set stores a new item's key and value in one allocation, the key capped
+// so that appending to it cannot overwrite the value. Over 4 000 inserts
+// the only other allocations are node growth and splits, a few per
+// hundred items.
+func TestTreeSetAllocations(t *testing.T) {
+	tr := New()
+	keys := make([][]byte, 4001) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = k(i)
+	}
+	i := 0
+	n := testing.AllocsPerRun(len(keys)-1, func() {
+		tr.Set(keys[i], []byte("value"))
+		i++
+	})
+	if n > 1.1 {
+		t.Fatalf("Set allocates %v times per new item, want one and a little node growth", n)
+	}
+	key, val, _ := tr.Min()
+	if cap(key) != len(key) {
+		t.Fatalf("a stored key's capacity %d runs past its length %d", cap(key), len(key))
+	}
+	_ = append(key, 'X')
+	if v, _ := tr.Get(k(0)); string(v) != "value" || string(val) != "value" {
+		t.Fatalf("appending to a stored key changed its value to %q", v)
+	}
+	// A replaced value takes a new copy of the key as well.
+	if n := testing.AllocsPerRun(100, func() { tr.Set(keys[7], []byte("other")) }); n != 1 {
+		t.Fatalf("replacing a value allocates %v times, want 1", n)
+	}
+}
+
 func TestLargeSequentialAndReverse(t *testing.T) {
 	for name, order := range map[string]func(i, n int) int{
 		"ascending":  func(i, n int) int { return i },

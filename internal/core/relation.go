@@ -540,7 +540,9 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 // (Fetch, or FetchForUpdate when forUpdate; opts.Filter is not read).
 // Records the filter rejects are passed over. The returned scan yields
 // the record keys and fetched records. Like any Program, filter serves
-// this one cursor while it is open.
+// this one cursor while it is open. reuse, when not nil, is a closed
+// cursor an earlier open returned: it is reset and returned again, its
+// run buffers kept, instead of a new one allocated.
 //
 // A snapshot read checks each key's visibility once, in its fetch: the
 // storage method answers with the snapshot's version, so "not found"
@@ -550,8 +552,13 @@ func (r *Relation) accessPath(tx *txn.Txn, id AttID, relMode lock.Mode) (AccessP
 // lookup holds only an intention lock on the relation — but a
 // key-sequential access reads under the relation lock, so a missing
 // record is an error.
-func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, filter *expr.Program, forUpdate bool) (*AccessFetch, error) {
-	f := &AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
+func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bool, opts ScanOptions, filter *expr.Program, forUpdate bool, reuse *AccessFetch) (*AccessFetch, error) {
+	f := reuse
+	if f == nil {
+		f = new(AccessFetch)
+	}
+	run := f.run
+	*f = AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
 		skipMissing: point}
 	if forUpdate {
 		if tx.ReadOnly() {
@@ -578,7 +585,10 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 		}
 	}
 	if r.lockFree(tx) {
-		f.run = fetchRun{vs: r.sm.(VersionedStorage), keys: make([]types.Key, 0, runLen), out: make([]Fetched, runLen)}
+		if cap(run.keys) < runLen {
+			run.keys, run.out = make([]types.Key, 0, runLen), make([]Fetched, runLen)
+		}
+		f.run = fetchRun{vs: r.sm.(VersionedStorage), keys: run.keys[:0:runLen], out: run.out[:runLen]}
 	}
 	return f, nil
 }

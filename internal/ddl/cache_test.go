@@ -118,10 +118,15 @@ func TestParamReplanOnCardinalityClass(t *testing.T) {
 }
 
 // TestStatementAllocations pins what a statement of a cached shape costs
-// in allocations on the oltp-sql table: 10 for the point SELECT, 21 for
-// UPDATE, 30 for INSERT and 30 for DELETE. The bounds are three higher:
+// in allocations on the oltp-sql table: 9 for the point SELECT, 15 for
+// UPDATE, 18 for INSERT and 18 for DELETE. The bounds are three higher:
 // under the race detector sync.Pool drops a random quarter of the pooled
-// log payloads put back, and INSERT reads 33, DELETE 32. While an index
+// log payloads put back, and INSERT reads 21, DELETE 20. While each plan
+// open allocated its index-then-fetch cursor, the heap kept each
+// transaction's pending versions in a list, stash entry and closure of
+// its own, index keys and unique value locks grew field by field and a
+// tree item was two allocations, they cost 10, 21, 30 and 30 (INSERT
+// read 33 and DELETE 32 under the race detector). While an index
 // point lookup built its key's prefix successor and a fetch decoded the
 // whole record to filter and project it with the tree walker, they cost
 // 12, 22, 30 and 33 (INSERT read 33 and DELETE 35 under the race
@@ -143,10 +148,10 @@ func TestStatementAllocations(t *testing.T) {
 		name, format string
 		bound        float64
 	}{
-		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 13},
-		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 24},
-		{"INSERT", "INSERT INTO emp VALUES (%[2]d, %[1]d, %[1]d, 'name-%[2]d')", 33},
-		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 33},
+		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 12},
+		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 18},
+		{"INSERT", "INSERT INTO emp VALUES (%[2]d, %[1]d, %[1]d, 'name-%[2]d')", 21},
+		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 21},
 	} {
 		texts := make([]string, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range texts {

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,14 +138,26 @@ func KeyResource(relID uint32, key []byte) Resource {
 }
 
 // ExtResource returns an extension-private resource within a relation: ext
-// identifies the extension (an attachment type id) and name what it locks.
+// identifies the extension (an attachment type id) and the concatenated
+// name parts what it locks; the name is built in one allocation.
 // The leading 0xFF byte keeps these apart from record-level resources: an
 // order-preserving key encoding starts with a kind tag, and a fixed-width
 // record key starts with the high byte of a page or sequence number. A
 // clash could in any case only make two transactions wait for each other
 // needlessly.
-func ExtResource(relID uint32, ext uint8, name []byte) Resource {
-	return Resource{Rel: relID, Key: string([]byte{0xFF, ext}) + string(name)}
+func ExtResource(relID uint32, ext uint8, name ...[]byte) Resource {
+	n := 2
+	for _, p := range name {
+		n += len(p)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte(0xFF)
+	b.WriteByte(ext)
+	for _, p := range name {
+		b.Write(p)
+	}
+	return Resource{Rel: relID, Key: b.String()}
 }
 
 type request struct {

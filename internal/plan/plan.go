@@ -704,8 +704,9 @@ type binder struct {
 	rel     *core.Relation
 	prog    *expr.Program // the fetch filter, compiled from progOf
 	progOf  *expr.Expr
-	scan    scanRows         // the adapter of a storage-method cursor
-	op      countedKeyedRows // the access as an operator (openAccess)
+	scan    scanRows          // the adapter of a storage-method cursor
+	fetch   *core.AccessFetch // the index-then-fetch cursor, reset by each open
+	op      countedKeyedRows  // the access as an operator (openAccess)
 }
 
 // init builds the binder of src, whose path, when set, is asked req
@@ -786,10 +787,11 @@ func (bd *binder) open(tx *txn.Txn, a *access, fields []int, forUpdate bool) (Ke
 		bd.prog, bd.progOf = expr.Compile(rel.Env().Eval, filter), filter
 	}
 	f, err := rel.OpenAccessFetch(tx, a.useAtt, a.instance, a.estimate.Point,
-		core.ScanOptions{Start: a.start, End: a.end, Fields: fields}, bd.prog, forUpdate)
+		core.ScanOptions{Start: a.start, End: a.end, Fields: fields}, bd.prog, forUpdate, bd.fetch)
 	if err != nil {
 		return nil, err
 	}
+	bd.fetch = f
 	return fetchRows{f}, nil
 }
 

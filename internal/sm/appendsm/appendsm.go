@@ -186,6 +186,7 @@ type store struct {
 	runs     []*run      // immutable sorted runs, newest first
 	nextSeq  uint64      // next press sequence to assign
 	live     int         // records visible (non-tombstone newest versions)
+	enc      []byte      // a write's encoded record, reused; the memtable copies it
 
 	compacting atomic.Bool // one merge in flight per store
 }
@@ -271,8 +272,9 @@ func (s *store) putLocked(seq uint64, enc []byte) {
 // reservation, the WAL append, and the memtable install form one critical
 // section so concurrent inserters cannot observe the same slot.
 func (s *store) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
-	enc := rec.AppendEncode(nil)
 	s.mu.Lock()
+	s.enc = rec.AppendEncode(s.enc[:0])
+	enc := s.enc
 	seq := s.nextSeq
 	key := seqKey(seq)
 	if err := core.LogSM(tx, s.rd, core.ModPayload{Op: core.ModInsert, Key: key, New: rec}); err != nil {
@@ -301,7 +303,6 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 	if err != nil {
 		return nil, err
 	}
-	enc := newRec.AppendEncode(nil)
 	s.mu.Lock()
 	if cur, found := s.lookupLocked(seq); !found || cur == nil {
 		s.mu.Unlock()
@@ -311,7 +312,8 @@ func (s *store) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Record) 
 		s.mu.Unlock()
 		return nil, err
 	}
-	s.putLocked(seq, enc)
+	s.enc = newRec.AppendEncode(s.enc[:0])
+	s.putLocked(seq, s.enc)
 	ferr := s.maybeFlushLocked()
 	s.mu.Unlock()
 	if ferr != nil {
@@ -735,7 +737,8 @@ func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 		if err != nil {
 			return err
 		}
-		s.putLocked(seq, e.Rec.AppendEncode(nil))
+		s.enc = e.Rec.AppendEncode(s.enc[:0])
+		s.putLocked(seq, s.enc)
 	}
 	return nil
 }

@@ -288,7 +288,7 @@ func TestSnapshotAccessFetchRunsEqualPerKey(t *testing.T) {
 	}
 	// A point lookup's run is as long as the keys it found, none included.
 	for id, want := range map[int64]string{7: "[(7)]", 9999: "[]"} {
-		f, err := r.OpenAccessFetch(snap, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(id), Fields: []int{0}}, nil, false)
+		f, err := r.OpenAccessFetch(snap, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(id), Fields: []int{0}}, nil, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestSnapshotAccessFetchRunsEqualPerKey(t *testing.T) {
 func runsEqualPerKey(t *testing.T, r *core.Relation, tx *txn.Txn, opts core.ScanOptions) {
 	t.Helper()
 	prog := expr.Compile(r.Env().Eval, opts.Filter)
-	f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, opts, prog, false)
+	f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, opts, prog, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestSnapshotAccessFetchConcurrentWriter(t *testing.T) {
 				want = append(want, types.Record{row[0], row[2]}.String())
 			}
 		}
-		f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(50), Fields: []int{0, 2}}, nil, false)
+		f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, true, core.ScanOptions{Start: ixKey(50), Fields: []int{0, 2}}, nil, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +477,7 @@ func TestLockingAccessFetchLocksRowsReturned(t *testing.T) {
 		}
 		for _, k := range []int{0, 1, 5, 64, 65} {
 			tx := env.Begin()
-			f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, core.ScanOptions{Start: ixKey(10), End: ixKey(210)}, nil, forUpdate)
+			f, err := r.OpenAccessFetch(tx, core.AttBTree, 0, false, core.ScanOptions{Start: ixKey(10), End: ixKey(210)}, nil, forUpdate, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

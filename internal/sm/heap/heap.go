@@ -86,9 +86,8 @@ func decodeRID(k types.Key) (rid, error) {
 
 // store is the heap storage instance for one relation.
 type store struct {
-	env        *core.Env
-	rd         *core.RelDesc
-	pendingKey string // the transaction stash key of this store's pendingVers
+	env *core.Env
+	rd  *core.RelDesc
 
 	// mu latches the page table, the pages' contents and the version
 	// chains. Readers (scan, fetch) hold it shared and so must never
@@ -100,6 +99,13 @@ type store struct {
 	vers     map[rid]*verMeta // MVCC version chains, newest first (nil until a write stamps one)
 	sweptHW  uint64           // snapshot horizon at the last retireVersions sweep
 	enc      []byte           // a write's encoded record, reused; putOn copies it into the page
+
+	// pending holds each writing transaction's unstamped chain entries in
+	// push order; settle (settlePending, bound once) stamps and drops them
+	// when the transaction ends. spare keeps emptied lists for reuse.
+	pending map[wal.TxnID][]*verMeta
+	spare   [][]*verMeta
+	settle  txn.Action
 }
 
 // verMeta is one entry of a record address's version chain: the state
@@ -123,7 +129,9 @@ type verMeta struct {
 }
 
 func newStore(env *core.Env, rd *core.RelDesc) *store {
-	return &store{env: env, rd: rd, pendingKey: fmt.Sprintf("heap.pending:%d", rd.RelID)}
+	s := &store{env: env, rd: rd, pending: make(map[wal.TxnID][]*verMeta)}
+	s.settle = s.settlePending
+	return s
 }
 
 // ensurePage extends the page table so logical page p exists.
@@ -232,15 +240,6 @@ func (s *store) logStamped(tx *txn.Txn, f *buffer.Frame, p core.ModPayload) (wal
 	return lsn, nil
 }
 
-// pendingVers accumulates the version-chain entries one transaction
-// created in one heap store, to be stamped in bulk at commit. The first
-// eight live in the list itself, so a short transaction's list is one
-// allocation.
-type pendingVers struct {
-	entries []*verMeta
-	inline  [8]*verMeta
-}
-
 // pushVersion prepends a chain entry at r and registers it for commit
 // stamping. The chain below is pruned past the newest entry every open
 // snapshot can already see — nothing ever walks below that — which
@@ -265,45 +264,79 @@ func (s *store) pushVersion(tx *txn.Txn, r rid, lsn wal.LSN, born, gone bool) {
 	s.notePending(tx, e)
 }
 
-// notePending queues e for stamping when tx commits. The first entry per
-// (transaction, store) subscribes to EventCommit, which fires after the
-// commit record is durable and before the stamp is published into the
-// high-water — so by the time any snapshot's high-water covers the
-// stamp, every entry carries it.
+// Spare pending lists: at most maxSpare are kept, none with room for more
+// than maxSpareCap entries (a bulk transaction's list is left to the
+// collector).
+const (
+	maxSpare    = 16
+	maxSpareCap = 1024
+)
+
+// notePending queues e for stamping when tx commits. A transaction's first
+// entry in this store subscribes settle to EventCommit, which fires after
+// the commit record is durable and before the stamp is published into the
+// high-water — so by the time any snapshot's high-water covers the stamp,
+// every entry carries it — and to EventEnd, which fires on every
+// termination, an abort or a failed commit among them. Caller holds s.mu.
 func (s *store) notePending(tx *txn.Txn, e *verMeta) {
-	stash := tx.Stash()
-	if lst, ok := stash[s.pendingKey].(*pendingVers); ok {
-		lst.entries = append(lst.entries, e)
-		return
-	}
-	lst := &pendingVers{}
-	lst.entries = append(lst.inline[:0], e)
-	stash[s.pendingKey] = lst
-	// Subscribe (not Defer): registration happens once, outside s.mu
-	// contention at commit time. Entries popped by undo before commit may
-	// linger in the list; stamping an unlinked entry is harmless.
-	_ = tx.Subscribe(txn.EventCommit, func(tx2 *txn.Txn, _ string) error {
-		stamp := tx2.CommitStamp()
-		if stamp == 0 {
-			return nil
+	lst, ok := s.pending[tx.ID()]
+	if !ok {
+		if n := len(s.spare); n > 0 {
+			lst, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			lst = make([]*verMeta, 0, 8)
 		}
-		s.mu.Lock()
-		for _, e := range lst.entries {
+		_ = tx.Subscribe(txn.EventCommit, s.settle)
+		_ = tx.Subscribe(txn.EventEnd, s.settle)
+	}
+	s.pending[tx.ID()] = append(lst, e)
+}
+
+// settlePending ends tx's pending list: on commit every entry takes the
+// commit stamp; on any other end the entries stay unstamped (undo popped
+// them, or restart recovery resolves a commit of unknown fate). The list
+// is emptied and kept for reuse. Whichever of EventCommit and EventEnd
+// fires second finds nothing to do.
+func (s *store) settlePending(tx *txn.Txn, _ string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lst, ok := s.pending[tx.ID()]
+	if !ok {
+		return nil
+	}
+	delete(s.pending, tx.ID())
+	if stamp := tx.CommitStamp(); stamp != 0 {
+		for _, e := range lst {
 			e.stamp = stamp
 		}
-		s.mu.Unlock()
-		return nil
-	})
+	}
+	clear(lst)
+	if len(s.spare) < maxSpare && cap(lst) <= maxSpareCap {
+		s.spare = append(s.spare, lst[:0])
+	}
+	return nil
+}
+
+// PendingVersions reports how many transactions have a pending list in
+// this store and how many entries the lists hold (tests).
+func (s *store) PendingVersions() (lists, entries int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, lst := range s.pending {
+		entries += len(lst)
+	}
+	return len(s.pending), entries
 }
 
 // unchain pops the head of r's version chain if it is uncommitted: undo
 // is removing the state change that pushed it. Only the owning
 // transaction can hold an uncommitted entry at r (writers keep 2PL, so
 // one X lock holder per record), and undo applies its records newest
-// first, so the stamp-0 head is always the entry being undone. Restart
-// recovery runs against fresh stores with empty chains and no-ops here.
-// Caller holds s.mu.
-func (s *store) unchain(r rid) {
+// first, so the stamp-0 head is always the entry being undone — and the
+// last of id's pending list, which drops it. Restart recovery runs
+// against fresh stores with empty chains and no-ops here. Caller holds
+// s.mu.
+func (s *store) unchain(id wal.TxnID, r rid) {
 	head := s.vers[r]
 	if head == nil || head.stamp != 0 {
 		return
@@ -312,6 +345,10 @@ func (s *store) unchain(r rid) {
 		delete(s.vers, r)
 	} else {
 		s.vers[r] = head.prev
+	}
+	if lst := s.pending[id]; len(lst) > 0 && lst[len(lst)-1] == head {
+		lst[len(lst)-1] = nil
+		s.pending[id] = lst[:len(lst)-1]
 	}
 }
 
@@ -831,7 +868,7 @@ func (s *store) PageCount() int {
 // mid-recovery replays cleanly. Undo pops the version-chain entry the
 // undone write pushed at each key; redo may address pages a restarted
 // relation has not reached yet.
-func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
+func (s *store) ApplyLogged(id wal.TxnID, payload []byte, undo bool) error {
 	e, err := smutil.LoggedEffect(payload, undo)
 	if err != nil {
 		return err
@@ -851,7 +888,7 @@ func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 	defer s.mu.Unlock()
 	replay := func(r rid, fn func(f *buffer.Frame) error) error {
 		if undo {
-			s.unchain(r)
+			s.unchain(id, r)
 		} else if err := s.ensurePage(r.page); err != nil {
 			return err
 		}

@@ -577,9 +577,11 @@ func TestRejectedRowsAllocateNothing(t *testing.T) {
 	}
 }
 
-// A heap insert through the relation allocates at most 14 times; the
-// stash key of the transaction's pending versions is formatted once per
-// store, not once per write.
+// A heap insert through the relation allocates at most 6 times (5, and 6
+// under the race detector, whose sync.Pool drops pooled log payloads): the
+// record encodes into the store's reused buffer and the transaction's
+// pending-version list is recycled, so what is left is the version-chain
+// entry, the record key and the lock held on it (name and state).
 func TestInsertAllocations(t *testing.T) {
 	env := core.NewEnv(core.Config{Log: wal.New()})
 	r := mkHeap(t, env, "t")
@@ -593,8 +595,8 @@ func TestInsertAllocations(t *testing.T) {
 		if _, err := r.Insert(tx, row); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 14 {
-		t.Fatalf("heap insert allocates %v times, want <= 14", n)
+	}); n > 6 {
+		t.Fatalf("heap insert allocates %v times, want <= 6", n)
 	}
 }
 

@@ -30,6 +30,7 @@ type TreeStore struct {
 	mu      sync.Mutex
 	tree    *btree.Tree // record key -> encoded record
 	nextSeq uint64
+	enc     []byte // a write's encoded record, reused; the tree copies it
 }
 
 // NewTreeStore returns an empty store for rd. keyFields nil selects
@@ -71,7 +72,8 @@ func (s *TreeStore) Insert(tx *txn.Txn, rec types.Record) (types.Key, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.tree.Set(key, rec.AppendEncode(nil))
+	s.enc = rec.AppendEncode(s.enc[:0])
+	s.tree.Set(key, s.enc)
 	s.mu.Unlock()
 	return key, nil
 }
@@ -104,7 +106,8 @@ func (s *TreeStore) Update(tx *txn.Txn, key types.Key, oldRec, newRec types.Reco
 	if moved {
 		s.tree.Delete(key)
 	}
-	s.tree.Set(newKey, newRec.AppendEncode(nil))
+	s.enc = newRec.AppendEncode(s.enc[:0])
+	s.tree.Set(newKey, s.enc)
 	s.mu.Unlock()
 	return newKey, nil
 }
@@ -198,7 +201,8 @@ func (s *TreeStore) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 		s.tree.Delete(e.Del)
 	}
 	if e.Put != nil {
-		s.tree.Set(e.Put, e.Rec.AppendEncode(nil))
+		s.enc = e.Rec.AppendEncode(s.enc[:0])
+		s.tree.Set(e.Put, s.enc)
 		// Replayed sequence keys must never be handed out again.
 		if s.keyFields == nil {
 			if seq := binary.BigEndian.Uint64(e.Put); seq >= s.nextSeq {

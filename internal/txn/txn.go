@@ -65,9 +65,9 @@ const (
 	EventCommit
 	// EventAbort fires when the transaction aborts, after rollback.
 	EventAbort
-	// EventEnd fires at transaction termination, commit or abort. All
-	// key-sequential accesses must be closed here because locks are
-	// released at termination.
+	// EventEnd fires at transaction termination: commit, abort, or a
+	// commit that could not be made durable. All key-sequential accesses
+	// must be closed here because locks are released at termination.
 	EventEnd
 	// EventSavepoint fires when a rollback point is established; storage
 	// methods and attachments save their key-sequential access positions.
@@ -315,17 +315,25 @@ func (m *Manager) finish(tx *Txn, outcome string) {
 	m.recordFinished(tx, outcome)
 }
 
+// subscription is one persistent listener: action runs each time event
+// fires.
+type subscription struct {
+	event  Event
+	action Action
+}
+
 // Txn is a transaction. A Txn is confined to one goroutine.
 type Txn struct {
-	id          wal.TxnID
-	mgr         *Manager
-	state       State
-	savepoints  map[string]wal.LSN
-	deferred    [numEvents][]Action
-	subscribers [numEvents][]Action
-	stash       map[string]any
-	user        string
-	tr          *trace.TxnTrace
+	id         wal.TxnID
+	mgr        *Manager
+	state      State
+	savepoints map[string]wal.LSN
+	deferred   [numEvents][]Action
+	subs       []subscription
+	subsInline [4]subscription // subs' first array: a short transaction's subscribing allocates nothing
+	stash      map[string]any
+	user       string
+	tr         *trace.TxnTrace
 
 	readOnly    bool
 	snap        Snapshot // a read-only transaction's; unused by writers
@@ -421,12 +429,15 @@ func (tx *Txn) Defer(event Event, action Action) error {
 // entries, subscribers fire every time the event occurs for the rest of
 // the transaction. Storage methods and attachments subscribe to savepoint,
 // partial-rollback, and end events to manage their key-sequential access
-// positions.
+// positions. A transaction's first four subscriptions allocate nothing.
 func (tx *Txn) Subscribe(event Event, action Action) error {
 	if tx.state != StateActive && tx.state != StatePreparing {
 		return ErrNotActive
 	}
-	tx.subscribers[event] = append(tx.subscribers[event], action)
+	if tx.subs == nil {
+		tx.subs = tx.subsInline[:0]
+	}
+	tx.subs = append(tx.subs, subscription{event, action})
 	return nil
 }
 
@@ -585,13 +596,18 @@ func (tx *Txn) Commit() error {
 // made durable (typically a dead log device or an injected crash). The
 // transaction's fate is unknown — the record may or may not have reached
 // stable storage — so no undo is attempted here; restart recovery will
-// resolve it from the log. Locally the transaction is dead: locks are
-// released and the handle retired so the process can shut down.
+// resolve it from the log. Locally the transaction is dead: EventEnd
+// fires (extensions drop what they kept for it), locks are released and
+// the handle retired so the process can shut down.
 func (tx *Txn) commitFailed(err error) error {
 	tx.state = StateAborted
+	endErr := tx.fire(EventEnd, "")
 	tx.mgr.Locks.ReleaseAll(tx.id)
 	tx.mgr.finish(tx, "commit_failed")
 	tx.tr.Finish("commit_failed")
+	if endErr != nil {
+		return fmt.Errorf("txn: commit not durable: %w (at end: %v)", err, endErr)
+	}
 	return fmt.Errorf("txn: commit not durable: %w", err)
 }
 
@@ -665,8 +681,11 @@ func (tx *Txn) fire(event Event, savepoint string) error {
 			return err
 		}
 	}
-	for _, a := range tx.subscribers[event] {
-		if err := a(tx, savepoint); err != nil {
+	for _, sub := range tx.subs {
+		if sub.event != event {
+			continue
+		}
+		if err := sub.action(tx, savepoint); err != nil {
 			return err
 		}
 	}

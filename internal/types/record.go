@@ -409,12 +409,30 @@ func (k Key) String() string { return fmt.Sprintf("key:%x", []byte(k)) }
 
 // EncodeKeyFields composes an order-preserving key from the given record
 // fields; used by key-from-fields storage methods and index attachments.
+// The key is one allocation of exactly its length.
 func EncodeKeyFields(rec Record, fields []int) Key {
-	var out []byte
-	for _, f := range fields {
-		out = rec[f].AppendOrderedEncode(out)
+	if len(fields) == 0 {
+		return nil
 	}
-	return out
+	return AppendKeyFields(make(Key, 0, KeyFieldsLen(rec, fields)), rec, fields)
+}
+
+// AppendKeyFields appends EncodeKeyFields(rec, fields) to dst.
+func AppendKeyFields(dst []byte, rec Record, fields []int) Key {
+	for _, f := range fields {
+		dst = rec[f].AppendOrderedEncode(dst)
+	}
+	return dst
+}
+
+// KeyFieldsLen is the length of EncodeKeyFields(rec, fields), so a caller
+// composing a longer key can size it up front.
+func KeyFieldsLen(rec Record, fields []int) int {
+	n := 0
+	for _, f := range fields {
+		n += rec[f].orderedLen()
+	}
+	return n
 }
 
 // EncodeKeyValues composes an order-preserving key from loose values.

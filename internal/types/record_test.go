@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -213,6 +214,38 @@ func TestKeyHelpers(t *testing.T) {
 	want := EncodeKeyValues(Int(3), Str("b"))
 	if !kf.Equal(want) {
 		t.Fatal("EncodeKeyFields mismatch")
+	}
+}
+
+// EncodeKeyFields sizes its key before encoding: one allocation of
+// exactly the key's length, whatever the fields hold — zero bytes that
+// escape to two, strings longer than a conversion's stack buffer.
+func TestEncodeKeyFieldsAllocatesOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	recs := []Record{
+		{Str(strings.Repeat("long\x00string ", 8)), Bytes([]byte{0, 0, 1}), Int(-4)},
+		{Null(), Str(""), Float(-2.5), Bool(true)},
+	}
+	for range 200 {
+		rec := make(Record, 1+r.Intn(6))
+		for j := range rec {
+			rec[j] = randValue(r)
+		}
+		recs = append(recs, rec)
+	}
+	for _, rec := range recs {
+		fields := r.Perm(len(rec))
+		var want []byte
+		for _, f := range fields {
+			want = rec[f].AppendOrderedEncode(want)
+		}
+		got := EncodeKeyFields(rec, fields)
+		if !bytes.Equal(got, want) || cap(got) != len(want) || KeyFieldsLen(rec, fields) != len(want) {
+			t.Fatalf("EncodeKeyFields(%v, %v) = %x (cap %d), want %x", rec, fields, got, cap(got), want)
+		}
+		if n := testing.AllocsPerRun(10, func() { EncodeKeyFields(rec, fields) }); n != 1 {
+			t.Fatalf("EncodeKeyFields(%v, %v) allocates %v times, want 1", rec, fields, n)
+		}
 	}
 }
 

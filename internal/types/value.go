@@ -11,6 +11,7 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -332,18 +333,31 @@ func (v Value) AppendOrderedEncode(dst []byte) []byte {
 		}
 		dst = binary.BigEndian.AppendUint64(dst, bits)
 	case KindString:
-		dst = appendEscaped(dst, []byte(v.S))
+		dst = appendEscaped(dst, v.S)
 	case KindBytes:
 		dst = appendEscaped(dst, v.B)
 	}
 	return dst
 }
 
+// orderedLen is the length of v's AppendOrderedEncode encoding.
+func (v *Value) orderedLen() int {
+	switch v.K {
+	case KindInt, KindBool, KindFloat:
+		return 9
+	case KindString:
+		return 3 + len(v.S) + strings.Count(v.S, "\x00")
+	case KindBytes:
+		return 3 + len(v.B) + bytes.Count(v.B, []byte{0})
+	}
+	return 1
+}
+
 // appendEscaped writes b with 0x00 escaped as 0x00 0xFF and terminated by
 // 0x00 0x00, preserving prefix ordering for variable-length values.
-func appendEscaped(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func appendEscaped[T string | []byte](dst []byte, b T) []byte {
+	for i := 0; i < len(b); i++ {
+		if c := b[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)
