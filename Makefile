@@ -79,7 +79,7 @@ race:
 	DMX_STRESS_DEEP=1 $(GO) test -race -count=1 -run 'TestStress' -v .
 	$(GO) test -race -count=3 -run 'TestPoolConcurrentRecycle' ./internal/buffer/
 	$(GO) test -race -count=3 -run 'TestDuplicateKeyJoinWaysAgree|TestOpenCursorsOfOnePlan|TestRebindEqualsFreshPlan' ./internal/plan/
-	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter|TestPendingVersionsEndWithTheirTransaction|TestPendingVersionsConcurrentWriters' ./internal/sm/heap/
+	$(GO) test -race -count=3 -run 'TestSnapshotAccessFetchConcurrentWriter|TestPendingVersionsEndWithTheirTransaction|TestPendingVersionsConcurrentWriters|TestSnapshotWhilePinsEvict' ./internal/sm/heap/
 	$(GO) test -race -count=3 -run 'TestRelationSlotConcurrentDDL' ./internal/core/
 
 # model is the differential-testing soak: many more generated workloads

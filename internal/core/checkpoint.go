@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dmx/internal/lock"
+	"dmx/internal/types"
 	"dmx/internal/wal"
 )
 
@@ -22,8 +23,11 @@ var ErrCheckpointBusy = errors.New("core: checkpoint busy (writers active)")
 // (disk pages are a rebuildable cache, and storage page tables and
 // attachment state are memory-resident), a truncating checkpoint must
 // embed a replayable snapshot: for every relation a catalog descriptor
-// record, and for relations of snapshotting storage methods one insert
-// record per stored record, all logged under the reserved CheckpointTxn.
+// record, and for relations of snapshotting storage methods (those whose
+// StorageOps.Snapshot is set) one insert record per stored record, all
+// logged under the reserved CheckpointTxn. The method hands out each
+// record's stored bytes, and the insert payload is built around them
+// (AppendStoredInsert): no record is decoded on the way into the log.
 //
 // Writers are quiesced first: the checkpoint takes every relation's S
 // lock non-blockingly (failing with ErrCheckpointBusy if any writer holds
@@ -102,7 +106,7 @@ func (env *Env) Checkpoint() error {
 				return err
 			}
 			ops := env.Reg.StorageOps(rd.SM)
-			if ops == nil || !ops.SnapshotContents {
+			if ops == nil || ops.Snapshot == nil {
 				continue
 			}
 			inst, err := env.StorageInstance(rd)
@@ -110,26 +114,13 @@ func (env *Env) Checkpoint() error {
 				return fmt.Errorf("checkpoint %s: %w", rd.Name, err)
 			}
 			owner := wal.Owner{Class: wal.OwnerStorage, ExtID: uint8(rd.SM), RelID: rd.RelID}
-			scan, err := inst.OpenScan(nil, ScanOptions{})
+			err = ops.Snapshot(inst, func(key types.Key, stored []byte) error {
+				buf = AppendStoredInsert(buf[:0], key, stored)
+				return emit(owner, buf)
+			})
 			if err != nil {
 				return fmt.Errorf("checkpoint %s: %w", rd.Name, err)
 			}
-			for {
-				key, rec, ok, err := scan.Next()
-				if err != nil {
-					scan.Close()
-					return fmt.Errorf("checkpoint %s: %w", rd.Name, err)
-				}
-				if !ok {
-					break
-				}
-				buf = AppendMod(buf[:0], ModPayload{Op: ModInsert, Key: key, New: rec})
-				if err := emit(owner, buf); err != nil {
-					scan.Close()
-					return err
-				}
-			}
-			scan.Close()
 		}
 		return nil
 	}

@@ -7,17 +7,25 @@ import (
 
 	_ "dmx/internal/att/btreeix"
 	"dmx/internal/core"
+	_ "dmx/internal/sm/appendsm"
 	_ "dmx/internal/sm/heap"
+	_ "dmx/internal/sm/memsm"
 	"dmx/internal/wal"
 )
 
 // heapEnv returns an engine over log holding a heap relation "h" of n
 // rows, with a btree index on id when indexed, and the relation's handle.
 func heapEnv(tb testing.TB, log *wal.Log, n int, indexed bool) (*core.Env, *core.Relation) {
+	return loadedEnv(tb, log, "heap", nil, n, indexed)
+}
+
+// loadedEnv is heapEnv for a relation "h" of storage method sm, created
+// with attrs.
+func loadedEnv(tb testing.TB, log *wal.Log, sm string, attrs core.AttrList, n int, indexed bool) (*core.Env, *core.Relation) {
 	tb.Helper()
 	env := core.NewEnv(core.Config{Log: log, PoolFrames: 1024})
 	tx := env.Begin()
-	rd, err := env.CreateRelation(tx, "h", testSchema(), "heap", nil)
+	rd, err := env.CreateRelation(tx, "h", testSchema(), sm, attrs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,21 +50,39 @@ func heapEnv(tb testing.TB, log *wal.Log, n int, indexed bool) (*core.Env, *core
 }
 
 // TestCheckpointAllocations pins what a truncating checkpoint allocates
-// per snapshotted heap record. Every snapshot record is encoded into one
-// reused buffer, which the log copies into its window, and the scan
-// decodes records in runs; what is left is about one allocation per
-// record, its decoded string field (1.047 measured; 5.05 when each
-// record encoded into a buffer of its own).
+// per snapshotted record. The storage method hands out each record's
+// stored bytes, copied a page (heap) or a run (memory, append) at a time
+// into a buffer its snapshot reuses, and every snapshot record is built
+// around them in one reused buffer, which the log copies into its window:
+// no record is decoded, so what is left is per checkpoint and per
+// relation, not per row (about 40 for each 2000-row relation, 0.02 per
+// row).
 func TestCheckpointAllocations(t *testing.T) {
 	const rows = 2000
-	env, _ := heapEnv(t, nil, rows, true)
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := env.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if per := allocs / rows; per > 1.06 {
-		t.Errorf("checkpoint allocates %.0f times, %.3f per snapshotted row (bound 1.06)", allocs, per)
+	for _, c := range []struct {
+		sm    string
+		attrs core.AttrList
+	}{
+		{"heap", nil},
+		{"memory", nil},
+		// A small memtable: the snapshot merges it with several runs.
+		{"append", core.AttrList{"memtable": "8192", "compact": "sync"}},
+	} {
+		t.Run(c.sm, func(t *testing.T) {
+			env, r := loadedEnv(t, nil, c.sm, c.attrs, rows, true)
+			if rc, ok := r.Storage().(interface{ RunCount() int }); ok && rc.RunCount() < 2 {
+				t.Fatalf("%d runs: the snapshot merges nothing", rc.RunCount())
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := env.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocations, %.4f per snapshotted row", allocs, allocs/rows)
+			if per := allocs / rows; per > 0.05 {
+				t.Errorf("checkpoint allocates %.0f times, %.3f per snapshotted row (bound 0.05)", allocs, per)
+			}
+		})
 	}
 }
 

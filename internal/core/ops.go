@@ -194,13 +194,17 @@ type StorageOps struct {
 	// Drop releases the relation's storage. It runs as a deferred action
 	// after commit so the drop can be undone until then. Optional.
 	Drop func(env *Env, rd *RelDesc) error
-	// SnapshotContents marks storage methods whose relation contents must
-	// be embedded in log checkpoints: the method logs its modifications
-	// and stores records locally, so after checkpoint truncation the
-	// snapshot is the only durable source of the pre-checkpoint records.
-	// Leave false for unlogged methods (temp) and methods whose data
-	// lives elsewhere (remote).
-	SnapshotContents bool
+	// Snapshot hands every stored record of inst to emit, in record-key
+	// order, as the record's key and its stored encoding (the bytes
+	// types.Record.AppendEncode writes): a truncating checkpoint embeds
+	// them in the log, since the method logs its modifications and keeps
+	// its records where only the log makes them durable. emit runs with no
+	// page pinned and no storage latch held; its arguments are valid only
+	// until it returns, and its error ends the snapshot. The checkpoint
+	// calls it with writers quiesced. Nil (optional) for methods that are
+	// not snapshotted: unlogged ones (temp) and ones whose data lives
+	// elsewhere (remote).
+	Snapshot func(inst StorageInstance, emit func(key types.Key, stored []byte) error) error
 	// AfterRecovery runs at the end of Env.Recover, after redo/undo and
 	// attachment rebuild. Storage methods whose durable state lives
 	// outside the local log use it to reconcile that state with the

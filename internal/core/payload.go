@@ -56,6 +56,19 @@ func AppendMod(dst []byte, p ModPayload) []byte {
 	return out
 }
 
+// AppendStoredInsert appends the payload AppendMod writes for the insert
+// of a record at key, byte for byte, from stored, the record's encoding
+// (types.Record.AppendEncode), without decoding it: a checkpoint snapshot
+// logs stored records this way.
+func AppendStoredInsert(dst []byte, key types.Key, stored []byte) []byte {
+	out := append(dst, byte(ModInsert))
+	out = appendBytes(out, key)
+	out = appendBytes(out, nil)  // NewKey
+	out = appendRecord(out, nil) // Old
+	out = append(out, 1)         // New is present: its encoding follows
+	return append(out, stored...)
+}
+
 // DecodeMod reverses AppendMod. It accepts only what AppendMod writes:
 // trailing bytes are an error.
 func DecodeMod(b []byte) (ModPayload, error) {

@@ -120,9 +120,11 @@ func decodeDesc(b []byte) (smConfig, error) {
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
-		ID:               core.SMAppend,
-		Name:             Name,
-		SnapshotContents: true,
+		ID:   core.SMAppend,
+		Name: Name,
+		Snapshot: func(inst core.StorageInstance, emit func(types.Key, []byte) error) error {
+			return inst.(*store).snapshot(emit)
+		},
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
 			if err := attrs.CheckAllowed(Name, "memtable", "fanout", "compact"); err != nil {
 				return err
@@ -739,6 +741,33 @@ func (s *store) ApplyLogged(_ wal.TxnID, payload []byte, undo bool) error {
 		}
 		s.enc = e.Rec.AppendEncode(s.enc[:0])
 		s.putLocked(seq, s.enc)
+	}
+	return nil
+}
+
+// snapshot implements core.StorageOps.Snapshot: the newest version of
+// every live press sequence, merged across the memtable and the runs in
+// press order, as a scan sees them. Up to types.RunLen records at a time
+// are copied into a run under the latch and emitted once it is released.
+func (s *store) snapshot(emit func(types.Key, []byte) error) error {
+	var run smutil.StoredRun
+	var key [8]byte
+	for from, more := uint64(0), true; more; {
+		s.mu.Lock()
+		for run.Len() < types.RunLen {
+			seq, enc, ok := s.ceilingLocked(from)
+			if more = ok; !ok {
+				break
+			}
+			if from = seq + 1; enc != nil { // nil: a tombstone
+				binary.BigEndian.PutUint64(key[:], seq)
+				run.Add(key[:], enc)
+			}
+		}
+		s.mu.Unlock()
+		if err := run.Emit(emit); err != nil {
+			return err
+		}
 	}
 	return nil
 }

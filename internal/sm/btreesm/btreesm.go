@@ -26,9 +26,9 @@ var ErrDuplicateKey = smutil.ErrDuplicateKey
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
-		ID:               core.SMBTree,
-		Name:             Name,
-		SnapshotContents: true,
+		ID:       core.SMBTree,
+		Name:     Name,
+		Snapshot: smutil.SnapshotTreeStore,
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
 			if err := attrs.CheckAllowed(Name, "key"); err != nil {
 				return err

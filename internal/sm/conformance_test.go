@@ -6,6 +6,7 @@
 package sm_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -40,17 +41,20 @@ type method struct {
 	logged bool
 	// recoverable: the contents survive restart recovery from the log.
 	recoverable bool
+	// snapshotted: a checkpoint embeds the contents in the log
+	// (StorageOps.Snapshot is set).
+	snapshotted bool
 }
 
 // Small batches make remote scans cross batch (and shard) boundaries.
 var methods = []method{
-	{name: "heap", logged: true, recoverable: true},
-	{name: "memory", logged: true, recoverable: true},
+	{name: "heap", logged: true, recoverable: true, snapshotted: true},
+	{name: "memory", logged: true, recoverable: true, snapshotted: true},
 	{name: "temp"},
-	{name: "btree", attrs: core.AttrList{"key": "id"}, keyed: true, logged: true, recoverable: true},
-	{name: "append", logged: true, recoverable: true},
+	{name: "btree", attrs: core.AttrList{"key": "id"}, keyed: true, logged: true, recoverable: true, snapshotted: true},
+	{name: "append", logged: true, recoverable: true, snapshotted: true},
 	{name: "remote", attrs: core.AttrList{"server": "s0", "batch": "3"}, logged: true, recoverable: true},
-	{name: "part", attrs: core.AttrList{"key": "id", "servers": "s0,s1,s2", "batch": "3"}, keyed: true, logged: true, recoverable: true},
+	{name: "part", attrs: core.AttrList{"key": "id", "servers": "s0,s1,s2", "batch": "3"}, keyed: true, logged: true, recoverable: true, snapshotted: true},
 }
 
 func TestEveryStorageMethodIsCovered(t *testing.T) {
@@ -184,6 +188,7 @@ func TestConformance(t *testing.T) {
 			t.Run("abort", m.testAbort)
 			t.Run("restart", m.testRestart)
 			t.Run("close-reopen", m.testCloseReopen)
+			t.Run("snapshot", m.testSnapshot)
 		})
 	}
 }
@@ -795,6 +800,85 @@ func (m method) testCloseReopen(t *testing.T) {
 		if !after[i].key.Equal(before[i].key) || !after[i].rec.Equal(before[i].rec) {
 			t.Fatalf("record %d reopened as %v %v, want %v %v",
 				i, after[i].key, after[i].rec, before[i].key, before[i].rec)
+		}
+	}
+}
+
+// testSnapshot: what a checkpoint embeds. A snapshotted method hands out
+// one payload per row a scan returns, in the scan's order, each byte for
+// byte the insert payload AppendMod writes for that row, so recovery and
+// the logs already written read it as they always have; and after a
+// checkpoint, a close and a restart from the log alone, the rows come
+// back with their record keys, updated rows as updated and deleted rows
+// gone.
+func (m method) testSnapshot(t *testing.T) {
+	log := wal.New()
+	env, _ := newEnv(t, log)
+	r := m.create(t, env)
+	ops := env.Reg.StorageOps(r.Desc().SM)
+	if snapshotted := ops.Snapshot != nil; snapshotted != m.snapshotted {
+		t.Fatalf("Snapshot set = %v, want %v", snapshotted, m.snapshotted)
+	}
+	if !m.snapshotted {
+		return
+	}
+	load(t, env, r, 0, 1, 2, 3, 4, 5, 6, 7)
+	rows := contents(t, env, r)
+	tx := env.Begin()
+	// A longer value outgrows a heap slot: the record moves.
+	_, err := r.Update(tx, rows[1].key, rec(1, "changed, and longer than it was"))
+	must(t, err)
+	_, err = r.Update(tx, rows[2].key, rec(20, "moved")) // keyed: a new key
+	must(t, err)
+	must(t, r.Delete(tx, rows[4].key))
+	must(t, r.Delete(tx, rows[6].key))
+	must(t, tx.Commit())
+	rows = contents(t, env, r)
+
+	var payloads [][]byte
+	must(t, ops.Snapshot(r.Storage(), func(key types.Key, stored []byte) error {
+		payloads = append(payloads, core.AppendStoredInsert(nil, key, stored))
+		return nil
+	}))
+	if len(payloads) != len(rows) {
+		t.Fatalf("snapshot emitted %d payloads for %d rows", len(payloads), len(rows))
+	}
+	for i, row := range rows {
+		want := core.AppendMod(nil, core.ModPayload{Op: core.ModInsert, Key: row.key, New: row.rec})
+		if !bytes.Equal(payloads[i], want) {
+			t.Fatalf("payload %d = %x, want %x (AppendMod of %v %v)", i, payloads[i], want, row.key, row.rec)
+		}
+	}
+
+	// The checkpoint truncates the log to what it embeds: for this
+	// relation, exactly those payloads.
+	must(t, env.Checkpoint())
+	var logged [][]byte
+	log.Scan(0, func(lr wal.Record) bool {
+		if lr.Owner.Class == wal.OwnerStorage && lr.Owner.RelID == r.Desc().RelID {
+			logged = append(logged, bytes.Clone(lr.Payload))
+		}
+		return true
+	})
+	if len(logged) != len(payloads) {
+		t.Fatalf("the log holds %d records of the relation after the checkpoint, want its %d rows", len(logged), len(payloads))
+	}
+	for i := range logged {
+		if !bytes.Equal(logged[i], payloads[i]) {
+			t.Fatalf("checkpoint record %d = %x, want %x", i, logged[i], payloads[i])
+		}
+	}
+	must(t, env.Close())
+	env2, _ := newEnv(t, log) // fresh servers: the log alone rebuilds them
+	must(t, env2.Recover())
+	r2, err := env2.OpenRelationByName("t")
+	must(t, err)
+	after := contents(t, env2, r2)
+	wantRows(t, "recovered from the checkpoint", after,
+		map[int64]string{0: "v0", 1: "changed, and longer than it was", 20: "moved", 3: "v3", 5: "v5", 7: "v7"})
+	for i := range rows {
+		if !after[i].key.Equal(rows[i].key) || !after[i].rec.Equal(rows[i].rec) {
+			t.Fatalf("record %d recovered as %v %v, want %v %v", i, after[i].key, after[i].rec, rows[i].key, rows[i].rec)
 		}
 	}
 }

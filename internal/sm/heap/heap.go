@@ -33,9 +33,11 @@ const Name = "heap"
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
-		ID:               core.SMHeap,
-		Name:             Name,
-		SnapshotContents: true,
+		ID:   core.SMHeap,
+		Name: Name,
+		Snapshot: func(inst core.StorageInstance, emit func(types.Key, []byte) error) error {
+			return inst.(*store).snapshot(emit)
+		},
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
 			return attrs.CheckAllowed(Name)
 		},
@@ -801,6 +803,42 @@ func fetched(rec types.Record, ok bool, err error) (core.Fetched, error) {
 func slotBody(f *buffer.Frame, so int) []byte {
 	off := int(binary.BigEndian.Uint16(f.Data[so:]))
 	return f.Data[off : off+int(binary.BigEndian.Uint16(f.Data[so+4:]))]
+}
+
+// snapshot implements core.StorageOps.Snapshot: every live record in
+// record-address order, one pin per page. While the page is pinned, under
+// the shared latch, its live slot bodies — the records' stored encodings
+// — are copied into a run the snapshot reuses; emit sees them once the
+// page is unpinned and the latch released.
+func (s *store) snapshot(emit func(types.Key, []byte) error) error {
+	var run smutil.StoredRun
+	var key [8]byte
+	for p := uint32(0); ; p++ {
+		s.mu.RLock()
+		if int(p) >= len(s.pages) {
+			s.mu.RUnlock()
+			return nil
+		}
+		f, err := s.pin(nil, p)
+		if err != nil {
+			s.mu.RUnlock()
+			return err
+		}
+		for slot := range int(binary.BigEndian.Uint16(f.Data)) {
+			if so := slotOffset(slot); f.Data[so+6]&flagDeleted == 0 {
+				binary.BigEndian.PutUint64(key[:], rid{page: p, slot: uint32(slot)}.ord())
+				run.Add(key[:], slotBody(f, so))
+			}
+		}
+		err = s.env.Pool.Unpin(f, false)
+		s.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+		if err := run.Emit(emit); err != nil {
+			return err
+		}
+	}
 }
 
 // OpenScan implements core.StorageInstance: record-address order. A

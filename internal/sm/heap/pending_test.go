@@ -1,6 +1,7 @@
 package heap_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -326,5 +327,94 @@ func TestPendingVersionsConcurrentWriters(t *testing.T) {
 	slices.Sort(committed)
 	if got := snapshotIDs(t, env, r); !slices.Equal(got, committed) {
 		t.Errorf("a final snapshot sees %d rows, want the %d committed", len(got), len(committed))
+	}
+}
+
+// TestTerminationOnADeadLog: a transaction ends locally whichever of its
+// termination records the log refuses — a rollback's compensation record,
+// the abort record, an abort's or a commit's END record. Afterwards no
+// transaction is active, none holds a lock, the heap keeps no pending
+// version list, and a snapshot sees the row only if the commit record was
+// logged.
+func TestTerminationOnADeadLog(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		commit bool
+		nth    int // which log append from the termination on fails
+	}{
+		{"abort's compensation record", false, 1},
+		{"abort record", false, 2},
+		{"abort's END record", false, 3},
+		{"commit's END record", true, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			log := wal.New()
+			faults := fault.New()
+			log.SetFaults(faults)
+			env := core.NewEnv(core.Config{Log: log})
+			r := mkHeap(t, env, "t")
+			tx := env.Begin()
+			if _, err := r.Insert(tx, rec(1, "row-1")); err != nil {
+				t.Fatal(err)
+			}
+			faults.Arm(fault.SiteWALAppend, c.nth)
+			end := tx.Abort
+			if c.commit {
+				end = tx.Commit
+			}
+			if err := end(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("termination on a dead log returned %v", err)
+			}
+			if n := env.Txns.ActiveCount(); n != 0 {
+				t.Errorf("%d transactions still active", n)
+			}
+			if held, _ := env.Locks.SnapshotLocks(); len(held) != 0 || env.Locks.HeldCount(tx.ID()) != 0 {
+				t.Errorf("locks still held: %v", held)
+			}
+			if lists, entries := pending(t, r); lists != 0 || entries != 0 {
+				t.Errorf("%d pending lists with %d entries remain", lists, entries)
+			}
+			var want []int64
+			if c.commit {
+				want = []int64{1}
+			}
+			if got := snapshotIDs(t, env, r); !slices.Equal(got, want) {
+				t.Errorf("a later snapshot sees %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestFailingCommitActionStillStamps: a deferred EventCommit action that
+// fails does not keep the others from running, the heap's stamping among
+// them, so by the time the commit stamp is published every version the
+// transaction wrote carries it: a snapshot begun at EventEnd sees the
+// committed row, and the commit reports the action's error.
+func TestFailingCommitActionStillStamps(t *testing.T) {
+	env := core.NewEnv(core.Config{Log: wal.New()})
+	r := mkHeap(t, env, "t")
+	tx := env.Begin()
+	if _, err := r.Insert(tx, rec(1, "row-1")); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("deferred commit action failed")
+	if err := tx.Defer(txn.EventCommit, func(*txn.Txn, string) error { return failed }); err != nil {
+		t.Fatal(err)
+	}
+	var atEnd []int64
+	if err := tx.Defer(txn.EventEnd, func(*txn.Txn, string) error {
+		atEnd = snapshotIDs(t, env, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, failed) {
+		t.Fatalf("commit returned %v, want the action's error", err)
+	}
+	if !slices.Equal(atEnd, []int64{1}) {
+		t.Errorf("a snapshot begun at EventEnd sees %v, want [1]", atEnd)
+	}
+	if lists, entries := pending(t, r); lists != 0 || entries != 0 {
+		t.Errorf("%d pending lists with %d entries remain", lists, entries)
 	}
 }

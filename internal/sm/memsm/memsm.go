@@ -20,9 +20,9 @@ const Name = "memory"
 
 func init() {
 	core.RegisterStorageMethod(&core.StorageOps{
-		ID:               core.SMMemory,
-		Name:             Name,
-		SnapshotContents: true,
+		ID:       core.SMMemory,
+		Name:     Name,
+		Snapshot: smutil.SnapshotTreeStore,
 		ValidateAttrs: func(schema *types.Schema, attrs core.AttrList) error {
 			return attrs.CheckAllowed(Name)
 		},

@@ -101,7 +101,7 @@ func init() {
 	// logged locally and checkpoints embed the full contents, so a crash
 	// that loses the servers can rebuild every shard from the local log
 	// alone.
-	part.SnapshotContents = true
+	part.Snapshot = snapshot
 	part.Drop = dropShardTables
 	part.AfterRecovery = Resolve // covers remote relations too
 	core.RegisterStorageMethod(part)
@@ -995,40 +995,70 @@ func (sc *scan) Next() (types.Key, types.Record, bool, error) {
 		sc.rewind()
 	}
 	for {
-		best := -1
-		for ci, c := range sc.cursors {
-			if len(c.batch) == 0 && !c.done {
-				sh := &sc.store.shards[c.shard]
-				entries, err := sh.client.ScanBatch(sc.tx, sh.table, c.after, sc.opts.End, sc.store.batch)
-				if err != nil {
-					return nil, nil, false, err
-				}
-				c.batch, c.done = entries, len(entries) < sc.store.batch
-			}
-			if len(c.batch) == 0 {
-				continue
-			}
-			if best < 0 || bytes.Compare(c.batch[0].Key, sc.cursors[best].batch[0].Key) < 0 {
-				best = ci
-			}
+		e, ok, err := sc.pop()
+		if !ok || err != nil {
+			return nil, nil, false, err
 		}
-		if best < 0 {
-			return nil, nil, false, nil
-		}
-		c := sc.cursors[best]
-		e := c.batch[0]
-		c.batch = c.batch[1:]
-		key := types.Key(e.Key)
-		c.after = key
-		sc.Started, sc.After = true, key
 		rec, ok, err := sc.q.Encoded(e.Rec)
 		if err != nil {
 			return nil, nil, false, err
 		}
 		if ok {
-			return key, rec, true, nil
+			return e.Key, rec, true, nil
 		}
 	}
+}
+
+// snapshot implements core.StorageOps.Snapshot: every committed record in
+// global key order, as a scan outside any transaction merges the shards'
+// batches, each entry handed out as the shard sent it.
+func snapshot(inst core.StorageInstance, emit func(types.Key, []byte) error) error {
+	s := inst.(*store)
+	sc := &scan{store: s}
+	for i := range s.shards {
+		sc.cursors = append(sc.cursors, &cursor{shard: i})
+	}
+	for {
+		e, ok, err := sc.pop()
+		if !ok || err != nil {
+			return err
+		}
+		if err := emit(e.Key, e.Rec); err != nil {
+			return err
+		}
+	}
+}
+
+// pop removes and returns the globally smallest head, refilling any empty
+// cursor first; ok is false once every cursor is done. The scan's
+// position moves onto the entry.
+func (sc *scan) pop() (remote.Entry, bool, error) {
+	best := -1
+	for ci, c := range sc.cursors {
+		if len(c.batch) == 0 && !c.done {
+			sh := &sc.store.shards[c.shard]
+			entries, err := sh.client.ScanBatch(sc.tx, sh.table, c.after, sc.opts.End, sc.store.batch)
+			if err != nil {
+				return remote.Entry{}, false, err
+			}
+			c.batch, c.done = entries, len(entries) < sc.store.batch
+		}
+		if len(c.batch) == 0 {
+			continue
+		}
+		if best < 0 || bytes.Compare(c.batch[0].Key, sc.cursors[best].batch[0].Key) < 0 {
+			best = ci
+		}
+	}
+	if best < 0 {
+		return remote.Entry{}, false, nil
+	}
+	c := sc.cursors[best]
+	e := c.batch[0]
+	c.batch = c.batch[1:]
+	c.after = e.Key
+	sc.Started, sc.After = true, e.Key
+	return e, true, nil
 }
 
 // Restore implements core.Scan: every cursor restarts strictly after the

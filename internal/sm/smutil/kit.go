@@ -107,6 +107,41 @@ func fetched(rec types.Record, ok bool, err error) (types.Record, error) {
 	return rec, err
 }
 
+// StoredRun gathers stored records — each a record key and its stored
+// encoding — into one buffer while a storage method holds its latch or a
+// page pin, and hands them to a snapshot's emit after it lets go
+// (core.StorageOps.Snapshot). The buffer is reused by the next run.
+type StoredRun struct {
+	buf  []byte
+	ends []int // per record: the end of its key, then of its bytes, in buf
+}
+
+// Add copies one record into the run.
+func (r *StoredRun) Add(key, stored []byte) {
+	r.buf = append(r.buf, key...)
+	r.ends = append(r.ends, len(r.buf))
+	r.buf = append(r.buf, stored...)
+	r.ends = append(r.ends, len(r.buf))
+}
+
+// Len is the number of records in the run.
+func (r *StoredRun) Len() int { return len(r.ends) / 2 }
+
+// Emit hands every record of the run to emit in the order added, then
+// empties the run. The first error emit returns stops it.
+func (r *StoredRun) Emit(emit func(types.Key, []byte) error) error {
+	start := 0
+	for i := 0; i < len(r.ends); i += 2 {
+		k, end := r.ends[i], r.ends[i+1]
+		if err := emit(r.buf[start:k], r.buf[k:end]); err != nil {
+			return err
+		}
+		start = end
+	}
+	r.buf, r.ends = r.buf[:0], r.ends[:0]
+	return nil
+}
+
 // Effect is what a logged modification asks of a (key → record) store once
 // the direction (redo or undo) is folded in: remove Del, then store Rec at
 // Put. Either key may be nil. A key-moving update is the one case with

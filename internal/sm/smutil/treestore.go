@@ -155,6 +155,19 @@ func (s *TreeStore) OpenScan(tx *txn.Txn, opts core.ScanOptions) (core.Scan, err
 	return NewTreeScan(&s.mu, s.tree, opts.Start, opts.End, emit), nil
 }
 
+// SnapshotTreeStore is core.StorageOps.Snapshot for the methods a
+// TreeStore backs: every record's stored bytes in record-key order. They
+// are copied out of the tree a run at a time under the latch and emitted
+// once it is released, as a scan's are (TreeScan); no entry is decoded.
+func SnapshotTreeStore(inst core.StorageInstance, emit func(types.Key, []byte) error) error {
+	s := inst.(*TreeStore)
+	sc := NewTreeScan(&s.mu, s.tree, nil, nil, func(k, v []byte) (types.Key, types.Record, bool, error) {
+		return nil, nil, false, emit(k, v) // skipped: one Next drains the tree
+	})
+	_, _, _, err := sc.Next()
+	return err
+}
+
 // EstimateCost implements core.StorageInstance: memory-resident accesses
 // cost no I/O and one CPU unit per record touched, and predicates on a
 // prefix of the key fields make the store itself a cheap access path.

@@ -578,18 +578,23 @@ func (tx *Txn) Commit() error {
 	tx.mgr.publishStamp(stamp)
 	endErr := tx.fire(EventEnd, "")
 	tx.mgr.Locks.ReleaseAll(tx.id)
-	if _, err := tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil); err != nil {
-		return err
-	}
+	// The commit is durable whether or not the log takes its END record:
+	// restart recovery treats a committed transaction without one as
+	// committed. Locally it ends either way.
+	_, logErr := tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil)
 	tx.mgr.finish(tx, "committed")
 	tx.tr.Finish("committed")
 	if h := tx.mgr.OnEnd; h != nil {
 		h()
 	}
-	if commitErr != nil {
+	switch {
+	case logErr != nil:
+		return logErr
+	case commitErr != nil:
 		return commitErr
+	default:
+		return endErr
 	}
-	return endErr
 }
 
 // commitFailed handles a commit whose record could not be appended or
@@ -636,7 +641,11 @@ func (tx *Txn) finishReadOnly(st State, outcome string) error {
 }
 
 // Abort rolls the whole transaction back through the common log, fires
-// abort and end notifications, and releases all locks.
+// abort and end notifications, and releases all locks. Every abort ends
+// the transaction locally, as a failed commit does: a log that refuses
+// the abort or END record (a dead device, an injected crash) leaves the
+// outcome to restart recovery, which rolls back a transaction that has no
+// commit record, and Abort returns the log's error.
 func (tx *Txn) Abort() error {
 	if tx.state != StateActive && tx.state != StatePreparing {
 		return ErrNotActive
@@ -645,15 +654,13 @@ func (tx *Txn) Abort() error {
 		return tx.finishReadOnly(StateAborted, "aborted")
 	}
 	rbErr := tx.mgr.Log.Rollback(tx.id, 0, tx.mgr.Undoer)
-	if _, err := tx.mgr.Log.Append(tx.id, wal.RecAbort, wal.Owner{}, nil); err != nil {
-		return err
-	}
+	_, logErr := tx.mgr.Log.Append(tx.id, wal.RecAbort, wal.Owner{}, nil)
 	tx.state = StateAborted
 	abortErr := tx.fire(EventAbort, "")
 	endErr := tx.fire(EventEnd, "")
 	tx.mgr.Locks.ReleaseAll(tx.id)
-	if _, err := tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil); err != nil {
-		return err
+	if logErr == nil {
+		_, logErr = tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil)
 	}
 	tx.mgr.finish(tx, "aborted")
 	tx.tr.Finish("aborted")
@@ -663,6 +670,8 @@ func (tx *Txn) Abort() error {
 	switch {
 	case rbErr != nil:
 		return rbErr
+	case logErr != nil:
+		return logErr
 	case abortErr != nil:
 		return abortErr
 	default:
@@ -672,13 +681,22 @@ func (tx *Txn) Abort() error {
 
 // fire drains the event's deferred action queue in order, then notifies
 // persistent subscribers. The deferred queue is cleared before running so
-// actions may re-defer for a later firing. The first error stops the drain.
+// actions may re-defer for a later firing. A termination event
+// (EventCommit, EventAbort, EventEnd) runs every action and subscriber
+// whatever the others return, since each ends what its extension keeps
+// for the transaction, and returns their errors joined; any other event
+// stops at the first error, which for EventBeforePrepare is a veto.
 func (tx *Txn) fire(event Event, savepoint string) error {
+	all := event == EventCommit || event == EventAbort || event == EventEnd
+	var errs []error
 	queue := tx.deferred[event]
 	tx.deferred[event] = nil
 	for _, a := range queue {
 		if err := a(tx, savepoint); err != nil {
-			return err
+			if !all {
+				return err
+			}
+			errs = append(errs, err)
 		}
 	}
 	for _, sub := range tx.subs {
@@ -686,8 +704,14 @@ func (tx *Txn) fire(event Event, savepoint string) error {
 			continue
 		}
 		if err := sub.action(tx, savepoint); err != nil {
-			return err
+			if !all {
+				return err
+			}
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	if len(errs) == 1 {
+		return errs[0]
+	}
+	return errors.Join(errs...)
 }

@@ -177,6 +177,53 @@ func TestBeforePrepareVetoAborts(t *testing.T) {
 	}
 }
 
+// TestTerminationEventsRunEveryAction: at EventCommit, EventAbort and
+// EventEnd a failing action does not keep the later ones from running,
+// and the termination reports every failure; a before-prepare veto still
+// stops at the first.
+func TestTerminationEventsRunEveryAction(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		m, _ := newEnv()
+		tx := m.Begin()
+		var ran []string
+		action := func(name string, err error) Action {
+			return func(*Txn, string) error { ran = append(ran, name); return err }
+		}
+		first, second := errors.New("first failed"), errors.New("second failed")
+		term := EventAbort
+		if commit {
+			term = EventCommit
+		}
+		tx.Defer(term, action("term1", first))
+		tx.Defer(term, action("term2", nil))
+		tx.Defer(EventEnd, action("end1", second))
+		tx.Subscribe(EventEnd, action("end2", nil))
+		end := tx.Abort
+		if commit {
+			end = tx.Commit
+		}
+		if err := end(); !errors.Is(err, first) {
+			t.Errorf("commit=%v: the termination returned %v, want %v", commit, err, first)
+		}
+		if want := "[term1 term2 end1 end2]"; fmt.Sprint(ran) != want {
+			t.Errorf("commit=%v: ran %v, want %s", commit, ran, want)
+		}
+		if m.ActiveCount() != 0 {
+			t.Errorf("commit=%v: the transaction is still active", commit)
+		}
+	}
+
+	m, _ := newEnv()
+	tx := m.Begin()
+	vetoes := 0
+	for range 2 {
+		tx.Defer(EventBeforePrepare, func(*Txn, string) error { vetoes++; return errors.New("veto") })
+	}
+	if err := tx.Commit(); err == nil || vetoes != 1 {
+		t.Fatalf("Commit = %v after %d vetoes, want one veto", err, vetoes)
+	}
+}
+
 func TestSubscribersFireRepeatedly(t *testing.T) {
 	m, _ := newEnv()
 	tx := m.Begin()
