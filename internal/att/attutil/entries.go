@@ -205,14 +205,14 @@ func NewMultimap(*core.Env, *core.RelDesc, IndexDef) (Multimap, error) {
 }
 
 // LookupByKey implements core.AccessPath: constant-time bucket probe.
-func (b Buckets) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
+func (b Buckets) LookupByKey(tx *txn.Txn, instance int, key types.Key, dst ...types.Key) ([]types.Key, error) {
 	d, err := b.At(instance)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	b.Mu.Lock()
 	defer b.Mu.Unlock()
-	return d.X.Get(key), nil
+	return d.X.Get(dst, key), nil
 }
 
 // OpenScan implements core.AccessPath: bucket tables keep no useful order.
@@ -271,12 +271,8 @@ func (m Multimap) Remove(entryKey, recKey types.Key) {
 	}
 }
 
-// Get returns copies of the record keys filed under entryKey.
-func (m Multimap) Get(entryKey types.Key) []types.Key {
-	bucket := m[string(entryKey)]
-	out := make([]types.Key, len(bucket))
-	for i, k := range bucket {
-		out[i] = k.Clone()
-	}
-	return out
+// Get appends the record keys filed under entryKey to dst. They are the
+// copies Add stored, which are never written again.
+func (m Multimap) Get(dst []types.Key, entryKey types.Key) []types.Key {
+	return append(dst, m[string(entryKey)]...)
 }

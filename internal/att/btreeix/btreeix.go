@@ -88,23 +88,23 @@ type Instance struct {
 
 // LookupByKey implements core.AccessPath: record keys whose index key has
 // the given (possibly partial) key as prefix, read from key up to the
-// first entry without it.
-func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
+// first entry without it. The keys are the tree items' values, which the
+// tree never writes again (btree.Tree).
+func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key, dst ...types.Key) ([]types.Key, error) {
 	d, err := ix.At(instance)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	ix.Mu.Lock()
 	defer ix.Mu.Unlock()
-	var out []types.Key
 	d.X.Ascend(key, func(k, v []byte) bool {
 		if !bytes.HasPrefix(k, key) {
 			return false
 		}
-		out = append(out, types.Key(v).Clone())
+		dst = append(dst, v)
 		return true
 	})
-	return out, nil
+	return dst, nil
 }
 
 // OpenScan implements core.AccessPath: key-sequential access in index-key

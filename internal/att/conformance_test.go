@@ -1013,3 +1013,56 @@ func TestAccessPathConformance(t *testing.T) {
 		})
 	})
 }
+
+// TestLookupKeysOutliveTheirEntries: for the four access paths, LookupByKey
+// appends to the caller's slice, and the keys it returned keep their bytes
+// after their entries are deleted or replaced and many more are inserted
+// (the keys may alias the path's stored entries, which nothing writes in
+// place).
+func TestLookupKeysOutliveTheirEntries(t *testing.T) {
+	grpA := types.EncodeKeyValues(types.Str("a"))
+	query := expr.NewBox(0, 0, 2.5, 2.5) // overlaps the boxes of ids 1 and 2
+	for _, tc := range []struct {
+		typ string
+		key types.Key // LookupByKey argument
+	}{
+		{"btree", grpA},
+		{"hash", grpA},
+		{"joinindex", grpA},
+		{"rtree", types.Key(query.Value().B)},
+	} {
+		t.Run(tc.typ, func(t *testing.T) {
+			at := byName(tc.typ)
+			f := newFixture(t, nil, "memory", nil)
+			f.insert(base...)
+			f.add(at, "i1")
+			path := f.instance(at.id).(core.AccessPath)
+			mark := types.Key("caller's")
+			var keys []types.Key
+			f.inTx(func(tx *txn.Txn, _ *core.Relation) {
+				var err error
+				keys, err = path.LookupByKey(tx, 0, tc.key, mark)
+				f.must(err)
+			})
+			if len(keys) != 3 || !keys[0].Equal(mark) {
+				t.Fatalf("LookupByKey after one key of the caller's: %s, want it and 2 more", keyList(keys))
+			}
+			want := make([]types.Key, len(keys))
+			for i, k := range keys {
+				want[i] = k.Clone()
+			}
+			f.remove(1)
+			f.inTx(func(tx *txn.Txn, r *core.Relation) {
+				f.must(f.update(tx, r, 2, row{id: 2, grp: "a", val: 21, boxed: true, tag: "moved", note: "moved"}))
+			})
+			for id := int64(100); id < 400; id++ {
+				f.insert(row{id: id, grp: "a", val: id, boxed: true})
+			}
+			for i := range keys {
+				if !keys[i].Equal(want[i]) {
+					t.Errorf("key %d reads %x after its entries changed, was %x", i, []byte(keys[i]), []byte(want[i]))
+				}
+			}
+		})
+	}
+}

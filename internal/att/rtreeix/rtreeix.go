@@ -89,37 +89,32 @@ type Instance struct {
 	attutil.Entries[*rtree.Tree]
 }
 
-func (ix *Instance) search(instance int, key types.Key, mode rtree.Mode) ([]rtree.Entry, error) {
+// search visits the entries of instance whose boxes stand in mode to the
+// query box key.
+func (ix *Instance) search(instance int, key types.Key, mode rtree.Mode, visit func(rtree.Entry) bool) error {
 	d, err := ix.At(instance)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	query, err := expr.DecodeBox(types.Bytes(key))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ix.Mu.Lock()
 	defer ix.Mu.Unlock()
-	var out []rtree.Entry
-	d.X.Search(query, mode, func(e rtree.Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out, nil
+	d.X.Search(query, mode, visit)
+	return nil
 }
 
 // LookupByKey implements core.AccessPath: the key is a 32-byte query box;
-// the search mode defaults to Overlaps.
-func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
-	entries, err := ix.search(instance, key, rtree.Overlaps)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]types.Key, len(entries))
-	for i, e := range entries {
-		out[i] = types.Key(e.Payload).Clone()
-	}
-	return out, nil
+// the search mode defaults to Overlaps. The keys are the entries'
+// payloads, which rtree.Tree.Insert copied and nothing writes again.
+func (ix *Instance) LookupByKey(tx *txn.Txn, instance int, key types.Key, dst ...types.Key) ([]types.Key, error) {
+	err := ix.search(instance, key, rtree.Overlaps, func(e rtree.Entry) bool {
+		dst = append(dst, e.Payload)
+		return true
+	})
+	return dst, err
 }
 
 // OpenScan implements core.AccessPath: Start carries the query box, End
@@ -133,7 +128,11 @@ func (ix *Instance) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (
 	if len(opts.End) == 1 && opts.End[0] >= 1 && opts.End[0] <= 3 {
 		mode = rtree.Mode(opts.End[0])
 	}
-	entries, err := ix.search(instance, opts.Start, mode)
+	var entries []rtree.Entry
+	err := ix.search(instance, opts.Start, mode, func(e rtree.Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}

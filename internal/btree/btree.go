@@ -45,6 +45,11 @@ func (n *node) find(key []byte) (int, bool) {
 
 // Tree is a B-tree map from byte-slice keys to byte-slice values.
 // The zero value is an empty tree ready to use.
+//
+// Every Set copies its key and value into a fresh allocation that the tree
+// never writes again, so a key or value it hands out (Get, Ascend) keeps
+// its bytes after the entry is replaced or deleted, and may be kept
+// without a copy as long as nobody writes into it.
 type Tree struct {
 	root *node
 	size int

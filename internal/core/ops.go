@@ -275,9 +275,15 @@ type AttachmentInstance interface {
 // select among multiple instances of the type ("access via B-tree number
 // 3"); instance numbering is attachment-defined and dense from 0.
 type AccessPath interface {
-	// LookupByKey is the direct-by-key access: record keys whose
-	// access-path key equals key (possibly a partial key prefix).
-	LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error)
+	// LookupByKey is the direct-by-key access: it appends to dst the
+	// record keys whose access-path key equals key (possibly a partial key
+	// prefix) and returns the extended slice. A caller that reuses a slice
+	// passes it as buf[:0]..., so the keys go into its array; without dst
+	// they go into a fresh one. The keys it appends may alias the path's
+	// stored entries, which are never written in place: they keep their
+	// bytes after the entries are deleted or replaced, and the caller must
+	// not modify them.
+	LookupByKey(tx *txn.Txn, instance int, key types.Key, dst ...types.Key) ([]types.Key, error)
 	// OpenScan starts a key-sequential access in access-path key order.
 	OpenScan(tx *txn.Txn, instance int, opts ScanOptions) (Scan, error)
 	// EstimateCost reports the best estimate across the type's instances.

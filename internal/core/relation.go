@@ -98,6 +98,10 @@ func (env *Env) OpenRelationByName(name string) (*Relation, error) {
 	return env.OpenRelation(rd)
 }
 
+// Dropped reports whether the relation has been dropped (by a DROP that
+// may not have committed yet): writes through the handle fail.
+func (r *Relation) Dropped() bool { return r.slot.dropped.Load() }
+
 // Desc returns the relation descriptor this handle operates through: the
 // current one, or the last one once the relation is dropped.
 func (r *Relation) Desc() *RelDesc { return r.slot.rd.Load() }
@@ -498,14 +502,15 @@ func (r *Relation) LookupAccess(tx *txn.Txn, id AttID, instance int, key types.K
 	return kept, nil
 }
 
-// lookupAccess is LookupAccess before the snapshot filter.
-func (r *Relation) lookupAccess(tx *txn.Txn, id AttID, instance int, key types.Key) ([]types.Key, error) {
+// lookupAccess is LookupAccess before the snapshot filter, appending to
+// dst as AccessPath.LookupByKey does.
+func (r *Relation) lookupAccess(tx *txn.Txn, id AttID, instance int, key types.Key, dst ...types.Key) ([]types.Key, error) {
 	ap, err := r.accessPath(tx, id, lock.ModeIS)
 	if err != nil {
 		return nil, err
 	}
 	d := r.begin(tx, id, obs.OpLookup)
-	keys, err := ap.LookupByKey(tx, instance, key)
+	keys, err := ap.LookupByKey(tx, instance, key, dst...)
 	d.end(err)
 	return keys, err
 }
@@ -557,7 +562,7 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 	if f == nil {
 		f = new(AccessFetch)
 	}
-	run := f.run
+	run, list := f.run, f.list.keys
 	*f = AccessFetch{r: r, tx: tx, fields: opts.Fields, filter: filter, relMode: lock.ModeIS, keyMode: lock.ModeS,
 		skipMissing: point}
 	if forUpdate {
@@ -568,7 +573,7 @@ func (r *Relation) OpenAccessFetch(tx *txn.Txn, id AttID, instance int, point bo
 	}
 	runLen := types.RunLen
 	if point {
-		keys, err := r.lookupAccess(tx, id, instance, opts.Start)
+		keys, err := r.lookupAccess(tx, id, instance, opts.Start, list[:0]...)
 		if err != nil {
 			return nil, err
 		}

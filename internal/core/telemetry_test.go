@@ -148,36 +148,40 @@ func TestGoldenMetricsSnapshot(t *testing.T) {
 // TestDispatchAllocations guards the row path: the begin/end pair every
 // vector call goes through must not allocate. The bounds are per call, on
 // a memory relation without attachments and with one btree index: an
-// insert's lock traffic allocates nothing, its log payloads encode into
-// pooled buffers, each record encodes into the store's reused buffer, an
-// index entry key is built in one allocation sized up front and a tree
-// item is one allocation, so an insert costs 6 and 8 (7 and 12 while the
-// entry key grew field by field and the tree copied key and value apart;
-// 9 and 14 while an encoding grew its buffer field by field, 15 and 23
-// when each lock grant and each payload allocated). The insert bounds
-// allow one more, because under the race detector sync.Pool drops a
-// random quarter of the buffers put back. A scan's records and
+// insert's lock traffic allocates nothing, its record lock's name held
+// in the lock resource itself, its log payloads encode into pooled
+// buffers, each record encodes into the store's reused buffer, an index
+// entry key is built in one allocation sized up front and a tree item is
+// one allocation, so an insert costs 4 and 6 and a fetch 1 (5 and 7, and
+// a fetch 2, while a record lock's name was a string of its own; 7 and 12
+// while the entry key grew field by field and the tree copied key and
+// value apart; 9 and 14 while an encoding grew its buffer field by field,
+// 15 and 23 when each lock grant and each payload allocated). The insert
+// bounds allow one more, because under the race detector sync.Pool drops
+// a random quarter of the buffers put back. A scan's records and
 // keys come from slabs, one array per run of rows, so its Next costs 0
 // (AllocsPerRun rounds down: under one per row; 2 when each row
 // allocated its record and its key).
 //
 // The heap cases pin a whole commit-durable transaction — Begin, four
-// inserts, Commit — without an index and with a btree index: 14 and 23
-// (19 and 40 while the heap kept each transaction's pending versions in a
+// inserts, Commit — without an index and with a btree index: 9 and 18
+// (14 and 23 while each record lock's name and the commit record's stamp
+// payload were allocations of their own; 19 and 40 while the heap kept
+// each transaction's pending versions in a
 // list, a stash-map entry and a commit closure of its own and subscribing
 // grew the transaction's listener slice, on top of the entry-key and tree
 // costs above; 20 and 41 while Begin made the savepoint and stash maps, 27
 // and 48 while the heap encoded each record into a buffer of its own and
 // grew each transaction's version-chain list). Under the race detector
-// they read 16–17 and 27, and the bounds allow for that.
+// they read 11–12 and 22, and the bounds allow for that.
 func TestDispatchAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name                string
 		indexed             bool
 		insert, fetch, next float64
 	}{
-		{"bare", false, 7, 2, 0},
-		{"btree", true, 9, 2, 0},
+		{"bare", false, 5, 1, 0},
+		{"btree", true, 7, 1, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env := core.NewEnv(core.Config{})
@@ -237,8 +241,8 @@ func TestDispatchAllocations(t *testing.T) {
 		indexed bool
 		txn     float64
 	}{
-		{"heap txn", false, 17},
-		{"heap+btree txn", true, 27},
+		{"heap txn", false, 12},
+		{"heap+btree txn", true, 22},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			env, r := heapEnv(t, nil, 0, c.indexed)

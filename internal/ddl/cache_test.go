@@ -1,6 +1,7 @@
 package ddl
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // newOLTPSession loads emp the way the oltp-sql benchmark workload does: a
 // heap with a btree index and a unique attachment on eno, a check
 // constraint on salary and a hash index on dno; rows eno 0..rows-1.
-func newOLTPSession(t *testing.T, rows int) *Session {
+func newOLTPSession(t testing.TB, rows int) *Session {
 	t.Helper()
 	check.RegisterPredicate("ddl_test_sal_nonneg", expr.Ge(expr.Field(2), expr.Const(types.Int(0))))
 	s := NewSession(core.NewEnv(core.Config{}))
@@ -118,11 +119,16 @@ func TestParamReplanOnCardinalityClass(t *testing.T) {
 }
 
 // TestStatementAllocations pins what a statement of a cached shape costs
-// in allocations on the oltp-sql table: 9 for the point SELECT, 15 for
-// UPDATE, 18 for INSERT and 18 for DELETE. The bounds are three higher:
+// in allocations on the oltp-sql table: 4 for the point SELECT, 9 for
+// UPDATE, 14 for INSERT and 11 for DELETE. The bounds are three higher:
 // under the race detector sync.Pool drops a random quarter of the pooled
-// log payloads put back, and INSERT reads 21, DELETE 20. While each plan
-// open allocated its index-then-fetch cursor, the heap kept each
+// log payloads put back, and UPDATE reads 10, INSERT 17, DELETE 13. While
+// a transaction that logged nothing still wrote a commit record, lock
+// names were strings, a point lookup returned a fresh list of cloned
+// keys, an unsorted projection allocated its selector and each DML
+// statement opened its relation handle, they cost 9, 15, 18 and 18
+// (INSERT read 21 and DELETE 20 under the race detector). While each
+// plan open allocated its index-then-fetch cursor, the heap kept each
 // transaction's pending versions in a list, stash entry and closure of
 // its own, index keys and unique value locks grew field by field and a
 // tree item was two allocations, they cost 10, 21, 30 and 30 (INSERT
@@ -148,10 +154,10 @@ func TestStatementAllocations(t *testing.T) {
 		name, format string
 		bound        float64
 	}{
-		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 12},
-		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 18},
-		{"INSERT", "INSERT INTO emp VALUES (%[2]d, %[1]d, %[1]d, 'name-%[2]d')", 21},
-		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 21},
+		{"point SELECT", "SELECT salary, dno FROM emp WHERE eno = %[1]d", 7},
+		{"UPDATE", "UPDATE emp SET salary = %[1]d WHERE eno = %[1]d", 12},
+		{"INSERT", "INSERT INTO emp VALUES (%[2]d, %[1]d, %[1]d, 'name-%[2]d')", 17},
+		{"DELETE", "DELETE FROM emp WHERE eno = %[1]d", 14},
 	} {
 		texts := make([]string, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range texts {
@@ -183,6 +189,103 @@ func TestStatementAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(runs, func() { s.lx.lex(c.src, nil) }); got > c.bound {
 			t.Errorf("lexing %s: %v allocations, bound %v", c.src, got, c.bound)
 		}
+	}
+}
+
+// TestPointSelectLogsNothing: an autocommit SELECT reads under share locks
+// and logs nothing, so it commits without the log — no record and no
+// stamp (each one appended COMMIT and END while every commit wrote them)
+// — while an autocommit UPDATE still writes its records and takes a stamp.
+func TestPointSelectLogsNothing(t *testing.T) {
+	s := newOLTPSession(t, 10)
+	env := s.Env()
+	records, hw := env.Log.Len(), env.Txns.StampHW()
+	for i := range 10 {
+		if res := execAll(t, s, fmt.Sprintf("SELECT salary FROM emp WHERE eno = %d", i)); len(res.Rows) != 1 {
+			t.Fatalf("eno %d: %v", i, res.Rows)
+		}
+	}
+	if env.Log.Len() != records || env.Txns.StampHW() != hw {
+		t.Errorf("10 SELECTs: %d log records and high-water %d, want %d and %d",
+			env.Log.Len(), env.Txns.StampHW(), records, hw)
+	}
+	execAll(t, s, "UPDATE emp SET salary = 1 WHERE eno = 1")
+	if env.Log.Len() <= records+2 || env.Txns.StampHW() != hw+1 {
+		t.Errorf("an UPDATE: %d log records and high-water %d, want more than %d and %d",
+			env.Log.Len(), env.Txns.StampHW(), records+2, hw+1)
+	}
+}
+
+// TestCachedDMLFollowsADrop: cached INSERT, UPDATE and DELETE statements
+// keep their table's handle, and once the table is dropped and created
+// again under its name they write to the new table.
+func TestCachedDMLFollowsADrop(t *testing.T) {
+	s := NewSession(core.NewEnv(core.Config{}))
+	create := "CREATE TABLE t (id INT NOT NULL, v INT) USING heap"
+	for round := range 2 {
+		execAll(t, s, create, "INSERT INTO t VALUES (1, 10)", "INSERT INTO t VALUES (2, 20)",
+			"UPDATE t SET v = 11 WHERE id = 1", "DELETE FROM t WHERE id = 2")
+		res := execAll(t, s, "SELECT id, v FROM t")
+		if fmt.Sprint(res.Rows) != fmt.Sprint([]types.Record{{types.Int(1), types.Int(11)}}) {
+			t.Fatalf("round %d: t holds %v", round, res.Rows)
+		}
+		execAll(t, s, "DROP TABLE t")
+		if _, err := s.Exec("INSERT INTO t VALUES (3, 30)"); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("round %d: a cached INSERT into the dropped table: %v", round, err)
+		}
+	}
+}
+
+// BenchmarkStatement times one statement of each shape
+// TestStatementAllocations pins, on the same table, so each kind's cost is
+// a row of its own. The texts are made ahead, a batch at a time with the
+// timer stopped. SELECT and UPDATE read the first rows, INSERT adds rows
+// above them and DELETE removes those from the bottom, inserting more
+// with the timer stopped when it would run out.
+func BenchmarkStatement(b *testing.B) {
+	const rows, batch = 1000, 1024
+	s := newOLTPSession(b, rows)
+	low, top := rows, rows // the rows above the first ones: eno low..top-1
+	insert := func(eno int) string {
+		return fmt.Sprintf("INSERT INTO emp VALUES (%d, %d, %d, 'name-%d')", eno, eno%100, eno%1000, eno)
+	}
+	for _, c := range []struct {
+		name string
+		text func(i int) string // the i-th text of the run
+		ran  func(n int)        // accounts for the run's n statements
+	}{
+		{"point-SELECT", func(i int) string { return fmt.Sprintf("SELECT salary, dno FROM emp WHERE eno = %d", i%rows) }, nil},
+		{"UPDATE", func(i int) string { return fmt.Sprintf("UPDATE emp SET salary = %d WHERE eno = %d", i%1000, i%rows) }, nil},
+		{"INSERT", func(i int) string { return insert(top + i) }, func(n int) { top += n }},
+		{"DELETE", func(i int) string {
+			for ; low+i >= top; top++ {
+				execAll(b, s, insert(top))
+			}
+			return fmt.Sprintf("DELETE FROM emp WHERE eno = %d", low+i)
+		}, func(n int) { low += n }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var texts []string
+			n := 0
+			b.ReportAllocs()
+			for b.Loop() {
+				if n == len(texts) {
+					b.StopTimer()
+					for range batch {
+						texts = append(texts, c.text(len(texts)))
+					}
+					b.StartTimer()
+				}
+				res, err := s.Exec(texts[n])
+				if err != nil || len(res.Rows) != 1 && res.Affected != 1 {
+					b.Fatalf("%s: %+v, %v", texts[n], res, err)
+				}
+				n++
+			}
+			if c.ran != nil {
+				c.ran(n)
+			}
+		})
 	}
 }
 

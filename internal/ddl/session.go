@@ -50,8 +50,9 @@ type stmtPlan struct {
 	pinned []int         // slots whose values are part of the shape,
 	pins   []types.Value // and those values
 	bound  *plan.Bound
-	cols   []string    // SELECT: result column names
-	set    []setClause // UPDATE: bound SET expressions
+	cols   []string       // SELECT: result column names
+	set    []setClause    // UPDATE: bound SET expressions
+	rel    *core.Relation // INSERT, UPDATE, DELETE: the table's handle (see relation)
 }
 
 // setClause is one bound "col = expr" of an UPDATE.
@@ -272,6 +273,7 @@ func (s *Session) statement(src string, args []types.Value) (*stmtPlan, error) {
 		}
 	}
 	s.env.Obs.Plan.CacheMisses.Inc()
+	sp.rel = nil
 	if err := s.bind(sp, l.params); err != nil {
 		return nil, err
 	}
@@ -358,7 +360,7 @@ func (s *Session) execInTxn(tx *txn.Txn, sp *stmtPlan, params []types.Value) (*R
 		}
 		return &Result{Message: fmt.Sprintf("DROP ATTACHMENT %s ON %s", st.Type, st.Table)}, nil
 	case Insert:
-		return s.atomic(tx, func() (*Result, error) { return s.execInsert(tx, st, params) })
+		return s.atomic(tx, func() (*Result, error) { return s.execInsert(tx, st, sp, params) })
 	case Select:
 		return s.execSelect(tx, st, sp, params)
 	case Update:
@@ -387,8 +389,23 @@ func (s *Session) atomic(tx *txn.Txn, run func() (*Result, error)) (*Result, err
 	return nil, err
 }
 
-func (s *Session) execInsert(tx *txn.Txn, st Insert, params []types.Value) (*Result, error) {
-	rel, err := s.env.OpenRelationByName(st.Table)
+// relation returns the handle on table that entry sp writes through. It
+// is opened at the entry's first use and again after the entry is bound
+// anew, or once the relation it names is dropped: a table of that name
+// created since is another relation.
+func (s *Session) relation(sp *stmtPlan, table string) (*core.Relation, error) {
+	if sp.rel == nil || sp.rel.Dropped() {
+		rel, err := s.env.OpenRelationByName(table)
+		if err != nil {
+			return nil, err
+		}
+		sp.rel = rel
+	}
+	return sp.rel, nil
+}
+
+func (s *Session) execInsert(tx *txn.Txn, st Insert, sp *stmtPlan, params []types.Value) (*Result, error) {
+	rel, err := s.relation(sp, st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -688,7 +705,7 @@ func (s *Session) execUpdate(tx *txn.Txn, st Update, sp *stmtPlan, params []type
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.env.OpenRelationByName(st.Table)
+	rel, err := s.relation(sp, st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -714,7 +731,7 @@ func (s *Session) execDelete(tx *txn.Txn, st Delete, sp *stmtPlan, params []type
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.env.OpenRelationByName(st.Table)
+	rel, err := s.relation(sp, st.Table)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 	_ "dmx/internal/sm/memsm"
 )
 
-func execAll(t *testing.T, s *Session, stmts ...string) *Result {
+func execAll(t testing.TB, s *Session, stmts ...string) *Result {
 	t.Helper()
 	var res *Result
 	for _, stmt := range stmts {

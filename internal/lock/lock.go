@@ -115,18 +115,31 @@ var ErrDeadlock = errors.New("lock: deadlock detected; transaction chosen as vic
 var ErrNotHeld = errors.New("lock: not held")
 
 // Resource names a lockable object: a relation, a record key within a
-// relation, or an extension-private resource string.
+// relation, or an extension-private name. It is a comparable value, the
+// key of the lock table. A name of up to inlineName bytes is held in the
+// value itself and only a longer one in a string, so the resource of a
+// record key or of a unique value allocates nothing. Every name has
+// exactly one of the two forms, so two resources are equal exactly when
+// their relations and names are.
 type Resource struct {
-	Rel uint32
-	Key string // empty = relation-level lock
+	Rel  uint32
+	n    uint8            // the length of an inline name
+	in   [inlineName]byte // an inline name; zero past n
+	long string           // a name longer than inlineName; "" otherwise
 }
+
+// inlineName is the longest name a Resource holds inline: the bytes left
+// in the word-aligned prefix beside Rel and n. It covers the heap's 8-byte
+// record keys and the 15-byte 0xFF‖ext‖seq‖INT value lock of a unique
+// attachment.
+const inlineName = 19
 
 // String renders the resource for diagnostics.
 func (r Resource) String() string {
-	if r.Key == "" {
+	if r.n == 0 && r.long == "" {
 		return fmt.Sprintf("rel(%d)", r.Rel)
 	}
-	return fmt.Sprintf("rel(%d)/key(%x)", r.Rel, r.Key)
+	return fmt.Sprintf("rel(%d)/key(%x%x)", r.Rel, r.in[:r.n], r.long)
 }
 
 // RelResource returns the relation-level resource for relID.
@@ -134,12 +147,19 @@ func RelResource(relID uint32) Resource { return Resource{Rel: relID} }
 
 // KeyResource returns the record-level resource for a key within a relation.
 func KeyResource(relID uint32, key []byte) Resource {
-	return Resource{Rel: relID, Key: string(key)}
+	r := Resource{Rel: relID}
+	if len(key) <= inlineName {
+		r.n = uint8(copy(r.in[:], key))
+	} else {
+		r.long = string(key)
+	}
+	return r
 }
 
 // ExtResource returns an extension-private resource within a relation: ext
 // identifies the extension (an attachment type id) and the concatenated
-// name parts what it locks; the name is built in one allocation.
+// name parts what it locks; a name too long to be inline is built in one
+// allocation.
 // The leading 0xFF byte keeps these apart from record-level resources: an
 // order-preserving key encoding starts with a kind tag, and a fixed-width
 // record key starts with the high byte of a page or sequence number. A
@@ -150,6 +170,15 @@ func ExtResource(relID uint32, ext uint8, name ...[]byte) Resource {
 	for _, p := range name {
 		n += len(p)
 	}
+	r := Resource{Rel: relID}
+	if n <= inlineName {
+		r.in[0], r.in[1] = 0xFF, ext
+		r.n = 2
+		for _, p := range name {
+			r.n += uint8(copy(r.in[r.n:], p))
+		}
+		return r
+	}
 	var b strings.Builder
 	b.Grow(n)
 	b.WriteByte(0xFF)
@@ -157,7 +186,8 @@ func ExtResource(relID uint32, ext uint8, name ...[]byte) Resource {
 	for _, p := range name {
 		b.Write(p)
 	}
-	return Resource{Rel: relID, Key: b.String()}
+	r.long = b.String()
+	return r
 }
 
 type request struct {
@@ -320,8 +350,12 @@ func (m *Manager) shardFor(res Resource) *lockShard {
 		h ^= (res.Rel >> (8 * i)) & 0xff
 		h *= 16777619
 	}
-	for i := 0; i < len(res.Key); i++ {
-		h ^= uint32(res.Key[i])
+	for i := 0; i < int(res.n); i++ { // the name is inline or long, never both
+		h ^= uint32(res.in[i])
+		h *= 16777619
+	}
+	for i := 0; i < len(res.long); i++ {
+		h ^= uint32(res.long[i])
 		h *= 16777619
 	}
 	return m.shards[h%numShards]

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"encoding/binary"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -647,19 +648,58 @@ func keyResources(rel uint32, prefix byte, n int) []Resource {
 }
 
 // TestLockAllocations pins the uncontended write transaction's lock
-// traffic at zero allocations once the shards' recycled states are warm.
+// traffic at zero allocations once the shards' recycled states are warm,
+// its resources built inside the measured loop: four 8-byte record keys,
+// as the heap's, and a unique attachment's 15-byte value lock.
 func TestLockAllocations(t *testing.T) {
 	m := NewManager()
-	rel, keys := RelResource(1), keyResources(1, 0, 4)
 	txn := wal.TxnID(0)
+	var key [8]byte
+	value := []byte{1, 0, 0, 0, 0, 0, 0, 0, 42} // 9 bytes, the length of an encoded INT
+	seq := []byte{0, 0, 0, 1}
+	keys := make([]Resource, 5)
 	got := testing.AllocsPerRun(200, func() {
 		txn++
-		if err := lockTxn(m, txn, rel, keys); err != nil {
+		for i := range 4 {
+			binary.BigEndian.PutUint64(key[:], uint64(i))
+			keys[i] = KeyResource(1, key[:])
+		}
+		keys[4] = ExtResource(1, 3, seq, value)
+		if err := lockTxn(m, txn, RelResource(1), keys); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got != 0 {
 		t.Fatalf("lock transaction: %v allocations, want 0", got)
+	}
+}
+
+// TestResourceNames: a resource is equal to another exactly when its
+// relation and name are, whichever constructor built it and whether the
+// name is held inline or not, and it hashes to the same shard.
+func TestResourceNames(t *testing.T) {
+	m := NewManager()
+	for _, n := range []int{1, inlineName - 2, inlineName - 1, inlineName + 1, 40} {
+		name := make([]byte, n)
+		for i := range name {
+			name[i] = byte(i + 1)
+		}
+		ext := ExtResource(7, 0xAB, name[:n/2], name[n/2:])
+		key := KeyResource(7, append([]byte{0xFF, 0xAB}, name...))
+		if ext != key || m.shardFor(ext) != m.shardFor(key) || ext.String() != key.String() {
+			t.Errorf("%d-byte name: ExtResource %v and KeyResource %v differ", n+2, ext, key)
+		}
+		longer := KeyResource(7, append([]byte{0xFF, 0xAB}, append(name, 0)...))
+		other := KeyResource(8, append([]byte{0xFF, 0xAB}, name...))
+		if longer == key || other == key {
+			t.Errorf("%d-byte name: %v equals %v or %v", n+2, key, longer, other)
+		}
+	}
+	if r := KeyResource(7, nil); r != RelResource(7) || r.String() != "rel(7)" {
+		t.Errorf("an empty key names %v", r)
+	}
+	if got := KeyResource(7, []byte{0xAB, 0x01}).String(); got != "rel(7)/key(ab01)" {
+		t.Errorf("String = %q", got)
 	}
 }
 

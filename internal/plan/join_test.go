@@ -42,10 +42,10 @@ func (c *countInst) OnDelete(tx *txn.Txn, key types.Key, oldRec types.Record) er
 func (c *countInst) ApplyLogged(payload []byte, undo bool) error                    { return nil }
 func (c *countInst) Reconfigure(rd *core.RelDesc) error                             { return nil }
 
-func (c *countInst) LookupByKey(tx *txn.Txn, instance int, key types.Key) ([]types.Key, error) {
+func (c *countInst) LookupByKey(tx *txn.Txn, instance int, key types.Key, dst ...types.Key) ([]types.Key, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]types.Key(nil), c.keys...), nil
+	return append(dst, c.keys...), nil
 }
 
 func (c *countInst) OpenScan(tx *txn.Txn, instance int, opts core.ScanOptions) (core.Scan, error) {

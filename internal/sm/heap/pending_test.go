@@ -362,7 +362,8 @@ func TestTerminationOnADeadLog(t *testing.T) {
 			if c.commit {
 				end = tx.Commit
 			}
-			if err := end(); !errors.Is(err, fault.ErrInjected) {
+			// Only the commit's END record comes after the commit point.
+			if err := end(); !errors.Is(err, fault.ErrInjected) || errors.Is(err, txn.ErrCommitted) != c.commit {
 				t.Fatalf("termination on a dead log returned %v", err)
 			}
 			if n := env.Txns.ActiveCount(); n != 0 {
@@ -389,7 +390,8 @@ func TestTerminationOnADeadLog(t *testing.T) {
 // fails does not keep the others from running, the heap's stamping among
 // them, so by the time the commit stamp is published every version the
 // transaction wrote carries it: a snapshot begun at EventEnd sees the
-// committed row, and the commit reports the action's error.
+// committed row, and the commit reports the action's error as one raised
+// after the commit point.
 func TestFailingCommitActionStillStamps(t *testing.T) {
 	env := core.NewEnv(core.Config{Log: wal.New()})
 	r := mkHeap(t, env, "t")
@@ -408,8 +410,8 @@ func TestFailingCommitActionStillStamps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); !errors.Is(err, failed) {
-		t.Fatalf("commit returned %v, want the action's error", err)
+	if err := tx.Commit(); !errors.Is(err, failed) || !errors.Is(err, txn.ErrCommitted) {
+		t.Fatalf("commit returned %v, want the action's error wrapped in txn.ErrCommitted", err)
 	}
 	if !slices.Equal(atEnd, []int64{1}) {
 		t.Errorf("a snapshot begun at EventEnd sees %v, want [1]", atEnd)

@@ -486,6 +486,15 @@ func (s *store) ensure(tx *txn.Txn) (*session, error) {
 // prepare acknowledgement and the local decision append — a crash there
 // leaves every touched shard prepared and in doubt.
 func (s *store) prepare(tx *txn.Txn, sess *session) error {
+	// A write is staged before it is logged, so a staging the shard
+	// carried out but reported as failed (a lost acknowledgement), or one
+	// whose log append failed, is a staged write the log does not know. A
+	// transaction that logged nothing else would commit without a commit
+	// record (Txn.Commit), and restart could not rebuild what its shards
+	// committed: it may not commit.
+	if slices.Contains(sess.touched, true) && tx.Log().LastLSN(tx.ID()) == 0 {
+		return fmt.Errorf("partsm: transaction %d staged writes it never logged", tx.ID())
+	}
 	for i, touched := range sess.touched {
 		if !touched {
 			continue

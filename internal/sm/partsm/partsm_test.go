@@ -576,6 +576,28 @@ func TestPartDecideCrashSite(t *testing.T) {
 	}
 }
 
+// TestUnloggedStagedWriteCannotCommit: an insert whose staging the shard
+// carried out but reported as failed (a lost acknowledgement) is never
+// logged, and leaves a transaction that logged nothing. Such a
+// transaction would commit without the log, so the store vetoes it at
+// prepare, and the shard never commits the write.
+func TestUnloggedStagedWriteCannotCommit(t *testing.T) {
+	env, srvs, r := setup(t, 1)
+	srvs[0].InjectFault(remote.OpStageInsert, remote.FaultAckLoss, 1)
+	tx := env.Begin()
+	if _, err := r.Insert(tx, rec(1, "x")); err == nil {
+		t.Fatal("an insert whose staging lost its acknowledgement succeeded")
+	}
+	if err := tx.Commit(); err == nil {
+		t.Fatal("a transaction whose staged write was never logged committed")
+	}
+	c := remote.Dial(srvs[0])
+	defer c.Close()
+	if n, err := c.Count("users#0"); err != nil || n != 0 {
+		t.Fatalf("the shard committed %d records (%v)", n, err)
+	}
+}
+
 // flavour is one of the two storage methods the store serves: the
 // foreign-database method (one shard, a named foreign table, keys assigned
 // by the server) and three hash shards keyed by id.

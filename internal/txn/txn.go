@@ -13,6 +13,7 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -60,7 +61,8 @@ const (
 	// transaction enters the prepared state. Deferred integrity
 	// constraints run here and may still veto (abort) the transaction.
 	EventBeforePrepare Event = iota
-	// EventCommit fires once the commit record is durable. Deferred
+	// EventCommit fires once the commit record is durable, or at once
+	// for a transaction that logged nothing and so writes none. Deferred
 	// destructive actions (e.g. releasing dropped storage) run here.
 	EventCommit
 	// EventAbort fires when the transaction aborts, after rollback.
@@ -108,6 +110,11 @@ var ErrNotActive = errors.New("txn: transaction is not active")
 
 // ErrUnknownSavepoint is returned by RollbackTo for undefined names.
 var ErrUnknownSavepoint = errors.New("txn: unknown savepoint")
+
+// ErrCommitted is wrapped around every error Commit returns after the
+// commit point: the transaction is committed, so a caller that retries
+// on error must not run it again.
+var ErrCommitted = errors.New("txn: transaction committed")
 
 // ErrReadOnly is returned when a read-only transaction attempts a
 // modification (logging a change, or establishing a savepoint, which
@@ -162,6 +169,7 @@ type Manager struct {
 	nextStamp uint64               // next stamp to assign (starts above FrozenStamp)
 	stampHW   uint64               // all stamps <= stampHW are durable and fully stamped
 	pending   map[uint64]bool      // assigned stamps above stampHW; true = ready to publish
+	stampBuf  [8]byte              // the commit record's payload, encoded under stampMu
 	snaps     map[wal.TxnID]uint64 // open read-only snapshots: txn ID -> snapshot HW
 
 	// history retains the ledgers of recently-finished transactions for
@@ -359,8 +367,9 @@ func (tx *Txn) Snapshot() *Snapshot {
 
 // CommitStamp returns the commit stamp assigned to this transaction: 0
 // until the commit record has been appended, and always 0 for read-only
-// transactions. Storage methods read it from EventCommit subscribers to
-// stamp the record versions the transaction created.
+// transactions and for a transaction that logged nothing, which commits
+// without a record (see Commit). Storage methods read it from EventCommit
+// subscribers to stamp the record versions the transaction created.
 func (tx *Txn) CommitStamp() uint64 { return tx.commitStamp }
 
 // SetTrace attaches a span trace to the transaction. The trace shares the
@@ -526,6 +535,18 @@ func (tx *Txn) RollbackTo(name string) error {
 // in which case Commit returns the veto error); then the commit record is
 // written, deferred commit actions run, locks are released, and
 // end-of-transaction notifications fire.
+//
+// A transaction that logged nothing by the time its before-prepare
+// actions have run commits without the log: it takes no stamp and writes
+// no commit or END record, since no change of its needs to be made
+// durable or redone. The events fire and the locks are released as for
+// any commit. What such a reader saw is durable already: its share locks
+// are held until now, and a writer releases its exclusive locks only once
+// its own commit record is forced.
+//
+// An error returned after the commit point — the END record refused, or
+// an EventCommit or EventEnd action failing — wraps ErrCommitted: the
+// transaction is committed and must not be run again.
 func (tx *Txn) Commit() error {
 	if tx.state != StateActive {
 		return ErrNotActive
@@ -541,34 +562,13 @@ func (tx *Txn) Commit() error {
 		}
 		return err
 	}
-	// The commit stamp is assigned under stampMu held across the append,
-	// so stamp order matches commit-record order and the high-water can
-	// advance densely. The stamp rides in the commit record's payload;
-	// recovery re-derives the high-water from it.
-	tx.mgr.stampMu.Lock()
-	stamp := tx.mgr.nextStamp
-	tx.mgr.nextStamp++
-	tx.mgr.pending[stamp] = false
-	commitLSN, err := tx.mgr.Log.Append(tx.id, wal.RecCommit, wal.Owner{}, wal.EncodeCommitStamp(stamp))
-	tx.mgr.stampMu.Unlock()
-	if err != nil {
-		tx.mgr.publishStamp(stamp)
-		return tx.commitFailed(err)
+	var stamp uint64
+	if tx.mgr.Log.LastLSN(tx.id) != 0 {
+		var err error
+		if stamp, err = tx.logCommit(); err != nil {
+			return tx.commitFailed(err)
+		}
 	}
-	// The commit point: the transaction is committed only once the commit
-	// record is on stable storage. Until the force returns the caller must
-	// not be told the commit succeeded, and EventCommit (whose contract
-	// promises durability) must not fire. SyncCommitted group-commits:
-	// concurrently arriving commit records share one fsync.
-	forceStart := time.Now()
-	if err := tx.mgr.Log.SyncCommitted(commitLSN); err != nil {
-		// The stamp is published as dead so the high-water queue keeps
-		// draining; the transaction's versions stay unstamped (invisible)
-		// and restart recovery resolves its fate from the log.
-		tx.mgr.publishStamp(stamp)
-		return tx.commitFailed(err)
-	}
-	tx.tr.Event("wal.force", "", "commit", forceStart, time.Since(forceStart), nil)
 	tx.state = StateCommitted
 	tx.commitStamp = stamp
 	commitErr := tx.fire(EventCommit, "")
@@ -581,20 +581,55 @@ func (tx *Txn) Commit() error {
 	// The commit is durable whether or not the log takes its END record:
 	// restart recovery treats a committed transaction without one as
 	// committed. Locally it ends either way.
-	_, logErr := tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil)
+	var logErr error
+	if stamp != 0 {
+		_, logErr = tx.mgr.Log.Append(tx.id, wal.RecEnd, wal.Owner{}, nil)
+	}
 	tx.mgr.finish(tx, "committed")
 	tx.tr.Finish("committed")
 	if h := tx.mgr.OnEnd; h != nil {
 		h()
 	}
-	switch {
-	case logErr != nil:
-		return logErr
-	case commitErr != nil:
-		return commitErr
-	default:
-		return endErr
+	if err := cmp.Or(logErr, commitErr, endErr); err != nil {
+		return fmt.Errorf("%w: %w", ErrCommitted, err)
 	}
+	return nil
+}
+
+// logCommit writes the commit record and forces it: the commit point. It
+// returns the commit stamp, which is assigned under stampMu held across
+// the append, so stamp order matches commit-record order and the
+// high-water can advance densely. The stamp rides in the commit record's
+// payload, encoded into the manager's buffer (the log copies it);
+// recovery re-derives the high-water from it.
+func (tx *Txn) logCommit() (uint64, error) {
+	m := tx.mgr
+	m.stampMu.Lock()
+	stamp := m.nextStamp
+	m.nextStamp++
+	m.pending[stamp] = false
+	payload := wal.AppendCommitStamp(m.stampBuf[:0], stamp)
+	commitLSN, err := m.Log.Append(tx.id, wal.RecCommit, wal.Owner{}, payload)
+	m.stampMu.Unlock()
+	if err != nil {
+		m.publishStamp(stamp)
+		return 0, err
+	}
+	// The transaction is committed only once the commit record is on
+	// stable storage. Until the force returns the caller must not be told
+	// the commit succeeded, and EventCommit (whose contract promises
+	// durability) must not fire. SyncCommitted group-commits: concurrently
+	// arriving commit records share one fsync.
+	forceStart := time.Now()
+	if err := m.Log.SyncCommitted(commitLSN); err != nil {
+		// The stamp is published as dead so the high-water queue keeps
+		// draining; the transaction's versions stay unstamped (invisible)
+		// and restart recovery resolves its fate from the log.
+		m.publishStamp(stamp)
+		return 0, err
+	}
+	tx.tr.Event("wal.force", "", "commit", forceStart, time.Since(forceStart), nil)
+	return stamp, nil
 }
 
 // commitFailed handles a commit whose record could not be appended or

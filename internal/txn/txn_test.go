@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"dmx/internal/lock"
@@ -202,8 +203,8 @@ func TestTerminationEventsRunEveryAction(t *testing.T) {
 		if commit {
 			end = tx.Commit
 		}
-		if err := end(); !errors.Is(err, first) {
-			t.Errorf("commit=%v: the termination returned %v, want %v", commit, err, first)
+		if err := end(); !errors.Is(err, first) || errors.Is(err, ErrCommitted) != commit {
+			t.Errorf("commit=%v: the termination returned %v, want %v, wrapped in ErrCommitted on commit", commit, err, first)
 		}
 		if want := "[term1 term2 end1 end2]"; fmt.Sprint(ran) != want {
 			t.Errorf("commit=%v: ran %v, want %s", commit, ran, want)
@@ -333,6 +334,75 @@ func TestDeferredActionCanAppendDuringPrepare(t *testing.T) {
 	})
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	if recs := m.Log.Records(); recs[len(recs)-2].Kind != wal.RecCommit || tx.CommitStamp() == 0 {
+		t.Fatalf("a transaction that logged while preparing committed without a stamped record: %v", recs)
+	}
+}
+
+// TestCommitWithoutLog: a transaction that logged nothing commits without
+// the log — no record, no stamp — while its events fire and its locks are
+// released as for any commit, so a writer waiting on its share lock goes
+// on. A transaction that logged and then rolled back to a savepoint
+// still writes its commit and END records.
+func TestCommitWithoutLog(t *testing.T) {
+	m, _ := newEnv()
+	res := lock.KeyResource(1, []byte("k"))
+	reader := m.Begin()
+	if err := reader.Lock(res, lock.ModeS); err != nil {
+		t.Fatal(err)
+	}
+	var fired []string
+	for _, ev := range []Event{EventBeforePrepare, EventCommit, EventEnd} {
+		reader.Defer(ev, func(*Txn, string) error { fired = append(fired, ev.String()); return nil })
+	}
+	writer := m.Begin()
+	granted := make(chan error, 1)
+	go func() { granted <- writer.Lock(res, lock.ModeX) }()
+	for {
+		if _, waiting := m.Locks.SnapshotLocks(); len(waiting) > 0 {
+			break
+		}
+		runtime.Gosched()
+	}
+	records, hw := m.Log.Len(), m.StampHW()
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Log.Len() != records || m.StampHW() != hw || reader.CommitStamp() != 0 {
+		t.Errorf("the reader's commit: %d log records, high-water %d, stamp %d; want %d, %d, 0",
+			m.Log.Len(), m.StampHW(), reader.CommitStamp(), records, hw)
+	}
+	if want := "[BEFORE_PREPARE COMMIT END]"; fmt.Sprint(fired) != want || reader.State() != StateCommitted {
+		t.Errorf("the reader fired %v and ended %v, want %s and COMMITTED", fired, reader.State(), want)
+	}
+	if err := <-granted; err != nil {
+		t.Fatalf("the waiting writer: %v", err)
+	}
+	if _, err := writer.AppendLog(wal.Owner{}, []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Commit(); err != nil || writer.CommitStamp() == 0 || m.StampHW() != writer.CommitStamp() {
+		t.Fatalf("the writer's commit: %v, stamp %d, high-water %d", err, writer.CommitStamp(), m.StampHW())
+	}
+
+	tx := m.Begin()
+	if _, err := tx.Savepoint("s"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.AppendLog(wal.Owner{}, []byte("undone")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.RollbackTo("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	recs := m.Log.Records()
+	if last := recs[len(recs)-2:]; last[0].Kind != wal.RecCommit || last[1].Kind != wal.RecEnd ||
+		last[0].Txn != tx.ID() || wal.DecodeCommitStamp(last[0].Payload) != tx.CommitStamp() || tx.CommitStamp() == 0 {
+		t.Errorf("a transaction rolled back to its savepoint ended the log with %v, stamp %d", last, tx.CommitStamp())
 	}
 }
 

@@ -315,9 +315,18 @@ func (k Kind) encodable() bool {
 // methods use it to decode the fields the caller asked for straight from
 // the buffer-resident record bytes.
 type Selector struct {
-	field []int // ascending
+	field []int // ascending; unused while short holds the list
 	slot  []int // field[i]'s index in the caller's list; nil: i itself
+	n     int   // the length of a list held in short
+	// short holds an unsorted list of up to shortSelector fields, so
+	// building its selector allocates nothing: the fields ascending, then
+	// each one's index in the caller's list.
+	short [2 * shortSelector]int
 }
+
+// shortSelector is the longest unsorted field list a Selector holds in
+// place.
+const shortSelector = 8
 
 // NewSelector returns the selector of fields, in any order, duplicates
 // allowed. An ascending list — the usual case — is used as given, not
@@ -326,27 +335,47 @@ func NewSelector(fields []int) Selector {
 	if sort.IntsAreSorted(fields) {
 		return Selector{field: fields}
 	}
-	pairs := make([]int, 2*len(fields))
-	s := Selector{field: pairs[:len(fields)], slot: pairs[len(fields):]}
+	var s Selector
+	var field, slot []int
+	if len(fields) <= shortSelector {
+		s.n = len(fields)
+		field, slot = s.short[:s.n], s.short[shortSelector:shortSelector+s.n]
+	} else {
+		pairs := make([]int, 2*len(fields))
+		s.field, s.slot = pairs[:len(fields)], pairs[len(fields):]
+		field, slot = s.field, s.slot
+	}
 	for i, f := range fields { // insertion sort; lists are tiny
 		j := i
-		for ; j > 0 && s.field[j-1] > f; j-- {
-			s.field[j], s.slot[j] = s.field[j-1], s.slot[j-1]
+		for ; j > 0 && field[j-1] > f; j-- {
+			field[j], slot[j] = field[j-1], slot[j-1]
 		}
-		s.field[j], s.slot[j] = f, i
+		field[j], slot[j] = f, i
 	}
 	return s
 }
 
+// lists returns the selected fields, ascending, and each one's index in
+// the caller's list (nil: its own index).
+func (s *Selector) lists() (field, slot []int) {
+	if s.n > 0 {
+		return s.short[:s.n], s.short[shortSelector : shortSelector+s.n]
+	}
+	return s.field, s.slot
+}
+
 // Width is the number of fields the selector decodes: the length of the
 // list it was built from.
-func (s *Selector) Width() int { return len(s.field) }
+func (s *Selector) Width() int {
+	field, _ := s.lists()
+	return len(field)
+}
 
 // Project decodes the selected fields of b into a new record in the
 // caller's field order (Record.Project of the decoded record, without
 // decoding it). A field past the record's arity is NULL.
 func (s *Selector) Project(b []byte) (Record, error) {
-	out := make(Record, len(s.field))
+	out := make(Record, s.Width())
 	if err := s.ProjectInto(out, b); err != nil {
 		return nil, err
 	}
@@ -359,10 +388,11 @@ func (s *Selector) ProjectInto(out Record, b []byte) error {
 		return fmt.Errorf("types: truncated record")
 	}
 	clear(out)
+	field, slot := s.lists()
 	arity := int(binary.BigEndian.Uint16(b))
 	pos, next := 2, 0
-	for i := 0; i < arity && next < len(s.field); i++ {
-		if s.field[next] != i {
+	for i := 0; i < arity && next < len(field); i++ {
+		if field[next] != i {
 			_, _, used, err := SplitValue(b[pos:])
 			if err != nil {
 				return fmt.Errorf("types: record field %d: %w", i, err)
@@ -375,11 +405,11 @@ func (s *Selector) ProjectInto(out Record, b []byte) error {
 			return fmt.Errorf("types: record field %d: %w", i, err)
 		}
 		pos += used
-		for ; next < len(s.field) && s.field[next] == i; next++ {
-			if s.slot == nil {
+		for ; next < len(field) && field[next] == i; next++ {
+			if slot == nil {
 				out[next] = v
 			} else {
-				out[s.slot[next]] = v
+				out[slot[next]] = v
 			}
 		}
 	}

@@ -308,6 +308,29 @@ func TestSelector(t *testing.T) {
 	}
 }
 
+// TestShortSelectorIsInline: an unsorted list of up to shortSelector
+// fields is held in the Selector itself, so building it allocates
+// nothing and a copy of it selects the same fields; a longer one still
+// projects in the caller's order.
+func TestShortSelectorIsInline(t *testing.T) {
+	fields := []int{2, 1}
+	var sel Selector
+	if n := testing.AllocsPerRun(100, func() { sel = NewSelector(fields) }); n != 0 {
+		t.Errorf("NewSelector(%v): %v allocations, want 0", fields, n)
+	}
+	rec := Record{Int(0), Int(1), Int(2), Int(3), Int(4), Int(5), Int(6), Int(7), Int(8), Int(9)}
+	enc := rec.AppendEncode(nil)
+	copied := sel
+	if got, err := copied.Project(enc); err != nil || !got.Equal(Record{Int(2), Int(1)}) {
+		t.Errorf("a copy of the short selector projects %v, %v", got, err)
+	}
+	long := []int{9, 8, 7, 6, 5, 4, 3, 2, 1}
+	sel = NewSelector(long)
+	if got, err := sel.Project(enc); err != nil || !got.Equal(rec.Project(long)) || sel.Width() != len(long) {
+		t.Errorf("the long selector projects %v, %v (width %d)", got, err, sel.Width())
+	}
+}
+
 func TestSelectorMatchesFullDecodeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for i := 0; i < 300; i++ {

@@ -611,9 +611,9 @@ func EncodeATT(entries []ATTEntry) []byte {
 	return out
 }
 
-// EncodeCommitStamp serialises a commit stamp for a RecCommit payload.
-func EncodeCommitStamp(stamp uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, stamp)
+// AppendCommitStamp appends the RecCommit payload of stamp to dst.
+func AppendCommitStamp(dst []byte, stamp uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, stamp)
 }
 
 // DecodeCommitStamp reads the stamp from a RecCommit payload; commit

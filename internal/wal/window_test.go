@@ -48,13 +48,13 @@ func TestClosedFileIsTheReferenceImage(t *testing.T) {
 		{LSN: 1, Txn: 5, Kind: RecUpdate, Owner: o, Payload: []byte("one")},
 		{LSN: 2, Txn: 6, Kind: RecUpdate, Owner: o, Payload: []byte{}},
 		{LSN: 3, Txn: 5, PrevLSN: 1, UndoNext: 0, Kind: RecCompensation, Owner: o, Payload: []byte("one")},
-		{LSN: 4, Txn: 5, PrevLSN: 3, Kind: RecCommit, Payload: EncodeCommitStamp(9)},
+		{LSN: 4, Txn: 5, PrevLSN: 3, Kind: RecCommit, Payload: AppendCommitStamp(nil, 9)},
 		{LSN: 5, Txn: 5, PrevLSN: 4, Kind: RecEnd, Payload: []byte{}},
 	}
 	l.Append(5, RecUpdate, o, []byte("one"))
 	l.Append(6, RecUpdate, o, nil)
 	l.AppendCLR(5, o, []byte("one"), 0)
-	l.Append(5, RecCommit, Owner{}, EncodeCommitStamp(9))
+	l.Append(5, RecCommit, Owner{}, AppendCommitStamp(nil, 9))
 	l.Append(5, RecEnd, Owner{}, nil)
 	if err := l.Sync(); err != nil { // grows the file by an extent
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func FuzzOpenLog(f *testing.F) {
 		{LSN: 1, Txn: 1, Kind: RecUpdate, Owner: o, Payload: []byte("a1")},
 		{LSN: 2, Txn: 2, Kind: RecUpdate, Owner: o, Payload: []byte("b1")},
 		{LSN: 3, Txn: 1, PrevLSN: 1, Kind: RecUpdate, Owner: o, Payload: []byte("a2")},
-		{LSN: 4, Txn: 1, PrevLSN: 3, Kind: RecCommit, Payload: EncodeCommitStamp(1)},
+		{LSN: 4, Txn: 1, PrevLSN: 3, Kind: RecCommit, Payload: AppendCommitStamp(nil, 1)},
 		{LSN: 5, Txn: 3, Kind: RecUpdate, Owner: o, Payload: []byte("c1")},
 		{LSN: 6, Txn: 2, PrevLSN: 2, Kind: RecCompensation, Owner: o, Payload: []byte("b1")},
 		{LSN: 7, Txn: 2, PrevLSN: 6, Kind: RecAbort, Payload: []byte{}},
